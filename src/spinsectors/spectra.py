@@ -17,6 +17,7 @@ import numpy as np
 
 from .combinatorics import SpinSpecies
 from .ensembles import EntropyEstimate, bipartition_maps, slice_entanglement_entropy
+from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
 __all__ = [
     "ChainSpec",
@@ -69,43 +70,7 @@ def _check_cap(spec):
 
 
 # ---------------------------------------------------------------------------
-# configuration space and two-site terms
-
-
-def _spin_matrices(two_s):
-    d = two_s + 1
-    m = (np.arange(d) - two_s / 2.0)  # ascending local magnetization
-    sz = np.diag(m)
-    sp = np.zeros((d, d))
-    s = two_s / 2.0
-    for k in range(d - 1):
-        sp[k + 1, k] = math.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    sm = sp.T
-    return sz, sp, sm
-
-
-@lru_cache(maxsize=None)
-def _pair_terms(two_s, power):
-    """Nonzero elements of (S_i . S_j)**power as {(di, dj): [(di', dj', amp)]}.
-
-    Digits are local magnetization indices 0..2s; all matrix elements conserve
-    the two-site magnetization.
-    """
-    sz, sp, sm = _spin_matrices(two_s)
-    d = two_s + 1
-    ss = np.kron(sz, sz) + 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
-    op = np.linalg.matrix_power(ss, power)
-    terms = {}
-    for col in range(d * d):
-        di, dj = divmod(col, d)
-        entries = []
-        for row in range(d * d):
-            amp = op[row, col]
-            if abs(amp) > 1e-12:
-                oi, oj = divmod(row, d)
-                entries.append((oi, oj, float(amp)))
-        terms[(di, dj)] = tuple(entries)
-    return terms
+# translation orbits and operator matrices
 
 
 def _bond_list(spec):
@@ -116,67 +81,34 @@ def _bond_list(spec):
 
 
 @lru_cache(maxsize=None)
-def configuration_space(two_s, sites, two_jz=0):
-    """Sorted integer codes and digit table of the fixed-magnetization slice.
-
-    Site i occupies the base-d digit of weight d**i; digit values 0..2s map to
-    local two_m = 2*digit - 2s.
-    """
-    d = two_s + 1
-    codes = []
-
-    def rec(code, weight, remaining, need):
-        if remaining == 0:
-            if need == 0:
-                codes.append(code)
-            return
-        for digit in range(d):
-            two_m = 2 * digit - two_s
-            rest = need - two_m
-            if abs(rest) <= two_s * (remaining - 1):
-                rec(code + digit * weight, weight * d, remaining - 1, rest)
-
-    rec(0, 1, sites, two_jz)
-    codes = np.array(sorted(codes), dtype=np.int64)
-    digits = np.empty((len(codes), sites), dtype=np.int8)
-    rem = codes.copy()
-    for i in range(sites):
-        digits[:, i] = rem % d
-        rem //= d
-    return codes, digits
-
-
-def _translate(code, d, sites, top_weight):
-    """Shift every site's digit one position up (periodically)."""
-    top = code // top_weight
-    return (code - top * top_weight) * d + top
-
-
-@lru_cache(maxsize=None)
 def _orbit_data(two_s, sites, two_jz=0):
-    """Translation orbits of the slice: representatives, periods, and lookup.
+    """Translation orbits of the slice, one entry per configuration.
 
-    `lookup[code] = (rep_index, shift)` with code = T**shift |rep>.
+    Returns arrays (rep, shift, period): configuration c equals
+    T**shift[c] applied to the slice configuration rep[c], the orbit member
+    with the smallest code, and period[c] is the orbit length.  T moves
+    every site's digit one position up (periodically).
     """
     d = two_s + 1
     codes, _ = configuration_space(two_s, sites, two_jz)
-    top_weight = d ** (sites - 1)
-    lookup = {}
-    reps = []
-    periods = []
-    for code in codes.tolist():
-        if code in lookup:
-            continue
-        orbit = [code]
-        t = _translate(code, d, sites, top_weight)
-        while t != code:
-            orbit.append(t)
-            t = _translate(t, d, sites, top_weight)
-        for shift, member in enumerate(orbit):
-            lookup[member] = (len(reps), shift)
-        reps.append(code)
-        periods.append(len(orbit))
-    return np.array(reps, dtype=np.int64), np.array(periods, dtype=np.int64), lookup
+    # rolled[c, t] is the code of T**-t applied to configuration c
+    rolled = [codes]
+    for _ in range(1, sites):
+        rolled.append(rolled[-1] // d + rolled[-1] % d * d ** (sites - 1))
+    rolled = np.stack(rolled, axis=1)
+    rep = np.searchsorted(codes, rolled.min(axis=1))
+    shift = rolled.argmin(axis=1)
+    period = sites // (rolled == codes[:, None]).sum(axis=1)
+    for table in (rep, shift, period):
+        table.flags.writeable = False
+    return rep, shift, period
+
+
+def _block_position(codes, rep, block_codes):
+    """Block position of every slice configuration's orbit, len(block_codes) outside."""
+    position = np.full(len(codes), len(block_codes))
+    position[np.searchsorted(codes, block_codes)] = np.arange(len(block_codes))
+    return position[rep]
 
 
 @dataclass
@@ -202,46 +134,20 @@ class MomentumBlock:
 def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0, two_jz=0):
     two_s = spec.species.two_s
     sites = spec.sites
-    d = two_s + 1
-    top_weight = d ** (sites - 1)
-    reps, periods, lookup = _orbit_data(two_s, sites, two_jz)
+    codes, digits = configuration_space(two_s, sites, two_jz)
+    rep, shift, period = _orbit_data(two_s, sites, two_jz)
     n = momentum_index
-    in_block = (n * periods) % sites == 0
-    block_reps = np.nonzero(in_block)[0]
-    pos = {int(r): i for i, r in enumerate(block_reps)}
+    block_reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
     dim = len(block_reps)
+    col, row, amp = bond_matrix_elements(two_s, digits[block_reps], bonds, codes)
+    target = _block_position(codes, rep, codes[block_reps])[row]
+    keep = target < dim  # target orbits incompatible with this momentum drop out
     k = 2.0 * math.pi * n / sites
-    phase = np.exp(1j * k * np.arange(sites))
-    matrix = np.zeros((dim, dim), dtype=complex)
-    weights = d ** np.arange(sites, dtype=np.int64)
-    for col, rep_idx in enumerate(block_reps):
-        code = int(reps[rep_idx])
-        digits = [(code // int(weights[i])) % d for i in range(sites)]
-        ra = periods[rep_idx]
-        if diagonal_shift:
-            matrix[col, col] += diagonal_shift
-        for dist, coeff, power in bonds:
-            if coeff == 0.0:
-                continue
-            terms = _pair_terms(two_s, power)
-            for i in range(sites):
-                jsite = (i + dist) % sites
-                for oi, oj, amp in terms[(digits[i], digits[jsite])]:
-                    new_code = (
-                        code
-                        + (oi - digits[i]) * int(weights[i])
-                        + (oj - digits[jsite]) * int(weights[jsite])
-                    )
-                    rep_b, shift = lookup[new_code]
-                    row = pos.get(rep_b)
-                    if row is None:
-                        continue  # target orbit incompatible with this momentum
-                    rb = periods[rep_b]
-                    matrix[row, col] += (
-                        coeff * amp * phase[shift] * math.sqrt(ra / rb)
-                    )
+    values = amp * np.exp(1j * k * shift[row]) * np.sqrt(period[block_reps][col] / period[row])
+    matrix = np.eye(dim, dtype=complex) * diagonal_shift
+    np.add.at(matrix, (target[keep], col[keep]), values[keep])
     matrix = 0.5 * (matrix + matrix.conj().T)
-    return MomentumBlock(n, sites, reps[block_reps], periods[block_reps], matrix)
+    return MomentumBlock(n, sites, codes[block_reps], period[block_reps], matrix)
 
 
 def momentum_blocks(spec, two_jz=0):
@@ -256,13 +162,19 @@ def momentum_blocks(spec, two_jz=0):
 @lru_cache(maxsize=64)
 def _j2_block_matrix(two_s, sites, momentum_index, two_jz=0):
     """One momentum block of total J**2 (coupling-independent, cached)."""
-    species = SpinSpecies(two_s)
-    spec = ChainSpec(species, sites, 0.0)
-    s_local = (two_s / 2.0) * (two_s / 2.0 + 1.0)
-    bonds = tuple((dist, 1.0, 1) for dist in range(1, sites))
+    spec = ChainSpec(SpinSpecies(two_s), sites, 0.0)
+    diagonal, bonds = spin_squared_terms(two_s, sites)
     return _assemble_block(
-        spec, momentum_index, bonds, diagonal_shift=sites * s_local, two_jz=two_jz
+        spec, momentum_index, bonds, diagonal_shift=diagonal, two_jz=two_jz
     ).matrix
+
+
+def _slice_matrix(two_s, sites, two_jz, bonds, diagonal_shift=0.0):
+    codes, digits = configuration_space(two_s, sites, two_jz)
+    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes)
+    matrix = np.eye(len(codes)) * diagonal_shift
+    np.add.at(matrix, (row, col), amp)
+    return matrix
 
 
 def hamiltonian_matrix(spec, two_jz=0):
@@ -271,53 +183,14 @@ def hamiltonian_matrix(spec, two_jz=0):
     Reference implementation used to certify the momentum decomposition.
     """
     _check_cap(spec)
-    two_s = spec.species.two_s
-    d = two_s + 1
-    codes, digits = configuration_space(two_s, spec.sites, two_jz)
-    index = {int(c): i for i, c in enumerate(codes)}
-    weights = d ** np.arange(spec.sites, dtype=np.int64)
-    dim = len(codes)
-    matrix = np.zeros((dim, dim))
-    for col in range(dim):
-        code = int(codes[col])
-        row_digits = digits[col]
-        for dist, coeff, power in _bond_list(spec):
-            if coeff == 0.0:
-                continue
-            terms = _pair_terms(two_s, power)
-            for i in range(spec.sites):
-                jsite = (i + dist) % spec.sites
-                di, dj = int(row_digits[i]), int(row_digits[jsite])
-                for oi, oj, amp in terms[(di, dj)]:
-                    new_code = code + (oi - di) * int(weights[i]) + (oj - dj) * int(weights[jsite])
-                    matrix[index[new_code], col] += coeff * amp
-    return matrix
+    return _slice_matrix(spec.species.two_s, spec.sites, two_jz, _bond_list(spec))
 
 
 def spin_squared_matrix(species, sites, two_jz=0):
     """Dense total J**2 on the fixed-J_z configuration space."""
-    spec = ChainSpec(species, sites, 0.0)
-    _check_cap(spec)
-    two_s = species.two_s
-    d = two_s + 1
-    codes, digits = configuration_space(two_s, sites, two_jz)
-    index = {int(c): i for i, c in enumerate(codes)}
-    weights = d ** np.arange(sites, dtype=np.int64)
-    dim = len(codes)
-    s_local = (two_s / 2.0) * (two_s / 2.0 + 1.0)
-    matrix = np.eye(dim) * sites * s_local
-    terms = _pair_terms(two_s, 1)
-    for col in range(dim):
-        code = int(codes[col])
-        row_digits = digits[col]
-        for dist in range(1, sites):
-            for i in range(sites):
-                jsite = (i + dist) % sites
-                di, dj = int(row_digits[i]), int(row_digits[jsite])
-                for oi, oj, amp in terms[(di, dj)]:
-                    new_code = code + (oi - di) * int(weights[i]) + (oj - dj) * int(weights[jsite])
-                    matrix[index[new_code], col] += amp
-    return matrix
+    _check_cap(ChainSpec(species, sites, 0.0))
+    diagonal, bonds = spin_squared_terms(species.two_s, sites)
+    return _slice_matrix(species.two_s, sites, two_jz, bonds, diagonal)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +221,16 @@ def gaussianity_of_vector(vector):
     return float((x**2).mean() / mean_abs**2)
 
 
-def _config_amplitudes(block, vector, lookup_size, code_to_slice, two_s, sites):
-    """Map a momentum-block eigenvector back to slice-configuration amplitudes."""
-    d = two_s + 1
-    top_weight = d ** (sites - 1)
-    k = 2.0 * math.pi * block.momentum_index / sites
-    amps = np.zeros(lookup_size, dtype=complex)
-    for idx in range(block.dim):
-        code = int(block.representatives[idx])
-        period = int(block.periods[idx])
-        coeff = vector[idx] / math.sqrt(period)
-        member = code
-        for shift in range(period):
-            amps[code_to_slice[member]] = coeff * np.exp(-1j * k * shift)
-            member = _translate(member, d, sites, top_weight)
+def _config_amplitudes(block, vectors, two_s, two_jz=0):
+    """Map momentum-block eigenvectors (columns) back to slice-configuration amplitudes."""
+    codes, _ = configuration_space(two_s, block.sites, two_jz)
+    rep, shift, period = _orbit_data(two_s, block.sites, two_jz)
+    k = 2.0 * math.pi * block.momentum_index / block.sites
+    # the appended zero row serves configurations whose orbit is not in the block
+    padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=complex)])
+    amps = padded[_block_position(codes, rep, block.representatives)]
+    amps /= np.sqrt(period)[:, None]
+    amps *= np.exp(-1j * k * shift)[:, None]
     return amps
 
 
@@ -376,7 +245,6 @@ def diagonalize_and_resolve(
     fractions=(Fraction(1, 2),),
     central_fraction=0.2,
     two_jz=0,
-    momentum_indices=None,
     compute_entropies=True,
     pooled_central=False,
 ):
@@ -393,8 +261,7 @@ def diagonalize_and_resolve(
     _check_cap(spec)
     two_s = spec.species.two_s
     sites = spec.sites
-    codes, digits = configuration_space(two_s, sites, two_jz)
-    code_to_slice = {int(c): i for i, c in enumerate(codes)}
+    _, digits = configuration_space(two_s, sites, two_jz)
     cut_maps = {}
     if compute_entropies:
         for f in fractions:
@@ -403,10 +270,9 @@ def diagonalize_and_resolve(
                 raise ValueError(f"fraction {f} gives an empty bipartition at L={sites}")
             cut_maps[Fraction(f)] = (cut, bipartition_maps(digits, range(cut)))
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
-    # statistics, so only n = 0 .. L/2 is diagonalized by default.
-    indices = range(sites // 2 + 1) if momentum_indices is None else momentum_indices
+    # statistics, so only n = 0 .. L/2 is diagonalized.
     solved = []
-    for n in indices:
+    for n in range(sites // 2 + 1):
         block = _assemble_block(spec, n, _bond_list(spec), two_jz=two_jz)
         energies, vectors = np.linalg.eigh(block.matrix)
         j2 = _j2_block_matrix(two_s, sites, n, two_jz)
@@ -425,7 +291,7 @@ def diagonalize_and_resolve(
             proj = sub.conj().T @ j2 @ sub
             _, rot = np.linalg.eigh(0.5 * (proj + proj.conj().T))
             vectors[:, lo:hi] = sub @ rot
-        q_values = np.real(np.einsum("ij,jk,ki->i", vectors.conj().T, j2, vectors))
+        q_values = np.sum(vectors.conj() * (j2 @ vectors), axis=0).real
         solved.append((block, energies, vectors, q_values))
 
     central = {}
@@ -449,6 +315,10 @@ def diagonalize_and_resolve(
 
     records = []
     for block, energies, vectors, q_values in solved:
+        if compute_entropies:
+            chosen = sorted(central[block.momentum_index])
+            amps = _config_amplitudes(block, vectors[:, chosen], two_s, two_jz)
+            amps_of = dict(zip(chosen, amps.T))
         for i in range(block.dim):
             q = max(float(q_values[i]), 0.0)
             two_j = round(math.sqrt(4.0 * q + 1.0) - 1.0)
@@ -468,12 +338,9 @@ def diagonalize_and_resolve(
             if rec.central and not rec.flagged:
                 rec.gaussianity = gaussianity_of_vector(vectors[:, i])
                 if compute_entropies:
-                    amps = _config_amplitudes(
-                        block, vectors[:, i], len(codes), code_to_slice, two_s, sites
-                    )
                     for f, (cut, maps) in cut_maps.items():
                         rec.entropies[f] = slice_entanglement_entropy(
-                            amps, digits, range(cut), maps=maps
+                            amps_of[i], digits, range(cut), maps=maps
                         )
             records.append(rec)
     return records

@@ -8,6 +8,7 @@ requested total J_z are ever stored.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,9 @@ __all__ = [
     "coupled_sector_basis",
     "apply_total_spin_squared",
     "apply_total_sz",
+    "configuration_space",
+    "bond_matrix_elements",
+    "spin_squared_terms",
 ]
 
 _SLICE_CAP = 1_000_000
@@ -119,22 +123,136 @@ def _local_two_ms(species):
     return tuple(range(-species.two_s, species.two_s + 1, 2))
 
 
-def _slice_configs(species, sites, two_jz):
-    """All product configurations with total magnetization two_jz, lexicographic."""
-    out = []
+# ---------------------------------------------------------------------------
+# magnetization slice and two-site operators
 
-    def rec(prefix, remaining, need):
-        if remaining == 0:
-            if need == 0:
-                out.append(prefix)
-            return
-        for ms in _local_two_ms(species):
-            rest = need - ms
-            if abs(rest) <= species.two_s * (remaining - 1):
-                rec(prefix + (ms,), remaining - 1, rest)
 
-    rec((), sites, two_jz)
-    return out
+def _digit_codes(digits, d):
+    """Integer codes of digit rows: site i carries the base-d digit of weight d**i."""
+    sites = digits.shape[1]
+    if d**sites > np.iinfo(np.int64).max:
+        raise ValueError(f"codes of {sites} sites with {d} local states overflow 64-bit integers")
+    return digits @ d ** np.arange(sites, dtype=np.int64)
+
+
+def _slice_digits(two_s, sites, two_jz):
+    """Digit rows of the fixed-magnetization slice, sorted by code."""
+    d = two_s + 1
+    local = 2 * np.arange(d) - two_s
+    # Sites are placed from the most significant down, each row branching
+    # into d rows in digit order, so the rows stay sorted by code; rows that
+    # can no longer reach two_jz are pruned at every step.
+    digits = np.zeros((1, 0), dtype=np.int8)
+    need = np.array([two_jz], dtype=np.int64)
+    for remaining in range(sites - 1, -1, -1):
+        rest = (need[:, None] - local).ravel()
+        keep = np.abs(rest) <= two_s * remaining
+        new_digit = np.tile(np.arange(d, dtype=np.int8), len(digits))
+        digits = np.column_stack([np.repeat(digits, d, axis=0), new_digit])[keep]
+        need = rest[keep]
+    return np.ascontiguousarray(digits[:, ::-1])
+
+
+@lru_cache(maxsize=None)
+def configuration_space(two_s, sites, two_jz=0):
+    """Sorted integer codes and digit table of the fixed-magnetization slice.
+
+    Site i occupies the base-d digit of weight d**i; digit values 0..2s map to
+    local two_m = 2*digit - 2s.  Both arrays are cached and read-only.
+    """
+    digits = _slice_digits(two_s, sites, two_jz)
+    codes = _digit_codes(digits, two_s + 1)
+    codes.flags.writeable = False
+    digits.flags.writeable = False
+    return codes, digits
+
+
+def _spin_matrices(two_s):
+    d = two_s + 1
+    m = (np.arange(d) - two_s / 2.0)  # ascending local magnetization
+    sz = np.diag(m)
+    sp = np.zeros((d, d))
+    s = two_s / 2.0
+    for k in range(d - 1):
+        sp[k + 1, k] = math.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+    sm = sp.T
+    return sz, sp, sm
+
+
+@lru_cache(maxsize=None)
+def _pair_terms(two_s, power):
+    """Nonzero elements of (S_i . S_j)**power as a padded table.
+
+    Entry [a, b, k] of the three (d, d, K) arrays gives the new digits of
+    sites i and j and the amplitude of the k-th element in the column of
+    digits (a, b); unused slots carry amplitude 0.  Digits are local
+    magnetization indices 0..2s; all elements conserve the two-site
+    magnetization.
+    """
+    sz, sp, sm = _spin_matrices(two_s)
+    d = two_s + 1
+    ss = np.kron(sz, sz) + 0.5 * (np.kron(sp, sm) + np.kron(sm, sp))
+    op = np.linalg.matrix_power(ss, power).reshape(d, d, d, d)  # [oi, oj, a, b]
+    nonzero = np.abs(op) > 1e-12
+    width = int(nonzero.sum(axis=(0, 1)).max())
+    new_i = np.zeros((d, d, width), dtype=np.int64)
+    new_j = np.zeros((d, d, width), dtype=np.int64)
+    amp = np.zeros((d, d, width))
+    for a in range(d):
+        for b in range(d):
+            oi, oj = np.nonzero(nonzero[:, :, a, b])
+            new_i[a, b, : len(oi)] = oi
+            new_j[a, b, : len(oi)] = oj
+            amp[a, b, : len(oi)] = op[oi, oj, a, b]
+    for table in (new_i, new_j, amp):
+        table.flags.writeable = False
+    return new_i, new_j, amp
+
+
+def bond_matrix_elements(two_s, digits, bonds, codes):
+    """Matrix elements of sum_i coeff * (S_i . S_{i+dist})**power on a periodic chain.
+
+    `bonds` holds (dist, coeff, power) triples, `digits` the column
+    configurations and `codes` the sorted codes of the configurations they
+    may be mapped to.  Returns COO triples (col, row, amp) with `col`
+    indexing the rows of `digits` and `row` indexing `codes`; raises
+    ValueError if a column is mapped to a configuration outside `codes`.
+    """
+    digits = np.asarray(digits)
+    sites = digits.shape[1]
+    d = two_s + 1
+    weights = d ** np.arange(sites, dtype=np.int64)
+    col_codes = _digit_codes(digits, d)
+    # one empty entry each keeps the concatenation valid when no bond acts
+    cols = [np.empty(0, dtype=np.int64)]
+    new_codes = [np.empty(0, dtype=np.int64)]
+    amps = [np.empty(0)]
+    for dist, coeff, power in bonds:
+        if coeff == 0.0:
+            continue
+        new_i, new_j, table = _pair_terms(two_s, power)
+        second = (np.arange(sites) + dist) % sites
+        partner = digits[:, second]
+        col, site, k = np.nonzero(table[digits, partner])
+        a, b = digits[col, site], partner[col, site]
+        new_codes.append(
+            col_codes[col]
+            + (new_i[a, b, k] - a) * weights[site]
+            + (new_j[a, b, k] - b) * weights[second[site]]
+        )
+        cols.append(col)
+        amps.append(coeff * table[a, b, k])
+    new_codes = np.concatenate(new_codes)
+    row = np.searchsorted(codes, new_codes)
+    if np.any(row == len(codes)) or np.any(codes[np.minimum(row, len(codes) - 1)] != new_codes):
+        raise ValueError("the operator maps a configuration outside the given configuration set")
+    return np.concatenate(cols), row, np.concatenate(amps)
+
+
+def spin_squared_terms(two_s, sites):
+    """Total J**2 as (diagonal, bonds): sites * s(s+1) plus S_i . S_j over all i != j."""
+    s = two_s / 2.0
+    return sites * (s * (s + 1.0)), tuple((dist, 1.0, 1) for dist in range(1, sites))
 
 
 def _couple_paths(species, sites, two_j_final=None, two_m_final=None):
@@ -201,6 +319,14 @@ class SectorBasis:
         return self.vectors.shape[0]
 
 
+def _slice_two_ms(species, sites, two_jz):
+    """Local two_m rows of the slice in lexicographic order, site 0 most significant."""
+    digits = _slice_digits(species.two_s, sites, two_jz)
+    # the slice is closed under reversing the sites, and reversed rows sorted
+    # by code are sorted lexicographically
+    return (2 * digits[:, ::-1] - species.two_s).astype(np.int8)
+
+
 def _config_index(configs):
     return {tuple(int(x) for x in row): i for i, row in enumerate(configs)}
 
@@ -223,9 +349,7 @@ def sector_basis(species, sites, two_j, two_jz):
     """
     label = SectorLabel(species, sites, two_j, two_jz)
     _guard_slice(species, sites, two_j, two_jz)
-    configs = np.array(_slice_configs(species, sites, two_jz), dtype=np.int8)
-    if configs.size == 0:
-        configs = configs.reshape(0, sites)
+    configs = _slice_two_ms(species, sites, two_jz)
     index = _config_index(configs)
     paths = [
         (path, mdict)
@@ -252,7 +376,7 @@ def coupled_sector_basis(species, sites, cut, two_j, two_jz=0):
         raise ValueError(f"cut must satisfy 1 <= cut < sites, got {cut}")
     label = SectorLabel(species, sites, two_j, two_jz)
     _guard_slice(species, sites, two_j, two_jz)
-    configs = np.array(_slice_configs(species, sites, two_jz), dtype=np.int8)
+    configs = _slice_two_ms(species, sites, two_jz)
     index = _config_index(configs)
 
     def by_spin(paths):
@@ -291,45 +415,24 @@ def coupled_sector_basis(species, sites, cut, two_j, two_jz=0):
     return SectorBasis(label, configs, vectors, tuple(labels), cut=cut)
 
 
-def _raise_coeff(two_s, two_m):
-    return 0.5 * math.sqrt(two_s * (two_s + 2) - two_m * (two_m + 2))
-
-
-def _lower_coeff(two_s, two_m):
-    return 0.5 * math.sqrt(two_s * (two_s + 2) - two_m * (two_m - 2))
-
-
 def apply_total_spin_squared(state, species, configs):
-    """Matrix-free action of total J**2 on a magnetization-slice state."""
+    """Total J**2 applied to a state on the given configurations (rows of local two_m).
+
+    Raises ValueError if J**2 maps a configuration outside `configs`.
+    """
     configs = np.asarray(configs)
     if state.shape[0] != configs.shape[0]:
         raise ValueError(
             f"state length {state.shape[0]} does not match {configs.shape[0]} configurations"
         )
-    sites = configs.shape[1]
     two_s = species.two_s
-    index = _config_index(configs)
-    ms = configs / 2.0
-    s_local = (two_s / 2.0) * (two_s / 2.0 + 1.0)
-    diag = sites * s_local + ms.sum(axis=1) ** 2 - (ms**2).sum(axis=1)
-    out = diag * state
-    for i, row in enumerate(configs):
-        amp = state[i]
-        if amp == 0.0:
-            continue
-        row = tuple(int(x) for x in row)
-        for p in range(sites):
-            if row[p] == two_s:
-                continue
-            cp = _raise_coeff(two_s, row[p])
-            for q in range(sites):
-                if q == p or row[q] == -two_s:
-                    continue
-                cq = _lower_coeff(two_s, row[q])
-                new = list(row)
-                new[p] += 2
-                new[q] -= 2
-                out[index[tuple(new)]] += amp * cp * cq
+    digits = (configs + two_s) // 2
+    codes = _digit_codes(digits, two_s + 1)
+    order = np.argsort(codes)
+    diagonal, bonds = spin_squared_terms(two_s, configs.shape[1])
+    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes[order])
+    out = diagonal * state
+    np.add.at(out, order[row], amp * state[col])
     return out
 
 

@@ -21,11 +21,12 @@ from spinsectors import (
     zero_magnetization_dim,
 )
 from spinsectors.ensembles import slice_entanglement_entropy
-from spinsectors.spectra import _config_amplitudes, configuration_space
+from spinsectors.spectra import _assemble_block, _bond_list, _config_amplitudes
+from spinsectors.su2 import apply_total_spin_squared, configuration_space
 
 
-def kron_hamiltonian(two_s, sites, coupling):
-    """Independent full-product-space Hamiltonian built from Kronecker products."""
+def kron_site_operators(two_s, sites):
+    """Independent (S^z, S^x, S^y) of every site as full-product-space Kronecker products."""
     d = two_s + 1
     s = two_s / 2
     m = np.arange(d) - s
@@ -42,8 +43,16 @@ def kron_hamiltonian(two_s, sites, coupling):
             out = np.kron(out, op if site == i else np.eye(d))
         return out
 
+    return [[site_op(op, i) for op in ops] for i in range(sites)]
+
+
+def kron_hamiltonian(two_s, sites, coupling):
+    """Independent full-product-space Hamiltonian built from Kronecker products."""
+    d = two_s + 1
+    site_ops = kron_site_operators(two_s, sites)
+
     def exchange(i, j):
-        return sum(site_op(op, i) @ site_op(op, j) for op in ops)
+        return sum(a @ b for a, b in zip(site_ops[i], site_ops[j]))
 
     ham = np.zeros((d**sites, d**sites), dtype=complex)
     for i in range(sites):
@@ -53,6 +62,13 @@ def kron_hamiltonian(two_s, sites, coupling):
         else:
             ham += -bond + coupling * (bond @ bond)
     return ham
+
+
+def kron_spin_squared(two_s, sites):
+    """Independent total J**2 on the full product space: the square of each summed component."""
+    site_ops = kron_site_operators(two_s, sites)
+    totals = [sum(ops[c] for ops in site_ops) for c in range(3)]
+    return sum(t @ t for t in totals)
 
 
 def restrict_to_zero_magnetization(matrix, two_s, sites):
@@ -172,6 +188,24 @@ class TestMomentumBlocks:
         assert all(flags[n] for n in (1, 2, 3, 5, 6, 7))
 
 
+class TestSpinSquared:
+    @pytest.mark.parametrize("two_s,sites", [(1, 6), (2, 4)])
+    def test_matches_kron_oracle_on_every_slice(self, two_s, sites):
+        species = HALF if two_s == 1 else ONE
+        reference = kron_spin_squared(two_s, sites)
+        rng = np.random.default_rng(5)
+        for two_jz in range(-two_s * sites, two_s * sites + 1, 2):
+            _, digits = configuration_space(two_s, sites, two_jz)
+            # the Kronecker product makes site 0 the most significant factor
+            kron_index = digits @ (two_s + 1) ** np.arange(sites - 1, -1, -1)
+            expected = reference[np.ix_(kron_index, kron_index)]
+            dense = spin_squared_matrix(species, sites, two_jz)
+            assert np.max(np.abs(dense - expected)) < 1e-12
+            state = rng.standard_normal(len(digits)) + 1j * rng.standard_normal(len(digits))
+            applied = apply_total_spin_squared(state, species, 2 * digits - two_s)
+            assert np.max(np.abs(applied - expected @ state)) < 1e-12
+
+
 class TestCommutation:
     def test_hamiltonian_commutes_with_j2(self):
         rng = np.random.default_rng(12)
@@ -224,19 +258,14 @@ class TestResolution:
         # momentum eigenstates: the sector mean is invariant under shifting the cut
         spec = ChainSpec(HALF, 12, 3.0)
         two_s, sites = 1, 12
-        codes, digits = configuration_space(two_s, sites, 0)
-        code_to_slice = {int(c): i for i, c in enumerate(codes)}
-        from spinsectors.spectra import _assemble_block, _bond_list
-
+        _, digits = configuration_space(two_s, sites, 0)
         block = _assemble_block(spec, 2, _bond_list(spec))
         energies, vectors = np.linalg.eigh(block.matrix)
+        amps = _config_amplitudes(block, vectors[:, ::7], two_s)
         means = []
         for offset in (0, 1):
             sites_a = [(offset + i) % sites for i in range(6)]
-            values = []
-            for idx in range(0, block.dim, 7):
-                amps = _config_amplitudes(block, vectors[:, idx], len(codes), code_to_slice, two_s, sites)
-                values.append(slice_entanglement_entropy(amps, digits, sites_a))
+            values = [slice_entanglement_entropy(a, digits, sites_a) for a in amps.T]
             means.append(np.mean(values))
         assert means[0] == pytest.approx(means[1], abs=1e-9)
 

@@ -219,3 +219,16 @@ class TestOperators:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_total_spin_squared(np.ones(3), HALF, np.array([[1, -1]]))
+
+    def test_configuration_left_by_j2_rejected(self):
+        # J**2 flips [1, -1] into [-1, 1], which the given set lacks
+        with pytest.raises(ValueError, match="outside"):
+            apply_total_spin_squared(np.ones(1), HALF, np.array([[1, -1]]))
+
+    def test_codes_beyond_64_bits_rejected(self):
+        # 2**64 spin-1/2 configurations do not fit 64-bit codes; the basis
+        # itself needs no codes and still builds
+        basis = sector_basis(HALF, 64, 64, 64)
+        assert basis.configs.shape == (1, 64)
+        with pytest.raises(ValueError, match="overflow"):
+            apply_total_spin_squared(basis.vectors[0], HALF, basis.configs)
