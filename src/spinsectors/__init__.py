@@ -51,9 +51,7 @@ from .ensembles import (
     page_average,
     paired_spin_crossover,
     random_state_average,
-    sd1_average,
     sd1_semianalytic,
-    sd2_average,
     sd2_average_closed,
     sd2_asymptotic,
     singlet_average_asymptotic,

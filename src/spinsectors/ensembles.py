@@ -1,12 +1,12 @@
 """Entanglement entropy of pure states and sector-ensemble averages.
 
 Random states with fixed (J, J_z=0) are sampled without ever forming the
-exponentially large sector basis: in the bipartite coupled basis a state is a
-collection of Gaussian blocks W^{J_A J_B} (one per admissible spin pairing
-across the cut) and the reduced density matrix is block diagonal in the
-subsystem magnetization m, with blocks assembled from the W's weighted by
-Clebsch-Gordan coefficients.  The block-diagonal approximations reuse the
-same draws: `sd1` zeroes the interference between different J_A, `sd2`
+exponentially large sector basis: in the bipartite coupled basis a state is
+one Gaussian matrix W made of blocks W^{J_A J_B} (one per admissible spin
+pairing across the cut) and the reduced density matrix is block diagonal in
+the subsystem magnetization m, with blocks cut from W and weighted by
+Clebsch-Gordan coefficients.  The block-diagonal approximations reuse the same
+draws: `sd1` zeroes the interference between different J_A, `sd2`
 additionally keeps only the J_B = J - J_A pairings (renormalized), so paired
 comparisons between the three ensembles are free of independent-sampling
 noise.
@@ -20,13 +20,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .asymptotics import multiplicity_rate
 from .combinatorics import HALF, SectorLabel, spin_half_multiplicity
-from .special import digamma, entropy_nats
+from .special import digamma
 from .su2 import clebsch_gordan, stretched_weight_log
 
 __all__ = [
@@ -50,8 +51,6 @@ __all__ = [
     "sd1_semianalytic",
     "ensemble_entropy_samples",
     "random_state_average",
-    "sd1_average",
-    "sd2_average",
     "ensemble_average",
     "default_sample_count",
     "resolve_workers",
@@ -66,7 +65,7 @@ WORKERS_ENV = "SPINSECTORS_WORKERS"
 
 
 def schmidt_square_entropy(lams):
-    """-sum lam ln lam over Schmidt squares, dropping values below the floor."""
+    """-sum w ln w over Schmidt squares or weights, dropping values below the floor."""
     lams = np.asarray(lams)
     lams = lams[lams > EIGENVALUE_FLOOR]
     if lams.size == 0:
@@ -74,10 +73,18 @@ def schmidt_square_entropy(lams):
     return max(float(-np.dot(lams, np.log(lams))), 0.0)
 
 
+def _schmidt_squares(x):
+    """Squared Schmidt values of each (stacked) trailing matrix of x, clipped
+    at zero; the Gram matrix is taken on the smaller side."""
+    xh = np.swapaxes(x.conj(), -1, -2)
+    gram = x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
+    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+
 def _check_normalized(state):
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized: |psi| = {norm}")
+    for norm in np.atleast_1d(np.linalg.norm(state, axis=0)):
+        if abs(norm - 1.0) > 1e-10:
+            raise ValueError(f"state is not normalized: |psi| = {norm}")
 
 
 def entanglement_entropy(state, cut, local_dim=2):
@@ -118,24 +125,23 @@ def bipartition_maps(configs, a_sites):
 def slice_entanglement_entropy(state, configs, a_sites, maps=None):
     """Entanglement entropy of a state on a magnetization-resolved slice.
 
-    `a_sites` lists the subsystem sites (need not start at 0); the reduced
-    density matrix is diagonalized block by block in the subsystem
-    magnetization.
+    `state` is a vector over `configs` (result: a float) or a column stack of
+    them (result: one entropy per column).  `a_sites` lists the subsystem
+    sites (need not start at 0); the reduced density matrix is diagonalized
+    block by block in the subsystem magnetization.
     """
     state = np.asarray(state)
     _check_normalized(state)
+    states = state.reshape(len(state), -1)
     if maps is None:
         maps = bipartition_maps(configs, a_sites)
     lams = []
     for sel, rows, cols, shape in maps:
-        block = np.zeros(shape, dtype=state.dtype)
-        block[rows, cols] = state[sel]
-        if shape[0] <= shape[1]:
-            gram = block @ block.conj().T
-        else:
-            gram = block.conj().T @ block
-        lams.append(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
-    return schmidt_square_entropy(np.concatenate(lams))
+        blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
+        blocks[:, rows, cols] = states[sel].T
+        lams.append(_schmidt_squares(blocks))
+    values = [schmidt_square_entropy(lam) for lam in np.concatenate(lams, axis=1)]
+    return np.array(values) if state.ndim == 2 else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +257,14 @@ def max_spin_state_entropy(sites, cut):
 class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
-    Holds the multiplicities of both blocks, the Clebsch-Gordan columns
-    c_m(J; J_A, J_B), and row/column offsets used to assemble reduced density
-    matrix blocks.  The identity sum_{pairs} n_A n_B = n_J is asserted at
+    Holds the multiplicities of both blocks and the Clebsch-Gordan columns
+    c_m(J; J_A, J_B).  The identity sum_{pairs} n_A n_B = n_J is asserted at
     construction, cross-checking the counting machinery.
+
+    It owns the layout of a coupled state W: row groups follow J_A ascending
+    (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
+    matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`).  The layout is
+    built lazily, as the closed forms use this geometry at L up to 10**4.
     """
 
     def __init__(self, sites, two_j, cut):
@@ -297,9 +307,6 @@ class CoupledPairGeometry:
         self.sector_dim = total
         self.ja_list = sorted(self.na)
         self.jb_list = sorted(self.nb)
-        self.partners = {
-            ja: sorted(jb for a, jb in self.pairs if a == ja) for ja in self.ja_list
-        }
         self.cg = {}
         for two_ja, two_jb in self.pairs:
             mm = min(two_ja, two_jb)
@@ -313,10 +320,58 @@ class CoupledPairGeometry:
         self.m_max = max(min(ja, jb) for ja, jb in self.pairs)
 
     def cg_coefficient(self, two_ja, two_jb, two_m):
+        """c_m(J; J_A, J_B), zero outside the admissible pairs and |m| range."""
         mm = min(two_ja, two_jb)
-        if abs(two_m) > mm:
+        if (two_ja, two_jb) not in self.cg or abs(two_m) > mm:
             return 0.0
         return float(self.cg[(two_ja, two_jb)][(two_m + mm) // 2])
+
+    @property
+    def sd2_pairs(self):
+        """The J_B = J - J_A pairings that sd2 keeps."""
+        pairs = [(ja, self.two_j - ja) for ja in self.ja_list if (ja, self.two_j - ja) in self.cg]
+        if not pairs:
+            raise ValueError(
+                f"no J_B = J - J_A pairing exists for L={self.sites}, "
+                f"two_j={self.two_j}, cut={self.cut}"
+            )
+        return pairs
+
+    @cached_property
+    def rows(self):
+        """Row slice of W for each J_A."""
+        return _group_slices(self.ja_list, self.na)
+
+    @cached_property
+    def cols(self):
+        """Column slice of W for each J_B."""
+        return _group_slices(self.jb_list, self.nb)
+
+    @property
+    def shape(self):
+        return sum(self.na.values()), sum(self.nb.values())
+
+    @cached_property
+    def m_blocks(self):
+        """Per two_m = -m_max .. m_max: the suffix start (r0, c0), the CG table of
+        its (J_A, J_B) groups, the group sizes and the J_A row slices of it."""
+        out = []
+        for two_m in range(-self.m_max, self.m_max + 1, 2):
+            ja_rows = [ja for ja in self.ja_list if ja >= abs(two_m)]
+            jb_cols = [jb for jb in self.jb_list if jb >= abs(two_m)]
+            r0, c0 = self.rows[ja_rows[0]].start, self.cols[jb_cols[0]].start
+            table = np.array([[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows])
+            row_counts = [self.na[ja] for ja in ja_rows]
+            col_counts = [self.nb[jb] for jb in jb_cols]
+            ja_slices = [slice(self.rows[ja].start - r0, self.rows[ja].stop - r0) for ja in ja_rows]
+            out.append((r0, c0, table, row_counts, col_counts, ja_slices))
+        return out
+
+
+def _group_slices(spins, counts):
+    """Consecutive slices of counts[s] entries, one per spin in order."""
+    ends = accumulate(counts[s] for s in spins)
+    return {s: slice(end - counts[s], end) for s, end in zip(spins, ends)}
 
 
 @lru_cache(maxsize=256)
@@ -329,85 +384,43 @@ def coupled_geometry(sites, two_j, cut):
 
 
 def _draw_blocks(rng, geo, complex_coefficients):
-    blocks = {}
+    """One random coupled state W, drawn pair by pair and normalized."""
+    w = np.zeros(geo.shape, dtype=complex if complex_coefficients else float)
     total = 0.0
-    for pair in geo.pairs:
-        shape = (geo.na[pair[0]], geo.nb[pair[1]])
-        w = rng.standard_normal(shape)
+    for two_ja, two_jb in geo.pairs:
+        block = w[geo.rows[two_ja], geo.cols[two_jb]]
+        block[...] = rng.standard_normal(block.shape)
         if complex_coefficients:
-            w = w + 1j * rng.standard_normal(shape)
-        blocks[pair] = w
-        total += float(np.sum(np.abs(w) ** 2))
-    scale = 1.0 / math.sqrt(total)
-    for pair in blocks:
-        blocks[pair] = blocks[pair] * scale
-    return blocks
+            block += 1j * rng.standard_normal(block.shape)
+        total += float(np.sum(np.abs(block) ** 2))
+    w *= 1.0 / math.sqrt(total)
+    return w
 
 
-def _entropies_from_blocks(geo, blocks, methods):
+def _entropies_from_blocks(geo, w, methods):
     out = {}
-    dtype = complex if np.iscomplexobj(next(iter(blocks.values()))) else float
     if "full" in methods or "sd1" in methods:
         lam_full = []
         lam_sd1 = []
-        for two_m in range(-geo.m_max, geo.m_max + 1, 2):
-            rows = [ja for ja in geo.ja_list if ja >= abs(two_m)]
-            cols = [jb for jb in geo.jb_list if jb >= abs(two_m)]
-            if not rows or not cols:
-                continue
-            row_off = {}
-            off = 0
-            for ja in rows:
-                row_off[ja] = off
-                off += geo.na[ja]
-            n_rows = off
-            col_off = {}
-            off = 0
-            for jb in cols:
-                col_off[jb] = off
-                off += geo.nb[jb]
-            n_cols = off
-            x = np.zeros((n_rows, n_cols), dtype=dtype)
-            for ja in rows:
-                for jb in geo.partners[ja]:
-                    if jb < abs(two_m):
-                        continue
-                    c = geo.cg_coefficient(ja, jb, two_m)
-                    if c == 0.0:
-                        continue
-                    x[
-                        row_off[ja] : row_off[ja] + geo.na[ja],
-                        col_off[jb] : col_off[jb] + geo.nb[jb],
-                    ] = c * blocks[(ja, jb)]
+        buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
+        for r0, c0, table, row_counts, col_counts, ja_slices in geo.m_blocks:
+            cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
+            x = np.multiply(cg, w[r0:, c0:], out=buf[: cg.size].reshape(cg.shape))
             if "full" in methods:
-                if n_rows <= n_cols:
-                    gram = x @ x.conj().T
-                else:
-                    gram = x.conj().T @ x
-                lam_full.append(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+                lam_full.append(_schmidt_squares(x))
             if "sd1" in methods:
-                for ja in rows:
-                    xb = x[row_off[ja] : row_off[ja] + geo.na[ja]]
-                    gram = xb @ xb.conj().T
-                    lam_sd1.append(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+                lam_sd1.extend(_schmidt_squares(x[rows]) for rows in ja_slices)
         if "full" in methods:
             out["full"] = schmidt_square_entropy(np.concatenate(lam_full))
         if "sd1" in methods:
             out["sd1"] = schmidt_square_entropy(np.concatenate(lam_sd1))
     if "sd2" in methods:
-        sub = [(ja, geo.two_j - ja) for ja in geo.ja_list if (ja, geo.two_j - ja) in geo.cg]
-        if not sub:
-            raise ValueError(
-                f"no J_B = J - J_A pairing exists for two_j={geo.two_j}, cut={geo.cut}"
-            )
-        trace = sum(float(np.sum(np.abs(blocks[p]) ** 2)) for p in sub)
-        lams = []
-        for pair in sub:
-            w = blocks[pair]
-            gram = w @ w.conj().T
-            mu = np.clip(np.linalg.eigvalsh(gram), 0.0, None) / trace
-            weights = geo.cg[pair] ** 2
-            lams.append(np.outer(weights, mu).ravel())
+        blocks = {pair: w[geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
+        trace = sum(float(np.sum(np.abs(block) ** 2)) for block in blocks.values())
+        lams = [
+            np.outer(geo.cg[pair] ** 2, _schmidt_squares(block) / trace).ravel()
+            for pair, block in blocks.items()
+        ]
         out["sd2"] = schmidt_square_entropy(np.concatenate(lams))
     return out
 
@@ -418,8 +431,8 @@ def _sample_range(args):
     out = {m: np.empty(stop - start) for m in methods}
     for i in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        blocks = _draw_blocks(rng, geo, complex_coefficients)
-        values = _entropies_from_blocks(geo, blocks, methods)
+        w = _draw_blocks(rng, geo, complex_coefficients)
+        values = _entropies_from_blocks(geo, w, methods)
         for m in methods:
             out[m][i - start] = values[m]
     return out
@@ -476,10 +489,11 @@ def ensemble_entropy_samples(
         except OSError:
             parts = [_sample_range(job) for job in jobs]
     out = {m: np.concatenate([p[m] for p in parts]) for m in methods}
-    bound = min(cut, sites - cut) * math.log(2.0) + 1e-9
-    for values in out.values():
-        if values.min() < 0.0 or values.max() > bound:
-            raise RuntimeError("sampled entropy violates the min(L_A, L_B) ln 2 bound")
+    for method, values in out.items():
+        # sd1 pinches rho_A in J_A, which can raise its entropy up to L_A ln 2
+        name, n = ("L_A", cut) if method == "sd1" else ("min(L_A, L_B)", min(cut, sites - cut))
+        if values.min() < 0.0 or values.max() > n * math.log(2.0) + 1e-9:
+            raise RuntimeError(f"sampled {method} entropy violates the {name} ln 2 bound")
     return out
 
 
@@ -546,16 +560,6 @@ def random_state_average(sites, two_j, cut, samples, seed, complex_coefficients=
     return _mc_average(sites, two_j, cut, samples, seed, "full", complex_coefficients, workers)
 
 
-def sd1_average(sites, two_j, cut, samples, seed, complex_coefficients=False, workers=None):
-    """Sector average with interference between different J_A dropped."""
-    return _mc_average(sites, two_j, cut, samples, seed, "sd1", complex_coefficients, workers)
-
-
-def sd2_average(sites, two_j, cut, samples, seed, complex_coefficients=False, workers=None):
-    """Sector average restricted to the dominant J_B = J - J_A pairings."""
-    return _mc_average(sites, two_j, cut, samples, seed, "sd2", complex_coefficients, workers)
-
-
 def ensemble_average(spec: RandomStateSpec, cut, method="full", workers=None):
     """Dispatch a RandomStateSpec to the requested sampling method."""
     if spec.sector.species != HALF:
@@ -594,19 +598,11 @@ def sd2_average_closed(sites, two_j, cut):
     """
     geo = coupled_geometry(sites, two_j, cut)
     terms = []
-    for two_ja in geo.ja_list:
-        two_jb = two_j - two_ja
-        if (two_ja, two_jb) not in geo.cg:
-            continue
+    for two_ja, two_jb in geo.sd2_pairs:
         na = geo.na[two_ja]
         nb = geo.nb[two_jb]
-        weights = geo.cg[(two_ja, two_jb)] ** 2
-        s_cg = entropy_nats(weights)
+        s_cg = schmidt_square_entropy(geo.cg[(two_ja, two_jb)] ** 2)
         terms.append((na * nb, s_cg + page_average(na, nb)))
-    if not terms:
-        raise ValueError(
-            f"no J_B = J - J_A pairing exists for L={sites}, two_j={two_j}, cut={cut}"
-        )
     d = sum(d_ja for d_ja, _ in terms)
     psi_d = digamma(d + 1)
     return sum(
@@ -628,7 +624,7 @@ def sd1_semianalytic(sites, two_j, cut):
     total = 0.0
     for two_ja in geo.ja_list:
         na = geo.na[two_ja]
-        partners = geo.partners[two_ja]
+        partners = [jb for ja, jb in geo.pairs if ja == two_ja]
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:
@@ -637,7 +633,7 @@ def sd1_semianalytic(sites, two_j, cut):
                 p_m[k] += share * geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
         d_ja = na * nb_eff
         total += (d_ja / d) * (
-            entropy_nats(p_m) + page_average(na, nb_eff) + psi_d - digamma(d_ja + 1)
+            schmidt_square_entropy(p_m) + page_average(na, nb_eff) + psi_d - digamma(d_ja + 1)
         )
     return total
 

@@ -185,6 +185,9 @@ def _check_sampling():
         assert np.array_equal(a[key], c[key])
     singlet = ensemble_entropy_samples(8, 0, 4, 16, 3, ("full", "sd1"))
     assert np.allclose(singlet["full"], singlet["sd1"], atol=1e-12)
+    # with L_A > L_B, sd1 may exceed L_B ln 2; the sampler bounds it by L_A ln 2
+    asym = ensemble_entropy_samples(8, 2, 5, 16, 11, ("full", "sd1", "sd2"))
+    assert np.all(asym["sd1"] >= asym["full"] - 1e-10)
 
 
 def _check_entropy_units():

@@ -44,11 +44,3 @@ def log_binomial(n, k):
         raise ValueError(f"binomial index out of range: C({n}, {k})")
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
-
-def entropy_nats(weights, floor=1e-14):
-    """Shannon entropy -sum w ln w in nats, dropping weights below `floor`."""
-    s = 0.0
-    for w in weights:
-        if w > floor:
-            s -= w * math.log(w)
-    return max(s, 0.0)

@@ -315,10 +315,7 @@ def diagonalize_and_resolve(
 
     records = []
     for block, energies, vectors, q_values in solved:
-        if compute_entropies:
-            chosen = sorted(central[block.momentum_index])
-            amps = _config_amplitudes(block, vectors[:, chosen], two_s, two_jz)
-            amps_of = dict(zip(chosen, amps.T))
+        chosen = {}
         for i in range(block.dim):
             q = max(float(q_values[i]), 0.0)
             two_j = round(math.sqrt(4.0 * q + 1.0) - 1.0)
@@ -337,12 +334,14 @@ def diagonalize_and_resolve(
             )
             if rec.central and not rec.flagged:
                 rec.gaussianity = gaussianity_of_vector(vectors[:, i])
-                if compute_entropies:
-                    for f, (cut, maps) in cut_maps.items():
-                        rec.entropies[f] = slice_entanglement_entropy(
-                            amps_of[i], digits, range(cut), maps=maps
-                        )
+                chosen[i] = rec
             records.append(rec)
+        if compute_entropies and chosen:
+            amps = _config_amplitudes(block, vectors[:, list(chosen)], two_s, two_jz)
+            for f, (cut, maps) in cut_maps.items():
+                values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
+                for rec, value in zip(chosen.values(), values):
+                    rec.entropies[f] = float(value)
     return records
 
 
@@ -363,10 +362,7 @@ def eigenstate_entropy_average(records, two_j, fraction=Fraction(1, 2)):
     chosen = [r.entropies[f] for r in _select(records, two_j) if f in r.entropies]
     if not chosen:
         raise ValueError(f"no central eigenstates with two_j={two_j} were found")
-    values = np.array(chosen)
-    n = len(values)
-    std = float(values.std(ddof=1)) if n > 1 else 0.0
-    return EntropyEstimate(float(values.mean()), std, std / math.sqrt(n), n, "ed", 0)
+    return EntropyEstimate.from_samples(chosen, "ed", 0)
 
 
 def gaussianity_average(records, two_j):

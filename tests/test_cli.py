@@ -64,6 +64,14 @@ class TestAverage:
         assert rows[0]["std_dev"] == "nan"
         assert rows[0]["f"] == "1/2"
 
+    def test_closed_sd2_row_is_a_plain_number(self, tmp_path):
+        # 0 < 2J < L rows come from sd2_average_closed; the CSV holds a float literal
+        out = tmp_path / "avg.csv"
+        main(["average", "--method", "closed", "--L", "16", "--two-J", "4", "--f", "5/16",
+              "--out", str(out)])
+        _, rows = read_rows(out)
+        assert float(rows[0]["mean"]) == pytest.approx(2.8695834663775757, rel=1e-12)
+
     def test_seed_required_for_stochastic(self, tmp_path):
         with pytest.raises(SystemExit, match="seed"):
             main(["average", "--method", "full", "--L", "8", "--two-J", "0",

@@ -29,9 +29,14 @@ from spinsectors import (
     singlet_average_exact,
     slice_entanglement_entropy,
 )
-from spinsectors.ensembles import WORKERS_ENV, coupled_geometry
+from spinsectors.ensembles import (
+    WORKERS_ENV,
+    _draw_blocks,
+    _entropies_from_blocks,
+    coupled_geometry,
+)
 from spinsectors.special import digamma
-from spinsectors.su2 import sector_basis
+from spinsectors.su2 import coupled_sector_basis, sector_basis
 
 
 class TestEntropyKernels:
@@ -49,21 +54,30 @@ class TestEntropyKernels:
             entanglement_entropy(np.ones(4), 1)
 
     def test_slice_entropy_matches_dense(self):
-        # random J_z=0 state of 6 spins: dense reduced density matrix oracle
+        # random J_z=0 states of 6 spins, one real and a stack of four complex
+        # ones (one per column): dense reduced density matrix oracle
         rng = np.random.default_rng(5)
         basis = sector_basis(HALF, 6, 2, 0)
         coeff = rng.standard_normal(len(basis))
         coeff /= np.linalg.norm(coeff)
         state = coeff @ basis.vectors
-        dense = np.zeros(2**6)
-        for amp, cfg in zip(state, basis.configs):
-            # site i maps to bit 5-i so that reshape rows are the first sites
-            idx = sum((1 << (5 - i)) for i, m in enumerate(cfg) if m > 0)
-            dense[idx] = amp
-        for cut in (1, 2, 3):
-            expected = entanglement_entropy(dense, cut)
+        stack = rng.standard_normal((len(basis), 4)) + 1j * rng.standard_normal((len(basis), 4))
+        stack = basis.vectors.T @ (stack / np.linalg.norm(stack, axis=0))
+        # site i maps to bit 5-i so that reshape rows are the first sites
+        index = [sum(1 << (5 - i) for i, m in enumerate(cfg) if m > 0) for cfg in basis.configs]
+
+        def dense(amps):
+            out = np.zeros(2**6, dtype=amps.dtype)
+            out[index] = amps
+            return out
+
+        for cut in (1, 2, 3, 4):
             got = slice_entanglement_entropy(state, basis.configs, range(cut))
-            assert got == pytest.approx(expected, abs=1e-10)
+            assert got == pytest.approx(entanglement_entropy(dense(state), cut), abs=1e-10)
+            got = slice_entanglement_entropy(stack, basis.configs, range(cut))
+            assert got.shape == (4,)
+            for column, value in zip(stack.T, got):
+                assert value == pytest.approx(entanglement_entropy(dense(column), cut), abs=1e-10)
 
     def test_stretched_state_entropy_matches_explicit_superposition(self):
         # J = L/2 state: uniform superposition of all zero-magnetization configs
@@ -232,6 +246,14 @@ class TestSd1:
         samples = ensemble_entropy_samples(8, 0, 4, 32, 7, ("full", "sd1"))
         assert np.allclose(samples["full"], samples["sd1"], atol=1e-12)
 
+    def test_sd1_bounded_by_subsystem_a(self):
+        # sd1 pinches rho_A, so with L_A > L_B it may exceed L_B ln 2 but not L_A ln 2
+        sites, two_j, cut = 10, 4, 7
+        samples = ensemble_entropy_samples(sites, two_j, cut, 16, 3, ("full", "sd1"))
+        assert samples["sd1"].max() > (sites - cut) * math.log(2)
+        assert samples["sd1"].max() <= cut * math.log(2)
+        assert np.all(samples["sd1"] >= samples["full"] - 1e-10)
+
     def test_sd1_above_full_at_half_cut(self):
         samples = ensemble_entropy_samples(20, 2, 10, 300, 17, ("full", "sd1"))
         diff = samples["sd1"] - samples["full"]
@@ -288,6 +310,26 @@ class TestSampling:
         assert BipartitionSpec(12, 3).fraction == Fraction(1, 4)
         with pytest.raises(ValueError):
             BipartitionSpec(12, 12)
+
+
+class TestCoupledState:
+    @pytest.mark.parametrize("sites,two_j,cut", [(8, 2, 3), (8, 2, 5), (10, 4, 4), (10, 4, 7)])
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_sample_entropy_matches_explicit_state(self, sites, two_j, cut, complex_coefficients):
+        # one sampled W, expanded in the explicit coupled basis, has the
+        # sampler's full entropy
+        geo = coupled_geometry(sites, two_j, cut)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(31, cut)))
+        w = _draw_blocks(rng, geo, complex_coefficients)
+        basis = coupled_sector_basis(HALF, sites, cut, two_j)
+        coeff = [
+            w[geo.rows[ja].start + a - 1, geo.cols[jb].start + b - 1]
+            for ja, jb, a, b in basis.labels
+        ]
+        state = np.asarray(coeff) @ basis.vectors
+        explicit = slice_entanglement_entropy(state, basis.configs, range(cut))
+        sampled = _entropies_from_blocks(geo, w, ("full",))["full"]
+        assert sampled == pytest.approx(explicit, abs=1e-12)
 
 
 class TestGeometry:
