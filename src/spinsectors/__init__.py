@@ -37,11 +37,8 @@ from .su2 import (
     stretched_weight,
 )
 from .ensembles import (
-    BipartitionSpec,
     EntropyEstimate,
-    RandomStateSpec,
     default_sample_count,
-    ensemble_average,
     ensemble_entropy_samples,
     entanglement_entropy,
     fixed_filling_average,
@@ -60,10 +57,8 @@ from .ensembles import (
 )
 from .spectra import (
     ChainSpec,
-    ChaosReport,
     EigenstateRecord,
     MomentumBlock,
-    chaos_scan,
     diagonalize_and_resolve,
     eigenstate_entropy_average,
     gaussianity_average,

@@ -150,6 +150,8 @@ def saddle_solve(species, j):
 def log_multiplicity_saddle(species, sites, two_j):
     """ln n_J from the saddle-point approximation (log domain, no overflow)."""
     _check_spin_label(species, sites, two_j)
+    if sites < 1:
+        raise ValueError(f"saddle approximation needs sites >= 1, got {sites}")
     j = two_j / (species.two_s * sites)
     if j == 0.0 or j == 1.0:
         raise ValueError(

@@ -70,18 +70,25 @@ def _write_csv(path, header, rows):
         fh.write(body)
 
 
-def _parse_int_list(text, key):
+def _parse_number(text, key, kind=int, minimum=None):
+    """One option value of type `kind`, refused below `minimum`."""
     try:
-        return [int(tok) for tok in str(text).split(",") if tok != ""]
+        value = kind(text)
     except ValueError:
-        raise SystemExit(f"error: {key} expects a comma-separated integer list, got {text!r}")
+        value = None
+    if value is None or (minimum is not None and value < minimum):
+        what = "an integer" if kind is int else "a number"
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SystemExit(f"error: {key}: expects {what}{bound}, got {text!r}")
+    return value
 
 
-def _parse_float_list(text, key):
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError:
-        raise SystemExit(f"error: {key} expects a comma-separated number list, got {text!r}")
+def _parse_list(text, key, kind=int, minimum=None):
+    """A non-empty comma-separated list of option values."""
+    tokens = [tok for tok in str(text).split(",") if tok != ""]
+    if not tokens:
+        raise SystemExit(f"error: {key}: expects a non-empty comma-separated list, got {text!r}")
+    return [_parse_number(tok, key, kind, minimum) for tok in tokens]
 
 
 def _parse_fraction(text, key):
@@ -131,7 +138,7 @@ def _species(value):
 def _expand_two_j(species, sites, two_j_opt, key="two_J"):
     if two_j_opt in (None, "all"):
         return admissible_two_j(species, sites)
-    chosen = _parse_int_list(two_j_opt, key)
+    chosen = _parse_list(two_j_opt, key)
     valid = set(admissible_two_j(species, sites))
     for tj in chosen:
         if tj not in valid:
@@ -167,7 +174,7 @@ def _cmd_dims(args):
     species = _species(opt["species"] or "half")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_int_list(opt["L"], "L")
+    sites_list = _parse_list(opt["L"], "L", minimum=1)
     header = ("species", "L", "two_J", "n_exact", "n_asymptotic_log", "fraction", "fraction_asymptotic")
     rows = []
     for sites in sites_list:
@@ -195,7 +202,7 @@ def _cmd_beta(args):
     if opt["j_list"] is None:
         j_values = [k / 20 for k in range(21)]
     else:
-        j_values = _parse_float_list(opt["j_list"], "j-list")
+        j_values = _parse_list(opt["j_list"], "j-list", float)
     header = ("species", "j", "beta", "saddle_point", "prefactor")
     rows = []
     for j in j_values:
@@ -256,21 +263,23 @@ def _cmd_average(args):
         raise SystemExit(f"error: method: unknown method {method!r}")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_int_list(opt["L"], "L")
+    sites_list = _parse_list(opt["L"], "L", minimum=1)
     f = _parse_fraction(opt["f"] or "1/2", "f")
     if not 0 < f < 1:
         raise SystemExit(f"error: f: fraction must lie in (0, 1), got {f}")
     stochastic = method in STOCHASTIC_METHODS
-    seed = None
+    seed = samples_opt = None
     if stochastic:
         if opt["seed"] is None:
             raise SystemExit("error: seed: a seed is mandatory for stochastic methods")
-        seed = int(opt["seed"])
+        seed = _parse_number(opt["seed"], "seed", minimum=0)
+        if opt["samples"]:
+            samples_opt = _parse_number(opt["samples"], "samples", minimum=1)
     complex_field = opt["complex"] is not None
     rows = []
     for sites in sites_list:
         if opt["j_density"] is not None:
-            j_target = float(opt["j_density"])
+            j_target = _parse_number(opt["j_density"], "j-density", float)
             two_j = round(j_target * sites)
             two_j += (two_j - sites) % 2
             two_j_list = [min(two_j, sites)]
@@ -283,7 +292,7 @@ def _cmd_average(args):
             t0 = time.perf_counter()
             samples = None
             if stochastic:
-                samples = int(opt["samples"]) if opt["samples"] else default_sample_count(method, sites)
+                samples = samples_opt or default_sample_count(method, sites)
                 values = ensemble_entropy_samples(
                     sites, two_j, cut, samples, seed, (method,), complex_field
                 )[method]
@@ -312,8 +321,8 @@ def _cmd_ed(args, with_gamma):
     species = _species(opt["species"] or "half")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_int_list(opt["L"], "L")
-    couplings = _parse_float_list(opt["coupling"] or "0", "coupling")
+    sites_list = _parse_list(opt["L"], "L", minimum=1)
+    couplings = _parse_list(opt["coupling"] or "0", "coupling", float)
     f = _parse_fraction(opt["f"] or "1/2", "f")
     rows = []
     eigen_rows = []
@@ -402,6 +411,8 @@ def main(argv=None):
         raise SystemExit(f"error: out: refusing to overwrite existing file: {exc.filename}")
     except (ValueError, RuntimeError) as exc:
         raise SystemExit(f"error: {exc}")
+    except ArithmeticError as exc:
+        raise SystemExit(f"error: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

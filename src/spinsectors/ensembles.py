@@ -32,8 +32,6 @@ from .su2 import clebsch_gordan, stretched_weight_log
 
 __all__ = [
     "EntropyEstimate",
-    "BipartitionSpec",
-    "RandomStateSpec",
     "entanglement_entropy",
     "bipartition_maps",
     "slice_entanglement_entropy",
@@ -51,7 +49,6 @@ __all__ = [
     "sd1_semianalytic",
     "ensemble_entropy_samples",
     "random_state_average",
-    "ensemble_average",
     "default_sample_count",
     "resolve_workers",
 ]
@@ -516,66 +513,12 @@ class EntropyEstimate:
         return cls(float(values.mean()), std, std / math.sqrt(n), n, method, seed)
 
 
-@dataclass(frozen=True)
-class BipartitionSpec:
-    """A contiguous cut of an L-site chain."""
-
-    sites: int
-    cut: int
-
-    def __post_init__(self):
-        if not 1 <= self.cut < self.sites:
-            raise ValueError(f"cut must satisfy 1 <= cut < {self.sites}, got {self.cut}")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.cut, self.sites)
-
-
-@dataclass(frozen=True)
-class RandomStateSpec:
-    """Ensemble of Gaussian random states in one (J, J_z) sector."""
-
-    sector: SectorLabel
-    samples: int
-    seed: int
-    coefficient_field: str = "real"
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.coefficient_field not in ("real", "complex"):
-            raise ValueError(f"coefficient_field must be 'real' or 'complex'")
-
-
-def _mc_average(sites, two_j, cut, samples, seed, method, complex_coefficients, workers):
-    values = ensemble_entropy_samples(
-        sites, two_j, cut, samples, seed, (method,), complex_coefficients, workers
-    )[method]
-    return EntropyEstimate.from_samples(values, method, seed)
-
-
 def random_state_average(sites, two_j, cut, samples, seed, complex_coefficients=False, workers=None):
     """Average entropy of Gaussian random states of the full (J, J_z=0) sector."""
-    return _mc_average(sites, two_j, cut, samples, seed, "full", complex_coefficients, workers)
-
-
-def ensemble_average(spec: RandomStateSpec, cut, method="full", workers=None):
-    """Dispatch a RandomStateSpec to the requested sampling method."""
-    if spec.sector.species != HALF:
-        raise ValueError("random-state ensembles are implemented for spin-1/2 only")
-    if spec.sector.two_jz != 0:
-        raise ValueError("random-state ensembles are implemented for the J_z=0 sector")
-    return _mc_average(
-        spec.sector.sites,
-        spec.sector.two_j,
-        cut,
-        spec.samples,
-        spec.seed,
-        method,
-        spec.coefficient_field == "complex",
-        workers,
-    )
+    values = ensemble_entropy_samples(
+        sites, two_j, cut, samples, seed, ("full",), complex_coefficients, workers
+    )["full"]
+    return EntropyEstimate.from_samples(values, "full", seed)
 
 
 def default_sample_count(method, sites):

@@ -23,9 +23,8 @@ __all__ = [
     "ChainSpec",
     "MomentumBlock",
     "EigenstateRecord",
-    "ChaosReport",
     "MAX_SITES",
-    "configuration_space",
+    "CENTRAL_FRACTION",
     "hamiltonian_matrix",
     "spin_squared_matrix",
     "momentum_blocks",
@@ -33,11 +32,14 @@ __all__ = [
     "eigenstate_entropy_average",
     "gaussianity_average",
     "gaussianity_of_vector",
-    "chaos_scan",
 ]
 
 # Dense-solver guardrails: momentum blocks stay below ~10**4 states.
 MAX_SITES = {1: 16, 2: 10}
+
+# Entropies and Gaussianity are evaluated for this central share of each
+# block's spectrum, by energy rank.
+CENTRAL_FRACTION = 0.2
 
 DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
@@ -81,7 +83,7 @@ def _bond_list(spec):
 
 
 @lru_cache(maxsize=None)
-def _orbit_data(two_s, sites, two_jz=0):
+def _orbit_data(two_s, sites):
     """Translation orbits of the slice, one entry per configuration.
 
     Returns arrays (rep, shift, period): configuration c equals
@@ -90,7 +92,7 @@ def _orbit_data(two_s, sites, two_jz=0):
     every site's digit one position up (periodically).
     """
     d = two_s + 1
-    codes, _ = configuration_space(two_s, sites, two_jz)
+    codes, _ = configuration_space(two_s, sites, 0)
     # rolled[c, t] is the code of T**-t applied to configuration c
     rolled = [codes]
     for _ in range(1, sites):
@@ -131,11 +133,11 @@ class MomentumBlock:
         return len(self.representatives)
 
 
-def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0, two_jz=0):
+def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0):
     two_s = spec.species.two_s
     sites = spec.sites
-    codes, digits = configuration_space(two_s, sites, two_jz)
-    rep, shift, period = _orbit_data(two_s, sites, two_jz)
+    codes, digits = configuration_space(two_s, sites, 0)
+    rep, shift, period = _orbit_data(two_s, sites)
     n = momentum_index
     block_reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
     dim = len(block_reps)
@@ -150,23 +152,18 @@ def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0, two_jz=0):
     return MomentumBlock(n, sites, codes[block_reps], period[block_reps], matrix)
 
 
-def momentum_blocks(spec, two_jz=0):
-    """All momentum blocks of the Hamiltonian on the fixed-J_z slice."""
+def momentum_blocks(spec):
+    """All momentum blocks of the Hamiltonian on the J_z=0 slice."""
     _check_cap(spec)
-    return [
-        _assemble_block(spec, n, _bond_list(spec), two_jz=two_jz)
-        for n in range(spec.sites)
-    ]
+    return [_assemble_block(spec, n, _bond_list(spec)) for n in range(spec.sites)]
 
 
 @lru_cache(maxsize=64)
-def _j2_block_matrix(two_s, sites, momentum_index, two_jz=0):
+def _j2_block_matrix(two_s, sites, momentum_index):
     """One momentum block of total J**2 (coupling-independent, cached)."""
     spec = ChainSpec(SpinSpecies(two_s), sites, 0.0)
     diagonal, bonds = spin_squared_terms(two_s, sites)
-    return _assemble_block(
-        spec, momentum_index, bonds, diagonal_shift=diagonal, two_jz=two_jz
-    ).matrix
+    return _assemble_block(spec, momentum_index, bonds, diagonal_shift=diagonal).matrix
 
 
 def _slice_matrix(two_s, sites, two_jz, bonds, diagonal_shift=0.0):
@@ -221,10 +218,10 @@ def gaussianity_of_vector(vector):
     return float((x**2).mean() / mean_abs**2)
 
 
-def _config_amplitudes(block, vectors, two_s, two_jz=0):
+def _config_amplitudes(block, vectors, two_s):
     """Map momentum-block eigenvectors (columns) back to slice-configuration amplitudes."""
-    codes, _ = configuration_space(two_s, block.sites, two_jz)
-    rep, shift, period = _orbit_data(two_s, block.sites, two_jz)
+    codes, _ = configuration_space(two_s, block.sites, 0)
+    rep, shift, period = _orbit_data(two_s, block.sites)
     k = 2.0 * math.pi * block.momentum_index / block.sites
     # the appended zero row serves configurations whose orbit is not in the block
     padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=complex)])
@@ -234,48 +231,41 @@ def _config_amplitudes(block, vectors, two_s, two_jz=0):
     return amps
 
 
-def _central_window(dim, central_fraction):
-    n_sel = max(1, round(central_fraction * dim))
+def _central_window(dim):
+    """Index range of the central CENTRAL_FRACTION of a block of `dim` states."""
+    n_sel = max(1, round(CENTRAL_FRACTION * dim))
     start = (dim - n_sel) // 2
-    return start, start + n_sel
+    return range(start, start + n_sel)
 
 
-def diagonalize_and_resolve(
-    spec,
-    fractions=(Fraction(1, 2),),
-    central_fraction=0.2,
-    two_jz=0,
-    compute_entropies=True,
-    pooled_central=False,
-):
+def diagonalize_and_resolve(spec, fractions=(Fraction(1, 2),)):
     """Diagonalize every momentum block and resolve total spin per eigenstate.
 
     Within numerically degenerate energy clusters the projected J**2 is
     re-diagonalized so every returned eigenstate carries a sharp spin label;
     records whose residual still exceeds the tolerance are flagged and
     excluded from averages.  Entanglement entropies (contiguous cut of
-    round(f*L) sites) and Gaussianity are evaluated for the central
-    `central_fraction` of each block by energy rank; `pooled_central` ranks
-    over the pooled complex-sector spectrum instead of block by block.
+    round(f*L) sites, one per fraction; `fractions=()` skips them) and
+    Gaussianity are evaluated for the central CENTRAL_FRACTION of each block
+    by energy rank.
     """
     _check_cap(spec)
     two_s = spec.species.two_s
     sites = spec.sites
-    _, digits = configuration_space(two_s, sites, two_jz)
+    _, digits = configuration_space(two_s, sites, 0)
     cut_maps = {}
-    if compute_entropies:
-        for f in fractions:
-            cut = round(Fraction(f) * sites)
-            if not 0 < cut < sites:
-                raise ValueError(f"fraction {f} gives an empty bipartition at L={sites}")
-            cut_maps[Fraction(f)] = (cut, bipartition_maps(digits, range(cut)))
+    for f in fractions:
+        cut = round(Fraction(f) * sites)
+        if not 0 < cut < sites:
+            raise ValueError(f"fraction {f} gives an empty bipartition at L={sites}")
+        cut_maps[Fraction(f)] = (cut, bipartition_maps(digits, range(cut)))
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
-    solved = []
+    records = []
     for n in range(sites // 2 + 1):
-        block = _assemble_block(spec, n, _bond_list(spec), two_jz=two_jz)
+        block = _assemble_block(spec, n, _bond_list(spec))
         energies, vectors = np.linalg.eigh(block.matrix)
-        j2 = _j2_block_matrix(two_s, sites, n, two_jz)
+        j2 = _j2_block_matrix(two_s, sites, n)
         # re-diagonalize J**2 inside degenerate clusters for sharp labels
         clusters = []
         start = 0
@@ -292,29 +282,7 @@ def diagonalize_and_resolve(
             _, rot = np.linalg.eigh(0.5 * (proj + proj.conj().T))
             vectors[:, lo:hi] = sub @ rot
         q_values = np.sum(vectors.conj() * (j2 @ vectors), axis=0).real
-        solved.append((block, energies, vectors, q_values))
-
-    central = {}
-    if pooled_central:
-        pooled = sorted(
-            (float(energies[i]), block.momentum_index, i)
-            for block, energies, _, _ in solved
-            if block.is_complex_sector
-            for i in range(block.dim)
-        )
-        lo_sel, hi_sel = _central_window(len(pooled), central_fraction)
-        chosen = {(n, i) for _, n, i in pooled[lo_sel:hi_sel]}
-        for block, _, _, _ in solved:
-            central[block.momentum_index] = {
-                i for i in range(block.dim) if (block.momentum_index, i) in chosen
-            }
-    else:
-        for block, _, _, _ in solved:
-            lo_sel, hi_sel = _central_window(block.dim, central_fraction)
-            central[block.momentum_index] = set(range(lo_sel, hi_sel))
-
-    records = []
-    for block, energies, vectors, q_values in solved:
+        central = _central_window(block.dim)
         chosen = {}
         for i in range(block.dim):
             q = max(float(q_values[i]), 0.0)
@@ -327,7 +295,7 @@ def diagonalize_and_resolve(
                 momentum_index=block.momentum_index,
                 two_j=two_j,
                 j2_residual=residual,
-                central=i in central[block.momentum_index],
+                central=i in central,
                 complex_sector=block.is_complex_sector,
                 gaussianity=math.nan,
                 flagged=residual > RESIDUAL_TOL,
@@ -336,8 +304,8 @@ def diagonalize_and_resolve(
                 rec.gaussianity = gaussianity_of_vector(vectors[:, i])
                 chosen[i] = rec
             records.append(rec)
-        if compute_entropies and chosen:
-            amps = _config_amplitudes(block, vectors[:, list(chosen)], two_s, two_jz)
+        if cut_maps and chosen:
+            amps = _config_amplitudes(block, vectors[:, list(chosen)], two_s)
             for f, (cut, maps) in cut_maps.items():
                 values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
                 for rec, value in zip(chosen.values(), values):
@@ -371,34 +339,3 @@ def gaussianity_average(records, two_j):
     if not chosen:
         raise ValueError(f"no central eigenstates with two_j={two_j} were found")
     return float(np.mean(chosen))
-
-
-@dataclass(frozen=True)
-class ChaosReport:
-    """Chaos indicators of one (coupling, J) slice of the spectrum."""
-
-    coupling: float
-    two_j: int
-    gaussianity: float
-    mean_entropy: float
-    std_dev: float
-    eigenstates: int
-
-
-def chaos_scan(species, sites, couplings, two_j_list, fraction=Fraction(1, 2)):
-    """Gaussianity and mean entropy per (coupling, J) over the coupling grid."""
-    if not couplings:
-        raise ValueError("the coupling grid must not be empty")
-    if species.two_s == 1 and sites > 14:
-        raise ValueError(f"coupling scans are capped at L=14 for spin-1/2, got L={sites}")
-    reports = []
-    for coupling in couplings:
-        spec = ChainSpec(species, sites, coupling)
-        records = diagonalize_and_resolve(spec, fractions=(fraction,))
-        for two_j in two_j_list:
-            est = eigenstate_entropy_average(records, two_j, fraction)
-            gamma = gaussianity_average(records, two_j)
-            reports.append(
-                ChaosReport(coupling, two_j, gamma, est.mean, est.std_dev, est.samples)
-            )
-    return reports

@@ -240,7 +240,7 @@ def test_criterion_13_ed_spectrum_oracle():
             [np.linalg.eigvalsh(b.matrix) for b in ss.momentum_blocks(spec)]
         ))
         spectrum_dev = float(np.max(np.abs(union - reference)))
-        records = ss.diagonalize_and_resolve(spec, compute_entropies=False)
+        records = ss.diagonalize_and_resolve(spec, fractions=())
         worst_residual = max(r.j2_residual for r in records)
         ok = ok and spectrum_dev < 1e-10 and worst_residual < 1e-8
         details.append(f"coupling={coupling}: spectrum dev {spectrum_dev:.1e}, "

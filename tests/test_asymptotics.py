@@ -94,6 +94,8 @@ class TestLogMultiplicity:
             log_multiplicity_saddle(HALF, 100, 0)
         with pytest.raises(ValueError):
             log_multiplicity_saddle(HALF, 100, 100)
+        with pytest.raises(ValueError, match="sites >= 1"):
+            log_multiplicity_saddle(HALF, 0, 0)
 
 
 class TestHilbertFractionAsymptotics:

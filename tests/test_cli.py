@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from spinsectors import cli
 from spinsectors.cli import main
 
 
@@ -116,6 +117,24 @@ class TestAverage:
         with pytest.raises(SystemExit, match="two_J"):
             main(["average", "--method", "closed", "--L", "8", "--two-J", "3"])
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("seed", "x"), ("seed", "-1"), ("samples", "0"), ("samples", "2.5"), ("j-density", "x")],
+    )
+    def test_bad_number_names_option_and_value(self, key, value):
+        # the last of a repeated option wins, so the bad value replaces the good one
+        with pytest.raises(SystemExit, match=f"^error: {key}: .*'{value}'"):
+            main(["average", "--method", "full", "--L", "8", "--seed", "5", "--samples", "10",
+                  f"--{key}", value])
+
+    def test_arithmetic_error_is_one_line(self, monkeypatch):
+        def overflow(sites, cut):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr(cli, "singlet_average_exact", overflow)
+        with pytest.raises(SystemExit, match="^error: OverflowError: int too large"):
+            main(["average", "--method", "closed", "--L", "4", "--two-J", "0"])
+
     def test_complex_flag_changes_the_draws(self, tmp_path):
         base = ["average", "--method", "full", "--L", "8", "--two-J", "0", "--f", "1/2",
                 "--samples", "30", "--seed", "5"]
@@ -179,10 +198,36 @@ class TestEd:
                 float(r["gamma_minus_rmt"]) + math.pi / 2, abs=1e-12
             )
 
+    def test_chaos_scan_entropy_maximum_in_chaotic_window(self, tmp_path):
+        # the mean J=0 entropy over the coupling grid peaks between 2 and 6
+        out = tmp_path / "chaos.csv"
+        main(["chaos-scan", "--L", "12", "--coupling", "0,1,2,3,4,6,8", "--two-J", "0",
+              "--out", str(out)])
+        _, rows = read_rows(out)
+        best = max(rows, key=lambda r: float(r["mean"]))
+        assert 2.0 <= float(best["coupling"]) <= 6.0
+
     def test_cap_produces_size_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cap"):
             main(["ed", "--L", "18", "--coupling", "0", "--two-J", "0",
                   "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["ed", "--L", "8", "--coupling", ","], "coupling"),
+        (["chaos-scan", "--L", ",", "--coupling", "3"], "L"),
+        (["average", "--method", "closed", "--L", "8", "--two-J", ","], "two_J"),
+        (["beta", "--j-list", ","], "j-list"),
+        (["dims", "--L", "-3"], "L"),
+        (["dims", "--L", "4,0"], "L"),
+    ],
+)
+def test_empty_lists_and_sizes_below_one_refused(argv, key, capsys):
+    with pytest.raises(SystemExit, match=f"^error: {key}: "):
+        main(argv)
+    assert capsys.readouterr().out == ""
 
 
 class TestSelftest:

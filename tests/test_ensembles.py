@@ -7,12 +7,8 @@ import pytest
 
 from spinsectors import (
     HALF,
-    BipartitionSpec,
     EntropyEstimate,
-    RandomStateSpec,
-    SectorLabel,
     default_sample_count,
-    ensemble_average,
     ensemble_entropy_samples,
     entanglement_entropy,
     fixed_filling_average,
@@ -290,12 +286,6 @@ class TestSampling:
         assert est.sem == pytest.approx(est.std_dev / 10.0, abs=1e-15)
         assert est.samples == 100 and est.seed == 4 and est.method == "full"
 
-    def test_spec_dispatch(self):
-        spec = RandomStateSpec(SectorLabel(HALF, 8, 2, 0), samples=50, seed=8)
-        est = ensemble_average(spec, cut=4, method="full")
-        direct = random_state_average(8, 2, 4, samples=50, seed=8)
-        assert est.mean == direct.mean
-
     def test_empty_sector_rejected(self):
         with pytest.raises(ValueError):
             coupled_geometry(8, 3, 4)  # odd two_j in an even chain
@@ -305,11 +295,6 @@ class TestSampling:
         assert default_sample_count("full", 22) == 100
         assert default_sample_count("sd1", 30) == 1000
         assert default_sample_count("sd2", 32) == 100
-
-    def test_bipartition_spec(self):
-        assert BipartitionSpec(12, 3).fraction == Fraction(1, 4)
-        with pytest.raises(ValueError):
-            BipartitionSpec(12, 12)
 
 
 class TestCoupledState:

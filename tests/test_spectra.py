@@ -8,7 +8,6 @@ from spinsectors import (
     HALF,
     ONE,
     ChainSpec,
-    chaos_scan,
     diagonalize_and_resolve,
     eigenstate_entropy_average,
     gaussianity_average,
@@ -118,7 +117,7 @@ class TestHamiltonian:
     def test_spin_one_rotational_multiplets(self):
         # every spin-J level of the SU(2)-symmetric chain appears n_J times in Jz=0
         spec = ChainSpec(ONE, 4, 0.5)
-        records = diagonalize_and_resolve(spec, compute_entropies=False)
+        records = diagonalize_and_resolve(spec, fractions=())
         assert all(r.j2_residual < 1e-8 for r in records)
 
     def test_site_minimum(self):
@@ -221,7 +220,7 @@ class TestCommutation:
 class TestResolution:
     def test_residuals_and_counts(self):
         spec = ChainSpec(HALF, 12, 3.0)
-        records = diagonalize_and_resolve(spec, compute_entropies=False)
+        records = diagonalize_and_resolve(spec, fractions=())
         assert all(r.j2_residual < 1e-8 for r in records)
         assert not any(r.flagged for r in records)
         # across all blocks (conjugates counted twice) the J-counts match n_J
@@ -235,9 +234,9 @@ class TestResolution:
     def test_central_window(self):
         from spinsectors.spectra import _central_window
 
-        assert _central_window(245, 0.2) == (98, 147)
-        assert _central_window(10, 0.2) == (4, 6)
-        assert _central_window(3, 0.2) == (1, 2)
+        assert _central_window(245) == range(98, 147)
+        assert _central_window(10) == range(4, 6)
+        assert _central_window(3) == range(1, 2)
 
     def test_entropy_bound(self):
         spec = ChainSpec(HALF, 12, 3.0)
@@ -280,7 +279,7 @@ class TestLevelStatistics:
         means = {}
         for coupling in (0.0, 1.0):
             spec = ChainSpec(ONE, 9, coupling)
-            records = diagonalize_and_resolve(spec, compute_entropies=False, central_fraction=1.0)
+            records = diagonalize_and_resolve(spec, fractions=())
             groups = defaultdict(list)
             for r in records:
                 if r.complex_sector and not r.flagged:
@@ -315,39 +314,3 @@ class TestGaussianity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             gaussianity_of_vector(np.zeros(4))
-
-
-class TestChaosScan:
-    def test_single_point_scan(self):
-        reports = chaos_scan(HALF, 8, [3.0], [0, 2])
-        assert len(reports) == 2
-        assert reports[0].coupling == 3.0
-        assert reports[0].two_j == 0
-        assert reports[0].eigenstates >= 1
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            chaos_scan(HALF, 8, [], [0])
-
-    def test_scan_cap(self):
-        with pytest.raises(ValueError, match="L=14"):
-            chaos_scan(HALF, 16, [0.0], [0])
-
-    def test_entropy_maximum_in_chaotic_window(self):
-        # mean entropy over the coupling grid peaks between 2 and 6
-        reports = chaos_scan(HALF, 12, [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0], [0])
-        best = max(reports, key=lambda r: r.mean_entropy)
-        assert 2.0 <= best.coupling <= 6.0
-
-
-class TestPooledCentralWindow:
-    def test_pooled_selection_counts(self):
-        spec = ChainSpec(HALF, 12, 3.0)
-        per_block = diagonalize_and_resolve(spec, compute_entropies=False)
-        pooled = diagonalize_and_resolve(spec, compute_entropies=False, pooled_central=True)
-        n_per = sum(r.central for r in per_block)
-        n_pool = sum(r.central for r in pooled)
-        pool_size = sum(1 for r in pooled if r.complex_sector)
-        assert n_pool == max(1, round(0.2 * pool_size))
-        assert all(r.complex_sector for r in pooled if r.central)
-        assert n_per > 0 and n_pool > 0
