@@ -168,6 +168,8 @@ def hilbert_fraction_asymptotic(sites, two_j):
     endpoint.
     """
     _check_spin_label(HALF, sites, two_j)
+    if sites < 1:
+        raise ValueError(f"the Hilbert-space fraction needs sites >= 1, got {sites}")
     x = two_j / sites
     if x >= 1.0:
         return math.nan

@@ -145,12 +145,28 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
 # closed forms
 
 
+def _block_average(blocks):
+    """Average entropy over a direct sum of Page blocks, exact in the integers.
+
+    `blocks` yields (n_A, n_B, S_w) triples, block b holding d_b = n_A n_B of
+    d = sum d_b states: sum_b (d_b/d) [S_w + S_Page(n_A, n_B) + psi(d+1) -
+    psi(d_b+1)], with the psi(d_b+1) of S_Page cancelled.
+    """
+    blocks = list(blocks)
+    d = sum(na * nb for na, nb, _ in blocks)
+    psi_d = digamma(d + 1)
+    total = 0.0
+    for na, nb, s_w in blocks:
+        lo, hi = sorted((na, nb))
+        total += (na * nb / d) * (psi_d - digamma(hi + 1) - (lo - 1) / (2 * hi) + s_w)
+    return total
+
+
 def page_average(dim_a, dim_b):
     """Haar-average entanglement entropy of a dim_a x dim_b bipartite space."""
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"dimensions must be >= 1, got {dim_a}, {dim_b}")
-    lo, hi = sorted((int(dim_a), int(dim_b)))
-    return digamma(lo * hi + 1) - digamma(hi + 1) - (lo - 1) / (2.0 * hi)
+    return _block_average([(int(dim_a), int(dim_b), 0.0)])
 
 
 def _mirror_cut(sites, cut):
@@ -191,20 +207,10 @@ def singlet_average_exact(sites, cut):
     contributes a Page term for its multiplicity block plus the ln(1+2J_A)
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
-    if sites % 2 or sites < 2:
-        raise ValueError(f"the J=0 sector needs an even number of sites, got {sites}")
-    cut_a = _mirror_cut(sites, cut)
-    cut_b = sites - cut_a
-    n0 = spin_half_multiplicity(sites, 0)
-    psi_n0 = digamma(n0 + 1)
-    total = 0.0
-    for two_ja in range(cut_a % 2, cut_a + 1, 2):
-        na = spin_half_multiplicity(cut_a, two_ja)
-        nb = spin_half_multiplicity(cut_b, two_ja)
-        total += (na * nb / n0) * (
-            psi_n0 - digamma(nb + 1) - (na - 1) / (2.0 * nb) + math.log(1.0 + two_ja)
-        )
-    return total
+    geo = coupled_geometry(sites, 0, _mirror_cut(sites, cut))
+    return _block_average(
+        (geo.na[two_ja], geo.nb[two_jb], math.log(1.0 + two_ja)) for two_ja, two_jb in geo.pairs
+    )
 
 
 def singlet_average_asymptotic(sites, fraction):
@@ -239,12 +245,19 @@ def max_spin_state_entropy(sites, cut):
         raise ValueError(f"the J_z=0 stretched state needs even sites, got {sites}")
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
-    two_ja, two_jb = cut, sites - cut
-    s = 0.0
-    for two_m in range(-min(two_ja, two_jb), min(two_ja, two_jb) + 1, 2):
-        lw = stretched_weight_log(two_ja, two_jb, two_m)
-        s -= math.exp(lw) * lw
-    return s
+    return _stretched_entropy(cut, sites - cut)
+
+
+def _stretched_log_weights(two_ja, two_jb):
+    """ln c_m**2 of the stretched column (J = J_A + J_B, M = 0), m ascending."""
+    mm = min(two_ja, two_jb)
+    return np.array([stretched_weight_log(two_ja, two_jb, two_m) for two_m in range(-mm, mm + 1, 2)])
+
+
+def _stretched_entropy(two_ja, two_jb):
+    """-sum c_m**2 ln c_m**2 of the stretched column, in log domain."""
+    lw = _stretched_log_weights(two_ja, two_jb)
+    return float(-np.dot(np.exp(lw), lw))
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +267,8 @@ def max_spin_state_entropy(sites, cut):
 class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
-    Holds the multiplicities of both blocks and the Clebsch-Gordan columns
-    c_m(J; J_A, J_B).  The identity sum_{pairs} n_A n_B = n_J is asserted at
+    Holds the multiplicities of both blocks (CG coefficients are evaluated on
+    demand).  The identity sum_{pairs} n_A n_B = n_J is asserted at
     construction, cross-checking the counting machinery.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
@@ -279,13 +292,9 @@ class CoupledPairGeometry:
         self.pairs = []
         ja_lo = max(cut % 2, two_j - cut_b)
         ja_hi = min(cut, two_j + cut_b)
-        if ja_lo % 2 != cut % 2:
-            ja_lo += 1
         for two_ja in range(ja_lo, ja_hi + 1, 2):
             jb_lo = max(cut_b % 2, abs(two_j - two_ja))
             jb_hi = min(cut_b, two_j + two_ja)
-            if jb_lo % 2 != cut_b % 2:
-                jb_lo += 1
             partners = list(range(jb_lo, jb_hi + 1, 2))
             if not partners:
                 continue
@@ -304,35 +313,28 @@ class CoupledPairGeometry:
         self.sector_dim = total
         self.ja_list = sorted(self.na)
         self.jb_list = sorted(self.nb)
-        self.cg = {}
-        for two_ja, two_jb in self.pairs:
-            mm = min(two_ja, two_jb)
-            col = np.array(
-                [
-                    clebsch_gordan(two_ja, two_m, two_jb, -two_m, two_j, 0)
-                    for two_m in range(-mm, mm + 1, 2)
-                ]
-            )
-            self.cg[(two_ja, two_jb)] = col
         self.m_max = max(min(ja, jb) for ja, jb in self.pairs)
 
     def cg_coefficient(self, two_ja, two_jb, two_m):
-        """c_m(J; J_A, J_B), zero outside the admissible pairs and |m| range."""
-        mm = min(two_ja, two_jb)
-        if (two_ja, two_jb) not in self.cg or abs(two_m) > mm:
-            return 0.0
-        return float(self.cg[(two_ja, two_jb)][(two_m + mm) // 2])
+        """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`: zero off
+        the triangle J_A + J_B >= J >= |J_A - J_B| and for |m| > min(J_A, J_B)."""
+        return clebsch_gordan(two_ja, two_m, two_jb, -two_m, self.two_j, 0)
 
     @property
     def sd2_pairs(self):
         """The J_B = J - J_A pairings that sd2 keeps."""
-        pairs = [(ja, self.two_j - ja) for ja in self.ja_list if (ja, self.two_j - ja) in self.cg]
+        pairs = [(ja, self.two_j - ja) for ja in self.ja_list if self.two_j - ja in self.nb]
         if not pairs:
             raise ValueError(
                 f"no J_B = J - J_A pairing exists for L={self.sites}, "
                 f"two_j={self.two_j}, cut={self.cut}"
             )
         return pairs
+
+    @cached_property
+    def sd2_weights(self):
+        """Squared stretched CG column c_m**2 of each sd2 pairing, m ascending."""
+        return {pair: np.exp(_stretched_log_weights(*pair)) for pair in self.sd2_pairs}
 
     @cached_property
     def rows(self):
@@ -415,7 +417,7 @@ def _entropies_from_blocks(geo, w, methods):
         blocks = {pair: w[geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
         trace = sum(float(np.sum(np.abs(block) ** 2)) for block in blocks.values())
         lams = [
-            np.outer(geo.cg[pair] ** 2, _schmidt_squares(block) / trace).ravel()
+            np.outer(geo.sd2_weights[pair], _schmidt_squares(block) / trace).ravel()
             for pair, block in blocks.items()
         ]
         out["sd2"] = schmidt_square_entropy(np.concatenate(lams))
@@ -536,20 +538,13 @@ def sd2_average_closed(sites, two_j, cut):
     """Closed-form sd2 average: Page terms plus Clebsch-Gordan weight entropy.
 
     Sum over J_A of (d_JA/d) [S_CG(J_A) + S_Page(n_A, n_B) + psi(d+1) -
-    psi(d_JA+1)] with d_JA = n_A(J_A) n_B(J-J_A); the weight entropy is
-    computed from explicit squared CG columns, not the J=0 shortcut.
+    psi(d_JA+1)] with d_JA = n_A(J_A) n_B(J-J_A); S_CG is the entropy of the
+    stretched column, as in `max_spin_state_entropy`.
     """
     geo = coupled_geometry(sites, two_j, cut)
-    terms = []
-    for two_ja, two_jb in geo.sd2_pairs:
-        na = geo.na[two_ja]
-        nb = geo.nb[two_jb]
-        s_cg = schmidt_square_entropy(geo.cg[(two_ja, two_jb)] ** 2)
-        terms.append((na * nb, s_cg + page_average(na, nb)))
-    d = sum(d_ja for d_ja, _ in terms)
-    psi_d = digamma(d + 1)
-    return sum(
-        (d_ja / d) * (inner + psi_d - digamma(d_ja + 1)) for d_ja, inner in terms
+    return _block_average(
+        (geo.na[two_ja], geo.nb[two_jb], _stretched_entropy(two_ja, two_jb))
+        for two_ja, two_jb in geo.sd2_pairs
     )
 
 
@@ -562,11 +557,8 @@ def sd1_semianalytic(sites, two_j, cut):
     otherwise at f=1/2.
     """
     geo = coupled_geometry(sites, two_j, cut)
-    d = geo.sector_dim
-    psi_d = digamma(d + 1)
-    total = 0.0
+    blocks = []
     for two_ja in geo.ja_list:
-        na = geo.na[two_ja]
         partners = [jb for ja, jb in geo.pairs if ja == two_ja]
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
@@ -574,11 +566,8 @@ def sd1_semianalytic(sites, two_j, cut):
             share = geo.nb[two_jb] / nb_eff
             for k, two_m in enumerate(range(-two_ja, two_ja + 1, 2)):
                 p_m[k] += share * geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
-        d_ja = na * nb_eff
-        total += (d_ja / d) * (
-            schmidt_square_entropy(p_m) + page_average(na, nb_eff) + psi_d - digamma(d_ja + 1)
-        )
-    return total
+        blocks.append((geo.na[two_ja], nb_eff, schmidt_square_entropy(p_m)))
+    return _block_average(blocks)
 
 
 def paired_spin_crossover(fraction, j):

@@ -27,6 +27,7 @@ from .ensembles import (
     max_spin_state_entropy,
     page_average,
     sd2_average_closed,
+    singlet_average_asymptotic,
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
@@ -162,6 +163,8 @@ def _check_closed_forms():
     assert abs(digamma(2.0) - digamma(1.0) - 1.0) < 1e-12
     assert abs(singlet_average_exact(4, 2) - (0.5 + math.log(3) / 2)) < 1e-12
     assert abs(singlet_average_exact(12, 5) - singlet_average_exact(12, 7)) < 1e-12
+    # beyond float range (~1e598 states): an OverflowError or a NaN fails here
+    assert abs(singlet_average_exact(2000, 1000) - singlet_average_asymptotic(2000, 0.5)) < 1e-3
     for sites in (8, 12):
         closed = sd2_average_closed(sites, sites, sites // 2)
         assert abs(closed - max_spin_state_entropy(sites, sites // 2)) < 1e-12

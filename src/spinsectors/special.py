@@ -1,6 +1,7 @@
 """Scalar special functions shared across the package."""
 
 import math
+import sys
 
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -23,7 +24,11 @@ def digamma(x):
 
     Small arguments are shifted upward with psi(x+1) = psi(x) + 1/x until the
     asymptotic series applies; accurate to ~1e-14 absolute on x >= 1e-6.
+    Integers beyond float range (sector dimensions at L >~ 1030) return
+    ln x: the dropped 1/(2x) is below 1e-300.
     """
+    if isinstance(x, int) and x > sys.float_info.max:
+        return math.log(x)
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"digamma requires x > 0, got {x}")

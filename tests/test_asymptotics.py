@@ -96,6 +96,8 @@ class TestLogMultiplicity:
             log_multiplicity_saddle(HALF, 100, 100)
         with pytest.raises(ValueError, match="sites >= 1"):
             log_multiplicity_saddle(HALF, 0, 0)
+        with pytest.raises(ValueError, match="sites >= 1"):
+            hilbert_fraction_asymptotic(0, 0)
 
 
 class TestHilbertFractionAsymptotics:

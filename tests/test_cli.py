@@ -65,6 +65,13 @@ class TestAverage:
         assert rows[0]["std_dev"] == "nan"
         assert rows[0]["f"] == "1/2"
 
+    def test_closed_row_beyond_float_range(self, tmp_path):
+        # the J=0 sector of 2000 sites has ~1e598 states
+        out = tmp_path / "avg.csv"
+        main(["average", "--method", "closed", "--L", "2000", "--two-J", "0", "--out", str(out)])
+        _, rows = read_rows(out)
+        assert len(rows) == 1 and math.isfinite(float(rows[0]["mean"]))
+
     def test_closed_sd2_row_is_a_plain_number(self, tmp_path):
         # 0 < 2J < L rows come from sd2_average_closed; the CSV holds a float literal
         out = tmp_path / "avg.csv"

@@ -25,6 +25,7 @@ from spinsectors import (
     singlet_average_exact,
     slice_entanglement_entropy,
 )
+from spinsectors import ensembles
 from spinsectors.ensembles import (
     WORKERS_ENV,
     _draw_blocks,
@@ -96,6 +97,11 @@ class TestPageAverages:
     def test_large_square_is_nearly_maximal(self):
         assert page_average(2**10, 2**10) == pytest.approx(10 * math.log(2) - 0.5, abs=0.01)
 
+    def test_dimensions_beyond_float_range(self):
+        # ln m - 1/2 + O(1/m) for an m x m space with m = 2**1100 > 1.8e308
+        assert page_average(2**1100, 2**1100) == pytest.approx(1100 * math.log(2) - 0.5, rel=1e-14)
+        assert digamma(10**400) == pytest.approx(400 * math.log(10), rel=1e-15)
+
     def test_leading_terms(self):
         assert haar_average_leading(20, 10) == pytest.approx(6.43147, abs=2e-5)
         assert haar_average_leading(20, 15) == haar_average_leading(20, 5)
@@ -133,6 +139,28 @@ class TestSingletAverage:
 
     def test_two_sites(self):
         assert singlet_average_exact(2, 1) == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_beyond_float_range_matches_exact_integer_sum(self):
+        # at L=2000 the sector dimension is ~1e598: the same sum with every
+        # multiplicity an exact integer and psi(n) = ln n - 1/(2n) - 1/(12n^2)
+        # (dropped tail < 1e-25) for n >= 10**6
+        def count(sites, two_j):
+            q = (sites - two_j) // 2
+            return math.comb(sites, q) - (math.comb(sites, q - 1) if q else 0)
+
+        def psi(n):
+            return digamma(n) if n < 10**6 else math.log(n) - 1 / (2 * n) - 1 / (12 * n * n)
+
+        sites = 2000
+        for cut in (1000, 500):
+            n0 = count(sites, 0)
+            terms = []
+            for two_ja in range(0, cut + 1, 2):
+                na, nb = count(cut, two_ja), count(sites - cut, two_ja)
+                terms.append((na * nb / n0) * (
+                    psi(n0 + 1) - psi(nb + 1) - (na - 1) / (2 * nb) + math.log(1.0 + two_ja)
+                ))
+            assert singlet_average_exact(sites, cut) == pytest.approx(math.fsum(terms), rel=1e-12)
 
     def test_cut_mirror_symmetry(self):
         for sites, cut in ((12, 5), (10, 3), (16, 6)):
@@ -182,8 +210,10 @@ class TestMaxSpinState:
 class TestSd2:
     def test_exact_at_maximal_spin(self):
         for sites in (8, 12, 16):
-            closed = sd2_average_closed(sites, sites, sites // 2)
-            assert closed == pytest.approx(max_spin_state_entropy(sites, sites // 2), abs=1e-12)
+            # one stretched-column entropy serves both
+            assert sd2_average_closed(sites, sites, sites // 2) == max_spin_state_entropy(
+                sites, sites // 2
+            )
 
     def test_closed_vs_numeric(self):
         values = ensemble_entropy_samples(
@@ -332,8 +362,21 @@ class TestGeometry:
 
     def test_cg_columns_normalized(self):
         geo = coupled_geometry(12, 4, 5)
-        for col in geo.cg.values():
+        for two_ja, two_jb in geo.pairs:
+            mm = min(two_ja, two_jb)
+            col = np.array([geo.cg_coefficient(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)])
             assert np.sum(col**2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_closed_forms_run_no_racah_sum(self, monkeypatch):
+        # the closed forms need multiplicities and stretched weights only
+        def racah(*args):
+            raise AssertionError("clebsch_gordan called")
+
+        monkeypatch.setattr(ensembles, "clebsch_gordan", racah)
+        coupled_geometry.cache_clear()
+        assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
+        assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
+        assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
 
 
 class TestRealVsComplex:
