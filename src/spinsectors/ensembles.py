@@ -273,8 +273,9 @@ class CoupledPairGeometry:
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
-    matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`).  The layout is
-    built lazily, as the closed forms use this geometry at L up to 10**4.
+    matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`, which keeps m > 0
+    and the two flip-parity classes of m = 0).  The layout is built lazily, as
+    the closed forms use this geometry at L up to 10**4.
     """
 
     def __init__(self, sites, two_j, cut):
@@ -287,26 +288,22 @@ class CoupledPairGeometry:
         self.cut = cut
         self.two_j = two_j
         cut_b = sites - cut
-        self.na = {}
-        self.nb = {}
         self.pairs = []
         ja_lo = max(cut % 2, two_j - cut_b)
         ja_hi = min(cut, two_j + cut_b)
         for two_ja in range(ja_lo, ja_hi + 1, 2):
             jb_lo = max(cut_b % 2, abs(two_j - two_ja))
             jb_hi = min(cut_b, two_j + two_ja)
-            partners = list(range(jb_lo, jb_hi + 1, 2))
-            if not partners:
-                continue
-            self.na[two_ja] = spin_half_multiplicity(cut, two_ja)
-            for two_jb in partners:
-                if two_jb not in self.nb:
-                    self.nb[two_jb] = spin_half_multiplicity(cut_b, two_jb)
-                self.pairs.append((two_ja, two_jb))
+            self.pairs.extend((two_ja, two_jb) for two_jb in range(jb_lo, jb_hi + 1, 2))
         if not self.pairs:
             raise ValueError(
                 f"empty sector: no (J_A, J_B) pairing for L={sites}, two_j={two_j}, cut={cut}"
             )
+        # every J_A in range has partners and the partner ranges overlap, so
+        # both spin sets are unbroken runs
+        jbs = [jb for _, jb in self.pairs]
+        self.na = _multiplicity_run(cut, ja_lo, ja_hi)
+        self.nb = _multiplicity_run(cut_b, min(jbs), max(jbs))
         total = sum(self.na[ja] * self.nb[jb] for ja, jb in self.pairs)
         expected = spin_half_multiplicity(sites, two_j)
         assert total == expected, (total, expected)
@@ -352,25 +349,65 @@ class CoupledPairGeometry:
 
     @cached_property
     def m_blocks(self):
-        """Per two_m = -m_max .. m_max: the suffix start (r0, c0), the CG table of
-        its (J_A, J_B) groups, the group sizes and the J_A row slices of it."""
+        """The blocks of the Schmidt matrix that are diagonalized, each as (index,
+        table, row_counts, col_counts, ja_slices, copies): w[index] is the part
+        of W it weights, `table` the CG table of its (J_A, J_B) groups of the
+        given sizes, `ja_slices` its J_A row slices and `copies` the number of
+        times its spectrum occurs in rho_A.
+
+        <J_A -m; J_B m|J 0> = (-1)^(J_A+J_B-J) <J_A m; J_B -m|J 0> makes block
+        -m a sign-flipped copy of block m, so blocks m > 0 (suffixes W[r0:, c0:])
+        count twice.  At m = 0 the same identity leaves rows of even J_A
+        coupled only to columns with J_B = J (mod 2), and odd J_A to the rest:
+        block 0 is diagonalized as these two parity classes.
+        """
         out = []
-        for two_m in range(-self.m_max, self.m_max + 1, 2):
-            ja_rows = [ja for ja in self.ja_list if ja >= abs(two_m)]
-            jb_cols = [jb for jb in self.jb_list if jb >= abs(two_m)]
+        for two_m in range(self.m_max, 0, -2):
+            ja_rows = [ja for ja in self.ja_list if ja >= two_m]
+            jb_cols = [jb for jb in self.jb_list if jb >= two_m]
             r0, c0 = self.rows[ja_rows[0]].start, self.cols[jb_cols[0]].start
-            table = np.array([[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows])
-            row_counts = [self.na[ja] for ja in ja_rows]
-            col_counts = [self.nb[jb] for jb in jb_cols]
-            ja_slices = [slice(self.rows[ja].start - r0, self.rows[ja].stop - r0) for ja in ja_rows]
-            out.append((r0, c0, table, row_counts, col_counts, ja_slices))
+            out.append(self._m_block(two_m, ja_rows, jb_cols, np.s_[r0:, c0:], 2))
+        if self.cut % 2:  # half-integer J_A: no m = 0 block
+            return out
+        for parity in (0, 1):
+            ja_rows = [ja for ja in self.ja_list if ja // 2 % 2 == parity]
+            jb_cols = [jb for jb in self.jb_list if (jb - self.two_j) // 2 % 2 == parity]
+            if ja_rows:
+                index = np.ix_(
+                    np.r_[tuple(self.rows[ja] for ja in ja_rows)],
+                    np.r_[tuple(self.cols[jb] for jb in jb_cols)],
+                )
+                out.append(self._m_block(0, ja_rows, jb_cols, index, 1))
         return out
+
+    def _m_block(self, two_m, ja_rows, jb_cols, index, copies):
+        table = np.array([[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows])
+        row_counts = [self.na[ja] for ja in ja_rows]
+        col_counts = [self.nb[jb] for jb in jb_cols]
+        ja_slices = list(_group_slices(ja_rows, self.na).values())
+        return index, table, row_counts, col_counts, ja_slices, copies
 
 
 def _group_slices(spins, counts):
     """Consecutive slices of counts[s] entries, one per spin in order."""
     ends = accumulate(counts[s] for s in spins)
     return {s: slice(end - counts[s], end) for s, end in zip(spins, ends)}
+
+
+def _multiplicity_run(sites, two_lo, two_hi):
+    """{two_j: n_J} of `sites` spin-1/2 for two_j = two_lo, two_lo + 2, .., two_hi.
+
+    n_J = C(L, q) - C(L, q-1) with q = L/2 - J, the binomials stepped down by
+    the exact C(L, q-1) = C(L, q) q / (L-q+1): one math.comb for the run.
+    """
+    q = (sites - two_lo) // 2
+    upper = math.comb(sites, q)
+    out = {}
+    for two_j in range(two_lo, two_hi + 1, 2):
+        lower = upper * q // (sites - q + 1)
+        out[two_j] = upper - lower
+        upper, q = lower, q - 1
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -402,13 +439,13 @@ def _entropies_from_blocks(geo, w, methods):
         lam_full = []
         lam_sd1 = []
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
-        for r0, c0, table, row_counts, col_counts, ja_slices in geo.m_blocks:
+        for index, table, row_counts, col_counts, ja_slices, copies in geo.m_blocks:
             cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
-            x = np.multiply(cg, w[r0:, c0:], out=buf[: cg.size].reshape(cg.shape))
+            x = np.multiply(cg, w[index], out=buf[: cg.size].reshape(cg.shape))
             if "full" in methods:
-                lam_full.append(_schmidt_squares(x))
+                lam_full += [_schmidt_squares(x)] * copies
             if "sd1" in methods:
-                lam_sd1.extend(_schmidt_squares(x[rows]) for rows in ja_slices)
+                lam_sd1 += [_schmidt_squares(x[rows]) for rows in ja_slices] * copies
         if "full" in methods:
             out["full"] = schmidt_square_entropy(np.concatenate(lam_full))
         if "sd1" in methods:

@@ -61,6 +61,8 @@ def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
         return 0.0
     if (two_j1 + two_j2 - two_j) % 2:
         return 0.0
+    if two_m1 == two_m2 == 0 and (two_j1 + two_j2 + two_j) // 2 % 2:
+        return 0.0  # <j1 0; j2 0|J 0> vanishes for odd j1 + j2 + J
 
     a = (two_j1 + two_j2 - two_j) // 2
     b = (two_j1 - two_j2 + two_j) // 2

@@ -24,16 +24,40 @@ from spinsectors import (
     singlet_average_asymptotic,
     singlet_average_exact,
     slice_entanglement_entropy,
+    spin_half_multiplicity,
 )
 from spinsectors import ensembles
 from spinsectors.ensembles import (
     WORKERS_ENV,
+    CoupledPairGeometry,
     _draw_blocks,
     _entropies_from_blocks,
     coupled_geometry,
+    schmidt_square_entropy,
 )
 from spinsectors.special import digamma
 from spinsectors.su2 import coupled_sector_basis, sector_basis
+
+
+def unsplit_entropies(geo, w):
+    """Full and sd1 entropies of W from every m block of rho_A, m < 0 and m = 0
+    unsplit included, each CG weight read through `cg_coefficient`: the slow
+    reference for the sampler's flip-symmetric blocks."""
+    lam_full, lam_sd1 = [], []
+    for two_m in range(-geo.m_max, geo.m_max + 1, 2):
+        slabs = [
+            np.hstack([
+                geo.cg_coefficient(ja, jb, two_m) * w[geo.rows[ja], geo.cols[jb]]
+                for jb in geo.jb_list if jb >= abs(two_m)
+            ])
+            for ja in geo.ja_list if ja >= abs(two_m)
+        ]
+        lam_full.append(np.linalg.svd(np.vstack(slabs), compute_uv=False) ** 2)
+        lam_sd1 += [np.linalg.svd(slab, compute_uv=False) ** 2 for slab in slabs]
+    return {
+        "full": schmidt_square_entropy(np.concatenate(lam_full)),
+        "sd1": schmidt_square_entropy(np.concatenate(lam_sd1)),
+    }
 
 
 class TestEntropyKernels:
@@ -299,10 +323,12 @@ class TestSampling:
             assert np.array_equal(a[key], b[key])
 
     def test_worker_count_invariance(self, monkeypatch):
-        serial = ensemble_entropy_samples(8, 2, 4, 20, 11, ("full",))["full"]
+        methods = ("full", "sd1", "sd2")
+        serial = ensemble_entropy_samples(8, 2, 4, 20, 11, methods)
         monkeypatch.setenv(WORKERS_ENV, "3")
-        parallel = ensemble_entropy_samples(8, 2, 4, 20, 11, ("full",))["full"]
-        assert np.array_equal(serial, parallel)
+        parallel = ensemble_entropy_samples(8, 2, 4, 20, 11, methods)
+        for method in methods:
+            assert np.array_equal(serial[method], parallel[method])
 
     def test_entropy_upper_bound(self):
         values = ensemble_entropy_samples(12, 4, 3, 100, 2, ("full", "sd1", "sd2"))
@@ -347,14 +373,49 @@ class TestCoupledState:
         assert sampled == pytest.approx(explicit, abs=1e-12)
 
 
+class TestFlipSymmetricBlocks:
+    @pytest.mark.parametrize(
+        "sites,two_j,cut",
+        [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)],
+    )
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_matches_unsplit_reference(self, sites, two_j, cut, complex_coefficients):
+        # (14, 6, 7) has no m = 0 block; at (4, 4, 2) its even-J_A class is empty
+        geo = coupled_geometry(sites, two_j, cut)
+        for draw in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(41, draw)))
+            w = _draw_blocks(rng, geo, complex_coefficients)
+            got = _entropies_from_blocks(geo, w, ("full", "sd1"))
+            ref = unsplit_entropies(geo, w)
+            for method in ("full", "sd1"):
+                assert got[method] == pytest.approx(ref[method], abs=1e-12)
+            if two_j == 0:
+                assert got["full"] == pytest.approx(got["sd1"], abs=1e-12)
+
+
 class TestGeometry:
     def test_pair_count_identity(self):
         # sum over pairings of n_A n_B equals the sector multiplicity
         for sites, two_j, cut in ((6, 2, 2), (12, 4, 5), (16, 0, 8), (14, 14, 7)):
             geo = coupled_geometry(sites, two_j, cut)
-            from spinsectors import spin_half_multiplicity
-
             assert geo.sector_dim == spin_half_multiplicity(sites, two_j)
+
+    def test_multiplicities_match_closed_form(self):
+        # the geometry steps its binomials by a recurrence over one J run;
+        # spin_half_multiplicity evaluates each n_J on its own
+        cases = [
+            (sites, two_j, cut)
+            for sites in range(2, 41, 2)
+            for two_j in range(0, sites + 1, 2)
+            for cut in range(1, sites)
+        ]
+        cases += [(2000, 0, 1000), (2000, 1000, 700), (2000, 2000, 999)]
+        for sites, two_j, cut in cases:
+            geo = CoupledPairGeometry(sites, two_j, cut)
+            assert geo.ja_list == sorted({ja for ja, _ in geo.pairs})
+            assert geo.jb_list == sorted({jb for _, jb in geo.pairs})
+            assert geo.na == {ja: spin_half_multiplicity(cut, ja) for ja in geo.ja_list}
+            assert geo.nb == {jb: spin_half_multiplicity(sites - cut, jb) for jb in geo.jb_list}
 
     def test_six_site_pairings(self):
         geo = coupled_geometry(6, 2, 2)

@@ -44,6 +44,15 @@ class TestClebschGordan:
         assert clebsch_gordan(2, 2, 2, 0, 4, 0) == 0.0  # M != m1+m2
         assert clebsch_gordan(2, 4, 2, -2, 2, 2) == 0.0  # |m1| > j1
 
+    def test_odd_parity_zero_magnetization_is_exactly_zero(self):
+        # <j1 0; j2 0|J 0> = 0 for odd j1 + j2 + J; the Racah sum left up to
+        # 3.7e-12 there (1.5e-17 at j1 = j2 = J = 3)
+        for two_j1 in range(0, 41, 2):
+            for two_j2 in range(0, 41, 2):
+                for two_j in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+                    if (two_j1 + two_j2 + two_j) // 2 % 2:
+                        assert clebsch_gordan(two_j1, 0, two_j2, 0, two_j, 0) == 0.0
+
     def test_integrality_raises(self):
         with pytest.raises(ValueError):
             clebsch_gordan(1, 0, 1, 1, 2, 1)
