@@ -93,9 +93,7 @@ def entanglement_entropy(state, cut, local_dim=2):
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
     _check_normalized(state)
-    matrix = state.reshape(local_dim**cut, -1)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return schmidt_square_entropy(sv**2)
+    return schmidt_square_entropy(_schmidt_squares(state.reshape(local_dim**cut, -1)))
 
 
 def bipartition_maps(configs, a_sites):
@@ -169,6 +167,14 @@ def page_average(dim_a, dim_b):
     return _block_average([(int(dim_a), int(dim_b), 0.0)])
 
 
+def _folded_fraction(fraction):
+    """f = L_A/L as a Fraction folded into (0, 1/2] by the mirror f -> 1 - f."""
+    f = Fraction(fraction)
+    if not 0 < f < 1:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    return min(f, 1 - f)
+
+
 def _mirror_cut(sites, cut):
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
@@ -215,10 +221,7 @@ def singlet_average_exact(sites, cut):
 
 def singlet_average_asymptotic(sites, fraction):
     """Leading large-L terms of the J=0 sector average at fixed f = L_A/L."""
-    f = Fraction(fraction)
-    if not 0 < f < 1:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    f = min(f, 1 - f)
+    f = _folded_fraction(fraction)
     ff = float(f)
     value = math.log(2.0) * ff * sites + 1.5 * (ff + math.log(1.0 - ff))
     if f == Fraction(1, 2):
@@ -228,9 +231,7 @@ def singlet_average_asymptotic(sites, fraction):
 
 def max_spin_entropy_asymptotic(sites, fraction):
     """Leading entropy of the unique J = L/2 state: (1/2) ln[pi e f(1-f) L / 2]."""
-    ff = float(Fraction(fraction))
-    if not 0.0 < ff < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    ff = float(_folded_fraction(fraction))
     return 0.5 * math.log(math.pi * math.e * ff * (1.0 - ff) * sites / 2.0)
 
 
@@ -350,10 +351,11 @@ class CoupledPairGeometry:
     @cached_property
     def m_blocks(self):
         """The blocks of the Schmidt matrix that are diagonalized, each as (index,
-        table, row_counts, col_counts, ja_slices, copies): w[index] is the part
+        table, row_counts, col_counts, sd1_parts, copies): w[index] is the part
         of W it weights, `table` the CG table of its (J_A, J_B) groups of the
-        given sizes, `ja_slices` its J_A row slices and `copies` the number of
-        times its spectrum occurs in rho_A.
+        given sizes, `sd1_parts` the (rows, cols) of each J_A and its nonzero
+        columns, the partners |J - J_A| <= J_B <= J + J_A, and `copies` the
+        number of times its spectrum occurs in rho_A.
 
         <J_A -m; J_B m|J 0> = (-1)^(J_A+J_B-J) <J_A m; J_B -m|J 0> makes block
         -m a sign-flipped copy of block m, so blocks m > 0 (suffixes W[r0:, c0:])
@@ -384,8 +386,13 @@ class CoupledPairGeometry:
         table = np.array([[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows])
         row_counts = [self.na[ja] for ja in ja_rows]
         col_counts = [self.nb[jb] for jb in jb_cols]
-        ja_slices = list(_group_slices(ja_rows, self.na).values())
-        return index, table, row_counts, col_counts, ja_slices, copies
+        cols = _group_slices(jb_cols, self.nb)
+        sd1_parts = []
+        for ja, rows in _group_slices(ja_rows, self.na).items():
+            # the partners form one run of jb_cols, which is sorted
+            partners = [jb for jb in jb_cols if abs(self.two_j - ja) <= jb <= self.two_j + ja]
+            sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
+        return index, table, row_counts, col_counts, sd1_parts, copies
 
 
 def _group_slices(spins, counts):
@@ -439,13 +446,13 @@ def _entropies_from_blocks(geo, w, methods):
         lam_full = []
         lam_sd1 = []
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
-        for index, table, row_counts, col_counts, ja_slices, copies in geo.m_blocks:
+        for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
             cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
             x = np.multiply(cg, w[index], out=buf[: cg.size].reshape(cg.shape))
             if "full" in methods:
                 lam_full += [_schmidt_squares(x)] * copies
             if "sd1" in methods:
-                lam_sd1 += [_schmidt_squares(x[rows]) for rows in ja_slices] * copies
+                lam_sd1 += [_schmidt_squares(x[part]) for part in sd1_parts] * copies
         if "full" in methods:
             out["full"] = schmidt_square_entropy(np.concatenate(lam_full))
         if "sd1" in methods:
@@ -615,10 +622,7 @@ def paired_spin_crossover(fraction, j):
     sides never cross in the admissible interval; at f = 1/2 the crossover
     sits exactly at the Gaussian center x = j/2.
     """
-    f = Fraction(fraction)
-    if not 0 < f < 1:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
-    f = min(f, 1 - f)
+    f = _folded_fraction(fraction)
     if not 0.0 < j <= 1.0:
         raise ValueError(f"spin density must lie in (0, 1], got {j}")
     if f == Fraction(1, 2):
@@ -652,12 +656,9 @@ def sd2_asymptotic(sites, fraction, j):
     the ln L term of the maximal-spin state, and an O(1) remainder; at j = 1
     everything except the maximal-spin terms vanishes.
     """
-    f = Fraction(fraction)
-    if not 0 < f < 1:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+    f = _folded_fraction(fraction)
     if not 0.0 < j <= 1.0:
         raise ValueError(f"spin density must lie in (0, 1], got {j}")
-    f = min(f, 1 - f)
     ff = float(f)
     if j == 1.0:
         return max_spin_entropy_asymptotic(sites, f)

@@ -14,6 +14,7 @@ from .combinatorics import (
     HALF,
     ONE,
     admissible_two_j,
+    multiplicity,
     multiplicity_by_quadrature,
     multiplicity_table,
     spin_half_multiplicity,
@@ -31,7 +32,9 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import ChainSpec, hamiltonian_matrix, momentum_blocks, spin_squared_matrix
+from .spectra import (
+    ChainSpec, diagonalize_and_resolve, hamiltonian_matrix, momentum_blocks, spin_squared_matrix,
+)
 from .su2 import (
     apply_total_spin_squared,
     clebsch_gordan,
@@ -213,6 +216,11 @@ def _check_spectra():
         j2 = spin_squared_matrix(species, sites)
         comm = dense @ j2 - j2 @ dense
         assert np.max(np.abs(comm)) < 1e-9
+        counts = dict.fromkeys(admissible_two_j(species, sites), 0)
+        for r in diagonalize_and_resolve(spec, fractions=()):
+            assert not r.flagged
+            counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
+        assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
 
 
 _CHECKS = (

@@ -4,8 +4,8 @@ Spin-1/2 chains carry nearest plus next-nearest Heisenberg exchange with
 relative strength `coupling` (integrable at 0); spin-1 chains carry nearest
 Heisenberg exchange plus a biquadratic term of strength `coupling`
 (integrable at 1).  Both are diagonalized in the zero-magnetization sector,
-block by block in the total quasimomentum k_n = 2 pi n / L, and every
-eigenstate gets its total spin resolved from the J**2 expectation value.
+block by block in the total quasimomentum k_n = 2 pi n / L and, inside each
+block, in every J**2 eigenspace, so each eigenstate carries its total spin.
 """
 
 import math
@@ -41,7 +41,6 @@ MAX_SITES = {1: 16, 2: 10}
 # block's spectrum, by energy rank.
 CENTRAL_FRACTION = 0.2
 
-DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 
 
@@ -159,11 +158,19 @@ def momentum_blocks(spec):
 
 
 @lru_cache(maxsize=64)
-def _j2_block_matrix(two_s, sites, momentum_index):
-    """One momentum block of total J**2 (coupling-independent, cached)."""
+def _spin_subspaces(two_s, sites, momentum_index):
+    """Per spin, two_j ascending, (two_j, basis, j2_values) of one momentum block:
+    orthonormal J**2 eigenvectors spanning the spin-two_j/2 subspace and their
+    eigenvalues.  Independent of the coupling, so cached."""
     spec = ChainSpec(SpinSpecies(two_s), sites, 0.0)
     diagonal, bonds = spin_squared_terms(two_s, sites)
-    return _assemble_block(spec, momentum_index, bonds, diagonal_shift=diagonal).matrix
+    values, basis = np.linalg.eigh(_assemble_block(spec, momentum_index, bonds, diagonal).matrix)
+    values.flags.writeable = basis.flags.writeable = False
+    two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
+    bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
+    return tuple(
+        (int(two_js[lo]), basis[:, lo:hi], values[lo:hi]) for lo, hi in zip([0, *bounds], bounds)
+    )
 
 
 def _slice_matrix(two_s, sites, two_jz, bonds, diagonal_shift=0.0):
@@ -204,7 +211,7 @@ class EigenstateRecord:
     j2_residual: float
     central: bool
     complex_sector: bool
-    gaussianity: float
+    gaussianity: float = math.nan  # set for central, unflagged records only
     entropies: dict = field(default_factory=dict)
     flagged: bool = False
 
@@ -239,15 +246,15 @@ def _central_window(dim):
 
 
 def diagonalize_and_resolve(spec, fractions=(Fraction(1, 2),)):
-    """Diagonalize every momentum block and resolve total spin per eigenstate.
+    """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
-    Within numerically degenerate energy clusters the projected J**2 is
-    re-diagonalized so every returned eigenstate carries a sharp spin label;
-    records whose residual still exceeds the tolerance are flagged and
-    excluded from averages.  Entanglement entropies (contiguous cut of
-    round(f*L) sites, one per fraction; `fractions=()` skips them) and
-    Gaussianity are evaluated for the central CENTRAL_FRACTION of each block
-    by energy rank.
+    [H, J**2] = 0, so every eigenstate carries a sharp spin label; a block's
+    records ascend in energy, ties by spin.  A record is flagged, and left out
+    of the averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL or |Hv - Ev| >
+    RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2).
+    Entanglement entropies (cut of round(f*L) sites per fraction; `fractions=()`
+    skips them) and Gaussianity are evaluated for the central CENTRAL_FRACTION
+    of each block by energy rank.
     """
     _check_cap(spec)
     two_s = spec.species.two_s
@@ -264,63 +271,46 @@ def diagonalize_and_resolve(spec, fractions=(Fraction(1, 2),)):
     records = []
     for n in range(sites // 2 + 1):
         block = _assemble_block(spec, n, _bond_list(spec))
-        energies, vectors = np.linalg.eigh(block.matrix)
-        j2 = _j2_block_matrix(two_s, sites, n)
-        # re-diagonalize J**2 inside degenerate clusters for sharp labels
-        clusters = []
-        start = 0
-        scale = max(1.0, float(np.max(np.abs(energies))) if len(energies) else 1.0)
-        for i in range(1, block.dim + 1):
-            if i == block.dim or energies[i] - energies[i - 1] > DEGENERACY_TOL * scale:
-                clusters.append((start, i))
-                start = i
-        for lo, hi in clusters:
-            if hi - lo == 1:
-                continue
-            sub = vectors[:, lo:hi]
-            proj = sub.conj().T @ j2 @ sub
-            _, rot = np.linalg.eigh(0.5 * (proj + proj.conj().T))
-            vectors[:, lo:hi] = sub @ rot
-        q_values = np.sum(vectors.conj() * (j2 @ vectors), axis=0).real
+        states = []  # (energy, two_j, J**2 residual, H residual, vector)
+        for two_j, basis, j2_values in _spin_subspaces(two_s, sites, n):
+            h_basis = block.matrix @ basis
+            energies, rot = np.linalg.eigh(basis.conj().T @ h_basis)
+            vectors = basis @ rot
+            j2_residuals = np.abs(j2_values @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1))
+            h_residuals = np.linalg.norm(h_basis @ rot - vectors * energies, axis=0)
+            states += zip(energies.tolist(), [two_j] * len(energies), j2_residuals.tolist(),
+                          h_residuals.tolist(), vectors.T)
+        states.sort(key=lambda state: state[:2])
+        scale = max(1.0, abs(states[0][0]), abs(states[-1][0]))
         central = _central_window(block.dim)
-        chosen = {}
-        for i in range(block.dim):
-            q = max(float(q_values[i]), 0.0)
-            two_j = round(math.sqrt(4.0 * q + 1.0) - 1.0)
-            if (two_j - two_s * sites) % 2:
-                two_j += 1 if (math.sqrt(4.0 * q + 1.0) - 1.0) > two_j else -1
-            residual = abs(q - (two_j / 2.0) * (two_j / 2.0 + 1.0))
+        chosen = []
+        for rank, (energy, two_j, j2_residual, h_residual, vector) in enumerate(states):
             rec = EigenstateRecord(
-                energy=float(energies[i]),
-                momentum_index=block.momentum_index,
+                energy=energy,
+                momentum_index=n,
                 two_j=two_j,
-                j2_residual=residual,
-                central=i in central,
+                j2_residual=j2_residual,
+                central=rank in central,
                 complex_sector=block.is_complex_sector,
-                gaussianity=math.nan,
-                flagged=residual > RESIDUAL_TOL,
+                flagged=j2_residual > RESIDUAL_TOL or h_residual > RESIDUAL_TOL * scale,
             )
             if rec.central and not rec.flagged:
-                rec.gaussianity = gaussianity_of_vector(vectors[:, i])
-                chosen[i] = rec
+                rec.gaussianity = gaussianity_of_vector(vector)
+                chosen.append((rec, vector))
             records.append(rec)
         if cut_maps and chosen:
-            amps = _config_amplitudes(block, vectors[:, list(chosen)], two_s)
+            amps = _config_amplitudes(block, np.column_stack([v for _, v in chosen]), two_s)
             for f, (cut, maps) in cut_maps.items():
                 values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
-                for rec, value in zip(chosen.values(), values):
+                for (rec, _), value in zip(chosen, values):
                     rec.entropies[f] = float(value)
     return records
 
 
-def _select(records, two_j, complex_only=True):
+def _select(records, two_j):
+    """Central, unflagged complex-sector records with spin two_j/2."""
     return [
-        r
-        for r in records
-        if r.central
-        and not r.flagged
-        and r.two_j == two_j
-        and (r.complex_sector or not complex_only)
+        r for r in records if r.central and r.complex_sector and not r.flagged and r.two_j == two_j
     ]
 
 

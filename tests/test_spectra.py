@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from spinsectors import (
     spin_squared_matrix,
     zero_magnetization_dim,
 )
+from spinsectors import spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import _assemble_block, _bond_list, _config_amplitudes
 from spinsectors.su2 import apply_total_spin_squared, configuration_space
@@ -219,17 +221,54 @@ class TestCommutation:
 
 class TestResolution:
     def test_residuals_and_counts(self):
-        spec = ChainSpec(HALF, 12, 3.0)
-        records = diagonalize_and_resolve(spec, fractions=())
-        assert all(r.j2_residual < 1e-8 for r in records)
-        assert not any(r.flagged for r in records)
-        # across all blocks (conjugates counted twice) the J-counts match n_J
-        counts = {}
-        for r in records:
-            weight = 1 if r.momentum_index in (0, 6) else 2
-            counts[r.two_j] = counts.get(r.two_j, 0) + weight
-        for two_j in (0, 2, 4, 6):
-            assert counts[two_j] == multiplicity(HALF, 12, two_j)
+        for species, sites, coupling in ((HALF, 12, 3.0), (ONE, 8, 1.0)):
+            records = diagonalize_and_resolve(ChainSpec(species, sites, coupling), fractions=())
+            assert all(r.j2_residual < 1e-8 for r in records)
+            assert not any(r.flagged for r in records)
+            # plain Python fields, so records serialize to JSON
+            assert all(
+                type(r.flagged) is bool and type(r.two_j) is int and type(r.j2_residual) is float
+                for r in records
+            )
+            # every 2J has the parity of 2sL, and each block ascends in energy
+            assert all((r.two_j - species.two_s * sites) % 2 == 0 for r in records)
+            for n in range(sites // 2 + 1):
+                energies = [r.energy for r in records if r.momentum_index == n]
+                assert energies == sorted(energies)
+            # across all blocks (conjugates counted twice) the J-counts match n_J
+            counts = Counter()
+            for r in records:
+                counts[r.two_j] += 2 if r.complex_sector else 1
+            assert sum(counts.values()) == configuration_space(species.two_s, sites, 0)[0].size
+            for two_j, count in counts.items():
+                assert count == multiplicity(species, sites, two_j)
+
+    def test_su2_breaking_hamiltonian_is_flagged(self, monkeypatch):
+        # a 1e-3 random diagonal term in the H block n = 1 only; J**2 keeps its
+        # symmetry, so only the eigen-residual of H can reveal the break
+        spec = ChainSpec(HALF, 10, 3.0)
+        clean = diagonalize_and_resolve(spec)
+        assemble = spectra._assemble_block
+        rng = np.random.default_rng(3)
+
+        def broken(spec, n, bonds, diagonal_shift=0.0):
+            block = assemble(spec, n, bonds, diagonal_shift)
+            if n == 1 and diagonal_shift == 0.0:  # J**2 blocks carry a diagonal shift
+                block.matrix += np.diag(1e-3 * rng.standard_normal(block.dim))
+            return block
+
+        monkeypatch.setattr(spectra, "_assemble_block", broken)
+        records = diagonalize_and_resolve(spec)
+        assert all(r.flagged == (r.momentum_index == 1) for r in records)
+        half = Fraction(1, 2)
+        for two_j in (0, 2):
+            kept = [
+                r.entropies[half]
+                for r in clean
+                if r.central and r.complex_sector and r.two_j == two_j and r.momentum_index != 1
+            ]
+            got = eigenstate_entropy_average(records, two_j, half).mean
+            assert got == pytest.approx(np.mean(kept), abs=1e-12)
 
     def test_central_window(self):
         from spinsectors.spectra import _central_window
