@@ -82,35 +82,6 @@ def _closed_form_saddle(species, j):
     return math.sqrt((root - j) / (2.0 * (1.0 + j)))
 
 
-def _solve_saddle(species, j, tol=1e-13):
-    """Safeguarded bisection/Newton root of psi'(z)=0 on (0, 1]."""
-    lo, hi = 1e-9, 1.0
-    flo = saddle_exponent_d1(species, lo, j)
-    fhi = saddle_exponent_d1(species, hi, j)
-    if flo > 0.0 or fhi < 0.0:
-        raise RuntimeError(
-            f"saddle bracket failed for j={j}: psi'({lo})={flo}, psi'({hi})={fhi}"
-        )
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = saddle_exponent_d1(species, z, j)
-        if f > 0.0:
-            hi = z
-        else:
-            lo = z
-        d = saddle_exponent_d2(species, z, j)
-        step = f / d if d != 0.0 else math.inf
-        znew = z - step
-        if not lo < znew < hi:
-            znew = 0.5 * (lo + hi)
-        if abs(znew - z) < tol:
-            return znew
-        z = znew
-    raise RuntimeError(
-        f"saddle solver did not converge for j={j}; residual={saddle_exponent_d1(species, z, j)}"
-    )
-
-
 @dataclass(frozen=True)
 class SaddleData:
     """Saddle-point data for the multiplicity asymptotics at one spin density."""
@@ -125,20 +96,15 @@ class SaddleData:
 def saddle_solve(species, j):
     """Locate the dominant saddle and assemble rate and prefactor.
 
-    Closed forms for the saddle location take precedence; an independent
-    safeguarded root solve cross-checks them.  j=1 is returned as a flagged
-    endpoint (the saddle degenerates to z0=0 and the prefactor is undefined).
+    The saddle location has a closed form for both species.  j=1 is returned
+    as a flagged endpoint (the saddle degenerates to z0=0 and the prefactor is
+    undefined).
     """
     if not 0.0 < j <= 1.0:
         raise ValueError(f"saddle point is defined for 0 < j <= 1, got {j}")
     if j == 1.0:
         return SaddleData(j, 0.0, 0.0, math.nan, endpoint=True)
     z0 = _closed_form_saddle(species, j)
-    z_num = _solve_saddle(species, j)
-    if abs(z_num - z0) > 1e-10:
-        raise RuntimeError(
-            f"closed-form saddle {z0} disagrees with numeric root {z_num} at j={j}"
-        )
     rate = saddle_exponent(species, z0, j)
     curv = saddle_exponent_d2(species, z0, j)
     if curv <= 0.0:

@@ -29,6 +29,7 @@ from .combinatorics import (
     multiplicity,
 )
 from .ensembles import (
+    ENSEMBLE_METHODS,
     default_sample_count,
     ensemble_entropy_samples,
     EntropyEstimate,
@@ -45,8 +46,6 @@ from .spectra import (
     eigenstate_entropy_average,
     gaussianity_average,
 )
-
-STOCHASTIC_METHODS = ("full", "sd1", "sd2")
 
 
 def _fmt(value):
@@ -259,7 +258,7 @@ def _cmd_average(args):
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
     method = opt["method"] or "full"
-    if method not in STOCHASTIC_METHODS + ("closed", "asymptotic"):
+    if method not in ENSEMBLE_METHODS + ("closed", "asymptotic"):
         raise SystemExit(f"error: method: unknown method {method!r}")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
@@ -267,7 +266,7 @@ def _cmd_average(args):
     f = _parse_fraction(opt["f"] or "1/2", "f")
     if not 0 < f < 1:
         raise SystemExit(f"error: f: fraction must lie in (0, 1), got {f}")
-    stochastic = method in STOCHASTIC_METHODS
+    stochastic = method in ENSEMBLE_METHODS
     seed = samples_opt = None
     if stochastic:
         if opt["seed"] is None:
@@ -332,10 +331,10 @@ def _cmd_ed(args, with_gamma):
         for coupling in couplings:
             t0 = time.perf_counter()
             spec = ChainSpec(species, sites, coupling)
-            records = diagonalize_and_resolve(spec, fractions=(f,))
+            records = diagonalize_and_resolve(spec, f)
             for two_j in two_j_list:
                 try:
-                    est = eigenstate_entropy_average(records, two_j, f)
+                    est = eigenstate_entropy_average(records, two_j)
                 except ValueError as exc:
                     raise SystemExit(f"error: two_J: {exc}")
                 row = _result_row(command, "ed", species, sites, two_j, f, coupling, None, None, est, t0)
@@ -349,7 +348,7 @@ def _cmd_ed(args, with_gamma):
                         (
                             species.name, sites, coupling, rec.momentum_index, rec.energy,
                             rec.two_j, rec.j2_residual, int(rec.central),
-                            rec.entropies.get(f, math.nan), rec.gaussianity,
+                            rec.entropy, rec.gaussianity,
                         )
                     )
     header = _ED_HEADER if with_gamma else _RESULT_HEADER

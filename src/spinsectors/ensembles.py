@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 EIGENVALUE_FLOOR = 1e-14
+ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
 
 
@@ -71,11 +72,12 @@ def schmidt_square_entropy(lams):
 
 
 def _schmidt_squares(x):
-    """Squared Schmidt values of each (stacked) trailing matrix of x, clipped
-    at zero; the Gram matrix is taken on the smaller side."""
+    """Squared Schmidt values of each (stacked) trailing matrix of x, from the
+    Gram matrix of the smaller side; rounding can leave them slightly negative,
+    which `schmidt_square_entropy` drops with the rest below its floor."""
     xh = np.swapaxes(x.conj(), -1, -2)
     gram = x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    return np.linalg.eigvalsh(gram)
 
 
 def _check_normalized(state):
@@ -490,9 +492,12 @@ def resolve_workers(n_items):
     """
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
         if workers < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {env}")
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
     elif n_items < 256:
         workers = 1
     else:
@@ -513,8 +518,13 @@ def ensemble_entropy_samples(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     methods = tuple(methods)
+    for method in methods:
+        if method not in ENSEMBLE_METHODS:
+            raise ValueError(f"unknown method {method!r}, expected one of {ENSEMBLE_METHODS}")
     if workers is None:
         workers = resolve_workers(samples)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     bounds = np.linspace(0, samples, workers + 1).astype(int)
     jobs = [
         (sites, two_j, cut, seed, int(a), int(b), methods, complex_coefficients)

@@ -5,7 +5,6 @@ the CLI exits nonzero on any failure.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .combinatorics import (
     zero_magnetization_dim,
 )
 from .ensembles import (
-    WORKERS_ENV,
     ensemble_entropy_samples,
     entanglement_entropy,
     max_spin_state_entropy,
@@ -178,15 +176,7 @@ def _check_sampling():
     b = ensemble_entropy_samples(8, 2, 4, 16, 11, ("full", "sd1", "sd2"))
     for key in a:
         assert np.array_equal(a[key], b[key])
-    old = os.environ.get(WORKERS_ENV)
-    try:
-        os.environ[WORKERS_ENV] = "2"
-        c = ensemble_entropy_samples(8, 2, 4, 16, 11, ("full", "sd1", "sd2"))
-    finally:
-        if old is None:
-            os.environ.pop(WORKERS_ENV, None)
-        else:
-            os.environ[WORKERS_ENV] = old
+    c = ensemble_entropy_samples(8, 2, 4, 16, 11, ("full", "sd1", "sd2"), workers=2)
     for key in a:
         assert np.array_equal(a[key], c[key])
     singlet = ensemble_entropy_samples(8, 0, 4, 16, 3, ("full", "sd1"))
@@ -217,7 +207,7 @@ def _check_spectra():
         comm = dense @ j2 - j2 @ dense
         assert np.max(np.abs(comm)) < 1e-9
         counts = dict.fromkeys(admissible_two_j(species, sites), 0)
-        for r in diagonalize_and_resolve(spec, fractions=()):
+        for r in diagonalize_and_resolve(spec, None):
             assert not r.flagged
             counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts

@@ -9,7 +9,7 @@ block, in every J**2 eigenspace, so each eigenstate carries its total spin.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -119,7 +119,6 @@ class MomentumBlock:
     momentum_index: int
     sites: int
     representatives: np.ndarray
-    periods: np.ndarray
     matrix: np.ndarray
 
     @property
@@ -132,9 +131,7 @@ class MomentumBlock:
         return len(self.representatives)
 
 
-def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0):
-    two_s = spec.species.two_s
-    sites = spec.sites
+def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
     codes, digits = configuration_space(two_s, sites, 0)
     rep, shift, period = _orbit_data(two_s, sites)
     n = momentum_index
@@ -148,13 +145,14 @@ def _assemble_block(spec, momentum_index, bonds, diagonal_shift=0.0):
     matrix = np.eye(dim, dtype=complex) * diagonal_shift
     np.add.at(matrix, (target[keep], col[keep]), values[keep])
     matrix = 0.5 * (matrix + matrix.conj().T)
-    return MomentumBlock(n, sites, codes[block_reps], period[block_reps], matrix)
+    return MomentumBlock(n, sites, codes[block_reps], matrix)
 
 
 def momentum_blocks(spec):
     """All momentum blocks of the Hamiltonian on the J_z=0 slice."""
     _check_cap(spec)
-    return [_assemble_block(spec, n, _bond_list(spec)) for n in range(spec.sites)]
+    two_s, sites, bonds = spec.species.two_s, spec.sites, _bond_list(spec)
+    return [_assemble_block(two_s, sites, n, bonds) for n in range(sites)]
 
 
 @lru_cache(maxsize=64)
@@ -162,9 +160,9 @@ def _spin_subspaces(two_s, sites, momentum_index):
     """Per spin, two_j ascending, (two_j, basis, j2_values) of one momentum block:
     orthonormal J**2 eigenvectors spanning the spin-two_j/2 subspace and their
     eigenvalues.  Independent of the coupling, so cached."""
-    spec = ChainSpec(SpinSpecies(two_s), sites, 0.0)
     diagonal, bonds = spin_squared_terms(two_s, sites)
-    values, basis = np.linalg.eigh(_assemble_block(spec, momentum_index, bonds, diagonal).matrix)
+    block = _assemble_block(two_s, sites, momentum_index, bonds, diagonal)
+    values, basis = np.linalg.eigh(block.matrix)
     values.flags.writeable = basis.flags.writeable = False
     two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
     bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
@@ -203,7 +201,11 @@ def spin_squared_matrix(species, sites, two_jz=0):
 
 @dataclass
 class EigenstateRecord:
-    """One resolved eigenstate of a momentum block."""
+    """One resolved eigenstate of a momentum block.
+
+    `gaussianity` and `entropy` (of the cut that `diagonalize_and_resolve`
+    was given) are set for central, unflagged records only, and NaN otherwise.
+    """
 
     energy: float
     momentum_index: int
@@ -211,8 +213,8 @@ class EigenstateRecord:
     j2_residual: float
     central: bool
     complex_sector: bool
-    gaussianity: float = math.nan  # set for central, unflagged records only
-    entropies: dict = field(default_factory=dict)
+    gaussianity: float = math.nan
+    entropy: float = math.nan
     flagged: bool = False
 
 
@@ -238,6 +240,17 @@ def _config_amplitudes(block, vectors, two_s):
     return amps
 
 
+@lru_cache(maxsize=None)
+def _cut_maps(two_s, sites, cut):
+    """Schmidt index maps of the J_z=0 slice for the first `cut` sites.
+    Independent of the coupling, so cached."""
+    _, digits = configuration_space(two_s, sites, 0)
+    maps = tuple(bipartition_maps(digits, range(cut)))
+    for sel, rows, cols, _ in maps:
+        sel.flags.writeable = rows.flags.writeable = cols.flags.writeable = False
+    return maps
+
+
 def _central_window(dim):
     """Index range of the central CENTRAL_FRACTION of a block of `dim` states."""
     n_sel = max(1, round(CENTRAL_FRACTION * dim))
@@ -245,32 +258,31 @@ def _central_window(dim):
     return range(start, start + n_sel)
 
 
-def diagonalize_and_resolve(spec, fractions=(Fraction(1, 2),)):
+def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
     [H, J**2] = 0, so every eigenstate carries a sharp spin label; a block's
     records ascend in energy, ties by spin.  A record is flagged, and left out
     of the averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL or |Hv - Ev| >
     RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2).
-    Entanglement entropies (cut of round(f*L) sites per fraction; `fractions=()`
-    skips them) and Gaussianity are evaluated for the central CENTRAL_FRACTION
+    The entanglement entropy of the first round(f*L) sites (`fraction=None`
+    skips it) and Gaussianity are evaluated for the central CENTRAL_FRACTION
     of each block by energy rank.
     """
     _check_cap(spec)
     two_s = spec.species.two_s
     sites = spec.sites
-    _, digits = configuration_space(two_s, sites, 0)
-    cut_maps = {}
-    for f in fractions:
-        cut = round(Fraction(f) * sites)
+    if fraction is not None:
+        cut = round(Fraction(fraction) * sites)
         if not 0 < cut < sites:
-            raise ValueError(f"fraction {f} gives an empty bipartition at L={sites}")
-        cut_maps[Fraction(f)] = (cut, bipartition_maps(digits, range(cut)))
+            raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
+        maps = _cut_maps(two_s, sites, cut)
+    bonds = _bond_list(spec)
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
     for n in range(sites // 2 + 1):
-        block = _assemble_block(spec, n, _bond_list(spec))
+        block = _assemble_block(two_s, sites, n, bonds)
         states = []  # (energy, two_j, J**2 residual, H residual, vector)
         for two_j, basis, j2_values in _spin_subspaces(two_s, sites, n):
             h_basis = block.matrix @ basis
@@ -298,34 +310,31 @@ def diagonalize_and_resolve(spec, fractions=(Fraction(1, 2),)):
                 rec.gaussianity = gaussianity_of_vector(vector)
                 chosen.append((rec, vector))
             records.append(rec)
-        if cut_maps and chosen:
+        if fraction is not None and chosen:
             amps = _config_amplitudes(block, np.column_stack([v for _, v in chosen]), two_s)
-            for f, (cut, maps) in cut_maps.items():
-                values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
-                for (rec, _), value in zip(chosen, values):
-                    rec.entropies[f] = float(value)
+            _, digits = configuration_space(two_s, sites, 0)
+            values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
+            for (rec, _), value in zip(chosen, values):
+                rec.entropy = float(value)
     return records
 
 
-def _select(records, two_j):
-    """Central, unflagged complex-sector records with spin two_j/2."""
-    return [
-        r for r in records if r.central and r.complex_sector and not r.flagged and r.two_j == two_j
-    ]
-
-
-def eigenstate_entropy_average(records, two_j, fraction=Fraction(1, 2)):
-    """Mean entropy over central complex-sector eigenstates with spin two_j/2."""
-    f = Fraction(fraction)
-    chosen = [r.entropies[f] for r in _select(records, two_j) if f in r.entropies]
-    if not chosen:
+def _central_values(records, two_j, name):
+    """Attribute `name`, where set, of the central, unflagged complex-sector
+    records with spin two_j/2."""
+    values = [getattr(r, name) for r in records
+              if r.central and r.complex_sector and not r.flagged and r.two_j == two_j]
+    values = [v for v in values if not math.isnan(v)]
+    if not values:
         raise ValueError(f"no central eigenstates with two_j={two_j} were found")
-    return EntropyEstimate.from_samples(chosen, "ed", 0)
+    return values
+
+
+def eigenstate_entropy_average(records, two_j):
+    """Mean entropy over central complex-sector eigenstates with spin two_j/2."""
+    return EntropyEstimate.from_samples(_central_values(records, two_j, "entropy"), "ed", 0)
 
 
 def gaussianity_average(records, two_j):
     """Mean Gaussianity over central complex-sector eigenstates with spin two_j/2."""
-    chosen = [r.gaussianity for r in _select(records, two_j) if not math.isnan(r.gaussianity)]
-    if not chosen:
-        raise ValueError(f"no central eigenstates with two_j={two_j} were found")
-    return float(np.mean(chosen))
+    return float(np.mean(_central_values(records, two_j, "gaussianity")))

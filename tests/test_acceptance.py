@@ -240,7 +240,7 @@ def test_criterion_13_ed_spectrum_oracle():
             [np.linalg.eigvalsh(b.matrix) for b in ss.momentum_blocks(spec)]
         ))
         spectrum_dev = float(np.max(np.abs(union - reference)))
-        records = ss.diagonalize_and_resolve(spec, fractions=())
+        records = ss.diagonalize_and_resolve(spec, fraction=None)
         worst_residual = max(r.j2_residual for r in records)
         ok = ok and spectrum_dev < 1e-10 and worst_residual < 1e-8
         details.append(f"coupling={coupling}: spectrum dev {spectrum_dev:.1e}, "
@@ -253,7 +253,7 @@ def test_criterion_14_chaotic_vs_integrable(ed14):
     exact = ss.singlet_average_exact(14, 7)
     means = {}
     for coupling, records in ed14.items():
-        means[coupling] = ss.eigenstate_entropy_average(records, 0, Fraction(1, 2)).mean
+        means[coupling] = ss.eigenstate_entropy_average(records, 0).mean
     elapsed = time.perf_counter() - t0
     assert elapsed < 900.0
     ok = means[3.0] > means[0.0] and abs(means[3.0] - exact) < abs(means[0.0] - exact)
@@ -266,7 +266,7 @@ def test_criterion_15_spin_one_split():
     for coupling in (0.0, 1.0):
         spec = ss.ChainSpec(ss.ONE, 8, coupling)
         records = ss.diagonalize_and_resolve(spec)
-        means[coupling] = ss.eigenstate_entropy_average(records, 0, Fraction(1, 2)).mean
+        means[coupling] = ss.eigenstate_entropy_average(records, 0).mean
     ok = means[0.0] > means[1.0]
     report(15, ok, f"spin-1 L=8: S(chaotic, coupling=0)={means[0.0]:.4f} > "
                    f"S(integrable, coupling=1)={means[1.0]:.4f}")

@@ -68,6 +68,8 @@ class TestSaddle:
             for j in (0.001, 0.01, 0.99, 0.999):
                 sd = saddle_solve(species, j)
                 assert sd.rate == pytest.approx(multiplicity_rate(species, j), abs=1e-11)
+                assert abs(saddle_exponent_d1(species, sd.saddle_point, j)) < 1e-10
+                assert saddle_exponent_d2(species, sd.saddle_point, j) > 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):

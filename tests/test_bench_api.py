@@ -1,0 +1,63 @@
+"""The library calls of the benchmark in perfbench/, run against its goldens.
+
+perfbench/workloads.py is imported as it stands, never edited, so a library
+change that would break a benchmark op or its output check fails here first.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spinsectors as ss
+from spinsectors import spectra
+from spinsectors.ensembles import bipartition_maps
+from spinsectors.su2 import configuration_space
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+GOLDENS = workloads.load_goldens()
+
+
+@pytest.mark.parametrize("coupling", workloads.ExactDiag.couplings)
+def test_ed_l12_op_passes_its_check(coupling):
+    wl = workloads.WORKLOADS["ed_l12"]
+    wl.check(ss, GOLDENS, coupling, wl.run(ss, coupling))
+
+
+def test_mc_small_op_passes_its_check():
+    wl = workloads.WORKLOADS["mc_small"]
+    seed = workloads.op_seed(7, 0)
+    wl.check(ss, GOLDENS, seed, wl.run(ss, seed))
+
+
+def test_closed_sweep_rows_pass_their_checks():
+    wl = workloads.WORKLOADS["closed_sweep"]
+    rows = [row for row in wl.rows if row[1] in (64, 1000)]
+    assert len(rows) == 2 * 33 + 8
+    for row in rows:
+        wl.check(ss, GOLDENS, row, wl.run(ss, row))
+
+
+def test_cut_maps_are_built_once():
+    first = spectra._cut_maps(1, 12, 6)
+    assert spectra._cut_maps(1, 12, 6) is first
+
+
+def test_alternating_fractions_match_uncached_maps(monkeypatch):
+    spec = ss.ChainSpec(ss.HALF, 12, 3.0)
+    fractions = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 2))
+    cached = [[r.entropy for r in ss.diagonalize_and_resolve(spec, f)] for f in fractions]
+    assert np.array_equal(cached[0], cached[2], equal_nan=True)
+    assert not np.array_equal(cached[0], cached[1], equal_nan=True)
+
+    def uncached(two_s, sites, cut):
+        return bipartition_maps(configuration_space(two_s, sites, 0)[1], range(cut))
+
+    monkeypatch.setattr(spectra, "_cut_maps", uncached)
+    for f, got in zip(fractions, cached):
+        expected = [r.entropy for r in ss.diagonalize_and_resolve(spec, f)]
+        np.testing.assert_array_equal(got, expected)

@@ -346,6 +346,19 @@ class TestSampling:
         with pytest.raises(ValueError):
             coupled_geometry(8, 3, 4)  # odd two_j in an even chain
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'fulll'"):
+            ensemble_entropy_samples(8, 2, 4, 4, 1, ("fulll",))
+
+    def test_nonpositive_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            ensemble_entropy_samples(8, 2, 4, 4, 1, workers=0)
+
+    def test_non_integer_worker_env_rejected(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "two")
+        with pytest.raises(ValueError, match=f"{WORKERS_ENV} must be an integer >= 1, got 'two'"):
+            ensemble_entropy_samples(8, 2, 4, 4, 1)
+
     def test_default_sample_counts(self):
         assert default_sample_count("full", 20) == 1000
         assert default_sample_count("full", 22) == 100

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ class TestHamiltonian:
     def test_spin_one_rotational_multiplets(self):
         # every spin-J level of the SU(2)-symmetric chain appears n_J times in Jz=0
         spec = ChainSpec(ONE, 4, 0.5)
-        records = diagonalize_and_resolve(spec, fractions=())
+        records = diagonalize_and_resolve(spec, fraction=None)
         assert all(r.j2_residual < 1e-8 for r in records)
 
     def test_site_minimum(self):
@@ -222,7 +221,7 @@ class TestCommutation:
 class TestResolution:
     def test_residuals_and_counts(self):
         for species, sites, coupling in ((HALF, 12, 3.0), (ONE, 8, 1.0)):
-            records = diagonalize_and_resolve(ChainSpec(species, sites, coupling), fractions=())
+            records = diagonalize_and_resolve(ChainSpec(species, sites, coupling), fraction=None)
             assert all(r.j2_residual < 1e-8 for r in records)
             assert not any(r.flagged for r in records)
             # plain Python fields, so records serialize to JSON
@@ -251,8 +250,8 @@ class TestResolution:
         assemble = spectra._assemble_block
         rng = np.random.default_rng(3)
 
-        def broken(spec, n, bonds, diagonal_shift=0.0):
-            block = assemble(spec, n, bonds, diagonal_shift)
+        def broken(two_s, sites, n, bonds, diagonal_shift=0.0):
+            block = assemble(two_s, sites, n, bonds, diagonal_shift)
             if n == 1 and diagonal_shift == 0.0:  # J**2 blocks carry a diagonal shift
                 block.matrix += np.diag(1e-3 * rng.standard_normal(block.dim))
             return block
@@ -260,14 +259,13 @@ class TestResolution:
         monkeypatch.setattr(spectra, "_assemble_block", broken)
         records = diagonalize_and_resolve(spec)
         assert all(r.flagged == (r.momentum_index == 1) for r in records)
-        half = Fraction(1, 2)
         for two_j in (0, 2):
             kept = [
-                r.entropies[half]
+                r.entropy
                 for r in clean
                 if r.central and r.complex_sector and r.two_j == two_j and r.momentum_index != 1
             ]
-            got = eigenstate_entropy_average(records, two_j, half).mean
+            got = eigenstate_entropy_average(records, two_j).mean
             assert got == pytest.approx(np.mean(kept), abs=1e-12)
 
     def test_central_window(self):
@@ -281,14 +279,13 @@ class TestResolution:
         spec = ChainSpec(HALF, 12, 3.0)
         records = diagonalize_and_resolve(spec)
         bound = 6 * math.log(2) + 1e-9
-        for r in records:
-            for value in r.entropies.values():
-                assert 0.0 <= value <= bound
+        values = [r.entropy for r in records if r.central and not r.flagged]
+        assert values and all(0.0 <= value <= bound for value in values)
 
     def test_chaotic_average_near_singlet_exact(self):
         spec = ChainSpec(HALF, 14, 3.0)
         records = diagonalize_and_resolve(spec)
-        est = eigenstate_entropy_average(records, 0, Fraction(1, 2))
+        est = eigenstate_entropy_average(records, 0)
         exact = singlet_average_exact(14, 7)
         assert abs(est.mean - exact) / exact < 0.10
 
@@ -297,7 +294,7 @@ class TestResolution:
         spec = ChainSpec(HALF, 12, 3.0)
         two_s, sites = 1, 12
         _, digits = configuration_space(two_s, sites, 0)
-        block = _assemble_block(spec, 2, _bond_list(spec))
+        block = _assemble_block(two_s, sites, 2, _bond_list(spec))
         energies, vectors = np.linalg.eigh(block.matrix)
         amps = _config_amplitudes(block, vectors[:, ::7], two_s)
         means = []
@@ -318,7 +315,7 @@ class TestLevelStatistics:
         means = {}
         for coupling in (0.0, 1.0):
             spec = ChainSpec(ONE, 9, coupling)
-            records = diagonalize_and_resolve(spec, fractions=())
+            records = diagonalize_and_resolve(spec, fraction=None)
             groups = defaultdict(list)
             for r in records:
                 if r.complex_sector and not r.flagged:
