@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import multiplicity_rate
 from .combinatorics import HALF, SectorLabel, spin_half_multiplicity
 from .special import digamma
-from .su2 import clebsch_gordan, stretched_weight_log
+from .su2 import clebsch_gordan, stretched_weight_logs
 
 __all__ = [
     "EntropyEstimate",
@@ -145,15 +145,13 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
 # closed forms
 
 
-def _block_average(blocks):
+def _block_average(blocks, d):
     """Average entropy over a direct sum of Page blocks, exact in the integers.
 
     `blocks` yields (n_A, n_B, S_w) triples, block b holding d_b = n_A n_B of
-    d = sum d_b states: sum_b (d_b/d) [S_w + S_Page(n_A, n_B) + psi(d+1) -
-    psi(d_b+1)], with the psi(d_b+1) of S_Page cancelled.
+    d = sum d_b states (passed in): sum_b (d_b/d) [S_w + S_Page(n_A, n_B) +
+    psi(d+1) - psi(d_b+1)], with the psi(d_b+1) of S_Page cancelled.
     """
-    blocks = list(blocks)
-    d = sum(na * nb for na, nb, _ in blocks)
     psi_d = digamma(d + 1)
     total = 0.0
     for na, nb, s_w in blocks:
@@ -166,7 +164,7 @@ def page_average(dim_a, dim_b):
     """Haar-average entanglement entropy of a dim_a x dim_b bipartite space."""
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"dimensions must be >= 1, got {dim_a}, {dim_b}")
-    return _block_average([(int(dim_a), int(dim_b), 0.0)])
+    return _block_average([(int(dim_a), int(dim_b), 0.0)], int(dim_a) * int(dim_b))
 
 
 def _folded_fraction(fraction):
@@ -216,9 +214,8 @@ def singlet_average_exact(sites, cut):
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
     geo = coupled_geometry(sites, 0, _mirror_cut(sites, cut))
-    return _block_average(
-        (geo.na[two_ja], geo.nb[two_jb], math.log(1.0 + two_ja)) for two_ja, two_jb in geo.pairs
-    )
+    blocks = ((geo.na[two_ja], geo.nb[two_ja], math.log(1.0 + two_ja)) for two_ja in geo.ja_list)
+    return _block_average(blocks, geo.sector_dim)
 
 
 def singlet_average_asymptotic(sites, fraction):
@@ -251,15 +248,9 @@ def max_spin_state_entropy(sites, cut):
     return _stretched_entropy(cut, sites - cut)
 
 
-def _stretched_log_weights(two_ja, two_jb):
-    """ln c_m**2 of the stretched column (J = J_A + J_B, M = 0), m ascending."""
-    mm = min(two_ja, two_jb)
-    return np.array([stretched_weight_log(two_ja, two_jb, two_m) for two_m in range(-mm, mm + 1, 2)])
-
-
 def _stretched_entropy(two_ja, two_jb):
     """-sum c_m**2 ln c_m**2 of the stretched column, in log domain."""
-    lw = _stretched_log_weights(two_ja, two_jb)
+    lw = stretched_weight_logs(two_ja, two_jb)
     return float(-np.dot(np.exp(lw), lw))
 
 
@@ -270,15 +261,15 @@ def _stretched_entropy(two_ja, two_jb):
 class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
-    Holds the multiplicities of both blocks (CG coefficients are evaluated on
-    demand).  The identity sum_{pairs} n_A n_B = n_J is asserted at
-    construction, cross-checking the counting machinery.
+    Holds the multiplicities of both blocks and each J_A's run of partners J_B
+    (CG coefficients are evaluated on demand).  The identity sum_{pairs} n_A
+    n_B = n_J is asserted at construction with one big-integer product per J_A.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
     matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`, which keeps m > 0
-    and the two flip-parity classes of m = 0).  The layout is built lazily, as
-    the closed forms use this geometry at L up to 10**4.
+    and the two flip-parity classes of m = 0).  The layout and `pairs` are built
+    lazily, as the closed forms use this geometry at L up to 10**4.
     """
 
     def __init__(self, sites, two_j, cut):
@@ -291,29 +282,28 @@ class CoupledPairGeometry:
         self.cut = cut
         self.two_j = two_j
         cut_b = sites - cut
-        self.pairs = []
-        ja_lo = max(cut % 2, two_j - cut_b)
-        ja_hi = min(cut, two_j + cut_b)
-        for two_ja in range(ja_lo, ja_hi + 1, 2):
-            jb_lo = max(cut_b % 2, abs(two_j - two_ja))
-            jb_hi = min(cut_b, two_j + two_ja)
-            self.pairs.extend((two_ja, two_jb) for two_jb in range(jb_lo, jb_hi + 1, 2))
-        if not self.pairs:
-            raise ValueError(
-                f"empty sector: no (J_A, J_B) pairing for L={sites}, two_j={two_j}, cut={cut}"
-            )
-        # every J_A in range has partners and the partner ranges overlap, so
-        # both spin sets are unbroken runs
-        jbs = [jb for _, jb in self.pairs]
-        self.na = _multiplicity_run(cut, ja_lo, ja_hi)
-        self.nb = _multiplicity_run(cut_b, min(jbs), max(jbs))
-        total = sum(self.na[ja] * self.nb[jb] for ja, jb in self.pairs)
+        # J_A's partners |J - J_A| <= J_B <= J + J_A: one run each, and the runs overlap
+        runs = self.partner_runs = {
+            two_ja: range(max(cut_b % 2, abs(two_j - two_ja)), min(cut_b, two_j + two_ja) + 1, 2)
+            for two_ja in range(max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b) + 1, 2)
+        }
+        self.ja_list = list(runs)
+        jb_lo, jb_hi = min(jbs[0] for jbs in runs.values()), max(jbs[-1] for jbs in runs.values())
+        self.jb_list = list(range(jb_lo, jb_hi + 1, 2))
+        self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
+        self.nb = _multiplicity_run(cut_b, jb_lo, jb_hi)
+        # upto[J_B]: n_B summed over the spins <= J_B, so a run sums by one difference
+        upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(self.nb.values(), initial=0)))
+        total = sum(self.na[ja] * (upto[jbs[-1]] - upto[jbs[0] - 2]) for ja, jbs in runs.items())
         expected = spin_half_multiplicity(sites, two_j)
         assert total == expected, (total, expected)
         self.sector_dim = total
-        self.ja_list = sorted(self.na)
-        self.jb_list = sorted(self.nb)
-        self.m_max = max(min(ja, jb) for ja, jb in self.pairs)
+        self.m_max = max(min(ja, jbs[-1]) for ja, jbs in runs.items())
+
+    @cached_property
+    def pairs(self):
+        """Every (J_A, J_B) pairing, J_A then J_B ascending (for Monte Carlo)."""
+        return [(ja, jb) for ja, jbs in self.partner_runs.items() for jb in jbs]
 
     def cg_coefficient(self, two_ja, two_jb, two_m):
         """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`: zero off
@@ -334,7 +324,7 @@ class CoupledPairGeometry:
     @cached_property
     def sd2_weights(self):
         """Squared stretched CG column c_m**2 of each sd2 pairing, m ascending."""
-        return {pair: np.exp(_stretched_log_weights(*pair)) for pair in self.sd2_pairs}
+        return {pair: np.exp(stretched_weight_logs(*pair)) for pair in self.sd2_pairs}
 
     @cached_property
     def rows(self):
@@ -391,8 +381,7 @@ class CoupledPairGeometry:
         cols = _group_slices(jb_cols, self.nb)
         sd1_parts = []
         for ja, rows in _group_slices(ja_rows, self.na).items():
-            # the partners form one run of jb_cols, which is sorted
-            partners = [jb for jb in jb_cols if abs(self.two_j - ja) <= jb <= self.two_j + ja]
+            partners = [jb for jb in jb_cols if jb in self.partner_runs[ja]]  # one run of jb_cols
             sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
         return index, table, row_counts, col_counts, sd1_parts, copies
 
@@ -518,6 +507,8 @@ def ensemble_entropy_samples(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     methods = tuple(methods)
+    if not methods:
+        raise ValueError(f"methods is empty, expected some of {ENSEMBLE_METHODS}")
     for method in methods:
         if method not in ENSEMBLE_METHODS:
             raise ValueError(f"unknown method {method!r}, expected one of {ENSEMBLE_METHODS}")
@@ -596,10 +587,8 @@ def sd2_average_closed(sites, two_j, cut):
     stretched column, as in `max_spin_state_entropy`.
     """
     geo = coupled_geometry(sites, two_j, cut)
-    return _block_average(
-        (geo.na[two_ja], geo.nb[two_jb], _stretched_entropy(two_ja, two_jb))
-        for two_ja, two_jb in geo.sd2_pairs
-    )
+    blocks = [(geo.na[a], geo.nb[b], _stretched_entropy(a, b)) for a, b in geo.sd2_pairs]
+    return _block_average(blocks, sum(na * nb for na, nb, _ in blocks))
 
 
 def sd1_semianalytic(sites, two_j, cut):
@@ -612,8 +601,7 @@ def sd1_semianalytic(sites, two_j, cut):
     """
     geo = coupled_geometry(sites, two_j, cut)
     blocks = []
-    for two_ja in geo.ja_list:
-        partners = [jb for ja, jb in geo.pairs if ja == two_ja]
+    for two_ja, partners in geo.partner_runs.items():
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:
@@ -621,7 +609,7 @@ def sd1_semianalytic(sites, two_j, cut):
             for k, two_m in enumerate(range(-two_ja, two_ja + 1, 2)):
                 p_m[k] += share * geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
         blocks.append((geo.na[two_ja], nb_eff, schmidt_square_entropy(p_m)))
-    return _block_average(blocks)
+    return _block_average(blocks, geo.sector_dim)
 
 
 def paired_spin_crossover(fraction, j):

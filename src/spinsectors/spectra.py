@@ -322,11 +322,13 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
 def _central_values(records, two_j, name):
     """Attribute `name`, where set, of the central, unflagged complex-sector
     records with spin two_j/2."""
-    values = [getattr(r, name) for r in records
-              if r.central and r.complex_sector and not r.flagged and r.two_j == two_j]
-    values = [v for v in values if not math.isnan(v)]
+    central = [getattr(r, name) for r in records
+               if r.central and r.complex_sector and not r.flagged and r.two_j == two_j]
+    values = [v for v in central if not math.isnan(v)]
     if not values:
-        raise ValueError(f"no central eigenstates with two_j={two_j} were found")
+        what = f"central eigenstates with two_j={two_j}"
+        raise ValueError(f"the {what} carry no {name}: resolve them with a fraction" if central
+                         else f"no {what} were found")
     return values
 
 

@@ -115,6 +115,31 @@ def stretched_weight_log(two_ja, two_jb, two_m):
     )
 
 
+@lru_cache(maxsize=None)
+def _lnfact_table(size):
+    """Read-only ln k! = lgamma(k+1) for k < size; sizes are powers of two."""
+    table = np.fromiter((math.lgamma(k + 1) for k in range(size)), float, size)
+    table.flags.writeable = False
+    return table
+
+
+def stretched_weight_logs(two_ja, two_jb):
+    """`stretched_weight_log` over the whole column |m| <= min(J_A, J_B), m
+    ascending, bitwise equal to the scalar: same lgamma values, same order."""
+    mm = min(two_ja, two_jb)
+    _check_momentum(two_ja, mm, "J_A")
+    _check_momentum(two_jb, mm, "J_B")
+    n = two_ja + two_jb
+    lf = _lnfact_table(1 << n.bit_length())
+    ka = np.arange(two_ja + mm, two_ja - mm - 1, -2) // 2  # (J_A - m) for m ascending
+    kb = np.arange(two_jb - mm, two_jb + mm + 1, 2) // 2
+    return (
+        (lf[two_ja] - lf[ka] - lf[two_ja - ka])
+        + (lf[two_jb] - lf[kb] - lf[two_jb - kb])
+        - (lf[n] - lf[n // 2] - lf[n - n // 2])
+    )
+
+
 def stretched_weight(two_ja, two_jb, two_m):
     """|<J_A m; J_B -m | J_A+J_B, 0>|**2 for the maximal coupled spin."""
     lw = stretched_weight_log(two_ja, two_jb, two_m)

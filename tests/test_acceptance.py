@@ -320,3 +320,24 @@ def test_criterion_18_csv_determinism(tmp_path, monkeypatch):
     ok = body(out1) == body(out2)
     report(18, ok, "stochastic command re-run with workers 1 vs 3 gives byte-identical "
                    "CSV bodies (wall_time_ms excluded)")
+
+
+def test_criterion_19_sd2_asymptotics():
+    # d = closed - asymptotic falls as O(1/L) at f = 1/4 and, through the
+    # sqrt(L) term of f = 1/2, as O(L^-1/2) there: ratios near 1/2 and 1/sqrt(2)
+    def ratios(fraction, j, sizes):
+        d = [ss.sd2_average_closed(sites, round(j * sites), round(fraction * sites))
+             - ss.sd2_asymptotic(sites, fraction, j) for sites in sizes]
+        return [b / a for a, b in zip(d, d[1:])]
+
+    t0 = time.perf_counter()
+    quarter = ratios(Fraction(1, 4), 0.25, (512, 1024, 2048, 4096))
+    half = {j: ratios(Fraction(1, 2), j, (1024, 2048, 4096, 8192)) for j in (0.5, 0.75)}
+    elapsed = time.perf_counter() - t0
+    ok = (all(0.45 < r < 0.55 for r in quarter)
+          and all(0.65 < r < 0.78 for rs in half.values() for r in rs))
+    report(19, ok,
+           f"d = sd2 closed - asymptotic, d(2L)/d(L) at f=1/4, j=1/4, L=512..2048: "
+           f"{[f'{r:.3f}' for r in quarter]} (0.45, 0.55); at f=1/2, L=1024..4096: "
+           + ", ".join(f"j={j}: {[f'{r:.3f}' for r in rs]}" for j, rs in half.items())
+           + f" (0.65, 0.78); {elapsed:.2f} s")

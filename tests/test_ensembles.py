@@ -26,7 +26,7 @@ from spinsectors import (
     slice_entanglement_entropy,
     spin_half_multiplicity,
 )
-from spinsectors import ensembles
+from spinsectors import ensembles, su2
 from spinsectors.ensembles import (
     WORKERS_ENV,
     CoupledPairGeometry,
@@ -37,6 +37,21 @@ from spinsectors.ensembles import (
 )
 from spinsectors.special import digamma
 from spinsectors.su2 import coupled_sector_basis, sector_basis
+
+
+def brute_force_geometry(sites, two_j, cut):
+    """The O(L^2) reference geometry: every (J_A, J_B) pairing on the triangle,
+    with the guard sum n_A n_B formed pair by pair."""
+    pairs = [
+        (ja, jb)
+        for ja in range(cut % 2, cut + 1, 2)
+        for jb in range((sites - cut) % 2, sites - cut + 1, 2)
+        if abs(ja - jb) <= two_j <= ja + jb
+    ]
+    na = {ja: spin_half_multiplicity(cut, ja) for ja in sorted({ja for ja, _ in pairs})}
+    nb = {jb: spin_half_multiplicity(sites - cut, jb) for jb in sorted({jb for _, jb in pairs})}
+    total = sum(na[ja] * nb[jb] for ja, jb in pairs)
+    return pairs, na, nb, total
 
 
 def unsplit_entropies(geo, w):
@@ -346,6 +361,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             coupled_geometry(8, 3, 4)  # odd two_j in an even chain
 
+    def test_empty_methods_rejected_before_drawing(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(ensembles, "_draw_blocks", draw)
+        with pytest.raises(ValueError, match="methods is empty"):
+            ensemble_entropy_samples(20, 2, 10, 20, 1, methods=(), workers=1)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'fulll'"):
             ensemble_entropy_samples(8, 2, 4, 4, 1, ("fulll",))
@@ -414,8 +437,10 @@ class TestGeometry:
             assert geo.sector_dim == spin_half_multiplicity(sites, two_j)
 
     def test_multiplicities_match_closed_form(self):
-        # the geometry steps its binomials by a recurrence over one J run;
-        # spin_half_multiplicity evaluates each n_J on its own
+        # the geometry keeps one partner run per J_A, sums n_A n_B over the runs
+        # by prefix sums of n_B, and steps its binomials by a recurrence over
+        # one J run; the reference enumerates every pair and evaluates each n_J
+        # on its own
         cases = [
             (sites, two_j, cut)
             for sites in range(2, 41, 2)
@@ -425,10 +450,25 @@ class TestGeometry:
         cases += [(2000, 0, 1000), (2000, 1000, 700), (2000, 2000, 999)]
         for sites, two_j, cut in cases:
             geo = CoupledPairGeometry(sites, two_j, cut)
-            assert geo.ja_list == sorted({ja for ja, _ in geo.pairs})
-            assert geo.jb_list == sorted({jb for _, jb in geo.pairs})
-            assert geo.na == {ja: spin_half_multiplicity(cut, ja) for ja in geo.ja_list}
-            assert geo.nb == {jb: spin_half_multiplicity(sites - cut, jb) for jb in geo.jb_list}
+            pairs, na, nb, total = brute_force_geometry(sites, two_j, cut)
+            assert geo.pairs == pairs
+            assert geo.ja_list == list(na) and geo.jb_list == list(nb)
+            assert geo.na == na and geo.nb == nb
+            assert geo.m_max == max(min(pair) for pair in pairs)
+            assert geo.sector_dim == total == spin_half_multiplicity(sites, two_j)
+
+    def test_guard_catches_a_wrong_multiplicity(self, monkeypatch):
+        exact_run = ensembles._multiplicity_run
+
+        def off_by_one(sites, two_lo, two_hi):
+            run = exact_run(sites, two_lo, two_hi)
+            run[two_hi] += 1
+            return run
+
+        monkeypatch.setattr(ensembles, "_multiplicity_run", off_by_one)
+        for sites, two_j, cut in ((6, 2, 2), (12, 4, 5), (2000, 0, 1000), (2000, 1000, 700)):
+            with pytest.raises(AssertionError):
+                CoupledPairGeometry(sites, two_j, cut)
 
     def test_six_site_pairings(self):
         geo = coupled_geometry(6, 2, 2)
@@ -442,15 +482,22 @@ class TestGeometry:
             assert np.sum(col**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
-        # the closed forms need multiplicities and stretched weights only
-        def racah(*args):
-            raise AssertionError("clebsch_gordan called")
+        # the closed forms need multiplicities and stretched weight columns
+        # only: no Racah sum, no scalar stretched weight (whose only
+        # arithmetic is log_binomial) and no list of every pairing
+        def forbidden(name):
+            def call(*args):
+                raise AssertionError(f"{name} called")
+            return call
 
-        monkeypatch.setattr(ensembles, "clebsch_gordan", racah)
+        monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
+        monkeypatch.setattr(su2, "log_binomial", forbidden("stretched_weight_log"))
         coupled_geometry.cache_clear()
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
         assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
+        for sites, two_j, cut in ((16, 0, 8), (96, 20, 48)):
+            assert "pairs" not in coupled_geometry(sites, two_j, cut).__dict__
 
 
 class TestRealVsComplex:

@@ -282,6 +282,14 @@ class TestResolution:
         values = [r.entropy for r in records if r.central and not r.flagged]
         assert values and all(0.0 <= value <= bound for value in values)
 
+    def test_average_without_entropies_asks_for_a_fraction(self):
+        records = diagonalize_and_resolve(ChainSpec(HALF, 8, 3.0), fraction=None)
+        assert any(r.central and r.complex_sector and r.two_j == 0 for r in records)
+        with pytest.raises(ValueError, match="carry no entropy: resolve them with a fraction"):
+            eigenstate_entropy_average(records, 0)
+        with pytest.raises(ValueError, match="no central eigenstates with two_j=16"):
+            eigenstate_entropy_average(records, 16)
+
     def test_chaotic_average_near_singlet_exact(self):
         spec = ChainSpec(HALF, 14, 3.0)
         records = diagonalize_and_resolve(spec)

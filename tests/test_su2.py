@@ -17,7 +17,7 @@ from spinsectors import (
     spin_half_multiplicity,
     stretched_weight,
 )
-from spinsectors.su2 import stretched_weight_log
+from spinsectors.su2 import _lnfact_table, stretched_weight_log, stretched_weight_logs
 
 
 class TestClebschGordan:
@@ -126,6 +126,28 @@ class TestStretchedWeight:
     def test_out_of_range_m(self):
         assert stretched_weight(2, 4, 4) == 0.0
         assert stretched_weight_log(2, 4, 4) == -math.inf
+
+    def test_column_equals_scalar_bitwise(self):
+        # the column reads one lgamma table and keeps log_binomial's order of
+        # float operations, so every entry equals the scalar exactly
+        grid = [(a, b) for a in range(0, 41) for b in range(a % 2, 41, 2)]
+        grid += [(a, b) for a in range(0, 5001, 250) for b in range(0, 5001 - a, 250)]
+        grid += [(a + 1, b + 1) for a, b in grid if a + b + 2 <= 5000]
+        grid += [(5000, 0), (0, 5000), (4999, 1), (2500, 2500), (1234, 3766)]
+        for two_ja, two_jb in grid:
+            mm = min(two_ja, two_jb)
+            scalar = [stretched_weight_log(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)]
+            assert stretched_weight_logs(two_ja, two_jb).tolist() == scalar
+
+    def test_column_table_is_read_only(self):
+        stretched_weight_logs(6, 10)
+        assert not _lnfact_table(16).flags.writeable
+
+    def test_column_rejects_mixed_integrality(self):
+        with pytest.raises(ValueError):
+            stretched_weight_logs(2, 3)
+        with pytest.raises(ValueError):
+            stretched_weight_logs(-2, 4)
 
 
 class TestSectorBasis:
