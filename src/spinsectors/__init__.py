@@ -11,9 +11,7 @@ from .combinatorics import (
     admissible_two_j,
     hilbert_fraction,
     multiplicity,
-    multiplicity_by_quadrature,
     multiplicity_table,
-    sector_dimensions,
     spin_half_multiplicity,
     spin_half_multiplicity_log,
     zero_magnetization_dim,
@@ -27,15 +25,7 @@ from .asymptotics import (
     saddle_solve,
 )
 from .special import digamma
-from .su2 import (
-    SectorBasis,
-    apply_total_spin_squared,
-    apply_total_sz,
-    clebsch_gordan,
-    coupled_sector_basis,
-    sector_basis,
-    stretched_weight,
-)
+from .su2 import clebsch_gordan, stretched_weight
 from .ensembles import (
     EntropyEstimate,
     default_sample_count,
@@ -63,7 +53,4 @@ from .spectra import (
     eigenstate_entropy_average,
     gaussianity_average,
     gaussianity_of_vector,
-    hamiltonian_matrix,
-    momentum_blocks,
-    spin_squared_matrix,
 )

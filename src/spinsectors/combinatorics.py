@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .special import log_binomial
 
@@ -21,14 +20,10 @@ __all__ = [
     "ONE",
     "SectorLabel",
     "MultiplicityTable",
-    "SectorDims",
     "spin_half_multiplicity",
     "spin_half_multiplicity_log",
     "multiplicity",
     "multiplicity_table",
-    "multiplicity_by_quadrature",
-    "QUADRATURE_MAX_SITES",
-    "sector_dimensions",
     "zero_magnetization_dim",
     "hilbert_fraction",
     "admissible_two_j",
@@ -185,95 +180,6 @@ def multiplicity(species, sites, two_j):
         return spin_half_multiplicity(sites, two_j)
     _check_spin_label(species, sites, two_j)
     return multiplicity_table(species, sites).multiplicity(two_j)
-
-
-# Largest L per species for which the character-integral quadrature is
-# guaranteed to round correctly (all values stay well below 2**53).
-QUADRATURE_MAX_SITES = {1: 52, 2: 33}
-
-
-def multiplicity_by_quadrature(species, sites, two_j):
-    """Multiplicity via the Weyl character orthogonality integral.
-
-    Evaluates (2/pi) * int_0^pi sin((2J+1)t) sin(t) chi_s(t)**L dt with
-    chi_s(t) = sin((2s+1)t)/sin(t) by composite Simpson quadrature and rounds
-    to the nearest integer.  The integrand is a trigonometric polynomial of
-    degree 2sL + 2J + 2, so 4*(2s)L + 8 panels integrate it exactly up to
-    roundoff; extended-precision accumulation keeps the roundoff of the
-    d**L-sized cancellations below half a count everywhere within the cap.
-    """
-    import numpy as np
-
-    if sites < 1:
-        raise ValueError(f"quadrature requires sites >= 1, got {sites}")
-    _check_spin_label(species, sites, two_j)
-    cap = QUADRATURE_MAX_SITES[species.two_s]
-    if sites > cap:
-        raise ValueError(
-            f"sites={sites} exceeds the quadrature precision cap L<={cap} for spin "
-            f"{species.name}; use the exact fusion table instead"
-        )
-    n_panels = 4 * species.two_s * sites + 8
-    long_pi = np.arccos(np.longdouble(-1.0))
-    theta = np.linspace(np.longdouble(0), long_pi, n_panels + 1)
-    t = theta[1:-1]  # integrand vanishes at both endpoints
-    chi = np.sin((species.two_s + 1) * t) / np.sin(t)
-    f = np.sin((two_j + 1) * t) * np.sin(t) * chi**sites
-    weights = np.empty(n_panels - 1, dtype=np.longdouble)
-    weights[0::2] = 4.0
-    weights[1::2] = 2.0
-    h = theta[1]
-    value = float((2.0 / long_pi) * (h / 3.0) * np.sum(weights * f))
-    rounded = round(value)
-    if abs(value - rounded) > 0.25:
-        raise RuntimeError(
-            f"quadrature failed to settle on an integer: got {value} for "
-            f"(species={species.name}, L={sites}, two_j={two_j})"
-        )
-    return int(rounded)
-
-
-def _spin_one_weight_count(sites, jz):
-    """Number of {-1,0,1}**L configurations with total magnetization jz."""
-    total = 0
-    for zeros in range(sites + 1):
-        rest = sites - zeros
-        if (rest + jz) % 2:
-            continue
-        plus = (rest + jz) // 2
-        if 0 <= plus <= rest:
-            total += math.comb(sites, zeros) * math.comb(rest, plus)
-    return total
-
-
-class SectorDims(NamedTuple):
-    fixed_jz: int
-    fixed_j: int
-    fixed_j_jz: int
-
-
-def sector_dimensions(species, sites, two_j, two_jz):
-    """Dimensions of the fixed-J_z, fixed-J, and fixed-(J, J_z) sectors.
-
-    The fixed-J_z dimension counts product configurations directly (binomial
-    for spin-1/2, trinomial for spin-1); the others come from the exact
-    multiplicity n_J.
-    """
-    _check_spin_label(species, sites, two_j)
-    if (species.two_s * sites - two_jz) % 2:
-        raise ValueError(
-            f"two_jz={two_jz} has the wrong integrality class for {sites} sites of spin {species.name}"
-        )
-    if abs(two_jz) > species.two_s * sites:
-        raise ValueError(f"|two_jz|={abs(two_jz)} exceeds the maximal magnetization")
-    if species.two_s == 1:
-        fixed_jz = math.comb(sites, (sites + two_jz) // 2)
-    else:
-        fixed_jz = _spin_one_weight_count(sites, two_jz // 2)
-    n = multiplicity(species, sites, two_j)
-    fixed_j = (two_j + 1) * n
-    fixed_j_jz = n if abs(two_jz) <= two_j else 0
-    return SectorDims(fixed_jz, fixed_j, fixed_j_jz)
 
 
 def zero_magnetization_dim(sites):

@@ -597,7 +597,9 @@ def sd1_semianalytic(sites, two_j, cut):
     Treats each J_A block as a Page problem of size n_A x (sum of partner
     n_B), with the subsystem-magnetization weights mixed over partners.  Exact
     at J=0, where it reduces to the singlet sum; an O(1) overestimate
-    otherwise at f=1/2.
+    otherwise at f=1/2.  Raises ValueError where a Clebsch-Gordan column
+    misses unit norm by more than 1e-10: the Racah sum loses precision at
+    large spin.
     """
     geo = coupled_geometry(sites, two_j, cut)
     blocks = []
@@ -605,9 +607,15 @@ def sd1_semianalytic(sites, two_j, cut):
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:
-            share = geo.nb[two_jb] / nb_eff
-            for k, two_m in enumerate(range(-two_ja, two_ja + 1, 2)):
-                p_m[k] += share * geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
+            column = np.array([geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
+                               for two_m in range(-two_ja, two_ja + 1, 2)])
+            error = abs(column.sum() - 1.0)
+            if error > 1e-10:
+                raise ValueError(
+                    f"Clebsch-Gordan column (2J_A, 2J_B, 2J) = ({two_ja}, {two_jb}, {two_j}) "
+                    f"misses unit norm by {error:.1e}: the Racah sum is inaccurate at this spin"
+                )
+            p_m += geo.nb[two_jb] / nb_eff * column
         blocks.append((geo.na[two_ja], nb_eff, schmidt_square_entropy(p_m)))
     return _block_average(blocks, geo.sector_dim)
 

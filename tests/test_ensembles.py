@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import coupled_sector_basis, sector_basis
 from spinsectors import (
     HALF,
     EntropyEstimate,
@@ -36,7 +37,6 @@ from spinsectors.ensembles import (
     schmidt_square_entropy,
 )
 from spinsectors.special import digamma
-from spinsectors.su2 import coupled_sector_basis, sector_basis
 
 
 def brute_force_geometry(sites, two_j, cut):
@@ -302,6 +302,18 @@ class TestSd1:
             assert sd1_semianalytic(sites, 0, cut) == pytest.approx(
                 singlet_average_exact(sites, cut), abs=1e-12
             )
+
+    def test_semianalytic_values_pinned(self):
+        # the column norm check must leave the sum bitwise as it was
+        assert sd1_semianalytic(12, 2, 3) == 2.048879038401767
+        assert [sd1_semianalytic(sites, 0, cut) for sites, cut in ((8, 4), (12, 6), (12, 3))] == [
+            2.10848722016569, 3.4248336995668516, 2.026663049834447
+        ]
+
+    def test_semianalytic_refuses_inaccurate_clebsch_gordan(self):
+        # at L=200 the Racah sum misses unit column norm by up to 1.6e-6
+        with pytest.raises(ValueError, match=r"\(2J_A, 2J_B, 2J\) = \(\d+, \d+, 100\)"):
+            sd1_semianalytic(200, 100, 100)
 
     def test_semianalytic_tracks_monte_carlo(self):
         values = ensemble_entropy_samples(12, 2, 3, 500, 9, ("sd1",))["sd1"]

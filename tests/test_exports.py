@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import spinsectors
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(spinsectors.__path__))
@@ -26,3 +27,13 @@ def test_every_package_import_resolves():
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
             assert hasattr(spinsectors, alias.asname or alias.name), alias.name
+
+
+def test_oracles_stay_out_of_the_package():
+    # a slow reference lives in tests/oracles.py only: no package module may
+    # hold its own object under a name the oracles define
+    modules = [spinsectors] + [importlib.import_module(f"spinsectors.{name}") for name in MODULES]
+    for module in modules:
+        clashes = [name for name, obj in vars(oracles).items()
+                   if not name.startswith("__") and getattr(module, name, obj) is not obj]
+        assert clashes == [], module.__name__

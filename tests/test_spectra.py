@@ -4,6 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import (
+    apply_total_spin_squared,
+    hamiltonian_matrix,
+    kron_hamiltonian,
+    kron_spin_squared,
+    momentum_blocks,
+    restrict_to_zero_magnetization,
+    spin_squared_matrix,
+)
 from spinsectors import (
     HALF,
     ONE,
@@ -12,77 +21,14 @@ from spinsectors import (
     eigenstate_entropy_average,
     gaussianity_average,
     gaussianity_of_vector,
-    hamiltonian_matrix,
-    momentum_blocks,
     multiplicity,
     singlet_average_exact,
-    spin_squared_matrix,
     zero_magnetization_dim,
 )
 from spinsectors import spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import _assemble_block, _bond_list, _config_amplitudes
-from spinsectors.su2 import apply_total_spin_squared, configuration_space
-
-
-def kron_site_operators(two_s, sites):
-    """Independent (S^z, S^x, S^y) of every site as full-product-space Kronecker products."""
-    d = two_s + 1
-    s = two_s / 2
-    m = np.arange(d) - s
-    sz = np.diag(m)
-    sp = np.zeros((d, d))
-    for k in range(d - 1):
-        sp[k + 1, k] = math.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    sm = sp.T
-    ops = [sz, 0.5 * (sp + sm), 0.5j * (sm - sp)]
-
-    def site_op(op, i):
-        out = np.array([[1.0 + 0j]])
-        for site in range(sites):
-            out = np.kron(out, op if site == i else np.eye(d))
-        return out
-
-    return [[site_op(op, i) for op in ops] for i in range(sites)]
-
-
-def kron_hamiltonian(two_s, sites, coupling):
-    """Independent full-product-space Hamiltonian built from Kronecker products."""
-    d = two_s + 1
-    site_ops = kron_site_operators(two_s, sites)
-
-    def exchange(i, j):
-        return sum(a @ b for a, b in zip(site_ops[i], site_ops[j]))
-
-    ham = np.zeros((d**sites, d**sites), dtype=complex)
-    for i in range(sites):
-        bond = exchange(i, (i + 1) % sites)
-        if two_s == 1:
-            ham += -bond - coupling * exchange(i, (i + 2) % sites)
-        else:
-            ham += -bond + coupling * (bond @ bond)
-    return ham
-
-
-def kron_spin_squared(two_s, sites):
-    """Independent total J**2 on the full product space: the square of each summed component."""
-    site_ops = kron_site_operators(two_s, sites)
-    totals = [sum(ops[c] for ops in site_ops) for c in range(3)]
-    return sum(t @ t for t in totals)
-
-
-def restrict_to_zero_magnetization(matrix, two_s, sites):
-    d = two_s + 1
-    keep = []
-    for code in range(d**sites):
-        digits, c = [], code
-        for _ in range(sites):
-            digits.append(c % d)
-            c //= d
-        if sum(2 * x - two_s for x in digits) == 0:
-            keep.append(code)
-    idx = np.array(keep)
-    return matrix[np.ix_(idx, idx)]
+from spinsectors.su2 import configuration_space
 
 
 class TestHamiltonian:
@@ -127,9 +73,9 @@ class TestHamiltonian:
 
     def test_caps(self):
         with pytest.raises(ValueError, match="cap"):
-            momentum_blocks(ChainSpec(HALF, 18, 0.0))
+            diagonalize_and_resolve(ChainSpec(HALF, 18, 0.0), None)
         with pytest.raises(ValueError, match="cap"):
-            momentum_blocks(ChainSpec(ONE, 12, 0.0))
+            diagonalize_and_resolve(ChainSpec(ONE, 12, 0.0), None)
 
 
 class TestMomentumBlocks:

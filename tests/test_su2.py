@@ -5,19 +5,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import apply_total_spin_squared, coupled_sector_basis, sector_basis
 from spinsectors import (
     HALF,
     ONE,
-    apply_total_spin_squared,
-    apply_total_sz,
     clebsch_gordan,
-    coupled_sector_basis,
     multiplicity,
-    sector_basis,
     spin_half_multiplicity,
     stretched_weight,
 )
-from spinsectors.su2 import _lnfact_table, stretched_weight_log, stretched_weight_logs
+from spinsectors.su2 import (
+    _lnfact_table,
+    bond_matrix_elements,
+    configuration_space,
+    spin_squared_terms,
+    stretched_weight_log,
+    stretched_weight_logs,
+)
 
 
 class TestClebschGordan:
@@ -242,24 +246,19 @@ class TestOperators:
         out = apply_total_spin_squared(state, HALF, configs)
         assert out[0] == pytest.approx(6.0, abs=1e-12)  # J=2 -> J(J+1)=6
 
-    def test_sz_is_diagonal_magnetization(self):
-        configs = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        state = np.array([0.6, 0.8])
-        assert np.allclose(apply_total_sz(state, HALF, configs), 0.0)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_total_spin_squared(np.ones(3), HALF, np.array([[1, -1]]))
 
     def test_configuration_left_by_j2_rejected(self):
-        # J**2 flips [1, -1] into [-1, 1], which the given set lacks
+        # the diagonal of J**2 keeps digits [1, 0] (code 1), which the target
+        # codes [2] lack
+        _, bonds = spin_squared_terms(1, 2)
         with pytest.raises(ValueError, match="outside"):
-            apply_total_spin_squared(np.ones(1), HALF, np.array([[1, -1]]))
+            bond_matrix_elements(1, [[1, 0]], bonds, np.array([2]))
 
     def test_codes_beyond_64_bits_rejected(self):
-        # 2**64 spin-1/2 configurations do not fit 64-bit codes; the basis
-        # itself needs no codes and still builds
-        basis = sector_basis(HALF, 64, 64, 64)
-        assert basis.configs.shape == (1, 64)
+        # 2**64 spin-1/2 configurations do not fit 64-bit codes; J_z = 64 keeps
+        # the slice at one row
         with pytest.raises(ValueError, match="overflow"):
-            apply_total_spin_squared(basis.vectors[0], HALF, basis.configs)
+            configuration_space(1, 64, 64)
