@@ -9,7 +9,10 @@ Clebsch-Gordan coefficients.  The block-diagonal approximations reuse the same
 draws: `sd1` zeroes the interference between different J_A, `sd2`
 additionally keeps only the J_B = J - J_A pairings (renormalized), so paired
 comparisons between the three ensembles are free of independent-sampling
-noise.
+noise.  All samples of one (L, J, cut) share the block shapes, so they are
+drawn one by one (sample i from the seed sequence (seed, i)) into stacks of
+at most `STACK_BYTES` of W, and each stack takes one Gram product and one
+`eigvalsh` call per Schmidt block; a W larger than that is a stack of one.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -18,6 +21,7 @@ asymptotics of the J=0 and J=O(L) sectors.
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -56,6 +60,9 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
+# Monte Carlo draws this many bytes of W per stack: the samples of one stack
+# share every Gram product and eigvalsh call
+STACK_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +220,7 @@ def singlet_average_exact(sites, cut):
     contributes a Page term for its multiplicity block plus the ln(1+2J_A)
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
-    geo = coupled_geometry(sites, 0, _mirror_cut(sites, cut))
+    geo = CoupledPairGeometry(sites, 0, _mirror_cut(sites, cut))
     blocks = ((geo.na[two_ja], geo.nb[two_ja], math.log(1.0 + two_ja)) for two_ja in geo.ja_list)
     return _block_average(blocks, geo.sector_dim)
 
@@ -410,6 +417,8 @@ def _multiplicity_run(sites, two_lo, two_hi):
 
 @lru_cache(maxsize=256)
 def coupled_geometry(sites, two_j, cut):
+    """The geometry Monte Carlo reads for every sample, built once per process.
+    The closed forms read theirs once per call and build it uncached."""
     return CoupledPairGeometry(sites, two_j, cut)
 
 
@@ -417,9 +426,10 @@ def coupled_geometry(sites, two_j, cut):
 # Monte Carlo over random sector states
 
 
-def _draw_blocks(rng, geo, complex_coefficients):
-    """One random coupled state W, drawn pair by pair and normalized."""
-    w = np.zeros(geo.shape, dtype=complex if complex_coefficients else float)
+def _draw_blocks(rng, geo, w):
+    """Draw one random coupled state into the zeroed W `w`, pair by pair, with
+    complex coefficients if `w` is complex, and normalize it."""
+    complex_coefficients = np.iscomplexobj(w)
     total = 0.0
     for two_ja, two_jb in geo.pairs:
         block = w[geo.rows[two_ja], geo.cols[two_jb]]
@@ -428,10 +438,19 @@ def _draw_blocks(rng, geo, complex_coefficients):
             block += 1j * rng.standard_normal(block.shape)
         total += float(np.sum(np.abs(block) ** 2))
     w *= 1.0 / math.sqrt(total)
-    return w
+
+
+def _stacked_entropy(lams):
+    """schmidt_square_entropy of the spectra concatenated along the last axis:
+    a float for one W, one value per sample for a stack."""
+    lam = np.concatenate(lams, axis=-1)
+    values = [schmidt_square_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
+    return values[0] if lam.ndim == 1 else np.array(values)
 
 
 def _entropies_from_blocks(geo, w, methods):
+    """Entropies of the requested methods for one W or a stack of them (leading
+    axis): floats for one W, arrays of one value per sample for a stack."""
     out = {}
     if "full" in methods or "sd1" in methods:
         lam_full = []
@@ -439,36 +458,45 @@ def _entropies_from_blocks(geo, w, methods):
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
         for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
             cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
-            x = np.multiply(cg, w[index], out=buf[: cg.size].reshape(cg.shape))
+            shape = w.shape[:-2] + cg.shape
+            x = np.multiply(cg, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
             if "full" in methods:
                 lam_full += [_schmidt_squares(x)] * copies
             if "sd1" in methods:
-                lam_sd1 += [_schmidt_squares(x[part]) for part in sd1_parts] * copies
+                lam_sd1 += [_schmidt_squares(x[(Ellipsis,) + part]) for part in sd1_parts] * copies
         if "full" in methods:
-            out["full"] = schmidt_square_entropy(np.concatenate(lam_full))
+            out["full"] = _stacked_entropy(lam_full)
         if "sd1" in methods:
-            out["sd1"] = schmidt_square_entropy(np.concatenate(lam_sd1))
+            out["sd1"] = _stacked_entropy(lam_sd1)
     if "sd2" in methods:
-        blocks = {pair: w[geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
-        trace = sum(float(np.sum(np.abs(block) ** 2)) for block in blocks.values())
-        lams = [
-            np.outer(geo.sd2_weights[pair], _schmidt_squares(block) / trace).ravel()
-            for pair, block in blocks.items()
-        ]
-        out["sd2"] = schmidt_square_entropy(np.concatenate(lams))
+        blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
+        trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
+        lams = []
+        for pair, block in blocks.items():
+            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
+            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
+            lams.append(outer.reshape(lam.shape[:-1] + (-1,)))
+        out["sd2"] = _stacked_entropy(lams)
     return out
 
 
 def _sample_range(args):
+    """Samples start..stop-1, drawn one by one into stacks of at most
+    STACK_BYTES (at least one sample each) that share one Schmidt pass."""
     sites, two_j, cut, seed, start, stop, methods, complex_coefficients = args
     geo = coupled_geometry(sites, two_j, cut)
+    dtype = np.dtype(complex if complex_coefficients else float)
+    chunk = max(1, STACK_BYTES // (math.prod(geo.shape) * dtype.itemsize))
     out = {m: np.empty(stop - start) for m in methods}
-    for i in range(start, stop):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-        w = _draw_blocks(rng, geo, complex_coefficients)
+    for lo in range(start, stop, chunk):
+        hi = min(lo + chunk, stop)
+        w = np.zeros((hi - lo,) + geo.shape, dtype=dtype)
+        for i in range(lo, hi):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+            _draw_blocks(rng, geo, w[i - lo])
         values = _entropies_from_blocks(geo, w, methods)
         for m in methods:
-            out[m][i - start] = values[m]
+            out[m][lo - start : hi - start] = values[m]
     return out
 
 
@@ -530,7 +558,12 @@ def ensemble_entropy_samples(
         try:
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 parts = list(pool.map(_sample_range, jobs))
-        except OSError:
+        except OSError as error:
+            warnings.warn(
+                f"process pool for {len(jobs)} workers failed ({error!r}); sampling serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             parts = [_sample_range(job) for job in jobs]
     out = {m: np.concatenate([p[m] for p in parts]) for m in methods}
     for method, values in out.items():
@@ -586,7 +619,7 @@ def sd2_average_closed(sites, two_j, cut):
     psi(d_JA+1)] with d_JA = n_A(J_A) n_B(J-J_A); S_CG is the entropy of the
     stretched column, as in `max_spin_state_entropy`.
     """
-    geo = coupled_geometry(sites, two_j, cut)
+    geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = [(geo.na[a], geo.nb[b], _stretched_entropy(a, b)) for a, b in geo.sd2_pairs]
     return _block_average(blocks, sum(na * nb for na, nb, _ in blocks))
 
@@ -601,7 +634,7 @@ def sd1_semianalytic(sites, two_j, cut):
     misses unit norm by more than 1e-10: the Racah sum loses precision at
     large spin.
     """
-    geo = coupled_geometry(sites, two_j, cut)
+    geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = []
     for two_ja, partners in geo.partner_runs.items():
         nb_eff = sum(geo.nb[jb] for jb in partners)

@@ -29,7 +29,15 @@ def test_ed_l12_op_passes_its_check(coupling):
 
 
 def test_mc_small_op_passes_its_check():
+    # 20 samples in one stack, one Schmidt pass
     wl = workloads.WORKLOADS["mc_small"]
+    seed = workloads.op_seed(7, 0)
+    wl.check(ss, GOLDENS, seed, wl.run(ss, seed))
+
+
+def test_mc_large_op_passes_its_check():
+    # an L = 20 W fills a stack alone: one sample per Schmidt pass
+    wl = workloads.WORKLOADS["mc_large"]
     seed = workloads.op_seed(7, 0)
     wl.check(ss, GOLDENS, seed, wl.run(ss, seed))
 

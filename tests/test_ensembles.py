@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 from fractions import Fraction
@@ -73,6 +74,18 @@ def unsplit_entropies(geo, w):
         "full": schmidt_square_entropy(np.concatenate(lam_full)),
         "sd1": schmidt_square_entropy(np.concatenate(lam_sd1)),
     }
+
+
+def draw_w(entropy, geo, complex_coefficients):
+    """One sampled W of the geometry, from the seed sequence `entropy`."""
+    w = np.zeros(geo.shape, dtype=complex if complex_coefficients else float)
+    _draw_blocks(np.random.default_rng(np.random.SeedSequence(entropy=entropy)), geo, w)
+    return w
+
+
+# geometries of the Schmidt-block tests: (14, 6, 7) has no m = 0 block; at
+# (4, 4, 2) the even-J_A class of m = 0 is empty
+BLOCK_GRID = [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)]
 
 
 class TestEntropyKernels:
@@ -357,6 +370,18 @@ class TestSampling:
         for method in methods:
             assert np.array_equal(serial[method], parallel[method])
 
+    def test_pool_failure_falls_back_to_serial_with_a_warning(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process pool here")
+
+        methods = ("full", "sd1", "sd2")
+        serial = ensemble_entropy_samples(8, 2, 4, 20, 11, methods, workers=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(RuntimeWarning, match=r"3 workers failed .*no process pool here"):
+            fallback = ensemble_entropy_samples(8, 2, 4, 20, 11, methods, workers=3)
+        for method in methods:
+            assert np.array_equal(serial[method], fallback[method])
+
     def test_entropy_upper_bound(self):
         values = ensemble_entropy_samples(12, 4, 3, 100, 2, ("full", "sd1", "sd2"))
         bound = 3 * math.log(2) + 1e-9
@@ -408,8 +433,7 @@ class TestCoupledState:
         # one sampled W, expanded in the explicit coupled basis, has the
         # sampler's full entropy
         geo = coupled_geometry(sites, two_j, cut)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(31, cut)))
-        w = _draw_blocks(rng, geo, complex_coefficients)
+        w = draw_w((31, cut), geo, complex_coefficients)
         basis = coupled_sector_basis(HALF, sites, cut, two_j)
         coeff = [
             w[geo.rows[ja].start + a - 1, geo.cols[jb].start + b - 1]
@@ -422,23 +446,67 @@ class TestCoupledState:
 
 
 class TestFlipSymmetricBlocks:
-    @pytest.mark.parametrize(
-        "sites,two_j,cut",
-        [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)],
-    )
+    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
     @pytest.mark.parametrize("complex_coefficients", [False, True])
     def test_matches_unsplit_reference(self, sites, two_j, cut, complex_coefficients):
-        # (14, 6, 7) has no m = 0 block; at (4, 4, 2) its even-J_A class is empty
         geo = coupled_geometry(sites, two_j, cut)
         for draw in range(3):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(41, draw)))
-            w = _draw_blocks(rng, geo, complex_coefficients)
+            w = draw_w((41, draw), geo, complex_coefficients)
             got = _entropies_from_blocks(geo, w, ("full", "sd1"))
             ref = unsplit_entropies(geo, w)
             for method in ("full", "sd1"):
                 assert got[method] == pytest.approx(ref[method], abs=1e-12)
             if two_j == 0:
                 assert got["full"] == pytest.approx(got["sd1"], abs=1e-12)
+
+
+class TestStackedSamples:
+    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_stack_equals_each_sample_alone(self, sites, two_j, cut, complex_coefficients):
+        geo = coupled_geometry(sites, two_j, cut)
+        methods = ("full", "sd1", "sd2") if two_j else ("full", "sd1")
+        stack = np.array([draw_w((43, i), geo, complex_coefficients) for i in range(4)])
+        got = _entropies_from_blocks(geo, stack, methods)
+        for method in methods:
+            alone = [_entropies_from_blocks(geo, w, methods)[method] for w in stack]
+            assert got[method].shape == (len(stack),)
+            if complex_coefficients:
+                assert list(got[method]) == alone
+            else:
+                np.testing.assert_allclose(got[method], alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_ragged_chunks_equal_one_sample_chunks(self, monkeypatch, complex_coefficients):
+        sites, two_j, cut, methods = 12, 6, 6, ("full", "sd1", "sd2")
+        rows, cols = coupled_geometry(sites, two_j, cut).shape
+        w_bytes = rows * cols * (16 if complex_coefficients else 8)
+        monkeypatch.setattr(ensembles, "STACK_BYTES", 3 * w_bytes + 1)  # chunks 3, 3, 3, 1
+        chunked = ensemble_entropy_samples(sites, two_j, cut, 10, 21, methods,
+                                           complex_coefficients, workers=1)
+        monkeypatch.setattr(ensembles, "STACK_BYTES", 1)
+        single = ensemble_entropy_samples(sites, two_j, cut, 10, 21, methods,
+                                          complex_coefficients, workers=1)
+        for method in methods:
+            assert np.array_equal(chunked[method], single[method])
+
+    def test_complex_samples_pinned(self):
+        # values of the one-sample-at-a-time sampler, compared with ==
+        pinned = {
+            (12, 6, 6): {
+                "full": [3.2878327295564467, 3.3608970940775653, 3.274663728656617],
+                "sd1": [3.412585920242406, 3.45451990817269, 3.4007730466428003],
+                "sd2": [3.0471159533328374, 3.1233695659323617, 2.9648550200323704],
+            },
+            (16, 4, 8): {
+                "full": [4.932029369839711, 4.945571307621938, 4.949598599744007],
+                "sd1": [5.116389723346812, 5.147909032083376, 5.14288581504366],
+                "sd2": [4.06393788030008, 4.094582387190917, 4.071701550488863],
+            },
+        }
+        for args, values in pinned.items():
+            got = ensemble_entropy_samples(*args, 3, 13, tuple(values), True, workers=1)
+            assert {m: list(v) for m, v in got.items()} == values
 
 
 class TestGeometry:
@@ -504,12 +572,21 @@ class TestGeometry:
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
         monkeypatch.setattr(su2, "log_binomial", forbidden("stretched_weight_log"))
-        coupled_geometry.cache_clear()
+        monkeypatch.setattr(CoupledPairGeometry, "pairs", property(forbidden("pairs")))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
         assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
-        for sites, two_j, cut in ((16, 0, 8), (96, 20, 48)):
-            assert "pairs" not in coupled_geometry(sites, two_j, cut).__dict__
+
+    def test_closed_forms_cache_no_geometry(self):
+        # each closed-form call reads its geometry once; at L = 10**4 one
+        # geometry holds megabytes of exact multiplicities
+        coupled_geometry.cache_clear()
+        singlet_average_exact(10000, 5000)
+        singlet_average_exact(4000, 1000)
+        sd2_average_closed(4000, 2000, 2000)
+        sd2_average_closed(10000, 5000, 2500)
+        sd1_semianalytic(64, 8, 32)
+        assert coupled_geometry.cache_info().currsize == 0
 
 
 class TestRealVsComplex:
