@@ -108,8 +108,12 @@ def entanglement_entropy(state, cut, local_dim=2):
 def bipartition_maps(configs, a_sites):
     """Index maps turning a slice state into per-m_A Schmidt blocks.
 
-    Returns a list of (sel, rows, cols, shape): configuration indices with a
-    given subsystem magnetization, their row/column ranks, and the block shape.
+    Returns a list of (sel, rows, cols, shape, copies, flip_paired):
+    configuration indices with a given subsystem magnetization, their
+    row/column ranks, the block shape, how many times the block's spectrum
+    counts, and whether its rows split into flip classes (see
+    `slice_entanglement_entropy`).  Here every block counts once and none
+    splits.  Rows and columns are ranked lexicographically by their digits.
     """
     configs = np.asarray(configs)
     a_sites = list(a_sites)
@@ -122,8 +126,19 @@ def bipartition_maps(configs, a_sites):
         sel = np.nonzero(ma == val)[0]
         ua, rows = np.unique(a_part[sel], axis=0, return_inverse=True)
         ub, cols = np.unique(b_part[sel], axis=0, return_inverse=True)
-        blocks.append((sel, rows, cols, (len(ua), len(ub))))
+        blocks.append((sel, rows, cols, (len(ua), len(ub)), 1, False))
     return blocks
+
+
+def _flip_classes(blocks):
+    """Flip-even and flip-odd rows (x_i +- x_{n-1-i}) / sqrt 2 of stacked
+    Schmidt blocks whose row i is the flip partner of row n-1-i; the middle
+    row of an odd n is its own partner and joins the even rows."""
+    n = blocks.shape[-2]
+    top, bottom = blocks[:, : n // 2], blocks[:, : (n - 1) // 2 : -1]
+    even = (top + bottom) * math.sqrt(0.5)
+    odd = (top - bottom) * math.sqrt(0.5)
+    return np.concatenate([even, blocks[:, n // 2 : n - n // 2]], axis=1), odd
 
 
 def slice_entanglement_entropy(state, configs, a_sites, maps=None):
@@ -132,7 +147,11 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
     `state` is a vector over `configs` (result: a float) or a column stack of
     them (result: one entropy per column).  `a_sites` lists the subsystem
     sites (need not start at 0); the reduced density matrix is diagonalized
-    block by block in the subsystem magnetization.
+    block by block in the subsystem magnetization.  `maps` defaults to
+    `bipartition_maps`; a map entry whose spectrum counts `copies` times or
+    whose rows split into flip classes is exact only for states the global
+    spin flip maps to +-themselves, whose Schmidt blocks at -m_A mirror those
+    at m_A and commute with the flip at m_A = 0.
     """
     state = np.asarray(state)
     _check_normalized(state)
@@ -140,10 +159,11 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
     if maps is None:
         maps = bipartition_maps(configs, a_sites)
     lams = []
-    for sel, rows, cols, shape in maps:
+    for sel, rows, cols, shape, copies, flip_paired in maps:
         blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
         blocks[:, rows, cols] = states[sel].T
-        lams.append(_schmidt_squares(blocks))
+        for part in _flip_classes(blocks) if flip_paired else (blocks,):
+            lams += [_schmidt_squares(part)] * copies
     values = [schmidt_square_entropy(lam) for lam in np.concatenate(lams, axis=1)]
     return np.array(values) if state.ndim == 2 else values[0]
 

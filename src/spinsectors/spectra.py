@@ -6,6 +6,14 @@ Heisenberg exchange plus a biquadratic term of strength `coupling`
 (integrable at 1).  Both are diagonalized in the zero-magnetization sector,
 block by block in the total quasimomentum k_n = 2 pi n / L and, inside each
 block, in every J**2 eigenspace, so each eigenstate carries its total spin.
+
+Everything that does not depend on the coupling is cached per process: the
+translation orbits, the J**2 eigenbases of each block, the bond terms of H
+per (block, distance, power), and the Schmidt index maps of each cut.  The
+maps are flip-reduced: a J_z=0 eigenstate of J**2 is mapped by the global
+spin flip to (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks
+are diagonalized, each counted twice, and m_A = 0 splits into flip-even and
+flip-odd rows.  Central records that miss that symmetry are flagged.
 """
 
 import math
@@ -128,21 +136,56 @@ class MomentumBlock:
         return len(self.representatives)
 
 
-def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
+def _block_reps(two_s, sites, momentum_index):
+    """Slice indices of the orbit representatives compatible with the momentum."""
+    _, shift, period = _orbit_data(two_s, sites)
+    return np.flatnonzero((shift == 0) & ((momentum_index * period) % sites == 0))
+
+
+@lru_cache(maxsize=None)
+def _bond_term(two_s, sites, momentum_index, dist, power):
+    """COO elements of sum_i (S_i . S_{i+dist})**power in one momentum block.
+    Independent of the coupling, so cached for H.
+
+    Returns read-only arrays (target, col, amp, phase, ratio): the element
+    at (target, col) of the term with coefficient c is
+    c * amp * phase * ratio, in the order `bond_matrix_elements` gives it.
+    """
     codes, digits = configuration_space(two_s, sites, 0)
     rep, shift, period = _orbit_data(two_s, sites)
-    n = momentum_index
-    block_reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
-    dim = len(block_reps)
-    col, row, amp = bond_matrix_elements(two_s, digits[block_reps], bonds, codes)
+    block_reps = _block_reps(two_s, sites, momentum_index)
+    col, row, amp = bond_matrix_elements(two_s, digits[block_reps], ((dist, 1.0, power),), codes)
     target = _block_position(codes, rep, codes[block_reps])[row]
-    keep = target < dim  # target orbits incompatible with this momentum drop out
-    k = 2.0 * math.pi * n / sites
-    values = amp * np.exp(1j * k * shift[row]) * np.sqrt(period[block_reps][col] / period[row])
+    keep = target < len(block_reps)  # target orbits incompatible with this momentum drop out
+    k = 2.0 * math.pi * momentum_index / sites
+    phase = np.exp(1j * k * shift[row])
+    ratio = np.sqrt(period[block_reps][col] / period[row])
+    term = tuple(a[keep] for a in (target, col, amp, phase, ratio))
+    for a in term:
+        a.flags.writeable = False
+    return term
+
+
+def _block_matrix(two_s, sites, momentum_index, bonds, diagonal_shift, term):
+    """Momentum block of diagonal_shift + sum of coeff * term over `bonds`,
+    with the bond terms taken from `term`."""
+    block_reps = _block_reps(two_s, sites, momentum_index)
+    dim = len(block_reps)
+    parts = [(term(two_s, sites, momentum_index, dist, power), coeff)
+             for dist, coeff, power in bonds if coeff != 0.0]
+    target = np.concatenate([t[0] for t, _ in parts])
+    col = np.concatenate([t[1] for t, _ in parts])
+    values = np.concatenate([coeff * amp * phase * ratio for (_, _, amp, phase, ratio), coeff in parts])
     matrix = np.eye(dim, dtype=complex) * diagonal_shift
-    np.add.at(matrix, (target[keep], col[keep]), values[keep])
+    np.add.at(matrix, (target, col), values)
     matrix = 0.5 * (matrix + matrix.conj().T)
-    return MomentumBlock(n, sites, codes[block_reps], matrix)
+    codes, _ = configuration_space(two_s, sites, 0)
+    return MomentumBlock(momentum_index, sites, codes[block_reps], matrix)
+
+
+def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
+    """Momentum block of an H given by its bonds, from the cached bond terms."""
+    return _block_matrix(two_s, sites, momentum_index, bonds, diagonal_shift, _bond_term)
 
 
 @lru_cache(maxsize=64)
@@ -151,7 +194,8 @@ def _spin_subspaces(two_s, sites, momentum_index):
     orthonormal J**2 eigenvectors spanning the spin-two_j/2 subspace and their
     eigenvalues.  Independent of the coupling, so cached."""
     diagonal, bonds = spin_squared_terms(two_s, sites)
-    block = _assemble_block(two_s, sites, momentum_index, bonds, diagonal)
+    # J**2's L - 1 terms bypass the H term cache: this block is built once
+    block = _block_matrix(two_s, sites, momentum_index, bonds, diagonal, _bond_term.__wrapped__)
     values, basis = np.linalg.eigh(block.matrix)
     values.flags.writeable = basis.flags.writeable = False
     two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
@@ -185,12 +229,20 @@ class EigenstateRecord:
 
 
 def gaussianity_of_vector(vector):
-    """Moment ratio mean(x**2) / mean(|x|)**2 of the real parts of a vector."""
-    x = np.real(np.asarray(vector))
-    mean_abs = np.abs(x).mean()
-    if mean_abs == 0.0:
-        raise ValueError("vector has identically vanishing real part")
-    return float((x**2).mean() / mean_abs**2)
+    """Moment ratio mean(x**2) / mean(|x|)**2 of the real parts of a vector.
+
+    A column stack of vectors gives one value per column, each equal to the
+    value of that column alone.
+    """
+    vector = np.asarray(vector)
+    # one contiguous row per vector: each mean sums in the order of a 1-D mean
+    x = np.ascontiguousarray(np.real(vector).reshape(len(vector), -1).T)
+    mean_abs = np.abs(x).mean(axis=1)
+    if not mean_abs.all():
+        where = "" if vector.ndim == 1 else f"column {np.flatnonzero(mean_abs == 0.0)[0]} of "
+        raise ValueError(f"{where}vector has identically vanishing real part")
+    values = (x**2).mean(axis=1) / mean_abs**2
+    return values if vector.ndim == 2 else float(values[0])
 
 
 def _config_amplitudes(block, vectors, two_s):
@@ -208,13 +260,36 @@ def _config_amplitudes(block, vectors, two_s):
 
 @lru_cache(maxsize=None)
 def _cut_maps(two_s, sites, cut):
-    """Schmidt index maps of the J_z=0 slice for the first `cut` sites.
-    Independent of the coupling, so cached."""
+    """Flip-reduced Schmidt index maps of the J_z=0 slice for the first `cut` sites.
+
+    Exact for flip eigenstates only, as every J_z=0 eigenstate of J**2 is:
+    the m_A < 0 blocks are dropped and the m_A > 0 ones count twice, and the
+    m_A = 0 block, its smaller side made the rows, splits into flip classes
+    (its rows, ranked lexicographically by digits, pair as i and n-1-i,
+    because the flip reverses that order).  Independent of the coupling, so
+    cached.
+    """
     _, digits = configuration_space(two_s, sites, 0)
-    maps = tuple(bipartition_maps(digits, range(cut)))
-    for sel, rows, cols, _ in maps:
-        sel.flags.writeable = rows.flags.writeable = cols.flags.writeable = False
-    return maps
+    maps = []
+    for sel, rows, cols, shape, _, _ in bipartition_maps(digits, range(cut)):
+        twice_m = 2 * int(digits[sel[0], :cut].sum()) - cut * two_s
+        if twice_m < 0:
+            continue
+        if twice_m == 0 and shape[1] < shape[0]:  # Schmidt values ignore a transpose
+            rows, cols, shape = cols, rows, shape[::-1]
+        for a in (sel, rows, cols):
+            a.flags.writeable = False
+        maps.append((sel, rows, cols, shape, 2 if twice_m else 1, twice_m == 0))
+    return tuple(maps)
+
+
+def _flip_defects(amps, two_js, two_s, sites):
+    """max_c |psi(flip c) - (-1)**(Ls - J) psi(c)| of each amplitude column.
+
+    The flip sends code c to (2s+1)**L - 1 - c, so it reverses the sorted slice.
+    """
+    parity = 1 - 2 * ((two_s * sites - np.asarray(two_js)) // 2 % 2)
+    return np.abs(amps[::-1] - parity * amps).max(axis=0)
 
 
 def _central_window(dim):
@@ -231,6 +306,9 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     records ascend in energy, ties by spin.  A record is flagged, and left out
     of the averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL or |Hv - Ev| >
     RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2).
+    A central record is also flagged when its slice amplitudes miss
+    psi(flip c) = (-1)**(Ls - J) psi(c) by more than RESIDUAL_TOL: the
+    flip-reduced Schmidt blocks of its entropy rest on that symmetry.
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated for the central CENTRAL_FRACTION
     of each block by energy rank.
@@ -273,14 +351,24 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
                 flagged=j2_residual > RESIDUAL_TOL or h_residual > RESIDUAL_TOL * scale,
             )
             if rec.central and not rec.flagged:
-                rec.gaussianity = gaussianity_of_vector(vector)
                 chosen.append((rec, vector))
             records.append(rec)
-        if fraction is not None and chosen:
-            amps = _config_amplitudes(block, np.column_stack([v for _, v in chosen]), two_s)
+        if not chosen:
+            continue
+        vectors = np.column_stack([v for _, v in chosen])
+        amps = _config_amplitudes(block, vectors, two_s)
+        sound = _flip_defects(amps, [rec.two_j for rec, _ in chosen], two_s, sites) <= RESIDUAL_TOL
+        for (rec, _), ok in zip(chosen, sound):
+            rec.flagged = not ok
+        kept = [rec for rec, _ in chosen if not rec.flagged]
+        if not kept:
+            continue
+        for rec, value in zip(kept, gaussianity_of_vector(vectors[:, sound])):
+            rec.gaussianity = float(value)
+        if fraction is not None:
             _, digits = configuration_space(two_s, sites, 0)
-            values = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
-            for (rec, _), value in zip(chosen, values):
+            values = slice_entanglement_entropy(amps[:, sound], digits, range(cut), maps=maps)
+            for rec, value in zip(kept, values):
                 rec.entropy = float(value)
     return records
 

@@ -11,6 +11,8 @@ The library calls none of these; the tests compare it against them.
   `apply_total_spin_squared` to certify them.
 - `hamiltonian_matrix`, `spin_squared_matrix`, `momentum_blocks`: dense
   fixed-J_z matrices without symmetry, and every momentum block of H.
+- `assemble_block_direct`: a momentum block from one `bond_matrix_elements`
+  call over all bonds, against the library's cached bond terms.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
 
@@ -24,7 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
-from spinsectors.spectra import _assemble_block, _bond_list
+from spinsectors.spectra import (
+    MomentumBlock,
+    _assemble_block,
+    _block_position,
+    _bond_list,
+    _orbit_data,
+)
 from spinsectors.su2 import (
     _digit_codes,
     _slice_digits,
@@ -332,6 +340,25 @@ def spin_squared_matrix(species, sites, two_jz=0):
     """Dense total J**2 on the fixed-J_z configuration space."""
     diagonal, bonds = spin_squared_terms(species.two_s, sites)
     return _slice_matrix(species.two_s, sites, two_jz, bonds, diagonal)
+
+
+def assemble_block_direct(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
+    """Momentum block of diagonal_shift + the bonds, all bond elements built in
+    one call and combined with their momentum phases and period ratios."""
+    codes, digits = configuration_space(two_s, sites, 0)
+    rep, shift, period = _orbit_data(two_s, sites)
+    n = momentum_index
+    block_reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
+    dim = len(block_reps)
+    col, row, amp = bond_matrix_elements(two_s, digits[block_reps], bonds, codes)
+    target = _block_position(codes, rep, codes[block_reps])[row]
+    keep = target < dim
+    k = 2.0 * math.pi * n / sites
+    values = amp * np.exp(1j * k * shift[row]) * np.sqrt(period[block_reps][col] / period[row])
+    matrix = np.eye(dim, dtype=complex) * diagonal_shift
+    np.add.at(matrix, (target[keep], col[keep]), values[keep])
+    matrix = 0.5 * (matrix + matrix.conj().T)
+    return MomentumBlock(n, sites, codes[block_reps], matrix)
 
 
 def momentum_blocks(spec):

@@ -5,6 +5,7 @@ change that would break a benchmark op or its output check fails here first.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,7 @@ import numpy as np
 import pytest
 
 import spinsectors as ss
-from spinsectors import spectra
-from spinsectors.ensembles import bipartition_maps
-from spinsectors.su2 import configuration_space
+from spinsectors import spectra, su2
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -62,10 +61,33 @@ def test_alternating_fractions_match_uncached_maps(monkeypatch):
     assert np.array_equal(cached[0], cached[2], equal_nan=True)
     assert not np.array_equal(cached[0], cached[1], equal_nan=True)
 
-    def uncached(two_s, sites, cut):
-        return bipartition_maps(configuration_space(two_s, sites, 0)[1], range(cut))
-
-    monkeypatch.setattr(spectra, "_cut_maps", uncached)
+    monkeypatch.setattr(spectra, "_cut_maps", spectra._cut_maps.__wrapped__)
     for f, got in zip(fractions, cached):
         expected = [r.entropy for r in ss.diagonalize_and_resolve(spec, f)]
         np.testing.assert_array_equal(got, expected)
+
+
+def test_warm_ed_call_counts(monkeypatch):
+    # per momentum block: m_A = 1, 2, 3 once each and m_A = 0 as two flip
+    # classes, so 5 eigvalsh calls; no bond
+    # kernel once the H terms are cached; one Gaussianity call for the block
+    spec = ss.ChainSpec(ss.HALF, 12, 3.0)
+    ss.diagonalize_and_resolve(spec)
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np.linalg, "eigvalsh")
+    count(spectra, "bond_matrix_elements")
+    count(su2, "bond_matrix_elements")
+    count(spectra, "gaussianity_of_vector")
+    ss.diagonalize_and_resolve(spec)
+    blocks = 12 // 2 + 1
+    assert calls == {"eigvalsh": 5 * blocks, "gaussianity_of_vector": blocks}

@@ -1,11 +1,13 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (
     apply_total_spin_squared,
+    assemble_block_direct,
     hamiltonian_matrix,
     kron_hamiltonian,
     kron_spin_squared,
@@ -28,7 +30,7 @@ from spinsectors import (
 from spinsectors import spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import _assemble_block, _bond_list, _config_amplitudes
-from spinsectors.su2 import configuration_space
+from spinsectors.su2 import configuration_space, spin_squared_terms
 
 
 class TestHamiltonian:
@@ -132,6 +134,109 @@ class TestMomentumBlocks:
         flags = {b.momentum_index: b.is_complex_sector for b in blocks}
         assert not flags[0] and not flags[4]
         assert all(flags[n] for n in (1, 2, 3, 5, 6, 7))
+
+
+class TestBondTermCache:
+    @pytest.mark.parametrize(
+        "species,sites,coupling",
+        [(HALF, 10, 0.0), (HALF, 10, 0.5), (HALF, 10, 3.0), (ONE, 6, 0.0), (ONE, 6, 0.7), (ONE, 6, 1.0)],
+    )
+    def test_cached_terms_equal_direct_assembly(self, species, sites, coupling):
+        bonds = _bond_list(ChainSpec(species, sites, coupling))
+        for n in range(sites):
+            got = _assemble_block(species.two_s, sites, n, bonds)
+            expected = assemble_block_direct(species.two_s, sites, n, bonds)
+            assert np.array_equal(got.representatives, expected.representatives)
+            assert np.array_equal(got.matrix, expected.matrix)
+
+    @pytest.mark.parametrize("two_s,sites", [(1, 10), (2, 6)])
+    def test_spin_squared_block_equals_direct_assembly(self, two_s, sites):
+        diagonal, bonds = spin_squared_terms(two_s, sites)
+        for n in range(sites):
+            got = spectra._block_matrix(
+                two_s, sites, n, bonds, diagonal, spectra._bond_term.__wrapped__
+            )
+            expected = assemble_block_direct(two_s, sites, n, bonds, diagonal)
+            assert np.array_equal(got.matrix, expected.matrix)
+
+    def test_cache_holds_hamiltonian_terms_only(self):
+        # J**2 shares the (dist, power) = (2, 1) term with the spin-1/2 H; its
+        # other six terms at L = 8 would show up in the count
+        spectra._bond_term.cache_clear()
+        spectra._spin_subspaces.cache_clear()
+        spec = ChainSpec(HALF, 8, 3.0)
+        diagonalize_and_resolve(spec, fraction=None)
+        keys = [(1, 8, n, dist, power) for n in range(5) for dist, _, power in _bond_list(spec)]
+        info = spectra._bond_term.cache_info()
+        assert info.currsize == len(keys)
+        for key in keys:
+            spectra._bond_term(*key)
+        assert spectra._bond_term.cache_info().misses == info.misses
+
+
+class TestFlipReduction:
+    @pytest.mark.parametrize(
+        "species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 0.0), (ONE, 8, 1.0)]
+    )
+    def test_every_eigenstate_is_a_flip_eigenstate(self, species, sites, coupling):
+        # psi(flip c) = (-1)**(Ls - J) psi(c), and the flip reverses the sorted slice
+        two_s = species.two_s
+        codes, _ = configuration_space(two_s, sites, 0)
+        flip = np.searchsorted(codes, (two_s + 1) ** sites - 1 - codes)
+        assert np.array_equal(flip, np.arange(len(codes))[::-1])
+        bonds = _bond_list(ChainSpec(species, sites, coupling))
+        for n in range(sites // 2 + 1):
+            block = _assemble_block(two_s, sites, n, bonds)
+            for two_j, basis, _ in spectra._spin_subspaces(two_s, sites, n):
+                _, rot = np.linalg.eigh(basis.conj().T @ block.matrix @ basis)
+                amps = _config_amplitudes(block, basis @ rot, two_s)
+                parity = (-1) ** ((two_s * sites - two_j) // 2)
+                assert np.max(np.abs(amps[flip] - parity * amps)) <= 1e-12
+
+    def test_flip_odd_perturbation_is_flagged(self, monkeypatch):
+        spec = ChainSpec(HALF, 10, 3.0)
+        amplitudes = spectra._config_amplitudes
+
+        def perturbed(block, vectors, two_s):
+            amps = amplitudes(block, vectors, two_s)
+            if block.momentum_index == 1:
+                parity = np.real(np.sum(amps[::-1].conj() * amps, axis=0))  # +-1 per column
+                amps[0] += 1e-6
+                amps[-1] -= 1e-6 * parity
+            return amps
+
+        monkeypatch.setattr(spectra, "_config_amplitudes", perturbed)
+        records = diagonalize_and_resolve(spec)
+        assert any(r.flagged for r in records)
+        assert all(r.flagged == (r.central and r.momentum_index == 1) for r in records)
+        assert all(math.isnan(r.entropy) and math.isnan(r.gaussianity) for r in records if r.flagged)
+
+    @pytest.mark.parametrize(
+        "species,sites,coupling,cuts",
+        [
+            (HALF, 8, 3.0, (2, 4, 5)),
+            (HALF, 10, 3.0, (2, 5, 7)),
+            (HALF, 12, 3.0, (3, 6, 7)),
+            (ONE, 6, 0.0, (1, 3, 4)),
+            (ONE, 7, 0.0, (2, 3, 5)),
+            (ONE, 8, 0.0, (2, 4, 5)),
+        ],
+    )
+    def test_reduced_blocks_match_full_path(self, monkeypatch, species, sites, coupling, cuts):
+        # cuts past L/2 make the m_A = 0 block's B side its rows; every spin-1
+        # m_A = 0 block holds the fixed point of the flip (all digits 1)
+        gaps = []
+
+        def both_paths(state, configs, a_sites, maps=None):
+            reduced = slice_entanglement_entropy(state, configs, a_sites, maps=maps)
+            gaps.append(np.max(np.abs(reduced - slice_entanglement_entropy(state, configs, a_sites))))
+            return reduced
+
+        monkeypatch.setattr(spectra, "slice_entanglement_entropy", both_paths)
+        for cut in cuts:
+            diagonalize_and_resolve(ChainSpec(species, sites, coupling), Fraction(cut, sites))
+        assert len(gaps) == len(cuts) * (sites // 2 + 1)
+        assert max(gaps) <= 1e-12
 
 
 class TestSpinSquared:
@@ -304,3 +409,19 @@ class TestGaussianity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             gaussianity_of_vector(np.zeros(4))
+
+    def test_column_stack_gives_each_column(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((245, 7)) + 1j * rng.standard_normal((245, 7))
+        got = gaussianity_of_vector(stack)
+        assert got.shape == (7,)
+        assert got.tolist() == [gaussianity_of_vector(stack[:, j]) for j in range(7)]
+        assert type(gaussianity_of_vector(stack[:, 0])) is float
+
+    def test_vanishing_real_column_is_named(self):
+        stack = np.ones((4, 3), dtype=complex)
+        stack[:, 1] = 1j
+        with pytest.raises(ValueError, match=r"^column 1 of vector has identically vanishing real part$"):
+            gaussianity_of_vector(stack)
+        with pytest.raises(ValueError, match=r"^vector has identically vanishing real part$"):
+            gaussianity_of_vector(stack[:, 1])
