@@ -63,11 +63,6 @@ def saddle_exponent(species, z, j):
     return species.two_s * j * math.log(z) + math.log(_char_poly(species.two_s, z))
 
 
-def saddle_exponent_d1(species, z, j):
-    p = _char_poly(species.two_s, z)
-    return species.two_s * j / z + _char_poly_d1(species.two_s, z) / p
-
-
 def saddle_exponent_d2(species, z, j):
     p = _char_poly(species.two_s, z)
     p1 = _char_poly_d1(species.two_s, z)

@@ -111,12 +111,13 @@ def _load_config(path):
     return config
 
 
-def _merged(args, keys):
-    """Config-file values fill in options the command line left unset."""
-    values = {k: getattr(args, k) for k in keys}
+def _merged(args):
+    """Config-file values fill in options the command line left unset; the
+    config keys are the subcommand's option names."""
+    values = {k: v for k, v in vars(args).items() if k not in ("config", "command", "func")}
     if args.config:
         config = _load_config(args.config)
-        unknown = set(config) - set(keys)
+        unknown = set(config) - set(values)
         if unknown:
             raise SystemExit(f"error: unknown config key(s): {', '.join(sorted(unknown))}")
         for key, raw in config.items():
@@ -168,8 +169,7 @@ def _add_common(parser, *, seed=False, method=False, coupling=False, samples=Fal
 
 
 def _cmd_dims(args):
-    keys = ("out", "species", "L", "two_J")
-    opt = _merged(args, keys)
+    opt = _merged(args)
     species = _species(opt["species"] or "half")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
@@ -195,8 +195,7 @@ def _cmd_dims(args):
 
 
 def _cmd_beta(args):
-    keys = ("out", "species", "j_list")
-    opt = _merged(args, keys)
+    opt = _merged(args)
     species = _species(opt["species"] or "half")
     if opt["j_list"] is None:
         j_values = [k / 20 for k in range(21)]
@@ -252,8 +251,7 @@ def _asymptotic_form(sites, two_j, f):
 
 
 def _cmd_average(args):
-    keys = ("out", "species", "L", "two_J", "f", "method", "samples", "seed", "complex", "j_density")
-    opt = _merged(args, keys)
+    opt = _merged(args)
     species = _species(opt["species"] or "half")
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
@@ -315,8 +313,7 @@ _EIGEN_HEADER = (
 
 
 def _cmd_ed(args, with_gamma):
-    keys = ("out", "species", "L", "two_J", "f", "coupling", "eigenstates_out")
-    opt = _merged(args, keys)
+    opt = _merged(args)
     species = _species(opt["species"] or "half")
     if opt["L"] is None:
         raise SystemExit("error: L: at least one system size is required")

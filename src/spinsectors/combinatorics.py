@@ -114,8 +114,10 @@ def spin_half_multiplicity(sites, two_j):
     q = (sites - two_j) // 2
     num = 2 * (1 + two_j) * math.comb(sites, q)
     den = 2 + sites + two_j
-    # The ratio is an integer (it equals C(L, q) - C(L, q-1)).
-    assert num % den == 0
+    # The ratio is an integer (it equals C(L, q) - C(L, q-1)); checked without
+    # an assert, so python -O keeps the check.
+    if num % den:
+        raise AssertionError(f"n_J = {num}/{den} is not an integer")
     return num // den
 
 

@@ -78,6 +78,14 @@ def schmidt_square_entropy(lams):
     return max(float(-np.dot(lams, np.log(lams))), 0.0)
 
 
+def _stacked_entropy(lams):
+    """schmidt_square_entropy of the spectra concatenated along the last axis:
+    a float for one spectrum, one value per row for a stack."""
+    lam = np.concatenate(lams, axis=-1)
+    values = [schmidt_square_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
+    return values[0] if lam.ndim == 1 else np.array(values)
+
+
 def _schmidt_squares(x):
     """Squared Schmidt values of each (stacked) trailing matrix of x, from the
     Gram matrix of the smaller side; rounding can leave them slightly negative,
@@ -89,7 +97,7 @@ def _schmidt_squares(x):
 
 def _check_normalized(state):
     for norm in np.atleast_1d(np.linalg.norm(state, axis=0)):
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails this too
             raise ValueError(f"state is not normalized: |psi| = {norm}")
 
 
@@ -164,8 +172,8 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
         blocks[:, rows, cols] = states[sel].T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
             lams += [_schmidt_squares(part)] * copies
-    values = [schmidt_square_entropy(lam) for lam in np.concatenate(lams, axis=1)]
-    return np.array(values) if state.ndim == 2 else values[0]
+    values = _stacked_entropy(lams)
+    return values if state.ndim == 2 else float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +331,8 @@ class CoupledPairGeometry:
         upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(self.nb.values(), initial=0)))
         total = sum(self.na[ja] * (upto[jbs[-1]] - upto[jbs[0] - 2]) for ja, jbs in runs.items())
         expected = spin_half_multiplicity(sites, two_j)
-        assert total == expected, (total, expected)
+        if total != expected:  # not an assert: the guard must survive python -O
+            raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
         self.m_max = max(min(ja, jbs[-1]) for ja, jbs in runs.items())
 
@@ -458,14 +467,6 @@ def _draw_blocks(rng, geo, w):
             block += 1j * rng.standard_normal(block.shape)
         total += float(np.sum(np.abs(block) ** 2))
     w *= 1.0 / math.sqrt(total)
-
-
-def _stacked_entropy(lams):
-    """schmidt_square_entropy of the spectra concatenated along the last axis:
-    a float for one W, one value per sample for a stack."""
-    lam = np.concatenate(lams, axis=-1)
-    values = [schmidt_square_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
-    return values[0] if lam.ndim == 1 else np.array(values)
 
 
 def _entropies_from_blocks(geo, w, methods):

@@ -1,7 +1,8 @@
 """Built-in invariant suite behind the `selftest` CLI subcommand.
 
 Each check prints one ok/FAIL line; the runner returns the failure count so
-the CLI exits nonzero on any failure.
+the CLI exits nonzero on any failure.  The checks are assert statements,
+so the runner refuses to run under python -O, which strips them.
 """
 
 import math
@@ -174,6 +175,9 @@ _CHECKS = (
 
 
 def run_selftest():
+    if not __debug__:
+        raise RuntimeError("selftest: python -O strips the assert statements it checks with; "
+                           "run it without -O")
     failures = 0
     for name, check in _CHECKS:
         try:

@@ -235,6 +235,10 @@ def gaussianity_of_vector(vector):
     value of that column alone.
     """
     vector = np.asarray(vector)
+    if vector.ndim not in (1, 2) or not len(vector):
+        raise ValueError(f"expected a non-empty vector or column stack, got shape {vector.shape}")
+    if not np.isfinite(vector).all():
+        raise ValueError("vector has non-finite entries")
     # one contiguous row per vector: each mean sums in the order of a 1-D mean
     x = np.ascontiguousarray(np.real(vector).reshape(len(vector), -1).T)
     mean_abs = np.abs(x).mean(axis=1)
@@ -321,55 +325,45 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         if not 0 < cut < sites:
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
+    _, digits = configuration_space(two_s, sites, 0)
     bonds = _bond_list(spec)
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
     for n in range(sites // 2 + 1):
         block = _assemble_block(two_s, sites, n, bonds)
-        states = []  # (energy, two_j, J**2 residual, H residual, vector)
+        parts = []  # per spin: energies, 2J labels, J**2 residuals, H residuals, vectors
         for two_j, basis, j2_values in _spin_subspaces(two_s, sites, n):
             h_basis = block.matrix @ basis
             energies, rot = np.linalg.eigh(basis.conj().T @ h_basis)
             vectors = basis @ rot
-            j2_residuals = np.abs(j2_values @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1))
-            h_residuals = np.linalg.norm(h_basis @ rot - vectors * energies, axis=0)
-            states += zip(energies.tolist(), [two_j] * len(energies), j2_residuals.tolist(),
-                          h_residuals.tolist(), vectors.T)
-        states.sort(key=lambda state: state[:2])
-        scale = max(1.0, abs(states[0][0]), abs(states[-1][0]))
-        central = _central_window(block.dim)
-        chosen = []
-        for rank, (energy, two_j, j2_residual, h_residual, vector) in enumerate(states):
-            rec = EigenstateRecord(
-                energy=energy,
-                momentum_index=n,
-                two_j=two_j,
-                j2_residual=j2_residual,
-                central=rank in central,
-                complex_sector=block.is_complex_sector,
-                flagged=j2_residual > RESIDUAL_TOL or h_residual > RESIDUAL_TOL * scale,
-            )
-            if rec.central and not rec.flagged:
-                chosen.append((rec, vector))
-            records.append(rec)
-        if not chosen:
-            continue
-        vectors = np.column_stack([v for _, v in chosen])
-        amps = _config_amplitudes(block, vectors, two_s)
-        sound = _flip_defects(amps, [rec.two_j for rec, _ in chosen], two_s, sites) <= RESIDUAL_TOL
-        for (rec, _), ok in zip(chosen, sound):
-            rec.flagged = not ok
-        kept = [rec for rec, _ in chosen if not rec.flagged]
-        if not kept:
-            continue
-        for rec, value in zip(kept, gaussianity_of_vector(vectors[:, sound])):
-            rec.gaussianity = float(value)
-        if fraction is not None:
-            _, digits = configuration_space(two_s, sites, 0)
-            values = slice_entanglement_entropy(amps[:, sound], digits, range(cut), maps=maps)
-            for rec, value in zip(kept, values):
-                rec.entropy = float(value)
+            parts.append((energies, np.full(len(energies), two_j),
+                          np.abs(j2_values @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1)),
+                          np.linalg.norm(h_basis @ rot - vectors * energies, axis=0), vectors))
+        energies, two_js, j2_residuals, h_residuals, vectors = (
+            np.concatenate(column, axis=-1) for column in zip(*parts))
+        # rank order: energy, ties by 2J, then by position (lexsort is stable)
+        order = np.lexsort((two_js, energies))
+        energies, two_js, j2_residuals, h_residuals = (
+            a[order] for a in (energies, two_js, j2_residuals, h_residuals))
+        scale = max(1.0, np.abs(energies).max())
+        flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
+        central = np.zeros(block.dim, dtype=bool)
+        central[_central_window(block.dim)] = True
+        gaussianity, entropy = np.full((2, block.dim), math.nan)
+        chosen = np.flatnonzero(central & ~flagged)
+        amps = _config_amplitudes(block, vectors[:, order[chosen]], two_s)
+        sound = _flip_defects(amps, two_js[chosen], two_s, sites) <= RESIDUAL_TOL
+        flagged[chosen[~sound]] = True
+        kept = chosen[sound]
+        if kept.size:
+            gaussianity[kept] = gaussianity_of_vector(vectors[:, order[kept]])
+        if kept.size and fraction is not None:
+            entropy[kept] = slice_entanglement_entropy(amps[:, sound], digits, range(cut), maps=maps)
+        columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
+        complex_sector = block.is_complex_sector
+        records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
+                    for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
     return records
 
 

@@ -4,6 +4,8 @@ The library calls none of these; the tests compare it against them.
 
 - `multiplicity_by_quadrature`: multiplicities from the Weyl character
   integral, against the binomial closed form and the fusion recursion.
+- `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
+  library's saddle solver finds.
 - `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
   direct counting.
 - `sector_basis`, `coupled_sector_basis`: explicit (J, J_z) bases over the
@@ -25,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from spinsectors.asymptotics import _char_poly, _char_poly_d1
 from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
 from spinsectors.spectra import (
     MomentumBlock,
@@ -87,6 +90,12 @@ def multiplicity_by_quadrature(species, sites, two_j):
             f"(species={species.name}, L={sites}, two_j={two_j})"
         )
     return int(rounded)
+
+
+def saddle_exponent_d1(species, z, j):
+    """psi'(z) at spin density j: zero at the saddle point z0."""
+    p = _char_poly(species.two_s, z)
+    return species.two_s * j / z + _char_poly_d1(species.two_s, z) / p
 
 
 def _spin_one_weight_count(sites, jz):

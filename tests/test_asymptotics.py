@@ -15,7 +15,9 @@ from spinsectors import (
     saddle_solve,
     spin_half_multiplicity_log,
 )
-from spinsectors.asymptotics import saddle_exponent_d1, saddle_exponent_d2
+from spinsectors.asymptotics import saddle_exponent_d2
+
+from oracles import saddle_exponent_d1
 
 
 class TestRate:

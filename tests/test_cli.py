@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinsectors
 from spinsectors import cli
 from spinsectors.cli import main
 
@@ -167,6 +172,28 @@ class TestConfigFile:
         _, rows2 = read_rows(out2)
         assert rows2[0]["L"] == "6"
 
+    @pytest.mark.parametrize("command,settings", [
+        ("dims", {"species": "half", "L": "4", "two_J": "0"}),
+        ("beta", {"species": "one", "j_list": "0.5"}),
+        ("average", {"species": "half", "L": "4", "two_J": "0", "f": "1/2", "method": "full",
+                     "samples": "4", "seed": "1", "complex": "1", "j_density": "0"}),
+        ("ed", {"species": "half", "L": "8", "two_J": "0", "f": "1/2", "coupling": "3"}),
+        ("chaos-scan", {"species": "one", "L": "7", "two_J": "0", "f": "1/2", "coupling": "0"}),
+    ])
+    def test_config_may_set_every_option(self, tmp_path, command, settings):
+        settings = dict(settings, out=str(tmp_path / "out.csv"))
+        if command in ("ed", "chaos-scan"):
+            settings["eigenstates_out"] = str(tmp_path / "eigenstates.csv")
+        options = vars(cli.build_parser().parse_args([command]))
+        assert set(settings) == set(options) - {"config", "command", "func"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+        assert main([command, "--config", str(cfg)]) == 0
+        for key in ("out", "eigenstates_out"):
+            if key in settings:
+                _, rows = read_rows(Path(settings[key]))
+                assert rows and all(row["species"] == settings["species"] for row in rows)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -242,3 +269,13 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_selftest_refuses_optimized_mode(self):
+        # python -O strips the asserts the checks are made of, so a run would print ok
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spinsectors.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-m", "spinsectors.cli", "selftest"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: selftest: ") and proc.stderr.count("\n") == 1

@@ -1,7 +1,11 @@
 import concurrent.futures
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from spinsectors import (
     slice_entanglement_entropy,
     spin_half_multiplicity,
 )
+import spinsectors
 from spinsectors import ensembles, su2
 from spinsectors.ensembles import (
     WORKERS_ENV,
@@ -101,6 +106,19 @@ class TestEntropyKernels:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             entanglement_entropy(np.ones(4), 1)
+
+    def test_nan_state_rejected(self):
+        # a NaN norm fails no `> tol` test: the state must still be refused, not give 0
+        with pytest.raises(ValueError, match="not normalized"):
+            entanglement_entropy(np.array([1.0, 0.0, 0.0, math.nan]), 1)
+
+    def test_nan_slice_state_rejected(self):
+        _, digits = su2.configuration_space(1, 6, 0)
+        state = np.full(len(digits), 1.0 / math.sqrt(len(digits)))
+        state[3] = math.nan
+        for states in (state, np.column_stack([state, state])):
+            with pytest.raises(ValueError, match="not normalized"):
+                slice_entanglement_entropy(states, digits, range(3))
 
     def test_slice_entropy_matches_dense(self):
         # random J_z=0 states of 6 spins, one real and a stack of four complex
@@ -549,6 +567,39 @@ class TestGeometry:
         for sites, two_j, cut in ((6, 2, 2), (12, 4, 5), (2000, 0, 1000), (2000, 1000, 700)):
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
+
+    def test_guards_survive_optimized_mode(self):
+        # python -O strips assert statements; the two multiplicity guards must still fire
+        script = textwrap.dedent("""
+            import math
+            from spinsectors import combinatorics, ensembles
+
+            assert False, "this assert must be stripped"
+            exact_run = ensembles._multiplicity_run
+
+            def off_by_one(sites, two_lo, two_hi):
+                run = exact_run(sites, two_lo, two_hi)
+                run[two_hi] += 1
+                return run
+
+            ensembles._multiplicity_run = off_by_one
+            try:
+                ensembles.CoupledPairGeometry(6, 2, 2)
+            except AssertionError:
+                print("geometry guard")
+            exact_comb = math.comb
+            math.comb = lambda n, k: exact_comb(n, k) + 1
+            try:
+                combinatorics.spin_half_multiplicity(6, 2)
+            except AssertionError:
+                print("multiplicity guard")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spinsectors.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["geometry guard", "multiplicity guard", ""]
 
     def test_six_site_pairings(self):
         geo = coupled_geometry(6, 2, 2)

@@ -326,6 +326,22 @@ class TestResolution:
         assert _central_window(10) == range(4, 6)
         assert _central_window(3) == range(1, 2)
 
+    @pytest.mark.parametrize("species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 1.0)])
+    def test_record_order_window_and_types(self, species, sites, coupling):
+        from spinsectors.spectra import _central_window
+
+        records = diagonalize_and_resolve(ChainSpec(species, sites, coupling))
+        for n in range(sites // 2 + 1):
+            block = [r for r in records if r.momentum_index == n]
+            keys = [(r.energy, r.two_j) for r in block]
+            assert keys == sorted(keys)
+            window = _central_window(len(block))
+            assert [rank for rank, r in enumerate(block) if r.central] == list(window)
+        for r in records:
+            assert [type(v) for v in (r.energy, r.j2_residual, r.entropy, r.gaussianity)] == [float] * 4
+            assert [type(v) for v in (r.two_j, r.momentum_index)] == [int] * 2
+            assert [type(v) for v in (r.central, r.complex_sector, r.flagged)] == [bool] * 3
+
     def test_entropy_bound(self):
         spec = ChainSpec(HALF, 12, 3.0)
         records = diagonalize_and_resolve(spec)
@@ -409,6 +425,21 @@ class TestGaussianity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             gaussianity_of_vector(np.zeros(4))
+
+    def test_non_finite_vector_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussianity_of_vector(np.full(4, math.nan))
+        stack = np.ones((4, 3), dtype=complex)
+        stack[2, 1] = complex(1.0, math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            gaussianity_of_vector(stack)
+
+    def test_three_dimensional_or_empty_input_rejected(self):
+        # a 3-d array is not read as its first column
+        with pytest.raises(ValueError, match=r"got shape \(4, 2, 3\)$"):
+            gaussianity_of_vector(np.ones((4, 2, 3)))
+        with pytest.raises(ValueError, match=r"got shape \(0,\)$"):
+            gaussianity_of_vector(np.zeros(0))
 
     def test_column_stack_gives_each_column(self):
         rng = np.random.default_rng(9)
