@@ -25,7 +25,7 @@ from .asymptotics import (
     saddle_solve,
 )
 from .special import digamma
-from .su2 import clebsch_gordan, stretched_weight
+from .su2 import clebsch_gordan
 from .ensembles import (
     EntropyEstimate,
     default_sample_count,

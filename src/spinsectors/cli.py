@@ -69,15 +69,18 @@ def _write_csv(path, header, rows):
         fh.write(body)
 
 
-def _parse_number(text, key, kind=int, minimum=None):
-    """One option value of type `kind`, refused below `minimum`."""
+def _parse_number(text, key, kind=int, minimum=None, maximum=None):
+    """One option value of type `kind`, refused outside [minimum, maximum]
+    (either bound optional; NaN fails any bound)."""
     try:
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or (minimum is not None and value < minimum):
+    if value is None or not ((minimum is None or value >= minimum)
+                             and (maximum is None or value <= maximum)):
         what = "an integer" if kind is int else "a number"
-        bound = "" if minimum is None else f" >= {minimum}"
+        bound = (f" in [{minimum}, {maximum}]" if maximum is not None
+                 else "" if minimum is None else f" >= {minimum}")
         raise SystemExit(f"error: {key}: expects {what}{bound}, got {text!r}")
     return value
 
@@ -276,7 +279,7 @@ def _cmd_average(args):
     rows = []
     for sites in sites_list:
         if opt["j_density"] is not None:
-            j_target = _parse_number(opt["j_density"], "j-density", float)
+            j_target = _parse_number(opt["j_density"], "j-density", float, 0, 1)
             two_j = round(j_target * sites)
             two_j += (two_j - sites) % 2
             two_j_list = [min(two_j, sites)]
@@ -381,7 +384,8 @@ def build_parser():
 
     p = sub.add_parser("average", help="sector-ensemble entropy averages")
     _add_common(p, seed=True, method=True, samples=True, f=True)
-    p.add_argument("--j-density", dest="j_density", help="select J as round(j * L/2) per L")
+    p.add_argument("--j-density", dest="j_density",
+                   help="select J as round(j * L/2) per L, j in [0, 1]")
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("ed", help="eigenstate entropy averages from exact diagonalization")

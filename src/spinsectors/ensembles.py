@@ -20,6 +20,7 @@ asymptotics of the J=0 and J=O(L) sectors.
 """
 
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,10 @@ def _check_normalized(state):
 def entanglement_entropy(state, cut, local_dim=2):
     """Von Neumann entropy of the first `cut` sites of a product-basis state."""
     state = np.asarray(state)
+    if not state.size:
+        raise ValueError("state is empty")
+    if local_dim < 2:
+        raise ValueError(f"local_dim must be >= 2, got {local_dim}")
     sites = round(math.log(state.size, local_dim))
     if local_dim**sites != state.size:
         raise ValueError(f"state of length {state.size} is not a {local_dim}**L product state")
@@ -197,8 +202,9 @@ def _block_average(blocks, d):
 
 def page_average(dim_a, dim_b):
     """Haar-average entanglement entropy of a dim_a x dim_b bipartite space."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError(f"dimensions must be >= 1, got {dim_a}, {dim_b}")
+    for name, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
+        if not (isinstance(dim, numbers.Integral) or float(dim).is_integer()) or dim < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {dim}")
     return _block_average([(int(dim_a), int(dim_b), 0.0)], int(dim_a) * int(dim_b))
 
 

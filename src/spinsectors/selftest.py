@@ -6,6 +6,7 @@ so the runner refuses to run under python -O, which strips them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import ChainSpec, diagonalize_and_resolve
-from .su2 import clebsch_gordan, stretched_weight
+from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
+from .su2 import clebsch_gordan, stretched_weight_logs
 
 _TRIANGLE = {
     0: {0: 1},
@@ -104,12 +105,18 @@ def _check_clebsch_gordan():
 
 
 def _check_stretched():
-    total = sum(stretched_weight(6, 10, two_m) for two_m in range(-6, 7, 2))
-    assert abs(total - 1.0) < 1e-12
-    assert abs(stretched_weight(1, 1, 1) - 0.5) < 1e-14
-    var = sum(
-        (two_m / 2.0) ** 2 * stretched_weight(500, 500, two_m) for two_m in range(-500, 501, 2)
-    )
+    # each column against C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B)
+    comb = math.comb
+    for two_ja in range(13):
+        for two_jb in range(two_ja % 2, 13, 2):
+            mm, n = min(two_ja, two_jb), two_ja + two_jb
+            exact = [Fraction(comb(two_ja, (two_ja - m) // 2) * comb(two_jb, (two_jb + m) // 2),
+                              comb(n, n // 2)) for m in range(-mm, mm + 1, 2)]
+            column = np.exp(stretched_weight_logs(two_ja, two_jb))
+            assert np.allclose(column, np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
+    assert abs(np.exp(stretched_weight_logs(6, 10)).sum() - 1.0) < 1e-12
+    half_m = np.arange(-500, 501, 2) / 2.0
+    var = np.sum(half_m**2 * np.exp(stretched_weight_logs(500, 500)))
     assert abs(var - 62.5) / 62.5 < 0.02
 
 
@@ -159,6 +166,9 @@ def _check_spectra():
             assert not r.flagged
             counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
+        for n in range(sites):  # each J**2 subspace carries its flip parity
+            for two_j, _, _, flip_defect in _spin_subspaces(species.two_s, sites, n):
+                assert flip_defect <= RESIDUAL_TOL, (sites, n, two_j, flip_defect)
 
 
 _CHECKS = (

@@ -8,12 +8,13 @@ block by block in the total quasimomentum k_n = 2 pi n / L and, inside each
 block, in every J**2 eigenspace, so each eigenstate carries its total spin.
 
 Everything that does not depend on the coupling is cached per process: the
-translation orbits, the J**2 eigenbases of each block, the bond terms of H
-per (block, distance, power), and the Schmidt index maps of each cut.  The
-maps are flip-reduced: a J_z=0 eigenstate of J**2 is mapped by the global
-spin flip to (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks
-are diagonalized, each counted twice, and m_A = 0 splits into flip-even and
-flip-odd rows.  Central records that miss that symmetry are flagged.
+translation orbits, one bond-term table per (distance, power) for H, J**2
+and every momentum, the J**2 eigenbases of each block, and the Schmidt index
+maps of each cut.  The maps are flip-reduced: a J_z=0 eigenstate of J**2 is
+mapped by the global spin flip to (-1)**(Ls - J) times itself, so only the
+m_A > 0 Schmidt blocks are diagonalized, each counted twice, and m_A = 0
+splits into flip-even and flip-odd rows.  The records of a J**2 subspace
+whose cached flip certificate misses that symmetry are flagged.
 """
 
 import math
@@ -136,72 +137,81 @@ class MomentumBlock:
         return len(self.representatives)
 
 
-def _block_reps(two_s, sites, momentum_index):
-    """Slice indices of the orbit representatives compatible with the momentum."""
-    _, shift, period = _orbit_data(two_s, sites)
-    return np.flatnonzero((shift == 0) & ((momentum_index * period) % sites == 0))
-
-
 @lru_cache(maxsize=None)
-def _bond_term(two_s, sites, momentum_index, dist, power):
-    """COO elements of sum_i (S_i . S_{i+dist})**power in one momentum block.
-    Independent of the coupling, so cached for H.
-
-    Returns read-only arrays (target, col, amp, phase, ratio): the element
-    at (target, col) of the term with coefficient c is
-    c * amp * phase * ratio, in the order `bond_matrix_elements` gives it.
-    """
+def _bond_term(two_s, sites, dist, power):
+    """COO elements of sum_i (S_i . S_{i+dist})**power on every orbit
+    representative, cached once for H, J**2 and every momentum block:
+    read-only arrays (target, col, amp, shift, ratio) of the target and column
+    representatives' slice indices, the amplitude, the target's shift and the
+    period ratio, in the order `bond_matrix_elements` gives them."""
     codes, digits = configuration_space(two_s, sites, 0)
     rep, shift, period = _orbit_data(two_s, sites)
-    block_reps = _block_reps(two_s, sites, momentum_index)
-    col, row, amp = bond_matrix_elements(two_s, digits[block_reps], ((dist, 1.0, power),), codes)
-    target = _block_position(codes, rep, codes[block_reps])[row]
-    keep = target < len(block_reps)  # target orbits incompatible with this momentum drop out
-    k = 2.0 * math.pi * momentum_index / sites
-    phase = np.exp(1j * k * shift[row])
-    ratio = np.sqrt(period[block_reps][col] / period[row])
-    term = tuple(a[keep] for a in (target, col, amp, phase, ratio))
+    reps = np.flatnonzero(shift == 0)
+    col, row, amp = bond_matrix_elements(two_s, digits[reps], ((dist, 1.0, power),), codes)
+    term = (rep[row].astype(np.int32), reps[col].astype(np.int32), amp,
+            shift[row].astype(np.int8), np.sqrt(period[reps][col] / period[row]))
     for a in term:
         a.flags.writeable = False
     return term
 
 
-def _block_matrix(two_s, sites, momentum_index, bonds, diagonal_shift, term):
-    """Momentum block of diagonal_shift + sum of coeff * term over `bonds`,
-    with the bond terms taken from `term`."""
-    block_reps = _block_reps(two_s, sites, momentum_index)
-    dim = len(block_reps)
-    parts = [(term(two_s, sites, momentum_index, dist, power), coeff)
-             for dist, coeff, power in bonds if coeff != 0.0]
-    target = np.concatenate([t[0] for t, _ in parts])
-    col = np.concatenate([t[1] for t, _ in parts])
-    values = np.concatenate([coeff * amp * phase * ratio for (_, _, amp, phase, ratio), coeff in parts])
-    matrix = np.eye(dim, dtype=complex) * diagonal_shift
-    np.add.at(matrix, (target, col), values)
-    matrix = 0.5 * (matrix + matrix.conj().T)
+def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
+    """Momentum block of diagonal_shift + the (dist, coeff, power) `bonds`: each
+    cached term element whose target and column orbits fit the momentum
+    enters as coeff * amp * exp(i k shift) * ratio."""
     codes, _ = configuration_space(two_s, sites, 0)
+    rep, shift, period = _orbit_data(two_s, sites)
+    block_reps = np.flatnonzero((shift == 0) & ((momentum_index * period) % sites == 0))
+    dim = len(block_reps)
+    position = _block_position(codes, rep, codes[block_reps])  # dim outside the block
+    k = 2.0 * math.pi * momentum_index / sites
+    phases = np.exp(1j * k * np.arange(sites))
+    targets, cols, values = [], [], []
+    for dist, coeff, power in bonds:
+        if coeff == 0.0:
+            continue
+        target, col, amp, target_shift, ratio = _bond_term(two_s, sites, dist, power)
+        target, col = position[target], position[col]
+        keep = (target < dim) & (col < dim)
+        targets.append(target[keep])
+        cols.append(col[keep])
+        values.append(coeff * amp[keep] * phases[target_shift[keep]] * ratio[keep])
+    matrix = np.eye(dim, dtype=complex) * diagonal_shift
+    np.add.at(matrix, (np.concatenate(targets), np.concatenate(cols)), np.concatenate(values))
+    matrix = 0.5 * (matrix + matrix.conj().T)
     return MomentumBlock(momentum_index, sites, codes[block_reps], matrix)
 
 
-def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
-    """Momentum block of an H given by its bonds, from the cached bond terms."""
-    return _block_matrix(two_s, sites, momentum_index, bonds, diagonal_shift, _bond_term)
+def _flip_defect(block, basis, parity, two_s):
+    """Largest row norm of F Q - parity Q for the spin flip F and block columns
+    Q: a bound on |psi(flip c) - parity psi(c)| for every unit psi in their
+    span.  F reverses the sorted slice, so it sends the state of
+    representative r to exp(i k shift) times the state of the orbit of N-1-r."""
+    codes, _ = configuration_space(two_s, block.sites, 0)
+    rep, shift, _ = _orbit_data(two_s, block.sites)
+    flipped = len(codes) - 1 - np.searchsorted(codes, block.representatives)
+    phase = np.exp(2j * math.pi * block.momentum_index / block.sites * shift[flipped])
+    target = _block_position(codes, rep, block.representatives)[flipped]
+    return float(np.linalg.norm(phase[:, None] * basis - parity * basis[target], axis=1).max())
 
 
 @lru_cache(maxsize=64)
 def _spin_subspaces(two_s, sites, momentum_index):
-    """Per spin, two_j ascending, (two_j, basis, j2_values) of one momentum block:
-    orthonormal J**2 eigenvectors spanning the spin-two_j/2 subspace and their
-    eigenvalues.  Independent of the coupling, so cached."""
+    """Per spin, two_j ascending, (two_j, basis, j2_values, flip_defect) of one
+    momentum block: orthonormal J**2 eigenvectors spanning the spin-two_j/2
+    subspace, their eigenvalues and the `_flip_defect` of that span for the
+    parity (-1)**(Ls - J).  Independent of the coupling, so cached."""
     diagonal, bonds = spin_squared_terms(two_s, sites)
-    # J**2's L - 1 terms bypass the H term cache: this block is built once
-    block = _block_matrix(two_s, sites, momentum_index, bonds, diagonal, _bond_term.__wrapped__)
+    block = _assemble_block(two_s, sites, momentum_index, bonds, diagonal)
     values, basis = np.linalg.eigh(block.matrix)
     values.flags.writeable = basis.flags.writeable = False
     two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
+    parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
     bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
     return tuple(
-        (int(two_js[lo]), basis[:, lo:hi], values[lo:hi]) for lo, hi in zip([0, *bounds], bounds)
+        (int(two_js[lo]), basis[:, lo:hi], values[lo:hi],
+         _flip_defect(block, basis[:, lo:hi], parity[lo], two_s))
+        for lo, hi in zip([0, *bounds], bounds)
     )
 
 
@@ -287,15 +297,6 @@ def _cut_maps(two_s, sites, cut):
     return tuple(maps)
 
 
-def _flip_defects(amps, two_js, two_s, sites):
-    """max_c |psi(flip c) - (-1)**(Ls - J) psi(c)| of each amplitude column.
-
-    The flip sends code c to (2s+1)**L - 1 - c, so it reverses the sorted slice.
-    """
-    parity = 1 - 2 * ((two_s * sites - np.asarray(two_js)) // 2 % 2)
-    return np.abs(amps[::-1] - parity * amps).max(axis=0)
-
-
 def _central_window(dim):
     """Index range of the central CENTRAL_FRACTION of a block of `dim` states."""
     n_sel = max(1, round(CENTRAL_FRACTION * dim))
@@ -309,10 +310,10 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     [H, J**2] = 0, so every eigenstate carries a sharp spin label; a block's
     records ascend in energy, ties by spin.  A record is flagged, and left out
     of the averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL or |Hv - Ev| >
-    RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2).
-    A central record is also flagged when its slice amplitudes miss
-    psi(flip c) = (-1)**(Ls - J) psi(c) by more than RESIDUAL_TOL: the
-    flip-reduced Schmidt blocks of its entropy rest on that symmetry.
+    RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2),
+    and when the `_flip_defect` of its J**2 subspace exceeds RESIDUAL_TOL:
+    the flip-reduced Schmidt blocks of its entropy rest on
+    psi(flip c) = (-1)**(Ls - J) psi(c).
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated for the central CENTRAL_FRACTION
     of each block by energy rank.
@@ -325,41 +326,41 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         if not 0 < cut < sites:
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
-    _, digits = configuration_space(two_s, sites, 0)
+        _, digits = configuration_space(two_s, sites, 0)
     bonds = _bond_list(spec)
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
     for n in range(sites // 2 + 1):
         block = _assemble_block(two_s, sites, n, bonds)
-        parts = []  # per spin: energies, 2J labels, J**2 residuals, H residuals, vectors
-        for two_j, basis, j2_values in _spin_subspaces(two_s, sites, n):
+        parts = []  # per spin: energies, 2J labels, J**2 and H residuals, flip defects, vectors
+        for two_j, basis, j2_values, flip_defect in _spin_subspaces(two_s, sites, n):
             h_basis = block.matrix @ basis
             energies, rot = np.linalg.eigh(basis.conj().T @ h_basis)
             vectors = basis @ rot
             parts.append((energies, np.full(len(energies), two_j),
                           np.abs(j2_values @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1)),
-                          np.linalg.norm(h_basis @ rot - vectors * energies, axis=0), vectors))
-        energies, two_js, j2_residuals, h_residuals, vectors = (
+                          np.linalg.norm(h_basis @ rot - vectors * energies, axis=0),
+                          np.full(len(energies), flip_defect), vectors))
+        energies, two_js, j2_residuals, h_residuals, flip_defects, vectors = (
             np.concatenate(column, axis=-1) for column in zip(*parts))
         # rank order: energy, ties by 2J, then by position (lexsort is stable)
         order = np.lexsort((two_js, energies))
-        energies, two_js, j2_residuals, h_residuals = (
-            a[order] for a in (energies, two_js, j2_residuals, h_residuals))
+        energies, two_js, j2_residuals, h_residuals, flip_defects = (
+            a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
         scale = max(1.0, np.abs(energies).max())
-        flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
+        flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
+                   | (flip_defects > RESIDUAL_TOL))
         central = np.zeros(block.dim, dtype=bool)
         central[_central_window(block.dim)] = True
         gaussianity, entropy = np.full((2, block.dim), math.nan)
         chosen = np.flatnonzero(central & ~flagged)
-        amps = _config_amplitudes(block, vectors[:, order[chosen]], two_s)
-        sound = _flip_defects(amps, two_js[chosen], two_s, sites) <= RESIDUAL_TOL
-        flagged[chosen[~sound]] = True
-        kept = chosen[sound]
-        if kept.size:
-            gaussianity[kept] = gaussianity_of_vector(vectors[:, order[kept]])
-        if kept.size and fraction is not None:
-            entropy[kept] = slice_entanglement_entropy(amps[:, sound], digits, range(cut), maps=maps)
+        if chosen.size:
+            picked = vectors[:, order[chosen]]
+            gaussianity[chosen] = gaussianity_of_vector(picked)
+            if fraction is not None:
+                amps = _config_amplitudes(block, picked, two_s)
+                entropy[chosen] = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
         columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
         complex_sector = block.is_complex_sector
         records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)

@@ -11,12 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .special import log_binomial
-
 __all__ = [
     "clebsch_gordan",
-    "stretched_weight",
-    "stretched_weight_log",
     "configuration_space",
     "bond_matrix_elements",
     "spin_squared_terms",
@@ -90,22 +86,6 @@ def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
     return math.copysign(math.exp(log_pref + top + math.log(abs(total))), total)
 
 
-def stretched_weight_log(two_ja, two_jb, two_m):
-    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2, stable for large spins.
-
-    Equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ].
-    """
-    _check_momentum(two_ja, two_m, "J_A")
-    _check_momentum(two_jb, two_m, "J_B")
-    if abs(two_m) > min(two_ja, two_jb):
-        return -math.inf
-    return (
-        log_binomial(two_ja, (two_ja - two_m) // 2)
-        + log_binomial(two_jb, (two_jb + two_m) // 2)
-        - log_binomial(two_ja + two_jb, (two_ja + two_jb) // 2)
-    )
-
-
 @lru_cache(maxsize=None)
 def _lnfact_table(size):
     """Read-only ln k! = lgamma(k+1) for k < size; sizes are powers of two."""
@@ -115,8 +95,12 @@ def _lnfact_table(size):
 
 
 def stretched_weight_logs(two_ja, two_jb):
-    """`stretched_weight_log` over the whole column |m| <= min(J_A, J_B), m
-    ascending, bitwise equal to the scalar: same lgamma values, same order."""
+    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column
+    |m| <= min(J_A, J_B), m ascending, stable for large spins.
+
+    Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
+    each binomial from one cached lgamma table.
+    """
     mm = min(two_ja, two_jb)
     _check_momentum(two_ja, mm, "J_A")
     _check_momentum(two_jb, mm, "J_B")
@@ -129,12 +113,6 @@ def stretched_weight_logs(two_ja, two_jb):
         + (lf[two_jb] - lf[kb] - lf[two_jb - kb])
         - (lf[n] - lf[n // 2] - lf[n - n // 2])
     )
-
-
-def stretched_weight(two_ja, two_jb, two_m):
-    """|<J_A m; J_B -m | J_A+J_B, 0>|**2 for the maximal coupled spin."""
-    lw = stretched_weight_log(two_ja, two_jb, two_m)
-    return 0.0 if lw == -math.inf else math.exp(lw)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ The library calls none of these; the tests compare it against them.
   integral, against the binomial closed form and the fusion recursion.
 - `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
   library's saddle solver finds.
+- `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
+  weight from three `log_binomial` calls, against the library's columns.
 - `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
   direct counting.
 - `sector_basis`, `coupled_sector_basis`: explicit (J, J_z) bases over the
@@ -29,6 +31,7 @@ import numpy as np
 
 from spinsectors.asymptotics import _char_poly, _char_poly_d1
 from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
+from spinsectors.special import log_binomial
 from spinsectors.spectra import (
     MomentumBlock,
     _assemble_block,
@@ -37,6 +40,7 @@ from spinsectors.spectra import (
     _orbit_data,
 )
 from spinsectors.su2 import (
+    _check_momentum,
     _digit_codes,
     _slice_digits,
     bond_matrix_elements,
@@ -96,6 +100,32 @@ def saddle_exponent_d1(species, z, j):
     """psi'(z) at spin density j: zero at the saddle point z0."""
     p = _char_poly(species.two_s, z)
     return species.two_s * j / z + _char_poly_d1(species.two_s, z) / p
+
+
+# ---------------------------------------------------------------------------
+# stretched Clebsch-Gordan weights
+
+
+def stretched_weight_log(two_ja, two_jb, two_m):
+    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2, stable for large spins.
+
+    Equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ].
+    """
+    _check_momentum(two_ja, two_m, "J_A")
+    _check_momentum(two_jb, two_m, "J_B")
+    if abs(two_m) > min(two_ja, two_jb):
+        return -math.inf
+    return (
+        log_binomial(two_ja, (two_ja - two_m) // 2)
+        + log_binomial(two_jb, (two_jb + two_m) // 2)
+        - log_binomial(two_ja + two_jb, (two_ja + two_jb) // 2)
+    )
+
+
+def stretched_weight(two_ja, two_jb, two_m):
+    """|<J_A m; J_B -m | J_A+J_B, 0>|**2 for the maximal coupled spin."""
+    lw = stretched_weight_log(two_ja, two_jb, two_m)
+    return 0.0 if lw == -math.inf else math.exp(lw)
 
 
 def _spin_one_weight_count(sites, jz):

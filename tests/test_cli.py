@@ -131,7 +131,8 @@ class TestAverage:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("seed", "x"), ("seed", "-1"), ("samples", "0"), ("samples", "2.5"), ("j-density", "x")],
+        [("seed", "x"), ("seed", "-1"), ("samples", "0"), ("samples", "2.5"), ("j-density", "x"),
+         ("j-density", "2"), ("j-density", "-0.5"), ("j-density", "nan"), ("j-density", "inf")],
     )
     def test_bad_number_names_option_and_value(self, key, value):
         # the last of a repeated option wins, so the bad value replaces the good one

@@ -112,6 +112,14 @@ class TestEntropyKernels:
         with pytest.raises(ValueError, match="not normalized"):
             entanglement_entropy(np.array([1.0, 0.0, 0.0, math.nan]), 1)
 
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError, match="^state is empty$"):
+            entanglement_entropy([], 1)
+
+    def test_local_dimension_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^local_dim must be >= 2, got 1$"):
+            entanglement_entropy([1.0, 0.0], 1, local_dim=1)
+
     def test_nan_slice_state_rejected(self):
         _, digits = su2.configuration_space(1, 6, 0)
         state = np.full(len(digits), 1.0 / math.sqrt(len(digits)))
@@ -163,6 +171,11 @@ class TestPageAverages:
     def test_two_qubits(self):
         # digamma recurrence: psi(5)-psi(3) - 1/4 = 1/3
         assert page_average(2, 2) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_fractional_dimension_rejected(self):
+        # int() would truncate 2.5 to 2 and return page_average(2, 2)
+        with pytest.raises(ValueError, match="^dim_a must be an integer >= 1, got 2.5$"):
+            page_average(2.5, 2)
 
     def test_large_square_is_nearly_maximal(self):
         assert page_average(2**10, 2**10) == pytest.approx(10 * math.log(2) - 0.5, abs=0.01)
@@ -614,15 +627,14 @@ class TestGeometry:
 
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
-        # only: no Racah sum, no scalar stretched weight (whose only
-        # arithmetic is log_binomial) and no list of every pairing
+        # only: no Racah sum and no list of every pairing (the scalar
+        # stretched weights live in the oracles, outside the package)
         def forbidden(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
             return call
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
-        monkeypatch.setattr(su2, "log_binomial", forbidden("stretched_weight_log"))
         monkeypatch.setattr(CoupledPairGeometry, "pairs", property(forbidden("pairs")))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)

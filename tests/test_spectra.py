@@ -153,24 +153,23 @@ class TestBondTermCache:
     def test_spin_squared_block_equals_direct_assembly(self, two_s, sites):
         diagonal, bonds = spin_squared_terms(two_s, sites)
         for n in range(sites):
-            got = spectra._block_matrix(
-                two_s, sites, n, bonds, diagonal, spectra._bond_term.__wrapped__
-            )
+            got = _assemble_block(two_s, sites, n, bonds, diagonal)
             expected = assemble_block_direct(two_s, sites, n, bonds, diagonal)
             assert np.array_equal(got.matrix, expected.matrix)
 
-    def test_cache_holds_hamiltonian_terms_only(self):
-        # J**2 shares the (dist, power) = (2, 1) term with the spin-1/2 H; its
-        # other six terms at L = 8 would show up in the count
+    def test_cache_holds_one_term_per_distance(self):
+        # H (distances 1, 2) and J**2 (distances 1 .. L-1) read the same terms,
+        # and no key carries a momentum
         spectra._bond_term.cache_clear()
         spectra._spin_subspaces.cache_clear()
-        spec = ChainSpec(HALF, 8, 3.0)
-        diagonalize_and_resolve(spec, fraction=None)
-        keys = [(1, 8, n, dist, power) for n in range(5) for dist, _, power in _bond_list(spec)]
+        diagonalize_and_resolve(ChainSpec(HALF, 8, 3.0), fraction=None)
+        keys = [(1, 8, dist, 1) for dist in range(1, 8)]
         info = spectra._bond_term.cache_info()
         assert info.currsize == len(keys)
         for key in keys:
             spectra._bond_term(*key)
+        assert spectra._bond_term.cache_info().misses == info.misses
+        diagonalize_and_resolve(ChainSpec(HALF, 8, 0.0), fraction=None)
         assert spectra._bond_term.cache_info().misses == info.misses
 
 
@@ -187,29 +186,66 @@ class TestFlipReduction:
         bonds = _bond_list(ChainSpec(species, sites, coupling))
         for n in range(sites // 2 + 1):
             block = _assemble_block(two_s, sites, n, bonds)
-            for two_j, basis, _ in spectra._spin_subspaces(two_s, sites, n):
+            for two_j, basis, _, _ in spectra._spin_subspaces(two_s, sites, n):
                 _, rot = np.linalg.eigh(basis.conj().T @ block.matrix @ basis)
                 amps = _config_amplitudes(block, basis @ rot, two_s)
                 parity = (-1) ** ((two_s * sites - two_j) // 2)
                 assert np.max(np.abs(amps[flip] - parity * amps)) <= 1e-12
 
-    def test_flip_odd_perturbation_is_flagged(self, monkeypatch):
+    @pytest.mark.parametrize("species,sites", [(HALF, 10), (ONE, 7)])
+    def test_flip_defect_equals_slice_defect(self, species, sites):
+        # the largest slice-row defect of F Q - p Q, each row scaled back by
+        # sqrt(period) to its momentum-basis norm, for p = +-(-1)**(Ls - J)
+        two_s = species.two_s
+        diagonal, bonds = spin_squared_terms(two_s, sites)
+        _, _, period = spectra._orbit_data(two_s, sites)
+        for n in range(sites):
+            block = _assemble_block(two_s, sites, n, bonds, diagonal)
+            for two_j, basis, _, flip_defect in spectra._spin_subspaces(two_s, sites, n):
+                parity = (-1) ** ((two_s * sites - two_j) // 2)
+                amps = _config_amplitudes(block, basis, two_s)
+                for p in (parity, -parity):
+                    rows = np.linalg.norm(amps[::-1] - p * amps, axis=1) * np.sqrt(period)
+                    got = spectra._flip_defect(block, basis, p, two_s)
+                    assert got == pytest.approx(rows.max(), abs=1e-12)
+                assert flip_defect == spectra._flip_defect(block, basis, parity, two_s)
+                assert flip_defect <= 1e-12
+                assert spectra._flip_defect(block, basis, -parity, two_s) > 0.1
+
+    def test_flip_odd_perturbation_exceeds_tolerance(self):
+        # neighbouring spins carry opposite flip parity, so a 1e-6 admixture
+        # of the next subspace is flip-odd
+        two_s, sites, n = 1, 10, 1
+        diagonal, bonds = spin_squared_terms(two_s, sites)
+        block = _assemble_block(two_s, sites, n, bonds, diagonal)
+        subspaces = spectra._spin_subspaces(two_s, sites, n)
+        for (two_j, basis, _, _), (_, other, _, _) in zip(subspaces, subspaces[1:]):
+            perturbed = basis.copy()
+            perturbed[:, 0] += 1e-6 * other[:, 0]
+            parity = (-1) ** ((two_s * sites - two_j) // 2)
+            assert spectra._flip_defect(block, perturbed, parity, two_s) > spectra.RESIDUAL_TOL
+
+    def test_flip_defect_flags_its_subspace(self, monkeypatch):
         spec = ChainSpec(HALF, 10, 3.0)
-        amplitudes = spectra._config_amplitudes
+        subspaces = spectra._spin_subspaces
 
-        def perturbed(block, vectors, two_s):
-            amps = amplitudes(block, vectors, two_s)
-            if block.momentum_index == 1:
-                parity = np.real(np.sum(amps[::-1].conj() * amps, axis=0))  # +-1 per column
-                amps[0] += 1e-6
-                amps[-1] -= 1e-6 * parity
-            return amps
+        def defective(two_s, sites, n):
+            return tuple((two_j, basis, values, 1e-6 if (n, two_j) == (1, 2) else defect)
+                         for two_j, basis, values, defect in subspaces(two_s, sites, n))
 
-        monkeypatch.setattr(spectra, "_config_amplitudes", perturbed)
+        monkeypatch.setattr(spectra, "_spin_subspaces", defective)
         records = diagonalize_and_resolve(spec)
-        assert any(r.flagged for r in records)
-        assert all(r.flagged == (r.central and r.momentum_index == 1) for r in records)
+        assert any(r.flagged and r.central for r in records)
+        assert all(r.flagged == (r.momentum_index == 1 and r.two_j == 2) for r in records)
         assert all(math.isnan(r.entropy) and math.isnan(r.gaussianity) for r in records if r.flagged)
+
+    def test_no_slice_amplitudes_without_a_fraction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("_config_amplitudes called")
+
+        monkeypatch.setattr(spectra, "_config_amplitudes", forbidden)
+        records = diagonalize_and_resolve(ChainSpec(HALF, 10, 3.0), None)
+        assert any(r.central for r in records) and not any(r.flagged for r in records)
 
     @pytest.mark.parametrize(
         "species,sites,coupling,cuts",

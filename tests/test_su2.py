@@ -5,21 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import apply_total_spin_squared, coupled_sector_basis, sector_basis
-from spinsectors import (
-    HALF,
-    ONE,
-    clebsch_gordan,
-    multiplicity,
-    spin_half_multiplicity,
+from oracles import (
+    apply_total_spin_squared,
+    coupled_sector_basis,
+    sector_basis,
     stretched_weight,
+    stretched_weight_log,
 )
+from spinsectors import HALF, ONE, clebsch_gordan, multiplicity, spin_half_multiplicity
 from spinsectors.su2 import (
     _lnfact_table,
     bond_matrix_elements,
     configuration_space,
     spin_squared_terms,
-    stretched_weight_log,
     stretched_weight_logs,
 )
 
