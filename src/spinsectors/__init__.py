@@ -48,7 +48,6 @@ from .ensembles import (
 from .spectra import (
     ChainSpec,
     EigenstateRecord,
-    MomentumBlock,
     diagonalize_and_resolve,
     eigenstate_entropy_average,
     gaussianity_average,

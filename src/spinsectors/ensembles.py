@@ -96,6 +96,11 @@ def _schmidt_squares(x):
     return np.linalg.eigvalsh(gram)
 
 
+def _check_integer(name, value):
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_normalized(state):
     for norm in np.atleast_1d(np.linalg.norm(state, axis=0)):
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails this too
@@ -112,6 +117,7 @@ def entanglement_entropy(state, cut, local_dim=2):
     sites = round(math.log(state.size, local_dim))
     if local_dim**sites != state.size:
         raise ValueError(f"state of length {state.size} is not a {local_dim}**L product state")
+    _check_integer("cut", cut)
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
     _check_normalized(state)
@@ -559,6 +565,8 @@ def ensemble_entropy_samples(
     sequence (seed, i), making the output independent of `workers` and of any
     parallel schedule.
     """
+    for name, value in (("sites", sites), ("two_j", two_j), ("cut", cut), ("samples", samples)):
+        _check_integer(name, value)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     methods = tuple(methods)

@@ -31,8 +31,16 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
-from .su2 import clebsch_gordan, stretched_weight_logs
+from .spectra import (
+    RESIDUAL_TOL,
+    ChainSpec,
+    _assemble_block,
+    _bond_keys,
+    _bond_term,
+    _spin_subspaces,
+    diagonalize_and_resolve,
+)
+from .su2 import clebsch_gordan, spin_squared_terms, stretched_weight_logs
 
 _TRIANGLE = {
     0: {0: 1},
@@ -160,15 +168,26 @@ def _check_entropy_units():
 
 def _check_spectra():
     for species, sites in ((HALF, 6), (ONE, 4)):
+        two_s = species.two_s
         spec = ChainSpec(species, sites, 3.0 if species is HALF else 0.0)
         counts = dict.fromkeys(admissible_two_j(species, sites), 0)
         for r in diagonalize_and_resolve(spec, None):
             assert not r.flagged
             counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
-        for n in range(sites):  # each J**2 subspace carries its flip parity
-            for two_j, _, _, flip_defect in _spin_subspaces(species.two_s, sites, n):
-                assert flip_defect <= RESIDUAL_TOL, (sites, n, two_j, flip_defect)
+        # J**2 and every bond term of H are real in each block's P K basis
+        diagonal, j2_bonds = spin_squared_terms(two_s, sites)
+        j2_terms = [(1.0, _bond_term(two_s, sites, dist, power)) for dist, _, power in j2_bonds]
+        h_terms = [(1.0, _bond_term(two_s, sites, *key)) for key in _bond_keys(two_s)]
+        for block, subspaces in _spin_subspaces(two_s, sites):
+            matrices = [_assemble_block(block, j2_terms, diagonal)]
+            matrices += [_assemble_block(block, [term]) for term in h_terms]
+            for real in map(block.in_real_basis, matrices):
+                assert np.abs(real.imag).max() <= 1e-13 * np.abs(real).max(), (sites, block.momentum_index)
+            # each J**2 subspace carries its flip parity and holds H
+            for sub in subspaces:
+                assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
+                assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
 
 
 _CHECKS = (

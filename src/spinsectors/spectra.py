@@ -1,4 +1,4 @@
-"""Exact diagonalization of SU(2)-symmetric chains in momentum-resolved sectors.
+"""Exact diagonalization of SU(2)-symmetric chains in real (k, J) subspaces.
 
 Spin-1/2 chains carry nearest plus next-nearest Heisenberg exchange with
 relative strength `coupling` (integrable at 0); spin-1 chains carry nearest
@@ -7,20 +7,29 @@ Heisenberg exchange plus a biquadratic term of strength `coupling`
 block by block in the total quasimomentum k_n = 2 pi n / L and, inside each
 block, in every J**2 eigenspace, so each eigenstate carries its total spin.
 
-Everything that does not depend on the coupling is cached per process: the
-translation orbits, one bond-term table per (distance, power) for H, J**2
-and every momentum, the J**2 eigenbases of each block, and the Schmidt index
-maps of each cut.  The maps are flip-reduced: a J_z=0 eigenstate of J**2 is
-mapped by the global spin flip to (-1)**(Ls - J) times itself, so only the
-m_A > 0 Schmidt blocks are diagonalized, each counted twice, and m_A = 0
-splits into flip-even and flip-odd rows.  The records of a J**2 subspace
-whose cached flip certificate misses that symmetry are flagged.
+Each block is real in a basis fixed by P K, the site reflection P composed
+with complex conjugation K in the product basis: P K keeps k, and H and J**2
+commute with it.  At k = 0, pi the momentum basis is that basis; at other k
+each of its vectors combines at most two momentum states (`_Block`).
+
+Everything that does not depend on the coupling is cached per chain: the
+real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
+projection Q_J^T B Q_J of every bond term B of H with its leakage
+certificate, and the Schmidt index maps of each cut.  A coupling then costs
+one real n_J-sized solve per subspace.  The Schmidt maps are flip-reduced:
+a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
+(-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
+diagonalized, each counted twice, and m_A = 0 splits into flip-even and
+flip-odd rows.  The records of a J**2 subspace whose cached flip
+certificate misses that symmetry are flagged.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +39,6 @@ from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
 __all__ = [
     "ChainSpec",
-    "MomentumBlock",
     "EigenstateRecord",
     "MAX_SITES",
     "CENTRAL_FRACTION",
@@ -59,6 +67,8 @@ class ChainSpec:
     coupling: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.sites, numbers.Integral):
+            raise ValueError(f"sites must be an integer, got {self.sites!r}")
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
         if not math.isfinite(self.coupling):
@@ -77,27 +87,33 @@ def _check_cap(spec):
 
 
 # ---------------------------------------------------------------------------
-# translation orbits and operator matrices
+# translation orbits, real bases and operator matrices
+
+
+def _bond_keys(two_s):
+    """(distance, pair-term power) of the bond terms of H, in `_bond_list` order."""
+    return ((1, 1), (2, 1)) if two_s == 1 else ((1, 1), (1, 2))
 
 
 def _bond_list(spec):
     """(distance, coefficient, pair-term power) triples defining H."""
-    if spec.species.two_s == 1:
-        return ((1, -1.0, 1), (2, -spec.coupling, 1))
-    return ((1, -1.0, 1), (1, spec.coupling, 2))
+    two_s = spec.species.two_s
+    coeffs = (-1.0, -spec.coupling) if two_s == 1 else (-1.0, spec.coupling)
+    return tuple((dist, coeff, power) for (dist, power), coeff in zip(_bond_keys(two_s), coeffs))
 
 
 @lru_cache(maxsize=None)
 def _orbit_data(two_s, sites):
     """Translation orbits of the slice, one entry per configuration.
 
-    Returns arrays (rep, shift, period): configuration c equals
+    Returns arrays (rep, shift, period, mirror): configuration c equals
     T**shift[c] applied to the slice configuration rep[c], the orbit member
-    with the smallest code, and period[c] is the orbit length.  T moves
-    every site's digit one position up (periodically).
+    with the smallest code, period[c] is the orbit length, and mirror[c] is
+    the slice index of P c, P the site reflection i -> L-1-i.  T moves every
+    site's digit one position up (periodically), and P T P = T**-1.
     """
     d = two_s + 1
-    codes, _ = configuration_space(two_s, sites, 0)
+    codes, digits = configuration_space(two_s, sites, 0)
     # rolled[c, t] is the code of T**-t applied to configuration c
     rolled = [codes]
     for _ in range(1, sites):
@@ -106,113 +122,177 @@ def _orbit_data(two_s, sites):
     rep = np.searchsorted(codes, rolled.min(axis=1))
     shift = rolled.argmin(axis=1)
     period = sites // (rolled == codes[:, None]).sum(axis=1)
-    for table in (rep, shift, period):
+    mirror = np.searchsorted(codes, digits[:, ::-1] @ d ** np.arange(sites, dtype=np.int64))
+    for table in (rep, shift, period, mirror):
         table.flags.writeable = False
-    return rep, shift, period
+    return rep, shift, period, mirror
 
 
-def _block_position(codes, rep, block_codes):
-    """Block position of every slice configuration's orbit, len(block_codes) outside."""
-    position = np.full(len(codes), len(block_codes))
-    position[np.searchsorted(codes, block_codes)] = np.arange(len(block_codes))
-    return position[rep]
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """Momentum block n of the J_z=0 slice and its P K-real basis U.
 
+    `reps` holds the slice indices of the orbit representatives r, ascending;
+    state j of the block is |r_j, k> = sum_t exp(-ikt) T**t |r_j> / sqrt(period).
+    Slice configuration c = T**t r then carries `phase[c]` = exp(-ikt) /
+    sqrt(period) times the entry at `position[c]`, the block position of its
+    orbit (len(reps) outside the block).
+    With P |r> = T**s |r'>, P K |r, k> = exp(iks) |r', k>.  Column j of U is
+    a[j] |r_j, k> + b[j] |r_partner[j], k>, partner[j] the block position of
+    r_j':  exp(iks/2) |r, k> for r = r', and for each pair r < r' the columns
+    (|r, k> + exp(iks) |r', k>) / sqrt 2 at r and i (|r, k> - exp(iks) |r', k>)
+    / sqrt 2 at r'.  At k = 0, pi the momentum basis is real: U = 1, a is None.
+    """
 
-@dataclass
-class MomentumBlock:
-    """One total-quasimomentum block of a translation-invariant operator."""
-
-    momentum_index: int
+    two_s: int
     sites: int
-    representatives: np.ndarray
-    matrix: np.ndarray
+    momentum_index: int
+    reps: np.ndarray
+    position: np.ndarray
+    phase: np.ndarray
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    partner: np.ndarray | None = None
 
     @property
-    def is_complex_sector(self) -> bool:
-        n, sites = self.momentum_index, self.sites
-        return n not in (0, sites // 2) if sites % 2 == 0 else n != 0
+    def complex_sector(self):
+        return self.a is not None
 
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
+    def in_real_basis(self, matrix):
+        """U^dagger M U of a momentum-basis matrix M, complex-typed: its
+        imaginary part is rounding when M commutes with P K."""
+        if self.a is None:
+            return matrix
+        mu = matrix * self.a + matrix[:, self.partner] * self.b
+        return self.a.conj()[:, None] * mu + self.b.conj()[:, None] * mu[self.partner]
+
+    def to_momentum(self, vectors):
+        """U x: real-basis columns x as momentum-basis columns."""
+        if self.a is None:
+            return vectors
+        return self.a[:, None] * vectors + (self.b[:, None] * vectors)[self.partner]
 
 
-@lru_cache(maxsize=None)
+def _momentum_block(two_s, sites, n):
+    """`_Block` of momentum index n."""
+    rep, shift, period, mirror = _orbit_data(two_s, sites)
+    reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
+    position = np.full(len(rep), len(reps))
+    position[reps] = np.arange(len(reps))
+    position = position[rep]
+    k = 2.0 * math.pi * n / sites
+    phase = np.exp(-1j * k * shift) / np.sqrt(period)
+    for table in (reps, position, phase):
+        table.flags.writeable = False
+    if 2 * n % sites == 0:  # k = 0, pi: phase is +-1 / sqrt(period)
+        return _Block(two_s, sites, n, reps, position, phase.real)
+    s = shift[mirror[reps]]
+    partner = position[mirror[reps]]
+    j = np.arange(len(reps))
+    root = math.sqrt(0.5)
+    mirrored = np.exp(1j * k * s)
+    a = np.where(partner == j, np.exp(0.5j * k * s), np.where(j < partner, root, -1j * root * mirrored))
+    b = np.where(partner == j, 0.0, np.where(j < partner, root * mirrored, 1j * root))
+    for table in (a, b, partner):
+        table.flags.writeable = False
+    return _Block(two_s, sites, n, reps, position, phase, a, b, partner)
+
+
 def _bond_term(two_s, sites, dist, power):
     """COO elements of sum_i (S_i . S_{i+dist})**power on every orbit
-    representative, cached once for H, J**2 and every momentum block:
-    read-only arrays (target, col, amp, shift, ratio) of the target and column
-    representatives' slice indices, the amplitude, the target's shift and the
-    period ratio, in the order `bond_matrix_elements` gives them."""
+    representative, for H, J**2 and every momentum block: arrays (target,
+    col, amp, shift, ratio) of the target and column representatives' slice
+    indices, the amplitude, the target's shift and the period ratio, in the
+    order `bond_matrix_elements` gives them."""
     codes, digits = configuration_space(two_s, sites, 0)
-    rep, shift, period = _orbit_data(two_s, sites)
+    rep, shift, period, _ = _orbit_data(two_s, sites)
     reps = np.flatnonzero(shift == 0)
     col, row, amp = bond_matrix_elements(two_s, digits[reps], ((dist, 1.0, power),), codes)
-    term = (rep[row].astype(np.int32), reps[col].astype(np.int32), amp,
+    return (rep[row].astype(np.int32), reps[col].astype(np.int32), amp,
             shift[row].astype(np.int8), np.sqrt(period[reps][col] / period[row]))
-    for a in term:
-        a.flags.writeable = False
-    return term
 
 
-def _assemble_block(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
-    """Momentum block of diagonal_shift + the (dist, coeff, power) `bonds`: each
-    cached term element whose target and column orbits fit the momentum
-    enters as coeff * amp * exp(i k shift) * ratio."""
-    codes, _ = configuration_space(two_s, sites, 0)
-    rep, shift, period = _orbit_data(two_s, sites)
-    block_reps = np.flatnonzero((shift == 0) & ((momentum_index * period) % sites == 0))
-    dim = len(block_reps)
-    position = _block_position(codes, rep, codes[block_reps])  # dim outside the block
-    k = 2.0 * math.pi * momentum_index / sites
-    phases = np.exp(1j * k * np.arange(sites))
+def _assemble_block(block, terms, diagonal_shift=0.0):
+    """Complex momentum-basis matrix of diagonal_shift + sum coeff * term over
+    the (coeff, `_bond_term` table) pairs `terms`: each element whose target
+    and column orbits fit the momentum enters as
+    coeff * amp * exp(i k shift) * ratio."""
+    dim = len(block.reps)
+    k = 2.0 * math.pi * block.momentum_index / block.sites
+    phases = np.exp(1j * k * np.arange(block.sites))
     targets, cols, values = [], [], []
-    for dist, coeff, power in bonds:
+    for coeff, (target, col, amp, target_shift, ratio) in terms:
         if coeff == 0.0:
             continue
-        target, col, amp, target_shift, ratio = _bond_term(two_s, sites, dist, power)
-        target, col = position[target], position[col]
+        target, col = block.position[target], block.position[col]
         keep = (target < dim) & (col < dim)
         targets.append(target[keep])
         cols.append(col[keep])
         values.append(coeff * amp[keep] * phases[target_shift[keep]] * ratio[keep])
     matrix = np.eye(dim, dtype=complex) * diagonal_shift
     np.add.at(matrix, (np.concatenate(targets), np.concatenate(cols)), np.concatenate(values))
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return MomentumBlock(momentum_index, sites, codes[block_reps], matrix)
+    return 0.5 * (matrix + matrix.conj().T)
 
 
-def _flip_defect(block, basis, parity, two_s):
-    """Largest row norm of F Q - parity Q for the spin flip F and block columns
-    Q: a bound on |psi(flip c) - parity psi(c)| for every unit psi in their
-    span.  F reverses the sorted slice, so it sends the state of
+def _flip_defect(block, basis, parity):
+    """Largest row norm of F Q - parity Q for the spin flip F and momentum-basis
+    columns Q: a bound on |psi(flip c) - parity psi(c)| for every unit psi in
+    their span.  F reverses the sorted slice, so it sends the state of
     representative r to exp(i k shift) times the state of the orbit of N-1-r."""
-    codes, _ = configuration_space(two_s, block.sites, 0)
-    rep, shift, _ = _orbit_data(two_s, block.sites)
-    flipped = len(codes) - 1 - np.searchsorted(codes, block.representatives)
+    shift = _orbit_data(block.two_s, block.sites)[1]
+    flipped = len(shift) - 1 - block.reps
     phase = np.exp(2j * math.pi * block.momentum_index / block.sites * shift[flipped])
-    target = _block_position(codes, rep, block.representatives)[flipped]
+    target = block.position[flipped]
     return float(np.linalg.norm(phase[:, None] * basis - parity * basis[target], axis=1).max())
 
 
-@lru_cache(maxsize=64)
-def _spin_subspaces(two_s, sites, momentum_index):
-    """Per spin, two_j ascending, (two_j, basis, j2_values, flip_defect) of one
-    momentum block: orthonormal J**2 eigenvectors spanning the spin-two_j/2
-    subspace, their eigenvalues and the `_flip_defect` of that span for the
-    parity (-1)**(Ls - J).  Independent of the coupling, so cached."""
-    diagonal, bonds = spin_squared_terms(two_s, sites)
-    block = _assemble_block(two_s, sites, momentum_index, bonds, diagonal)
-    values, basis = np.linalg.eigh(block.matrix)
-    values.flags.writeable = basis.flags.writeable = False
-    two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
-    parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
-    bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
-    return tuple(
-        (int(two_js[lo]), basis[:, lo:hi], values[lo:hi],
-         _flip_defect(block, basis[:, lo:hi], parity[lo], two_s))
-        for lo, hi in zip([0, *bounds], bounds)
-    )
+class _Subspace(NamedTuple):
+    """One (k, J) subspace: spin two_j/2, the real J**2 eigenvectors Q_J
+    spanning it (columns in the block's real basis) and their eigenvalues, its
+    `_flip_defect` for the parity (-1)**(Ls - J), the projections
+    Q_J^T B Q_J of the bond terms B of `_bond_keys`, stacked along the last
+    axis, and their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F."""
+
+    two_j: int
+    basis: np.ndarray
+    j2_values: np.ndarray
+    flip_defect: float
+    terms: np.ndarray
+    leakage: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _spin_subspaces(two_s, sites):
+    """(`_Block`, its `_Subspace`s, two_j ascending) for n = 0 .. L/2.
+
+    Independent of the coupling, so cached; the bond-term tables serve every
+    block and are released once the chain is built.
+    """
+    diagonal, j2_bonds = spin_squared_terms(two_s, sites)
+    keys = sorted({(dist, power) for dist, _, power in j2_bonds} | set(_bond_keys(two_s)))
+    tables = {key: _bond_term(two_s, sites, *key) for key in keys}
+    j2_terms = [(coeff, tables[dist, power]) for dist, coeff, power in j2_bonds]
+    chain = []
+    for n in range(sites // 2 + 1):
+        block = _momentum_block(two_s, sites, n)
+        values, basis = np.linalg.eigh(block.in_real_basis(_assemble_block(block, j2_terms, diagonal)).real)
+        values.flags.writeable = basis.flags.writeable = False
+        h_terms = [block.in_real_basis(_assemble_block(block, [(1.0, tables[key])])).real
+                   for key in _bond_keys(two_s)]
+        two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
+        parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
+        bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
+        subspaces = []
+        for lo, hi in zip([0, *bounds], bounds):
+            q = basis[:, lo:hi]
+            h_q = [h @ q for h in h_terms]
+            terms = np.stack([q.T @ x for x in h_q], axis=-1)
+            leakage = np.array([np.linalg.norm(x - q @ terms[..., b]) for b, x in enumerate(h_q)])
+            terms.flags.writeable = leakage.flags.writeable = False
+            flip_defect = _flip_defect(block, block.to_momentum(q), parity[lo])
+            subspaces.append(_Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage))
+        chain.append((block, tuple(subspaces)))
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +339,12 @@ def gaussianity_of_vector(vector):
     return values if vector.ndim == 2 else float(values[0])
 
 
-def _config_amplitudes(block, vectors, two_s):
-    """Map momentum-block eigenvectors (columns) back to slice-configuration amplitudes."""
-    codes, _ = configuration_space(two_s, block.sites, 0)
-    rep, shift, period = _orbit_data(two_s, block.sites)
-    k = 2.0 * math.pi * block.momentum_index / block.sites
+def _config_amplitudes(block, vectors):
+    """Map momentum-block columns back to slice-configuration amplitudes; real
+    columns of a k = 0, pi block stay real."""
     # the appended zero row serves configurations whose orbit is not in the block
-    padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=complex)])
-    amps = padded[_block_position(codes, rep, block.representatives)]
-    amps /= np.sqrt(period)[:, None]
-    amps *= np.exp(-1j * k * shift)[:, None]
-    return amps
+    padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)])
+    return padded[block.position] * block.phase[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -308,15 +383,19 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
     [H, J**2] = 0, so every eigenstate carries a sharp spin label; a block's
-    records ascend in energy, ties by spin.  A record is flagged, and left out
-    of the averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL or |Hv - Ev| >
-    RESIDUAL_TOL max(1, max|E|), the second catching an H that breaks SU(2),
-    and when the `_flip_defect` of its J**2 subspace exceeds RESIDUAL_TOL:
-    the flip-reduced Schmidt blocks of its entropy rest on
-    psi(flip c) = (-1)**(Ls - J) psi(c).
+    records ascend in energy, ties by spin.  H is solved in each (k, J)
+    subspace as H_J = sum_b c_b Q_J^T B_b Q_J from the cached bond-term
+    projections.  A record is flagged, and left out of the averages, when
+    |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
+    |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
+    |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
+    breaks SU(2) leaks out of the J**2 subspaces), and when the `_flip_defect`
+    of its J**2 subspace exceeds RESIDUAL_TOL: the flip-reduced Schmidt
+    blocks of its entropy rest on psi(flip c) = (-1)**(Ls - J) psi(c).
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
-    skips it) and Gaussianity are evaluated for the central CENTRAL_FRACTION
-    of each block by energy rank.
+    skips it) and Gaussianity are evaluated, on the momentum-basis
+    eigenvectors, for the central CENTRAL_FRACTION of each block by energy
+    rank.
     """
     _check_cap(spec)
     two_s = spec.species.two_s
@@ -327,42 +406,51 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
         _, digits = configuration_space(two_s, sites, 0)
-    bonds = _bond_list(spec)
+    coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
-    for n in range(sites // 2 + 1):
-        block = _assemble_block(two_s, sites, n, bonds)
-        parts = []  # per spin: energies, 2J labels, J**2 and H residuals, flip defects, vectors
-        for two_j, basis, j2_values, flip_defect in _spin_subspaces(two_s, sites, n):
-            h_basis = block.matrix @ basis
-            energies, rot = np.linalg.eigh(basis.conj().T @ h_basis)
-            vectors = basis @ rot
-            parts.append((energies, np.full(len(energies), two_j),
-                          np.abs(j2_values @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1)),
-                          np.linalg.norm(h_basis @ rot - vectors * energies, axis=0),
-                          np.full(len(energies), flip_defect), vectors))
-        energies, two_js, j2_residuals, h_residuals, flip_defects, vectors = (
-            np.concatenate(column, axis=-1) for column in zip(*parts))
+    for block, subspaces in _spin_subspaces(two_s, sites):
+        parts, rots = [], []  # per spin: energies, J**2 and H residuals
+        for sub in subspaces:
+            h = sub.terms @ coeffs
+            energies, rot = np.linalg.eigh(h)
+            rots.append(rot)
+            parts.append((energies, np.abs(sub.j2_values @ rot**2 - sub.two_j / 2 * (sub.two_j / 2 + 1)),
+                          np.linalg.norm(h @ rot - rot * energies, axis=0)))
+        energies, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
+        sizes = [len(rot) for rot in rots]
+        two_js, flip_defects, leakage = (np.repeat(a, sizes) for a in zip(
+            *((sub.two_j, sub.flip_defect, np.abs(coeffs) @ sub.leakage) for sub in subspaces)))
+        h_residuals += leakage
         # rank order: energy, ties by 2J, then by position (lexsort is stable)
         order = np.lexsort((two_js, energies))
         energies, two_js, j2_residuals, h_residuals, flip_defects = (
             a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
+        dim = len(energies)
         scale = max(1.0, np.abs(energies).max())
         flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
                    | (flip_defects > RESIDUAL_TOL))
-        central = np.zeros(block.dim, dtype=bool)
-        central[_central_window(block.dim)] = True
-        gaussianity, entropy = np.full((2, block.dim), math.nan)
+        central = np.zeros(dim, dtype=bool)
+        central[_central_window(dim)] = True
+        gaussianity, entropy = np.full((2, dim), math.nan)
         chosen = np.flatnonzero(central & ~flagged)
         if chosen.size:
-            picked = vectors[:, order[chosen]]
+            # real eigenvectors Q_J x of the chosen records, then U to the momentum basis
+            index = order[chosen]
+            picked = np.empty((dim, chosen.size))
+            lo = 0
+            for sub, rot in zip(subspaces, rots):
+                mine = np.flatnonzero((index >= lo) & (index < lo + len(rot)))
+                picked[:, mine] = sub.basis @ rot[:, index[mine] - lo]
+                lo += len(rot)
+            picked = block.to_momentum(picked)
             gaussianity[chosen] = gaussianity_of_vector(picked)
             if fraction is not None:
-                amps = _config_amplitudes(block, picked, two_s)
+                amps = _config_amplitudes(block, picked)
                 entropy[chosen] = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
         columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
-        complex_sector = block.is_complex_sector
+        n, complex_sector = block.momentum_index, block.complex_sector
         records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
                     for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
     return records

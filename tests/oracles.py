@@ -14,9 +14,12 @@ The library calls none of these; the tests compare it against them.
   magnetization slice, coupled site by site or across a cut, and
   `apply_total_spin_squared` to certify them.
 - `hamiltonian_matrix`, `spin_squared_matrix`, `momentum_blocks`: dense
-  fixed-J_z matrices without symmetry, and every momentum block of H.
+  fixed-J_z matrices without symmetry, and every complex momentum block of H.
 - `assemble_block_direct`: a momentum block from one `bond_matrix_elements`
-  call over all bonds, against the library's cached bond terms.
+  call over all bonds, against the library's bond-term tables.
+- `complex_resolve`: eigenstate records from complex momentum blocks, H
+  projected onto complex J**2 eigenbases per coupling, against the
+  library's real (k, J) subspaces; `slice_amplitudes` maps its vectors.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
 
@@ -25,6 +28,7 @@ Angular momenta are doubled integers, as in the library.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -32,12 +36,15 @@ import numpy as np
 from spinsectors.asymptotics import _char_poly, _char_poly_d1
 from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
 from spinsectors.special import log_binomial
+from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import (
-    MomentumBlock,
-    _assemble_block,
-    _block_position,
+    RESIDUAL_TOL,
+    EigenstateRecord,
     _bond_list,
+    _central_window,
+    _cut_maps,
     _orbit_data,
+    gaussianity_of_vector,
 )
 from spinsectors.su2 import (
     _check_momentum,
@@ -381,17 +388,35 @@ def spin_squared_matrix(species, sites, two_jz=0):
     return _slice_matrix(species.two_s, sites, two_jz, bonds, diagonal)
 
 
+@dataclass
+class MomentumBlock:
+    """One complex total-quasimomentum block of a translation-invariant operator."""
+
+    momentum_index: int
+    sites: int
+    representatives: np.ndarray
+    matrix: np.ndarray
+
+    @property
+    def is_complex_sector(self) -> bool:
+        return 2 * self.momentum_index % self.sites != 0
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+
 def assemble_block_direct(two_s, sites, momentum_index, bonds, diagonal_shift=0.0):
     """Momentum block of diagonal_shift + the bonds, all bond elements built in
     one call and combined with their momentum phases and period ratios."""
     codes, digits = configuration_space(two_s, sites, 0)
-    rep, shift, period = _orbit_data(two_s, sites)
+    rep, shift, period, _ = _orbit_data(two_s, sites)
     n = momentum_index
     block_reps = np.flatnonzero((shift == 0) & ((n * period) % sites == 0))
     dim = len(block_reps)
     col, row, amp = bond_matrix_elements(two_s, digits[block_reps], bonds, codes)
-    target = _block_position(codes, rep, codes[block_reps])[row]
-    keep = target < dim
+    target = np.searchsorted(block_reps, rep[row])
+    keep = (target < dim) & (block_reps[np.minimum(target, dim - 1)] == rep[row])
     k = 2.0 * math.pi * n / sites
     values = amp * np.exp(1j * k * shift[row]) * np.sqrt(period[block_reps][col] / period[row])
     matrix = np.eye(dim, dtype=complex) * diagonal_shift
@@ -401,9 +426,77 @@ def assemble_block_direct(two_s, sites, momentum_index, bonds, diagonal_shift=0.
 
 
 def momentum_blocks(spec):
-    """All L momentum blocks of the Hamiltonian on the J_z=0 slice."""
+    """All L complex momentum blocks of the Hamiltonian on the J_z=0 slice."""
     bonds = _bond_list(spec)
-    return [_assemble_block(spec.species.two_s, spec.sites, n, bonds) for n in range(spec.sites)]
+    return [assemble_block_direct(spec.species.two_s, spec.sites, n, bonds) for n in range(spec.sites)]
+
+
+def slice_amplitudes(two_s, block, vectors):
+    """Slice-configuration amplitudes of momentum-block columns: configuration
+    c = T**t r of the orbit of representative r carries exp(-ikt) / sqrt(period)
+    times the entry of r."""
+    codes, _ = configuration_space(two_s, block.sites, 0)
+    rep, shift, period, _ = _orbit_data(two_s, block.sites)
+    position = np.searchsorted(block.representatives, codes[rep])
+    inside = block.representatives[np.minimum(position, block.dim - 1)] == codes[rep]
+    k = 2.0 * math.pi * block.momentum_index / block.sites
+    amps = np.zeros((len(codes), vectors.shape[1]), dtype=complex)
+    amps[inside] = vectors[position[inside]] * (np.exp(-1j * k * shift) / np.sqrt(period))[inside, None]
+    return amps
+
+
+def complex_resolve(spec, fraction=Fraction(1, 2)):
+    """`diagonalize_and_resolve` in complex momentum blocks, per coupling.
+
+    Each block's J**2 eigenbasis Q_J comes from a complex `eigh`; H is
+    projected onto it as Q_J^dagger H Q_J and its eigenvectors are Q_J rot.
+    Flags: the J**2 residual, |Hv - Ev| against RESIDUAL_TOL max(1, max|E|),
+    and the largest slice-row flip defect of Q_J, scaled by sqrt(period).
+    """
+    two_s, sites = spec.species.two_s, spec.sites
+    _, _, period, _ = _orbit_data(two_s, sites)
+    diagonal, j2_bonds = spin_squared_terms(two_s, sites)
+    if fraction is not None:
+        cut = round(Fraction(fraction) * sites)
+        _, digits = configuration_space(two_s, sites, 0)
+    records = []
+    for n in range(sites // 2 + 1):
+        block = assemble_block_direct(two_s, sites, n, _bond_list(spec))
+        values, basis = np.linalg.eigh(assemble_block_direct(two_s, sites, n, j2_bonds, diagonal).matrix)
+        two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
+        parts = []
+        for two_j in np.unique(two_js):
+            q = basis[:, two_js == two_j]
+            parity = (-1) ** ((two_s * sites - two_j) // 2)
+            amps = slice_amplitudes(two_s, block, q)
+            flip_defect = (np.linalg.norm(amps[::-1] - parity * amps, axis=1) * np.sqrt(period)).max()
+            h_q = block.matrix @ q
+            energies, rot = np.linalg.eigh(q.conj().T @ h_q)
+            vectors = q @ rot
+            parts.append((energies, np.full(len(energies), two_j),
+                          np.abs(values[two_js == two_j] @ np.abs(rot) ** 2 - two_j / 2 * (two_j / 2 + 1)),
+                          np.linalg.norm(h_q @ rot - vectors * energies, axis=0),
+                          np.full(len(energies), flip_defect), vectors))
+        energies, labels, j2_res, h_res, flips, vectors = (np.concatenate(c, axis=-1) for c in zip(*parts))
+        order = np.lexsort((labels, energies))
+        energies, labels, j2_res, h_res, flips = (a[order] for a in (energies, labels, j2_res, h_res, flips))
+        scale = max(1.0, np.abs(energies).max())
+        flagged = (j2_res > RESIDUAL_TOL) | (h_res > RESIDUAL_TOL * scale) | (flips > RESIDUAL_TOL)
+        central = np.zeros(block.dim, dtype=bool)
+        central[_central_window(block.dim)] = True
+        gaussianity, entropy = np.full((2, block.dim), math.nan)
+        chosen = np.flatnonzero(central & ~flagged)
+        if chosen.size:
+            picked = vectors[:, order[chosen]]
+            gaussianity[chosen] = gaussianity_of_vector(picked)
+            if fraction is not None:
+                entropy[chosen] = slice_entanglement_entropy(
+                    slice_amplitudes(two_s, block, picked), digits, range(cut),
+                    maps=_cut_maps(two_s, sites, cut))
+        columns = (energies, labels, j2_res, central, gaussianity, entropy, flagged)
+        records += [EigenstateRecord(e, n, j, r, c, block.is_complex_sector, g, s, f)
+                    for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
+    return records
 
 
 # ---------------------------------------------------------------------------

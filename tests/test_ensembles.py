@@ -120,6 +120,10 @@ class TestEntropyKernels:
         with pytest.raises(ValueError, match="^local_dim must be >= 2, got 1$"):
             entanglement_entropy([1.0, 0.0], 1, local_dim=1)
 
+    def test_fractional_cut_rejected(self):
+        with pytest.raises(ValueError, match=r"^cut must be an integer, got 1\.5$"):
+            entanglement_entropy([1.0, 0.0, 0.0, 0.0], 1.5)
+
     def test_nan_slice_state_rejected(self):
         _, digits = su2.configuration_space(1, 6, 0)
         state = np.full(len(digits), 1.0 / math.sqrt(len(digits)))
@@ -382,6 +386,15 @@ class TestSd1:
 
 
 class TestSampling:
+    def test_fractional_sample_count_rejected(self):
+        # a fractional count used to return its integer part of samples
+        with pytest.raises(ValueError, match=r"^samples must be an integer, got 2\.5$"):
+            ensemble_entropy_samples(12, 6, 6, 2.5, 1)
+
+    def test_fractional_cut_rejected(self):
+        with pytest.raises(ValueError, match=r"^cut must be an integer, got 6\.5$"):
+            ensemble_entropy_samples(12, 6, 6.5, 5, 1)
+
     def test_one_dimensional_sector(self):
         est = random_state_average(2, 0, 1, samples=10, seed=3)
         assert est.mean == pytest.approx(math.log(2), abs=1e-12)

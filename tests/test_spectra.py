@@ -8,11 +8,13 @@ import pytest
 from oracles import (
     apply_total_spin_squared,
     assemble_block_direct,
+    complex_resolve,
     hamiltonian_matrix,
     kron_hamiltonian,
     kron_spin_squared,
     momentum_blocks,
     restrict_to_zero_magnetization,
+    slice_amplitudes,
     spin_squared_matrix,
 )
 from spinsectors import (
@@ -29,8 +31,23 @@ from spinsectors import (
 )
 from spinsectors import spectra
 from spinsectors.ensembles import slice_entanglement_entropy
-from spinsectors.spectra import _assemble_block, _bond_list, _config_amplitudes
+from spinsectors.spectra import (
+    _assemble_block,
+    _bond_list,
+    _bond_term,
+    _config_amplitudes,
+    _momentum_block,
+)
 from spinsectors.su2 import configuration_space, spin_squared_terms
+
+
+def _library_terms(two_s, sites, bonds):
+    """(coeff, bond-term table) pairs of `_assemble_block` for (dist, coeff, power) bonds."""
+    return [(coeff, _bond_term(two_s, sites, dist, power)) for dist, coeff, power in bonds]
+
+
+def _coefficients(spec):
+    return np.array([coeff for _, coeff, _ in _bond_list(spec)])
 
 
 class TestHamiltonian:
@@ -72,6 +89,10 @@ class TestHamiltonian:
     def test_site_minimum(self):
         with pytest.raises(ValueError):
             ChainSpec(HALF, 2, 0.0)
+
+    def test_fractional_sites_rejected(self):
+        with pytest.raises(ValueError, match=r"^sites must be an integer, got 12\.5$"):
+            ChainSpec(HALF, 12.5)
 
     def test_caps(self):
         with pytest.raises(ValueError, match="cap"):
@@ -143,34 +164,115 @@ class TestBondTermCache:
     )
     def test_cached_terms_equal_direct_assembly(self, species, sites, coupling):
         bonds = _bond_list(ChainSpec(species, sites, coupling))
+        codes, _ = configuration_space(species.two_s, sites, 0)
         for n in range(sites):
-            got = _assemble_block(species.two_s, sites, n, bonds)
+            block = _momentum_block(species.two_s, sites, n)
+            got = _assemble_block(block, _library_terms(species.two_s, sites, bonds))
             expected = assemble_block_direct(species.two_s, sites, n, bonds)
-            assert np.array_equal(got.representatives, expected.representatives)
-            assert np.array_equal(got.matrix, expected.matrix)
+            assert np.array_equal(codes[block.reps], expected.representatives)
+            assert np.array_equal(got, expected.matrix)
 
     @pytest.mark.parametrize("two_s,sites", [(1, 10), (2, 6)])
     def test_spin_squared_block_equals_direct_assembly(self, two_s, sites):
         diagonal, bonds = spin_squared_terms(two_s, sites)
         for n in range(sites):
-            got = _assemble_block(two_s, sites, n, bonds, diagonal)
+            block = _momentum_block(two_s, sites, n)
+            got = _assemble_block(block, _library_terms(two_s, sites, bonds), diagonal)
             expected = assemble_block_direct(two_s, sites, n, bonds, diagonal)
-            assert np.array_equal(got.matrix, expected.matrix)
+            assert np.array_equal(got, expected.matrix)
 
-    def test_cache_holds_one_term_per_distance(self):
-        # H (distances 1, 2) and J**2 (distances 1 .. L-1) read the same terms,
-        # and no key carries a momentum
-        spectra._bond_term.cache_clear()
+    def test_warm_call_builds_no_operator(self, monkeypatch):
+        # after the cold call the (k, J) cache serves every coupling: no block
+        # assembly and no bond kernel, so the bond-term tables are not needed
         spectra._spin_subspaces.cache_clear()
         diagonalize_and_resolve(ChainSpec(HALF, 8, 3.0), fraction=None)
-        keys = [(1, 8, dist, 1) for dist in range(1, 8)]
-        info = spectra._bond_term.cache_info()
-        assert info.currsize == len(keys)
-        for key in keys:
-            spectra._bond_term(*key)
-        assert spectra._bond_term.cache_info().misses == info.misses
-        diagonalize_and_resolve(ChainSpec(HALF, 8, 0.0), fraction=None)
-        assert spectra._bond_term.cache_info().misses == info.misses
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("operator assembled in a warm call")
+
+        for name in ("_assemble_block", "_bond_term", "bond_matrix_elements"):
+            monkeypatch.setattr(spectra, name, forbidden)
+        records = diagonalize_and_resolve(ChainSpec(HALF, 8, 0.7))
+        assert any(r.central for r in records) and not any(r.flagged for r in records)
+
+
+REAL_BASIS_CASES = [(HALF, 10, 0.0), (HALF, 10, 3.0), (HALF, 12, 0.0), (HALF, 12, 3.0),
+                    (ONE, 7, 0.0), (ONE, 7, 0.7), (ONE, 7, 1.0), (ONE, 8, 0.0), (ONE, 8, 0.7), (ONE, 8, 1.0)]
+
+
+class TestRealBasis:
+    @staticmethod
+    def _dense_basis(block):
+        return block.to_momentum(np.eye(len(block.reps)))
+
+    @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
+    def test_subspace_spectra_match_momentum_blocks(self, species, sites, coupling):
+        # per block: the union of the real (k, J) spectra, and the spectrum of
+        # the real block, equal the complex block's spectrum
+        spec = ChainSpec(species, sites, coupling)
+        coeffs = _coefficients(spec)
+        blocks = momentum_blocks(spec)
+        for block, subspaces in spectra._spin_subspaces(species.two_s, sites):
+            expected = np.linalg.eigvalsh(blocks[block.momentum_index].matrix)
+            scale = np.abs(expected).max()
+            union = np.sort(np.concatenate([np.linalg.eigvalsh(sub.terms @ coeffs) for sub in subspaces]))
+            real = np.linalg.eigvalsh(block.in_real_basis(blocks[block.momentum_index].matrix).real)
+            assert np.max(np.abs(union - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(real - expected)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("species,sites", [(HALF, 10), (HALF, 12), (ONE, 7), (ONE, 8)])
+    def test_basis_is_orthonormal_and_pk_invariant(self, species, sites):
+        # P K psi(c) = conj(psi(P c)), P reversing the sites of configuration c;
+        # each column combines at most two momentum states
+        two_s = species.two_s
+        codes, digits = configuration_space(two_s, sites, 0)
+        mirror = np.searchsorted(codes, digits[:, ::-1] @ (two_s + 1) ** np.arange(sites))
+        assert np.array_equal(np.sort(mirror), np.arange(len(codes)))
+        blocks = momentum_blocks(ChainSpec(species, sites, 0.0))
+        for n in range(sites // 2 + 1):
+            block = _momentum_block(two_s, sites, n)
+            basis = self._dense_basis(block)
+            assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(basis)))) <= 1e-14
+            assert np.count_nonzero(basis, axis=0).max() <= 2
+            amps = slice_amplitudes(two_s, blocks[n], basis)
+            # at k = 0, pi U = 1: K-invariant (real) columns, as H and J**2 are real there
+            images = amps[mirror].conj() if block.complex_sector else amps.conj()
+            assert np.max(np.abs(images - amps)) <= 1e-14
+
+    @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
+    def test_transformed_blocks_are_real(self, species, sites, coupling):
+        diagonal, j2_bonds = spin_squared_terms(species.two_s, sites)
+        for n, block in enumerate(momentum_blocks(ChainSpec(species, sites, coupling))[: sites // 2 + 1]):
+            j2 = assemble_block_direct(species.two_s, sites, n, j2_bonds, diagonal).matrix
+            basis = self._dense_basis(_momentum_block(species.two_s, sites, n))
+            for matrix in (block.matrix, j2):
+                dense = basis.conj().T @ matrix @ basis
+                fast = _momentum_block(species.two_s, sites, n).in_real_basis(matrix)
+                assert np.max(np.abs(dense.imag)) <= 1e-13 * np.abs(matrix).max()
+                assert np.max(np.abs(fast - dense)) <= 1e-13 * np.abs(matrix).max()
+
+    @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
+    def test_records_match_complex_oracle(self, species, sites, coupling):
+        # records of one (block, spin) compared in energy order: ties across
+        # spins may rank either way, and same-spin ties do not occur here
+        spec = ChainSpec(species, sites, coupling)
+        got, expected = diagonalize_and_resolve(spec), complex_resolve(spec)
+        assert not any(r.flagged for r in expected)
+
+        def by_sector(records):
+            return sorted(records, key=lambda r: (r.momentum_index, r.two_j, r.energy))
+
+        assert len(got) == len(expected)
+        compared = 0
+        for a, b in zip(by_sector(got), by_sector(expected)):
+            assert (a.momentum_index, a.two_j, a.flagged, a.complex_sector) == (
+                b.momentum_index, b.two_j, b.flagged, b.complex_sector)
+            assert a.energy == pytest.approx(b.energy, abs=1e-12)
+            assert a.j2_residual <= 1e-8
+            if a.complex_sector and a.central and b.central:
+                assert a.entropy == pytest.approx(b.entropy, abs=1e-12)
+                compared += 1
+        assert compared >= 0.9 * sum(r.complex_sector and r.central for r in got)
 
 
 class TestFlipReduction:
@@ -183,13 +285,12 @@ class TestFlipReduction:
         codes, _ = configuration_space(two_s, sites, 0)
         flip = np.searchsorted(codes, (two_s + 1) ** sites - 1 - codes)
         assert np.array_equal(flip, np.arange(len(codes))[::-1])
-        bonds = _bond_list(ChainSpec(species, sites, coupling))
-        for n in range(sites // 2 + 1):
-            block = _assemble_block(two_s, sites, n, bonds)
-            for two_j, basis, _, _ in spectra._spin_subspaces(two_s, sites, n):
-                _, rot = np.linalg.eigh(basis.conj().T @ block.matrix @ basis)
-                amps = _config_amplitudes(block, basis @ rot, two_s)
-                parity = (-1) ** ((two_s * sites - two_j) // 2)
+        coeffs = _coefficients(ChainSpec(species, sites, coupling))
+        for block, subspaces in spectra._spin_subspaces(two_s, sites):
+            for sub in subspaces:
+                _, rot = np.linalg.eigh(sub.terms @ coeffs)
+                amps = _config_amplitudes(block, block.to_momentum(sub.basis @ rot))
+                parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
                 assert np.max(np.abs(amps[flip] - parity * amps)) <= 1e-12
 
     @pytest.mark.parametrize("species,sites", [(HALF, 10), (ONE, 7)])
@@ -197,41 +298,40 @@ class TestFlipReduction:
         # the largest slice-row defect of F Q - p Q, each row scaled back by
         # sqrt(period) to its momentum-basis norm, for p = +-(-1)**(Ls - J)
         two_s = species.two_s
-        diagonal, bonds = spin_squared_terms(two_s, sites)
-        _, _, period = spectra._orbit_data(two_s, sites)
-        for n in range(sites):
-            block = _assemble_block(two_s, sites, n, bonds, diagonal)
-            for two_j, basis, _, flip_defect in spectra._spin_subspaces(two_s, sites, n):
-                parity = (-1) ** ((two_s * sites - two_j) // 2)
-                amps = _config_amplitudes(block, basis, two_s)
+        _, _, period, _ = spectra._orbit_data(two_s, sites)
+        for block, subspaces in spectra._spin_subspaces(two_s, sites):
+            for sub in subspaces:
+                parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
+                basis = block.to_momentum(sub.basis)
+                amps = _config_amplitudes(block, basis)
                 for p in (parity, -parity):
                     rows = np.linalg.norm(amps[::-1] - p * amps, axis=1) * np.sqrt(period)
-                    got = spectra._flip_defect(block, basis, p, two_s)
+                    got = spectra._flip_defect(block, basis, p)
                     assert got == pytest.approx(rows.max(), abs=1e-12)
-                assert flip_defect == spectra._flip_defect(block, basis, parity, two_s)
-                assert flip_defect <= 1e-12
-                assert spectra._flip_defect(block, basis, -parity, two_s) > 0.1
+                assert sub.flip_defect == spectra._flip_defect(block, basis, parity)
+                assert sub.flip_defect <= 1e-12
+                assert spectra._flip_defect(block, basis, -parity) > 0.1
 
     def test_flip_odd_perturbation_exceeds_tolerance(self):
         # neighbouring spins carry opposite flip parity, so a 1e-6 admixture
         # of the next subspace is flip-odd
         two_s, sites, n = 1, 10, 1
-        diagonal, bonds = spin_squared_terms(two_s, sites)
-        block = _assemble_block(two_s, sites, n, bonds, diagonal)
-        subspaces = spectra._spin_subspaces(two_s, sites, n)
-        for (two_j, basis, _, _), (_, other, _, _) in zip(subspaces, subspaces[1:]):
-            perturbed = basis.copy()
-            perturbed[:, 0] += 1e-6 * other[:, 0]
-            parity = (-1) ** ((two_s * sites - two_j) // 2)
-            assert spectra._flip_defect(block, perturbed, parity, two_s) > spectra.RESIDUAL_TOL
+        block, subspaces = spectra._spin_subspaces(two_s, sites)[n]
+        for sub, other in zip(subspaces, subspaces[1:]):
+            perturbed = sub.basis.copy()
+            perturbed[:, 0] += 1e-6 * other.basis[:, 0]
+            parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
+            assert spectra._flip_defect(block, block.to_momentum(perturbed), parity) > spectra.RESIDUAL_TOL
 
     def test_flip_defect_flags_its_subspace(self, monkeypatch):
         spec = ChainSpec(HALF, 10, 3.0)
         subspaces = spectra._spin_subspaces
 
-        def defective(two_s, sites, n):
-            return tuple((two_j, basis, values, 1e-6 if (n, two_j) == (1, 2) else defect)
-                         for two_j, basis, values, defect in subspaces(two_s, sites, n))
+        def defective(two_s, sites):
+            return tuple(
+                (block, tuple(sub._replace(flip_defect=1e-6) if (block.momentum_index, sub.two_j) == (1, 2)
+                              else sub for sub in subs))
+                for block, subs in subspaces(two_s, sites))
 
         monkeypatch.setattr(spectra, "_spin_subspaces", defective)
         records = diagonalize_and_resolve(spec)
@@ -330,21 +430,26 @@ class TestResolution:
                 assert count == multiplicity(species, sites, two_j)
 
     def test_su2_breaking_hamiltonian_is_flagged(self, monkeypatch):
-        # a 1e-3 random diagonal term in the H block n = 1 only; J**2 keeps its
-        # symmetry, so only the eigen-residual of H can reveal the break
+        # a 1e-3 random diagonal term in the H bond terms of block n = 1 only,
+        # built into a fresh (k, J) cache; J**2 keeps its symmetry, so only the
+        # H residual bound, through the leakage certificates, can reveal the break
         spec = ChainSpec(HALF, 10, 3.0)
         clean = diagonalize_and_resolve(spec)
         assemble = spectra._assemble_block
         rng = np.random.default_rng(3)
 
-        def broken(two_s, sites, n, bonds, diagonal_shift=0.0):
-            block = assemble(two_s, sites, n, bonds, diagonal_shift)
-            if n == 1 and diagonal_shift == 0.0:  # J**2 blocks carry a diagonal shift
-                block.matrix += np.diag(1e-3 * rng.standard_normal(block.dim))
-            return block
+        def broken(block, terms, diagonal_shift=0.0):
+            matrix = assemble(block, terms, diagonal_shift)
+            if block.momentum_index == 1 and diagonal_shift == 0.0:  # J**2 blocks carry a diagonal shift
+                matrix += np.diag(1e-3 * rng.standard_normal(len(matrix)))
+            return matrix
 
         monkeypatch.setattr(spectra, "_assemble_block", broken)
-        records = diagonalize_and_resolve(spec)
+        spectra._spin_subspaces.cache_clear()
+        try:
+            records = diagonalize_and_resolve(spec)
+        finally:
+            spectra._spin_subspaces.cache_clear()
         assert all(r.flagged == (r.momentum_index == 1) for r in records)
         for two_j in (0, 2):
             kept = [
@@ -405,9 +510,9 @@ class TestResolution:
         spec = ChainSpec(HALF, 12, 3.0)
         two_s, sites = 1, 12
         _, digits = configuration_space(two_s, sites, 0)
-        block = _assemble_block(two_s, sites, 2, _bond_list(spec))
+        block = assemble_block_direct(two_s, sites, 2, _bond_list(spec))
         energies, vectors = np.linalg.eigh(block.matrix)
-        amps = _config_amplitudes(block, vectors[:, ::7], two_s)
+        amps = _config_amplitudes(_momentum_block(two_s, sites, 2), vectors[:, ::7])
         means = []
         for offset in (0, 1):
             sites_a = [(offset + i) % sites for i in range(6)]
