@@ -85,12 +85,12 @@ def _parse_number(text, key, kind=int, minimum=None, maximum=None):
     return value
 
 
-def _parse_list(text, key, kind=int, minimum=None):
+def _parse_list(text, key, kind=int, minimum=None, maximum=None):
     """A non-empty comma-separated list of option values."""
     tokens = [tok for tok in str(text).split(",") if tok != ""]
     if not tokens:
         raise SystemExit(f"error: {key}: expects a non-empty comma-separated list, got {text!r}")
-    return [_parse_number(tok, key, kind, minimum) for tok in tokens]
+    return [_parse_number(tok, key, kind, minimum, maximum) for tok in tokens]
 
 
 def _parse_fraction(text, key):
@@ -203,7 +203,7 @@ def _cmd_beta(args):
     if opt["j_list"] is None:
         j_values = [k / 20 for k in range(21)]
     else:
-        j_values = _parse_list(opt["j_list"], "j-list", float)
+        j_values = _parse_list(opt["j_list"], "j-list", float, 0, 1)
     header = ("species", "j", "beta", "saddle_point", "prefactor")
     rows = []
     for j in j_values:

@@ -101,6 +101,13 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_cut(sites, cut):
+    _check_integer("sites", sites)
+    _check_integer("cut", cut)
+    if not 0 < cut < sites:
+        raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
+
+
 def _check_normalized(state):
     for norm in np.atleast_1d(np.linalg.norm(state, axis=0)):
         if not abs(norm - 1.0) <= 1e-10:  # a NaN norm fails this too
@@ -117,9 +124,7 @@ def entanglement_entropy(state, cut, local_dim=2):
     sites = round(math.log(state.size, local_dim))
     if local_dim**sites != state.size:
         raise ValueError(f"state of length {state.size} is not a {local_dim}**L product state")
-    _check_integer("cut", cut)
-    if not 0 < cut < sites:
-        raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
+    _check_cut(sites, cut)
     _check_normalized(state)
     return schmidt_square_entropy(_schmidt_squares(state.reshape(local_dim**cut, -1)))
 
@@ -223,15 +228,13 @@ def _folded_fraction(fraction):
 
 
 def _mirror_cut(sites, cut):
-    if not 0 < cut < sites:
-        raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
+    _check_cut(sites, cut)
     return min(cut, sites - cut)
 
 
 def haar_average_leading(sites, cut, local_dim=2):
     """Leading Page terms: L_A ln d, minus 1/2 exactly at half bipartition."""
-    half = Fraction(cut, sites) == Fraction(1, 2)
-    return _mirror_cut(sites, cut) * math.log(local_dim) - (0.5 if half else 0.0)
+    return _mirror_cut(sites, cut) * math.log(local_dim) - (0.5 if 2 * cut == sites else 0.0)
 
 
 def fixed_filling_average(filling, sites, cut):
@@ -288,10 +291,9 @@ def max_spin_state_entropy(sites, cut):
     configurations; its Schmidt weights are the squared stretched
     Clebsch-Gordan coefficients, evaluated in log domain.
     """
+    _check_cut(sites, cut)
     if sites % 2:
         raise ValueError(f"the J_z=0 stretched state needs even sites, got {sites}")
-    if not 0 < cut < sites:
-        raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
     return _stretched_entropy(cut, sites - cut)
 
 
@@ -320,10 +322,10 @@ class CoupledPairGeometry:
     """
 
     def __init__(self, sites, two_j, cut):
+        _check_cut(sites, cut)
+        _check_integer("two_j", two_j)
         if sites % 2:
             raise ValueError(f"the J_z=0 ensembles need an even number of sites, got {sites}")
-        if not 0 < cut < sites:
-            raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
         SectorLabel(HALF, sites, two_j, 0)
         self.sites = sites
         self.cut = cut
@@ -577,7 +579,8 @@ def ensemble_entropy_samples(
             raise ValueError(f"unknown method {method!r}, expected one of {ENSEMBLE_METHODS}")
     if workers is None:
         workers = resolve_workers(samples)
-    elif workers < 1:
+    _check_integer("workers", workers)
+    if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     bounds = np.linspace(0, samples, workers + 1).astype(int)
     jobs = [

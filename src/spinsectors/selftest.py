@@ -177,11 +177,11 @@ def _check_spectra():
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
         # J**2 and every bond term of H are real in each block's P K basis
         diagonal, j2_bonds = spin_squared_terms(two_s, sites)
-        j2_terms = [(1.0, _bond_term(two_s, sites, dist, power)) for dist, _, power in j2_bonds]
-        h_terms = [(1.0, _bond_term(two_s, sites, *key)) for key in _bond_keys(two_s)]
+        j2_term = _bond_term(two_s, sites, j2_bonds)
+        h_terms = [_bond_term(two_s, sites, ((dist, 1.0, power),)) for dist, power in _bond_keys(two_s)]
         for block, subspaces in _spin_subspaces(two_s, sites):
-            matrices = [_assemble_block(block, j2_terms, diagonal)]
-            matrices += [_assemble_block(block, [term]) for term in h_terms]
+            matrices = [_assemble_block(block, j2_term, diagonal)]
+            matrices += [_assemble_block(block, term) for term in h_terms]
             for real in map(block.in_real_basis, matrices):
                 assert np.abs(real.imag).max() <= 1e-13 * np.abs(real).max(), (sites, block.momentum_index)
             # each J**2 subspace carries its flip parity and holds H

@@ -7,10 +7,12 @@ Heisenberg exchange plus a biquadratic term of strength `coupling`
 block by block in the total quasimomentum k_n = 2 pi n / L and, inside each
 block, in every J**2 eigenspace, so each eigenstate carries its total spin.
 
-Each block is real in a basis fixed by P K, the site reflection P composed
-with complex conjugation K in the product basis: P K keeps k, and H and J**2
-commute with it.  At k = 0, pi the momentum basis is that basis; at other k
-each of its vectors combines at most two momentum states (`_Block`).
+Each block is real in a basis U whose vectors combine at most two momentum
+states (`_Block`): at k = 0, pi the momentum basis itself, at other k the
+basis fixed by P K, the site reflection P composed with complex conjugation
+K in the product basis, which keeps k and commutes with H and J**2.  J**2
+and each bond term of H are one `_bond_term` table over the translation
+orbits, which every block reads.
 
 Everything that does not depend on the coupling is cached per chain: the
 real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
@@ -130,18 +132,20 @@ def _orbit_data(two_s, sites):
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """Momentum block n of the J_z=0 slice and its P K-real basis U.
+    """Momentum block n of the J_z=0 slice and its real basis U.
 
     `reps` holds the slice indices of the orbit representatives r, ascending;
     state j of the block is |r_j, k> = sum_t exp(-ikt) T**t |r_j> / sqrt(period).
     Slice configuration c = T**t r then carries `phase[c]` = exp(-ikt) /
     sqrt(period) times the entry at `position[c]`, the block position of its
     orbit (len(reps) outside the block).
-    With P |r> = T**s |r'>, P K |r, k> = exp(iks) |r', k>.  Column j of U is
-    a[j] |r_j, k> + b[j] |r_partner[j], k>, partner[j] the block position of
-    r_j':  exp(iks/2) |r, k> for r = r', and for each pair r < r' the columns
+    Column j of U is a[j] |r_j, k> + b[j] |r_partner[j], k>.  At k = 0, pi
+    the momentum basis is real, and U = 1: a = 1, b = 0 (real) and partner[j]
+    = j.  At other k (`complex_sector`), with P |r> = T**s |r'>, P K |r, k> =
+    exp(iks) |r', k> and partner[j] is the block position of r_j': column j
+    is exp(iks/2) |r, k> for r = r', and each pair r < r' gives the columns
     (|r, k> + exp(iks) |r', k>) / sqrt 2 at r and i (|r, k> - exp(iks) |r', k>)
-    / sqrt 2 at r'.  At k = 0, pi the momentum basis is real: U = 1, a is None.
+    / sqrt 2 at r'.
     """
 
     two_s: int
@@ -150,26 +154,19 @@ class _Block:
     reps: np.ndarray
     position: np.ndarray
     phase: np.ndarray
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    partner: np.ndarray | None = None
-
-    @property
-    def complex_sector(self):
-        return self.a is not None
+    a: np.ndarray
+    b: np.ndarray
+    partner: np.ndarray
+    complex_sector: bool
 
     def in_real_basis(self, matrix):
         """U^dagger M U of a momentum-basis matrix M, complex-typed: its
         imaginary part is rounding when M commutes with P K."""
-        if self.a is None:
-            return matrix
         mu = matrix * self.a + matrix[:, self.partner] * self.b
         return self.a.conj()[:, None] * mu + self.b.conj()[:, None] * mu[self.partner]
 
     def to_momentum(self, vectors):
         """U x: real-basis columns x as momentum-basis columns."""
-        if self.a is None:
-            return vectors
         return self.a[:, None] * vectors + (self.b[:, None] * vectors)[self.partner]
 
 
@@ -182,55 +179,48 @@ def _momentum_block(two_s, sites, n):
     position = position[rep]
     k = 2.0 * math.pi * n / sites
     phase = np.exp(-1j * k * shift) / np.sqrt(period)
-    for table in (reps, position, phase):
-        table.flags.writeable = False
-    if 2 * n % sites == 0:  # k = 0, pi: phase is +-1 / sqrt(period)
-        return _Block(two_s, sites, n, reps, position, phase.real)
-    s = shift[mirror[reps]]
-    partner = position[mirror[reps]]
     j = np.arange(len(reps))
-    root = math.sqrt(0.5)
-    mirrored = np.exp(1j * k * s)
-    a = np.where(partner == j, np.exp(0.5j * k * s), np.where(j < partner, root, -1j * root * mirrored))
-    b = np.where(partner == j, 0.0, np.where(j < partner, root * mirrored, 1j * root))
-    for table in (a, b, partner):
+    complex_sector = 2 * n % sites != 0
+    if complex_sector:
+        s = shift[mirror[reps]]
+        partner = position[mirror[reps]]
+        root = math.sqrt(0.5)
+        mirrored = np.exp(1j * k * s)
+        a = np.where(partner == j, np.exp(0.5j * k * s), np.where(j < partner, root, -1j * root * mirrored))
+        b = np.where(partner == j, 0.0, np.where(j < partner, root * mirrored, 1j * root))
+    else:  # k = 0, pi: phase is +-1 / sqrt(period)
+        phase, a, b, partner = phase.real, np.ones(len(reps)), np.zeros(len(reps)), j
+    for table in (reps, position, phase, a, b, partner):
         table.flags.writeable = False
-    return _Block(two_s, sites, n, reps, position, phase, a, b, partner)
+    return _Block(two_s, sites, n, reps, position, phase, a, b, partner, complex_sector)
 
 
-def _bond_term(two_s, sites, dist, power):
-    """COO elements of sum_i (S_i . S_{i+dist})**power on every orbit
-    representative, for H, J**2 and every momentum block: arrays (target,
-    col, amp, shift, ratio) of the target and column representatives' slice
-    indices, the amplitude, the target's shift and the period ratio, in the
-    order `bond_matrix_elements` gives them."""
+def _bond_term(two_s, sites, bonds):
+    """One table of sum coeff sum_i (S_i . S_{i+dist})**power over the (dist,
+    coeff, power) triples `bonds`, on every orbit representative, for every
+    momentum block: COO arrays (target, col, amp, shift, ratio) of the target
+    and column representatives' slice indices, the amplitude, the target's
+    shift and the period ratio, in the order `bond_matrix_elements` gives."""
     codes, digits = configuration_space(two_s, sites, 0)
     rep, shift, period, _ = _orbit_data(two_s, sites)
     reps = np.flatnonzero(shift == 0)
-    col, row, amp = bond_matrix_elements(two_s, digits[reps], ((dist, 1.0, power),), codes)
+    col, row, amp = bond_matrix_elements(two_s, digits[reps], bonds, codes)
     return (rep[row].astype(np.int32), reps[col].astype(np.int32), amp,
             shift[row].astype(np.int8), np.sqrt(period[reps][col] / period[row]))
 
 
-def _assemble_block(block, terms, diagonal_shift=0.0):
-    """Complex momentum-basis matrix of diagonal_shift + sum coeff * term over
-    the (coeff, `_bond_term` table) pairs `terms`: each element whose target
-    and column orbits fit the momentum enters as
-    coeff * amp * exp(i k shift) * ratio."""
+def _assemble_block(block, term, diagonal_shift=0.0):
+    """Complex momentum-basis matrix of diagonal_shift + the `_bond_term`
+    table `term`: each element whose target and column orbits fit the
+    momentum enters as amp * exp(i k shift) * ratio."""
     dim = len(block.reps)
     k = 2.0 * math.pi * block.momentum_index / block.sites
     phases = np.exp(1j * k * np.arange(block.sites))
-    targets, cols, values = [], [], []
-    for coeff, (target, col, amp, target_shift, ratio) in terms:
-        if coeff == 0.0:
-            continue
-        target, col = block.position[target], block.position[col]
-        keep = (target < dim) & (col < dim)
-        targets.append(target[keep])
-        cols.append(col[keep])
-        values.append(coeff * amp[keep] * phases[target_shift[keep]] * ratio[keep])
+    target, col, amp, target_shift, ratio = term
+    target, col = block.position[target], block.position[col]
+    keep = (target < dim) & (col < dim)
     matrix = np.eye(dim, dtype=complex) * diagonal_shift
-    np.add.at(matrix, (np.concatenate(targets), np.concatenate(cols)), np.concatenate(values))
+    np.add.at(matrix, (target[keep], col[keep]), amp[keep] * phases[target_shift[keep]] * ratio[keep])
     return 0.5 * (matrix + matrix.conj().T)
 
 
@@ -269,16 +259,14 @@ def _spin_subspaces(two_s, sites):
     block and are released once the chain is built.
     """
     diagonal, j2_bonds = spin_squared_terms(two_s, sites)
-    keys = sorted({(dist, power) for dist, _, power in j2_bonds} | set(_bond_keys(two_s)))
-    tables = {key: _bond_term(two_s, sites, *key) for key in keys}
-    j2_terms = [(coeff, tables[dist, power]) for dist, coeff, power in j2_bonds]
+    j2_term = _bond_term(two_s, sites, j2_bonds)
+    bond_terms = [_bond_term(two_s, sites, ((dist, 1.0, power),)) for dist, power in _bond_keys(two_s)]
     chain = []
     for n in range(sites // 2 + 1):
         block = _momentum_block(two_s, sites, n)
-        values, basis = np.linalg.eigh(block.in_real_basis(_assemble_block(block, j2_terms, diagonal)).real)
+        values, basis = np.linalg.eigh(block.in_real_basis(_assemble_block(block, j2_term, diagonal)).real)
         values.flags.writeable = basis.flags.writeable = False
-        h_terms = [block.in_real_basis(_assemble_block(block, [(1.0, tables[key])])).real
-                   for key in _bond_keys(two_s)]
+        h_terms = [block.in_real_basis(_assemble_block(block, term)).real for term in bond_terms]
         two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
         parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
         bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
@@ -383,10 +371,11 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
     [H, J**2] = 0, so every eigenstate carries a sharp spin label; a block's
-    records ascend in energy, ties by spin.  H is solved in each (k, J)
-    subspace as H_J = sum_b c_b Q_J^T B_b Q_J from the cached bond-term
-    projections.  A record is flagged, and left out of the averages, when
-    |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
+    records ascend in energy, ties by spin, where energies tie when the gap
+    between neighbours is at most RESIDUAL_TOL max(1, max|E|).  H is solved
+    in each (k, J) subspace as H_J = sum_b c_b Q_J^T B_b Q_J from the cached
+    bond-term projections.  A record is flagged, and left out of the
+    averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
     |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
     |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
     breaks SU(2) leaks out of the J**2 subspaces), and when the `_flip_defect`
@@ -423,12 +412,18 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         two_js, flip_defects, leakage = (np.repeat(a, sizes) for a in zip(
             *((sub.two_j, sub.flip_defect, np.abs(coeffs) @ sub.leakage) for sub in subspaces)))
         h_residuals += leakage
-        # rank order: energy, ties by 2J, then by position (lexsort is stable)
-        order = np.lexsort((two_js, energies))
-        energies, two_js, j2_residuals, h_residuals, flip_defects = (
-            a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
+        # rank order: energy, ties by 2J, then by position (lexsort is stable);
+        # neighbours within RESIDUAL_TOL scale tie, as exact cross-J
+        # degeneracies come out a few ulps apart
         dim = len(energies)
         scale = max(1.0, np.abs(energies).max())
+        by_energy = np.argsort(energies)
+        gaps = np.diff(energies[by_energy]) > RESIDUAL_TOL * scale
+        group = np.empty(dim, dtype=int)
+        group[by_energy] = np.concatenate(([0], np.cumsum(gaps)))
+        order = np.lexsort((two_js, group))
+        energies, two_js, j2_residuals, h_residuals, flip_defects = (
+            a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
         flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
                    | (flip_defects > RESIDUAL_TOL))
         central = np.zeros(dim, dtype=bool)

@@ -257,6 +257,8 @@ class TestEd:
         (["beta", "--j-list", ","], "j-list"),
         (["dims", "--L", "-3"], "L"),
         (["dims", "--L", "4,0"], "L"),
+        (["beta", "--j-list", "2"], "j-list"),
+        (["beta", "--j-list", "nan"], "j-list"),
     ],
 )
 def test_empty_lists_and_sizes_below_one_refused(argv, key, capsys):

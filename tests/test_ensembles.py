@@ -88,6 +88,28 @@ def draw_w(entropy, geo, complex_coefficients):
     return w
 
 
+NON_INTEGER_CASES = [
+    (singlet_average_exact, (12, 6.0), "cut", 6.0),
+    (singlet_average_exact, (12.0, 6), "sites", 12.0),
+    (sd2_average_closed, (12, 2, 6.0), "cut", 6.0),
+    (sd2_average_closed, (12, 2.0, 6), "two_j", 2.0),
+    (sd1_semianalytic, (12, 2, 6.5), "cut", 6.5),
+    (max_spin_state_entropy, (12, 6.0), "cut", 6.0),
+    (max_spin_state_entropy, (12.0, 6), "sites", 12.0),
+    (haar_average_leading, (12, 6.5), "cut", 6.5),
+    (haar_average_leading, (12.0, 6), "sites", 12.0),
+    (fixed_filling_average, (0.5, 12, 6.5), "cut", 6.5),
+    (ensemble_entropy_samples, (8, 2, 4, 4, 1, ("full",), False, 1.5), "workers", 1.5),
+]
+
+
+@pytest.mark.parametrize("function,args,name,value", NON_INTEGER_CASES,
+                         ids=[f"{case[0].__name__}-{case[2]}" for case in NON_INTEGER_CASES])
+def test_non_integer_sizes_name_the_argument(function, args, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+        function(*args)
+
+
 # geometries of the Schmidt-block tests: (14, 6, 7) has no m = 0 block; at
 # (4, 4, 2) the even-J_A class of m = 0 is empty
 BLOCK_GRID = [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)]

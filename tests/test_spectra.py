@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -41,9 +42,14 @@ from spinsectors.spectra import (
 from spinsectors.su2 import configuration_space, spin_squared_terms
 
 
-def _library_terms(two_s, sites, bonds):
-    """(coeff, bond-term table) pairs of `_assemble_block` for (dist, coeff, power) bonds."""
-    return [(coeff, _bond_term(two_s, sites, dist, power)) for dist, coeff, power in bonds]
+def _rank_keys(block):
+    """(tie group, 2J, energy) of one block's records, ascending in rank order:
+    energies within RESIDUAL_TOL max(1, max|E|) of their neighbour share a tie
+    group, and a group ranks by 2J."""
+    tol = spectra.RESIDUAL_TOL * max(1.0, max(abs(r.energy) for r in block))
+    energies = sorted(r.energy for r in block)
+    starts = [e for prev, e in zip([-math.inf, *energies], energies) if e - prev > tol]
+    return [(bisect_right(starts, r.energy), r.two_j, r.energy) for r in block]
 
 
 def _coefficients(spec):
@@ -167,7 +173,7 @@ class TestBondTermCache:
         codes, _ = configuration_space(species.two_s, sites, 0)
         for n in range(sites):
             block = _momentum_block(species.two_s, sites, n)
-            got = _assemble_block(block, _library_terms(species.two_s, sites, bonds))
+            got = _assemble_block(block, _bond_term(species.two_s, sites, bonds))
             expected = assemble_block_direct(species.two_s, sites, n, bonds)
             assert np.array_equal(codes[block.reps], expected.representatives)
             assert np.array_equal(got, expected.matrix)
@@ -177,7 +183,7 @@ class TestBondTermCache:
         diagonal, bonds = spin_squared_terms(two_s, sites)
         for n in range(sites):
             block = _momentum_block(two_s, sites, n)
-            got = _assemble_block(block, _library_terms(two_s, sites, bonds), diagonal)
+            got = _assemble_block(block, _bond_term(two_s, sites, bonds), diagonal)
             expected = assemble_block_direct(two_s, sites, n, bonds, diagonal)
             assert np.array_equal(got, expected.matrix)
 
@@ -194,6 +200,21 @@ class TestBondTermCache:
             monkeypatch.setattr(spectra, name, forbidden)
         records = diagonalize_and_resolve(ChainSpec(HALF, 8, 0.7))
         assert any(r.central for r in records) and not any(r.flagged for r in records)
+
+    @pytest.mark.parametrize("two_s,sites", [(1, 12), (2, 8)])
+    def test_cold_build_makes_one_table_per_operator(self, monkeypatch, two_s, sites):
+        # one table for J**2 and one per bond term of H
+        calls = []
+        bond_term = spectra._bond_term
+
+        def counted(*args):
+            calls.append(args)
+            return bond_term(*args)
+
+        monkeypatch.setattr(spectra, "_bond_term", counted)
+        spectra._spin_subspaces.cache_clear()
+        spectra._spin_subspaces(two_s, sites)
+        assert len(calls) == 1 + len(spectra._bond_keys(two_s))
 
 
 REAL_BASIS_CASES = [(HALF, 10, 0.0), (HALF, 10, 3.0), (HALF, 12, 0.0), (HALF, 12, 3.0),
@@ -238,6 +259,23 @@ class TestRealBasis:
             # at k = 0, pi U = 1: K-invariant (real) columns, as H and J**2 are real there
             images = amps[mirror].conj() if block.complex_sector else amps.conj()
             assert np.max(np.abs(images - amps)) <= 1e-14
+
+    @pytest.mark.parametrize("species,sites", [(HALF, 4), (HALF, 14), (ONE, 3), (ONE, 8)])
+    def test_real_momenta_hold_the_identity_basis(self, species, sites):
+        # at k = 0, pi U = 1, stored as a = 1, b = 0 and partner = arange, and
+        # both maps return their input unchanged, real columns staying real
+        two_s = species.two_s
+        diagonal, j2_bonds = spin_squared_terms(two_s, sites)
+        rng = np.random.default_rng(8)
+        for n in [n for n in range(sites) if 2 * n % sites == 0]:
+            block = _momentum_block(two_s, sites, n)
+            dim = len(block.reps)
+            assert np.array_equal(block.a, np.ones(dim)) and np.array_equal(block.b, np.zeros(dim))
+            assert np.array_equal(block.partner, np.arange(dim)) and block.complex_sector is False
+            matrix = _assemble_block(block, _bond_term(two_s, sites, j2_bonds), diagonal)
+            assert np.array_equal(block.in_real_basis(matrix), matrix)
+            for x in (rng.standard_normal((dim, 3)), rng.standard_normal((dim, 2)) + 1j):
+                assert np.array_equal(block.to_momentum(x), x) and block.to_momentum(x).dtype == x.dtype
 
     @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
     def test_transformed_blocks_are_real(self, species, sites, coupling):
@@ -416,11 +454,11 @@ class TestResolution:
                 type(r.flagged) is bool and type(r.two_j) is int and type(r.j2_residual) is float
                 for r in records
             )
-            # every 2J has the parity of 2sL, and each block ascends in energy
+            # every 2J has the parity of 2sL, and each block ascends in energy, ties by 2J
             assert all((r.two_j - species.two_s * sites) % 2 == 0 for r in records)
             for n in range(sites // 2 + 1):
-                energies = [r.energy for r in records if r.momentum_index == n]
-                assert energies == sorted(energies)
+                keys = _rank_keys([r for r in records if r.momentum_index == n])
+                assert keys == sorted(keys)
             # across all blocks (conjugates counted twice) the J-counts match n_J
             counts = Counter()
             for r in records:
@@ -467,14 +505,16 @@ class TestResolution:
         assert _central_window(10) == range(4, 6)
         assert _central_window(3) == range(1, 2)
 
-    @pytest.mark.parametrize("species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 1.0)])
+    # the last four cases hold exact cross-J degeneracies a few ulps apart
+    @pytest.mark.parametrize("species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 1.0),
+                                                        (HALF, 10, 0.0), (ONE, 8, 0.0), (ONE, 8, 0.7)])
     def test_record_order_window_and_types(self, species, sites, coupling):
         from spinsectors.spectra import _central_window
 
         records = diagonalize_and_resolve(ChainSpec(species, sites, coupling))
         for n in range(sites // 2 + 1):
             block = [r for r in records if r.momentum_index == n]
-            keys = [(r.energy, r.two_j) for r in block]
+            keys = _rank_keys(block)
             assert keys == sorted(keys)
             window = _central_window(len(block))
             assert [rank for rank, r in enumerate(block) if r.central] == list(window)
