@@ -275,7 +275,9 @@ def _cmd_average(args):
         seed = _parse_number(opt["seed"], "seed", minimum=0)
         if opt["samples"]:
             samples_opt = _parse_number(opt["samples"], "samples", minimum=1)
-    complex_field = opt["complex"] is not None
+    if opt["complex"] not in (None, "0", "1"):
+        raise SystemExit(f"error: complex: expects 0 or 1, got {opt['complex']!r}")
+    complex_field = opt["complex"] == "1"
     rows = []
     for sites in sites_list:
         if opt["j_density"] is not None:

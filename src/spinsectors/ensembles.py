@@ -9,10 +9,11 @@ Clebsch-Gordan coefficients.  The block-diagonal approximations reuse the same
 draws: `sd1` zeroes the interference between different J_A, `sd2`
 additionally keeps only the J_B = J - J_A pairings (renormalized), so paired
 comparisons between the three ensembles are free of independent-sampling
-noise.  All samples of one (L, J, cut) share the block shapes, so they are
-drawn one by one (sample i from the seed sequence (seed, i)) into stacks of
-at most `STACK_BYTES` of W, and each stack takes one Gram product and one
-`eigvalsh` call per Schmidt block; a W larger than that is a stack of one.
+noise.  All samples of one (L, J, cut) share the block shapes: sample i
+takes one normal call from the seed sequence (seed, i), scattered into W
+through a map the geometry caches, and the samples go into stacks of at most
+`STACK_BYTES` of W, each of which takes one Gram product and one `eigvalsh`
+call per Schmidt block; a W larger than that is a stack of one.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -106,6 +107,11 @@ def _check_cut(sites, cut):
     _check_integer("cut", cut)
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
+
+
+def _check_method(method):
+    if method not in ENSEMBLE_METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {ENSEMBLE_METHODS}")
 
 
 def _check_normalized(state):
@@ -317,7 +323,8 @@ class CoupledPairGeometry:
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
     matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`, which keeps m > 0
-    and the two flip-parity classes of m = 0).  The layout and `pairs` are built
+    and the two flip-parity classes of m = 0), and Monte Carlo fills the blocks
+    of W in `pairs` order (`draw_map`).  The layout and `pairs` are built
     lazily, as the closed forms use this geometry at L up to 10**4.
     """
 
@@ -389,6 +396,29 @@ class CoupledPairGeometry:
     @property
     def shape(self):
         return sum(self.na.values()), sum(self.nb.values())
+
+    @cached_property
+    def draw_map(self):
+        """(positions, runs): the flat positions in W of every pair's block,
+        pairs in `pairs` order and each block row-major, and the (start, stop)
+        of each pair's run of them."""
+        width = self.shape[1]
+        blocks = [
+            (np.arange(self.rows[ja].start, self.rows[ja].stop)[:, None] * width
+             + np.arange(self.cols[jb].start, self.cols[jb].stop)).ravel()
+            for ja, jb in self.pairs
+        ]
+        ends = list(accumulate(block.size for block in blocks))
+        return np.concatenate(blocks), list(zip([0] + ends[:-1], ends))
+
+    @cached_property
+    def complex_draw_map(self):
+        """Positions in the float view of a complex W: per pair, the real parts
+        of its block, then its imaginary parts."""
+        positions, runs = self.draw_map
+        return np.concatenate(
+            [2 * positions[start:stop] + part for start, stop in runs for part in (0, 1)]
+        )
 
     @cached_property
     def m_blocks(self):
@@ -469,17 +499,22 @@ def coupled_geometry(sites, two_j, cut):
 # Monte Carlo over random sector states
 
 
-def _draw_blocks(rng, geo, w):
-    """Draw one random coupled state into the zeroed W `w`, pair by pair, with
-    complex coefficients if `w` is complex, and normalize it."""
-    complex_coefficients = np.iscomplexobj(w)
+def _draw_sample(rng, geo, w):
+    """Draw one random coupled state into the zeroed, C-contiguous W `w`, with
+    complex coefficients if `w` is complex, and normalize it.
+
+    One `standard_normal` call fills every block through `geo.draw_map`, in
+    the order of drawing the blocks pair by pair, and the norm sums |w|**2
+    pair by pair in that order, so W is bitwise that of the pair-by-pair draw.
+    """
+    positions, runs = geo.draw_map
+    flat = w.reshape(-1)
+    scatter = geo.complex_draw_map if np.iscomplexobj(w) else positions
+    flat.view(float)[scatter] = rng.standard_normal(scatter.size)
+    squares = np.abs(flat[positions]) ** 2
     total = 0.0
-    for two_ja, two_jb in geo.pairs:
-        block = w[geo.rows[two_ja], geo.cols[two_jb]]
-        block[...] = rng.standard_normal(block.shape)
-        if complex_coefficients:
-            block += 1j * rng.standard_normal(block.shape)
-        total += float(np.sum(np.abs(block) ** 2))
+    for start, stop in runs:  # np.add.reduce is np.sum without its dispatch
+        total += float(np.add.reduce(squares[start:stop]))
     w *= 1.0 / math.sqrt(total)
 
 
@@ -516,8 +551,8 @@ def _entropies_from_blocks(geo, w, methods):
 
 
 def _sample_range(args):
-    """Samples start..stop-1, drawn one by one into stacks of at most
-    STACK_BYTES (at least one sample each) that share one Schmidt pass."""
+    """Samples start..stop-1, drawn into stacks of at most STACK_BYTES (at
+    least one sample each) that share one Schmidt pass."""
     sites, two_j, cut, seed, start, stop, methods, complex_coefficients = args
     geo = coupled_geometry(sites, two_j, cut)
     dtype = np.dtype(complex if complex_coefficients else float)
@@ -528,7 +563,7 @@ def _sample_range(args):
         w = np.zeros((hi - lo,) + geo.shape, dtype=dtype)
         for i in range(lo, hi):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-            _draw_blocks(rng, geo, w[i - lo])
+            _draw_sample(rng, geo, w[i - lo])
         values = _entropies_from_blocks(geo, w, methods)
         for m in methods:
             out[m][lo - start : hi - start] = values[m]
@@ -575,8 +610,9 @@ def ensemble_entropy_samples(
     if not methods:
         raise ValueError(f"methods is empty, expected some of {ENSEMBLE_METHODS}")
     for method in methods:
-        if method not in ENSEMBLE_METHODS:
-            raise ValueError(f"unknown method {method!r}, expected one of {ENSEMBLE_METHODS}")
+        _check_method(method)
+    if not isinstance(complex_coefficients, (bool, np.bool_)):
+        raise ValueError(f"complex_coefficients must be a bool, got {complex_coefficients!r}")
     if workers is None:
         workers = resolve_workers(samples)
     _check_integer("workers", workers)
@@ -641,6 +677,7 @@ def random_state_average(sites, two_j, cut, samples, seed, complex_coefficients=
 
 def default_sample_count(method, sites):
     """Sample counts used for production sweeps: 1000 at small L, 100 beyond."""
+    _check_method(method)
     if method == "full":
         return 1000 if sites <= 20 else 100
     return 1000 if sites <= 30 else 100

@@ -22,6 +22,9 @@ The library calls none of these; the tests compare it against them.
   library's real (k, J) subspaces; `slice_amplitudes` maps its vectors.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
+- `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
+  per (J_A, J_B) pair for complex coefficients, against the sampler's one
+  call scattered through the geometry's draw map.
 
 Angular momenta are doubled integers, as in the library.
 """
@@ -363,6 +366,24 @@ def apply_total_spin_squared(state, species, configs):
     out = diagonal * state
     np.add.at(out, order[row], amp * state[col])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo draws
+
+
+def draw_blocks(rng, geo, w):
+    """Draw one random coupled state into the zeroed W `w`, pair by pair, with
+    complex coefficients if `w` is complex, and normalize it."""
+    complex_coefficients = np.iscomplexobj(w)
+    total = 0.0
+    for two_ja, two_jb in geo.pairs:
+        block = w[geo.rows[two_ja], geo.cols[two_jb]]
+        block[...] = rng.standard_normal(block.shape)
+        if complex_coefficients:
+            block += 1j * rng.standard_normal(block.shape)
+        total += float(np.sum(np.abs(block) ** 2))
+    w *= 1.0 / math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,28 @@ class TestConfigFile:
                 _, rows = read_rows(Path(settings[key]))
                 assert rows and all(row["species"] == settings["species"] for row in rows)
 
+    def test_config_complex_reads_0_and_1(self, tmp_path):
+        base = ["average", "--method", "full", "--L", "8", "--two-J", "2", "--samples", "50",
+                "--seed", "3"]
+        means = {}
+        for name, extra, config in (("real", [], ""), ("complex", ["--complex"], ""),
+                                    ("config0", [], "complex=0\n"),
+                                    ("config1", [], "complex=1\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(config)
+            out = tmp_path / f"{name}.csv"
+            main(base + extra + ["--config", str(cfg), "--out", str(out)])
+            means[name] = read_rows(out)[1][0]["mean"]
+        assert means["config0"] == means["real"] != means["complex"] == means["config1"]
+
+    @pytest.mark.parametrize("value", ["false", "", "yes", "2"])
+    def test_config_complex_refuses_other_values(self, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"complex={value}\n")
+        with pytest.raises(SystemExit, match=rf"^error: complex: expects 0 or 1, got '{value}'$"):
+            main(["average", "--config", str(cfg), "--L", "8", "--two-J", "2", "--samples", "5",
+                  "--seed", "3"])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import coupled_sector_basis, sector_basis
+from oracles import coupled_sector_basis, draw_blocks, sector_basis
 from spinsectors import (
     HALF,
     EntropyEstimate,
@@ -37,7 +37,6 @@ from spinsectors import ensembles, su2
 from spinsectors.ensembles import (
     WORKERS_ENV,
     CoupledPairGeometry,
-    _draw_blocks,
     _entropies_from_blocks,
     coupled_geometry,
     schmidt_square_entropy,
@@ -82,9 +81,9 @@ def unsplit_entropies(geo, w):
 
 
 def draw_w(entropy, geo, complex_coefficients):
-    """One sampled W of the geometry, from the seed sequence `entropy`."""
+    """One W of the geometry drawn by the reference, from the seed sequence `entropy`."""
     w = np.zeros(geo.shape, dtype=complex if complex_coefficients else float)
-    _draw_blocks(np.random.default_rng(np.random.SeedSequence(entropy=entropy)), geo, w)
+    draw_blocks(np.random.default_rng(np.random.SeedSequence(entropy=entropy)), geo, w)
     return w
 
 
@@ -468,7 +467,7 @@ class TestSampling:
         def draw(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(ensembles, "_draw_blocks", draw)
+        monkeypatch.setattr(ensembles, "_draw_sample", draw)
         with pytest.raises(ValueError, match="methods is empty"):
             ensemble_entropy_samples(20, 2, 10, 20, 1, methods=(), workers=1)
 
@@ -490,6 +489,22 @@ class TestSampling:
         assert default_sample_count("full", 22) == 100
         assert default_sample_count("sd1", 30) == 1000
         assert default_sample_count("sd2", 32) == 100
+
+    @pytest.mark.parametrize("method,sites", [("fulll", 10), ("closed", 40)])
+    def test_default_sample_count_refuses_unknown_methods(self, method, sites):
+        with pytest.raises(ValueError, match=rf"^unknown method '{method}', expected one of "):
+            default_sample_count(method, sites)
+
+    @pytest.mark.parametrize("value", ["no", 1, 0, None])
+    def test_non_bool_complex_coefficients_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"^complex_coefficients must be a bool, got {value!r}$"):
+            ensemble_entropy_samples(8, 2, 4, 4, 1, complex_coefficients=value)
+
+    def test_numpy_bool_complex_coefficients_accepted(self):
+        for flag in (False, True):
+            got = ensemble_entropy_samples(8, 2, 4, 4, 1, complex_coefficients=np.bool_(flag))
+            want = ensemble_entropy_samples(8, 2, 4, 4, 1, complex_coefficients=flag)
+            assert np.array_equal(got["full"], want["full"])
 
 
 class TestCoupledState:
@@ -526,6 +541,36 @@ class TestFlipSymmetricBlocks:
                 assert got["full"] == pytest.approx(got["sd1"], abs=1e-12)
 
 
+class TestDraw:
+    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    @pytest.mark.parametrize("samples,stack", [(1, 1), (3, 1), (3, 3), (10, 3)])
+    def test_stacks_equal_the_pairwise_draw_bitwise(self, monkeypatch, sites, two_j, cut,
+                                                    complex_coefficients, samples, stack):
+        # every W the sampler hands to the Schmidt pass, in stacks of `stack`
+        # (10 samples in stacks of 3 end ragged), has the bit pattern of the
+        # reference's pair-by-pair draw of the same seed
+        geo = coupled_geometry(sites, two_j, cut)
+        seed = 29
+        w_bytes = math.prod(geo.shape) * (16 if complex_coefficients else 8)
+        monkeypatch.setattr(ensembles, "STACK_BYTES", stack * w_bytes)
+        stacks = []
+        schmidt_pass = ensembles._entropies_from_blocks
+
+        def record(geo, w, methods):
+            stacks.append(w.copy())
+            return schmidt_pass(geo, w, methods)
+
+        monkeypatch.setattr(ensembles, "_entropies_from_blocks", record)
+        ensembles._sample_range((sites, two_j, cut, seed, 0, samples, ("full",),
+                                 complex_coefficients))
+        assert [len(w) for w in stacks] == [min(stack, samples - lo)
+                                            for lo in range(0, samples, stack)]
+        want = np.array([draw_w((seed, i), geo, complex_coefficients) for i in range(samples)])
+        got = np.concatenate(stacks)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestStackedSamples:
     @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
     @pytest.mark.parametrize("complex_coefficients", [False, True])
@@ -555,6 +600,24 @@ class TestStackedSamples:
                                           complex_coefficients, workers=1)
         for method in methods:
             assert np.array_equal(chunked[method], single[method])
+
+    def test_real_samples_pinned(self):
+        # values of the sampler that drew W pair by pair, compared with ==
+        pinned = {
+            (12, 6, 6): {
+                "full": [3.303103009147173, 3.32893285356059, 3.28290203301519],
+                "sd1": [3.439108053177417, 3.4867740693228493, 3.417916912965702],
+                "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717527],
+            },
+            (16, 4, 8): {
+                "full": [4.935383733046866, 4.947708500032375, 4.9297439933472305],
+                "sd1": [5.119184798886964, 5.13209534868057, 5.124833853787777],
+                "sd2": [4.035255888431617, 4.075054279134304, 4.066530431645234],
+            },
+        }
+        for args, values in pinned.items():
+            got = ensemble_entropy_samples(*args, 3, 13, tuple(values), False, workers=1)
+            assert {m: list(v) for m, v in got.items()} == values
 
     def test_complex_samples_pinned(self):
         # values of the one-sample-at-a-time sampler, compared with ==
