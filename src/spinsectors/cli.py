@@ -4,13 +4,15 @@ Subcommands: dims, beta, average, ed, chaos-scan, selftest.  Options may come
 from a flat key=value config file (`--config`), with command-line flags taking
 precedence.  Half-integer spins are serialized as doubled integers in a two_J
 column, fractions as rationals ("1/2").  Output files are created exclusively:
-a run either writes a new file or fails.  Re-running a command with the same
+a run either writes a new file or fails, before any work if an output path
+exists or both outputs share one.  Re-running a command with the same
 configuration (any worker count) yields a byte-identical CSV body apart from
 the wall_time_ms column.
 """
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -116,7 +118,7 @@ def _load_config(path):
 
 def _merged(args):
     """Config-file values fill in options the command line left unset; the
-    config keys are the subcommand's option names."""
+    config keys are the subcommand's option names.  Refuses taken output paths."""
     values = {k: v for k, v in vars(args).items() if k not in ("config", "command", "func")}
     if args.config:
         config = _load_config(args.config)
@@ -126,6 +128,12 @@ def _merged(args):
         for key, raw in config.items():
             if values.get(key) is None:
                 values[key] = raw
+    outputs = [values.get(key) for key in ("out", "eigenstates_out")]
+    for key, path in zip(("out", "eigenstates-out"), outputs):
+        if path is not None and os.path.exists(path):
+            raise SystemExit(f"error: {key}: refusing to overwrite existing file: {path}")
+    if None not in outputs and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
+        raise SystemExit(f"error: eigenstates-out: same path as out: {outputs[1]}")
     return values
 
 
@@ -278,6 +286,8 @@ def _cmd_average(args):
     if opt["complex"] not in (None, "0", "1"):
         raise SystemExit(f"error: complex: expects 0 or 1, got {opt['complex']!r}")
     complex_field = opt["complex"] == "1"
+    if opt["j_density"] is not None and opt["two_J"] is not None:
+        raise SystemExit("error: j-density: cannot be combined with two-J")
     rows = []
     for sites in sites_list:
         if opt["j_density"] is not None:

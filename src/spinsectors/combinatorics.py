@@ -8,6 +8,7 @@ constraints decidable without floating point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -66,11 +67,16 @@ HALF = SpinSpecies(1)
 ONE = SpinSpecies(2)
 
 
+def _check_integer(name, value, minimum=None):
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _check_spin_label(species, sites, two_j, what="two_j"):
-    if sites < 0:
-        raise ValueError(f"sites must be non-negative, got {sites}")
-    if two_j < 0:
-        raise ValueError(f"{what} must be non-negative, got {two_j}")
+    _check_integer("sites", sites, 0)
+    _check_integer(what, two_j, 0)
     if two_j > species.two_s * sites:
         raise ValueError(
             f"{what}={two_j} exceeds the maximal total spin 2*s*L={species.two_s * sites}"
@@ -91,8 +97,7 @@ class SectorLabel:
     two_jz: int = 0
 
     def __post_init__(self):
-        if self.sites < 1:
-            raise ValueError(f"sites must be >= 1, got {self.sites}")
+        _check_integer("sites", self.sites, 1)
         _check_spin_label(self.species, self.sites, self.two_j)
         if abs(self.two_jz) > self.two_j:
             raise ValueError(f"|two_jz|={abs(self.two_jz)} exceeds two_j={self.two_j}")
@@ -171,8 +176,7 @@ def multiplicity_table(species, sites):
     This is the brute-force oracle valid for every species; it starts from the
     trivial representation at L=0 and fuses one site at a time.
     """
-    if sites < 0:
-        raise ValueError(f"sites must be non-negative, got {sites}")
+    _check_integer("sites", sites, 0)
     return MultiplicityTable(species, sites, _fusion_counts(species.two_s, sites))
 
 

@@ -22,6 +22,7 @@ from .combinatorics import (
     zero_magnetization_dim,
 )
 from .ensembles import (
+    CoupledPairGeometry,
     ensemble_entropy_samples,
     entanglement_entropy,
     max_spin_state_entropy,
@@ -110,6 +111,10 @@ def _check_clebsch_gordan():
                         clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_jb_, two_m)
                 expect = 1.0 if two_ja_ == two_jb_ else 0.0
                 assert abs(acc - expect) < 1e-12
+    geo = CoupledPairGeometry(200, 100, 100)  # unit columns up to 2J_A = 2J_B = 100
+    for two_ja, two_jb in geo.pairs:
+        column = [geo.cg_coefficient(two_ja, two_jb, m) for m in range(-two_ja, two_ja + 1, 2)]
+        assert abs(sum(c * c for c in column) - 1.0) < 1e-12, (two_ja, two_jb)
 
 
 def _check_stretched():

@@ -27,7 +27,6 @@ certificate misses that symmetry are flagged.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import SpinSpecies
+from .combinatorics import SpinSpecies, _check_integer
 from .ensembles import EntropyEstimate, bipartition_maps, slice_entanglement_entropy
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
@@ -69,8 +68,7 @@ class ChainSpec:
     coupling: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.sites, numbers.Integral):
-            raise ValueError(f"sites must be an integer, got {self.sites!r}")
+        _check_integer("sites", self.sites)
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
         if not math.isfinite(self.coupling):

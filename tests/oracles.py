@@ -6,6 +6,8 @@ The library calls none of these; the tests compare it against them.
   integral, against the binomial closed form and the fusion recursion.
 - `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
   library's saddle solver finds.
+- `clebsch_gordan_exact`: one Clebsch-Gordan coefficient from the Racah
+  sum in exact rationals, against the library's J**2 eigenvector columns.
 - `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
   weight from three `log_binomial` calls, against the library's columns.
 - `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
@@ -113,7 +115,36 @@ def saddle_exponent_d1(species, z, j):
 
 
 # ---------------------------------------------------------------------------
-# stretched Clebsch-Gordan weights
+# Clebsch-Gordan coefficients and stretched weights
+
+
+def clebsch_gordan_exact(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
+    """<j1 m1; j2 m2 | J M> (Condon-Shortley) from the Racah sum in exact
+    rationals, rounded to a float once at the end.
+
+    The alternating sum runs in integers over the common denominator
+    k_max! (a-k_min)! (x-k_min)! (y-k_min)! (u+k_max)! (v+k_max)!, so it
+    cancels without rounding at any spin.
+    """
+    if (two_m1 + two_m2 != two_m or abs(two_m1) > two_j1 or abs(two_m2) > two_j2
+            or abs(two_m) > two_j or not abs(two_j1 - two_j2) <= two_j <= two_j1 + two_j2):
+        return 0.0
+    f = math.factorial
+    a, b = (two_j1 + two_j2 - two_j) // 2, (two_j1 - two_j2 + two_j) // 2
+    c = (two_j2 - two_j1 + two_j) // 2
+    x, y = (two_j1 - two_m1) // 2, (two_j2 + two_m2) // 2
+    u, v = (two_j - two_j2 + two_m1) // 2, (two_j - two_j1 - two_m2) // 2
+    k_lo, k_hi = max(0, -u, -v), min(a, x, y)
+    den = f(k_hi) * f(a - k_lo) * f(x - k_lo) * f(y - k_lo) * f(u + k_hi) * f(v + k_hi)
+    total = sum((-1) ** k * den // (f(k) * f(a - k) * f(x - k) * f(y - k) * f(u + k) * f(v + k))
+                for k in range(k_lo, k_hi + 1))
+    square = Fraction(
+        total**2 * (two_j + 1) * f(a) * f(b) * f(c) * f((two_j + two_m) // 2)
+        * f((two_j - two_m) // 2) * f(x) * f((two_j1 + two_m1) // 2) * f((two_j2 - two_m2) // 2) * f(y),
+        den**2 * f(a + b + c + 1),
+    )
+    # int / int rounds correctly at any size, where float() of either int overflows
+    return math.sqrt(square.numerator / square.denominator) * (-1.0 if total < 0 else 1.0)
 
 
 def stretched_weight_log(two_ja, two_jb, two_m):

@@ -116,6 +116,19 @@ class TestAverage:
         _, rows = read_rows(out)
         assert rows[0]["two_J"] == "8"
 
+    @pytest.mark.parametrize("config,flags", [
+        ("", ["--two-J", "2", "--j-density", "0.5"]),
+        ("two_J=2\n", ["--j-density", "0.5"]),
+        ("j_density=0.5\n", ["--two-J", "2"]),
+    ], ids=["flags", "config-two_J", "config-j_density"])
+    def test_j_density_refuses_two_j(self, tmp_path, config, flags):
+        # j-density used to override two-J silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        with pytest.raises(SystemExit, match="^error: j-density: cannot be combined with two-J$"):
+            main(["average", "--config", str(cfg), "--L", "8", "--method", "full", "--seed", "1",
+                  "--samples", "5"] + flags)
+
     def test_spin_one_rejected_for_averages(self, tmp_path):
         with pytest.raises(SystemExit, match="species"):
             main(["average", "--species", "one", "--method", "closed", "--L", "4",
@@ -177,7 +190,7 @@ class TestConfigFile:
         ("dims", {"species": "half", "L": "4", "two_J": "0"}),
         ("beta", {"species": "one", "j_list": "0.5"}),
         ("average", {"species": "half", "L": "4", "two_J": "0", "f": "1/2", "method": "full",
-                     "samples": "4", "seed": "1", "complex": "1", "j_density": "0"}),
+                     "samples": "4", "seed": "1", "complex": "1"}),
         ("ed", {"species": "half", "L": "8", "two_J": "0", "f": "1/2", "coupling": "3"}),
         ("chaos-scan", {"species": "one", "L": "7", "two_J": "0", "f": "1/2", "coupling": "0"}),
     ])
@@ -186,7 +199,8 @@ class TestConfigFile:
         if command in ("ed", "chaos-scan"):
             settings["eigenstates_out"] = str(tmp_path / "eigenstates.csv")
         options = vars(cli.build_parser().parse_args([command]))
-        assert set(settings) == set(options) - {"config", "command", "func"}
+        # j_density excludes two_J (test_j_density_refuses_two_j reads it from a config)
+        assert set(settings) == set(options) - {"config", "command", "func", "j_density"}
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
         assert main([command, "--config", str(cfg)]) == 0
@@ -263,6 +277,28 @@ class TestEd:
         _, rows = read_rows(out)
         best = max(rows, key=lambda r: float(r["mean"]))
         assert 2.0 <= float(best["coupling"]) <= 6.0
+
+    @pytest.mark.parametrize("command", ["ed", "chaos-scan"])
+    @pytest.mark.parametrize("existing,out,dump,message", [
+        (None, "a.csv", "a.csv", "eigenstates-out: same path as out: a.csv"),
+        (None, "./a.csv", "a.csv", "eigenstates-out: same path as out: a.csv"),
+        ("e.csv", "b.csv", "e.csv", "eigenstates-out: refusing to overwrite existing file: e.csv"),
+        ("b.csv", "b.csv", "e.csv", "out: refusing to overwrite existing file: b.csv"),
+    ], ids=["same-path", "same-file", "existing-dump", "existing-out"])
+    def test_refused_outputs_leave_no_file(self, tmp_path, monkeypatch, command, existing, out,
+                                           dump, message):
+        # the summary used to be written after the whole run, and then the dump refused
+        monkeypatch.chdir(tmp_path)
+        if existing:
+            Path(existing).write_text("existing")
+
+        def forbidden(*args):
+            raise AssertionError("the run started before its outputs were checked")
+
+        monkeypatch.setattr(cli, "diagonalize_and_resolve", forbidden)
+        with pytest.raises(SystemExit, match=f"^error: {message}$"):
+            main([command, "--L", "8", "--coupling", "1", "--out", out, "--eigenstates-out", dump])
+        assert sorted(os.listdir(tmp_path)) == ([existing] if existing else [])
 
     def test_cap_produces_size_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cap"):

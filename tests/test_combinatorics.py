@@ -60,6 +60,16 @@ class TestSpinHalfMultiplicity:
         with pytest.raises(ValueError):
             spin_half_multiplicity(sites, two_j)
 
+    @pytest.mark.parametrize("call,name,value", [
+        (lambda: spin_half_multiplicity(4.0, 2), "sites", "4.0"),
+        (lambda: spin_half_multiplicity(4, 2.0), "two_j", "2.0"),
+        (lambda: multiplicity_table(HALF, 2.5), "sites", "2.5"),
+    ], ids=["multiplicity-sites", "multiplicity-two_j", "table-sites"])
+    def test_non_integer_labels_name_the_argument(self, call, name, value):
+        # math.comb and range raised a TypeError that named no argument
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            call()
+
 
 class TestFusionTable:
     def test_spin_one_small(self):

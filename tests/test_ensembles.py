@@ -99,6 +99,9 @@ NON_INTEGER_CASES = [
     (haar_average_leading, (12.0, 6), "sites", 12.0),
     (fixed_filling_average, (0.5, 12, 6.5), "cut", 6.5),
     (ensemble_entropy_samples, (8, 2, 4, 4, 1, ("full",), False, 1.5), "workers", 1.5),
+    (singlet_average_asymptotic, (12.0, 0.5), "sites", 12.0),
+    (max_spin_entropy_asymptotic, (12.5, 0.5), "sites", 12.5),
+    (sd2_asymptotic, (12.0, 0.5, 0.5), "sites", 12.0),
 ]
 
 
@@ -106,6 +109,22 @@ NON_INTEGER_CASES = [
                          ids=[f"{case[0].__name__}-{case[2]}" for case in NON_INTEGER_CASES])
 def test_non_integer_sizes_name_the_argument(function, args, name, value):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+        function(*args)
+
+
+BELOW_MINIMUM_CASES = [
+    (singlet_average_asymptotic, (-4, 0.5), "sites", 1, -4),
+    (max_spin_entropy_asymptotic, (0, 0.5), "sites", 1, 0),
+    (sd2_asymptotic, (0, 0.5, 0.5), "sites", 1, 0),
+    (haar_average_leading, (10, 5, 1), "local_dim", 2, 1),
+]
+
+
+@pytest.mark.parametrize("function,args,name,minimum,value", BELOW_MINIMUM_CASES,
+                         ids=[f"{case[0].__name__}-{case[2]}" for case in BELOW_MINIMUM_CASES])
+def test_sizes_below_their_minimum_name_the_argument(function, args, name, minimum, value):
+    # these returned a negative entropy or raised a bare math domain error
+    with pytest.raises(ValueError, match=rf"^{name} must be >= {minimum}, got {value}$"):
         function(*args)
 
 
@@ -144,6 +163,16 @@ class TestEntropyKernels:
     def test_fractional_cut_rejected(self):
         with pytest.raises(ValueError, match=r"^cut must be an integer, got 1\.5$"):
             entanglement_entropy([1.0, 0.0, 0.0, 0.0], 1.5)
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # max(-0.0, 0.0) keeps its first argument, which gave -0.0 here
+        assert math.copysign(1.0, schmidt_square_entropy([1.0])) == 1.0
+
+    def test_slice_state_longer_than_configs_rejected(self):
+        # the third amplitude lay outside every Schmidt block, and the entropy came out -0.0
+        configs = [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="^state of length 3 does not match 2 configurations$"):
+            slice_entanglement_entropy([1.0, 0.0, 0.0], configs, [0])
 
     def test_nan_slice_state_rejected(self):
         _, digits = su2.configuration_space(1, 6, 0)
@@ -373,16 +402,16 @@ class TestSd1:
             )
 
     def test_semianalytic_values_pinned(self):
-        # the column norm check must leave the sum bitwise as it was
+        # values read from the J**2 eigenvector columns, compared with ==
         assert sd1_semianalytic(12, 2, 3) == 2.048879038401767
         assert [sd1_semianalytic(sites, 0, cut) for sites, cut in ((8, 4), (12, 6), (12, 3))] == [
-            2.10848722016569, 3.4248336995668516, 2.026663049834447
+            2.10848722016569, 3.424833699566852, 2.026663049834447
         ]
 
-    def test_semianalytic_refuses_inaccurate_clebsch_gordan(self):
-        # at L=200 the Racah sum misses unit column norm by up to 1.6e-6
-        with pytest.raises(ValueError, match=r"\(2J_A, 2J_B, 2J\) = \(\d+, \d+, 100\)"):
-            sd1_semianalytic(200, 100, 100)
+    def test_semianalytic_runs_at_large_spin(self):
+        # a log-factorial Racah sum missed unit column norms here, by up to 1.6e-6 at L=200
+        for sites, two_j, cut in ((128, 64, 64), (200, 100, 100)):
+            assert 0.0 < sd1_semianalytic(sites, two_j, cut) <= cut * math.log(2.0)
 
     def test_semianalytic_tracks_monte_carlo(self):
         values = ensemble_entropy_samples(12, 2, 3, 500, 9, ("sd1",))["sd1"]
@@ -602,16 +631,17 @@ class TestStackedSamples:
             assert np.array_equal(chunked[method], single[method])
 
     def test_real_samples_pinned(self):
-        # values of the sampler that drew W pair by pair, compared with ==
+        # values of the J**2 eigenvector columns (full, sd1) and of the
+        # sampler that drew W pair by pair (sd2), compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.303103009147173, 3.32893285356059, 3.28290203301519],
-                "sd1": [3.439108053177417, 3.4867740693228493, 3.417916912965702],
+                "full": [3.3031030091471747, 3.3289328535605915, 3.2829020330151883],
+                "sd1": [3.4391080531774176, 3.4867740693228497, 3.4179169129657025],
                 "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717527],
             },
             (16, 4, 8): {
-                "full": [4.935383733046866, 4.947708500032375, 4.9297439933472305],
-                "sd1": [5.119184798886964, 5.13209534868057, 5.124833853787777],
+                "full": [4.935383733046869, 4.9477085000323795, 4.929743993347234],
+                "sd1": [5.11918479888697, 5.132095348680575, 5.1248338537877824],
                 "sd2": [4.035255888431617, 4.075054279134304, 4.066530431645234],
             },
         }
@@ -620,16 +650,17 @@ class TestStackedSamples:
             assert {m: list(v) for m, v in got.items()} == values
 
     def test_complex_samples_pinned(self):
-        # values of the one-sample-at-a-time sampler, compared with ==
+        # values of the J**2 eigenvector columns (full, sd1) and of the
+        # one-sample-at-a-time sampler (sd2), compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.2878327295564467, 3.3608970940775653, 3.274663728656617],
-                "sd1": [3.412585920242406, 3.45451990817269, 3.4007730466428003],
+                "full": [3.2878327295564476, 3.360897094077566, 3.274663728656617],
+                "sd1": [3.412585920242406, 3.45451990817269, 3.4007730466428],
                 "sd2": [3.0471159533328374, 3.1233695659323617, 2.9648550200323704],
             },
             (16, 4, 8): {
-                "full": [4.932029369839711, 4.945571307621938, 4.949598599744007],
-                "sd1": [5.116389723346812, 5.147909032083376, 5.14288581504366],
+                "full": [4.932029369839716, 4.945571307621941, 4.949598599744011],
+                "sd1": [5.116389723346817, 5.147909032083381, 5.142885815043664],
                 "sd2": [4.06393788030008, 4.094582387190917, 4.071701550488863],
             },
         }
@@ -725,14 +756,15 @@ class TestGeometry:
 
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
-        # only: no Racah sum and no list of every pairing (the scalar
-        # stretched weights live in the oracles, outside the package)
+        # only: no Clebsch-Gordan column solve and no list of every pairing
+        # (the scalar stretched weights live in the oracles, outside the package)
         def forbidden(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
             return call
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
+        monkeypatch.setattr(su2, "_cg_columns", forbidden("_cg_columns"))
         monkeypatch.setattr(CoupledPairGeometry, "pairs", property(forbidden("pairs")))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     apply_total_spin_squared,
+    clebsch_gordan_exact,
     coupled_sector_basis,
     sector_basis,
     stretched_weight,
@@ -54,6 +55,32 @@ class TestClebschGordan:
                 for two_j in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
                     if (two_j1 + two_j2 + two_j) // 2 % 2:
                         assert clebsch_gordan(two_j1, 0, two_j2, 0, two_j, 0) == 0.0
+
+    def test_small_grid_matches_exact_racah_sum(self):
+        # every entry with 2j1, 2j2 <= 12, at every M and J
+        worst = 0.0
+        for two_j1 in range(13):
+            for two_j2 in range(13):
+                for two_j in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+                    for two_m in range(-two_j, two_j + 1, 2):
+                        for two_m1 in range(-two_j1, two_j1 + 1, 2):
+                            args = (two_j1, two_m1, two_j2, two_m - two_m1, two_j, two_m)
+                            worst = max(worst, abs(clebsch_gordan(*args) - clebsch_gordan_exact(*args)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("two_j1,two_j2,two_j", [
+        (96, 96, 96), (128, 128, 64), (200, 200, 0), (200, 200, 200), (200, 100, 100), (100, 200, 102),
+    ])
+    def test_large_spin_columns_match_exact_racah_sum(self, two_j1, two_j2, two_j):
+        # the stretched columns start near 1e-60, and (200, 100, 100) with
+        # alternating entries below 1e-9: the Condon-Shortley sign must be
+        # carried to row 0 through both kinds of tail
+        mm = min(two_j1, two_j2)
+        column = [(two_j1, two_m1, two_j2, -two_m1, two_j, 0) for two_m1 in range(-mm, mm + 1, 2)]
+        got = np.array([clebsch_gordan(*args) for args in column])
+        exact = np.array([clebsch_gordan_exact(*args) for args in column])
+        assert np.abs(got - exact).max() <= 1e-12
+        assert abs(np.sum(got**2) - 1.0) <= 1e-12
 
     def test_integrality_raises(self):
         with pytest.raises(ValueError):
