@@ -337,6 +337,7 @@ def _cmd_ed(args, with_gamma):
     f = _parse_fraction(opt["f"] or "1/2", "f")
     rows = []
     eigen_rows = []
+    skipped = []  # --two-J all expands to spins that may have no central eigenstates
     command = "chaos-scan" if with_gamma else "ed"
     for sites in sites_list:
         two_j_list = _expand_two_j(species, sites, opt["two_J"] or "0")
@@ -348,7 +349,10 @@ def _cmd_ed(args, with_gamma):
                 try:
                     est = eigenstate_entropy_average(records, two_j)
                 except ValueError as exc:
-                    raise SystemExit(f"error: two_J: {exc}")
+                    if opt["two_J"] != "all":
+                        raise SystemExit(f"error: two_J: {exc}")
+                    skipped.append(f"L={sites} coupling={coupling!r} two_J={two_j}")
+                    continue
                 row = _result_row(command, "ed", species, sites, two_j, f, coupling, None, None, est, t0)
                 if with_gamma:
                     gamma = gaussianity_average(records, two_j)
@@ -363,6 +367,8 @@ def _cmd_ed(args, with_gamma):
                             rec.entropy, rec.gaussianity,
                         )
                     )
+    if skipped:
+        print(f"skipped, no central complex-sector eigenstates: {'; '.join(skipped)}", file=sys.stderr)
     header = _ED_HEADER if with_gamma else _RESULT_HEADER
     _write_csv(opt["out"], header, rows)
     if opt["eigenstates_out"]:

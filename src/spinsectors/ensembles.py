@@ -34,7 +34,7 @@ import numpy as np
 from .asymptotics import multiplicity_rate
 from .combinatorics import HALF, SectorLabel, _check_integer, spin_half_multiplicity
 from .special import digamma
-from .su2 import clebsch_gordan, stretched_weight_logs
+from .su2 import _cg_columns, clebsch_gordan, stretched_weight_logs
 
 __all__ = [
     "EntropyEstimate",
@@ -201,15 +201,15 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
 def _block_average(blocks, d):
     """Average entropy over a direct sum of Page blocks, exact in the integers.
 
-    `blocks` yields (n_A, n_B, S_w) triples, block b holding d_b = n_A n_B of
+    `blocks` yields (n_A, n_B, d_b/d, S_w), block b holding d_b = n_A n_B of
     d = sum d_b states (passed in): sum_b (d_b/d) [S_w + S_Page(n_A, n_B) +
     psi(d+1) - psi(d_b+1)], with the psi(d_b+1) of S_Page cancelled.
     """
     psi_d = digamma(d + 1)
     total = 0.0
-    for na, nb, s_w in blocks:
+    for na, nb, weight, s_w in blocks:
         lo, hi = sorted((na, nb))
-        total += (na * nb / d) * (psi_d - digamma(hi + 1) - (lo - 1) / (2 * hi) + s_w)
+        total += weight * (psi_d - digamma(hi + 1) - (lo - 1) / (2 * hi) + s_w)
     return total
 
 
@@ -218,7 +218,7 @@ def page_average(dim_a, dim_b):
     for name, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
         if not (isinstance(dim, numbers.Integral) or float(dim).is_integer()) or dim < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {dim}")
-    return _block_average([(int(dim_a), int(dim_b), 0.0)], int(dim_a) * int(dim_b))
+    return _block_average([(int(dim_a), int(dim_b), 1.0, 0.0)], int(dim_a) * int(dim_b))
 
 
 def _folded_fraction(fraction):
@@ -267,7 +267,7 @@ def singlet_average_exact(sites, cut):
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
     geo = CoupledPairGeometry(sites, 0, _mirror_cut(sites, cut))
-    blocks = ((geo.na[two_ja], geo.nb[two_ja], math.log(1.0 + two_ja)) for two_ja in geo.ja_list)
+    blocks = ((geo.na[ja], geo.nb[ja], geo.weights[ja], math.log(1.0 + ja)) for ja in geo.ja_list)
     return _block_average(blocks, geo.sector_dim)
 
 
@@ -299,13 +299,12 @@ def max_spin_state_entropy(sites, cut):
     _check_cut(sites, cut)
     if sites % 2:
         raise ValueError(f"the J_z=0 stretched state needs even sites, got {sites}")
-    return _stretched_entropy(cut, sites - cut)
+    return _stretched_entropies([(cut, sites - cut)])[0]
 
 
-def _stretched_entropy(two_ja, two_jb):
-    """-sum c_m**2 ln c_m**2 of the stretched column, in log domain."""
-    lw = stretched_weight_logs(two_ja, two_jb)
-    return float(-np.dot(np.exp(lw), lw))
+def _stretched_entropies(pairs):
+    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain."""
+    return [float(-np.dot(np.exp(lw), lw)) for lw in stretched_weight_logs(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ class CoupledPairGeometry:
 
     Holds the multiplicities of both blocks and each J_A's run of partners J_B
     (CG coefficients are evaluated on demand).  The identity sum_{pairs} n_A
-    n_B = n_J is asserted at construction with one big-integer product per J_A.
+    n_B = n_J is asserted with one big-integer product per J_A; `weights` keeps its share of n_J.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
@@ -346,11 +345,16 @@ class CoupledPairGeometry:
         jb_lo, jb_hi = min(jbs[0] for jbs in runs.values()), max(jbs[-1] for jbs in runs.values())
         self.jb_list = list(range(jb_lo, jb_hi + 1, 2))
         self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
-        self.nb = _multiplicity_run(cut_b, jb_lo, jb_hi)
+        # at cut = L - cut both sides span the same spins, so the runs are equal
+        self.nb = self.na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
         # upto[J_B]: n_B summed over the spins <= J_B, so a run sums by one difference
         upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(self.nb.values(), initial=0)))
-        total = sum(self.na[ja] * (upto[jbs[-1]] - upto[jbs[0] - 2]) for ja, jbs in runs.items())
         expected = spin_half_multiplicity(sites, two_j)
+        total, self.weights = 0, {}
+        for ja, jbs in runs.items():
+            dim = self.na[ja] * (upto[jbs[-1]] - upto[jbs[0] - 2])
+            total += dim
+            self.weights[ja] = dim / expected  # == dim / total once the guard passes
         if total != expected:  # not an assert: the guard must survive python -O
             raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
@@ -380,7 +384,7 @@ class CoupledPairGeometry:
     @cached_property
     def sd2_weights(self):
         """Squared stretched CG column c_m**2 of each sd2 pairing, m ascending."""
-        return {pair: np.exp(stretched_weight_logs(*pair)) for pair in self.sd2_pairs}
+        return dict(zip(self.sd2_pairs, map(np.exp, stretched_weight_logs(self.sd2_pairs))))
 
     @cached_property
     def rows(self):
@@ -691,8 +695,10 @@ def sd2_average_closed(sites, two_j, cut):
     stretched column, as in `max_spin_state_entropy`.
     """
     geo = CoupledPairGeometry(sites, two_j, cut)
-    blocks = [(geo.na[a], geo.nb[b], _stretched_entropy(a, b)) for a, b in geo.sd2_pairs]
-    return _block_average(blocks, sum(na * nb for na, nb, _ in blocks))
+    pairs = geo.sd2_pairs
+    dims = [geo.na[a] * geo.nb[b] for a, b in pairs]  # each product formed once
+    d, blocks = sum(dims), zip(pairs, dims, _stretched_entropies(pairs))
+    return _block_average([(geo.na[a], geo.nb[b], dim / d, s) for (a, b), dim, s in blocks], d)
 
 
 def sd1_semianalytic(sites, two_j, cut):
@@ -701,8 +707,8 @@ def sd1_semianalytic(sites, two_j, cut):
     Treats each J_A block as a Page problem of size n_A x (sum of partner
     n_B), with the subsystem-magnetization weights mixed over partners.  Exact
     at J=0, where it reduces to the singlet sum; an O(1) overestimate
-    otherwise at f=1/2.  Reads one cached Clebsch-Gordan column solve per
-    (J_A, J_B) pairing: ~1 s at L=200.
+    otherwise at f=1/2.  Reads one Clebsch-Gordan column solve per (J_A, J_B)
+    pairing, its J column whole: ~0.7 s at L=200.
     """
     geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = []
@@ -710,10 +716,10 @@ def sd1_semianalytic(sites, two_j, cut):
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:
-            column = np.array([geo.cg_coefficient(two_ja, two_jb, two_m) ** 2
-                               for two_m in range(-two_ja, two_ja + 1, 2)])
-            p_m += geo.nb[two_jb] / nb_eff * column
-        blocks.append((geo.na[two_ja], nb_eff, schmidt_square_entropy(p_m)))
+            mm = min(two_ja, two_jb)  # rows m = mm, mm - 1, .., -mm; |m| > mm stays 0
+            column = _cg_columns(two_ja, two_jb, 0)[::-1, (two_j - abs(two_ja - two_jb)) // 2]
+            p_m[(two_ja - mm) // 2 : (two_ja + mm) // 2 + 1] += geo.nb[two_jb] / nb_eff * column**2
+        blocks.append((geo.na[two_ja], nb_eff, geo.weights[two_ja], schmidt_square_entropy(p_m)))
     return _block_average(blocks, geo.sector_dim)
 
 

@@ -120,16 +120,16 @@ def _check_clebsch_gordan():
 def _check_stretched():
     # each column against C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B)
     comb = math.comb
-    for two_ja in range(13):
-        for two_jb in range(two_ja % 2, 13, 2):
-            mm, n = min(two_ja, two_jb), two_ja + two_jb
-            exact = [Fraction(comb(two_ja, (two_ja - m) // 2) * comb(two_jb, (two_jb + m) // 2),
-                              comb(n, n // 2)) for m in range(-mm, mm + 1, 2)]
-            column = np.exp(stretched_weight_logs(two_ja, two_jb))
-            assert np.allclose(column, np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
-    assert abs(np.exp(stretched_weight_logs(6, 10)).sum() - 1.0) < 1e-12
+    pairs = [(two_ja, two_jb) for two_ja in range(13) for two_jb in range(two_ja % 2, 13, 2)]
+    for (two_ja, two_jb), logs in zip(pairs, stretched_weight_logs(pairs)):
+        mm, n = min(two_ja, two_jb), two_ja + two_jb
+        exact = [Fraction(comb(two_ja, (two_ja - m) // 2) * comb(two_jb, (two_jb + m) // 2),
+                          comb(n, n // 2)) for m in range(-mm, mm + 1, 2)]
+        assert np.allclose(np.exp(logs), np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
+    column, wide = (np.exp(logs) for logs in stretched_weight_logs([(6, 10), (500, 500)]))
+    assert abs(column.sum() - 1.0) < 1e-12
     half_m = np.arange(-500, 501, 2) / 2.0
-    var = np.sum(half_m**2 * np.exp(stretched_weight_logs(500, 500)))
+    var = np.sum(half_m**2 * wide)
     assert abs(var - 62.5) / 62.5 < 0.02
 
 

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+STRETCHED_PASS = 1 << 13  # bounds the temporaries of `stretched_weight_logs`
+
 __all__ = [
     "clebsch_gordan",
     "configuration_space",
@@ -80,25 +82,37 @@ def _lnfact_table(size):
     return table
 
 
-def stretched_weight_logs(two_ja, two_jb):
-    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column
-    |m| <= min(J_A, J_B), m ascending, stable for large spins.
+def stretched_weight_logs(pairs):
+    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column |m| <=
+    min(J_A, J_B), m ascending, of each (two_ja, two_jb) in `pairs`, stable for
+    large spins: an iterator over passes of ~STRETCHED_PASS entries each.
 
     Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
     each binomial from one cached lgamma table.
     """
-    mm = min(two_ja, two_jb)
-    _check_momentum(two_ja, mm, "J_A")
-    _check_momentum(two_jb, mm, "J_B")
-    n = two_ja + two_jb
-    lf = _lnfact_table(1 << n.bit_length())
-    ka = np.arange(two_ja + mm, two_ja - mm - 1, -2) // 2  # (J_A - m) for m ascending
-    kb = np.arange(two_jb - mm, two_jb + mm + 1, 2) // 2
-    return (
-        (lf[two_ja] - lf[ka] - lf[two_ja - ka])
-        + (lf[two_jb] - lf[kb] - lf[two_jb - kb])
-        - (lf[n] - lf[n // 2] - lf[n - n // 2])
-    )
+    for two_ja, two_jb in pairs:
+        _check_momentum(two_ja, min(two_ja, two_jb), "J_A")
+        _check_momentum(two_jb, min(two_ja, two_jb), "J_B")
+    ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
+    bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]
+    return (col for a, b in zip(bounds, bounds[1:]) for col in _stretched_pass(ja[a:b], jb[a:b]))
+
+
+def _stretched_pass(ja, jb):
+    mm = np.minimum(ja, jb)
+    sizes = mm + 1
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    rank = np.arange(sizes.sum()) - starts.repeat(sizes)  # of m within its column
+    n = ja + jb
+    lf = _lnfact_table(1 << int(n.max(initial=0)).bit_length())
+    norm = lf[n] - lf[n // 2] - lf[n - n // 2]
+    ka = ((ja + mm) // 2).repeat(sizes) - rank  # J_A - m, m ascending
+    kb = ((jb - mm) // 2).repeat(sizes) + rank
+    ja, jb = ja.repeat(sizes), jb.repeat(sizes)
+    logs = (lf[ja] - lf[ka] - lf[ja - ka]) + (lf[jb] - lf[kb] - lf[jb - kb]) - norm.repeat(sizes)
+    return [logs[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,11 @@ The library calls none of these; the tests compare it against them.
   sum in exact rationals, against the library's J**2 eigenvector columns.
 - `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
   weight from three `log_binomial` calls, against the library's columns.
+- `stretched_column_logs`, `singlet_average_reference`,
+  `sd2_average_reference`, `sd1_reference`, `max_spin_entropy_reference`,
+  `page_average_reference`: the closed forms with one stretched column per
+  call and each block weight n_A n_B / d formed where it is read, against
+  the library's columns in one pass and weights formed with its guard.
 - `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
   direct counting.
 - `sector_basis`, `coupled_sector_basis`: explicit (J, J_z) bases over the
@@ -39,9 +44,14 @@ from typing import NamedTuple
 import numpy as np
 
 from spinsectors.asymptotics import _char_poly, _char_poly_d1
-from spinsectors.combinatorics import SectorLabel, _check_spin_label, multiplicity
-from spinsectors.special import log_binomial
-from spinsectors.ensembles import slice_entanglement_entropy
+from spinsectors.combinatorics import (
+    SectorLabel,
+    _check_spin_label,
+    multiplicity,
+    spin_half_multiplicity,
+)
+from spinsectors.special import digamma, log_binomial
+from spinsectors.ensembles import schmidt_square_entropy, slice_entanglement_entropy
 from spinsectors.spectra import (
     RESIDUAL_TOL,
     EigenstateRecord,
@@ -54,6 +64,7 @@ from spinsectors.spectra import (
 from spinsectors.su2 import (
     _check_momentum,
     _digit_codes,
+    _lnfact_table,
     _slice_digits,
     bond_matrix_elements,
     clebsch_gordan,
@@ -167,6 +178,87 @@ def stretched_weight(two_ja, two_jb, two_m):
     """|<J_A m; J_B -m | J_A+J_B, 0>|**2 for the maximal coupled spin."""
     lw = stretched_weight_log(two_ja, two_jb, two_m)
     return 0.0 if lw == -math.inf else math.exp(lw)
+
+
+# ---------------------------------------------------------------------------
+# closed forms, one stretched column and one block product at a time
+
+
+def stretched_column_logs(two_ja, two_jb):
+    """One pair's whole stretched column, m ascending, in the float operations
+    of `stretched_weight_logs` on the same cached lgamma table."""
+    mm = min(two_ja, two_jb)
+    _check_momentum(two_ja, mm, "J_A")
+    _check_momentum(two_jb, mm, "J_B")
+    n = two_ja + two_jb
+    lf = _lnfact_table(1 << n.bit_length())
+    ka = np.arange(two_ja + mm, two_ja - mm - 1, -2) // 2  # (J_A - m) for m ascending
+    kb = np.arange(two_jb - mm, two_jb + mm + 1, 2) // 2
+    return (
+        (lf[two_ja] - lf[ka] - lf[two_ja - ka])
+        + (lf[two_jb] - lf[kb] - lf[two_jb - kb])
+        - (lf[n] - lf[n // 2] - lf[n - n // 2])
+    )
+
+
+def _column_entropy(two_ja, two_jb):
+    lw = stretched_column_logs(two_ja, two_jb)
+    return float(-np.dot(np.exp(lw), lw))
+
+
+def _page_block_sum(blocks):
+    """sum_b (d_b/d) [S_w + S_Page(n_A, n_B) + psi(d+1) - psi(d_b+1)] over
+    (n_A, n_B, S_w) blocks, d_b = n_A n_B and d = sum d_b."""
+    d = sum(na * nb for na, nb, _ in blocks)
+    psi_d = digamma(d + 1)
+    total = 0.0
+    for na, nb, s_w in blocks:
+        lo, hi = sorted((na, nb))
+        total += (na * nb / d) * (psi_d - digamma(hi + 1) - (lo - 1) / (2 * hi) + s_w)
+    return total
+
+
+def page_average_reference(dim_a, dim_b):
+    return _page_block_sum([(dim_a, dim_b, 0.0)])
+
+
+def max_spin_entropy_reference(sites, cut):
+    return _column_entropy(cut, sites - cut)
+
+
+def singlet_average_reference(sites, cut):
+    cut = min(cut, sites - cut)
+    return _page_block_sum([
+        (spin_half_multiplicity(cut, a), spin_half_multiplicity(sites - cut, a), math.log(1.0 + a))
+        for a in range(cut % 2, cut + 1, 2)
+    ])
+
+
+def sd2_average_reference(sites, two_j, cut):
+    """The sd2 closed form, or None where no J_B = J - J_A pairing exists."""
+    pairs = [(a, two_j - a) for a in range(cut % 2, cut + 1, 2) if 0 <= two_j - a <= sites - cut]
+    return _page_block_sum([
+        (spin_half_multiplicity(cut, a), spin_half_multiplicity(sites - cut, b), _column_entropy(a, b))
+        for a, b in pairs
+    ]) if pairs else None
+
+
+def sd1_reference(sites, two_j, cut):
+    """`sd1_semianalytic` from one scalar Clebsch-Gordan coefficient per m."""
+    blocks = []
+    for two_ja in range(cut % 2, cut + 1, 2):
+        partners = range(abs(two_j - two_ja), min(sites - cut, two_j + two_ja) + 1, 2)
+        if not partners:
+            continue
+        nb = {two_jb: spin_half_multiplicity(sites - cut, two_jb) for two_jb in partners}
+        nb_eff = sum(nb.values())
+        p_m = np.zeros(two_ja + 1)
+        for two_jb in partners:
+            column = np.array([clebsch_gordan(two_ja, two_m, two_jb, -two_m, two_j, 0) ** 2
+                               for two_m in range(-two_ja, two_ja + 1, 2)])
+            p_m += nb[two_jb] / nb_eff * column
+        blocks.append((spin_half_multiplicity(cut, two_ja), nb_eff, schmidt_square_entropy(p_m)))
+    return _page_block_sum(blocks)
 
 
 def _spin_one_weight_count(sites, jz):

@@ -279,6 +279,26 @@ class TestEd:
         assert 2.0 <= float(best["coupling"]) <= 6.0
 
     @pytest.mark.parametrize("command", ["ed", "chaos-scan"])
+    def test_all_spins_skip_those_without_central_eigenstates(self, tmp_path, capsys, command):
+        # at L = 8 the spin 2J = 6, 8 sectors have no central complex-sector
+        # eigenstate; `all` used to diagonalize everything, then exit 1
+        out = tmp_path / "all.csv"
+        main([command, "--L", "8", "--coupling", "0,3", "--two-J", "all", "--out", str(out)])
+        _, rows = read_rows(out)
+        assert [(r["coupling"], r["two_J"]) for r in rows] == [
+            (c, j) for c in ("0.0", "3.0") for j in ("0", "2", "4")]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("skipped, no central complex-sector eigenstates")
+        assert "L=8 coupling=0.0 two_J=6" in err and "L=8 coupling=3.0 two_J=8" in err
+
+    @pytest.mark.parametrize("command", ["ed", "chaos-scan"])
+    def test_listed_spin_without_central_eigenstates_is_refused(self, tmp_path, command):
+        out = tmp_path / "listed.csv"
+        with pytest.raises(SystemExit, match="^error: two_J: no central eigenstates with two_j=6"):
+            main([command, "--L", "8", "--coupling", "0,3", "--two-J", "0,6", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ed", "chaos-scan"])
     @pytest.mark.parametrize("existing,out,dump,message", [
         (None, "a.csv", "a.csv", "eigenstates-out: same path as out: a.csv"),
         (None, "./a.csv", "a.csv", "eigenstates-out: same path as out: a.csv"),
@@ -330,6 +350,14 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_package_runs_as_a_module(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spinsectors.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "spinsectors", "selftest"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "checks passed" in proc.stdout
 
     def test_selftest_refuses_optimized_mode(self):
         # python -O strips the asserts the checks are made of, so a run would print ok

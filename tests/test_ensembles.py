@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import coupled_sector_basis, draw_blocks, sector_basis
 from spinsectors import (
     HALF,
@@ -780,6 +781,42 @@ class TestGeometry:
         sd2_average_closed(10000, 5000, 2500)
         sd1_semianalytic(64, 8, 32)
         assert coupled_geometry.cache_info().currsize == 0
+
+
+class TestClosedFormRoutes:
+    # The library forms each block product once, with the geometry's guard,
+    # and evaluates a row's stretched columns together; the oracles form each
+    # product where its weight is read and each column on its own.  Both
+    # routes do the same float operations, so they agree to the last bit.
+    @staticmethod
+    def assert_routes_agree(sites, two_j, cut, sd1=True):
+        if two_j == 0:
+            assert singlet_average_exact(sites, cut) == oracles.singlet_average_reference(sites, cut)
+        if two_j == sites:
+            assert max_spin_state_entropy(sites, cut) == oracles.max_spin_entropy_reference(sites, cut)
+        expected = oracles.sd2_average_reference(sites, two_j, cut)
+        if expected is None:
+            with pytest.raises(ValueError, match="no J_B = J - J_A pairing"):
+                sd2_average_closed(sites, two_j, cut)
+        else:
+            assert sd2_average_closed(sites, two_j, cut) == expected
+        if sd1:
+            assert sd1_semianalytic(sites, two_j, cut) == oracles.sd1_reference(sites, two_j, cut)
+
+    def test_every_row_up_to_forty_sites(self):
+        for sites in range(2, 41, 2):
+            for cut in range(1, sites):
+                assert page_average(2**cut, 3**sites) == oracles.page_average_reference(
+                    2**cut, 3**sites)
+                for two_j in range(0, sites + 1, 2):
+                    self.assert_routes_agree(sites, two_j, cut)
+
+    @pytest.mark.parametrize("sites, two_j, cut", [(2000, 0, 1000), (2000, 1000, 700), (10000, 0, 5000)])
+    def test_large_rows(self, sites, two_j, cut):
+        self.assert_routes_agree(sites, two_j, cut, sd1=False)
+        assert max_spin_state_entropy(sites, cut) == oracles.max_spin_entropy_reference(sites, cut)
+        dims = spin_half_multiplicity(cut, cut % 2), spin_half_multiplicity(sites - cut, cut % 2)
+        assert page_average(*dims) == oracles.page_average_reference(*dims)
 
 
 class TestRealVsComplex:

@@ -10,6 +10,7 @@ from oracles import (
     clebsch_gordan_exact,
     coupled_sector_basis,
     sector_basis,
+    stretched_column_logs,
     stretched_weight,
     stretched_weight_log,
 )
@@ -157,26 +158,35 @@ class TestStretchedWeight:
         assert stretched_weight_log(2, 4, 4) == -math.inf
 
     def test_column_equals_scalar_bitwise(self):
-        # the column reads one lgamma table and keeps log_binomial's order of
-        # float operations, so every entry equals the scalar exactly
+        # the columns read one lgamma table and keep log_binomial's order of
+        # float operations, so every entry equals the scalar exactly, whether
+        # a column is evaluated alone or in a pass with others (this grid
+        # spans several passes)
         grid = [(a, b) for a in range(0, 41) for b in range(a % 2, 41, 2)]
         grid += [(a, b) for a in range(0, 5001, 250) for b in range(0, 5001 - a, 250)]
         grid += [(a + 1, b + 1) for a, b in grid if a + b + 2 <= 5000]
         grid += [(5000, 0), (0, 5000), (4999, 1), (2500, 2500), (1234, 3766)]
-        for two_ja, two_jb in grid:
+        columns = list(stretched_weight_logs(grid))
+        assert len(columns) == len(grid)
+        for (two_ja, two_jb), column in zip(grid, columns):
             mm = min(two_ja, two_jb)
             scalar = [stretched_weight_log(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)]
-            assert stretched_weight_logs(two_ja, two_jb).tolist() == scalar
+            assert column.tolist() == scalar
+            assert next(stretched_weight_logs([(two_ja, two_jb)])).tolist() == scalar
+            assert stretched_column_logs(two_ja, two_jb).tolist() == scalar
+
+    def test_no_pairs_give_no_columns(self):
+        assert list(stretched_weight_logs([])) == []
 
     def test_column_table_is_read_only(self):
-        stretched_weight_logs(6, 10)
+        list(stretched_weight_logs([(6, 10)]))
         assert not _lnfact_table(16).flags.writeable
 
     def test_column_rejects_mixed_integrality(self):
-        with pytest.raises(ValueError):
-            stretched_weight_logs(2, 3)
-        with pytest.raises(ValueError):
-            stretched_weight_logs(-2, 4)
+        # every pair is checked before any column is evaluated
+        for bad in (2, 3), (-2, 4):
+            with pytest.raises(ValueError):
+                stretched_weight_logs([(6, 10), bad])
 
 
 class TestSectorBasis:
