@@ -35,8 +35,6 @@ from .ensembles import (
     default_sample_count,
     ensemble_entropy_samples,
     EntropyEstimate,
-    max_spin_entropy_asymptotic,
-    max_spin_state_entropy,
     sd2_asymptotic,
     sd2_average_closed,
     singlet_average_asymptotic,
@@ -248,16 +246,12 @@ def _closed_form(sites, two_j, f):
     cut = round(f * sites)
     if two_j == 0:
         return singlet_average_exact(sites, cut)
-    if two_j == sites:
-        return max_spin_state_entropy(sites, cut)
     return sd2_average_closed(sites, two_j, cut)
 
 
 def _asymptotic_form(sites, two_j, f):
     if two_j == 0:
         return singlet_average_asymptotic(sites, f)
-    if two_j == sites:
-        return max_spin_entropy_asymptotic(sites, f)
     return sd2_asymptotic(sites, f, two_j / sites)
 
 

@@ -72,20 +72,13 @@ STACK_BYTES = 1 << 20
 
 
 def schmidt_square_entropy(lams):
-    """-sum w ln w over Schmidt squares or weights, dropping values below the floor."""
-    lams = np.asarray(lams)
-    lams = lams[lams > EIGENVALUE_FLOOR]
-    if lams.size == 0:
-        return 0.0
-    return max(0.0, float(-np.dot(lams, np.log(lams))))  # max keeps its first argument on a tie: +0.0
-
-
-def _stacked_entropy(lams):
-    """schmidt_square_entropy of the spectra concatenated along the last axis:
-    a float for one spectrum, one value per row for a stack."""
-    lam = np.concatenate(lams, axis=-1)
-    values = [schmidt_square_entropy(row) for row in lam.reshape(-1, lam.shape[-1])]
-    return values[0] if lam.ndim == 1 else np.array(values)
+    """-sum w ln w over the last axis of Schmidt squares or weights, each value
+    below the floor dropped (taken as 1, whose ln is 0): a float for one
+    spectrum, one value per row for a stack, each row one dot product."""
+    lams = np.asarray(lams, dtype=float)
+    kept = np.where(lams > EIGENVALUE_FLOOR, lams, 1.0)
+    values = np.maximum(0.0 - np.vecdot(kept, np.log(kept)), 0.0)  # 0.0 - 0.0 is +0.0
+    return float(values) if values.ndim == 0 else values
 
 
 def _schmidt_squares(x):
@@ -184,13 +177,12 @@ def slice_entanglement_entropy(state, configs, a_sites, maps=None):
     states = state.reshape(len(state), -1)
     if maps is None:
         maps = bipartition_maps(configs, a_sites)
-    lams = []
+    values = np.zeros(states.shape[1])
     for sel, rows, cols, shape, copies, flip_paired in maps:
         blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
         blocks[:, rows, cols] = states[sel].T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
-            lams += [_schmidt_squares(part)] * copies
-    values = _stacked_entropy(lams)
+            values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values if state.ndim == 2 else float(values[0])
 
 
@@ -524,32 +516,26 @@ def _draw_sample(rng, geo, w):
 def _entropies_from_blocks(geo, w, methods):
     """Entropies of the requested methods for one W or a stack of them (leading
     axis): floats for one W, arrays of one value per sample for a stack."""
-    out = {}
-    if "full" in methods or "sd1" in methods:
-        lam_full = []
-        lam_sd1 = []
+    out = dict.fromkeys(methods, 0.0)
+    if "full" in out or "sd1" in out:
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
         for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
             cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
             shape = w.shape[:-2] + cg.shape
             x = np.multiply(cg, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
-            if "full" in methods:
-                lam_full += [_schmidt_squares(x)] * copies
-            if "sd1" in methods:
-                lam_sd1 += [_schmidt_squares(x[(Ellipsis,) + part]) for part in sd1_parts] * copies
-        if "full" in methods:
-            out["full"] = _stacked_entropy(lam_full)
-        if "sd1" in methods:
-            out["sd1"] = _stacked_entropy(lam_sd1)
-    if "sd2" in methods:
+            if "full" in out:
+                out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
+            if "sd1" in out:
+                for part in sd1_parts:
+                    lam = _schmidt_squares(x[(Ellipsis,) + part])
+                    out["sd1"] += copies * schmidt_square_entropy(lam)
+    if "sd2" in out:
         blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
         trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
-        lams = []
         for pair, block in blocks.items():
             lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
             outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
-            lams.append(outer.reshape(lam.shape[:-1] + (-1,)))
-        out["sd2"] = _stacked_entropy(lams)
+            out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
     return out
 
 
@@ -727,24 +713,24 @@ def paired_spin_crossover(fraction, j):
     """Subsystem spin density where the two block multiplicities cross.
 
     Solves f*rate(x/f) = (1-f)*rate((j-x)/(1-f)) for x on the asymptotic rate
-    functions (f taken <= 1/2 by mirror symmetry).  Returns None when the two
-    sides never cross in the admissible interval; at f = 1/2 the crossover
-    sits exactly at the Gaussian center x = j/2.
+    functions (f taken <= 1/2 by mirror symmetry) over the admissible interval
+    max(0, j - (1-f)) <= x <= j*f.  Returns None when the two sides never cross
+    there; at f = 1/2 the crossover sits exactly at the Gaussian center x = j/2,
+    and at j = 1 the interval is the one point x = f.
     """
     f = _folded_fraction(fraction)
     if not 0.0 < j <= 1.0:
         raise ValueError(f"spin density must lie in (0, 1], got {j}")
-    if f == Fraction(1, 2):
-        return j / 2.0
     ff = float(f)
+    if f == Fraction(1, 2) or j == 1.0:
+        return j * ff  # the Gaussian center; at j = 1 the only admissible x
 
-    def gap(x):
-        return ff * multiplicity_rate(HALF, x / ff) - (1.0 - ff) * multiplicity_rate(
-            HALF, (j - x) / (1.0 - ff)
+    def gap(x):  # rounding at the bracket ends can carry a density past 1
+        return ff * multiplicity_rate(HALF, min(x / ff, 1.0)) - (1.0 - ff) * multiplicity_rate(
+            HALF, min((j - x) / (1.0 - ff), 1.0)
         )
 
-    lo = max(0.0, j - (1.0 - ff)) + 1e-12
-    hi = j * ff
+    lo, hi = max(0.0, j - (1.0 - ff)), j * ff
     if gap(lo) <= 0.0:
         return None
     for _ in range(200):

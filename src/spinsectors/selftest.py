@@ -32,16 +32,8 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import (
-    RESIDUAL_TOL,
-    ChainSpec,
-    _assemble_block,
-    _bond_keys,
-    _bond_term,
-    _spin_subspaces,
-    diagonalize_and_resolve,
-)
-from .su2 import clebsch_gordan, spin_squared_terms, stretched_weight_logs
+from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
+from .su2 import clebsch_gordan, stretched_weight_logs
 
 _TRIANGLE = {
     0: {0: 1},
@@ -180,17 +172,11 @@ def _check_spectra():
             assert not r.flagged
             counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
-        # J**2 and every bond term of H are real in each block's P K basis
-        diagonal, j2_bonds = spin_squared_terms(two_s, sites)
-        j2_term = _bond_term(two_s, sites, j2_bonds)
-        h_terms = [_bond_term(two_s, sites, ((dist, 1.0, power),)) for dist, power in _bond_keys(two_s)]
         for block, subspaces in _spin_subspaces(two_s, sites):
-            matrices = [_assemble_block(block, j2_term, diagonal)]
-            matrices += [_assemble_block(block, term) for term in h_terms]
-            for real in map(block.in_real_basis, matrices):
-                assert np.abs(real.imag).max() <= 1e-13 * np.abs(real).max(), (sites, block.momentum_index)
+            # J**2 and every bond term of H are real in each block's P K basis,
             # each J**2 subspace carries its flip parity and holds H
             for sub in subspaces:
+                assert sub.imag_defect <= 1e-13, (sites, block.momentum_index)
                 assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
                 assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
 

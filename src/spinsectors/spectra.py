@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 # Dense-solver guardrails: momentum blocks stay below ~10**4 states.
-MAX_SITES = {1: 16, 2: 10}
+MAX_SITES = {1: 18, 2: 11}
 
 # Entropies and Gaussianity are evaluated for this central share of each
 # block's spectrum, by energy rank.
@@ -222,6 +222,14 @@ def _assemble_block(block, term, diagonal_shift=0.0):
     return 0.5 * (matrix + matrix.conj().T)
 
 
+def _real_block(block, term, diagonal_shift=0.0):
+    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`,
+    and max|Im M| / max(1, max|M|), the share of M that the real part drops."""
+    matrix = block.in_real_basis(_assemble_block(block, term, diagonal_shift))
+    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
+    return matrix.real, float(np.abs(matrix.imag).max(initial=0.0)) / scale
+
+
 def _flip_defect(block, basis, parity):
     """Largest row norm of F Q - parity Q for the spin flip F and momentum-basis
     columns Q: a bound on |psi(flip c) - parity psi(c)| for every unit psi in
@@ -239,7 +247,9 @@ class _Subspace(NamedTuple):
     spanning it (columns in the block's real basis) and their eigenvalues, its
     `_flip_defect` for the parity (-1)**(Ls - J), the projections
     Q_J^T B Q_J of the bond terms B of `_bond_keys`, stacked along the last
-    axis, and their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F."""
+    axis, their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F, and the
+    block's `imag_defect`: the largest share of J**2 or a B that `_real_block`
+    dropped as imaginary."""
 
     two_j: int
     basis: np.ndarray
@@ -247,6 +257,7 @@ class _Subspace(NamedTuple):
     flip_defect: float
     terms: np.ndarray
     leakage: np.ndarray
+    imag_defect: float
 
 
 @lru_cache(maxsize=8)
@@ -262,9 +273,11 @@ def _spin_subspaces(two_s, sites):
     chain = []
     for n in range(sites // 2 + 1):
         block = _momentum_block(two_s, sites, n)
-        values, basis = np.linalg.eigh(block.in_real_basis(_assemble_block(block, j2_term, diagonal)).real)
+        j2, imag_defect = _real_block(block, j2_term, diagonal)
+        values, basis = np.linalg.eigh(j2)
         values.flags.writeable = basis.flags.writeable = False
-        h_terms = [block.in_real_basis(_assemble_block(block, term)).real for term in bond_terms]
+        h_terms, defects = zip(*(_real_block(block, term) for term in bond_terms))
+        imag_defect = max(imag_defect, *defects)
         two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
         parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
         bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
@@ -276,7 +289,8 @@ def _spin_subspaces(two_s, sites):
             leakage = np.array([np.linalg.norm(x - q @ terms[..., b]) for b, x in enumerate(h_q)])
             terms.flags.writeable = leakage.flags.writeable = False
             flip_defect = _flip_defect(block, block.to_momentum(q), parity[lo])
-            subspaces.append(_Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage))
+            subspaces.append(
+                _Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage, imag_defect))
         chain.append((block, tuple(subspaces)))
     return tuple(chain)
 
@@ -376,9 +390,11 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
     |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
     |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
-    breaks SU(2) leaks out of the J**2 subspaces), and when the `_flip_defect`
+    breaks SU(2) leaks out of the J**2 subspaces), when the `_flip_defect`
     of its J**2 subspace exceeds RESIDUAL_TOL: the flip-reduced Schmidt
-    blocks of its entropy rest on psi(flip c) = (-1)**(Ls - J) psi(c).
+    blocks of its entropy rest on psi(flip c) = (-1)**(Ls - J) psi(c), and
+    when its block's `imag_defect` exceeds RESIDUAL_TOL: the block is solved
+    as real.
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
@@ -423,7 +439,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         energies, two_js, j2_residuals, h_residuals, flip_defects = (
             a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
         flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
-                   | (flip_defects > RESIDUAL_TOL))
+                   | (flip_defects > RESIDUAL_TOL) | (subspaces[0].imag_defect > RESIDUAL_TOL))
         central = np.zeros(dim, dtype=bool)
         central[_central_window(dim)] = True
         gaussianity, entropy = np.full((2, dim), math.nan)

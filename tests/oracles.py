@@ -32,6 +32,10 @@ The library calls none of these; the tests compare it against them.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
   per (J_A, J_B) pair for complex coefficients, against the sampler's one
   call scattered through the geometry's draw map.
+- `concatenated_entropy`, `sampler_entropies_reference`,
+  `slice_entropy_reference`: Monte Carlo and slice entropies from all Schmidt
+  spectra of a state concatenated, each repeated by its copies, and one
+  np.dot per state, against the library's one kernel call per block.
 
 Angular momenta are doubled integers, as in the library.
 """
@@ -51,7 +55,14 @@ from spinsectors.combinatorics import (
     spin_half_multiplicity,
 )
 from spinsectors.special import digamma, log_binomial
-from spinsectors.ensembles import schmidt_square_entropy, slice_entanglement_entropy
+from spinsectors.ensembles import (
+    EIGENVALUE_FLOOR,
+    _flip_classes,
+    _schmidt_squares,
+    bipartition_maps,
+    schmidt_square_entropy,
+    slice_entanglement_entropy,
+)
 from spinsectors.spectra import (
     RESIDUAL_TOL,
     EigenstateRecord,
@@ -507,6 +518,57 @@ def draw_blocks(rng, geo, w):
             block += 1j * rng.standard_normal(block.shape)
         total += float(np.sum(np.abs(block) ** 2))
     w *= 1.0 / math.sqrt(total)
+
+
+# ---------------------------------------------------------------------------
+# Schmidt entropies from one concatenated spectrum
+
+
+def concatenated_entropy(parts):
+    """-sum w ln w of the spectra (or stacks of them) in `parts`, (spectrum,
+    copies) pairs: each repeated `copies` times, all concatenated along the
+    last axis, and each row's values above the floor summed by one np.dot."""
+    lam = np.concatenate([spectrum for spectrum, copies in parts for _ in range(copies)], axis=-1)
+    values = []
+    for row in lam.reshape(-1, lam.shape[-1]):
+        kept = row[row > EIGENVALUE_FLOOR]
+        values.append(max(0.0, float(-np.dot(kept, np.log(kept)))))
+    return values[0] if lam.ndim == 1 else np.array(values)
+
+
+def sampler_entropies_reference(geo, w, methods):
+    """The sampler's full, sd1 and sd2 entropies of one W or a stack of them,
+    from the geometry's Schmidt blocks through `concatenated_entropy`."""
+    parts = {method: [] for method in methods}
+    for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
+        cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
+        x = cg * w[(Ellipsis,) + index]
+        if "full" in parts:
+            parts["full"].append((_schmidt_squares(x), copies))
+        for part in sd1_parts if "sd1" in parts else ():
+            parts["sd1"].append((_schmidt_squares(x[(Ellipsis,) + part]), copies))
+    if "sd2" in parts:
+        blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
+        trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
+        for pair, block in blocks.items():
+            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
+            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
+            parts["sd2"].append((outer.reshape(lam.shape[:-1] + (-1,)), 1))
+    return {method: concatenated_entropy(p) for method, p in parts.items()}
+
+
+def slice_entropy_reference(states, configs, a_sites, maps=None):
+    """`slice_entanglement_entropy` of a column stack of states through
+    `concatenated_entropy`."""
+    if maps is None:
+        maps = bipartition_maps(configs, a_sites)
+    parts = []
+    for sel, rows, cols, shape, copies, flip_paired in maps:
+        blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
+        blocks[:, rows, cols] = states[sel].T
+        parts += [(_schmidt_squares(p), copies)
+                  for p in (_flip_classes(blocks) if flip_paired else (blocks,))]
+    return concatenated_entropy(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import spinsectors
-from spinsectors import cli
+from spinsectors import cli, max_spin_entropy_asymptotic, max_spin_state_entropy
 from spinsectors.cli import main
 
 
@@ -84,6 +85,26 @@ class TestAverage:
               "--out", str(out)])
         _, rows = read_rows(out)
         assert float(rows[0]["mean"]) == pytest.approx(2.8695834663775757, rel=1e-12)
+
+    @pytest.mark.parametrize("sites", [4, 8, 16, 30, 128])
+    def test_max_spin_rows_are_the_stretched_state(self, tmp_path, sites):
+        # 2J = L rows come from sd2_average_closed and sd2_asymptotic, which at
+        # J = L/2 give the stretched-state values bit for bit
+        for f in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)):
+            cut = round(f * sites)
+            for method, want in (("closed", max_spin_state_entropy(sites, cut)),
+                                 ("asymptotic", max_spin_entropy_asymptotic(sites, f))):
+                out = tmp_path / f"{method}-{f.denominator}-{f.numerator}.csv"
+                main(["average", "--method", method, "--L", str(sites), "--two-J", str(sites),
+                      "--f", str(f), "--out", str(out)])
+                _, rows = read_rows(out)
+                assert rows[0]["mean"] == repr(want), (method, f)
+
+    def test_odd_max_spin_closed_row_refused(self):
+        # the geometry refuses odd L before any stretched-state code runs
+        with pytest.raises(SystemExit,
+                           match="^error: the J_z=0 ensembles need an even number of sites, got 7$"):
+            main(["average", "--method", "closed", "--L", "7", "--two-J", "7"])
 
     def test_seed_required_for_stochastic(self, tmp_path):
         with pytest.raises(SystemExit, match="seed"):
@@ -322,7 +343,7 @@ class TestEd:
 
     def test_cap_produces_size_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cap"):
-            main(["ed", "--L", "18", "--coupling", "0", "--two-J", "0",
+            main(["ed", "--L", "20", "--coupling", "0", "--two-J", "0",
                   "--out", str(tmp_path / "x.csv")])
 
 

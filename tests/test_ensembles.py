@@ -129,6 +129,15 @@ def test_sizes_below_their_minimum_name_the_argument(function, args, name, minim
         function(*args)
 
 
+EPS = np.finfo(float).eps
+
+
+def within_route_tolerance(got, want):
+    """|got - want| <= 32 eps max(1, |want|) elementwise: two summation orders."""
+    got, want = np.asarray(got), np.asarray(want)
+    return bool(np.all(np.abs(got - want) <= 32 * EPS * np.maximum(1.0, np.abs(want))))
+
+
 # geometries of the Schmidt-block tests: (14, 6, 7) has no m = 0 block; at
 # (4, 4, 2) the even-J_A class of m = 0 is empty
 BLOCK_GRID = [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)]
@@ -168,6 +177,26 @@ class TestEntropyKernels:
     def test_pure_state_entropy_is_positive_zero(self):
         # max(-0.0, 0.0) keeps its first argument, which gave -0.0 here
         assert math.copysign(1.0, schmidt_square_entropy([1.0])) == 1.0
+
+    def test_stack_equals_each_row_bitwise(self):
+        # rows with values at and below the floor, slightly negative ones from
+        # rounding, a pure state, and values just above 1 whose sum clips to +0.0
+        rng = np.random.default_rng(7)
+        lams = rng.random((7, 37))
+        lams /= lams.sum(axis=1, keepdims=True)
+        lams[1, :5] = -1e-17
+        lams[2, ::3] = ensembles.EIGENVALUE_FLOOR
+        lams[3] = 0.0
+        lams[3, 4] = 1.0
+        lams[4, 10:20] = 1e-15
+        lams[5] = 1.0 + 1e-15
+        got = schmidt_square_entropy(lams)
+        rows = [schmidt_square_entropy(row) for row in lams]
+        assert got.shape == (7,) and all(type(value) is float for value in rows)
+        assert np.array_equal(got.view(np.uint64), np.array(rows).view(np.uint64))
+        assert got[3] == got[5] == 0.0 and math.copysign(1.0, got[3]) == 1.0
+        want = [oracles.concatenated_entropy([(row, 1)]) for row in lams]
+        np.testing.assert_allclose(got, want, rtol=32 * EPS, atol=32 * EPS)
 
     def test_slice_state_longer_than_configs_rejected(self):
         # the third amplitude lay outside every Schmidt block, and the entropy came out -0.0
@@ -394,6 +423,16 @@ class TestSd2:
         x = paired_spin_crossover(Fraction(2, 5), 0.5)
         assert x is not None and 0.0 < x < 0.2  # below the center j*f = 0.2
 
+    @pytest.mark.parametrize("fraction", [Fraction(1, 4), Fraction(1, 3), 0.7])
+    def test_crossover_near_unit_density_stays_in_its_bracket(self, fraction):
+        # the bisection started at x = f + 1e-12 here and passed a density
+        # above 1 to the rate function, which raised
+        ff = float(min(Fraction(fraction), 1 - Fraction(fraction)))
+        for j in (1.0, 1 - 1e-13, 0.999999):
+            x = paired_spin_crossover(fraction, j)
+            assert x is None or max(0.0, j - (1.0 - ff)) <= x <= j * ff, (j, x)
+        assert paired_spin_crossover(fraction, 1.0) == ff
+
 
 class TestSd1:
     def test_semianalytic_equals_exact_at_singlet(self):
@@ -571,6 +610,23 @@ class TestFlipSymmetricBlocks:
                 assert got["full"] == pytest.approx(got["sd1"], abs=1e-12)
 
 
+class TestConcatenatedRoute:
+    # the sampler sums one kernel call per Schmidt block, weighted by its
+    # copies; the reference concatenates every spectrum, repeated by its
+    # copies, and sums each sample with one np.dot: they differ by rounding
+    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_sampler_matches_concatenated_spectra(self, sites, two_j, cut, complex_coefficients):
+        geo = coupled_geometry(sites, two_j, cut)
+        stack = np.array([draw_w((47, i), geo, complex_coefficients) for i in range(4)])
+        for w in (stack, stack[0]):
+            got = _entropies_from_blocks(geo, w, ensembles.ENSEMBLE_METHODS)
+            want = oracles.sampler_entropies_reference(geo, w, ensembles.ENSEMBLE_METHODS)
+            for method in ensembles.ENSEMBLE_METHODS:
+                assert np.shape(got[method]) == np.shape(want[method])
+                assert within_route_tolerance(got[method], want[method]), method
+
+
 class TestDraw:
     @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
     @pytest.mark.parametrize("complex_coefficients", [False, True])
@@ -632,17 +688,17 @@ class TestStackedSamples:
             assert np.array_equal(chunked[method], single[method])
 
     def test_real_samples_pinned(self):
-        # values of the J**2 eigenvector columns (full, sd1) and of the
-        # sampler that drew W pair by pair (sd2), compared with ==
+        # values of the per-block entropy kernel, each block weighted by its
+        # copies, compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.3031030091471747, 3.3289328535605915, 3.2829020330151883],
-                "sd1": [3.4391080531774176, 3.4867740693228497, 3.4179169129657025],
-                "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717527],
+                "full": [3.303103009147175, 3.3289328535605915, 3.282902033015189],
+                "sd1": [3.439108053177417, 3.4867740693228493, 3.417916912965702],
+                "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717522],
             },
             (16, 4, 8): {
-                "full": [4.935383733046869, 4.9477085000323795, 4.929743993347234],
-                "sd1": [5.11918479888697, 5.132095348680575, 5.1248338537877824],
+                "full": [4.935383733046869, 4.947708500032379, 4.929743993347234],
+                "sd1": [5.1191847988869705, 5.132095348680573, 5.124833853787783],
                 "sd2": [4.035255888431617, 4.075054279134304, 4.066530431645234],
             },
         }
@@ -651,18 +707,18 @@ class TestStackedSamples:
             assert {m: list(v) for m, v in got.items()} == values
 
     def test_complex_samples_pinned(self):
-        # values of the J**2 eigenvector columns (full, sd1) and of the
-        # one-sample-at-a-time sampler (sd2), compared with ==
+        # values of the per-block entropy kernel, each block weighted by its
+        # copies, compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.2878327295564476, 3.360897094077566, 3.274663728656617],
-                "sd1": [3.412585920242406, 3.45451990817269, 3.4007730466428],
+                "full": [3.287832729556447, 3.360897094077566, 3.274663728656617],
+                "sd1": [3.4125859202424063, 3.45451990817269, 3.4007730466428],
                 "sd2": [3.0471159533328374, 3.1233695659323617, 2.9648550200323704],
             },
             (16, 4, 8): {
-                "full": [4.932029369839716, 4.945571307621941, 4.949598599744011],
-                "sd1": [5.116389723346817, 5.147909032083381, 5.142885815043664],
-                "sd2": [4.06393788030008, 4.094582387190917, 4.071701550488863],
+                "full": [4.932029369839716, 4.945571307621941, 4.949598599744012],
+                "sd1": [5.116389723346818, 5.147909032083381, 5.142885815043664],
+                "sd2": [4.063937880300081, 4.094582387190917, 4.071701550488863],
             },
         }
         for args, values in pinned.items():

@@ -16,6 +16,7 @@ from oracles import (
     momentum_blocks,
     restrict_to_zero_magnetization,
     slice_amplitudes,
+    slice_entropy_reference,
     spin_squared_matrix,
 )
 from spinsectors import (
@@ -102,7 +103,7 @@ class TestHamiltonian:
 
     def test_caps(self):
         with pytest.raises(ValueError, match="cap"):
-            diagonalize_and_resolve(ChainSpec(HALF, 18, 0.0), None)
+            diagonalize_and_resolve(ChainSpec(HALF, 20, 0.0), None)
         with pytest.raises(ValueError, match="cap"):
             diagonalize_and_resolve(ChainSpec(ONE, 12, 0.0), None)
 
@@ -412,6 +413,25 @@ class TestFlipReduction:
         assert len(gaps) == len(cuts) * (sites // 2 + 1)
         assert max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 0.0), (ONE, 8, 1.0)]
+    )
+    def test_entropies_match_concatenated_spectra(self, monkeypatch, species, sites, coupling):
+        # one kernel call per Schmidt block, weighted by its copies, against
+        # every spectrum of a state concatenated and summed by one np.dot
+        gaps = []
+
+        def both_routes(state, configs, a_sites, maps=None):
+            got = slice_entanglement_entropy(state, configs, a_sites, maps=maps)
+            want = slice_entropy_reference(state, configs, a_sites, maps)
+            gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+            return got
+
+        monkeypatch.setattr(spectra, "slice_entanglement_entropy", both_routes)
+        diagonalize_and_resolve(ChainSpec(species, sites, coupling))
+        assert len(gaps) == sites // 2 + 1
+        assert max(gaps) <= 32 * np.finfo(float).eps
+
 
 class TestSpinSquared:
     @pytest.mark.parametrize("two_s,sites", [(1, 6), (2, 4)])
@@ -497,6 +517,36 @@ class TestResolution:
             ]
             got = eigenstate_entropy_average(records, two_j).mean
             assert got == pytest.approx(np.mean(kept), abs=1e-12)
+
+    def test_imaginary_block_part_is_flagged(self, monkeypatch):
+        # a Hermitian 1e-6 i (|0><1| - |1><0|) in every matrix of block n = 0
+        # only, built into a fresh (k, J) cache: U = 1 at k = 0 leaves its real
+        # part, and so every energy, unchanged; only the imaginary-part
+        # certificate sees it
+        spec = ChainSpec(HALF, 10, 3.0)
+        clean = diagonalize_and_resolve(spec)
+        assemble = spectra._assemble_block
+
+        def imaginary(block, terms, diagonal_shift=0.0):
+            matrix = assemble(block, terms, diagonal_shift)
+            if block.momentum_index == 0:
+                matrix[0, 1] += 1e-6j
+                matrix[1, 0] -= 1e-6j
+            return matrix
+
+        monkeypatch.setattr(spectra, "_assemble_block", imaginary)
+        spectra._spin_subspaces.cache_clear()
+        try:
+            records = diagonalize_and_resolve(spec)
+            defects = {block.momentum_index: {sub.imag_defect for sub in subs}
+                       for block, subs in spectra._spin_subspaces(HALF.two_s, 10)}
+        finally:
+            spectra._spin_subspaces.cache_clear()
+        assert all(min(d) > spectra.RESIDUAL_TOL if n == 0 else max(d) <= 1e-13
+                   for n, d in defects.items())
+        assert any(r.central for r in records if r.momentum_index == 0)
+        assert all(r.flagged == (r.momentum_index == 0) for r in records)
+        assert [r.energy for r in records] == [r.energy for r in clean]
 
     def test_central_window(self):
         from spinsectors.spectra import _central_window
