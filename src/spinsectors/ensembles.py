@@ -129,8 +129,8 @@ def bipartition_maps(configs, a_sites):
     configuration indices with a given subsystem magnetization, their
     row/column ranks, the block shape, how many times the block's spectrum
     counts, and whether its rows split into flip classes (see
-    `slice_entanglement_entropy`).  Here every block counts once and none
-    splits.  Rows and columns are ranked lexicographically by their digits.
+    `_schmidt_entropies`).  Here every block counts once and none splits.
+    Rows and columns are ranked lexicographically by their digits.
     """
     configs = np.asarray(configs)
     a_sites = list(a_sites)
@@ -158,31 +158,37 @@ def _flip_classes(blocks):
     return np.concatenate([even, blocks[:, n // 2 : n - n // 2]], axis=1), odd
 
 
-def slice_entanglement_entropy(state, configs, a_sites, maps=None):
+def _schmidt_entropies(maps, amplitudes, count):
+    """Entropy of each of `count` states over the Schmidt index maps `maps`
+    (`bipartition_maps` entries); `amplitudes(sel)` gives configurations
+    `sel` as rows, one column per state.  An entry whose spectrum counts
+    `copies` times or whose rows split into flip classes is exact only for
+    states the global spin flip maps to +-themselves, whose Schmidt blocks at
+    -m_A mirror those at m_A and commute with the flip at m_A = 0."""
+    values = np.zeros(count)
+    for sel, rows, cols, shape, copies, flip_paired in maps:
+        amps = amplitudes(sel)
+        blocks = np.zeros((count,) + shape, dtype=amps.dtype)
+        blocks[:, rows, cols] = amps.T
+        for part in _flip_classes(blocks) if flip_paired else (blocks,):
+            values += copies * schmidt_square_entropy(_schmidt_squares(part))
+    return values
+
+
+def slice_entanglement_entropy(state, configs, a_sites):
     """Entanglement entropy of a state on a magnetization-resolved slice.
 
     `state` is a vector over `configs` (result: a float) or a column stack of
     them (result: one entropy per column).  `a_sites` lists the subsystem
     sites (need not start at 0); the reduced density matrix is diagonalized
-    block by block in the subsystem magnetization.  `maps` defaults to
-    `bipartition_maps`; a map entry whose spectrum counts `copies` times or
-    whose rows split into flip classes is exact only for states the global
-    spin flip maps to +-themselves, whose Schmidt blocks at -m_A mirror those
-    at m_A and commute with the flip at m_A = 0.
+    block by block in the subsystem magnetization.
     """
     state = np.asarray(state)
     if len(state) != len(configs):
         raise ValueError(f"state of length {len(state)} does not match {len(configs)} configurations")
     _check_normalized(state)
     states = state.reshape(len(state), -1)
-    if maps is None:
-        maps = bipartition_maps(configs, a_sites)
-    values = np.zeros(states.shape[1])
-    for sel, rows, cols, shape, copies, flip_paired in maps:
-        blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
-        blocks[:, rows, cols] = states[sel].T
-        for part in _flip_classes(blocks) if flip_paired else (blocks,):
-            values += copies * schmidt_square_entropy(_schmidt_squares(part))
+    values = _schmidt_entropies(bipartition_maps(configs, a_sites), states.__getitem__, states.shape[1])
     return values if state.ndim == 2 else float(values[0])
 
 

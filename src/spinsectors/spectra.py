@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import SpinSpecies, _check_integer
-from .ensembles import EntropyEstimate, bipartition_maps, slice_entanglement_entropy
+from .ensembles import EntropyEstimate, _check_normalized, _schmidt_entropies, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
 __all__ = [
@@ -223,11 +223,11 @@ def _assemble_block(block, term, diagonal_shift=0.0):
 
 
 def _real_block(block, term, diagonal_shift=0.0):
-    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`,
-    and max|Im M| / max(1, max|M|), the share of M that the real part drops."""
+    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`, a
+    copy so that M is freed, and max|Im M| / max(1, max|M|), the share it drops."""
     matrix = block.in_real_basis(_assemble_block(block, term, diagonal_shift))
     scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    return matrix.real, float(np.abs(matrix.imag).max(initial=0.0)) / scale
+    return np.ascontiguousarray(matrix.real), float(np.abs(matrix.imag).max(initial=0.0)) / scale
 
 
 def _flip_defect(block, basis, parity):
@@ -339,14 +339,6 @@ def gaussianity_of_vector(vector):
     return values if vector.ndim == 2 else float(values[0])
 
 
-def _config_amplitudes(block, vectors):
-    """Map momentum-block columns back to slice-configuration amplitudes; real
-    columns of a k = 0, pi block stay real."""
-    # the appended zero row serves configurations whose orbit is not in the block
-    padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)])
-    return padded[block.position] * block.phase[:, None]
-
-
 @lru_cache(maxsize=None)
 def _cut_maps(two_s, sites, cut):
     """Flip-reduced Schmidt index maps of the J_z=0 slice for the first `cut` sites.
@@ -408,7 +400,6 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         if not 0 < cut < sites:
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
-        _, digits = configuration_space(two_s, sites, 0)
     coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
@@ -456,8 +447,11 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
             picked = block.to_momentum(picked)
             gaussianity[chosen] = gaussianity_of_vector(picked)
             if fraction is not None:
-                amps = _config_amplitudes(block, picked)
-                entropy[chosen] = slice_entanglement_entropy(amps, digits, range(cut), maps=maps)
+                # c = T**t r takes phase[c] times row r of picked; orbits outside the block read a zero row
+                _check_normalized(picked)
+                padded = np.vstack([picked, np.zeros((1, chosen.size), dtype=picked.dtype)])
+                entropy[chosen] = _schmidt_entropies(
+                    maps, lambda sel: padded[block.position[sel]] * block.phase[sel, None], chosen.size)
         columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
         n, complex_sector = block.momentum_index, block.complex_sector
         records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)

@@ -61,7 +61,6 @@ from spinsectors.ensembles import (
     _schmidt_squares,
     bipartition_maps,
     schmidt_square_entropy,
-    slice_entanglement_entropy,
 )
 from spinsectors.spectra import (
     RESIDUAL_TOL,
@@ -559,7 +558,8 @@ def sampler_entropies_reference(geo, w, methods):
 
 def slice_entropy_reference(states, configs, a_sites, maps=None):
     """`slice_entanglement_entropy` of a column stack of states through
-    `concatenated_entropy`."""
+    `concatenated_entropy`; given `maps` (for example flip-reduced ones), the
+    entropies over those maps instead of `bipartition_maps`."""
     if maps is None:
         maps = bipartition_maps(configs, a_sites)
     parts = []
@@ -651,6 +651,15 @@ def slice_amplitudes(two_s, block, vectors):
     return amps
 
 
+def config_amplitudes(block, vectors):
+    """Slice-configuration amplitudes of the momentum-basis columns of a
+    library `_Block`: configuration c carries phase[c] times row position[c],
+    zero when its orbit is not in the block; real columns at k = 0, pi stay
+    real."""
+    padded = np.vstack([vectors, np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)])
+    return padded[block.position] * block.phase[:, None]
+
+
 def complex_resolve(spec, fraction=Fraction(1, 2)):
     """`diagonalize_and_resolve` in complex momentum blocks, per coupling.
 
@@ -696,9 +705,9 @@ def complex_resolve(spec, fraction=Fraction(1, 2)):
             picked = vectors[:, order[chosen]]
             gaussianity[chosen] = gaussianity_of_vector(picked)
             if fraction is not None:
-                entropy[chosen] = slice_entanglement_entropy(
+                entropy[chosen] = slice_entropy_reference(
                     slice_amplitudes(two_s, block, picked), digits, range(cut),
-                    maps=_cut_maps(two_s, sites, cut))
+                    _cut_maps(two_s, sites, cut))
         columns = (energies, labels, j2_res, central, gaussianity, entropy, flagged)
         records += [EigenstateRecord(e, n, j, r, c, block.is_complex_sector, g, s, f)
                     for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]

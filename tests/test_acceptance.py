@@ -328,3 +328,23 @@ def test_criterion_19_sd2_asymptotics():
            f"{[f'{r:.3f}' for r in quarter]} (0.45, 0.55); at f=1/2, L=1024..4096: "
            + ", ".join(f"j={j}: {[f'{r:.3f}' for r in rs]}" for j, rs in half.items())
            + f" (0.65, 0.78); {elapsed:.2f} s")
+
+
+def test_criterion_20_chaotic_vs_integrable_at_spin(ed14):
+    # gap = MC full mean - central complex-sector ED mean, at f = 1/2; the
+    # MC draws complex coefficients because the k != 0, pi eigenstates are
+    # complex in the configuration basis
+    t0 = time.perf_counter()
+    records = {12: {c: ss.diagonalize_and_resolve(ss.ChainSpec(ss.HALF, 12, c)) for c in (0.0, 3.0)},
+               14: ed14}
+    ok, details = True, []
+    for sites, two_js in ((12, (2, 6)), (14, (2, 8))):
+        for two_j in two_js:
+            mc = ss.random_state_average(sites, two_j, sites // 2, 400, 2020,
+                                         complex_coefficients=True, workers=1).mean
+            gap = {c: mc - ss.eigenstate_entropy_average(r, two_j).mean for c, r in records[sites].items()}
+            ok = ok and gap[3.0] < 0.5 * gap[0.0]
+            details.append(f"L={sites} 2J={two_j}: gap(3)={gap[3.0]:.3f}, gap(0)={gap[0.0]:.3f}, "
+                           f"share {gap[3.0] / gap[0.0]:.3f}")
+    elapsed = time.perf_counter() - t0
+    report(20, ok, "; ".join(details) + f" (< 0.5; {elapsed:.1f}s)")

@@ -10,6 +10,7 @@ from oracles import (
     apply_total_spin_squared,
     assemble_block_direct,
     complex_resolve,
+    config_amplitudes,
     hamiltonian_matrix,
     kron_hamiltonian,
     kron_spin_squared,
@@ -37,7 +38,6 @@ from spinsectors.spectra import (
     _assemble_block,
     _bond_list,
     _bond_term,
-    _config_amplitudes,
     _momentum_block,
 )
 from spinsectors.su2 import configuration_space, spin_squared_terms
@@ -328,7 +328,7 @@ class TestFlipReduction:
         for block, subspaces in spectra._spin_subspaces(two_s, sites):
             for sub in subspaces:
                 _, rot = np.linalg.eigh(sub.terms @ coeffs)
-                amps = _config_amplitudes(block, block.to_momentum(sub.basis @ rot))
+                amps = config_amplitudes(block, block.to_momentum(sub.basis @ rot))
                 parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
                 assert np.max(np.abs(amps[flip] - parity * amps)) <= 1e-12
 
@@ -342,7 +342,7 @@ class TestFlipReduction:
             for sub in subspaces:
                 parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
                 basis = block.to_momentum(sub.basis)
-                amps = _config_amplitudes(block, basis)
+                amps = config_amplitudes(block, basis)
                 for p in (parity, -parity):
                     rows = np.linalg.norm(amps[::-1] - p * amps, axis=1) * np.sqrt(period)
                     got = spectra._flip_defect(block, basis, p)
@@ -380,9 +380,9 @@ class TestFlipReduction:
 
     def test_no_slice_amplitudes_without_a_fraction(self, monkeypatch):
         def forbidden(*args):
-            raise AssertionError("_config_amplitudes called")
+            raise AssertionError("_schmidt_entropies called")
 
-        monkeypatch.setattr(spectra, "_config_amplitudes", forbidden)
+        monkeypatch.setattr(spectra, "_schmidt_entropies", forbidden)
         records = diagonalize_and_resolve(ChainSpec(HALF, 10, 3.0), None)
         assert any(r.central for r in records) and not any(r.flagged for r in records)
 
@@ -400,14 +400,17 @@ class TestFlipReduction:
     def test_reduced_blocks_match_full_path(self, monkeypatch, species, sites, coupling, cuts):
         # cuts past L/2 make the m_A = 0 block's B side its rows; every spin-1
         # m_A = 0 block holds the fixed point of the flip (all digits 1)
+        _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_paths(state, configs, a_sites, maps=None):
-            reduced = slice_entanglement_entropy(state, configs, a_sites, maps=maps)
-            gaps.append(np.max(np.abs(reduced - slice_entanglement_entropy(state, configs, a_sites))))
+        def both_paths(maps, amplitudes, count):
+            reduced = kernel(maps, amplitudes, count)
+            full = slice_entanglement_entropy(amplitudes(np.arange(len(digits))), digits, range(cut))
+            gaps.append(np.max(np.abs(reduced - full)))
             return reduced
 
-        monkeypatch.setattr(spectra, "slice_entanglement_entropy", both_paths)
+        kernel = spectra._schmidt_entropies
+        monkeypatch.setattr(spectra, "_schmidt_entropies", both_paths)
         for cut in cuts:
             diagonalize_and_resolve(ChainSpec(species, sites, coupling), Fraction(cut, sites))
         assert len(gaps) == len(cuts) * (sites // 2 + 1)
@@ -419,15 +422,17 @@ class TestFlipReduction:
     def test_entropies_match_concatenated_spectra(self, monkeypatch, species, sites, coupling):
         # one kernel call per Schmidt block, weighted by its copies, against
         # every spectrum of a state concatenated and summed by one np.dot
+        _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_routes(state, configs, a_sites, maps=None):
-            got = slice_entanglement_entropy(state, configs, a_sites, maps=maps)
-            want = slice_entropy_reference(state, configs, a_sites, maps)
+        def both_routes(maps, amplitudes, count):
+            got = kernel(maps, amplitudes, count)
+            want = slice_entropy_reference(amplitudes(np.arange(len(digits))), digits, range(sites // 2), maps)
             gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
             return got
 
-        monkeypatch.setattr(spectra, "slice_entanglement_entropy", both_routes)
+        kernel = spectra._schmidt_entropies
+        monkeypatch.setattr(spectra, "_schmidt_entropies", both_routes)
         diagonalize_and_resolve(ChainSpec(species, sites, coupling))
         assert len(gaps) == sites // 2 + 1
         assert max(gaps) <= 32 * np.finfo(float).eps
@@ -548,6 +553,12 @@ class TestResolution:
         assert all(r.flagged == (r.momentum_index == 0) for r in records)
         assert [r.energy for r in records] == [r.energy for r in clean]
 
+    def test_real_blocks_own_their_data(self):
+        # a strided .real view would keep the complex U^dagger A U alive
+        real, defect = spectra._real_block(_momentum_block(1, 10, 1), _bond_term(1, 10, ((1, 1.0, 1),)))
+        assert real.dtype == float and real.flags.c_contiguous and real.flags.owndata
+        assert defect <= 1e-13
+
     def test_central_window(self):
         from spinsectors.spectra import _central_window
 
@@ -602,7 +613,7 @@ class TestResolution:
         _, digits = configuration_space(two_s, sites, 0)
         block = assemble_block_direct(two_s, sites, 2, _bond_list(spec))
         energies, vectors = np.linalg.eigh(block.matrix)
-        amps = _config_amplitudes(_momentum_block(two_s, sites, 2), vectors[:, ::7])
+        amps = config_amplitudes(_momentum_block(two_s, sites, 2), vectors[:, ::7])
         means = []
         for offset in (0, 1):
             sites_a = [(offset + i) % sites for i in range(6)]
