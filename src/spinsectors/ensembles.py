@@ -131,10 +131,17 @@ def bipartition_maps(configs, a_sites):
     counts, and whether its rows split into flip classes (see
     `_schmidt_entropies`).  Here every block counts once and none splits.
     Rows and columns are ranked lexicographically by their digits.
+    `a_sites` must hold distinct integer sites 0 <= i < configs.shape[1].
     """
     configs = np.asarray(configs)
     a_sites = list(a_sites)
-    b_sites = [s for s in range(configs.shape[1]) if s not in a_sites]
+    sites = configs.shape[1]
+    for site in a_sites:
+        if not isinstance(site, numbers.Integral) or not 0 <= site < sites:
+            raise ValueError(f"a_sites {a_sites} must hold integer sites 0 <= i < {sites}, got {site!r}")
+    if len(set(a_sites)) < len(a_sites):
+        raise ValueError(f"a_sites {a_sites} repeats a site")
+    b_sites = [s for s in range(sites) if s not in a_sites]
     a_part = configs[:, a_sites]
     b_part = configs[:, b_sites]
     ma = a_part.sum(axis=1)
@@ -159,17 +166,30 @@ def _flip_classes(blocks):
 
 
 def _schmidt_entropies(maps, amplitudes, count):
-    """Entropy of each of `count` states over the Schmidt index maps `maps`
-    (`bipartition_maps` entries); `amplitudes(sel)` gives configurations
-    `sel` as rows, one column per state.  An entry whose spectrum counts
-    `copies` times or whose rows split into flip classes is exact only for
-    states the global spin flip maps to +-themselves, whose Schmidt blocks at
-    -m_A mirror those at m_A and commute with the flip at m_A = 0."""
+    """Entropy of each of `count` states over the Schmidt index maps `maps`,
+    `bipartition_maps` entries each followed by a column permutation `mirror`
+    or None; `amplitudes(sel)` gives configurations `sel` as rows, one column
+    per state.  An entry whose spectrum counts `copies` times or whose rows
+    split into flip classes is exact only for states the global spin flip
+    maps to +-themselves, whose Schmidt blocks at -m_A mirror those at m_A
+    and commute with the flip at m_A = 0.
+
+    Complex amplitudes of an entry with a `mirror` fill the real block
+    N = Im M + Re M[:, mirror] in place of their Schmidt block M.  That is
+    exact only for blocks with M[Pi rows, mirror cols] = conj M, Pi an
+    involution of the rows that commutes with the flip: then N = V^dagger M
+    W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and W alike
+    for `mirror`, so N has M's singular values, flip class by flip class."""
     values = np.zeros(count)
-    for sel, rows, cols, shape, copies, flip_paired in maps:
+    for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
         amps = amplitudes(sel)
-        blocks = np.zeros((count,) + shape, dtype=amps.dtype)
-        blocks[:, rows, cols] = amps.T
+        if mirror is None or not np.iscomplexobj(amps):
+            blocks = np.zeros((count,) + shape, dtype=amps.dtype)
+            blocks[:, rows, cols] = amps.T
+        else:
+            blocks = np.zeros((count,) + shape)
+            blocks[:, rows, cols] = amps.imag.T
+            blocks[:, rows, mirror[cols]] += amps.real.T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
             values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values
@@ -188,7 +208,8 @@ def slice_entanglement_entropy(state, configs, a_sites):
         raise ValueError(f"state of length {len(state)} does not match {len(configs)} configurations")
     _check_normalized(state)
     states = state.reshape(len(state), -1)
-    values = _schmidt_entropies(bipartition_maps(configs, a_sites), states.__getitem__, states.shape[1])
+    maps = [(*entry, None) for entry in bipartition_maps(configs, a_sites)]
+    values = _schmidt_entropies(maps, states.__getitem__, states.shape[1])
     return values if state.ndim == 2 else float(values[0])
 
 

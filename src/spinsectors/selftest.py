@@ -32,8 +32,8 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
-from .su2 import clebsch_gordan, stretched_weight_logs
+from .spectra import RESIDUAL_TOL, ChainSpec, _bond_list, _spin_subspaces, diagonalize_and_resolve
+from .su2 import clebsch_gordan, configuration_space, stretched_weight_logs
 
 _TRIANGLE = {
     0: {0: 1},
@@ -179,6 +179,24 @@ def _check_spectra():
                 assert sub.imag_defect <= 1e-13, (sites, block.momentum_index)
                 assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
                 assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
+        # every eigenvector psi of a complex block, at momentum k, obeys
+        # psi(R c) = exp(-ik cut) conj psi(c) for each in-half reflection
+        # R = T**cut P, i -> (cut-1-i) mod L, which makes its Schmidt blocks real
+        codes, digits = configuration_space(two_s, sites, 0)
+        coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
+        for block, subspaces in _spin_subspaces(two_s, sites):
+            if not block.complex_sector:
+                continue
+            vectors = block.to_momentum(
+                np.hstack([sub.basis @ np.linalg.eigh(sub.terms @ coeffs)[1] for sub in subspaces]))
+            amps = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])[block.position] * block.phase[:, None]
+            for cut in range(1, sites):
+                image = np.empty_like(digits)
+                image[:, [(cut - 1 - i) % sites for i in range(sites)]] = digits
+                reflection = np.searchsorted(codes, image @ (two_s + 1) ** np.arange(sites))
+                phase = np.exp(-2j * math.pi * block.momentum_index * cut / sites)
+                gap = np.abs(amps[reflection] - phase * amps.conj()).max()
+                assert gap <= 1e-13, (sites, block.momentum_index, cut, gap)
 
 
 _CHECKS = (

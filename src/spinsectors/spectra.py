@@ -24,6 +24,13 @@ a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
 diagonalized, each counted twice, and m_A = 0 splits into flip-even and
 flip-odd rows.  The records of a J**2 subspace whose cached flip
 certificate misses that symmetry are flagged.
+
+Every Schmidt block is diagonalized as a real matrix.  At k = 0, pi the
+eigenstates are real.  At other k the in-half reflection R = T**cut P,
+which sends site i to (cut-1-i) mod L and so keeps both halves, maps a
+P K-invariant eigenstate psi to psi(R c) = exp(-ik cut) conj psi(c); the
+Schmidt blocks M of exp(ik cut/2) psi thus obey M[R rows, R cols] = conj M,
+and the real Im M + Re M[:, R cols] has M's singular values.
 """
 
 import math
@@ -223,9 +230,12 @@ def _assemble_block(block, term, diagonal_shift=0.0):
 
 
 def _real_block(block, term, diagonal_shift=0.0):
-    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`, a
-    copy so that M is freed, and max|Im M| / max(1, max|M|), the share it drops."""
-    matrix = block.in_real_basis(_assemble_block(block, term, diagonal_shift))
+    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`
+    (A itself at k = 0, pi, where U = 1), a copy so that M is freed, and
+    max|Im M| / max(1, max|M|), the share it drops."""
+    matrix = _assemble_block(block, term, diagonal_shift)
+    if block.complex_sector:
+        matrix = block.in_real_basis(matrix)
     scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
     return np.ascontiguousarray(matrix.real), float(np.abs(matrix.imag).max(initial=0.0)) / scale
 
@@ -349,8 +359,16 @@ def _cut_maps(two_s, sites, cut):
     (its rows, ranked lexicographically by digits, pair as i and n-1-i,
     because the flip reverses that order).  Independent of the coupling, so
     cached.
+
+    Each entry is a `bipartition_maps` entry followed by `mirror`, the
+    column permutation that the in-half reflection R = T**cut P induces.  R
+    sends site i to (cut-1-i) mod L, so it reverses the sites of each side
+    and keeps every block; `_schmidt_entropies` uses `mirror` to diagonalize
+    the Schmidt blocks of complex-sector eigenstates as real matrices.
     """
-    _, digits = configuration_space(two_s, sites, 0)
+    codes, digits = configuration_space(two_s, sites, 0)
+    reflected = np.concatenate([digits[:, cut - 1::-1], digits[:, :cut - 1:-1]], axis=1)
+    reflection = np.searchsorted(codes, reflected @ (two_s + 1) ** np.arange(sites, dtype=np.int64))
     maps = []
     for sel, rows, cols, shape, _, _ in bipartition_maps(digits, range(cut)):
         twice_m = 2 * int(digits[sel[0], :cut].sum()) - cut * two_s
@@ -358,9 +376,11 @@ def _cut_maps(two_s, sites, cut):
             continue
         if twice_m == 0 and shape[1] < shape[0]:  # Schmidt values ignore a transpose
             rows, cols, shape = cols, rows, shape[::-1]
-        for a in (sel, rows, cols):
+        mirror = np.empty(shape[1], dtype=cols.dtype)
+        mirror[cols] = cols[np.searchsorted(sel, reflection[sel])]
+        for a in (sel, rows, cols, mirror):
             a.flags.writeable = False
-        maps.append((sel, rows, cols, shape, 2 if twice_m else 1, twice_m == 0))
+        maps.append((sel, rows, cols, shape, 2 if twice_m else 1, twice_m == 0, mirror))
     return tuple(maps)
 
 
@@ -450,8 +470,14 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
                 # c = T**t r takes phase[c] times row r of picked; orbits outside the block read a zero row
                 _check_normalized(picked)
                 padded = np.vstack([picked, np.zeros((1, chosen.size), dtype=picked.dtype)])
+                phase = block.phase
+                if block.complex_sector:
+                    # psi(R c) = exp(-ik cut) conj psi(c) for the reflection R of
+                    # `_cut_maps`, so each Schmidt block M of exp(ik cut/2) psi has
+                    # M[R rows, R cols] = conj M, and `_schmidt_entropies` makes it real
+                    phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
                 entropy[chosen] = _schmidt_entropies(
-                    maps, lambda sel: padded[block.position[sel]] * block.phase[sel, None], chosen.size)
+                    maps, lambda sel: padded[block.position[sel]] * phase[sel, None], chosen.size)
         columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
         n, complex_sector = block.momentum_index, block.complex_sector
         records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)

@@ -25,8 +25,9 @@ The library calls none of these; the tests compare it against them.
 - `assemble_block_direct`: a momentum block from one `bond_matrix_elements`
   call over all bonds, against the library's bond-term tables.
 - `complex_resolve`: eigenstate records from complex momentum blocks, H
-  projected onto complex J**2 eigenbases per coupling, against the
-  library's real (k, J) subspaces; `slice_amplitudes` maps its vectors.
+  projected onto complex J**2 eigenbases per coupling, and entropies from
+  complex Schmidt blocks, against the library's real (k, J) subspaces and
+  real Schmidt blocks; `slice_amplitudes` maps its vectors.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
@@ -35,7 +36,8 @@ The library calls none of these; the tests compare it against them.
 - `concatenated_entropy`, `sampler_entropies_reference`,
   `slice_entropy_reference`: Monte Carlo and slice entropies from all Schmidt
   spectra of a state concatenated, each repeated by its copies, and one
-  np.dot per state, against the library's one kernel call per block.
+  np.dot per state, against the library's one kernel call per block; its
+  Schmidt blocks are complex wherever the states are.
 
 Angular momenta are doubled integers, as in the library.
 """
@@ -559,11 +561,13 @@ def sampler_entropies_reference(geo, w, methods):
 def slice_entropy_reference(states, configs, a_sites, maps=None):
     """`slice_entanglement_entropy` of a column stack of states through
     `concatenated_entropy`; given `maps` (for example flip-reduced ones), the
-    entropies over those maps instead of `bipartition_maps`."""
+    entropies over those maps instead of `bipartition_maps`.  Each Schmidt
+    block is filled as given, complex for complex states: a column `mirror`
+    that follows an entry is not used."""
     if maps is None:
         maps = bipartition_maps(configs, a_sites)
     parts = []
-    for sel, rows, cols, shape, copies, flip_paired in maps:
+    for sel, rows, cols, shape, copies, flip_paired, *_ in maps:
         blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
         blocks[:, rows, cols] = states[sel].T
         parts += [(_schmidt_squares(p), copies)

@@ -39,6 +39,7 @@ from spinsectors.ensembles import (
     WORKERS_ENV,
     CoupledPairGeometry,
     _entropies_from_blocks,
+    bipartition_maps,
     coupled_geometry,
     schmidt_square_entropy,
 )
@@ -203,6 +204,23 @@ class TestEntropyKernels:
         configs = [[0, 1], [1, 0]]
         with pytest.raises(ValueError, match="^state of length 3 does not match 2 configurations$"):
             slice_entanglement_entropy([1.0, 0.0, 0.0], configs, [0])
+
+    @pytest.mark.parametrize("a_sites,message", [
+        ([0, 0, 1], r"^a_sites \[0, 0, 1\] repeats a site$"),
+        ([-1, 0], r"^a_sites \[-1, 0\] must hold integer sites 0 <= i < 6, got -1$"),
+        ([7], r"^a_sites \[7\] must hold integer sites 0 <= i < 6, got 7$"),
+        ([6, 0], r"^a_sites \[6, 0\] must hold integer sites 0 <= i < 6, got 6$"),
+        ([0, 1.0], r"^a_sites \[0, 1.0\] must hold integer sites 0 <= i < 6, got 1.0$"),
+    ], ids=["repeated", "negative", "past-the-end", "at-the-end", "non-integer"])
+    def test_bad_subsystem_sites_rejected(self, a_sites, message):
+        # a repeated site counted twice, a negative one also landed in B, and
+        # one past the chain raised an IndexError
+        _, digits = su2.configuration_space(1, 6, 0)
+        state = np.full(len(digits), 1.0 / math.sqrt(len(digits)))
+        with pytest.raises(ValueError, match=message):
+            slice_entanglement_entropy(state, digits, a_sites)
+        with pytest.raises(ValueError, match=message):
+            bipartition_maps(digits, a_sites)
 
     def test_nan_slice_state_rejected(self):
         _, digits = su2.configuration_space(1, 6, 0)

@@ -278,6 +278,24 @@ class TestRealBasis:
             for x in (rng.standard_normal((dim, 3)), rng.standard_normal((dim, 2)) + 1j):
                 assert np.array_equal(block.to_momentum(x), x) and block.to_momentum(x).dtype == x.dtype
 
+    def test_cold_build_transforms_complex_blocks_only(self, monkeypatch):
+        # U = 1 at k = 0, pi, so J**2 and the two bond terms change basis at
+        # n = 1 .. 4 only
+        transform = spectra._Block.in_real_basis
+        seen = []
+
+        def counted(block, matrix):
+            seen.append(block.momentum_index)
+            return transform(block, matrix)
+
+        monkeypatch.setattr(spectra._Block, "in_real_basis", counted)
+        spectra._spin_subspaces.cache_clear()
+        try:
+            spectra._spin_subspaces(1, 10)
+        finally:
+            spectra._spin_subspaces.cache_clear()
+        assert sorted(seen) == [n for n in range(1, 5) for _ in range(3)]
+
     @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
     def test_transformed_blocks_are_real(self, species, sites, coupling):
         diagonal, j2_bonds = spin_squared_terms(species.two_s, sites)
@@ -331,6 +349,36 @@ class TestFlipReduction:
                 amps = config_amplitudes(block, block.to_momentum(sub.basis @ rot))
                 parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
                 assert np.max(np.abs(amps[flip] - parity * amps)) <= 1e-12
+
+    @pytest.mark.parametrize("species,sites,coupling", [
+        (HALF, 8, 3.0), (HALF, 10, 0.0), (HALF, 12, 3.0), (HALF, 14, 3.0), (ONE, 6, 0.0), (ONE, 7, 1.0),
+        (ONE, 8, 0.0)])
+    def test_every_complex_eigenstate_is_reflection_conjugate(self, species, sites, coupling):
+        # R = T**cut P sends site i to (cut-1-i) mod L: psi(R c) = exp(-ik cut)
+        # conj psi(c) at every complex k, and each `_cut_maps` entry's mirror
+        # is the column permutation of R
+        two_s = species.two_s
+        codes, digits = configuration_space(two_s, sites, 0)
+        weights = (two_s + 1) ** np.arange(sites)
+        assert np.array_equal(codes, digits @ weights)
+        coeffs = _coefficients(ChainSpec(species, sites, coupling))
+        amplitudes = {}
+        for block, subspaces in spectra._spin_subspaces(two_s, sites):
+            if block.complex_sector:
+                vectors = np.hstack([sub.basis @ np.linalg.eigh(sub.terms @ coeffs)[1] for sub in subspaces])
+                amplitudes[block.momentum_index] = config_amplitudes(block, block.to_momentum(vectors))
+        assert len(amplitudes) == (sites - 1) // 2
+        for cut in range(1, sites):
+            image = np.empty_like(digits)
+            image[:, [(cut - 1 - i) % sites for i in range(sites)]] = digits
+            reflection = np.searchsorted(codes, image @ weights)
+            for n, amps in amplitudes.items():
+                phase = np.exp(-2j * math.pi * n * cut / sites)
+                assert np.max(np.abs(amps[reflection] - phase * amps.conj())) <= 1e-13
+            for sel, rows, cols, *_, mirror in spectra._cut_maps(two_s, sites, cut):
+                where = np.searchsorted(sel, reflection[sel])
+                assert np.array_equal(sel[where], reflection[sel])
+                assert np.array_equal(mirror[cols], cols[where])
 
     @pytest.mark.parametrize("species,sites", [(HALF, 10), (ONE, 7)])
     def test_flip_defect_equals_slice_defect(self, species, sites):
