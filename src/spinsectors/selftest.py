@@ -33,7 +33,7 @@ from .ensembles import (
 )
 from .special import EULER_GAMMA, digamma
 from .spectra import RESIDUAL_TOL, ChainSpec, _bond_list, _spin_subspaces, diagonalize_and_resolve
-from .su2 import clebsch_gordan, configuration_space, stretched_weight_logs
+from .su2 import bond_matrix_elements, clebsch_gordan, configuration_space, stretched_weight_logs
 
 _TRIANGLE = {
     0: {0: 1},
@@ -167,26 +167,31 @@ def _check_spectra():
     for species, sites in ((HALF, 6), (ONE, 4)):
         two_s = species.two_s
         spec = ChainSpec(species, sites, 3.0 if species is HALF else 0.0)
+        records = diagonalize_and_resolve(spec, None)
         counts = dict.fromkeys(admissible_two_j(species, sites), 0)
-        for r in diagonalize_and_resolve(spec, None):
+        for r in records:
             assert not r.flagged
             counts[r.two_j] += 2 if r.complex_sector else 1  # conjugate blocks count twice
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
-        for block, subspaces in _spin_subspaces(two_s, sites):
-            # J**2 and every bond term of H are real in each block's P K basis,
-            # each J**2 subspace carries its flip parity and holds H
-            for sub in subspaces:
-                assert sub.imag_defect <= 1e-13, (sites, block.momentum_index)
-                assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
-                assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
-        # every eigenvector psi of a complex block, at momentum k, obeys
-        # psi(R c) = exp(-ik cut) conj psi(c) for each in-half reflection
-        # R = T**cut P, i -> (cut-1-i) mod L, which makes its Schmidt blocks real
+        # the records, conjugate blocks counted twice, hold the spectrum of the dense slice H
         codes, digits = configuration_space(two_s, sites, 0)
+        col, row, amp = bond_matrix_elements(two_s, digits, _bond_list(spec), codes)
+        dim = len(codes)
+        expected = np.linalg.eigvalsh(np.bincount(row * dim + col, amp, minlength=dim**2).reshape(dim, dim))
+        energies = np.sort([r.energy for r in records for _ in range(1 + r.complex_sector)])
+        gap = np.abs(energies - expected).max()
+        assert gap <= 1e-12 * max(1.0, np.abs(expected).max()), (sites, gap)
         coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
         for block, subspaces in _spin_subspaces(two_s, sites):
+            # each J**2 subspace carries its flip parity and holds H
+            for sub in subspaces:
+                assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
+                assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
             if not block.complex_sector:
                 continue
+            # every eigenvector psi of a complex block, at momentum k, obeys
+            # psi(R c) = exp(-ik cut) conj psi(c) for each in-half reflection
+            # R = T**cut P, i -> (cut-1-i) mod L, which makes its Schmidt blocks real
             vectors = block.to_momentum(
                 np.hstack([sub.basis @ np.linalg.eigh(sub.terms @ coeffs)[1] for sub in subspaces]))
             amps = np.vstack([vectors, np.zeros((1, vectors.shape[1]))])[block.position] * block.phase[:, None]

@@ -12,7 +12,8 @@ states (`_Block`): at k = 0, pi the momentum basis itself, at other k the
 basis fixed by P K, the site reflection P composed with complex conjugation
 K in the product basis, which keeps k and commutes with H and J**2.  J**2
 and each bond term of H are one `_bond_term` table over the translation
-orbits, which every block reads.
+orbits, which `_real_block` scatters straight into each block's real basis,
+so no complex operator matrix is formed.
 
 Everything that does not depend on the coupling is cached per chain: the
 real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
@@ -150,7 +151,7 @@ class _Block:
     exp(iks) |r', k> and partner[j] is the block position of r_j': column j
     is exp(iks/2) |r, k> for r = r', and each pair r < r' gives the columns
     (|r, k> + exp(iks) |r', k>) / sqrt 2 at r and i (|r, k> - exp(iks) |r', k>)
-    / sqrt 2 at r'.
+    / sqrt 2 at r'.  `_real_block` scatters operators straight into it.
     """
 
     two_s: int
@@ -163,12 +164,6 @@ class _Block:
     b: np.ndarray
     partner: np.ndarray
     complex_sector: bool
-
-    def in_real_basis(self, matrix):
-        """U^dagger M U of a momentum-basis matrix M, complex-typed: its
-        imaginary part is rounding when M commutes with P K."""
-        mu = matrix * self.a + matrix[:, self.partner] * self.b
-        return self.a.conj()[:, None] * mu + self.b.conj()[:, None] * mu[self.partner]
 
     def to_momentum(self, vectors):
         """U x: real-basis columns x as momentum-basis columns."""
@@ -214,30 +209,32 @@ def _bond_term(two_s, sites, bonds):
             shift[row].astype(np.int8), np.sqrt(period[reps][col] / period[row]))
 
 
-def _assemble_block(block, term, diagonal_shift=0.0):
-    """Complex momentum-basis matrix of diagonal_shift + the `_bond_term`
-    table `term`: each element whose target and column orbits fit the
-    momentum enters as amp * exp(i k shift) * ratio."""
+def _real_block(block, term, diagonal_shift=0.0):
+    """Real-basis matrix U^dagger A U of A = diagonal_shift + the `_bond_term`
+    table `term`: each element (t, c) whose orbits fit the momentum carries
+    v = amp * exp(ik shift) * ratio and adds Re(conj U[t, i] v U[c, j]) at
+    (i, j), i in {t, partner t} and j in {c, partner c}.  At k = 0, pi U = 1,
+    and with the diagonal shift as the leading elements each entry sums in
+    the order of a momentum-basis assembly of A."""
     dim = len(block.reps)
     k = 2.0 * math.pi * block.momentum_index / block.sites
-    phases = np.exp(1j * k * np.arange(block.sites))
     target, col, amp, target_shift, ratio = term
     target, col = block.position[target], block.position[col]
     keep = (target < dim) & (col < dim)
-    matrix = np.eye(dim, dtype=complex) * diagonal_shift
-    np.add.at(matrix, (target[keep], col[keep]), amp[keep] * phases[target_shift[keep]] * ratio[keep])
-    return 0.5 * (matrix + matrix.conj().T)
-
-
-def _real_block(block, term, diagonal_shift=0.0):
-    """Real part of the real-basis matrix M = U^dagger A U of `_assemble_block`
-    (A itself at k = 0, pi, where U = 1), a copy so that M is freed, and
-    max|Im M| / max(1, max|M|), the share it drops."""
-    matrix = _assemble_block(block, term, diagonal_shift)
-    if block.complex_sector:
-        matrix = block.in_real_basis(matrix)
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    return np.ascontiguousarray(matrix.real), float(np.abs(matrix.imag).max(initial=0.0)) / scale
+    values = amp[keep] * np.exp(1j * k * np.arange(block.sites))[target_shift[keep]] * ratio[keep]
+    values = np.concatenate([np.full(dim, diagonal_shift, dtype=complex), values])
+    identity = np.arange(dim)
+    target, col = (np.concatenate([identity, x[keep]]) for x in (target, col))
+    maps = ((identity, block.a), (block.partner, block.b[block.partner]))  # U[t, map[t]] = weight[t]
+    if not block.complex_sector:
+        maps, values = maps[:1], values.real
+    matrix = np.zeros(dim * dim)
+    for row_map, row_weight in maps:  # one bincount per map pair
+        i, uv = row_map[target] * dim, row_weight.conj()[target] * values
+        for col_map, col_weight in maps:
+            matrix += np.bincount(i + col_map[col], np.real(uv * col_weight[col]), minlength=dim * dim)
+    matrix = matrix.reshape(dim, dim)
+    return 0.5 * (matrix + matrix.T)
 
 
 def _flip_defect(block, basis, parity):
@@ -257,9 +254,9 @@ class _Subspace(NamedTuple):
     spanning it (columns in the block's real basis) and their eigenvalues, its
     `_flip_defect` for the parity (-1)**(Ls - J), the projections
     Q_J^T B Q_J of the bond terms B of `_bond_keys`, stacked along the last
-    axis, their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F, and the
-    block's `imag_defect`: the largest share of J**2 or a B that `_real_block`
-    dropped as imaginary."""
+    axis, and their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F.  J**2
+    and B are scattered by `_real_block` straight into the block's real
+    basis."""
 
     two_j: int
     basis: np.ndarray
@@ -267,7 +264,6 @@ class _Subspace(NamedTuple):
     flip_defect: float
     terms: np.ndarray
     leakage: np.ndarray
-    imag_defect: float
 
 
 @lru_cache(maxsize=8)
@@ -283,11 +279,9 @@ def _spin_subspaces(two_s, sites):
     chain = []
     for n in range(sites // 2 + 1):
         block = _momentum_block(two_s, sites, n)
-        j2, imag_defect = _real_block(block, j2_term, diagonal)
-        values, basis = np.linalg.eigh(j2)
+        values, basis = np.linalg.eigh(_real_block(block, j2_term, diagonal))
         values.flags.writeable = basis.flags.writeable = False
-        h_terms, defects = zip(*(_real_block(block, term) for term in bond_terms))
-        imag_defect = max(imag_defect, *defects)
+        h_terms = [_real_block(block, term) for term in bond_terms]
         two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
         parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
         bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
@@ -300,7 +294,7 @@ def _spin_subspaces(two_s, sites):
             terms.flags.writeable = leakage.flags.writeable = False
             flip_defect = _flip_defect(block, block.to_momentum(q), parity[lo])
             subspaces.append(
-                _Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage, imag_defect))
+                _Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage))
         chain.append((block, tuple(subspaces)))
     return tuple(chain)
 
@@ -398,15 +392,15 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     records ascend in energy, ties by spin, where energies tie when the gap
     between neighbours is at most RESIDUAL_TOL max(1, max|E|).  H is solved
     in each (k, J) subspace as H_J = sum_b c_b Q_J^T B_b Q_J from the cached
-    bond-term projections.  A record is flagged, and left out of the
+    bond-term projections, every block scattered straight into its real
+    basis (`_real_block`).  A record is flagged, and left out of the
     averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
     |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
     |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
-    breaks SU(2) leaks out of the J**2 subspaces), when the `_flip_defect`
-    of its J**2 subspace exceeds RESIDUAL_TOL: the flip-reduced Schmidt
-    blocks of its entropy rest on psi(flip c) = (-1)**(Ls - J) psi(c), and
-    when its block's `imag_defect` exceeds RESIDUAL_TOL: the block is solved
-    as real.
+    breaks SU(2) leaks out of the J**2 subspaces), and when the
+    `_flip_defect` of its J**2 subspace exceeds RESIDUAL_TOL: the
+    flip-reduced Schmidt blocks of its entropy rest on
+    psi(flip c) = (-1)**(Ls - J) psi(c).
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
@@ -450,7 +444,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         energies, two_js, j2_residuals, h_residuals, flip_defects = (
             a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
         flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
-                   | (flip_defects > RESIDUAL_TOL) | (subspaces[0].imag_defect > RESIDUAL_TOL))
+                   | (flip_defects > RESIDUAL_TOL))
         central = np.zeros(dim, dtype=bool)
         central[_central_window(dim)] = True
         gaussianity, entropy = np.full((2, dim), math.nan)

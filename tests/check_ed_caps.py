@@ -5,7 +5,9 @@ caps) this builds the chain cold at the integrable coupling and solves it
 warm at a chaotic one, with the half-chain entropies, and checks each run:
 per 2J the records number `multiplicity(species, L, 2J)`, the blocks n and
 L - n counted twice (only n = 0 .. L/2 is solved), and no record is flagged.
-It prints the cold and warm wall times and the peak RSS of the process.
+It prints the wall time of each run and the peak RSS of the process after
+it: the cold figure is the cold build's own peak, and the warm one the
+overall peak, since the peak only rises.
 
     PYTHONPATH=src python tests/check_ed_caps.py            # both caps
     PYTHONPATH=src python tests/check_ed_caps.py half:14    # one chain
@@ -39,11 +41,10 @@ def check_chain(species, sites):
         flagged = sum(r.flagged for r in records)
         ok = not wrong and flagged == 0
         failures += not ok
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"{'ok  ' if ok else 'FAIL'} spin {species.name} L={sites} coupling={coupling} ({label}): "
-              f"{seconds:.1f} s, {len(records)} records, {flagged} flagged"
+              f"{seconds:.1f} s, {len(records)} records, {flagged} flagged, peak RSS so far {peak_mb:.0f} MB"
               + (f", counts off the multiplicity at 2J={sorted(wrong)}" if wrong else ""))
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"     peak RSS so far {peak_mb:.0f} MB")
     return failures
 
 

@@ -35,10 +35,10 @@ from spinsectors import (
 from spinsectors import spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import (
-    _assemble_block,
     _bond_list,
     _bond_term,
     _momentum_block,
+    _real_block,
 )
 from spinsectors.su2 import configuration_space, spin_squared_terms
 
@@ -164,29 +164,40 @@ class TestMomentumBlocks:
         assert all(flags[n] for n in (1, 2, 3, 5, 6, 7))
 
 
+def _assert_real_block_matches_direct(block, got, expected):
+    # Re(U^dagger A U) of the complex momentum block A: bitwise at k = 0, pi,
+    # where U = 1 and each entry sums in the same order
+    basis = block.to_momentum(np.eye(len(block.reps)))
+    dense = (basis.conj().T @ expected.matrix @ basis).real
+    if block.complex_sector:
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.abs(expected.matrix).max()
+    else:
+        assert np.array_equal(got, dense)
+
+
 class TestBondTermCache:
     @pytest.mark.parametrize(
         "species,sites,coupling",
-        [(HALF, 10, 0.0), (HALF, 10, 0.5), (HALF, 10, 3.0), (ONE, 6, 0.0), (ONE, 6, 0.7), (ONE, 6, 1.0)],
+        [(HALF, 10, 0.0), (HALF, 10, 0.5), (HALF, 10, 3.0), (ONE, 6, 0.0), (ONE, 6, 0.7), (ONE, 6, 1.0),
+         (ONE, 7, 1.0)],
     )
     def test_cached_terms_equal_direct_assembly(self, species, sites, coupling):
         bonds = _bond_list(ChainSpec(species, sites, coupling))
         codes, _ = configuration_space(species.two_s, sites, 0)
         for n in range(sites):
             block = _momentum_block(species.two_s, sites, n)
-            got = _assemble_block(block, _bond_term(species.two_s, sites, bonds))
+            got = _real_block(block, _bond_term(species.two_s, sites, bonds))
             expected = assemble_block_direct(species.two_s, sites, n, bonds)
             assert np.array_equal(codes[block.reps], expected.representatives)
-            assert np.array_equal(got, expected.matrix)
+            _assert_real_block_matches_direct(block, got, expected)
 
-    @pytest.mark.parametrize("two_s,sites", [(1, 10), (2, 6)])
+    @pytest.mark.parametrize("two_s,sites", [(1, 10), (2, 6), (2, 7)])
     def test_spin_squared_block_equals_direct_assembly(self, two_s, sites):
         diagonal, bonds = spin_squared_terms(two_s, sites)
         for n in range(sites):
             block = _momentum_block(two_s, sites, n)
-            got = _assemble_block(block, _bond_term(two_s, sites, bonds), diagonal)
-            expected = assemble_block_direct(two_s, sites, n, bonds, diagonal)
-            assert np.array_equal(got, expected.matrix)
+            got = _real_block(block, _bond_term(two_s, sites, bonds), diagonal)
+            _assert_real_block_matches_direct(block, got, assemble_block_direct(two_s, sites, n, bonds, diagonal))
 
     def test_warm_call_builds_no_operator(self, monkeypatch):
         # after the cold call the (k, J) cache serves every coupling: no block
@@ -197,7 +208,7 @@ class TestBondTermCache:
         def forbidden(*args, **kwargs):
             raise AssertionError("operator assembled in a warm call")
 
-        for name in ("_assemble_block", "_bond_term", "bond_matrix_elements"):
+        for name in ("_real_block", "_bond_term", "bond_matrix_elements"):
             monkeypatch.setattr(spectra, name, forbidden)
         records = diagonalize_and_resolve(ChainSpec(HALF, 8, 0.7))
         assert any(r.central for r in records) and not any(r.flagged for r in records)
@@ -234,11 +245,12 @@ class TestRealBasis:
         spec = ChainSpec(species, sites, coupling)
         coeffs = _coefficients(spec)
         blocks = momentum_blocks(spec)
+        term = _bond_term(species.two_s, sites, _bond_list(spec))
         for block, subspaces in spectra._spin_subspaces(species.two_s, sites):
             expected = np.linalg.eigvalsh(blocks[block.momentum_index].matrix)
             scale = np.abs(expected).max()
             union = np.sort(np.concatenate([np.linalg.eigvalsh(sub.terms @ coeffs) for sub in subspaces]))
-            real = np.linalg.eigvalsh(block.in_real_basis(blocks[block.momentum_index].matrix).real)
+            real = np.linalg.eigvalsh(_real_block(block, term))
             assert np.max(np.abs(union - expected)) <= 1e-12 * scale
             assert np.max(np.abs(real - expected)) <= 1e-12 * scale
 
@@ -264,37 +276,16 @@ class TestRealBasis:
     @pytest.mark.parametrize("species,sites", [(HALF, 4), (HALF, 14), (ONE, 3), (ONE, 8)])
     def test_real_momenta_hold_the_identity_basis(self, species, sites):
         # at k = 0, pi U = 1, stored as a = 1, b = 0 and partner = arange, and
-        # both maps return their input unchanged, real columns staying real
+        # to_momentum returns its input unchanged, real columns staying real
         two_s = species.two_s
-        diagonal, j2_bonds = spin_squared_terms(two_s, sites)
         rng = np.random.default_rng(8)
         for n in [n for n in range(sites) if 2 * n % sites == 0]:
             block = _momentum_block(two_s, sites, n)
             dim = len(block.reps)
             assert np.array_equal(block.a, np.ones(dim)) and np.array_equal(block.b, np.zeros(dim))
             assert np.array_equal(block.partner, np.arange(dim)) and block.complex_sector is False
-            matrix = _assemble_block(block, _bond_term(two_s, sites, j2_bonds), diagonal)
-            assert np.array_equal(block.in_real_basis(matrix), matrix)
             for x in (rng.standard_normal((dim, 3)), rng.standard_normal((dim, 2)) + 1j):
                 assert np.array_equal(block.to_momentum(x), x) and block.to_momentum(x).dtype == x.dtype
-
-    def test_cold_build_transforms_complex_blocks_only(self, monkeypatch):
-        # U = 1 at k = 0, pi, so J**2 and the two bond terms change basis at
-        # n = 1 .. 4 only
-        transform = spectra._Block.in_real_basis
-        seen = []
-
-        def counted(block, matrix):
-            seen.append(block.momentum_index)
-            return transform(block, matrix)
-
-        monkeypatch.setattr(spectra._Block, "in_real_basis", counted)
-        spectra._spin_subspaces.cache_clear()
-        try:
-            spectra._spin_subspaces(1, 10)
-        finally:
-            spectra._spin_subspaces.cache_clear()
-        assert sorted(seen) == [n for n in range(1, 5) for _ in range(3)]
 
     @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
     def test_transformed_blocks_are_real(self, species, sites, coupling):
@@ -304,9 +295,7 @@ class TestRealBasis:
             basis = self._dense_basis(_momentum_block(species.two_s, sites, n))
             for matrix in (block.matrix, j2):
                 dense = basis.conj().T @ matrix @ basis
-                fast = _momentum_block(species.two_s, sites, n).in_real_basis(matrix)
                 assert np.max(np.abs(dense.imag)) <= 1e-13 * np.abs(matrix).max()
-                assert np.max(np.abs(fast - dense)) <= 1e-13 * np.abs(matrix).max()
 
     @pytest.mark.parametrize("species,sites,coupling", REAL_BASIS_CASES)
     def test_records_match_complex_oracle(self, species, sites, coupling):
@@ -465,24 +454,28 @@ class TestFlipReduction:
         assert max(gaps) <= 1e-12
 
     @pytest.mark.parametrize(
-        "species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 0.0), (ONE, 8, 1.0)]
+        "species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 0.0), (ONE, 8, 1.0), (ONE, 7, 0.0)]
     )
     def test_entropies_match_concatenated_spectra(self, monkeypatch, species, sites, coupling):
         # one kernel call per Schmidt block, weighted by its copies, against
-        # every spectrum of a state concatenated and summed by one np.dot
+        # every spectrum of a state concatenated and summed by one np.dot; at
+        # odd L or a cut other than L/2 the ED phase exp(ik cut/2) and its
+        # conjugate differ by more than a sign
         _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
         def both_routes(maps, amplitudes, count):
             got = kernel(maps, amplitudes, count)
-            want = slice_entropy_reference(amplitudes(np.arange(len(digits))), digits, range(sites // 2), maps)
+            want = slice_entropy_reference(amplitudes(np.arange(len(digits))), digits, range(cut), maps)
             gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
             return got
 
         kernel = spectra._schmidt_entropies
         monkeypatch.setattr(spectra, "_schmidt_entropies", both_routes)
-        diagonalize_and_resolve(ChainSpec(species, sites, coupling))
-        assert len(gaps) == sites // 2 + 1
+        cuts = (sites // 2, sites // 2 - 1)
+        for cut in cuts:
+            diagonalize_and_resolve(ChainSpec(species, sites, coupling), Fraction(cut, sites))
+        assert len(gaps) == len(cuts) * (sites // 2 + 1)
         assert max(gaps) <= 32 * np.finfo(float).eps
 
 
@@ -546,16 +539,16 @@ class TestResolution:
         # H residual bound, through the leakage certificates, can reveal the break
         spec = ChainSpec(HALF, 10, 3.0)
         clean = diagonalize_and_resolve(spec)
-        assemble = spectra._assemble_block
+        real_block = spectra._real_block
         rng = np.random.default_rng(3)
 
         def broken(block, terms, diagonal_shift=0.0):
-            matrix = assemble(block, terms, diagonal_shift)
+            matrix = real_block(block, terms, diagonal_shift)
             if block.momentum_index == 1 and diagonal_shift == 0.0:  # J**2 blocks carry a diagonal shift
                 matrix += np.diag(1e-3 * rng.standard_normal(len(matrix)))
             return matrix
 
-        monkeypatch.setattr(spectra, "_assemble_block", broken)
+        monkeypatch.setattr(spectra, "_real_block", broken)
         spectra._spin_subspaces.cache_clear()
         try:
             records = diagonalize_and_resolve(spec)
@@ -571,41 +564,30 @@ class TestResolution:
             got = eigenstate_entropy_average(records, two_j).mean
             assert got == pytest.approx(np.mean(kept), abs=1e-12)
 
-    def test_imaginary_block_part_is_flagged(self, monkeypatch):
-        # a Hermitian 1e-6 i (|0><1| - |1><0|) in every matrix of block n = 0
-        # only, built into a fresh (k, J) cache: U = 1 at k = 0 leaves its real
-        # part, and so every energy, unchanged; only the imaginary-part
-        # certificate sees it
-        spec = ChainSpec(HALF, 10, 3.0)
-        clean = diagonalize_and_resolve(spec)
-        assemble = spectra._assemble_block
+    def test_selftest_sees_energies_off_the_dense_spectrum(self, monkeypatch):
+        # the H bond terms of block n = 1 scaled by 1 + 1e-9 keep SU(2) and
+        # the flip symmetry, so no record is flagged, but its energies leave
+        # the spectrum of the dense slice H
+        from spinsectors import selftest
 
-        def imaginary(block, terms, diagonal_shift=0.0):
-            matrix = assemble(block, terms, diagonal_shift)
-            if block.momentum_index == 0:
-                matrix[0, 1] += 1e-6j
-                matrix[1, 0] -= 1e-6j
-            return matrix
+        real_block = spectra._real_block
 
-        monkeypatch.setattr(spectra, "_assemble_block", imaginary)
+        def scaled(block, term, diagonal_shift=0.0):
+            matrix = real_block(block, term, diagonal_shift)
+            return matrix * (1 + 1e-9) if block.momentum_index == 1 and diagonal_shift == 0.0 else matrix
+
+        monkeypatch.setattr(spectra, "_real_block", scaled)
         spectra._spin_subspaces.cache_clear()
         try:
-            records = diagonalize_and_resolve(spec)
-            defects = {block.momentum_index: {sub.imag_defect for sub in subs}
-                       for block, subs in spectra._spin_subspaces(HALF.two_s, 10)}
+            with pytest.raises(AssertionError, match=r"^\(6, "):
+                selftest._check_spectra()
         finally:
             spectra._spin_subspaces.cache_clear()
-        assert all(min(d) > spectra.RESIDUAL_TOL if n == 0 else max(d) <= 1e-13
-                   for n, d in defects.items())
-        assert any(r.central for r in records if r.momentum_index == 0)
-        assert all(r.flagged == (r.momentum_index == 0) for r in records)
-        assert [r.energy for r in records] == [r.energy for r in clean]
 
     def test_real_blocks_own_their_data(self):
-        # a strided .real view would keep the complex U^dagger A U alive
-        real, defect = spectra._real_block(_momentum_block(1, 10, 1), _bond_term(1, 10, ((1, 1.0, 1),)))
+        # the cached J**2 eigenbasis and projections are built from contiguous real blocks
+        real = _real_block(_momentum_block(1, 10, 1), _bond_term(1, 10, ((1, 1.0, 1),)))
         assert real.dtype == float and real.flags.c_contiguous and real.flags.owndata
-        assert defect <= 1e-13
 
     def test_central_window(self):
         from spinsectors.spectra import _central_window
