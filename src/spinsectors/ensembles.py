@@ -167,19 +167,19 @@ def _flip_classes(blocks):
 
 def _schmidt_entropies(maps, amplitudes, count):
     """Entropy of each of `count` states over the Schmidt index maps `maps`,
-    `bipartition_maps` entries each followed by a column permutation `mirror`
-    or None; `amplitudes(sel)` gives configurations `sel` as rows, one column
-    per state.  An entry whose spectrum counts `copies` times or whose rows
+    `bipartition_maps` entries each followed by `mirror` or None;
+    `amplitudes(sel)` gives configurations `sel` as rows, one column per
+    state.  An entry whose spectrum counts `copies` times or whose rows
     split into flip classes is exact only for states the global spin flip
     maps to +-themselves, whose Schmidt blocks at -m_A mirror those at m_A
     and commute with the flip at m_A = 0.
 
-    Complex amplitudes of an entry with a `mirror` fill the real block
-    N = Im M + Re M[:, mirror] in place of their Schmidt block M.  That is
-    exact only for blocks with M[Pi rows, mirror cols] = conj M, Pi an
-    involution of the rows that commutes with the flip: then N = V^dagger M
-    W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and W alike
-    for `mirror`, so N has M's singular values, flip class by flip class."""
+    Complex amplitudes of an entry with a `mirror`, Pi' cols for a column
+    involution Pi', fill the real block N = Im M + Re M[:, Pi'] in place of
+    their Schmidt block M.  That is exact only for blocks with M[Pi rows, Pi'
+    cols] = conj M, Pi a row involution that commutes with the flip: then N =
+    V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and
+    W alike for Pi', so N has M's singular values, flip class by flip class."""
     values = np.zeros(count)
     for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
         amps = amplitudes(sel)
@@ -189,7 +189,7 @@ def _schmidt_entropies(maps, amplitudes, count):
         else:
             blocks = np.zeros((count,) + shape)
             blocks[:, rows, cols] = amps.imag.T
-            blocks[:, rows, mirror[cols]] += amps.real.T
+            blocks[:, rows, mirror] += amps.real.T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
             values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values
@@ -445,11 +445,11 @@ class CoupledPairGeometry:
     @cached_property
     def m_blocks(self):
         """The blocks of the Schmidt matrix that are diagonalized, each as (index,
-        table, row_counts, col_counts, sd1_parts, copies): w[index] is the part
-        of W it weights, `table` the CG table of its (J_A, J_B) groups of the
-        given sizes, `sd1_parts` the (rows, cols) of each J_A and its nonzero
-        columns, the partners |J - J_A| <= J_B <= J + J_A, and `copies` the
-        number of times its spectrum occurs in rho_A.
+        weights, sd1_parts, copies): w[index] is the part of W it weights,
+        `weights` (read-only, of w[index]'s shape) holds c_m(J; J_A, J_B) at
+        every entry of each (J_A, J_B) group, `sd1_parts` the (rows, cols) of
+        each J_A and its nonzero columns, the partners |J - J_A| <= J_B <= J +
+        J_A, and `copies` the number of times its spectrum occurs in rho_A.
 
         <J_A -m; J_B m|J 0> = (-1)^(J_A+J_B-J) <J_A m; J_B -m|J 0> makes block
         -m a sign-flipped copy of block m, so blocks m > 0 (suffixes W[r0:, c0:])
@@ -477,15 +477,16 @@ class CoupledPairGeometry:
         return out
 
     def _m_block(self, two_m, ja_rows, jb_cols, index, copies):
-        table = np.array([[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows])
-        row_counts = [self.na[ja] for ja in ja_rows]
-        col_counts = [self.nb[jb] for jb in jb_cols]
+        table = [[self.cg_coefficient(a, b, two_m) for b in jb_cols] for a in ja_rows]
+        weights = np.repeat(np.repeat(table, [self.na[a] for a in ja_rows], 0),
+                            [self.nb[b] for b in jb_cols], 1)
+        weights.flags.writeable = False
         cols = _group_slices(jb_cols, self.nb)
         sd1_parts = []
         for ja, rows in _group_slices(ja_rows, self.na).items():
             partners = [jb for jb in jb_cols if jb in self.partner_runs[ja]]  # one run of jb_cols
             sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
-        return index, table, row_counts, col_counts, sd1_parts, copies
+        return index, weights, sd1_parts, copies
 
 
 def _group_slices(spins, counts):
@@ -546,10 +547,9 @@ def _entropies_from_blocks(geo, w, methods):
     out = dict.fromkeys(methods, 0.0)
     if "full" in out or "sd1" in out:
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
-        for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
-            cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
-            shape = w.shape[:-2] + cg.shape
-            x = np.multiply(cg, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
+        for index, weights, sd1_parts, copies in geo.m_blocks:
+            shape = w.shape[:-2] + weights.shape
+            x = np.multiply(weights, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
             if "full" in out:
                 out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
             if "sd1" in out:
@@ -621,6 +621,7 @@ def ensemble_entropy_samples(
     for name, value in (("sites", sites), ("two_j", two_j), ("cut", cut)):
         _check_integer(name, value)
     _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     methods = tuple(methods)
     if not methods:
         raise ValueError(f"methods is empty, expected some of {ENSEMBLE_METHODS}")
@@ -676,6 +677,8 @@ class EntropyEstimate:
     def from_samples(cls, values, method, seed):
         values = np.asarray(values)
         n = values.size
+        if not n:
+            raise ValueError("an estimate needs at least one sample")
         std = float(values.std(ddof=1)) if n > 1 else 0.0
         return cls(float(values.mean()), std, std / math.sqrt(n), n, method, seed)
 

@@ -37,7 +37,7 @@ and the real Im M + Re M[:, R cols] has M's singular values.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -144,14 +144,14 @@ class _Block:
     state j of the block is |r_j, k> = sum_t exp(-ikt) T**t |r_j> / sqrt(period).
     Slice configuration c = T**t r then carries `phase[c]` = exp(-ikt) /
     sqrt(period) times the entry at `position[c]`, the block position of its
-    orbit (len(reps) outside the block).
-    Column j of U is a[j] |r_j, k> + b[j] |r_partner[j], k>.  At k = 0, pi
-    the momentum basis is real, and U = 1: a = 1, b = 0 (real) and partner[j]
-    = j.  At other k (`complex_sector`), with P |r> = T**s |r'>, P K |r, k> =
-    exp(iks) |r', k> and partner[j] is the block position of r_j': column j
-    is exp(iks/2) |r, k> for r = r', and each pair r < r' gives the columns
+    orbit (len(reps) outside the block), and `shift_phase[t]` = exp(ikt).
+    U is stored by rows as `maps`, (map, weight) pairs with U[t, map[t]] =
+    weight[t], all else 0.  At k = 0, pi the phases and the momentum basis are
+    real, and U = 1: one pair (identity, ones).  At other k (`complex_sector`),
+    with P |r> = T**s |r'>, P K |r, k> = exp(iks) |r', k>: column r is
+    exp(iks/2) |r, k> for r = r', and each pair r < r' gives the columns
     (|r, k> + exp(iks) |r', k>) / sqrt 2 at r and i (|r, k> - exp(iks) |r', k>)
-    / sqrt 2 at r'.  `_real_block` scatters operators straight into it.
+    / sqrt 2 at r', so a second pair maps each row to its partner's column.
     """
 
     two_s: int
@@ -160,14 +160,13 @@ class _Block:
     reps: np.ndarray
     position: np.ndarray
     phase: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    partner: np.ndarray
+    shift_phase: np.ndarray
+    maps: tuple
     complex_sector: bool
 
     def to_momentum(self, vectors):
         """U x: real-basis columns x as momentum-basis columns."""
-        return self.a[:, None] * vectors + (self.b[:, None] * vectors)[self.partner]
+        return reduce(np.add, (weight[:, None] * vectors[row_map] for row_map, weight in self.maps))
 
 
 def _momentum_block(two_s, sites, n):
@@ -179,6 +178,7 @@ def _momentum_block(two_s, sites, n):
     position = position[rep]
     k = 2.0 * math.pi * n / sites
     phase = np.exp(-1j * k * shift) / np.sqrt(period)
+    shift_phase = np.exp(1j * k * np.arange(sites))
     j = np.arange(len(reps))
     complex_sector = 2 * n % sites != 0
     if complex_sector:
@@ -188,11 +188,12 @@ def _momentum_block(two_s, sites, n):
         mirrored = np.exp(1j * k * s)
         a = np.where(partner == j, np.exp(0.5j * k * s), np.where(j < partner, root, -1j * root * mirrored))
         b = np.where(partner == j, 0.0, np.where(j < partner, root * mirrored, 1j * root))
-    else:  # k = 0, pi: phase is +-1 / sqrt(period)
-        phase, a, b, partner = phase.real, np.ones(len(reps)), np.zeros(len(reps)), j
-    for table in (reps, position, phase, a, b, partner):
+        maps = ((j, a), (partner, b[partner]))  # column j is a[j] |r_j> + b[j] |r_partner[j]>
+    else:  # k = 0, pi: phase is +-1 / sqrt(period) and shift_phase +-1
+        phase, shift_phase, maps = phase.real, shift_phase.real, ((j, np.ones(len(reps))),)
+    for table in (reps, position, phase, shift_phase, *(x for pair in maps for x in pair)):
         table.flags.writeable = False
-    return _Block(two_s, sites, n, reps, position, phase, a, b, partner, complex_sector)
+    return _Block(two_s, sites, n, reps, position, phase, shift_phase, maps, complex_sector)
 
 
 def _bond_term(two_s, sites, bonds):
@@ -213,25 +214,21 @@ def _real_block(block, term, diagonal_shift=0.0):
     """Real-basis matrix U^dagger A U of A = diagonal_shift + the `_bond_term`
     table `term`: each element (t, c) whose orbits fit the momentum carries
     v = amp * exp(ik shift) * ratio and adds Re(conj U[t, i] v U[c, j]) at
-    (i, j), i in {t, partner t} and j in {c, partner c}.  At k = 0, pi U = 1,
-    and with the diagonal shift as the leading elements each entry sums in
-    the order of a momentum-basis assembly of A."""
+    (i, j), one bincount per pair of `block.maps` (i = map[t], j = map'[c]).
+    At k = 0, pi U = 1 and v is real; with the diagonal shift leading, each
+    entry sums in the order of a momentum-basis assembly of A."""
     dim = len(block.reps)
-    k = 2.0 * math.pi * block.momentum_index / block.sites
     target, col, amp, target_shift, ratio = term
     target, col = block.position[target], block.position[col]
     keep = (target < dim) & (col < dim)
-    values = amp[keep] * np.exp(1j * k * np.arange(block.sites))[target_shift[keep]] * ratio[keep]
-    values = np.concatenate([np.full(dim, diagonal_shift, dtype=complex), values])
+    values = amp[keep] * block.shift_phase[target_shift[keep]] * ratio[keep]
+    values = np.concatenate([np.full(dim, diagonal_shift), values])
     identity = np.arange(dim)
     target, col = (np.concatenate([identity, x[keep]]) for x in (target, col))
-    maps = ((identity, block.a), (block.partner, block.b[block.partner]))  # U[t, map[t]] = weight[t]
-    if not block.complex_sector:
-        maps, values = maps[:1], values.real
     matrix = np.zeros(dim * dim)
-    for row_map, row_weight in maps:  # one bincount per map pair
+    for row_map, row_weight in block.maps:  # U[t, map[t]] = weight[t]
         i, uv = row_map[target] * dim, row_weight.conj()[target] * values
-        for col_map, col_weight in maps:
+        for col_map, col_weight in block.maps:
             matrix += np.bincount(i + col_map[col], np.real(uv * col_weight[col]), minlength=dim * dim)
     matrix = matrix.reshape(dim, dim)
     return 0.5 * (matrix + matrix.T)
@@ -354,11 +351,11 @@ def _cut_maps(two_s, sites, cut):
     because the flip reverses that order).  Independent of the coupling, so
     cached.
 
-    Each entry is a `bipartition_maps` entry followed by `mirror`, the
-    column permutation that the in-half reflection R = T**cut P induces.  R
-    sends site i to (cut-1-i) mod L, so it reverses the sites of each side
-    and keeps every block; `_schmidt_entropies` uses `mirror` to diagonalize
-    the Schmidt blocks of complex-sector eigenstates as real matrices.
+    Each entry is a `bipartition_maps` entry followed by `mirror`: cols[R c]
+    for each configuration c of the entry, R = T**cut P the in-half
+    reflection, which sends site i to (cut-1-i) mod L and so keeps every
+    block.  `_schmidt_entropies` uses it to diagonalize the Schmidt blocks of
+    complex-sector eigenstates as real matrices.
     """
     codes, digits = configuration_space(two_s, sites, 0)
     reflected = np.concatenate([digits[:, cut - 1::-1], digits[:, :cut - 1:-1]], axis=1)
@@ -370,8 +367,7 @@ def _cut_maps(two_s, sites, cut):
             continue
         if twice_m == 0 and shape[1] < shape[0]:  # Schmidt values ignore a transpose
             rows, cols, shape = cols, rows, shape[::-1]
-        mirror = np.empty(shape[1], dtype=cols.dtype)
-        mirror[cols] = cols[np.searchsorted(sel, reflection[sel])]
+        mirror = cols[np.searchsorted(sel, reflection[sel])]
         for a in (sel, rows, cols, mirror):
             a.flags.writeable = False
         maps.append((sel, rows, cols, shape, 2 if twice_m else 1, twice_m == 0, mirror))

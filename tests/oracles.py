@@ -541,9 +541,8 @@ def sampler_entropies_reference(geo, w, methods):
     """The sampler's full, sd1 and sd2 entropies of one W or a stack of them,
     from the geometry's Schmidt blocks through `concatenated_entropy`."""
     parts = {method: [] for method in methods}
-    for index, table, row_counts, col_counts, sd1_parts, copies in geo.m_blocks:
-        cg = np.repeat(np.repeat(table, row_counts, axis=0), col_counts, axis=1)
-        x = cg * w[(Ellipsis,) + index]
+    for index, weights, sd1_parts, copies in geo.m_blocks:
+        x = weights * w[(Ellipsis,) + index]
         if "full" in parts:
             parts["full"].append((_schmidt_squares(x), copies))
         for part in sd1_parts if "sd1" in parts else ():

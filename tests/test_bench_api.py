@@ -1,7 +1,8 @@
 """The library calls of the benchmark in perfbench/, run against its goldens.
 
-perfbench/workloads.py is imported as it stands, never edited, so a library
-change that would break a benchmark op or its output check fails here first.
+perfbench/workloads.py and perfbench/tracing.py are imported as they stand,
+never edited, so a library change that would break a benchmark op, its output
+check or a traced run fails here first.
 """
 
 import sys
@@ -16,6 +17,7 @@ import spinsectors as ss
 from spinsectors import spectra, su2
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 GOLDENS = workloads.load_goldens()
@@ -47,6 +49,15 @@ def test_closed_sweep_rows_pass_their_checks():
     assert len(rows) == 2 * 33 + 8
     for row in rows:
         wl.check(ss, GOLDENS, row, wl.run(ss, row))
+
+
+def test_every_tracing_target_resolves():
+    # a traced run wraps each target by name, so a renamed function breaks it
+    targets = tracing.targets()
+    assert {name for *_, name, _ in targets} >= {
+        "ensembles.cg_coefficient", "ensembles.entropy_kernel", "spectra.gaussianity"}
+    for owner, attr, name, _ in targets:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner!r} has no {attr}"
 
 
 def test_cut_maps_are_built_once():

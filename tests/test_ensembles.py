@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -534,6 +535,25 @@ class TestSampling:
         for method in methods:
             assert np.array_equal(serial[method], fallback[method])
 
+    @pytest.mark.parametrize("call,message", [
+        *[pytest.param(partial(sampler, 8, 2, 4, 4, seed, workers=2), rf"^seed must be {tail}$",
+                       id=f"{sampler.__name__}-{seed!r}")
+          for sampler in (ensemble_entropy_samples, random_state_average)
+          for seed, tail in ((-1, ">= 0, got -1"), (1.5, "an integer, got 1.5"),
+                             (None, "an integer, got None"), ("7", "an integer, got '7'"))],
+        pytest.param(partial(EntropyEstimate.from_samples, [], "full", 0),
+                     "^an estimate needs at least one sample$", id="empty-estimate"),
+    ])
+    def test_bad_seeds_and_empty_estimates_rejected(self, monkeypatch, call, message):
+        # refused before any draw or process pool starts
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(ensembles, "_draw_sample", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_entropy_upper_bound(self):
         values = ensemble_entropy_samples(12, 4, 3, 100, 2, ("full", "sd1", "sd2"))
         bound = 3 * math.log(2) + 1e-9
@@ -817,6 +837,25 @@ class TestGeometry:
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == ["geometry guard", "multiplicity guard", ""]
+
+    @pytest.mark.parametrize("sites,two_j,cut", [(4, 4, 2), (8, 2, 3), (10, 0, 5), (12, 6, 6), (14, 4, 5)])
+    def test_m_block_weights_expand_the_cg_table(self, sites, two_j, cut):
+        # each read-only weight matrix holds c_m(J; J_A, J_B) at every entry of
+        # its (J_A, J_B) group; blocks m > 0 come first, m descending
+        geo = CoupledPairGeometry(sites, two_j, cut)
+        ja_of_row = np.concatenate([[ja] * geo.na[ja] for ja in geo.ja_list])
+        jb_of_col = np.concatenate([[jb] * geo.nb[jb] for jb in geo.jb_list])
+        two_ms = [*range(geo.m_max, 0, -2), 0, 0]
+        assert len(geo.m_blocks) <= len(two_ms)
+        for (index, weights, _, copies), two_m in zip(geo.m_blocks, two_ms):
+            assert copies == (2 if two_m else 1)
+            rows = np.arange(geo.shape[0])[index[0]].ravel()
+            cols = np.arange(geo.shape[1])[index[1]].ravel()
+            expected = [[geo.cg_coefficient(ja_of_row[r], jb_of_col[c], two_m) for c in cols] for r in rows]
+            assert np.array_equal(weights, np.array(expected).reshape(weights.shape))
+            assert not weights.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0
 
     def test_six_site_pairings(self):
         geo = coupled_geometry(6, 2, 2)

@@ -266,6 +266,8 @@ class TestRealBasis:
         for n in range(sites // 2 + 1):
             block = _momentum_block(two_s, sites, n)
             basis = self._dense_basis(block)
+            assert not any(x.flags.writeable for pair in block.maps for x in pair)
+            assert not block.shift_phase.flags.writeable
             assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(basis)))) <= 1e-14
             assert np.count_nonzero(basis, axis=0).max() <= 2
             amps = slice_amplitudes(two_s, blocks[n], basis)
@@ -275,15 +277,18 @@ class TestRealBasis:
 
     @pytest.mark.parametrize("species,sites", [(HALF, 4), (HALF, 14), (ONE, 3), (ONE, 8)])
     def test_real_momenta_hold_the_identity_basis(self, species, sites):
-        # at k = 0, pi U = 1, stored as a = 1, b = 0 and partner = arange, and
+        # at k = 0, pi U = 1, stored as one identity map with unit weights, and
         # to_momentum returns its input unchanged, real columns staying real
         two_s = species.two_s
         rng = np.random.default_rng(8)
         for n in [n for n in range(sites) if 2 * n % sites == 0]:
             block = _momentum_block(two_s, sites, n)
             dim = len(block.reps)
-            assert np.array_equal(block.a, np.ones(dim)) and np.array_equal(block.b, np.zeros(dim))
-            assert np.array_equal(block.partner, np.arange(dim)) and block.complex_sector is False
+            (row_map, weight), = block.maps
+            assert np.array_equal(row_map, np.arange(dim)) and np.array_equal(weight, np.ones(dim))
+            assert weight.dtype == float and block.complex_sector is False
+            assert not row_map.flags.writeable and not weight.flags.writeable
+            assert block.shift_phase.dtype == float and not block.shift_phase.flags.writeable
             for x in (rng.standard_normal((dim, 3)), rng.standard_normal((dim, 2)) + 1j):
                 assert np.array_equal(block.to_momentum(x), x) and block.to_momentum(x).dtype == x.dtype
 
@@ -345,7 +350,7 @@ class TestFlipReduction:
     def test_every_complex_eigenstate_is_reflection_conjugate(self, species, sites, coupling):
         # R = T**cut P sends site i to (cut-1-i) mod L: psi(R c) = exp(-ik cut)
         # conj psi(c) at every complex k, and each `_cut_maps` entry's mirror
-        # is the column permutation of R
+        # holds the column of R c for each configuration c of the entry
         two_s = species.two_s
         codes, digits = configuration_space(two_s, sites, 0)
         weights = (two_s + 1) ** np.arange(sites)
@@ -367,7 +372,7 @@ class TestFlipReduction:
             for sel, rows, cols, *_, mirror in spectra._cut_maps(two_s, sites, cut):
                 where = np.searchsorted(sel, reflection[sel])
                 assert np.array_equal(sel[where], reflection[sel])
-                assert np.array_equal(mirror[cols], cols[where])
+                assert np.array_equal(mirror, cols[where]) and not mirror.flags.writeable
 
     @pytest.mark.parametrize("species,sites", [(HALF, 10), (ONE, 7)])
     def test_flip_defect_equals_slice_defect(self, species, sites):
