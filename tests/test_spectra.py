@@ -32,7 +32,7 @@ from spinsectors import (
     singlet_average_exact,
     zero_magnetization_dim,
 )
-from spinsectors import spectra
+from spinsectors import cli, spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import (
     _bond_list,
@@ -379,7 +379,7 @@ class TestFlipReduction:
         # the largest slice-row defect of F Q - p Q, each row scaled back by
         # sqrt(period) to its momentum-basis norm, for p = +-(-1)**(Ls - J)
         two_s = species.two_s
-        _, _, period, _ = spectra._orbit_data(two_s, sites)
+        _, shift, period, _ = spectra._orbit_data(two_s, sites)
         for block, subspaces in spectra._spin_subspaces(two_s, sites):
             for sub in subspaces:
                 parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
@@ -387,38 +387,48 @@ class TestFlipReduction:
                 amps = config_amplitudes(block, basis)
                 for p in (parity, -parity):
                     rows = np.linalg.norm(amps[::-1] - p * amps, axis=1) * np.sqrt(period)
-                    got = spectra._flip_defect(block, basis, p)
+                    got = spectra._flip_defect(block, shift, basis, p)
                     assert got == pytest.approx(rows.max(), abs=1e-12)
-                assert sub.flip_defect == spectra._flip_defect(block, basis, parity)
-                assert sub.flip_defect <= 1e-12
-                assert spectra._flip_defect(block, basis, -parity) > 0.1
+                assert spectra._flip_defect(block, shift, basis, parity) <= 1e-12
+                assert spectra._flip_defect(block, shift, basis, -parity) > 0.1
 
     def test_flip_odd_perturbation_exceeds_tolerance(self):
         # neighbouring spins carry opposite flip parity, so a 1e-6 admixture
         # of the next subspace is flip-odd
         two_s, sites, n = 1, 10, 1
+        shift = spectra._orbit_data(two_s, sites)[1]
         block, subspaces = spectra._spin_subspaces(two_s, sites)[n]
         for sub, other in zip(subspaces, subspaces[1:]):
             perturbed = sub.basis.copy()
             perturbed[:, 0] += 1e-6 * other.basis[:, 0]
             parity = (-1) ** ((two_s * sites - sub.two_j) // 2)
-            assert spectra._flip_defect(block, block.to_momentum(perturbed), parity) > spectra.RESIDUAL_TOL
+            defect = spectra._flip_defect(block, shift, block.to_momentum(perturbed), parity)
+            assert defect > spectra.RESIDUAL_TOL
 
-    def test_flip_defect_flags_its_subspace(self, monkeypatch):
-        spec = ChainSpec(HALF, 10, 3.0)
-        subspaces = spectra._spin_subspaces
+    def test_flip_defect_refuses_the_chain(self, monkeypatch, tmp_path):
+        # the build certifies every (k, J) subspace once; a defect above
+        # RESIDUAL_TOL at (n = 1, 2J = 2) refuses the whole chain.  The
+        # unwrapped build is called, as the cache would hide the patch.
+        two_s, sites = 1, 10
+        block, subspaces = spectra._spin_subspaces(two_s, sites)[1]
+        target = block.to_momentum(next(sub.basis for sub in subspaces if sub.two_j == 2))
+        flip_defect = spectra._flip_defect
 
-        def defective(two_s, sites):
-            return tuple(
-                (block, tuple(sub._replace(flip_defect=1e-6) if (block.momentum_index, sub.two_j) == (1, 2)
-                              else sub for sub in subs))
-                for block, subs in subspaces(two_s, sites))
+        def defective(block, shift, basis, parity):
+            # the subspace of target: its columns, and only its, lie in target's span
+            if block.momentum_index == 1 and np.linalg.norm(target.conj().T @ basis) ** 2 > basis.shape[1] - 0.5:
+                return 1e-6
+            return flip_defect(block, shift, basis, parity)
 
-        monkeypatch.setattr(spectra, "_spin_subspaces", defective)
-        records = diagonalize_and_resolve(spec)
-        assert any(r.flagged and r.central for r in records)
-        assert all(r.flagged == (r.momentum_index == 1 and r.two_j == 2) for r in records)
-        assert all(math.isnan(r.entropy) and math.isnan(r.gaussianity) for r in records if r.flagged)
+        monkeypatch.setattr(spectra, "_flip_defect", defective)
+        message = r"L=10, n=1, 2J=2: the J\*\*2 eigenvectors miss the spin-flip parity .* by 1e-06"
+        with pytest.raises(RuntimeError, match=message):
+            spectra._spin_subspaces.__wrapped__(two_s, sites)
+        spectra._spin_subspaces.cache_clear()
+        out = tmp_path / "ed.csv"
+        with pytest.raises(SystemExit, match=f"^error: {message}[^\n]*$"):
+            cli.main(["ed", "--L", "10", "--coupling", "3", "--two-J", "0", "--out", str(out)])
+        assert not out.exists()
 
     def test_no_slice_amplitudes_without_a_fraction(self, monkeypatch):
         def forbidden(*args):
