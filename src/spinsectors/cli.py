@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .asymptotics import (
@@ -40,6 +41,7 @@ from .ensembles import (
     singlet_average_asymptotic,
     singlet_average_exact,
 )
+from .selftest import run_selftest
 from .spectra import (
     ChainSpec,
     diagonalize_and_resolve,
@@ -71,13 +73,13 @@ def _write_csv(path, header, rows):
 
 def _parse_number(text, key, kind=int, minimum=None, maximum=None):
     """One option value of type `kind`, refused outside [minimum, maximum]
-    (either bound optional; NaN fails any bound)."""
+    (either bound optional; NaN and infinities are always refused)."""
     try:
         value = kind(text)
     except ValueError:
         value = None
-    if value is None or not ((minimum is None or value >= minimum)
-                             and (maximum is None or value <= maximum)):
+    if value is None or kind is float and not math.isfinite(value) or not (
+            (minimum is None or value >= minimum) and (maximum is None or value <= maximum)):
         what = "an integer" if kind is int else "a number"
         bound = (f" in [{minimum}, {maximum}]" if maximum is not None
                  else "" if minimum is None else f" >= {minimum}")
@@ -87,7 +89,7 @@ def _parse_number(text, key, kind=int, minimum=None, maximum=None):
 
 def _parse_list(text, key, kind=int, minimum=None, maximum=None):
     """A non-empty comma-separated list of option values."""
-    tokens = [tok for tok in str(text).split(",") if tok != ""]
+    tokens = [tok for tok in text.split(",") if tok != ""]
     if not tokens:
         raise SystemExit(f"error: {key}: expects a non-empty comma-separated list, got {text!r}")
     return [_parse_number(tok, key, kind, minimum, maximum) for tok in tokens]
@@ -95,9 +97,59 @@ def _parse_list(text, key, kind=int, minimum=None, maximum=None):
 
 def _parse_fraction(text, key):
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise SystemExit(f"error: {key} expects a rational like 1/2, got {text!r}")
+
+
+def _parse_species(text, key):
+    try:
+        return SpinSpecies.from_name(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: {key}: {exc}")
+
+
+def _parse_method(text, key):
+    if text not in ENSEMBLE_METHODS + ("closed", "asymptotic"):
+        raise SystemExit(f"error: {key}: unknown method {text!r}")
+    return text
+
+
+def _parse_switch(text, key):
+    if text not in ("0", "1"):
+        raise SystemExit(f"error: {key}: expects 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _parse_path(text, key):
+    if not text:
+        raise SystemExit(f"error: {key}: expects a file path, got {text!r}")
+    if os.path.exists(text):
+        raise SystemExit(f"error: {key}: refusing to overwrite existing file: {text}")
+    return text
+
+
+# dest -> (flag, parser, default, help); a parser takes the value and the flag
+# without dashes as its error key.  two_J has none and stays text: its values
+# depend on species and L.
+_OPTIONS = {
+    "out": ("--out", _parse_path, None, "output CSV path (stdout when omitted)"),
+    "species": ("--species", _parse_species, "half", "half or one"),
+    "L": ("--L", partial(_parse_list, minimum=1), None, "comma-separated site counts"),
+    "two_J": ("--two-J", None, None,
+              "comma-separated doubled spins, or 'all' (default all; 0 for ed and chaos-scan)"),
+    "f": ("--f", _parse_fraction, "1/2", "subsystem fraction as a rational, e.g. 1/2"),
+    "method": ("--method", _parse_method, "full", "full | sd1 | sd2 | closed | asymptotic"),
+    "samples": ("--samples", partial(_parse_number, minimum=1), None, "Monte Carlo sample count"),
+    "complex": ("--complex", _parse_switch, "0", "draw complex Gaussian coefficients"),
+    "seed": ("--seed", partial(_parse_number, minimum=0), None, "RNG seed, needed by full/sd1/sd2"),
+    "coupling": ("--coupling", partial(_parse_list, kind=float), "0", "comma-separated couplings"),
+    "j_list": ("--j-list", partial(_parse_list, kind=float, minimum=0, maximum=1),
+               ",".join(str(k / 20) for k in range(21)), "comma-separated spin densities"),
+    "j_density": ("--j-density", partial(_parse_number, kind=float, minimum=0, maximum=1), None,
+                  "select J as round(j * L/2) per L, j in [0, 1]"),
+    "eigenstates_out": ("--eigenstates-out", _parse_path, None, "per-eigenstate CSV dump path"),
+}
 
 
 def _load_config(path):
@@ -115,77 +167,44 @@ def _load_config(path):
 
 
 def _merged(args):
-    """Config-file values fill in options the command line left unset; the
-    config keys are the subcommand's option names.  Refuses taken output paths."""
-    values = {k: v for k, v in vars(args).items() if k not in ("config", "command", "func")}
-    if args.config:
-        config = _load_config(args.config)
-        unknown = set(config) - set(values)
-        if unknown:
-            raise SystemExit(f"error: unknown config key(s): {', '.join(sorted(unknown))}")
-        for key, raw in config.items():
-            if values.get(key) is None:
-                values[key] = raw
-    outputs = [values.get(key) for key in ("out", "eigenstates_out")]
-    for key, path in zip(("out", "eigenstates-out"), outputs):
-        if path is not None and os.path.exists(path):
-            raise SystemExit(f"error: {key}: refusing to overwrite existing file: {path}")
-    if None not in outputs and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
-        raise SystemExit(f"error: eigenstates-out: same path as out: {outputs[1]}")
+    """The subcommand's options, each from the command line, else the config file,
+    else its default, parsed once; refuses a missing L and one path for both outputs."""
+    names = _COMMANDS[args.command][2]
+    config = _load_config(args.config) if names and args.config else {}
+    unknown = set(config) - set(names)
+    if unknown:
+        raise SystemExit(f"error: unknown config key(s): {', '.join(sorted(unknown))}")
+    values = {}
+    for name in names:
+        flag, parse, default, _ = _OPTIONS[name]
+        text = getattr(args, name)
+        if text is None:
+            text = config.get(name, default)
+        values[name] = parse(text, flag[2:]) if parse and text is not None else text
+    if "L" in values and values["L"] is None:
+        raise SystemExit("error: L: at least one system size is required")
+    out, dump = values.get("out"), values.get("eigenstates_out")
+    if None not in (out, dump) and os.path.realpath(out) == os.path.realpath(dump):
+        raise SystemExit(f"error: eigenstates-out: same path as out: {dump}")
     return values
 
 
-def _species(value):
-    if isinstance(value, SpinSpecies):
-        return value
-    try:
-        return SpinSpecies.from_name(str(value))
-    except ValueError as exc:
-        raise SystemExit(f"error: species: {exc}")
-
-
-def _expand_two_j(species, sites, two_j_opt, key="two_J"):
+def _expand_two_j(species, sites, two_j_opt):
     if two_j_opt in (None, "all"):
         return admissible_two_j(species, sites)
-    chosen = _parse_list(two_j_opt, key)
+    chosen = _parse_list(two_j_opt, "two_J")
     valid = set(admissible_two_j(species, sites))
     for tj in chosen:
         if tj not in valid:
-            raise SystemExit(f"error: {key}={tj} is not an admissible doubled spin at L={sites}")
+            raise SystemExit(f"error: two_J={tj} is not an admissible doubled spin at L={sites}")
     return chosen
 
 
-def _add_common(parser, *, seed=False, method=False, coupling=False, samples=False, f=False):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="output CSV path (stdout when omitted)")
-    parser.add_argument("--species", help="half or one (default half)")
-    parser.add_argument("--L", help="comma-separated site counts")
-    parser.add_argument("--two-J", dest="two_J", help="comma-separated doubled spins, or 'all'")
-    if f:
-        parser.add_argument("--f", help="subsystem fraction as a rational, e.g. 1/2")
-    if method:
-        parser.add_argument("--method", help="full | sd1 | sd2 | closed | asymptotic")
-    if samples:
-        parser.add_argument("--samples", help="Monte Carlo sample count")
-        parser.add_argument(
-            "--complex", action="store_const", const="1", default=None,
-            help="draw complex Gaussian coefficients (default real)",
-        )
-    if seed:
-        parser.add_argument("--seed", help="64-bit RNG seed (required for stochastic methods)")
-    if coupling:
-        parser.add_argument("--coupling", help="comma-separated coupling values (default 0)")
-
-
-def _cmd_dims(args):
-    opt = _merged(args)
-    species = _species(opt["species"] or "half")
-    if opt["L"] is None:
-        raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_list(opt["L"], "L", minimum=1)
+def _cmd_dims(opt):
+    species = opt["species"]
     header = ("species", "L", "two_J", "n_exact", "n_asymptotic_log", "fraction", "fraction_asymptotic")
     rows = []
-    for sites in sites_list:
+    for sites in opt["L"]:
         for two_j in _expand_two_j(species, sites, opt["two_J"]):
             n_exact = multiplicity(species, sites, two_j)
             try:
@@ -203,23 +222,17 @@ def _cmd_dims(args):
     return 0
 
 
-def _cmd_beta(args):
-    opt = _merged(args)
-    species = _species(opt["species"] or "half")
-    if opt["j_list"] is None:
-        j_values = [k / 20 for k in range(21)]
-    else:
-        j_values = _parse_list(opt["j_list"], "j-list", float, 0, 1)
+def _cmd_beta(opt):
     header = ("species", "j", "beta", "saddle_point", "prefactor")
     rows = []
-    for j in j_values:
-        rate = multiplicity_rate(species, j)
+    for j in opt["j_list"]:
+        rate = multiplicity_rate(opt["species"], j)
         if 0.0 < j <= 1.0:
-            sd = saddle_solve(species, j)
+            sd = saddle_solve(opt["species"], j)
             z0, pref = sd.saddle_point, sd.prefactor
         else:
             z0, pref = 1.0, math.nan
-        rows.append((species.name, float(j), rate, z0, pref))
+        rows.append((opt["species"].name, j, rate, z0, pref))
     _write_csv(opt["out"], header, rows)
     return 0
 
@@ -255,38 +268,22 @@ def _asymptotic_form(sites, two_j, f):
     return sd2_asymptotic(sites, f, two_j / sites)
 
 
-def _cmd_average(args):
-    opt = _merged(args)
-    species = _species(opt["species"] or "half")
+def _cmd_average(opt):
+    species, method, f = opt["species"], opt["method"], opt["f"]
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
-    method = opt["method"] or "full"
-    if method not in ENSEMBLE_METHODS + ("closed", "asymptotic"):
-        raise SystemExit(f"error: method: unknown method {method!r}")
-    if opt["L"] is None:
-        raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_list(opt["L"], "L", minimum=1)
-    f = _parse_fraction(opt["f"] or "1/2", "f")
     if not 0 < f < 1:
         raise SystemExit(f"error: f: fraction must lie in (0, 1), got {f}")
     stochastic = method in ENSEMBLE_METHODS
-    seed = samples_opt = None
-    if stochastic:
-        if opt["seed"] is None:
-            raise SystemExit("error: seed: a seed is mandatory for stochastic methods")
-        seed = _parse_number(opt["seed"], "seed", minimum=0)
-        if opt["samples"]:
-            samples_opt = _parse_number(opt["samples"], "samples", minimum=1)
-    if opt["complex"] not in (None, "0", "1"):
-        raise SystemExit(f"error: complex: expects 0 or 1, got {opt['complex']!r}")
-    complex_field = opt["complex"] == "1"
+    if stochastic and opt["seed"] is None:
+        raise SystemExit("error: seed: a seed is mandatory for stochastic methods")
+    seed = opt["seed"] if stochastic else None
     if opt["j_density"] is not None and opt["two_J"] is not None:
         raise SystemExit("error: j-density: cannot be combined with two-J")
     rows = []
-    for sites in sites_list:
+    for sites in opt["L"]:
         if opt["j_density"] is not None:
-            j_target = _parse_number(opt["j_density"], "j-density", float, 0, 1)
-            two_j = round(j_target * sites)
+            two_j = round(opt["j_density"] * sites)
             two_j += (two_j - sites) % 2
             two_j_list = [min(two_j, sites)]
         else:
@@ -298,9 +295,10 @@ def _cmd_average(args):
             t0 = time.perf_counter()
             samples = None
             if stochastic:
-                samples = samples_opt or default_sample_count(method, sites)
+                samples = (default_sample_count(method, sites) if opt["samples"] is None
+                           else opt["samples"])
                 values = ensemble_entropy_samples(
-                    sites, two_j, cut, samples, seed, (method,), complex_field
+                    sites, two_j, cut, samples, seed, (method,), opt["complex"]
                 )[method]
                 est = EntropyEstimate.from_samples(values, method, seed)
             elif method == "closed":
@@ -321,21 +319,16 @@ _EIGEN_HEADER = (
 )
 
 
-def _cmd_ed(args, with_gamma):
-    opt = _merged(args)
-    species = _species(opt["species"] or "half")
-    if opt["L"] is None:
-        raise SystemExit("error: L: at least one system size is required")
-    sites_list = _parse_list(opt["L"], "L", minimum=1)
-    couplings = _parse_list(opt["coupling"] or "0", "coupling", float)
-    f = _parse_fraction(opt["f"] or "1/2", "f")
+def _cmd_ed(opt, with_gamma):
+    species, f = opt["species"], opt["f"]
+    two_j_opt = "0" if opt["two_J"] is None else opt["two_J"]
     rows = []
     eigen_rows = []
     skipped = []  # --two-J all expands to spins that may have no central eigenstates
     command = "chaos-scan" if with_gamma else "ed"
-    for sites in sites_list:
-        two_j_list = _expand_two_j(species, sites, opt["two_J"] or "0")
-        for coupling in couplings:
+    for sites in opt["L"]:
+        two_j_list = _expand_two_j(species, sites, two_j_opt)
+        for coupling in opt["coupling"]:
             t0 = time.perf_counter()
             spec = ChainSpec(species, sites, coupling)
             records = diagonalize_and_resolve(spec, f)
@@ -343,7 +336,7 @@ def _cmd_ed(args, with_gamma):
                 try:
                     est = eigenstate_entropy_average(records, two_j)
                 except ValueError as exc:
-                    if opt["two_J"] != "all":
+                    if two_j_opt != "all":
                         raise SystemExit(f"error: two_J: {exc}")
                     skipped.append(f"L={sites} coupling={coupling!r} two_J={two_j}")
                     continue
@@ -370,10 +363,22 @@ def _cmd_ed(args, with_gamma):
     return 0
 
 
-def _cmd_selftest(args):
-    from .selftest import run_selftest
-
-    return run_selftest()
+# name -> (help, handler, option names); each handler takes the typed options
+_ED_OPTIONS = ("out", "species", "L", "two_J", "f", "coupling", "eigenstates_out")
+_COMMANDS = {
+    "dims": ("sector multiplicities, dimensions, and Hilbert fractions", _cmd_dims,
+             ("out", "species", "L", "two_J")),
+    "beta": ("volume-law rate, saddle point, and prefactor vs spin density", _cmd_beta,
+             ("out", "species", "j_list")),
+    "average": ("sector-ensemble entropy averages", _cmd_average,
+                ("out", "species", "L", "two_J", "f", "method", "samples", "complex", "seed",
+                 "j_density")),
+    "ed": ("eigenstate entropy averages from exact diagonalization",
+           partial(_cmd_ed, with_gamma=False), _ED_OPTIONS),
+    "chaos-scan": ("Gaussianity and mean entropy over a coupling grid",
+                   partial(_cmd_ed, with_gamma=True), _ED_OPTIONS),
+    "selftest": ("run the invariant suite; nonzero exit on failure", lambda _: run_selftest(), ()),
+}
 
 
 def build_parser():
@@ -382,43 +387,24 @@ def build_parser():
         description="Entanglement entropy statistics in SU(2) symmetry sectors of spin chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="sector multiplicities, dimensions, and Hilbert fractions")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dims)
-
-    p = sub.add_parser("beta", help="volume-law rate, saddle point, and prefactor vs spin density")
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p.add_argument("--species", help="half or one (default half)")
-    p.add_argument("--j-list", dest="j_list", help="comma-separated spin densities")
-    p.set_defaults(func=_cmd_beta)
-
-    p = sub.add_parser("average", help="sector-ensemble entropy averages")
-    _add_common(p, seed=True, method=True, samples=True, f=True)
-    p.add_argument("--j-density", dest="j_density",
-                   help="select J as round(j * L/2) per L, j in [0, 1]")
-    p.set_defaults(func=_cmd_average)
-
-    p = sub.add_parser("ed", help="eigenstate entropy averages from exact diagonalization")
-    _add_common(p, coupling=True, f=True)
-    p.add_argument("--eigenstates-out", dest="eigenstates_out", help="per-eigenstate CSV dump path")
-    p.set_defaults(func=lambda a: _cmd_ed(a, with_gamma=False))
-
-    p = sub.add_parser("chaos-scan", help="Gaussianity and mean entropy over a coupling grid")
-    _add_common(p, coupling=True, f=True)
-    p.add_argument("--eigenstates-out", dest="eigenstates_out", help="per-eigenstate CSV dump path")
-    p.set_defaults(func=lambda a: _cmd_ed(a, with_gamma=True))
-
-    p = sub.add_parser("selftest", help="run the invariant suite; nonzero exit on any failure")
-    p.set_defaults(func=_cmd_selftest)
+    for command, (help_text, handler, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if names:
+            p.add_argument("--config", help="flat key=value config file")
+        for name in names:
+            flag, parse, default, text = _OPTIONS[name]
+            switch = {"action": "store_const", "const": "1"} if parse is _parse_switch else {}
+            if default is not None and not switch:
+                text = f"{text} (default {default})"
+            p.add_argument(flag, dest=name, help=text, **switch)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_merged(args))
     except FileExistsError as exc:
         raise SystemExit(f"error: out: refusing to overwrite existing file: {exc.filename}")
     except (ValueError, RuntimeError) as exc:

@@ -89,6 +89,13 @@ def _check_fraction(name, value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
 
 
+def _check_real(name, value):
+    """Python and numpy reals, not bools: the callers' range checks compare
+    `value` with floats, which a string or complex fails with TypeError."""
+    if not (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_spin_label(species, sites, two_j, what="two_j"):
     _check_integer("sites", sites, 0)
     _check_integer(what, two_j, 0)

@@ -30,9 +30,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .asymptotics import multiplicity_rate
+from .asymptotics import _rate, multiplicity_rate
 from .combinatorics import (
-    HALF, SectorLabel, _check_fraction, _check_integer, _is_integer, spin_half_multiplicity)
+    HALF, SectorLabel, _check_fraction, _check_integer, _check_real, _is_integer,
+    spin_half_multiplicity)
 from .special import digamma
 from .su2 import _cg_columns, clebsch_gordan, stretched_weight_logs
 
@@ -749,6 +750,7 @@ def paired_spin_crossover(fraction, j):
     and at j = 1 the interval is the one point x = f.
     """
     f = _folded_fraction(fraction)
+    _check_real("spin density", j)
     if not 0.0 < j <= 1.0:
         raise ValueError(f"spin density must lie in (0, 1], got {j}")
     ff = float(f)
@@ -756,7 +758,7 @@ def paired_spin_crossover(fraction, j):
         return j * ff  # the Gaussian center; at j = 1 the only admissible x
 
     def gap(x):  # rounding at the bracket ends can carry a density past 1
-        return ff * multiplicity_rate(HALF, min(x / ff, 1.0)) - (1.0 - ff) * multiplicity_rate(
+        return ff * _rate(HALF, min(x / ff, 1.0)) - (1.0 - ff) * _rate(
             HALF, min((j - x) / (1.0 - ff), 1.0)
         )
 
@@ -783,6 +785,7 @@ def sd2_asymptotic(sites, fraction, j):
     """
     _check_integer("sites", sites, 1)
     f = _folded_fraction(fraction)
+    _check_real("spin density", j)
     if not 0.0 < j <= 1.0:
         raise ValueError(f"spin density must lie in (0, 1], got {j}")
     ff = float(f)

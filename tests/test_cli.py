@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import spinsectors
-from spinsectors import cli, max_spin_entropy_asymptotic, max_spin_state_entropy
+from spinsectors import (cli, default_sample_count, max_spin_entropy_asymptotic,
+                         max_spin_state_entropy)
 from spinsectors.cli import main
 
 
@@ -159,6 +161,19 @@ class TestAverage:
         with pytest.raises(SystemExit, match="method"):
             main(["average", "--method", "bogus", "--L", "8"])
 
+    @pytest.mark.parametrize("method,flags,message", [
+        ("closed", ["--seed", "bogus"], "seed: expects an integer >= 0, got 'bogus'"),
+        ("closed", ["--samples", "0"], "samples: expects an integer >= 1, got '0'"),
+        ("asymptotic", ["--samples", "-3"], "samples: expects an integer >= 1, got '-3'"),
+    ], ids=["closed-seed", "closed-samples", "asymptotic-samples"])
+    def test_options_the_method_ignores_are_validated(self, tmp_path, method, flags, message):
+        # the closed forms used to skip seed and samples, malformed or not
+        out = tmp_path / "avg.csv"
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+            main(["average", "--method", method, "--L", "4", "--two-J", "0", "--out", str(out)]
+                 + flags)
+        assert not out.exists()
+
     def test_bad_two_j_names_key(self):
         with pytest.raises(SystemExit, match="two_J"):
             main(["average", "--method", "closed", "--L", "8", "--two-J", "3"])
@@ -252,6 +267,25 @@ class TestConfigFile:
             main(["average", "--config", str(cfg), "--L", "8", "--two-J", "2", "--samples", "5",
                   "--seed", "3"])
 
+    @pytest.mark.parametrize("command,key,message", [
+        ("average", "species", "species: unknown species ''; expected 'half' or 'one'"),
+        ("average", "f", "f expects a rational like 1/2, got ''"),
+        ("average", "method", "method: unknown method ''"),
+        ("average", "samples", "samples: expects an integer >= 1, got ''"),
+        ("average", "out", "out: expects a file path, got ''"),
+        ("ed", "two_J", "two_J: expects a non-empty comma-separated list, got ''"),
+        ("ed", "coupling", "coupling: expects a non-empty comma-separated list, got ''"),
+        ("ed", "eigenstates_out", "eigenstates-out: expects a file path, got ''"),
+    ], ids=["species", "f", "method", "samples", "out", "two_J", "coupling", "eigenstates_out"])
+    def test_empty_config_value_refused(self, tmp_path, monkeypatch, capsys, command, key, message):
+        # these read an empty value as unset, or (out) raised FileNotFoundError
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text(f"{key}=\n")
+        given = {"average": ["--L", "8", "--two-J", "0", "--seed", "1"], "ed": ["--L", "8"]}[command]
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+            main([command, "--config", "run.cfg"] + given)
+        assert os.listdir(tmp_path) == ["run.cfg"] and capsys.readouterr().out == ""
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -341,6 +375,16 @@ class TestEd:
             main([command, "--L", "8", "--coupling", "1", "--out", out, "--eigenstates-out", dump])
         assert sorted(os.listdir(tmp_path)) == ([existing] if existing else [])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_refused_before_any_chain(self, monkeypatch, value):
+        # ChainSpec refused it, without the option's name, after the chains before it
+        def forbidden(*args):
+            raise AssertionError("a chain was built before the couplings were checked")
+
+        monkeypatch.setattr(cli, "ChainSpec", forbidden)
+        with pytest.raises(SystemExit, match=f"^error: coupling: expects a number, got '{value}'$"):
+            main(["ed", "--L", "8", "--coupling", f"1,{value}"])
+
     def test_cap_produces_size_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cap"):
             main(["ed", "--L", "20", "--coupling", "0", "--two-J", "0",
@@ -364,6 +408,60 @@ def test_empty_lists_and_sizes_below_one_refused(argv, key, capsys):
     with pytest.raises(SystemExit, match=f"^error: {key}: "):
         main(argv)
     assert capsys.readouterr().out == ""
+
+
+_COMMON = {"-h", "--help", "--config", "--out", "--species"}
+_ED_FLAGS = _COMMON | {"--L", "--two-J", "--f", "--coupling", "--eigenstates-out"}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("dims", _COMMON | {"--L", "--two-J"}),
+    ("beta", _COMMON | {"--j-list"}),
+    ("average", _COMMON | {"--L", "--two-J", "--f", "--method", "--samples", "--complex",
+                           "--seed", "--j-density"}),
+    ("ed", _ED_FLAGS),
+    ("chaos-scan", _ED_FLAGS),
+    ("selftest", {"-h", "--help"}),
+])
+def test_help_lists_the_flags(capsys, command, flags):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = re.findall(r"^  (-[\w-]+)(?:, (--[\w-]+))?", capsys.readouterr().out, re.M)
+    assert {flag for line in listed for flag in line if flag} == flags
+
+
+@pytest.mark.parametrize("command,given,method,two_js", [
+    ("dims", [], None, ["0", "2", "4", "6"]),
+    ("average", ["--seed", "1"], "full", ["0", "2", "4", "6"]),
+    ("ed", [], "ed", ["0"]),
+    ("chaos-scan", [], "ed", ["0"]),
+])
+def test_defaults(tmp_path, command, given, method, two_js):
+    out = tmp_path / "out.csv"
+    main([command, "--L", "6", "--out", str(out)] + given)
+    _, rows = read_rows(out)
+    assert [r["two_J"] for r in rows] == two_js
+    assert {r["species"] for r in rows} == {"half"}
+    if method:
+        assert {(r["f"], r["method"]) for r in rows} == {("1/2", method)}
+    if command in ("ed", "chaos-scan"):
+        assert {r["coupling"] for r in rows} == {"0.0"}
+    if command == "average":
+        # real draws: the body equals the run that asks for them
+        real = tmp_path / "real.csv"
+        cfg = tmp_path / "real.cfg"
+        cfg.write_text("complex=0\n")
+        main([command, "--L", "6", "--config", str(cfg), "--out", str(real)] + given)
+        assert body_without_walltime(out) == body_without_walltime(real)
+        assert {r["samples"] for r in rows} == {str(default_sample_count("full", 6))}
+
+
+def test_beta_default_grid(tmp_path):
+    out = tmp_path / "beta.csv"
+    main(["beta", "--out", str(out)])
+    _, rows = read_rows(out)
+    assert [r["j"] for r in rows] == [repr(k / 20) for k in range(21)]
+    assert {r["species"] for r in rows} == {"half"}
 
 
 class TestSelftest:

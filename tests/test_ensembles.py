@@ -16,6 +16,7 @@ import oracles
 from oracles import coupled_sector_basis, draw_blocks, sector_basis
 from spinsectors import (
     HALF,
+    ONE,
     ChainSpec,
     EntropyEstimate,
     default_sample_count,
@@ -27,9 +28,11 @@ from spinsectors import (
     haar_average_leading,
     max_spin_entropy_asymptotic,
     max_spin_state_entropy,
+    multiplicity_rate,
     page_average,
     paired_spin_crossover,
     random_state_average,
+    saddle_solve,
     sd1_semianalytic,
     sd2_asymptotic,
     sd2_average_closed,
@@ -190,6 +193,23 @@ def test_bools_and_non_integers_are_refused(call, message):
 def test_non_finite_and_non_real_inputs_are_refused(call, message):
     # these raised TypeError or OverflowError, or returned a value (NaN for NaN)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call,value", [
+    pytest.param(lambda: sd2_asymptotic(12, 0.5, "0.5"), "'0.5'", id="sd2-string"),
+    pytest.param(lambda: sd2_asymptotic(12, 0.5, 1j), "1j", id="sd2-complex"),
+    pytest.param(lambda: sd2_asymptotic(12, 0.5, True), "True", id="sd2-bool"),
+    pytest.param(lambda: paired_spin_crossover(0.25, None), "None", id="crossover-none"),
+    pytest.param(lambda: paired_spin_crossover(0.25, True), "True", id="crossover-bool"),
+    pytest.param(lambda: multiplicity_rate(HALF, "0.5"), "'0.5'", id="rate-string"),
+    pytest.param(lambda: multiplicity_rate(HALF, False), "False", id="rate-bool"),
+    pytest.param(lambda: saddle_solve(HALF, "0.5"), "'0.5'", id="saddle-string"),
+    pytest.param(lambda: saddle_solve(ONE, True), "True", id="saddle-bool"),
+])
+def test_non_real_spin_densities_are_refused(call, value):
+    # non-reals reached a float comparison and raised TypeError; bools passed as 0 and 1
+    with pytest.raises(ValueError, match=f"^spin density must be a real number, got {re.escape(value)}$"):
         call()
 
 
