@@ -33,11 +33,6 @@ def multiplicity_rate(species, j):
     _check_real("spin density", j)
     if not 0.0 <= j <= 1.0:
         raise ValueError(f"spin density must lie in [0, 1], got {j}")
-    return _rate(species, j)
-
-
-def _rate(species, j):
-    """multiplicity_rate at a density already checked to lie in [0, 1]."""
     if j == 0.0:
         return math.log(species.local_dim)
     if j == 1.0:

@@ -141,9 +141,10 @@ _OPTIONS = {
     "f": ("--f", _parse_fraction, "1/2", "subsystem fraction as a rational, e.g. 1/2"),
     "method": ("--method", _parse_method, "full", "full | sd1 | sd2 | closed | asymptotic"),
     "samples": ("--samples", partial(_parse_number, minimum=1), None, "Monte Carlo sample count"),
-    "complex": ("--complex", _parse_switch, "0", "draw complex Gaussian coefficients"),
-    "seed": ("--seed", partial(_parse_number, minimum=0), None, "RNG seed, needed by full/sd1/sd2"),
-    "coupling": ("--coupling", partial(_parse_list, kind=float), "0", "comma-separated couplings"),
+    "complex": ("--complex", _parse_switch, "0", "draw complex Gaussian coefficients (default real)"),
+    "seed": ("--seed", partial(_parse_number, minimum=0), None,
+             "64-bit RNG seed (required for stochastic methods)"),
+    "coupling": ("--coupling", partial(_parse_list, kind=float), "0", "comma-separated coupling values"),
     "j_list": ("--j-list", partial(_parse_list, kind=float, minimum=0, maximum=1),
                ",".join(str(k / 20) for k in range(21)), "comma-separated spin densities"),
     "j_density": ("--j-density", partial(_parse_number, kind=float, minimum=0, maximum=1), None,
@@ -346,14 +347,10 @@ def _cmd_ed(opt, with_gamma):
                     row = row + (gamma, gamma - math.pi / 2.0)
                 rows.append(row)
             if opt["eigenstates_out"]:
-                for rec in records:
-                    eigen_rows.append(
-                        (
-                            species.name, sites, coupling, rec.momentum_index, rec.energy,
-                            rec.two_j, rec.j2_residual, int(rec.central),
-                            rec.entropy, rec.gaussianity,
-                        )
-                    )
+                eigen_rows.extend(
+                    (species.name, sites, coupling, rec.momentum_index, rec.energy, rec.two_j,
+                     rec.j2_residual, int(rec.central), rec.entropy, rec.gaussianity)
+                    for rec in records)
     if skipped:
         print(f"skipped, no central complex-sector eigenstates: {'; '.join(skipped)}", file=sys.stderr)
     header = _ED_HEADER if with_gamma else _RESULT_HEADER
@@ -377,7 +374,7 @@ _COMMANDS = {
            partial(_cmd_ed, with_gamma=False), _ED_OPTIONS),
     "chaos-scan": ("Gaussianity and mean entropy over a coupling grid",
                    partial(_cmd_ed, with_gamma=True), _ED_OPTIONS),
-    "selftest": ("run the invariant suite; nonzero exit on failure", lambda _: run_selftest(), ()),
+    "selftest": ("run the invariant suite; nonzero exit on any failure", lambda _: run_selftest(), ()),
 }
 
 

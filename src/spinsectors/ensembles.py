@@ -30,7 +30,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .asymptotics import _rate, multiplicity_rate
+from .asymptotics import multiplicity_rate
 from .combinatorics import (
     HALF, SectorLabel, _check_fraction, _check_integer, _check_real, _is_integer,
     spin_half_multiplicity)
@@ -758,7 +758,7 @@ def paired_spin_crossover(fraction, j):
         return j * ff  # the Gaussian center; at j = 1 the only admissible x
 
     def gap(x):  # rounding at the bracket ends can carry a density past 1
-        return ff * _rate(HALF, min(x / ff, 1.0)) - (1.0 - ff) * _rate(
+        return ff * multiplicity_rate(HALF, min(x / ff, 1.0)) - (1.0 - ff) * multiplicity_rate(
             HALF, min((j - x) / (1.0 - ff), 1.0)
         )
 
