@@ -99,7 +99,7 @@ def _parse_fraction(text, key):
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"error: {key} expects a rational like 1/2, got {text!r}")
+        raise SystemExit(f"error: {key}: expects a rational like 1/2, got {text!r}")
 
 
 def _parse_species(text, key):
@@ -126,6 +126,9 @@ def _parse_path(text, key):
         raise SystemExit(f"error: {key}: expects a file path, got {text!r}")
     if os.path.exists(text):
         raise SystemExit(f"error: {key}: refusing to overwrite existing file: {text}")
+    folder = os.path.dirname(text)
+    if folder and not os.path.isdir(folder):
+        raise SystemExit(f"error: {key}: no such directory: {folder}")
     return text
 
 
@@ -154,8 +157,12 @@ _OPTIONS = {
 
 
 def _load_config(path):
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise SystemExit(f"error: config: cannot read {path}: {exc.strerror}")
     config = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -269,12 +276,20 @@ def _asymptotic_form(sites, two_j, f):
     return sd2_asymptotic(sites, f, two_j / sites)
 
 
+def _check_cuts(f, sizes):
+    """Refuse, before any work, a fraction whose cut round(f L) empties a side at some L."""
+    for sites in sizes:
+        if not 0 < round(f * sites) < sites:
+            raise SystemExit(f"error: f: fraction {f} gives an empty bipartition at L={sites}")
+
+
 def _cmd_average(opt):
     species, method, f = opt["species"], opt["method"], opt["f"]
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
     if not 0 < f < 1:
         raise SystemExit(f"error: f: fraction must lie in (0, 1), got {f}")
+    _check_cuts(f, opt["L"])
     stochastic = method in ENSEMBLE_METHODS
     if stochastic and opt["seed"] is None:
         raise SystemExit("error: seed: a seed is mandatory for stochastic methods")
@@ -290,8 +305,6 @@ def _cmd_average(opt):
         else:
             two_j_list = _expand_two_j(species, sites, opt["two_J"])
         cut = round(f * sites)
-        if not 0 < cut < sites:
-            raise SystemExit(f"error: f: fraction {f} gives an empty bipartition at L={sites}")
         for two_j in two_j_list:
             t0 = time.perf_counter()
             samples = None
@@ -322,6 +335,7 @@ _EIGEN_HEADER = (
 
 def _cmd_ed(opt, with_gamma):
     species, f = opt["species"], opt["f"]
+    _check_cuts(f, opt["L"])
     two_j_opt = "0" if opt["two_J"] is None else opt["two_J"]
     rows = []
     eigen_rows = []

@@ -228,7 +228,7 @@ def _block_average(blocks, d):
     psi_d = digamma(d + 1)
     total = 0.0
     for na, nb, weight, s_w in blocks:
-        lo, hi = sorted((na, nb))
+        lo, hi = (na, nb) if na <= nb else (nb, na)
         total += weight * (psi_d - digamma(hi + 1) - (lo - 1) / (2 * hi) + s_w)
     return total
 
@@ -334,16 +334,18 @@ def _stretched_entropies(pairs):
 class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
-    Holds the multiplicities of both blocks and each J_A's run of partners J_B
-    (CG coefficients are evaluated on demand).  The identity sum_{pairs} n_A
-    n_B = n_J is asserted with one big-integer product per J_A; `weights` keeps its share of n_J.
+    Holds the multiplicities of both blocks and the bounds (lo, hi) of each
+    J_A's run of partners J_B (CG coefficients are evaluated on demand).  The
+    identity sum_{pairs} n_A n_B = n_J is asserted with one big-integer product
+    per J_A; `weights` keeps its share of n_J.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
     matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`, which keeps m > 0
     and the two flip-parity classes of m = 0), and Monte Carlo fills the blocks
-    of W in `pairs` order (`draw_map`).  The layout and `pairs` are built
-    lazily, as the closed forms use this geometry at L up to 10**4.
+    of W in `pairs` order (`draw_map`).  The layout, `pairs`, `partner_runs`
+    and `m_max` are built lazily: the J = 0 and sd2 sums use this geometry at
+    L up to 10**4 and read none of them.
     """
 
     def __init__(self, sites, two_j, cut):
@@ -356,29 +358,39 @@ class CoupledPairGeometry:
         self.cut = cut
         self.two_j = two_j
         cut_b = sites - cut
+        self.ja_list = list(range(max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b) + 1, 2))
         # J_A's partners |J - J_A| <= J_B <= J + J_A: one run each, and the runs overlap
-        runs = self.partner_runs = {
-            two_ja: range(max(cut_b % 2, abs(two_j - two_ja)), min(cut_b, two_j + two_ja) + 1, 2)
-            for two_ja in range(max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b) + 1, 2)
-        }
-        self.ja_list = list(runs)
-        jb_lo, jb_hi = min(jbs[0] for jbs in runs.values()), max(jbs[-1] for jbs in runs.values())
+        self.partner_bounds = [
+            (max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)) for ja in self.ja_list]
+        jb_lo = min(lo for lo, _ in self.partner_bounds)
+        jb_hi = max(hi for _, hi in self.partner_bounds)
         self.jb_list = list(range(jb_lo, jb_hi + 1, 2))
-        self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
+        na = self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
         # at cut = L - cut both sides span the same spins, so the runs are equal
-        self.nb = self.na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
-        # upto[J_B]: n_B summed over the spins <= J_B, so a run sums by one difference
-        upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(self.nb.values(), initial=0)))
+        nb = self.nb = na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
+        # a run of one partner (every run at J = 0) multiplies its n_B directly;
+        # longer runs sum n_B by one difference of upto[J_B], the sum over spins <= J_B
+        upto = (dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
+                if any(lo != hi for lo, hi in self.partner_bounds) else None)
         expected = spin_half_multiplicity(sites, two_j)
         total, self.weights = 0, {}
-        for ja, jbs in runs.items():
-            dim = self.na[ja] * (upto[jbs[-1]] - upto[jbs[0] - 2])
+        for ja, (lo, hi) in zip(self.ja_list, self.partner_bounds):
+            dim = na[ja] * (nb[lo] if lo == hi else upto[hi] - upto[lo - 2])
             total += dim
             self.weights[ja] = dim / expected  # == dim / total once the guard passes
         if total != expected:  # not an assert: the guard must survive python -O
             raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
-        self.m_max = max(min(ja, jbs[-1]) for ja, jbs in runs.items())
+
+    @cached_property
+    def partner_runs(self):
+        """{J_A: range of its partners J_B} (for Monte Carlo and sd1)."""
+        return {ja: range(lo, hi + 1, 2) for ja, (lo, hi) in zip(self.ja_list, self.partner_bounds)}
+
+    @cached_property
+    def m_max(self):
+        """The largest |m| of any pairing, min(J_A, J_B) maximized."""
+        return max(min(ja, hi) for ja, (_, hi) in zip(self.ja_list, self.partner_bounds))
 
     @cached_property
     def pairs(self):

@@ -269,7 +269,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command,key,message", [
         ("average", "species", "species: unknown species ''; expected 'half' or 'one'"),
-        ("average", "f", "f expects a rational like 1/2, got ''"),
+        ("average", "f", "f: expects a rational like 1/2, got ''"),
         ("average", "method", "method: unknown method ''"),
         ("average", "samples", "samples: expects an integer >= 1, got ''"),
         ("average", "out", "out: expects a file path, got ''"),
@@ -285,6 +285,15 @@ class TestConfigFile:
         with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
             main([command, "--config", "run.cfg"] + given)
         assert os.listdir(tmp_path) == ["run.cfg"] and capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name,reason", [("missing.cfg", "No such file or directory"),
+                                             (".", "Is a directory")], ids=["missing", "directory"])
+    def test_unreadable_config_refused(self, tmp_path, monkeypatch, capsys, name, reason):
+        # open() raised FileNotFoundError or IsADirectoryError as a traceback
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"^error: config: cannot read {re.escape(name)}: {reason}$"):
+            main(["dims", "--L", "4", "--config", name])
+        assert os.listdir(tmp_path) == [] and capsys.readouterr().out == ""
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -375,6 +384,19 @@ class TestEd:
             main([command, "--L", "8", "--coupling", "1", "--out", out, "--eigenstates-out", dump])
         assert sorted(os.listdir(tmp_path)) == ([existing] if existing else [])
 
+    @pytest.mark.parametrize("command", ["ed", "chaos-scan"])
+    @pytest.mark.parametrize("sizes,f,bad", [("8", "3/2", 8), ("40,8", "1/16", 8), ("8", "0", 8)],
+                             ids=["past-one", "second-size", "zero"])
+    def test_empty_cut_refused_before_any_chain(self, monkeypatch, command, sizes, f, bad):
+        # the library refused it without the option's name, after the chains before it
+        def forbidden(*args):
+            raise AssertionError("a chain was built before the cuts were checked")
+
+        monkeypatch.setattr(cli, "ChainSpec", forbidden)
+        message = f"f: fraction {f} gives an empty bipartition at L={bad}"
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+            main([command, "--L", sizes, "--coupling", "1", "--f", f])
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coupling_refused_before_any_chain(self, monkeypatch, value):
         # ChainSpec refused it, without the option's name, after the chains before it
@@ -389,6 +411,28 @@ class TestEd:
         with pytest.raises(SystemExit, match="cap"):
             main(["ed", "--L", "20", "--coupling", "0", "--two-J", "0",
                   "--out", str(tmp_path / "x.csv")])
+
+
+@pytest.mark.parametrize("argv,forbid,message", [
+    (["dims", "--L", "4", "--out", "missing/x.csv"], "multiplicity", "out: no such directory: missing"),
+    (["ed", "--L", "8", "--out", "a.csv", "--eigenstates-out", "missing/e.csv"],
+     "diagonalize_and_resolve", "eigenstates-out: no such directory: missing"),
+    (["average", "--L", "8", "--method", "closed", "--out", "notes.txt/x.csv"],
+     "singlet_average_exact", "out: no such directory: notes.txt"),
+], ids=["dims-out", "ed-dump", "out-under-a-file"])
+def test_output_in_missing_directory_refused_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                             forbid, message):
+    # the CSV was opened after the whole run, which then ended in a FileNotFoundError traceback
+    monkeypatch.chdir(tmp_path)
+    Path("notes.txt").write_text("a file, not a directory")
+
+    def forbidden(*args):
+        raise AssertionError("the run started before its outputs were checked")
+
+    monkeypatch.setattr(cli, forbid, forbidden)
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+        main(argv)
+    assert os.listdir(tmp_path) == ["notes.txt"] and capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

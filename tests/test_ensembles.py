@@ -883,7 +883,11 @@ class TestGeometry:
             return run
 
         monkeypatch.setattr(ensembles, "_multiplicity_run", off_by_one)
-        for sites, two_j, cut in ((6, 2, 2), (12, 4, 5), (2000, 0, 1000), (2000, 1000, 700)):
+        # J = 0 runs have one partner each, multiplied directly, on and off the
+        # half cut; (2000, 400, 1000) sums runs of several partners with nb is na
+        cases = ((6, 2, 2), (12, 4, 5), (2000, 0, 1000), (2000, 1000, 700), (2000, 0, 500),
+                 (2000, 400, 1000))
+        for sites, two_j, cut in cases:
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
 
@@ -952,8 +956,9 @@ class TestGeometry:
 
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
-        # only: no Clebsch-Gordan column solve and no list of every pairing
-        # (the scalar stretched weights live in the oracles, outside the package)
+        # only: no Clebsch-Gordan column solve, no list of every pairing and
+        # no partner runs (the scalar stretched weights live in the oracles,
+        # outside the package)
         def forbidden(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
@@ -961,7 +966,8 @@ class TestGeometry:
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
         monkeypatch.setattr(su2, "_cg_columns", forbidden("_cg_columns"))
-        monkeypatch.setattr(CoupledPairGeometry, "pairs", property(forbidden("pairs")))
+        for name in ("pairs", "partner_runs", "m_max"):
+            monkeypatch.setattr(CoupledPairGeometry, name, property(forbidden(name)))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
         assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
@@ -1006,7 +1012,8 @@ class TestClosedFormRoutes:
                 for two_j in range(0, sites + 1, 2):
                     self.assert_routes_agree(sites, two_j, cut)
 
-    @pytest.mark.parametrize("sites, two_j, cut", [(2000, 0, 1000), (2000, 1000, 700), (10000, 0, 5000)])
+    @pytest.mark.parametrize("sites, two_j, cut", [
+        (2000, 0, 1000), (2000, 1000, 700), (10000, 0, 5000), (10000, 0, 2500)])
     def test_large_rows(self, sites, two_j, cut):
         self.assert_routes_agree(sites, two_j, cut, sd1=False)
         assert max_spin_state_entropy(sites, cut) == oracles.max_spin_entropy_reference(sites, cut)

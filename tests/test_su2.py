@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,30 @@ class TestStretchedWeight:
         for bad in (2, 3), (-2, 4):
             with pytest.raises(ValueError):
                 stretched_weight_logs([(6, 10), bad])
+
+    @pytest.mark.parametrize("bad,message", [
+        ((True, 1), "J_A: two_j=True and two_m=True must be integers"),
+        ((np.True_, 1), "J_A: two_j=np.True_ and two_m=np.True_ must be integers"),
+        ((2.0, 2), "J_A: two_j=2.0 and two_m=2.0 must be integers"),
+        ((4, 2.0), "J_A: two_j=4 and two_m=2.0 must be integers"),
+        ((-2, 4), "J_A: negative angular momentum two_j=-2"),
+        ((4, -2), "J_B: negative angular momentum two_j=-2"),
+        ((2, 3), "J_B: two_m=2 incompatible with two_j=3"),
+        ((3, 2), "J_A: two_m=2 incompatible with two_j=3"),
+    ], ids=["bool", "numpy-bool", "float-ja", "float-jb", "negative-ja", "negative-jb",
+            "parity-jb", "parity-ja"])
+    def test_refusal_names_the_bad_pair(self, bad, message):
+        # the pairs are checked together as one array; a refused pair gets
+        # the message of the pair-by-pair check, after valid pairs too
+        for pairs in ([bad], [(6, 10), bad, (1, 4)]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                stretched_weight_logs(pairs)
+
+    def test_numpy_spins_give_the_python_columns(self):
+        pairs = [(6, 10), (5, 3), (0, 4)]
+        spins = [(np.int64(a), np.int32(b)) for a, b in pairs]
+        assert ([c.tolist() for c in stretched_weight_logs(spins)]
+                == [c.tolist() for c in stretched_weight_logs(pairs)])
 
 
 class TestSectorBasis:
