@@ -343,9 +343,8 @@ class CoupledPairGeometry:
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
     matrix is a CG-weighted suffix W[r0:, c0:] (`m_blocks`, which keeps m > 0
     and the two flip-parity classes of m = 0), and Monte Carlo fills the blocks
-    of W in `pairs` order (`draw_map`).  The layout, `pairs`, `partner_runs`
-    and `m_max` are built lazily: the J = 0 and sd2 sums use this geometry at
-    L up to 10**4 and read none of them.
+    of W in `pairs` order (`draw_map`).  The layout and `pairs` are built
+    lazily, as the closed forms use this geometry at L up to 10**4.
     """
 
     def __init__(self, sites, two_j, cut):
@@ -359,11 +358,11 @@ class CoupledPairGeometry:
         self.two_j = two_j
         cut_b = sites - cut
         self.ja_list = list(range(max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b) + 1, 2))
-        # J_A's partners |J - J_A| <= J_B <= J + J_A: one run each, and the runs overlap
-        self.partner_bounds = [
-            (max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)) for ja in self.ja_list]
-        jb_lo = min(lo for lo, _ in self.partner_bounds)
-        jb_hi = max(hi for _, hi in self.partner_bounds)
+        # J_A's partners |J - J_A| <= J_B <= J + J_A: one run (lo, hi) each, and the runs overlap
+        bounds = self.partner_bounds = {
+            ja: (max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)) for ja in self.ja_list}
+        jb_lo = min(lo for lo, _ in bounds.values())
+        jb_hi = max(hi for _, hi in bounds.values())
         self.jb_list = list(range(jb_lo, jb_hi + 1, 2))
         na = self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
         # at cut = L - cut both sides span the same spins, so the runs are equal
@@ -371,31 +370,23 @@ class CoupledPairGeometry:
         # a run of one partner (every run at J = 0) multiplies its n_B directly;
         # longer runs sum n_B by one difference of upto[J_B], the sum over spins <= J_B
         upto = (dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
-                if any(lo != hi for lo, hi in self.partner_bounds) else None)
+                if any(lo != hi for lo, hi in bounds.values()) else None)
         expected = spin_half_multiplicity(sites, two_j)
         total, self.weights = 0, {}
-        for ja, (lo, hi) in zip(self.ja_list, self.partner_bounds):
+        for ja, (lo, hi) in bounds.items():
             dim = na[ja] * (nb[lo] if lo == hi else upto[hi] - upto[lo - 2])
             total += dim
             self.weights[ja] = dim / expected  # == dim / total once the guard passes
         if total != expected:  # not an assert: the guard must survive python -O
             raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
-
-    @cached_property
-    def partner_runs(self):
-        """{J_A: range of its partners J_B} (for Monte Carlo and sd1)."""
-        return {ja: range(lo, hi + 1, 2) for ja, (lo, hi) in zip(self.ja_list, self.partner_bounds)}
-
-    @cached_property
-    def m_max(self):
-        """The largest |m| of any pairing, min(J_A, J_B) maximized."""
-        return max(min(ja, hi) for ja, (_, hi) in zip(self.ja_list, self.partner_bounds))
+        self.m_max = max(min(ja, hi) for ja, (_, hi) in bounds.items())
 
     @cached_property
     def pairs(self):
         """Every (J_A, J_B) pairing, J_A then J_B ascending (for Monte Carlo)."""
-        return [(ja, jb) for ja, jbs in self.partner_runs.items() for jb in jbs]
+        return [(ja, jb) for ja, (lo, hi) in self.partner_bounds.items()
+                for jb in range(lo, hi + 1, 2)]
 
     def cg_coefficient(self, two_ja, two_jb, two_m):
         """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`: zero off
@@ -497,7 +488,8 @@ class CoupledPairGeometry:
         cols = _group_slices(jb_cols, self.nb)
         sd1_parts = []
         for ja, rows in _group_slices(ja_rows, self.na).items():
-            partners = [jb for jb in jb_cols if jb in self.partner_runs[ja]]  # one run of jb_cols
+            lo, hi = self.partner_bounds[ja]
+            partners = [jb for jb in jb_cols if lo <= jb <= hi]  # one run of jb_cols
             sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
         return index, weights, sd1_parts, copies
 
@@ -741,7 +733,8 @@ def sd1_semianalytic(sites, two_j, cut):
     """
     geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = []
-    for two_ja, partners in geo.partner_runs.items():
+    for two_ja, (lo, hi) in geo.partner_bounds.items():
+        partners = range(lo, hi + 1, 2)
         nb_eff = sum(geo.nb[jb] for jb in partners)
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:

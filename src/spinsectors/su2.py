@@ -8,7 +8,6 @@ per site, and only configurations with the requested total J_z are stored.
 
 import math
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -95,17 +94,10 @@ def stretched_weight_logs(pairs):
     Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
     each binomial from one cached lgamma table.
     """
-    # all pairs are checked at once when every spin is a Python int; otherwise,
-    # or if that check fails, pair by pair for `_check_momentum`'s message
-    spins = None
-    if set(map(type, chain.from_iterable(pairs))) <= {int}:
-        spins = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if spins is None or (spins < 0).any() or ((spins[:, 0] - spins[:, 1]) % 2).any():
-        for two_ja, two_jb in pairs:
-            _check_momentum(two_ja, min(two_ja, two_jb), "J_A")
-            _check_momentum(two_jb, min(two_ja, two_jb), "J_B")
-        spins = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    ja, jb = spins.T
+    for two_ja, two_jb in pairs:
+        _check_momentum(two_ja, min(two_ja, two_jb), "J_A")
+        _check_momentum(two_jb, min(two_ja, two_jb), "J_B")
+    ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
     bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]
     return (col for a, b in zip(bounds, bounds[1:]) for col in _stretched_pass(ja[a:b], jb[a:b]))

@@ -957,8 +957,8 @@ class TestGeometry:
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
         # only: no Clebsch-Gordan column solve, no list of every pairing and
-        # no partner runs (the scalar stretched weights live in the oracles,
-        # outside the package)
+        # no Monte Carlo layout (the scalar stretched weights live in the
+        # oracles, outside the package)
         def forbidden(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
@@ -966,7 +966,7 @@ class TestGeometry:
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
         monkeypatch.setattr(su2, "_cg_columns", forbidden("_cg_columns"))
-        for name in ("pairs", "partner_runs", "m_max"):
+        for name in ("pairs", "rows", "cols", "m_blocks", "draw_map"):
             monkeypatch.setattr(CoupledPairGeometry, name, property(forbidden(name)))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)

@@ -201,8 +201,8 @@ class TestStretchedWeight:
     ], ids=["bool", "numpy-bool", "float-ja", "float-jb", "negative-ja", "negative-jb",
             "parity-jb", "parity-ja"])
     def test_refusal_names_the_bad_pair(self, bad, message):
-        # the pairs are checked together as one array; a refused pair gets
-        # the message of the pair-by-pair check, after valid pairs too
+        # a refused pair gets the message of its own spin check, after valid
+        # pairs too
         for pairs in ([bad], [(6, 10), bad, (1, 4)]):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 stretched_weight_logs(pairs)
