@@ -12,7 +12,7 @@ factor (1 - z0**2)/(pi*z0) of the two real saddles +-z0.
 import math
 from dataclasses import dataclass
 
-from .combinatorics import HALF, _check_integer, _check_real, _check_spin_label
+from .combinatorics import HALF, _check_integer, _check_spin_density, _check_spin_label
 
 __all__ = [
     "multiplicity_rate",
@@ -30,9 +30,7 @@ def multiplicity_rate(species, j):
     The endpoint values ln(2s+1) at j=0 and 0 at j=1 are the analytic limits
     of the closed forms, which are 0/0 there.
     """
-    _check_real("spin density", j)
-    if not 0.0 <= j <= 1.0:
-        raise ValueError(f"spin density must lie in [0, 1], got {j}")
+    _check_spin_density(j, allow_zero=True)
     if j == 0.0:
         return math.log(species.local_dim)
     if j == 1.0:
@@ -96,9 +94,7 @@ def saddle_solve(species, j):
     as a flagged endpoint (the saddle degenerates to z0=0 and the prefactor is
     undefined).
     """
-    _check_real("spin density", j)
-    if not 0.0 < j <= 1.0:
-        raise ValueError(f"saddle point is defined for 0 < j <= 1, got {j}")
+    _check_spin_density(j)
     if j == 1.0:
         return SaddleData(j, 0.0, 0.0, math.nan, endpoint=True)
     z0 = _closed_form_saddle(species, j)

@@ -235,11 +235,11 @@ def _cmd_beta(opt):
     rows = []
     for j in opt["j_list"]:
         rate = multiplicity_rate(opt["species"], j)
-        if 0.0 < j <= 1.0:
+        if j == 0.0:  # no saddle: the parser keeps j in [0, 1]
+            z0, pref = 1.0, math.nan
+        else:
             sd = saddle_solve(opt["species"], j)
             z0, pref = sd.saddle_point, sd.prefactor
-        else:
-            z0, pref = 1.0, math.nan
         rows.append((opt["species"].name, j, rate, z0, pref))
     _write_csv(opt["out"], header, rows)
     return 0
@@ -263,8 +263,7 @@ def _result_row(command, method, species, sites, two_j, f, coupling, samples, se
     )
 
 
-def _closed_form(sites, two_j, f):
-    cut = round(f * sites)
+def _closed_form(sites, two_j, cut):
     if two_j == 0:
         return singlet_average_exact(sites, cut)
     return sd2_average_closed(sites, two_j, cut)
@@ -287,8 +286,6 @@ def _cmd_average(opt):
     species, method, f = opt["species"], opt["method"], opt["f"]
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
-    if not 0 < f < 1:
-        raise SystemExit(f"error: f: fraction must lie in (0, 1), got {f}")
     _check_cuts(f, opt["L"])
     stochastic = method in ENSEMBLE_METHODS
     if stochastic and opt["seed"] is None:
@@ -316,7 +313,7 @@ def _cmd_average(opt):
                 )[method]
                 est = EntropyEstimate.from_samples(values, method, seed)
             elif method == "closed":
-                est = _closed_form(sites, two_j, f)
+                est = _closed_form(sites, two_j, cut)
             else:
                 est = _asymptotic_form(sites, two_j, f)
             rows.append(

@@ -89,11 +89,19 @@ def _check_fraction(name, value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
 
 
-def _check_real(name, value):
-    """Python and numpy reals, not bools: the callers' range checks compare
-    `value` with floats, which a string or complex fails with TypeError."""
-    if not (type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def _check_spin_density(j, allow_zero=False):
+    """A Python or numpy real, not a bool, in (0, 1], or [0, 1] if `allow_zero`."""
+    if not (type(j) is float or isinstance(j, numbers.Real) and not isinstance(j, bool)):
+        raise ValueError(f"spin density must be a real number, got {j!r}")
+    if not 0.0 <= j <= 1.0 or j == 0.0 and not allow_zero:
+        interval = "[0, 1]" if allow_zero else "(0, 1]"
+        raise ValueError(f"spin density must lie in {interval}, got {j}")
+
+
+def _check_zero_jz(species, sites):
+    """Spin-1/2 chains of odd L have no J_z = 0 sector."""
+    if species.two_s == 1 and sites % 2:
+        raise ValueError(f"the spin-1/2 J_z=0 sector needs an even number of sites, got {sites}")
 
 
 def _check_spin_label(species, sites, two_j, what="two_j"):

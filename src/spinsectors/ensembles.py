@@ -32,8 +32,8 @@ import numpy as np
 
 from .asymptotics import multiplicity_rate
 from .combinatorics import (
-    HALF, SectorLabel, _check_fraction, _check_integer, _check_real, _is_integer,
-    spin_half_multiplicity)
+    HALF, SectorLabel, _check_fraction, _check_integer, _check_spin_density, _check_zero_jz,
+    _is_integer, spin_half_multiplicity)
 from .special import digamma
 from .su2 import _cg_columns, clebsch_gordan, stretched_weight_logs
 
@@ -317,8 +317,7 @@ def max_spin_state_entropy(sites, cut):
     Clebsch-Gordan coefficients, evaluated in log domain.
     """
     _check_cut(sites, cut)
-    if sites % 2:
-        raise ValueError(f"the J_z=0 stretched state needs even sites, got {sites}")
+    _check_zero_jz(HALF, sites)
     return _stretched_entropies([(cut, sites - cut)])[0]
 
 
@@ -349,9 +348,7 @@ class CoupledPairGeometry:
 
     def __init__(self, sites, two_j, cut):
         _check_cut(sites, cut)
-        _check_integer("two_j", two_j)
-        if sites % 2:
-            raise ValueError(f"the J_z=0 ensembles need an even number of sites, got {sites}")
+        _check_zero_jz(HALF, sites)
         SectorLabel(HALF, sites, two_j, 0)
         self.sites = sites
         self.cut = cut
@@ -755,9 +752,7 @@ def paired_spin_crossover(fraction, j):
     and at j = 1 the interval is the one point x = f.
     """
     f = _folded_fraction(fraction)
-    _check_real("spin density", j)
-    if not 0.0 < j <= 1.0:
-        raise ValueError(f"spin density must lie in (0, 1], got {j}")
+    _check_spin_density(j)
     ff = float(f)
     if f == Fraction(1, 2) or j == 1.0:
         return j * ff  # the Gaussian center; at j = 1 the only admissible x
@@ -790,9 +785,7 @@ def sd2_asymptotic(sites, fraction, j):
     """
     _check_integer("sites", sites, 1)
     f = _folded_fraction(fraction)
-    _check_real("spin density", j)
-    if not 0.0 < j <= 1.0:
-        raise ValueError(f"spin density must lie in (0, 1], got {j}")
+    _check_spin_density(j)
     ff = float(f)
     if j == 1.0:
         return max_spin_entropy_asymptotic(sites, f)

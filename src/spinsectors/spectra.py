@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import SpinSpecies, _check_fraction, _check_integer
+from .combinatorics import SpinSpecies, _check_fraction, _check_integer, _check_zero_jz
 from .ensembles import EntropyEstimate, _check_normalized, _schmidt_entropies, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
@@ -82,8 +82,7 @@ class ChainSpec:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
         if not isinstance(self.coupling, numbers.Real) or not math.isfinite(self.coupling):
             raise ValueError(f"coupling must be a finite real number, got {self.coupling!r}")
-        if self.species.two_s == 1 and self.sites % 2:
-            raise ValueError("the spin-1/2 J_z=0 sector needs an even number of sites")
+        _check_zero_jz(self.species, self.sites)
 
 
 def _check_cap(spec):

@@ -95,8 +95,11 @@ def stretched_weight_logs(pairs):
     each binomial from one cached lgamma table.
     """
     for two_ja, two_jb in pairs:
-        _check_momentum(two_ja, min(two_ja, two_jb), "J_A")
-        _check_momentum(two_jb, min(two_ja, two_jb), "J_B")
+        # a non-integer spin also stands in for m, as min() of a str and an int raises TypeError
+        int_a, int_b = _is_integer(two_ja), _is_integer(two_jb)
+        mm = min(two_ja, two_jb) if int_a and int_b else two_jb if int_a else two_ja
+        _check_momentum(two_ja, mm, "J_A")
+        _check_momentum(two_jb, mm, "J_B")
     ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
     bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]

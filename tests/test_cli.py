@@ -10,7 +10,7 @@ import pytest
 
 import spinsectors
 from spinsectors import (cli, default_sample_count, max_spin_entropy_asymptotic,
-                         max_spin_state_entropy)
+                         max_spin_state_entropy, singlet_average_asymptotic)
 from spinsectors.cli import main
 
 
@@ -105,8 +105,21 @@ class TestAverage:
     def test_odd_max_spin_closed_row_refused(self):
         # the geometry refuses odd L before any stretched-state code runs
         with pytest.raises(SystemExit,
-                           match="^error: the J_z=0 ensembles need an even number of sites, got 7$"):
+                           match="^error: the spin-1/2 J_z=0 sector needs an even number of sites, got 7$"):
             main(["average", "--method", "closed", "--L", "7", "--two-J", "7"])
+
+    def test_asymptotic_singlet_row(self, tmp_path):
+        # 2J = 0 rows come from singlet_average_asymptotic, bit for bit
+        out = tmp_path / "avg.csv"
+        main(["average", "--method", "asymptotic", "--L", "12", "--two-J", "0", "--f", "1/4",
+              "--out", str(out)])
+        _, rows = read_rows(out)
+        assert rows[0]["mean"] == repr(singlet_average_asymptotic(12, Fraction(1, 4)))
+
+    def test_missing_sizes_refused(self, capsys):
+        with pytest.raises(SystemExit, match="^error: L: at least one system size is required$"):
+            main(["average", "--method", "closed"])
+        assert capsys.readouterr().out == ""
 
     def test_seed_required_for_stochastic(self, tmp_path):
         with pytest.raises(SystemExit, match="seed"):
@@ -295,6 +308,12 @@ class TestConfigFile:
             main(["dims", "--L", "4", "--config", name])
         assert os.listdir(tmp_path) == [] and capsys.readouterr().out == ""
 
+    def test_config_line_without_equals_refused(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("# sizes\nL=4\nmethod closed\n")
+        with pytest.raises(SystemExit, match="^error: run.cfg:3: expected key=value, got 'method closed'$"):
+            main(["average", "--config", "run.cfg"])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -396,6 +415,16 @@ class TestEd:
         message = f"f: fraction {f} gives an empty bipartition at L={bad}"
         with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
             main([command, "--L", sizes, "--coupling", "1", "--f", f])
+
+    def test_average_fraction_past_one_refused(self, monkeypatch):
+        # refused as an empty bipartition, before any row
+        def forbidden(*args):
+            raise AssertionError("a row was computed before the cuts were checked")
+
+        monkeypatch.setattr(cli, "singlet_average_exact", forbidden)
+        with pytest.raises(SystemExit,
+                           match="^error: f: fraction 3/2 gives an empty bipartition at L=4$"):
+            main(["average", "--method", "closed", "--L", "4", "--two-J", "0", "--f", "3/2"])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_coupling_refused_before_any_chain(self, monkeypatch, value):

@@ -18,6 +18,7 @@ from spinsectors import (
     HALF,
     ONE,
     ChainSpec,
+    SectorLabel,
     EntropyEstimate,
     default_sample_count,
     ensemble_entropy_samples,
@@ -160,6 +161,8 @@ SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
                  id="cg-string"),
     pytest.param(lambda: su2.stretched_weight_logs([(2.0, 2)]), "J_A: two_j=2.0 and two_m=2.0 must be integers",
                  id="stretched-float"),
+    pytest.param(lambda: CoupledPairGeometry(8, True, 4), "two_j must be an integer, got True",
+                 id="geometry-two_j-bool"),
 ])
 def test_bools_and_non_integers_are_refused(call, message):
     # bools passed the integer checks as 0 and 1; floats and strings reached
@@ -210,6 +213,41 @@ def test_non_finite_and_non_real_inputs_are_refused(call, message):
 def test_non_real_spin_densities_are_refused(call, value):
     # non-reals reached a float comparison and raised TypeError; bools passed as 0 and 1
     with pytest.raises(ValueError, match=f"^spin density must be a real number, got {re.escape(value)}$"):
+        call()
+
+
+EVEN_SITES = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: paired_spin_crossover(0.25, 0.0), "spin density must lie in (0, 1], got 0.0",
+                 id="crossover-zero"),
+    pytest.param(lambda: sd2_asymptotic(12, 0.5, 1.5), "spin density must lie in (0, 1], got 1.5",
+                 id="sd2-above-one"),
+    pytest.param(lambda: saddle_solve(HALF, 0.0), "spin density must lie in (0, 1], got 0.0",
+                 id="saddle-zero"),
+    pytest.param(lambda: multiplicity_rate(HALF, 1.5), "spin density must lie in [0, 1], got 1.5",
+                 id="rate-above-one"),
+    pytest.param(lambda: multiplicity_rate(HALF, math.nan), "spin density must lie in [0, 1], got nan",
+                 id="rate-nan"),
+    pytest.param(lambda: ChainSpec(HALF, 7), EVEN_SITES, id="chain-odd"),
+    pytest.param(lambda: CoupledPairGeometry(7, 1, 3), EVEN_SITES, id="geometry-odd"),
+    pytest.param(lambda: max_spin_state_entropy(7, 3), EVEN_SITES, id="stretched-odd"),
+    pytest.param(lambda: diagonalize_and_resolve(ChainSpec(HALF, 8), Fraction(1, 20)),
+                 "fraction 1/20 gives an empty bipartition at L=8", id="ed-empty-cut"),
+    pytest.param(lambda: entanglement_entropy(SINGLET, 0), "cut must satisfy 0 < cut < 2, got 0",
+                 id="state-cut-zero"),
+    pytest.param(lambda: entanglement_entropy(np.ones(6) / math.sqrt(6), 1),
+                 "state of length 6 is not a 2**L product state", id="state-length-six"),
+    pytest.param(lambda: singlet_average_asymptotic(12, 1), "fraction must lie in (0, 1), got 1",
+                 id="singlet-fraction-one"),
+    pytest.param(lambda: fixed_filling_average(0, 8, 4), "filling must lie in (0, 1), got 0",
+                 id="filling-zero"),
+    pytest.param(lambda: SectorLabel(HALF, 4, 2, 1), "two_jz=1 incompatible with two_j=2",
+                 id="label-parity"),
+])
+def test_out_of_range_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

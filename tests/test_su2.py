@@ -198,8 +198,10 @@ class TestStretchedWeight:
         ((4, -2), "J_B: negative angular momentum two_j=-2"),
         ((2, 3), "J_B: two_m=2 incompatible with two_j=3"),
         ((3, 2), "J_A: two_m=2 incompatible with two_j=3"),
+        (("2", 2), "J_A: two_j='2' and two_m='2' must be integers"),
+        ((2, "2"), "J_A: two_j=2 and two_m='2' must be integers"),
     ], ids=["bool", "numpy-bool", "float-ja", "float-jb", "negative-ja", "negative-jb",
-            "parity-jb", "parity-ja"])
+            "parity-jb", "parity-ja", "string-ja", "string-jb"])
     def test_refusal_names_the_bad_pair(self, bad, message):
         # a refused pair gets the message of its own spin check, after valid
         # pairs too
