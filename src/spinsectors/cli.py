@@ -36,6 +36,7 @@ from .ensembles import (
     default_sample_count,
     ensemble_entropy_samples,
     EntropyEstimate,
+    coupled_geometry,
     sd2_asymptotic,
     sd2_average_closed,
     singlet_average_asymptotic,
@@ -246,21 +247,34 @@ def _cmd_beta(opt):
 
 
 _RESULT_HEADER = (
-    "command", "method", "species", "L", "two_J", "f", "coupling", "samples",
+    "command", "method", "ensemble", "species", "L", "two_J", "f", "coupling", "samples",
     "seed", "mean", "std_dev", "sem", "count", "wall_time_ms", "code_version",
 )
 
 
-def _result_row(command, method, species, sites, two_j, f, coupling, samples, seed, est, t0):
+def _result_row(command, method, ensemble, species, sites, two_j, f, coupling, samples, seed, est, t0):
     wall = round(1000.0 * (time.perf_counter() - t0), 3)
     if isinstance(est, EntropyEstimate):
         mean, std, sem, count = est.mean, est.std_dev, est.sem, est.samples
     else:
         mean, std, sem, count = est, math.nan, math.nan, 1
     return (
-        command, method, species.name, sites, two_j,
+        command, method, ensemble, species.name, sites, two_j,
         f, coupling, samples, seed, mean, std, sem, count, wall, __version__,
     )
+
+
+def _sd2_pairable(sites, two_j, cut, key):
+    """Whether sd2 keeps some J_B = J - J_A pairing at (L, 2J, cut); a spin the
+    user chose (`key` names its option) and that has none is refused."""
+    geo = coupled_geometry(sites, two_j, cut)  # refuses odd L and empty cuts itself
+    try:
+        geo.sd2_pairs
+    except ValueError as exc:
+        if key:
+            raise SystemExit(f"error: {key}: {exc}")
+        return False
+    return True
 
 
 def _closed_form(sites, two_j, cut):
@@ -293,7 +307,10 @@ def _cmd_average(opt):
     seed = opt["seed"] if stochastic else None
     if opt["j_density"] is not None and opt["two_J"] is not None:
         raise SystemExit("error: j-density: cannot be combined with two-J")
-    rows = []
+    # choose the spins of every L, refusing those sd2 cannot pair, before the first row
+    plan, skipped = [], []
+    chosen = ("j-density" if opt["j_density"] is not None
+              else None if opt["two_J"] in (None, "all") else "two_J")
     for sites in opt["L"]:
         if opt["j_density"] is not None:
             two_j = round(opt["j_density"] * sites)
@@ -303,22 +320,31 @@ def _cmd_average(opt):
             two_j_list = _expand_two_j(species, sites, opt["two_J"])
         cut = round(f * sites)
         for two_j in two_j_list:
-            t0 = time.perf_counter()
-            samples = None
-            if stochastic:
-                samples = (default_sample_count(method, sites) if opt["samples"] is None
-                           else opt["samples"])
-                values = ensemble_entropy_samples(
-                    sites, two_j, cut, samples, seed, (method,), opt["complex"]
-                )[method]
-                est = EntropyEstimate.from_samples(values, method, seed)
-            elif method == "closed":
-                est = _closed_form(sites, two_j, cut)
+            if method != "sd2" or _sd2_pairable(sites, two_j, cut, chosen):
+                plan.append((sites, two_j, cut))
             else:
-                est = _asymptotic_form(sites, two_j, f)
-            rows.append(
-                _result_row("average", method, species, sites, two_j, f, None, samples, seed, est, t0)
-            )
+                skipped.append(f"L={sites} two_J={two_j}")
+    if skipped:
+        print(f"skipped, no sd2 pairing J_B = J - J_A: {'; '.join(skipped)}", file=sys.stderr)
+    rows = []
+    for sites, two_j, cut in plan:
+        t0 = time.perf_counter()
+        samples = None
+        if stochastic:
+            samples = (default_sample_count(method, sites) if opt["samples"] is None
+                       else opt["samples"])
+            values = ensemble_entropy_samples(
+                sites, two_j, cut, samples, seed, (method,), opt["complex"]
+            )[method]
+            est = EntropyEstimate.from_samples(values, method, seed)
+        elif method == "closed":
+            est = _closed_form(sites, two_j, cut)
+        else:
+            est = _asymptotic_form(sites, two_j, f)
+        # the closed and asymptotic forms hold the full ensemble at J = 0, sd2 above it
+        ensemble = method if stochastic else "full" if two_j == 0 else "sd2"
+        rows.append(_result_row("average", method, ensemble, species, sites, two_j, f, None,
+                                samples, seed, est, t0))
     _write_csv(opt["out"], _RESULT_HEADER, rows)
     return 0
 
@@ -352,7 +378,8 @@ def _cmd_ed(opt, with_gamma):
                         raise SystemExit(f"error: two_J: {exc}")
                     skipped.append(f"L={sites} coupling={coupling!r} two_J={two_j}")
                     continue
-                row = _result_row(command, "ed", species, sites, two_j, f, coupling, None, None, est, t0)
+                row = _result_row(command, "ed", None, species, sites, two_j, f, coupling, None, None,
+                                  est, t0)
                 if with_gamma:
                     gamma = gaussianity_average(records, two_j)
                     row = row + (gamma, gamma - math.pi / 2.0)

@@ -790,14 +790,13 @@ def sd2_asymptotic(sites, fraction, j):
     if j == 1.0:
         return max_spin_entropy_asymptotic(sites, f)
     value = multiplicity_rate(HALF, j) * ff * sites
+    # ln((1+j)/(1-j)) = 2 atanh(j), and the log of the j**1.5 product a sum of
+    # logs: both stay exact as j -> 0, where the ratio rounds to 1 and j**1.5 to 0
+    ln_ratio = 2.0 * math.atanh(j)
     if f == Fraction(1, 2):
-        value += (
-            math.sqrt(1.0 - j * j)
-            * math.log((1.0 - j) / (1.0 + j))
-            / (2.0 * math.sqrt(2.0 * math.pi))
-        ) * math.sqrt(sites)
+        value -= math.sqrt(1.0 - j * j) * ln_ratio / (2.0 * math.sqrt(2.0 * math.pi)) * math.sqrt(sites)
     value += max_spin_entropy_asymptotic(sites, f)
-    value += math.log(2.0 * j**1.5 / math.sqrt(1.0 - j * j))
-    value -= (1.0 - 2.0 * ff * (1.0 - j)) / (2.0 * j) * math.log((1.0 + j) / (1.0 - j))
+    value += math.log(2.0) + 1.5 * math.log(j) - 0.5 * math.log1p(-j * j)
+    value -= (1.0 - 2.0 * ff * (1.0 - j)) / (2.0 * j) * ln_ratio
     value += (ff + math.log(1.0 - ff)) / 2.0
     return value

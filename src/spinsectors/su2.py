@@ -78,12 +78,22 @@ def _cg_columns(two_j1, two_j2, two_m):
     return vecs
 
 
-@lru_cache(maxsize=None)
+_LNFACT = np.empty(0)  # ln k! for k < len(_LNFACT), grown by `_lnfact_table`
+_LNFACT.flags.writeable = False
+
+
 def _lnfact_table(size):
-    """Read-only ln k! = lgamma(k+1) for k < size; sizes are powers of two."""
-    table = np.fromiter((math.lgamma(k + 1) for k in range(size)), float, size)
-    table.flags.writeable = False
-    return table
+    """Read-only ln k! = lgamma(k+1) for at least k < size: the one table of
+    the process, extended (never rebuilt) to at least twice its length when
+    `size` outgrows it, so a sweep of rising sizes computes each entry once."""
+    global _LNFACT
+    have = len(_LNFACT)
+    if size > have:
+        grown = max(size, 2 * have)
+        tail = np.fromiter(map(math.lgamma, range(have + 1, grown + 1)), float, grown - have)
+        _LNFACT = np.concatenate([_LNFACT, tail])
+        _LNFACT.flags.writeable = False
+    return _LNFACT
 
 
 def stretched_weight_logs(pairs):
@@ -92,7 +102,7 @@ def stretched_weight_logs(pairs):
     large spins: an iterator over passes of ~STRETCHED_PASS entries each.
 
     Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
-    each binomial from one cached lgamma table.
+    each binomial from the process's one ln k! table.
     """
     for two_ja, two_jb in pairs:
         # a non-integer spin also stands in for m, as min() of a str and an int raises TypeError
@@ -113,7 +123,7 @@ def _stretched_pass(ja, jb):
     starts = ends - sizes
     rank = np.arange(sizes.sum()) - starts.repeat(sizes)  # of m within its column
     n = ja + jb
-    lf = _lnfact_table(1 << int(n.max(initial=0)).bit_length())
+    lf = _lnfact_table(int(n.max(initial=0)) + 1)
     norm = lf[n] - lf[n // 2] - lf[n - n // 2]
     ka = ((ja + mm) // 2).repeat(sizes) - rank  # J_A - m, m ascending
     kb = ((jb - mm) // 2).repeat(sizes) + rank

@@ -198,12 +198,12 @@ def stretched_weight(two_ja, two_jb, two_m):
 
 def stretched_column_logs(two_ja, two_jb):
     """One pair's whole stretched column, m ascending, in the float operations
-    of `stretched_weight_logs` on the same cached lgamma table."""
+    of `stretched_weight_logs` on the same ln k! table."""
     mm = min(two_ja, two_jb)
     _check_momentum(two_ja, mm, "J_A")
     _check_momentum(two_jb, mm, "J_B")
     n = two_ja + two_jb
-    lf = _lnfact_table(1 << n.bit_length())
+    lf = _lnfact_table(n + 1)
     ka = np.arange(two_ja + mm, two_ja - mm - 1, -2) // 2  # (J_A - m) for m ascending
     kb = np.arange(two_jb - mm, two_jb + mm + 1, 2) // 2
     return (

@@ -210,6 +210,48 @@ class TestAverage:
         with pytest.raises(SystemExit, match="^error: OverflowError: int too large"):
             main(["average", "--method", "closed", "--L", "4", "--two-J", "0"])
 
+    def test_sd2_all_spins_skip_the_unpaired_singlet(self, tmp_path, capsys):
+        # 2J = 0 at the odd cut 5 of L = 10 has no J_B = J - J_A pairing; `all`
+        # used to compute the L = 16 rows, then exit 1 and write nothing
+        out = tmp_path / "sd2.csv"
+        main(["average", "--method", "sd2", "--L", "16,10", "--samples", "20", "--seed", "5",
+              "--out", str(out)])
+        _, rows = read_rows(out)
+        assert [(r["L"], r["two_J"]) for r in rows] == (
+            [("16", str(j)) for j in range(0, 17, 2)] + [("10", str(j)) for j in range(2, 11, 2)])
+        assert capsys.readouterr().err == "skipped, no sd2 pairing J_B = J - J_A: L=10 two_J=0\n"
+
+    @pytest.mark.parametrize("flags,key", [(["--two-J", "0"], "two_J"),
+                                           (["--j-density", "0"], "j-density")])
+    def test_sd2_chosen_unpaired_singlet_refused_before_any_row(self, tmp_path, monkeypatch,
+                                                                flags, key):
+        def forbidden(*args):
+            raise AssertionError("a row was computed before the spins were checked")
+
+        monkeypatch.setattr(cli, "ensemble_entropy_samples", forbidden)
+        out = tmp_path / "sd2.csv"
+        message = f"{key}: no J_B = J - J_A pairing exists for L=10, two_j=0, cut=5"
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+            main(["average", "--method", "sd2", "--L", "16,10", "--samples", "20", "--seed", "5",
+                  "--out", str(out)] + flags)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,ensembles", [
+        ("closed", ["full", "sd2", "sd2"]),
+        ("asymptotic", ["full", "sd2", "sd2"]),
+        ("full", ["full"] * 3),
+        ("sd1", ["sd1"] * 3),
+        ("sd2", ["sd2"] * 3),
+    ])
+    def test_each_row_names_its_ensemble(self, tmp_path, method, ensembles):
+        # the closed forms hold the full ensemble at J = 0 but sd2 above it
+        out = tmp_path / "avg.csv"
+        main(["average", "--method", method, "--L", "8", "--two-J", "0,2,8", "--samples", "3",
+              "--seed", "1", "--out", str(out)])
+        header, rows = read_rows(out)
+        assert header[:3] == ["command", "method", "ensemble"]
+        assert [r["ensemble"] for r in rows] == ensembles
+
     def test_complex_flag_changes_the_draws(self, tmp_path):
         base = ["average", "--method", "full", "--L", "8", "--two-J", "0", "--f", "1/2",
                 "--samples", "30", "--seed", "5"]
@@ -370,6 +412,7 @@ class TestEd:
         _, rows = read_rows(out)
         assert [(r["coupling"], r["two_J"]) for r in rows] == [
             (c, j) for c in ("0.0", "3.0") for j in ("0", "2", "4")]
+        assert {r["ensemble"] for r in rows} == {""}
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("skipped, no central complex-sector eigenstates")
         assert "L=8 coupling=0.0 two_J=6" in err and "L=8 coupling=3.0 two_J=8" in err

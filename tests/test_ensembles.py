@@ -545,6 +545,25 @@ class TestSd2:
             max_spin_entropy_asymptotic(100, Fraction(1, 2)), abs=1e-14
         )
 
+    @pytest.mark.parametrize("sites,fraction", [(4, Fraction(1, 2)), (1000, Fraction(1, 4))])
+    def test_asymptotic_keeps_precision_at_small_density(self, sites, fraction):
+        # the same terms at 650 digits, where neither j**1.5 underflows nor (1+j)/(1-j) rounds to 1
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(650):
+            f = mp.mpf(fraction.numerator) / fraction.denominator
+            for j in (1e-300, 1e-20, 1e-8, 1e-3, 0.5, 0.999):
+                x = mp.mpf(j)
+                rate = -((1 + x) / 2 * mp.log((1 + x) / 2) + (1 - x) / 2 * mp.log((1 - x) / 2))
+                exact = rate * f * sites + mp.log(mp.pi * mp.e * f * (1 - f) * sites / 2) / 2
+                if fraction == Fraction(1, 2):
+                    exact += (mp.sqrt(1 - x * x) * mp.log((1 - x) / (1 + x))
+                              / (2 * mp.sqrt(2 * mp.pi)) * mp.sqrt(sites))
+                exact += mp.log(2 * x**1.5 / mp.sqrt(1 - x * x))
+                exact -= (1 - 2 * f * (1 - x)) / (2 * x) * mp.log((1 + x) / (1 - x))
+                exact += (f + mp.log(1 - f)) / 2
+                value = sd2_asymptotic(sites, fraction, j)
+                assert abs(value - float(exact)) <= 1e-13 * max(1.0, abs(value)), j
+
     def test_volume_coefficient_is_rate_function(self):
         from spinsectors import multiplicity_rate
 

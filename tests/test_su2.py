@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oracles import (
     stretched_weight,
     stretched_weight_log,
 )
-from spinsectors import HALF, ONE, clebsch_gordan, multiplicity, spin_half_multiplicity
+from spinsectors import HALF, ONE, clebsch_gordan, multiplicity, spin_half_multiplicity, su2
 from spinsectors.su2 import (
     _lnfact_table,
     bond_matrix_elements,
@@ -182,6 +183,37 @@ class TestStretchedWeight:
     def test_column_table_is_read_only(self):
         list(stretched_weight_logs([(6, 10)]))
         assert not _lnfact_table(16).flags.writeable
+
+    @pytest.fixture
+    def fresh_table(self, monkeypatch):
+        """Start from the empty table a new process has; the process's own comes back after."""
+        empty = np.empty(0)
+        empty.flags.writeable = False
+        monkeypatch.setattr(su2, "_LNFACT", empty)
+
+    def test_one_table_grows_to_the_size_asked(self, fresh_table, monkeypatch):
+        computed = []
+        monkeypatch.setattr(su2, "math", SimpleNamespace(
+            lgamma=lambda x: computed.append(x) or math.lgamma(x)))
+        tables = {}
+        for size in (16, 5, 10001, 100):
+            table = tables[size] = _lnfact_table(size)
+            assert not table.flags.writeable
+            assert size <= len(table) <= 2 * 10001
+            assert table[:size].tolist() == [math.lgamma(k + 1) for k in range(size)]
+        # a smaller size is served from the table already built, not a new one
+        assert tables[5] is tables[16] and tables[100] is tables[10001]
+        # each entry is computed once, and a table that has to grow at least doubles
+        have = len(tables[10001])
+        assert len(_lnfact_table(have + 1)) >= 2 * have
+        assert sorted(computed) == list(range(1, len(_lnfact_table(1)) + 1))
+
+    def test_large_column_is_bitwise_stable_around_small_pairs(self, fresh_table):
+        small = [(1, 3), (6, 10), (2, 2)]
+        first_small = [col.tobytes() for col in stretched_weight_logs(small)]
+        before = next(stretched_weight_logs([(5000, 5000)])).tobytes()
+        assert [col.tobytes() for col in stretched_weight_logs(small)] == first_small
+        assert next(stretched_weight_logs([(5000, 5000)])).tobytes() == before
 
     def test_column_rejects_mixed_integrality(self):
         # every pair is checked before any column is evaluated
