@@ -74,10 +74,12 @@ def _is_integer(value):
 
 
 def _check_integer(name, value, minimum=None):
+    """The checked `value` as a Python int: numpy integers overflow in big-integer sums."""
     if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _check_fraction(name, value):
@@ -146,6 +148,7 @@ def spin_half_multiplicity(sites, two_j):
     n_J = [2(1+2J) / (2+L+2J)] * C(L, L/2 - J).
     """
     _check_spin_label(HALF, sites, two_j)
+    sites, two_j = int(sites), int(two_j)
     q = (sites - two_j) // 2
     num = 2 * (1 + two_j) * math.comb(sites, q)
     den = 2 + sites + two_j

@@ -35,7 +35,7 @@ from .combinatorics import (
     HALF, SectorLabel, _check_fraction, _check_integer, _check_spin_density, _check_zero_jz,
     _is_integer, spin_half_multiplicity)
 from .special import digamma
-from .su2 import _cg_columns, clebsch_gordan, stretched_weight_logs
+from .su2 import _cg_columns, _stretched_columns, clebsch_gordan
 
 __all__ = [
     "EntropyEstimate",
@@ -147,7 +147,7 @@ def bipartition_maps(configs, a_sites):
     b_part = configs[:, b_sites]
     ma = a_part.sum(axis=1)
     blocks = []
-    for val in np.unique(ma):
+    for val in sorted(set(ma.tolist())):  # np.unique(ma) would import numpy.ma
         sel = np.nonzero(ma == val)[0]
         ua, rows = np.unique(a_part[sel], axis=0, return_inverse=True)
         ub, cols = np.unique(b_part[sel], axis=0, return_inverse=True)
@@ -251,7 +251,7 @@ def _folded_fraction(fraction):
 
 def _mirror_cut(sites, cut):
     _check_cut(sites, cut)
-    return min(cut, sites - cut)
+    return int(min(cut, sites - cut))
 
 
 def haar_average_leading(sites, cut, local_dim=2):
@@ -287,13 +287,14 @@ def singlet_average_exact(sites, cut):
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
     geo = CoupledPairGeometry(sites, 0, _mirror_cut(sites, cut))
-    blocks = ((geo.na[ja], geo.nb[ja], geo.weights[ja], math.log(1.0 + ja)) for ja in geo.ja_list)
+    # a block whose weight rounds to 0.0 adds exactly 0.0 to the total: not read
+    blocks = ((geo.na[ja], geo.nb[ja], w, math.log(1.0 + ja)) for ja, w in geo.weights.items() if w)
     return _block_average(blocks, geo.sector_dim)
 
 
 def singlet_average_asymptotic(sites, fraction):
     """Leading large-L terms of the J=0 sector average at fixed f = L_A/L."""
-    _check_integer("sites", sites, 1)
+    sites = _check_integer("sites", sites, 1)
     f = _folded_fraction(fraction)
     ff = float(f)
     value = math.log(2.0) * ff * sites + 1.5 * (ff + math.log(1.0 - ff))
@@ -322,8 +323,9 @@ def max_spin_state_entropy(sites, cut):
 
 
 def _stretched_entropies(pairs):
-    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain."""
-    return [float(-np.dot(np.exp(lw), lw)) for lw in stretched_weight_logs(pairs)]
+    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain;
+    the pairs come from a checked cut or geometry, so no spin is checked again."""
+    return [float(-np.dot(np.exp(lw), lw)) for lw in _stretched_columns(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +352,7 @@ class CoupledPairGeometry:
         _check_cut(sites, cut)
         _check_zero_jz(HALF, sites)
         SectorLabel(HALF, sites, two_j, 0)
+        sites, two_j, cut = int(sites), int(two_j), int(cut)  # numpy ints overflow in exact sums
         self.sites = sites
         self.cut = cut
         self.two_j = two_j
@@ -377,7 +380,11 @@ class CoupledPairGeometry:
         if total != expected:  # not an assert: the guard must survive python -O
             raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
-        self.m_max = max(min(ja, hi) for ja, (_, hi) in bounds.items())
+
+    @cached_property
+    def m_max(self):
+        """Largest |m| of a Schmidt block (for Monte Carlo)."""
+        return max(min(ja, hi) for ja, (_, hi) in self.partner_bounds.items())
 
     @cached_property
     def pairs(self):
@@ -404,7 +411,7 @@ class CoupledPairGeometry:
     @cached_property
     def sd2_weights(self):
         """Squared stretched CG column c_m**2 of each sd2 pairing, m ascending."""
-        return dict(zip(self.sd2_pairs, map(np.exp, stretched_weight_logs(self.sd2_pairs))))
+        return dict(zip(self.sd2_pairs, map(np.exp, _stretched_columns(self.sd2_pairs))))
 
     @cached_property
     def rows(self):
@@ -500,17 +507,16 @@ def _group_slices(spins, counts):
 def _multiplicity_run(sites, two_lo, two_hi):
     """{two_j: n_J} of `sites` spin-1/2 for two_j = two_lo, two_lo + 2, .., two_hi.
 
-    n_J = C(L, q) - C(L, q-1) with q = L/2 - J, the binomials stepped down by
-    the exact C(L, q-1) = C(L, q) q / (L-q+1): one math.comb for the run.
+    n_J = 2(2J+1) C(L, q) / (L+2J+2), q = L/2 - J, from one small math.comb at
+    the run's top, then n_{t-2} = n_t (t-1)(L+t+2) / ((t+1)(L-t+2)), t = 2J,
+    exactly: one multiply and one division by a small integer per spin.
     """
-    q = (sites - two_lo) // 2
-    upper = math.comb(sites, q)
-    out = {}
-    for two_j in range(two_lo, two_hi + 1, 2):
-        lower = upper * q // (sites - q + 1)
-        out[two_j] = upper - lower
-        upper, q = lower, q - 1
-    return out
+    n = 2 * (two_hi + 1) * math.comb(sites, (sites - two_hi) // 2) // (sites + two_hi + 2)
+    out = [n]
+    for t in range(two_hi, two_lo, -2):
+        n = n * ((t - 1) * (sites + t + 2)) // ((t + 1) * (sites - t + 2))
+        out.append(n)
+    return dict(zip(range(two_lo, two_hi + 1, 2), reversed(out)))
 
 
 @lru_cache(maxsize=256)
@@ -783,7 +789,7 @@ def sd2_asymptotic(sites, fraction, j):
     the ln L term of the maximal-spin state, and an O(1) remainder; at j = 1
     everything except the maximal-spin terms vanishes.
     """
-    _check_integer("sites", sites, 1)
+    sites = _check_integer("sites", sites, 1)
     f = _folded_fraction(fraction)
     _check_spin_density(j)
     ff = float(f)

@@ -110,6 +110,11 @@ def stretched_weight_logs(pairs):
         mm = min(two_ja, two_jb) if int_a and int_b else two_jb if int_a else two_ja
         _check_momentum(two_ja, mm, "J_A")
         _check_momentum(two_jb, mm, "J_B")
+    return _stretched_columns(pairs)
+
+
+def _stretched_columns(pairs):
+    """`stretched_weight_logs` of pairs that a caller has already checked."""
     ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
     bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]

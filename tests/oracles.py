@@ -4,6 +4,8 @@ The library calls none of these; the tests compare it against them.
 
 - `multiplicity_by_quadrature`: multiplicities from the Weyl character
   integral, against the binomial closed form and the fusion recursion.
+- `multiplicity_by_binomials`: spin-1/2 n_J as the difference C(L, q) -
+  C(L, q-1) of two binomials, against the stepped runs of the geometry.
 - `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
   library's saddle solver finds.
 - `clebsch_gordan_exact`: one Clebsch-Gordan coefficient from the Racah
@@ -129,6 +131,12 @@ def multiplicity_by_quadrature(species, sites, two_j):
             f"(species={species.name}, L={sites}, two_j={two_j})"
         )
     return int(rounded)
+
+
+def multiplicity_by_binomials(sites, two_j):
+    """Spin-1/2 n_J = C(L, q) - C(L, q-1), q = L/2 - J, each binomial on its own."""
+    q = (sites - two_j) // 2
+    return math.comb(sites, q) - (math.comb(sites, q - 1) if q else 0)
 
 
 def saddle_exponent_d1(species, z, j):

@@ -251,6 +251,32 @@ def test_out_of_range_inputs_are_refused(call, message):
         call()
 
 
+# each call takes (sites, int type); sd1 stops at L = 100 (~1 s there)
+NUMPY_INPUT_CALLS = {
+    "singlet_average_exact": lambda L, i: singlet_average_exact(i(L), i(L // 2)),
+    "sd2_average_closed": lambda L, i: sd2_average_closed(i(L), i(4), i(L // 2)),
+    "max_spin_state_entropy": lambda L, i: max_spin_state_entropy(i(L), i(L // 4)),
+    "sd1_semianalytic": lambda L, i: sd1_semianalytic(i(min(L, 100)), i(4), i(min(L, 100) // 2)),
+    "spin_half_multiplicity": lambda L, i: spin_half_multiplicity(i(L), i(0)),
+    "multiplicity": lambda L, i: spinsectors.multiplicity(HALF, i(L), i(2)),
+    "hilbert_fraction": lambda L, i: spinsectors.hilbert_fraction(i(L), i(0)),
+    "singlet_average_asymptotic": lambda L, i: singlet_average_asymptotic(i(L), Fraction(1, 4)),
+    "sd2_asymptotic": lambda L, i: sd2_asymptotic(i(L), Fraction(1, 2), 0.5),
+    "haar_average_leading": lambda L, i: haar_average_leading(i(L), i(L // 2)),
+    "fixed_filling_average": lambda L, i: fixed_filling_average(Fraction(1, 3), i(L), i(L // 4)),
+}
+
+
+@pytest.mark.parametrize("sites", [12, 100, 2000])
+@pytest.mark.parametrize("name", NUMPY_INPUT_CALLS)
+def test_numpy_integers_give_the_python_values_and_types(name, sites):
+    # numpy sizes mixed with exact big integers raised OverflowError from
+    # L ~ 64 on, and gave numpy scalars below that
+    want = NUMPY_INPUT_CALLS[name](sites, int)
+    got = NUMPY_INPUT_CALLS[name](sites, np.int64)
+    assert type(got) is type(want) and got == want
+
+
 EPS = np.finfo(float).eps
 
 
@@ -931,6 +957,20 @@ class TestGeometry:
             assert geo.m_max == max(min(pair) for pair in pairs)
             assert geo.sector_dim == total == spin_half_multiplicity(sites, two_j)
 
+    def test_multiplicity_runs_equal_binomial_differences(self):
+        # a run steps n_J down from its top spin by exact ratios of small
+        # integers; the reference takes two binomials per spin
+        for sites in range(1, 61):
+            want = {t: oracles.multiplicity_by_binomials(sites, t) for t in range(sites % 2, sites + 1, 2)}
+            for two_lo in want:
+                for two_hi in range(two_lo, sites + 1, 2):
+                    run = ensembles._multiplicity_run(sites, two_lo, two_hi)
+                    assert list(run.items()) == [(t, want[t]) for t in range(two_lo, two_hi + 1, 2)]
+        for sites, two_lo, two_hi in ((5000, 0, 5000), (7500, 0, 2500)):
+            run = ensembles._multiplicity_run(sites, two_lo, two_hi)
+            assert list(run.items()) == [
+                (t, oracles.multiplicity_by_binomials(sites, t)) for t in range(two_lo, two_hi + 1, 2)]
+
     def test_guard_catches_a_wrong_multiplicity(self, monkeypatch):
         exact_run = ensembles._multiplicity_run
 
@@ -1023,11 +1063,38 @@ class TestGeometry:
 
         monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
         monkeypatch.setattr(su2, "_cg_columns", forbidden("_cg_columns"))
-        for name in ("pairs", "rows", "cols", "m_blocks", "draw_map"):
+        for name in ("pairs", "rows", "cols", "m_blocks", "m_max", "draw_map"):
             monkeypatch.setattr(CoupledPairGeometry, name, property(forbidden(name)))
         assert singlet_average_exact(16, 8) == pytest.approx(4.793540345835281, rel=1e-12)
         assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
         assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
+
+    def test_closed_forms_check_no_stretched_pair_again(self, monkeypatch):
+        # sd2 and the stretched state take their pairs from a checked geometry
+        # or cut, so their columns are evaluated without a second spin check
+        def forbidden(*args):
+            raise AssertionError("_check_momentum called")
+
+        monkeypatch.setattr(su2, "_check_momentum", forbidden)
+        assert sd2_average_closed(96, 20, 48) == pytest.approx(31.712661446571946, rel=1e-12)
+        assert max_spin_state_entropy(96, 48) == pytest.approx(2.3200448803421794, rel=1e-12)
+
+    def test_singlet_sum_reads_only_blocks_of_nonzero_weight(self, monkeypatch):
+        # at (10**4, 5000) 1,546 of the 2,501 J_A weights n_A n_B / n_J round
+        # to 0.0, and such a block adds exactly 0.0: the sum reads the other 955
+        read = []
+        block_average = ensembles._block_average
+
+        def recording(blocks, d):
+            read.extend(blocks)
+            return block_average(read, d)
+
+        monkeypatch.setattr(ensembles, "_block_average", recording)
+        singlet_average_exact(10000, 5000)
+        geo = CoupledPairGeometry(10000, 0, 5000)
+        kept = [ja for ja, weight in geo.weights.items() if weight]
+        assert len(kept) == 955 and len(geo.weights) == 2501
+        assert read == [(geo.na[ja], geo.nb[ja], geo.weights[ja], math.log(1.0 + ja)) for ja in kept]
 
     def test_closed_forms_cache_no_geometry(self):
         # each closed-form call reads its geometry once; at L = 10**4 one

@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from spinsectors import (
     singlet_average_exact,
     zero_magnetization_dim,
 )
+import spinsectors
 from spinsectors import cli, spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import (
@@ -525,6 +530,19 @@ class TestCommutation:
 
 
 class TestResolution:
+    def test_resolve_imports_no_masked_arrays(self):
+        # np.unique without return flags asks np.ma.is_masked, and importing
+        # numpy.ma (~13 ms) landed in the first resolve of every process
+        script = ("import sys\nimport spinsectors as ss\n"
+                  "ss.diagonalize_and_resolve(ss.ChainSpec(ss.HALF, 6))\n"
+                  "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(spinsectors.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_residuals_and_counts(self):
         for species, sites, coupling in ((HALF, 12, 3.0), (ONE, 8, 1.0)):
             records = diagonalize_and_resolve(ChainSpec(species, sites, coupling), fraction=None)
