@@ -27,6 +27,7 @@ from .asymptotics import (
 )
 from .combinatorics import (
     SpinSpecies,
+    _check_zero_jz,
     admissible_two_j,
     hilbert_fraction,
     multiplicity,
@@ -122,6 +123,11 @@ def _parse_switch(text, key):
     return text == "1"
 
 
+def _parse_two_j(text, key):
+    """'all' or a list of doubled spins (checked per L by `_spins`), errors keyed two_J as there."""
+    return text if text == "all" else _parse_list(text, "two_J")
+
+
 def _parse_path(text, key):
     if not text:
         raise SystemExit(f"error: {key}: expects a file path, got {text!r}")
@@ -134,13 +140,12 @@ def _parse_path(text, key):
 
 
 # dest -> (flag, parser, default, help); a parser takes the value and the flag
-# without dashes as its error key.  two_J has none and stays text: its values
-# depend on species and L.
+# without dashes as its error key.
 _OPTIONS = {
     "out": ("--out", _parse_path, None, "output CSV path (stdout when omitted)"),
     "species": ("--species", _parse_species, "half", "half or one"),
     "L": ("--L", partial(_parse_list, minimum=1), None, "comma-separated site counts"),
-    "two_J": ("--two-J", None, None,
+    "two_J": ("--two-J", _parse_two_j, None,
               "comma-separated doubled spins, or 'all' (default all; 0 for ed and chaos-scan)"),
     "f": ("--f", _parse_fraction, "1/2", "subsystem fraction as a rational, e.g. 1/2"),
     "method": ("--method", _parse_method, "full", "full | sd1 | sd2 | closed | asymptotic"),
@@ -189,7 +194,7 @@ def _merged(args):
         text = getattr(args, name)
         if text is None:
             text = config.get(name, default)
-        values[name] = parse(text, flag[2:]) if parse and text is not None else text
+        values[name] = None if text is None else parse(text, flag[2:])
     if "L" in values and values["L"] is None:
         raise SystemExit("error: L: at least one system size is required")
     out, dump = values.get("out"), values.get("eigenstates_out")
@@ -198,10 +203,10 @@ def _merged(args):
     return values
 
 
-def _expand_two_j(species, sites, two_j_opt):
-    if two_j_opt in (None, "all"):
+def _spins(species, sites, chosen):
+    """The spins of one L: every admissible one, or those `chosen` lists, each checked."""
+    if chosen in (None, "all"):
         return admissible_two_j(species, sites)
-    chosen = _parse_list(two_j_opt, "two_J")
     valid = set(admissible_two_j(species, sites))
     for tj in chosen:
         if tj not in valid:
@@ -212,21 +217,21 @@ def _expand_two_j(species, sites, two_j_opt):
 def _cmd_dims(opt):
     species = opt["species"]
     header = ("species", "L", "two_J", "n_exact", "n_asymptotic_log", "fraction", "fraction_asymptotic")
+    plan = [(sites, two_j) for sites in opt["L"] for two_j in _spins(species, sites, opt["two_J"])]
     rows = []
-    for sites in opt["L"]:
-        for two_j in _expand_two_j(species, sites, opt["two_J"]):
-            n_exact = multiplicity(species, sites, two_j)
-            try:
-                log_n = log_multiplicity_saddle(species, sites, two_j)
-            except ValueError:
-                log_n = math.nan
-            if species.two_s == 1:
-                frac = float(hilbert_fraction(sites, two_j))
-                frac_asy = hilbert_fraction_asymptotic(sites, two_j)
-            else:
-                frac = math.nan
-                frac_asy = math.nan
-            rows.append((species.name, sites, two_j, n_exact, log_n, frac, frac_asy))
+    for sites, two_j in plan:
+        n_exact = multiplicity(species, sites, two_j)
+        try:
+            log_n = log_multiplicity_saddle(species, sites, two_j)
+        except ValueError:
+            log_n = math.nan
+        if species.two_s == 1:
+            frac = float(hilbert_fraction(sites, two_j))
+            frac_asy = hilbert_fraction_asymptotic(sites, two_j)
+        else:
+            frac = math.nan
+            frac_asy = math.nan
+        rows.append((species.name, sites, two_j, n_exact, log_n, frac, frac_asy))
     _write_csv(opt["out"], header, rows)
     return 0
 
@@ -264,31 +269,6 @@ def _result_row(command, method, ensemble, species, sites, two_j, f, coupling, s
     )
 
 
-def _sd2_pairable(sites, two_j, cut, key):
-    """Whether sd2 keeps some J_B = J - J_A pairing at (L, 2J, cut); a spin the
-    user chose (`key` names its option) and that has none is refused."""
-    geo = coupled_geometry(sites, two_j, cut)  # refuses odd L and empty cuts itself
-    try:
-        geo.sd2_pairs
-    except ValueError as exc:
-        if key:
-            raise SystemExit(f"error: {key}: {exc}")
-        return False
-    return True
-
-
-def _closed_form(sites, two_j, cut):
-    if two_j == 0:
-        return singlet_average_exact(sites, cut)
-    return sd2_average_closed(sites, two_j, cut)
-
-
-def _asymptotic_form(sites, two_j, f):
-    if two_j == 0:
-        return singlet_average_asymptotic(sites, f)
-    return sd2_asymptotic(sites, f, two_j / sites)
-
-
 def _check_cuts(f, sizes):
     """Refuse, before any work, a fraction whose cut round(f L) empties a side at some L."""
     for sites in sizes:
@@ -307,23 +287,31 @@ def _cmd_average(opt):
     seed = opt["seed"] if stochastic else None
     if opt["j_density"] is not None and opt["two_J"] is not None:
         raise SystemExit("error: j-density: cannot be combined with two-J")
-    # choose the spins of every L, refusing those sd2 cannot pair, before the first row
+    # choose the spins of every L, refusing odd L where a J_z = 0 geometry is
+    # built and a chosen spin (`key` names its option) sd2 cannot pair, before the first row
     plan, skipped = [], []
-    chosen = ("j-density" if opt["j_density"] is not None
-              else None if opt["two_J"] in (None, "all") else "two_J")
+    key = ("j-density" if opt["j_density"] is not None
+           else None if opt["two_J"] in (None, "all") else "two_J")
     for sites in opt["L"]:
         if opt["j_density"] is not None:
             two_j = round(opt["j_density"] * sites)
             two_j += (two_j - sites) % 2
             two_j_list = [min(two_j, sites)]
         else:
-            two_j_list = _expand_two_j(species, sites, opt["two_J"])
+            two_j_list = _spins(species, sites, opt["two_J"])
+        if method != "asymptotic":
+            _check_zero_jz(species, sites)
         cut = round(f * sites)
         for two_j in two_j_list:
-            if method != "sd2" or _sd2_pairable(sites, two_j, cut, chosen):
-                plan.append((sites, two_j, cut))
-            else:
-                skipped.append(f"L={sites} two_J={two_j}")
+            if method == "sd2":
+                try:
+                    coupled_geometry(sites, two_j, cut).sd2_pairs
+                except ValueError as exc:
+                    if key:
+                        raise SystemExit(f"error: {key}: {exc}")
+                    skipped.append(f"L={sites} two_J={two_j}")
+                    continue
+            plan.append((sites, two_j, cut))
     if skipped:
         print(f"skipped, no sd2 pairing J_B = J - J_A: {'; '.join(skipped)}", file=sys.stderr)
     rows = []
@@ -337,11 +325,12 @@ def _cmd_average(opt):
                 sites, two_j, cut, samples, seed, (method,), opt["complex"]
             )[method]
             est = EntropyEstimate.from_samples(values, method, seed)
-        elif method == "closed":
-            est = _closed_form(sites, two_j, cut)
+        elif two_j == 0:  # the closed and asymptotic forms hold the full ensemble at J = 0, sd2 above it
+            est = (singlet_average_exact(sites, cut) if method == "closed"
+                   else singlet_average_asymptotic(sites, f))
         else:
-            est = _asymptotic_form(sites, two_j, f)
-        # the closed and asymptotic forms hold the full ensemble at J = 0, sd2 above it
+            est = (sd2_average_closed(sites, two_j, cut) if method == "closed"
+                   else sd2_asymptotic(sites, f, two_j / sites))
         ensemble = method if stochastic else "full" if two_j == 0 else "sd2"
         rows.append(_result_row("average", method, ensemble, species, sites, two_j, f, None,
                                 samples, seed, est, t0))
@@ -359,36 +348,39 @@ _EIGEN_HEADER = (
 def _cmd_ed(opt, with_gamma):
     species, f = opt["species"], opt["f"]
     _check_cuts(f, opt["L"])
-    two_j_opt = "0" if opt["two_J"] is None else opt["two_J"]
+    chosen = [0] if opt["two_J"] is None else opt["two_J"]
+    # every chain and its spins before the first diagonalization; ChainSpec refuses odd L and the cap
+    plan = []
+    for sites in opt["L"]:
+        two_j_list = _spins(species, sites, chosen)
+        plan += [(ChainSpec(species, sites, coupling), two_j_list) for coupling in opt["coupling"]]
     rows = []
     eigen_rows = []
     skipped = []  # --two-J all expands to spins that may have no central eigenstates
     command = "chaos-scan" if with_gamma else "ed"
-    for sites in opt["L"]:
-        two_j_list = _expand_two_j(species, sites, two_j_opt)
-        for coupling in opt["coupling"]:
-            t0 = time.perf_counter()
-            spec = ChainSpec(species, sites, coupling)
-            records = diagonalize_and_resolve(spec, f)
-            for two_j in two_j_list:
-                try:
-                    est = eigenstate_entropy_average(records, two_j)
-                except ValueError as exc:
-                    if two_j_opt != "all":
-                        raise SystemExit(f"error: two_J: {exc}")
-                    skipped.append(f"L={sites} coupling={coupling!r} two_J={two_j}")
-                    continue
-                row = _result_row(command, "ed", None, species, sites, two_j, f, coupling, None, None,
-                                  est, t0)
-                if with_gamma:
-                    gamma = gaussianity_average(records, two_j)
-                    row = row + (gamma, gamma - math.pi / 2.0)
-                rows.append(row)
-            if opt["eigenstates_out"]:
-                eigen_rows.extend(
-                    (species.name, sites, coupling, rec.momentum_index, rec.energy, rec.two_j,
-                     rec.j2_residual, int(rec.central), rec.entropy, rec.gaussianity)
-                    for rec in records)
+    for spec, two_j_list in plan:
+        t0 = time.perf_counter()
+        sites, coupling = spec.sites, spec.coupling
+        records = diagonalize_and_resolve(spec, f)
+        for two_j in two_j_list:
+            try:
+                est = eigenstate_entropy_average(records, two_j)
+            except ValueError as exc:
+                if chosen != "all":  # found only once the chain is solved
+                    raise SystemExit(f"error: two_J: {exc}")
+                skipped.append(f"L={sites} coupling={coupling!r} two_J={two_j}")
+                continue
+            row = _result_row(command, "ed", None, species, sites, two_j, f, coupling, None, None,
+                              est, t0)
+            if with_gamma:
+                gamma = gaussianity_average(records, two_j)
+                row = row + (gamma, gamma - math.pi / 2.0)
+            rows.append(row)
+        if opt["eigenstates_out"]:
+            eigen_rows.extend(
+                (species.name, sites, coupling, rec.momentum_index, rec.energy, rec.two_j,
+                 rec.j2_residual, int(rec.central), rec.entropy, rec.gaussianity)
+                for rec in records)
     if skipped:
         print(f"skipped, no central complex-sector eigenstates: {'; '.join(skipped)}", file=sys.stderr)
     header = _ED_HEADER if with_gamma else _RESULT_HEADER
@@ -446,6 +438,8 @@ def main(argv=None):
         raise SystemExit(f"error: {exc}")
     except ArithmeticError as exc:
         raise SystemExit(f"error: {type(exc).__name__}: {exc}")
+    except MemoryError as exc:  # numpy raises a private subclass
+        raise SystemExit(f"error: MemoryError: {exc}")
 
 
 if __name__ == "__main__":

@@ -141,22 +141,32 @@ class SectorLabel:
         return self.two_j / (self.species.two_s * self.sites)
 
 
-def spin_half_multiplicity(sites, two_j):
-    """Number of spin-J irreps in the L-fold product of spin-1/2, exactly.
+def _multiplicity_run(sites, two_lo, two_hi):
+    """{two_j: n_J} of `sites` spin-1/2 for two_j = two_lo, two_lo + 2, .., two_hi.
 
-    Closed form from the ballot problem with ties allowed:
-    n_J = [2(1+2J) / (2+L+2J)] * C(L, L/2 - J).
+    n_J = 2(2J+1) C(L, q) / (L+2J+2), q = L/2 - J (the ballot problem with ties
+    allowed), from one small math.comb at the run's top, then
+    n_{t-2} = n_t (t-1)(L+t+2) / ((t+1)(L-t+2)), t = 2J, exactly: one multiply
+    and one division by a small integer per spin.
     """
-    _check_spin_label(HALF, sites, two_j)
-    sites, two_j = int(sites), int(two_j)
-    q = (sites - two_j) // 2
-    num = 2 * (1 + two_j) * math.comb(sites, q)
-    den = 2 + sites + two_j
-    # The ratio is an integer (it equals C(L, q) - C(L, q-1)); checked without
-    # an assert, so python -O keeps the check.
-    if num % den:
+    num = 2 * (two_hi + 1) * math.comb(sites, (sites - two_hi) // 2)
+    den = sites + two_hi + 2
+    n, rest = divmod(num, den)
+    if rest:  # n_J = C(L, q) - C(L, q-1) is an integer; not an assert, so python -O keeps it
         raise AssertionError(f"n_J = {num}/{den} is not an integer")
-    return num // den
+    out = [n]
+    for t in range(two_hi, two_lo, -2):
+        n = n * ((t - 1) * (sites + t + 2)) // ((t + 1) * (sites - t + 2))
+        out.append(n)
+    return dict(zip(range(two_lo, two_hi + 1, 2), reversed(out)))
+
+
+def spin_half_multiplicity(sites, two_j):
+    """Number of spin-J irreps in the L-fold product of spin-1/2, exactly: the
+    ballot form n_J = 2(2J+1) C(L, L/2 - J) / (L+2J+2), as a run of one spin."""
+    _check_spin_label(HALF, sites, two_j)
+    two_j = int(two_j)
+    return _multiplicity_run(int(sites), two_j, two_j)[two_j]
 
 
 def spin_half_multiplicity_log(sites, two_j):

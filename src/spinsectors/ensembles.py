@@ -33,7 +33,7 @@ import numpy as np
 from .asymptotics import multiplicity_rate
 from .combinatorics import (
     HALF, SectorLabel, _check_fraction, _check_integer, _check_spin_density, _check_zero_jz,
-    _is_integer, spin_half_multiplicity)
+    _is_integer, _multiplicity_run, spin_half_multiplicity)
 from .special import digamma
 from .su2 import _cg_columns, _stretched_columns, clebsch_gordan
 
@@ -504,21 +504,6 @@ def _group_slices(spins, counts):
     return {s: slice(end - counts[s], end) for s, end in zip(spins, ends)}
 
 
-def _multiplicity_run(sites, two_lo, two_hi):
-    """{two_j: n_J} of `sites` spin-1/2 for two_j = two_lo, two_lo + 2, .., two_hi.
-
-    n_J = 2(2J+1) C(L, q) / (L+2J+2), q = L/2 - J, from one small math.comb at
-    the run's top, then n_{t-2} = n_t (t-1)(L+t+2) / ((t+1)(L-t+2)), t = 2J,
-    exactly: one multiply and one division by a small integer per spin.
-    """
-    n = 2 * (two_hi + 1) * math.comb(sites, (sites - two_hi) // 2) // (sites + two_hi + 2)
-    out = [n]
-    for t in range(two_hi, two_lo, -2):
-        n = n * ((t - 1) * (sites + t + 2)) // ((t + 1) * (sites - t + 2))
-        out.append(n)
-    return dict(zip(range(two_lo, two_hi + 1, 2), reversed(out)))
-
-
 @lru_cache(maxsize=256)
 def coupled_geometry(sites, two_j, cut):
     """The geometry Monte Carlo reads for every sample, built once per process.
@@ -594,12 +579,15 @@ def _sample_range(args):
     return out
 
 
-def resolve_workers(n_items):
-    """Worker count for embarrassingly parallel loops.
+def resolve_workers(n_items, item_work):
+    """Worker count for an embarrassingly parallel loop of `n_items` items.
 
-    Controlled by the environment variable SPINSECTORS_WORKERS; when unset,
-    small workloads run serially and large ones use up to four processes.
-    Results are independent of the worker count by construction.
+    Controlled by the environment variable SPINSECTORS_WORKERS; when unset, a
+    loop runs serially below 256 items or below 2**21 of work n_items *
+    item_work (~0.2 s at ~0.1 us a unit; a pool takes ~0.1 s to start), and
+    on up to four processes above both.  The item floor stays because the
+    forked workers keep the parent's BLAS threads, which oversubscribe the
+    cores unless pinned to one.  Results do not depend on the count.
     """
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
@@ -609,7 +597,7 @@ def resolve_workers(n_items):
             workers = 0
         if workers < 1:
             raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {env!r}")
-    elif n_items < 256:
+    elif n_items < 256 or n_items * item_work < 1 << 21:
         workers = 1
     else:
         workers = min(4, os.cpu_count() or 1)
@@ -638,7 +626,8 @@ def ensemble_entropy_samples(
     if not isinstance(complex_coefficients, (bool, np.bool_)):
         raise ValueError(f"complex_coefficients must be a bool, got {complex_coefficients!r}")
     if workers is None:
-        workers = resolve_workers(samples)
+        # a sample costs ~0.1 us per entry of W plus ~50 us of bookkeeping, 512 entries' worth
+        workers = resolve_workers(samples, math.prod(coupled_geometry(sites, two_j, cut).shape) + 512)
     _check_integer("workers", workers, 1)
     bounds = np.linspace(0, samples, workers + 1).astype(int)
     jobs = [
@@ -732,7 +721,9 @@ def sd1_semianalytic(sites, two_j, cut):
     n_B), with the subsystem-magnetization weights mixed over partners.  Exact
     at J=0, where it reduces to the singlet sum; an O(1) overestimate
     otherwise at f=1/2.  Reads one Clebsch-Gordan column solve per (J_A, J_B)
-    pairing, its J column whole: ~0.7 s at L=200.
+    pairing, its J column whole, so at a small fixed 2J the time grows as ~L**4:
+    (L, 2J, cut) = (200, 4, 100) takes ~0.15 s, (400, 4, 200) ~0.9 s and
+    (800, 4, 400) ~8.5 s.
     """
     geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = []

@@ -70,7 +70,7 @@ RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Periodic SU(2)-symmetric chain with one tunable coupling."""
+    """Periodic SU(2)-symmetric chain with one tunable coupling, of at most MAX_SITES sites."""
 
     species: SpinSpecies
     sites: int
@@ -83,15 +83,10 @@ class ChainSpec:
         if not isinstance(self.coupling, numbers.Real) or not math.isfinite(self.coupling):
             raise ValueError(f"coupling must be a finite real number, got {self.coupling!r}")
         _check_zero_jz(self.species, self.sites)
-
-
-def _check_cap(spec):
-    cap = MAX_SITES[spec.species.two_s]
-    if spec.sites > cap:
-        raise ValueError(
-            f"L={spec.sites} exceeds the dense-diagonalization cap L<={cap} "
-            f"for spin {spec.species.name}"
-        )
+        cap = MAX_SITES[self.species.two_s]
+        if self.sites > cap:
+            raise ValueError(f"L={self.sites} exceeds the dense-diagonalization cap L<={cap} "
+                             f"for spin {self.species.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +397,6 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
     rank.
     """
-    _check_cap(spec)
     two_s = spec.species.two_s
     sites = spec.sites
     if fraction is not None:

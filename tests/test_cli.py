@@ -210,6 +210,21 @@ class TestAverage:
         with pytest.raises(SystemExit, match="^error: OverflowError: int too large"):
             main(["average", "--method", "closed", "--L", "4", "--two-J", "0"])
 
+    def test_memory_error_is_one_line(self, monkeypatch):
+        # L = 40 asks numpy for a 254 GiB W, which ended in a traceback;
+        # numpy raises a private subclass of MemoryError
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def too_big(*args):
+            raise _ArrayMemoryError("Unable to allocate 254. GiB for an array with shape "
+                                    "(1, 184756, 184756) and data type float64")
+
+        monkeypatch.setattr(cli, "ensemble_entropy_samples", too_big)
+        with pytest.raises(SystemExit, match=r"^error: MemoryError: Unable to allocate 254\. GiB "):
+            main(["average", "--method", "full", "--L", "40", "--two-J", "0", "--samples", "1",
+                  "--seed", "1"])
+
     def test_sd2_all_spins_skip_the_unpaired_singlet(self, tmp_path, capsys):
         # 2J = 0 at the odd cut 5 of L = 10 has no J_B = J - J_A pairing; `all`
         # used to compute the L = 16 rows, then exit 1 and write nothing
@@ -505,6 +520,40 @@ def test_output_in_missing_directory_refused_before_any_work(tmp_path, monkeypat
     with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
         main(argv)
     assert os.listdir(tmp_path) == ["notes.txt"] and capsys.readouterr().out == ""
+
+
+_CAPPED = "L=20 exceeds the dense-diagonalization cap L<=18 for spin half"
+_ODD = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
+
+
+@pytest.mark.parametrize("argv,message", [
+    *[pytest.param([command] + flags, message, id=f"{command}-{name}")
+      for command in ("ed", "chaos-scan")
+      for name, flags, message in (
+          ("cap", ["--L", "16,20"], _CAPPED),
+          ("odd", ["--L", "16,7"], "two_J=0 is not an admissible doubled spin at L=7"),
+          ("spin", ["--L", "16,6", "--two-J", "8"], "two_J=8 is not an admissible doubled spin at L=6"))],
+    pytest.param(["dims", "--L", "8,3", "--two-J", "8"], "two_J=8 is not an admissible doubled spin at L=3",
+                 id="dims-spin"),
+    *[pytest.param(["average", "--method", method, "--L", "20,7", "--samples", "300", "--seed", "1"],
+                   _ODD, id=f"average-{method}-odd") for method in ("full", "sd1", "closed")],
+])
+def test_every_size_and_spin_refused_before_any_work(monkeypatch, capsys, argv, message):
+    # each was refused only after the rows of the sizes before it: a whole
+    # L = 16 chain, 300 samples at L = 20 or every spin of an L = 20 closed form
+    def forbidden(*args):
+        raise AssertionError("a computation ran before every size and spin was checked")
+
+    for name in ("diagonalize_and_resolve", "ensemble_entropy_samples", "singlet_average_exact",
+                 "sd2_average_closed", "multiplicity"):
+        monkeypatch.setattr(cli, name, forbidden)
+    with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}$"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_every_option_has_a_parser():
+    assert all(callable(parse) for _, parse, _, _ in cli._OPTIONS.values())
 
 
 @pytest.mark.parametrize(

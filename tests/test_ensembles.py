@@ -43,7 +43,7 @@ from spinsectors import (
     spin_half_multiplicity,
 )
 import spinsectors
-from spinsectors import ensembles, su2
+from spinsectors import combinatorics, ensembles, su2
 from spinsectors.ensembles import (
     WORKERS_ENV,
     CoupledPairGeometry,
@@ -756,6 +756,20 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"{WORKERS_ENV} must be an integer >= 1, got 'two'"):
             ensemble_entropy_samples(8, 2, 4, 4, 1)
 
+    def test_workers_follow_the_work_of_the_samples(self, monkeypatch):
+        # the sample count alone sent 1,000 L = 12 samples, no faster than
+        # serial there, to a pool
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ensembles.resolve_workers(1000, 20 * 20 + 512) == 1
+        assert ensembles.resolve_workers(1000, 70 * 70 + 512) == 4
+        assert ensembles.resolve_workers(300, 252 * 252 + 512) == 4
+        assert ensembles.resolve_workers(255, 10**9) == 1
+        seen = []
+        monkeypatch.setattr(ensembles, "resolve_workers", lambda n, work: seen.append((n, work)) or 1)
+        ensemble_entropy_samples(12, 2, 6, 5, 1)
+        assert seen == [(5, 20 * 20 + 512)]
+
     def test_default_sample_counts(self):
         assert default_sample_count("full", 20) == 1000
         assert default_sample_count("full", 22) == 100
@@ -964,10 +978,10 @@ class TestGeometry:
             want = {t: oracles.multiplicity_by_binomials(sites, t) for t in range(sites % 2, sites + 1, 2)}
             for two_lo in want:
                 for two_hi in range(two_lo, sites + 1, 2):
-                    run = ensembles._multiplicity_run(sites, two_lo, two_hi)
+                    run = combinatorics._multiplicity_run(sites, two_lo, two_hi)
                     assert list(run.items()) == [(t, want[t]) for t in range(two_lo, two_hi + 1, 2)]
         for sites, two_lo, two_hi in ((5000, 0, 5000), (7500, 0, 2500)):
-            run = ensembles._multiplicity_run(sites, two_lo, two_hi)
+            run = combinatorics._multiplicity_run(sites, two_lo, two_hi)
             assert list(run.items()) == [
                 (t, oracles.multiplicity_by_binomials(sites, t)) for t in range(two_lo, two_hi + 1, 2)]
 

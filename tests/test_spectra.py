@@ -106,6 +106,16 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match=r"^sites must be an integer, got 12\.5$"):
             ChainSpec(HALF, 12.5)
 
+    @pytest.mark.parametrize("species,cap", [(HALF, 18), (ONE, 11)], ids=["half", "one"])
+    def test_cap_refused_when_the_chain_is_made(self, species, cap):
+        # the cap was checked by diagonalize_and_resolve, after a CLI run's earlier chains
+        assert spectra.MAX_SITES[species.two_s] == cap
+        ChainSpec(species, cap)
+        too_many = cap + 2 if species is HALF else cap + 1
+        message = f"L={too_many} exceeds the dense-diagonalization cap L<={cap} for spin {species.name}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChainSpec(species, too_many)
+
     def test_caps(self):
         with pytest.raises(ValueError, match="cap"):
             diagonalize_and_resolve(ChainSpec(HALF, 20, 0.0), None)
