@@ -157,7 +157,7 @@ _OPTIONS = {
     "j_list": ("--j-list", partial(_parse_list, kind=float, minimum=0, maximum=1),
                ",".join(str(k / 20) for k in range(21)), "comma-separated spin densities"),
     "j_density": ("--j-density", partial(_parse_number, kind=float, minimum=0, maximum=1), None,
-                  "select J as round(j * L/2) per L, j in [0, 1]"),
+                  "select per L the 2J of L's parity nearest j * L (ties up), j in [0, 1]"),
     "eigenstates_out": ("--eigenstates-out", _parse_path, None, "per-eigenstate CSV dump path"),
 }
 
@@ -294,9 +294,9 @@ def _cmd_average(opt):
            else None if opt["two_J"] in (None, "all") else "two_J")
     for sites in opt["L"]:
         if opt["j_density"] is not None:
-            two_j = round(opt["j_density"] * sites)
-            two_j += (two_j - sites) % 2
-            two_j_list = [min(two_j, sites)]
+            # the 2J of L's parity nearest j L, ties up: in [L mod 2, L] for j in [0, 1]
+            parity = sites % 2
+            two_j_list = [parity + 2 * math.floor((opt["j_density"] * sites - parity) / 2 + 0.5)]
         else:
             two_j_list = _spins(species, sites, opt["two_J"])
         if method != "asymptotic":

@@ -11,9 +11,11 @@ additionally keeps only the J_B = J - J_A pairings (renormalized), so paired
 comparisons between the three ensembles are free of independent-sampling
 noise.  All samples of one (L, J, cut) share the block shapes: sample i
 takes one normal call from the seed sequence (seed, i), scattered into W
-through a map the geometry caches, and the samples go into stacks of at most
-`STACK_BYTES` of W, each of which takes one Gram product and one `eigvalsh`
-call per Schmidt block; a W larger than that is a stack of one.
+through a map the geometry caches.  A run is one list of stacks, each
+worker's share of the samples cut into stacks of at most `STACK_BYTES` of W
+(a W larger than that is a stack of one); a stack is one job, which takes one
+Gram product and one `eigvalsh` call per Schmidt block, and a process pool
+never has more processes than stacks.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -25,7 +27,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -559,24 +561,14 @@ def _entropies_from_blocks(geo, w, methods):
     return out
 
 
-def _sample_range(args):
-    """Samples start..stop-1, drawn into stacks of at most STACK_BYTES (at
-    least one sample each) that share one Schmidt pass."""
-    sites, two_j, cut, seed, start, stop, methods, complex_coefficients = args
+def _stack_entropies(sites, two_j, cut, seed, methods, complex_coefficients, stack):
+    """Entropies of the samples in the range `stack`, drawn into one stack of W
+    that shares one Schmidt pass."""
     geo = coupled_geometry(sites, two_j, cut)
-    dtype = np.dtype(complex if complex_coefficients else float)
-    chunk = max(1, STACK_BYTES // (math.prod(geo.shape) * dtype.itemsize))
-    out = {m: np.empty(stop - start) for m in methods}
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        w = np.zeros((hi - lo,) + geo.shape, dtype=dtype)
-        for i in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
-            _draw_sample(rng, geo, w[i - lo])
-        values = _entropies_from_blocks(geo, w, methods)
-        for m in methods:
-            out[m][lo - start : hi - start] = values[m]
-    return out
+    w = np.zeros((len(stack),) + geo.shape, dtype=complex if complex_coefficients else float)
+    for sample, i in zip(w, stack):
+        _draw_sample(np.random.default_rng(np.random.SeedSequence(entropy=(seed, i))), geo, sample)
+    return _entropies_from_blocks(geo, w, methods)
 
 
 def resolve_workers(n_items, item_work):
@@ -625,31 +617,34 @@ def ensemble_entropy_samples(
         _check_method(method)
     if not isinstance(complex_coefficients, (bool, np.bool_)):
         raise ValueError(f"complex_coefficients must be a bool, got {complex_coefficients!r}")
+    entries = math.prod(coupled_geometry(sites, two_j, cut).shape)
     if workers is None:
         # a sample costs ~0.1 us per entry of W plus ~50 us of bookkeeping, 512 entries' worth
-        workers = resolve_workers(samples, math.prod(coupled_geometry(sites, two_j, cut).shape) + 512)
+        workers = resolve_workers(samples, entries + 512)
     _check_integer("workers", workers, 1)
-    bounds = np.linspace(0, samples, workers + 1).astype(int)
-    jobs = [
-        (sites, two_j, cut, seed, int(a), int(b), methods, complex_coefficients)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    if len(jobs) == 1:
-        parts = [_sample_range(jobs[0])]
+    # each worker's share of the samples, cut into stacks of at most STACK_BYTES of W: one
+    # cut of all the samples would leave a pool unbalanced when a stack holds many samples
+    size = max(1, STACK_BYTES // (entries * (16 if complex_coefficients else 8)))
+    bounds = np.linspace(0, samples, workers + 1).astype(int).tolist()
+    stacks = [range(lo, min(lo + size, b)) for a, b in zip(bounds[:-1], bounds[1:])
+              for lo in range(a, b, size)]
+    job = partial(_stack_entropies, sites, two_j, cut, seed, methods, complex_coefficients)
+    pool_size = min(workers, len(stacks))
+    if pool_size == 1:
+        parts = list(map(job, stacks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                parts = list(pool.map(_sample_range, jobs))
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                parts = list(pool.map(job, stacks, chunksize=math.ceil(len(stacks) / pool_size)))
         except OSError as error:
             warnings.warn(
-                f"process pool for {len(jobs)} workers failed ({error!r}); sampling serially",
+                f"process pool for {pool_size} workers failed ({error!r}); sampling serially",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            parts = [_sample_range(job) for job in jobs]
+            parts = list(map(job, stacks))
     out = {m: np.concatenate([p[m] for p in parts]) for m in methods}
     for method, values in out.items():
         # sd1 pinches rho_A in J_A, which can raise its entropy up to L_A ln 2

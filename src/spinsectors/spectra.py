@@ -80,8 +80,12 @@ class ChainSpec:
         _check_integer("sites", self.sites)
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
-        if not isinstance(self.coupling, numbers.Real) or not math.isfinite(self.coupling):
+        # a Python bool is a Real (numpy's is not), and both are refused
+        if (isinstance(self.coupling, bool) or not isinstance(self.coupling, numbers.Real)
+                or not math.isfinite(self.coupling)):
             raise ValueError(f"coupling must be a finite real number, got {self.coupling!r}")
+        # stored as a float: a Fraction would reach eigh as an object array
+        object.__setattr__(self, "coupling", float(self.coupling))
         _check_zero_jz(self.species, self.sites)
         cap = MAX_SITES[self.species.two_s]
         if self.sites > cap:

@@ -152,6 +152,16 @@ class TestAverage:
         _, rows = read_rows(out)
         assert rows[0]["two_J"] == "8"
 
+    @pytest.mark.parametrize("sites,j,two_j", [
+        (10, 0.48, 4), (10, 0.5, 6), (10, 0.52, 6), (9, 3.8 / 9, 3), (10, 0, 0), (9, 1, 9)])
+    def test_j_density_picks_the_nearest_spin(self, tmp_path, sites, j, two_j):
+        # round(j L) raised to L's parity gave 6 at (10, 0.48) and 5 at (9, 3.8/9)
+        out = tmp_path / "avg.csv"
+        main(["average", "--method", "asymptotic", "--L", str(sites), "--j-density", repr(j),
+              "--out", str(out)])
+        _, rows = read_rows(out)
+        assert rows[0]["two_J"] == str(two_j)
+
     @pytest.mark.parametrize("config,flags", [
         ("", ["--two-J", "2", "--j-density", "0.5"]),
         ("two_J=2\n", ["--j-density", "0.5"]),

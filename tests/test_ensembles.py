@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -178,6 +179,10 @@ def test_bools_and_non_integers_are_refused(call, message):
                  id="coupling-none"),
     pytest.param(lambda: ChainSpec(HALF, 12, 1j), "coupling must be a finite real number, got 1j",
                  id="coupling-complex"),
+    pytest.param(lambda: ChainSpec(HALF, 6, True), "coupling must be a finite real number, got True",
+                 id="coupling-bool"),
+    pytest.param(lambda: ChainSpec(HALF, 6, np.True_),
+                 "coupling must be a finite real number, got np.True_", id="coupling-numpy-bool"),
     pytest.param(lambda: diagonalize_and_resolve(ChainSpec(HALF, 8), math.inf),
                  "fraction must be a finite real number, got inf", id="ed-fraction-inf"),
     pytest.param(lambda: singlet_average_asymptotic(12, math.inf),
@@ -865,13 +870,79 @@ class TestDraw:
             return schmidt_pass(geo, w, methods)
 
         monkeypatch.setattr(ensembles, "_entropies_from_blocks", record)
-        ensembles._sample_range((sites, two_j, cut, seed, 0, samples, ("full",),
-                                 complex_coefficients))
+        ensemble_entropy_samples(sites, two_j, cut, samples, seed, ("full",), complex_coefficients,
+                                 workers=1)
         assert [len(w) for w in stacks] == [min(stack, samples - lo)
                                             for lo in range(0, samples, stack)]
         want = np.array([draw_w((seed, i), geo, complex_coefficients) for i in range(samples)])
         got = np.concatenate(stacks)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStackPlan:
+    # W of (12, 6, 6) is small enough to patch STACK_BYTES to stacks of 3
+    SITES, TWO_J, CUT, SEED = 12, 6, 6, 17
+
+    def stack_bytes(self, complex_coefficients, stack):
+        rows, cols = coupled_geometry(self.SITES, self.TWO_J, self.CUT).shape
+        return stack * rows * cols * (16 if complex_coefficients else 8) + 1
+
+    @pytest.mark.parametrize("samples,workers,sizes", [
+        # each worker's np.linspace share cut into stacks of at most 3, ragged
+        # at the share's end; a worker with no samples has no stack
+        (10, 1, [3, 3, 3, 1]), (10, 2, [3, 2, 3, 2]), (10, 3, [3, 3, 3, 1]),
+        (7, 2, [3, 3, 1]), (7, 3, [2, 2, 3]), (2, 3, [1, 1]), (1, 2, [1]),
+    ])
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_each_worker_share_is_cut_into_stacks(self, monkeypatch, samples, workers, sizes,
+                                                  complex_coefficients):
+        monkeypatch.setattr(ensembles, "STACK_BYTES", self.stack_bytes(complex_coefficients, 3))
+        stacks, pools = [], []
+        schmidt_pass = ensembles._entropies_from_blocks
+
+        def record(geo, w, methods):
+            stacks.append(w.copy())
+            return schmidt_pass(geo, w, methods)
+
+        class SerialPool:
+            # records the pool's size and chunks, and maps in this process
+            def __init__(self, max_workers):
+                pools.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, job, items, chunksize):
+                pools[-1].append(chunksize)
+                return map(job, items)
+
+        monkeypatch.setattr(ensembles, "_entropies_from_blocks", record)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        ensemble_entropy_samples(self.SITES, self.TWO_J, self.CUT, samples, self.SEED, ("full",),
+                                 complex_coefficients, workers=workers)
+        assert [len(w) for w in stacks] == sizes
+        geo = coupled_geometry(self.SITES, self.TWO_J, self.CUT)
+        want = np.array([draw_w((self.SEED, i), geo, complex_coefficients) for i in range(samples)])
+        assert np.array_equal(np.concatenate(stacks).view(np.uint64), want.view(np.uint64))
+        # no idle process: the pool has at most one process per stack
+        size = min(workers, len(sizes))
+        assert pools == ([] if size == 1 else [[size, math.ceil(len(sizes) / size)]])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_pooled_samples_equal_serial_bitwise(self, monkeypatch, workers, complex_coefficients):
+        monkeypatch.setattr(ensembles, "STACK_BYTES", self.stack_bytes(complex_coefficients, 3))
+        args = (self.SITES, self.TWO_J, self.CUT, 10, self.SEED, ensembles.ENSEMBLE_METHODS,
+                complex_coefficients)
+        serial = ensemble_entropy_samples(*args, workers=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a serial fallback fails the test
+            pooled = ensemble_entropy_samples(*args, workers=workers)
+        for method in ensembles.ENSEMBLE_METHODS:
+            assert np.array_equal(pooled[method].view(np.uint64), serial[method].view(np.uint64))
 
 
 class TestStackedSamples:

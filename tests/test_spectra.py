@@ -4,6 +4,7 @@ import subprocess
 import sys
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -115,6 +116,15 @@ class TestHamiltonian:
         message = f"L={too_many} exceeds the dense-diagonalization cap L<={cap} for spin {species.name}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             ChainSpec(species, too_many)
+
+    def test_fraction_coupling_is_its_float(self):
+        # a Fraction reached eigh as an object array and raised UFuncTypeError
+        spec = ChainSpec(HALF, 10, Fraction(1, 3))
+        assert spec == ChainSpec(HALF, 10, 1 / 3) and type(spec.coupling) is float
+        got = np.array([astuple(r) for r in diagonalize_and_resolve(spec)], dtype=float)
+        want = np.array([astuple(r) for r in diagonalize_and_resolve(ChainSpec(HALF, 10, 1 / 3))],
+                        dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_caps(self):
         with pytest.raises(ValueError, match="cap"):
