@@ -141,13 +141,19 @@ class SectorLabel:
         return self.two_j / (self.species.two_s * self.sites)
 
 
+def _ballot_ratios(sites, spins):
+    """(u, d) of each t = 2J in `spins`: n_{t-2} d = n_t u for `sites` spin-1/2,
+    with the small integers u = (t-1)(L+t+2) and d = (t+1)(L-t+2)."""
+    return [((t - 1) * (sites + t + 2), (t + 1) * (sites - t + 2)) for t in spins]
+
+
 def _multiplicity_run(sites, two_lo, two_hi):
     """{two_j: n_J} of `sites` spin-1/2 for two_j = two_lo, two_lo + 2, .., two_hi.
 
     n_J = 2(2J+1) C(L, q) / (L+2J+2), q = L/2 - J (the ballot problem with ties
-    allowed), from one small math.comb at the run's top, then
-    n_{t-2} = n_t (t-1)(L+t+2) / ((t+1)(L-t+2)), t = 2J, exactly: one multiply
-    and one division by a small integer per spin.
+    allowed), from one small math.comb at the run's top, then down the run by
+    the exact ballot ratios n_{t-2} = n_t u / d: one multiply and one division
+    by a small integer per spin.
     """
     num = 2 * (two_hi + 1) * math.comb(sites, (sites - two_hi) // 2)
     den = sites + two_hi + 2
@@ -155,8 +161,8 @@ def _multiplicity_run(sites, two_lo, two_hi):
     if rest:  # n_J = C(L, q) - C(L, q-1) is an integer; not an assert, so python -O keeps it
         raise AssertionError(f"n_J = {num}/{den} is not an integer")
     out = [n]
-    for t in range(two_hi, two_lo, -2):
-        n = n * ((t - 1) * (sites + t + 2)) // ((t + 1) * (sites - t + 2))
+    for u, d in _ballot_ratios(sites, range(two_hi, two_lo, -2)):
+        n = n * u // d
         out.append(n)
     return dict(zip(range(two_lo, two_hi + 1, 2), reversed(out)))
 

@@ -34,8 +34,8 @@ import numpy as np
 
 from .asymptotics import multiplicity_rate
 from .combinatorics import (
-    HALF, SectorLabel, _check_fraction, _check_integer, _check_spin_density, _check_zero_jz,
-    _is_integer, _multiplicity_run, spin_half_multiplicity)
+    HALF, SectorLabel, _ballot_ratios, _check_fraction, _check_integer, _check_spin_density,
+    _check_zero_jz, _is_integer, _multiplicity_run, spin_half_multiplicity)
 from .special import digamma
 from .su2 import _cg_columns, _stretched_columns, clebsch_gordan
 
@@ -339,8 +339,10 @@ class CoupledPairGeometry:
 
     Holds the multiplicities of both blocks and the bounds (lo, hi) of each
     J_A's run of partners J_B (CG coefficients are evaluated on demand).  The
-    identity sum_{pairs} n_A n_B = n_J is asserted with one big-integer product
-    per J_A; `weights` keeps its share of n_J.
+    identity sum_{pairs} n_A n_B = n_J is checked on one block dimension per
+    J_A, and `weights` keeps its share of n_J.  At J > 0 each is one
+    big-integer product; at J = 0 the products step by the ballot ratio, which
+    every stored n_A and n_B is checked against.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
@@ -369,14 +371,18 @@ class CoupledPairGeometry:
         na = self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
         # at cut = L - cut both sides span the same spins, so the runs are equal
         nb = self.nb = na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
-        # a run of one partner (every run at J = 0) multiplies its n_B directly;
-        # longer runs sum n_B by one difference of upto[J_B], the sum over spins <= J_B
-        upto = (dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
-                if any(lo != hi for lo, hi in bounds.values()) else None)
+        if two_j:
+            # a run of one partner multiplies its n_B directly; longer runs sum
+            # n_B by one difference of upto[J_B], the sum over spins <= J_B
+            upto = (dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
+                    if any(lo != hi for lo, hi in bounds.values()) else None)
+            dims = (na[ja] * (nb[lo] if lo == hi else upto[hi] - upto[lo - 2])
+                    for ja, (lo, hi) in bounds.items())
+        else:  # J_B = J_A
+            dims = _singlet_block_products(cut, cut_b, na, nb)
         expected = spin_half_multiplicity(sites, two_j)
         total, self.weights = 0, {}
-        for ja, (lo, hi) in bounds.items():
-            dim = na[ja] * (nb[lo] if lo == hi else upto[hi] - upto[lo - 2])
+        for ja, dim in zip(self.ja_list, dims):
             total += dim
             self.weights[ja] = dim / expected  # == dim / total once the guard passes
         if total != expected:  # not an assert: the guard must survive python -O
@@ -498,6 +504,23 @@ class CoupledPairGeometry:
             partners = [jb for jb in jb_cols if lo <= jb <= hi]  # one run of jb_cols
             sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
         return index, weights, sd1_parts, copies
+
+
+def _singlet_block_products(cut, cut_b, na, nb):
+    """n_A n_B of each J = 0 pairing J_A = J_B, ascending: one product at the
+    lowest spin, then each from the last by both runs' ballot ratios, after
+    checking each run's stored neighbours against that ratio."""
+    spins, a, b = list(na), list(na.values()), list(nb.values())
+    up_a = _ballot_ratios(cut, spins[1:])
+    up_b = up_a if nb is na else _ballot_ratios(cut_b, spins[1:])  # one run at the half cut
+    product = a[0] * b[0]
+    yield product
+    for i, (ua, da), (ub, db) in zip(range(1, len(a)), up_a, up_b):
+        # not an assert: the guard must survive python -O
+        if a[i - 1] * da != a[i] * ua or nb is not na and b[i - 1] * db != b[i] * ub:
+            raise AssertionError(f"n_J at 2J = {spins[i - 1]}, {spins[i]} break the ballot ratio")
+        product = product * da // ua * db // ub
+        yield product
 
 
 def _group_slices(spins, counts):

@@ -1041,6 +1041,11 @@ class TestGeometry:
             assert geo.na == na and geo.nb == nb
             assert geo.m_max == max(min(pair) for pair in pairs)
             assert geo.sector_dim == total == spin_half_multiplicity(sites, two_j)
+            partner_dims = dict.fromkeys(na, 0)
+            for ja, jb in pairs:
+                partner_dims[ja] += nb[jb]
+            # the same exact integers and one correctly rounded division: bitwise equal, in order
+            assert list(geo.weights.items()) == [(ja, na[ja] * partner_dims[ja] / total) for ja in na]
 
     def test_multiplicity_runs_equal_binomial_differences(self):
         # a run steps n_J down from its top spin by exact ratios of small
@@ -1073,6 +1078,26 @@ class TestGeometry:
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
 
+    @pytest.mark.parametrize("position", ["top", "middle", "bottom"])
+    def test_guard_catches_any_wrong_stored_multiplicity(self, monkeypatch, position):
+        # every stored n_A and n_B is read by the closed forms and Monte Carlo;
+        # at J = 0 the block products step by the ballot ratio, and each step
+        # checks the stored neighbours, so a wrong value anywhere in a run is caught
+        exact_run = ensembles._multiplicity_run
+
+        def off_by_one(sites, two_lo, two_hi):
+            run = exact_run(sites, two_lo, two_hi)
+            spins = list(run)
+            run[{"top": spins[-1], "middle": spins[len(spins) // 2], "bottom": spins[0]}[position]] += 1
+            return run
+
+        monkeypatch.setattr(ensembles, "_multiplicity_run", off_by_one)
+        cases = ((10, 0, 4), (2000, 0, 1000), (2000, 0, 500), (10000, 0, 2500), (2000, 1000, 700),
+                 (2000, 400, 1000))
+        for sites, two_j, cut in cases:
+            with pytest.raises(AssertionError):
+                CoupledPairGeometry(sites, two_j, cut)
+
     def test_guards_survive_optimized_mode(self):
         # python -O strips assert statements; the two multiplicity guards must still fire
         script = textwrap.dedent("""
@@ -1092,6 +1117,10 @@ class TestGeometry:
                 ensembles.CoupledPairGeometry(6, 2, 2)
             except AssertionError:
                 print("geometry guard")
+            try:
+                ensembles.CoupledPairGeometry(10, 0, 4)
+            except AssertionError as err:
+                print("ballot ratio guard" if "ballot ratio" in str(err) else err)
             exact_comb = math.comb
             math.comb = lambda n, k: exact_comb(n, k) + 1
             try:
@@ -1104,7 +1133,8 @@ class TestGeometry:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == ["geometry guard", "multiplicity guard", ""]
+        assert proc.stdout.split("\n") == [
+            "geometry guard", "ballot ratio guard", "multiplicity guard", ""]
 
     @pytest.mark.parametrize("sites,two_j,cut", [(4, 4, 2), (8, 2, 3), (10, 0, 5), (12, 6, 6), (14, 4, 5)])
     def test_m_block_weights_expand_the_cg_table(self, sites, two_j, cut):
