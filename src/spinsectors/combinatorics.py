@@ -142,9 +142,14 @@ class SectorLabel:
 
 
 def _ballot_ratios(sites, spins):
-    """(u, d) of each t = 2J in `spins`: n_{t-2} d = n_t u for `sites` spin-1/2,
-    with the small integers u = (t-1)(L+t+2) and d = (t+1)(L-t+2)."""
-    return [((t - 1) * (sites + t + 2), (t + 1) * (sites - t + 2)) for t in spins]
+    """Lists (u, d) over each t = 2J in `spins`: n_{t-2} d = n_t u for `sites`
+    spin-1/2, with the small integers u = (t-1)(L+t+2) and d = (t+1)(L-t+2).
+
+    Two lists of ints, not one list of pairs: ints are not tracked by the
+    garbage collector, but thousands of live pairs set off its collections
+    inside the caller's loop.
+    """
+    return [(t - 1) * (sites + t + 2) for t in spins], [(t + 1) * (sites - t + 2) for t in spins]
 
 
 def _multiplicity_run(sites, two_lo, two_hi):
@@ -161,7 +166,7 @@ def _multiplicity_run(sites, two_lo, two_hi):
     if rest:  # n_J = C(L, q) - C(L, q-1) is an integer; not an assert, so python -O keeps it
         raise AssertionError(f"n_J = {num}/{den} is not an integer")
     out = [n]
-    for u, d in _ballot_ratios(sites, range(two_hi, two_lo, -2)):
+    for u, d in zip(*_ballot_ratios(sites, range(two_hi, two_lo, -2))):
         n = n * u // d
         out.append(n)
     return dict(zip(range(two_lo, two_hi + 1, 2), reversed(out)))

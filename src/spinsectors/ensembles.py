@@ -511,11 +511,12 @@ def _singlet_block_products(cut, cut_b, na, nb):
     lowest spin, then each from the last by both runs' ballot ratios, after
     checking each run's stored neighbours against that ratio."""
     spins, a, b = list(na), list(na.values()), list(nb.values())
-    up_a = _ballot_ratios(cut, spins[1:])
-    up_b = up_a if nb is na else _ballot_ratios(cut_b, spins[1:])  # one run at the half cut
+    up_a, down_a = _ballot_ratios(cut, spins[1:])
+    # one run at the half cut
+    up_b, down_b = (up_a, down_a) if nb is na else _ballot_ratios(cut_b, spins[1:])
     product = a[0] * b[0]
     yield product
-    for i, (ua, da), (ub, db) in zip(range(1, len(a)), up_a, up_b):
+    for i, ua, da, ub, db in zip(range(1, len(a)), up_a, down_a, up_b, down_b):
         # not an assert: the guard must survive python -O
         if a[i - 1] * da != a[i] * ua or nb is not na and b[i - 1] * db != b[i] * ub:
             raise AssertionError(f"n_J at 2J = {spins[i - 1]}, {spins[i]} break the ballot ratio")

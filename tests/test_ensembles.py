@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import math
 import os
 import re
@@ -1097,6 +1098,32 @@ class TestGeometry:
         for sites, two_j, cut in cases:
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
+
+    def test_ballot_steps_set_off_no_collection(self):
+        # the multiplicity runs and the J = 0 chain keep no tracked object per
+        # spin alive (their ratios are lists of ints, not of pairs), so stepping
+        # 1000 spins does not set off a garbage collection inside a closed form
+        run = combinatorics._multiplicity_run
+        half, quarter_a, quarter_b = run(1000, 0, 1000), run(500, 0, 500), run(1500, 0, 500)
+        collections = []
+
+        def record(phase, info):
+            collections.append((phase, info["generation"]))
+
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(100)
+        gc.callbacks.append(record)
+        try:
+            run(2000, 0, 2000)
+            for _ in ensembles._singlet_block_products(1000, 1000, half, half):
+                pass
+            for _ in ensembles._singlet_block_products(500, 1500, quarter_a, quarter_b):
+                pass
+        finally:
+            gc.callbacks.remove(record)
+            gc.set_threshold(*threshold)
+        assert collections == []
 
     def test_guards_survive_optimized_mode(self):
         # python -O strips assert statements; the two multiplicity guards must still fire
