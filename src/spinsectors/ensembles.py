@@ -13,9 +13,9 @@ noise.  All samples of one (L, J, cut) share the block shapes: sample i
 takes one normal call from the seed sequence (seed, i), scattered into W
 through a map the geometry caches.  A run is one list of stacks, each
 worker's share of the samples cut into stacks of at most `STACK_BYTES` of W
-(a W larger than that is a stack of one); a stack is one job, which takes one
-Gram product and one `eigvalsh` call per Schmidt block, and a process pool
-never has more processes than stacks.
+(a W larger than that is a stack of one), and a process pool never has more
+processes than stacks.  A stack is one job: one norm pass over its samples,
+one Gram product per Schmidt block and one `eigvalsh` call per Gram size.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -66,7 +66,7 @@ EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
 # Monte Carlo draws this many bytes of W per stack: the samples of one stack
-# share every Gram product and eigvalsh call
+# share one norm pass, every Gram product and one eigvalsh call per Gram size
 STACK_BYTES = 1 << 20
 
 
@@ -84,13 +84,17 @@ def schmidt_square_entropy(lams):
     return float(values) if values.ndim == 0 else values
 
 
-def _schmidt_squares(x):
-    """Squared Schmidt values of each (stacked) trailing matrix of x, from the
-    Gram matrix of the smaller side; rounding can leave them slightly negative,
-    which `schmidt_square_entropy` drops with the rest below its floor."""
+def _gram(x):
+    """Gram matrix of the smaller side of each (stacked) trailing matrix of x."""
     xh = np.swapaxes(x.conj(), -1, -2)
-    gram = x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
-    return np.linalg.eigvalsh(gram)
+    return x @ xh if x.shape[-2] <= x.shape[-1] else xh @ x
+
+
+def _schmidt_squares(x):
+    """Squared Schmidt values of each (stacked) trailing matrix of x, from its
+    Gram matrix; rounding can leave them slightly negative, which
+    `schmidt_square_entropy` drops with the rest below its floor."""
+    return np.linalg.eigvalsh(_gram(x))
 
 
 def _check_cut(sites, cut):
@@ -337,12 +341,12 @@ def _stretched_entropies(pairs):
 class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
-    Holds the multiplicities of both blocks and the bounds (lo, hi) of each
-    J_A's run of partners J_B (CG coefficients are evaluated on demand).  The
-    identity sum_{pairs} n_A n_B = n_J is checked on one block dimension per
-    J_A, and `weights` keeps its share of n_J.  At J > 0 each is one
-    big-integer product; at J = 0 the products step by the ballot ratio, which
-    every stored n_A and n_B is checked against.
+    Holds the multiplicities of both blocks; the bounds (lo, hi) of each
+    J_A's run of partners J_B (`partner_bounds`) and the CG coefficients are
+    formed on demand.  The identity sum_{pairs} n_A n_B = n_J is checked on
+    one block dimension per J_A, and `weights` keeps its share of n_J.  At
+    J > 0 each is one big-integer product; at J = 0 the products step by the
+    ballot ratio, which every stored n_A and n_B is checked against.
 
     It owns the layout of a coupled state W: row groups follow J_A ascending
     (`rows`), column groups J_B ascending (`cols`), so block m of the Schmidt
@@ -361,23 +365,20 @@ class CoupledPairGeometry:
         self.cut = cut
         self.two_j = two_j
         cut_b = sites - cut
-        self.ja_list = list(range(max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b) + 1, 2))
-        # J_A's partners |J - J_A| <= J_B <= J + J_A: one run (lo, hi) each, and the runs overlap
-        bounds = self.partner_bounds = {
-            ja: (max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)) for ja in self.ja_list}
-        jb_lo = min(lo for lo, _ in bounds.values())
-        jb_hi = max(hi for _, hi in bounds.values())
+        ja_lo, ja_hi = max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b)
+        self.ja_list = list(range(ja_lo, ja_hi + 1, 2))
+        # the union of the runs of J_A's partners (`partner_bounds`), which overlap
+        jb_lo, jb_hi = max(cut_b % 2, two_j - ja_hi, ja_lo - two_j), min(cut_b, two_j + ja_hi)
         self.jb_list = list(range(jb_lo, jb_hi + 1, 2))
-        na = self.na = _multiplicity_run(cut, self.ja_list[0], self.ja_list[-1])
+        na = self.na = _multiplicity_run(cut, ja_lo, ja_hi)
         # at cut = L - cut both sides span the same spins, so the runs are equal
         nb = self.nb = na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
         if two_j:
-            # a run of one partner multiplies its n_B directly; longer runs sum
-            # n_B by one difference of upto[J_B], the sum over spins <= J_B
-            upto = (dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
-                    if any(lo != hi for lo, hi in bounds.values()) else None)
-            dims = (na[ja] * (nb[lo] if lo == hi else upto[hi] - upto[lo - 2])
-                    for ja, (lo, hi) in bounds.items())
+            # n_B summed over each J_A's partners by one difference of upto[J_B],
+            # the sum over spins <= J_B
+            upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
+            runs = (_partner_run(two_j, cut_b, ja) for ja in self.ja_list)
+            dims = (na[ja] * (upto[hi] - upto[lo - 2]) for ja, (lo, hi) in zip(self.ja_list, runs))
         else:  # J_B = J_A
             dims = _singlet_block_products(cut, cut_b, na, nb)
         expected = spin_half_multiplicity(sites, two_j)
@@ -388,6 +389,12 @@ class CoupledPairGeometry:
         if total != expected:  # not an assert: the guard must survive python -O
             raise AssertionError(f"sum n_A n_B = {total} != n_J = {expected}")
         self.sector_dim = total
+
+    @cached_property
+    def partner_bounds(self):
+        """J_A's partners |J - J_A| <= J_B <= J + J_A: one run (lo, hi) of
+        `jb_list` per J_A (for Monte Carlo and sd1)."""
+        return {ja: _partner_run(self.two_j, self.sites - self.cut, ja) for ja in self.ja_list}
 
     @cached_property
     def m_max(self):
@@ -506,6 +513,11 @@ class CoupledPairGeometry:
         return index, weights, sd1_parts, copies
 
 
+def _partner_run(two_j, cut_b, ja):
+    """(lo, hi) of J_A's partners |J - J_A| <= J_B <= J + J_A on cut_b sites."""
+    return max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)
+
+
 def _singlet_block_products(cut, cut_b, na, nb):
     """n_A n_B of each J = 0 pairing J_A = J_B, ascending: one product at the
     lowest spin, then each from the last by both runs' ballot ratios, after
@@ -541,48 +553,76 @@ def coupled_geometry(sites, two_j, cut):
 # Monte Carlo over random sector states
 
 
-def _draw_sample(rng, geo, w):
-    """Draw one random coupled state into the zeroed, C-contiguous W `w`, with
-    complex coefficients if `w` is complex, and normalize it.
+def _draw_stack(geo, w, seed, stack):
+    """Draw the samples of the range `stack` into the zeroed, C-contiguous
+    stack of W `w`, with complex coefficients if `w` is complex, and normalize
+    each.
 
-    One `standard_normal` call fills every block through `geo.draw_map`, in
-    the order of drawing the blocks pair by pair, and the norm sums |w|**2
-    pair by pair in that order, so W is bitwise that of the pair-by-pair draw.
+    Sample i takes one `standard_normal` call from the seed sequence (seed, i),
+    which fills every block through `geo.draw_map` in the order of drawing the
+    blocks pair by pair.  Its |w|**2 fill row i of one array, whose pair runs
+    are each summed once for the whole stack; each sample adds its run sums in
+    pair order, so W is bitwise that of the pair-by-pair draw.
     """
     positions, runs = geo.draw_map
-    flat = w.reshape(-1)
     scatter = geo.complex_draw_map if np.iscomplexobj(w) else positions
-    flat.view(float)[scatter] = rng.standard_normal(scatter.size)
-    squares = np.abs(flat[positions]) ** 2
-    total = 0.0
-    for start, stop in runs:  # np.add.reduce is np.sum without its dispatch
-        total += float(np.add.reduce(squares[start:stop]))
-    w *= 1.0 / math.sqrt(total)
+    squares = np.empty((len(w), positions.size))
+    for flat, row, i in zip(w.reshape(len(w), -1), squares, stack):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+        flat.view(float)[scatter] = rng.standard_normal(scatter.size)
+        np.square(np.abs(flat[positions]), out=row)
+    # np.add.reduce is np.sum without its dispatch
+    totals = sum(np.add.reduce(squares[:, start:stop], axis=1) for start, stop in runs)
+    for sample, total in zip(w, totals.tolist()):
+        sample *= 1.0 / math.sqrt(total)
 
 
 def _entropies_from_blocks(geo, w, methods):
     """Entropies of the requested methods for one W or a stack of them (leading
-    axis): floats for one W, arrays of one value per sample for a stack."""
+    axis): floats for one W, arrays of one value per sample for a stack.
+
+    Every Gram is formed first and diagonalized by `_eigvalsh_by_size`; the
+    entropies are then summed block by block, in the order of the blocks."""
     out = dict.fromkeys(methods, 0.0)
+    keys, grams = [], []  # (method, copies or sd2 pair) of each Gram, in the order of summing
     if "full" in out or "sd1" in out:
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
         for index, weights, sd1_parts, copies in geo.m_blocks:
             shape = w.shape[:-2] + weights.shape
             x = np.multiply(weights, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
             if "full" in out:
-                out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
-            if "sd1" in out:
-                for part in sd1_parts:
-                    lam = _schmidt_squares(x[(Ellipsis,) + part])
-                    out["sd1"] += copies * schmidt_square_entropy(lam)
+                keys.append(("full", copies))
+                grams.append(_gram(x))
+            for part in sd1_parts if "sd1" in out else ():
+                keys.append(("sd1", copies))
+                grams.append(_gram(x[(Ellipsis,) + part]))
     if "sd2" in out:
         blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
         trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
         for pair, block in blocks.items():
-            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
-            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
+            keys.append(("sd2", pair))
+            grams.append(_gram(block))
+    for (method, key), lam in zip(keys, _eigvalsh_by_size(grams)):
+        if method == "sd2":
+            lam = lam / np.expand_dims(trace, -1)
+            outer = geo.sd2_weights[key][:, None] * lam[..., None, :]
             out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
+        else:
+            out[method] += key * schmidt_square_entropy(lam)
     return out
+
+
+def _eigvalsh_by_size(grams):
+    """The spectra of `grams` in order, from one `eigvalsh` call per Gram size
+    (a Gram whose size occurs once is not copied).  LAPACK runs once per
+    matrix of a stack, so each spectrum is bitwise that of its own call."""
+    spectra = [None] * len(grams)
+    for size in {gram.shape[-1] for gram in grams}:
+        group = [i for i, gram in enumerate(grams) if gram.shape[-1] == size]
+        stacked = grams[group[0]][None] if len(group) == 1 else np.stack([grams[i] for i in group])
+        for i, lam in zip(group, np.linalg.eigvalsh(stacked)):
+            spectra[i] = lam
+    return spectra
 
 
 def _stack_entropies(sites, two_j, cut, seed, methods, complex_coefficients, stack):
@@ -590,8 +630,7 @@ def _stack_entropies(sites, two_j, cut, seed, methods, complex_coefficients, sta
     that shares one Schmidt pass."""
     geo = coupled_geometry(sites, two_j, cut)
     w = np.zeros((len(stack),) + geo.shape, dtype=complex if complex_coefficients else float)
-    for sample, i in zip(w, stack):
-        _draw_sample(np.random.default_rng(np.random.SeedSequence(entropy=(seed, i))), geo, sample)
+    _draw_stack(geo, w, seed, stack)
     return _entropies_from_blocks(geo, w, methods)
 
 

@@ -35,6 +35,8 @@ The library calls none of these; the tests compare it against them.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
   per (J_A, J_B) pair for complex coefficients, against the sampler's one
   call scattered through the geometry's draw map.
+- `per_block_entropies`: Monte Carlo entropies from one `eigvalsh` call per
+  Schmidt block, against the sampler's one call per Gram size.
 - `concatenated_entropy`, `sampler_entropies_reference`,
   `slice_entropy_reference`: Monte Carlo and slice entropies from all Schmidt
   spectra of a state concatenated, each repeated by its copies, and one
@@ -543,6 +545,30 @@ def concatenated_entropy(parts):
         kept = row[row > EIGENVALUE_FLOOR]
         values.append(max(0.0, float(-np.dot(kept, np.log(kept)))))
     return values[0] if lam.ndim == 1 else np.array(values)
+
+
+def per_block_entropies(geo, w, methods):
+    """The sampler's full, sd1 and sd2 entropies of one W or a stack of them,
+    one Gram and one `eigvalsh` call per Schmidt block, each block's entropy
+    summed as soon as it is diagonalized.  Each m-block product is formed
+    C-ordered, as the sampler forms it, so its Gram is the same BLAS call."""
+    out = dict.fromkeys(methods, 0.0)
+    if "full" in out or "sd1" in out:
+        for index, weights, sd1_parts, copies in geo.m_blocks:
+            x = np.empty(w.shape[:-2] + weights.shape, dtype=w.dtype)
+            np.multiply(weights, w[(Ellipsis,) + index], out=x)
+            if "full" in out:
+                out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
+            for part in sd1_parts if "sd1" in out else ():
+                out["sd1"] += copies * schmidt_square_entropy(_schmidt_squares(x[(Ellipsis,) + part]))
+    if "sd2" in out:
+        blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
+        trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
+        for pair, block in blocks.items():
+            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
+            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
+            out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
+    return out
 
 
 def sampler_entropies_reference(geo, w, methods):

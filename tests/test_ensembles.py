@@ -93,6 +93,26 @@ def unsplit_entropies(geo, w):
     }
 
 
+def collections_during(call):
+    """(phase, generation) of each garbage collection that call() sets off with
+    the young-generation threshold at 100."""
+    collections = []
+
+    def record(phase, info):
+        collections.append((phase, info["generation"]))
+
+    threshold = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(100)
+    gc.callbacks.append(record)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
+    return collections
+
+
 def draw_w(entropy, geo, complex_coefficients):
     """One W of the geometry drawn by the reference, from the seed sequence `entropy`."""
     w = np.zeros(geo.shape, dtype=complex if complex_coefficients else float)
@@ -720,7 +740,7 @@ class TestSampling:
         def forbidden(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(ensembles, "_draw_sample", forbidden)
+        monkeypatch.setattr(ensembles, "_draw_stack", forbidden)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         with pytest.raises(ValueError, match=message):
             call()
@@ -745,7 +765,7 @@ class TestSampling:
         def draw(*args):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(ensembles, "_draw_sample", draw)
+        monkeypatch.setattr(ensembles, "_draw_stack", draw)
         with pytest.raises(ValueError, match="methods is empty"):
             ensemble_entropy_samples(20, 2, 10, 20, 1, methods=(), workers=1)
 
@@ -1015,6 +1035,43 @@ class TestStackedSamples:
             assert {m: list(v) for m, v in got.items()} == values
 
 
+class TestGramSizes:
+    # the Schmidt pass forms every Gram first and diagonalizes all Grams of one
+    # size by one eigvalsh call; LAPACK still runs once per matrix
+    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_grouped_pass_equals_per_block_loop_bitwise(self, sites, two_j, cut, complex_coefficients):
+        geo = coupled_geometry(sites, two_j, cut)
+        stack = np.array([draw_w((53, i), geo, complex_coefficients) for i in range(4)])
+        for w in (stack, stack[0]):
+            got = _entropies_from_blocks(geo, w, ensembles.ENSEMBLE_METHODS)
+            want = oracles.per_block_entropies(geo, w, ensembles.ENSEMBLE_METHODS)
+            for method in ensembles.ENSEMBLE_METHODS:
+                assert np.shape(got[method]) == np.shape(want[method])
+                assert np.array_equal(np.float64(got[method]).view(np.uint64),
+                                      np.float64(want[method]).view(np.uint64)), method
+
+    def test_one_eigvalsh_call_per_gram_size(self, monkeypatch):
+        # a 20-sample stack of (12, 6, 6) with full, sd1 and sd2 has 19 Grams
+        # of 5 sizes, 8 of them 1 x 1
+        geo = coupled_geometry(12, 6, 6)
+        stack = np.array([draw_w((59, i), geo, True) for i in range(20)])
+        eigvalsh = np.linalg.eigvalsh
+        sizes = []
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        oracles.per_block_entropies(geo, stack, ensembles.ENSEMBLE_METHODS)
+        assert len(sizes) == 19 and len({shape[-1] for shape in sizes}) == 5
+        assert sum(shape[-1] == 1 for shape in sizes) == 8
+        sizes.clear()
+        _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
+        assert len(sizes) == 5 and len({shape[-1] for shape in sizes}) == 5
+
+
 class TestGeometry:
     def test_pair_count_identity(self):
         # sum over pairings of n_A n_B equals the sector multiplicity
@@ -1071,8 +1128,9 @@ class TestGeometry:
             return run
 
         monkeypatch.setattr(ensembles, "_multiplicity_run", off_by_one)
-        # J = 0 runs have one partner each, multiplied directly, on and off the
-        # half cut; (2000, 400, 1000) sums runs of several partners with nb is na
+        # J = 0 runs have one partner each, whose products step by the ballot
+        # ratio, on and off the half cut; (2000, 400, 1000) sums runs of several
+        # partners with nb is na
         cases = ((6, 2, 2), (12, 4, 5), (2000, 0, 1000), (2000, 1000, 700), (2000, 0, 500),
                  (2000, 400, 1000))
         for sites, two_j, cut in cases:
@@ -1105,25 +1163,25 @@ class TestGeometry:
         # 1000 spins does not set off a garbage collection inside a closed form
         run = combinatorics._multiplicity_run
         half, quarter_a, quarter_b = run(1000, 0, 1000), run(500, 0, 500), run(1500, 0, 500)
-        collections = []
 
-        def record(phase, info):
-            collections.append((phase, info["generation"]))
-
-        threshold = gc.get_threshold()
-        gc.collect()
-        gc.set_threshold(100)
-        gc.callbacks.append(record)
-        try:
+        def steps():
             run(2000, 0, 2000)
             for _ in ensembles._singlet_block_products(1000, 1000, half, half):
                 pass
             for _ in ensembles._singlet_block_products(500, 1500, quarter_a, quarter_b):
                 pass
-        finally:
-            gc.callbacks.remove(record)
-            gc.set_threshold(*threshold)
-        assert collections == []
+
+        assert collections_during(steps) == []
+
+    def test_singlet_average_sets_off_no_collection(self):
+        # the closed forms build no partner run per J_A (one tracked tuple each,
+        # 2,501 at L = 10**4): only Monte Carlo and sd1 read `partner_bounds`
+        def averages():
+            singlet_average_exact(10**4, 5000)
+            singlet_average_exact(10**4, 2500)
+
+        assert collections_during(averages) == []
+        assert "partner_bounds" not in vars(CoupledPairGeometry(2000, 0, 1000))
 
     def test_guards_survive_optimized_mode(self):
         # python -O strips assert statements; the two multiplicity guards must still fire
