@@ -37,7 +37,7 @@ from .combinatorics import (
     HALF, SectorLabel, _ballot_ratios, _check_fraction, _check_integer, _check_spin_density,
     _check_zero_jz, _is_integer, _multiplicity_run, spin_half_multiplicity)
 from .special import digamma
-from .su2 import _cg_columns, _stretched_columns, clebsch_gordan
+from .su2 import _cg_solve, _stretched_columns
 
 __all__ = [
     "EntropyEstimate",
@@ -342,7 +342,7 @@ class CoupledPairGeometry:
     """Admissible (J_A, J_B) pairings of a J_z=0 spin-1/2 sector bipartition.
 
     Holds the multiplicities of both blocks; the bounds (lo, hi) of each
-    J_A's run of partners J_B (`partner_bounds`) and the CG coefficients are
+    J_A's run of partners J_B (`partner_bounds`) and the CG columns are
     formed on demand.  The identity sum_{pairs} n_A n_B = n_J is checked on
     one block dimension per J_A, and `weights` keeps its share of n_J.  At
     J > 0 each is one big-integer product; at J = 0 the products step by the
@@ -407,10 +407,16 @@ class CoupledPairGeometry:
         return [(ja, jb) for ja, (lo, hi) in self.partner_bounds.items()
                 for jb in range(lo, hi + 1, 2)]
 
+    @cached_property
+    def cg_columns(self):
+        """Read-only c_m(J; J_A, J_B) of each pairing, m = min(J_A, J_B) descending, then 0."""
+        return dict(zip(self.pairs, _cg_solve(*np.array(self.pairs).T, self.two_j, 0).T))
+
     def cg_coefficient(self, two_ja, two_jb, two_m):
-        """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`: zero off
-        the triangle J_A + J_B >= J >= |J_A - J_B| and for |m| > min(J_A, J_B)."""
-        return clebsch_gordan(two_ja, two_m, two_jb, -two_m, self.two_j, 0)
+        """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`, m of J_A's parity:
+        zero off the triangle J_A + J_B >= J >= |J_A - J_B| and for |m| > min(J_A, J_B)."""
+        column, mm = self.cg_columns.get((two_ja, two_jb)), min(two_ja, two_jb)
+        return float(column[(mm - two_m) // 2]) if column is not None and abs(two_m) <= mm else 0.0
 
     @property
     def sd2_pairs(self):
@@ -778,10 +784,9 @@ def sd1_semianalytic(sites, two_j, cut):
     Treats each J_A block as a Page problem of size n_A x (sum of partner
     n_B), with the subsystem-magnetization weights mixed over partners.  Exact
     at J=0, where it reduces to the singlet sum; an O(1) overestimate
-    otherwise at f=1/2.  Reads one Clebsch-Gordan column solve per (J_A, J_B)
-    pairing, its J column whole, so at a small fixed 2J the time grows as ~L**4:
-    (L, 2J, cut) = (200, 4, 100) takes ~0.15 s, (400, 4, 200) ~0.9 s and
-    (800, 4, 400) ~8.5 s.
+    otherwise at f=1/2.  Reads the geometry's CG columns, so at a small fixed 2J
+    the time grows as ~L**2: (L, 2J, cut) = (200, 4, 100) takes ~8 ms, (800, 4,
+    400) ~0.09 s and (2000, 4, 1000) ~0.4 s.
     """
     geo = CoupledPairGeometry(sites, two_j, cut)
     blocks = []
@@ -791,7 +796,7 @@ def sd1_semianalytic(sites, two_j, cut):
         p_m = np.zeros(two_ja + 1)
         for two_jb in partners:
             mm = min(two_ja, two_jb)  # rows m = mm, mm - 1, .., -mm; |m| > mm stays 0
-            column = _cg_columns(two_ja, two_jb, 0)[::-1, (two_j - abs(two_ja - two_jb)) // 2]
+            column = geo.cg_columns[two_ja, two_jb][mm::-1]
             p_m[(two_ja - mm) // 2 : (two_ja + mm) // 2 + 1] += geo.nb[two_jb] / nb_eff * column**2
         blocks.append((geo.na[two_ja], nb_eff, geo.weights[two_ja], schmidt_square_entropy(p_m)))
     return _block_average(blocks, geo.sector_dim)

@@ -104,9 +104,8 @@ def _check_clebsch_gordan():
                 expect = 1.0 if two_ja_ == two_jb_ else 0.0
                 assert abs(acc - expect) < 1e-12
     geo = CoupledPairGeometry(200, 100, 100)  # unit columns up to 2J_A = 2J_B = 100
-    for two_ja, two_jb in geo.pairs:
-        column = [geo.cg_coefficient(two_ja, two_jb, m) for m in range(-two_ja, two_ja + 1, 2)]
-        assert abs(sum(c * c for c in column) - 1.0) < 1e-12, (two_ja, two_jb)
+    for pair, column in geo.cg_columns.items():
+        assert abs(column @ column - 1.0) < 1e-12, pair
 
 
 def _check_stretched():

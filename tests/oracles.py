@@ -9,7 +9,7 @@ The library calls none of these; the tests compare it against them.
 - `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
   library's saddle solver finds.
 - `clebsch_gordan_exact`: one Clebsch-Gordan coefficient from the Racah
-  sum in exact rationals, against the library's J**2 eigenvector columns.
+  sum in exact rationals, against the library's J**2 recursion columns.
 - `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
   weight from three `log_binomial` calls, against the library's columns.
 - `stretched_column_logs`, `singlet_average_reference`,

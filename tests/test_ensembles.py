@@ -21,6 +21,7 @@ from spinsectors import (
     ONE,
     ChainSpec,
     SectorLabel,
+    clebsch_gordan,
     EntropyEstimate,
     default_sample_count,
     ensemble_entropy_samples,
@@ -652,11 +653,21 @@ class TestSd1:
             )
 
     def test_semianalytic_values_pinned(self):
-        # values read from the J**2 eigenvector columns, compared with ==
+        # values read from the geometry's CG columns, compared with ==
         assert sd1_semianalytic(12, 2, 3) == 2.048879038401767
         assert [sd1_semianalytic(sites, 0, cut) for sites, cut in ((8, 4), (12, 6), (12, 3))] == [
             2.10848722016569, 3.424833699566852, 2.026663049834447
         ]
+
+    @pytest.mark.parametrize("sites", [1200, 3080])
+    def test_semianalytic_stretched_column_at_large_spin(self, sites):
+        # at 2J = L the one pairing's column spans ~1e179 (L = 1200) and ~1e462
+        # (L = 3080) from edge to peak, and each run of the recursion grows as
+        # far again past the peak: neither its rescaling nor the join may
+        # underflow the rows kept.  The weights below EIGENVALUE_FLOOR that sd1
+        # drops add ~2e-11 at L = 3080
+        expected = max_spin_state_entropy(sites, sites // 2)
+        assert sd1_semianalytic(sites, sites, sites // 2) == pytest.approx(expected, abs=1e-10)
 
     def test_semianalytic_runs_at_large_spin(self):
         # a log-factorial Racah sum missed unit column norms here, by up to 1.6e-6 at L=200
@@ -1001,13 +1012,13 @@ class TestStackedSamples:
         # copies, compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.303103009147175, 3.3289328535605915, 3.282902033015189],
-                "sd1": [3.439108053177417, 3.4867740693228493, 3.417916912965702],
+                "full": [3.303103009147173, 3.32893285356059, 3.282902033015188],
+                "sd1": [3.439108053177417, 3.486774069322849, 3.4179169129657003],
                 "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717522],
             },
             (16, 4, 8): {
-                "full": [4.935383733046869, 4.947708500032379, 4.929743993347234],
-                "sd1": [5.1191847988869705, 5.132095348680573, 5.124833853787783],
+                "full": [4.935383733046869, 4.947708500032379, 4.929743993347233],
+                "sd1": [5.11918479888697, 5.132095348680575, 5.1248338537877824],
                 "sd2": [4.035255888431617, 4.075054279134304, 4.066530431645234],
             },
         }
@@ -1020,13 +1031,13 @@ class TestStackedSamples:
         # copies, compared with ==
         pinned = {
             (12, 6, 6): {
-                "full": [3.287832729556447, 3.360897094077566, 3.274663728656617],
-                "sd1": [3.4125859202424063, 3.45451990817269, 3.4007730466428],
+                "full": [3.2878327295564462, 3.3608970940775658, 3.274663728656616],
+                "sd1": [3.4125859202424054, 3.454519908172688, 3.400773046642799],
                 "sd2": [3.0471159533328374, 3.1233695659323617, 2.9648550200323704],
             },
             (16, 4, 8): {
-                "full": [4.932029369839716, 4.945571307621941, 4.949598599744012],
-                "sd1": [5.116389723346818, 5.147909032083381, 5.142885815043664],
+                "full": [4.932029369839715, 4.945571307621941, 4.949598599744011],
+                "sd1": [5.116389723346817, 5.147909032083382, 5.1428858150436625],
                 "sd2": [4.063937880300081, 4.094582387190917, 4.071701550488863],
             },
         }
@@ -1251,17 +1262,38 @@ class TestGeometry:
             col = np.array([geo.cg_coefficient(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)])
             assert np.sum(col**2) == pytest.approx(1.0, abs=1e-12)
 
+    def test_cg_columns_equal_the_scalar_coefficients(self):
+        # every pairing's column of every (L <= 24, 2J, cut), from one kernel
+        # call per geometry, equals clebsch_gordan's per-(j1, j2) column bitwise
+        # at every m, and the exact Racah sum to 1e-15
+        seen = {}
+        for sites in range(2, 25, 2):
+            for two_j in range(0, sites + 1, 2):
+                for cut in range(1, sites):
+                    for (ja, jb), column in CoupledPairGeometry(sites, two_j, cut).cg_columns.items():
+                        mm = min(ja, jb)
+                        assert not column[mm + 1:].any()
+                        column = column[:mm + 1]
+                        if (ja, jb, two_j) not in seen:
+                            args = [(ja, m, jb, -m, two_j, 0) for m in range(mm, -mm - 1, -2)]
+                            seen[ja, jb, two_j] = (np.array([clebsch_gordan(*a) for a in args]),
+                                                   np.array([oracles.clebsch_gordan_exact(*a) for a in args]))
+                        scalar, exact = seen[ja, jb, two_j]
+                        assert np.array_equal(column.view(np.uint64), scalar.view(np.uint64)), (ja, jb, two_j)
+                        assert np.abs(column - exact).max() <= 1e-15, (ja, jb, two_j)
+
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
-        # only: no Clebsch-Gordan column solve, no list of every pairing and
-        # no Monte Carlo layout (the scalar stretched weights live in the
+        # only: no Clebsch-Gordan recursion, no list of every pairing and no
+        # Monte Carlo layout (the scalar stretched weights live in the
         # oracles, outside the package)
         def forbidden(name):
             def call(*args):
                 raise AssertionError(f"{name} called")
             return call
 
-        monkeypatch.setattr(ensembles, "clebsch_gordan", forbidden("clebsch_gordan"))
+        monkeypatch.setattr(ensembles, "_cg_solve", forbidden("_cg_solve"))
+        monkeypatch.setattr(su2, "_cg_solve", forbidden("_cg_solve"))
         monkeypatch.setattr(su2, "_cg_columns", forbidden("_cg_columns"))
         for name in ("pairs", "rows", "cols", "m_blocks", "m_max", "draw_map"):
             monkeypatch.setattr(CoupledPairGeometry, name, property(forbidden(name)))
