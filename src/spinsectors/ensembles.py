@@ -172,11 +172,16 @@ def _flip_classes(blocks):
     return np.concatenate([even, blocks[:, n // 2 : n - n // 2]], axis=1), odd
 
 
-def _schmidt_entropies(maps, amplitudes, count):
-    """Entropy of each of `count` states over the Schmidt index maps `maps`,
-    `bipartition_maps` entries each followed by `mirror` or None;
-    `amplitudes(sel)` gives configurations `sel` as rows, one column per
-    state.  An entry whose spectrum counts `copies` times or whose rows
+def _schmidt_entropies(maps, sources):
+    """Entropy of each state of `sources` over the Schmidt index maps `maps`,
+    `bipartition_maps` entries each followed by `mirror` or None.  `sources`
+    lists (amplitudes, count) pairs: `amplitudes(sel)` gives configurations
+    `sel` as rows, one column for each of the source's `count` states; the
+    entropies follow the sources in order.  Each entry fills one stack with
+    the states of every source, then splits it into flip classes and forms
+    one Gram per class, and `_eigvalsh_by_size` diagonalizes all Grams of one
+    size by one call; each state's entropy is still summed entry by entry.
+    An entry whose spectrum counts `copies` times or whose rows
     split into flip classes is exact only for states the global spin flip
     maps to +-themselves, whose Schmidt blocks at -m_A mirror those at m_A
     and commute with the flip at m_A = 0.
@@ -187,18 +192,24 @@ def _schmidt_entropies(maps, amplitudes, count):
     cols] = conj M, Pi a row involution that commutes with the flip: then N =
     V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and
     W alike for Pi', so N has M's singular values, flip class by flip class."""
-    values = np.zeros(count)
+    bounds = [0, *accumulate(count for _, count in sources)]
+    weights, grams = [], []
     for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
-        amps = amplitudes(sel)
-        if mirror is None or not np.iscomplexobj(amps):
-            blocks = np.zeros((count,) + shape, dtype=amps.dtype)
-            blocks[:, rows, cols] = amps.T
-        else:
-            blocks = np.zeros((count,) + shape)
-            blocks[:, rows, cols] = amps.imag.T
-            blocks[:, rows, mirror] += amps.real.T
+        amps = [amplitudes(sel) for amplitudes, _ in sources]
+        complex_blocks = mirror is None and any(np.iscomplexobj(a) for a in amps)
+        blocks = np.zeros((bounds[-1],) + shape, dtype=complex if complex_blocks else float)
+        for a, lo, hi in zip(amps, bounds, bounds[1:]):
+            if mirror is None or not np.iscomplexobj(a):
+                blocks[lo:hi, rows, cols] = a.T
+            else:
+                blocks[lo:hi, rows, cols] = a.imag.T
+                blocks[lo:hi, rows, mirror] += a.real.T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
-            values += copies * schmidt_square_entropy(_schmidt_squares(part))
+            weights.append(copies)
+            grams.append(_gram(part))
+    values = np.zeros(bounds[-1])
+    for copies, lam in zip(weights, _eigvalsh_by_size(grams)):
+        values += copies * schmidt_square_entropy(lam)
     return values
 
 
@@ -216,7 +227,7 @@ def slice_entanglement_entropy(state, configs, a_sites):
     _check_normalized(state)
     states = state.reshape(len(state), -1)
     maps = [(*entry, None) for entry in bipartition_maps(configs, a_sites)]
-    values = _schmidt_entropies(maps, states.__getitem__, states.shape[1])
+    values = _schmidt_entropies(maps, [(states.__getitem__, states.shape[1])])
     return values if state.ndim == 2 else float(values[0])
 
 

@@ -19,7 +19,13 @@ Everything that does not depend on the coupling is cached per chain: the
 real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
 projection Q_J^T B Q_J of every bond term B of H with its leakage
 certificate, and the Schmidt index maps of each cut.  A coupling then costs
-one real n_J-sized solve per subspace.  The Schmidt maps are flip-reduced:
+one real n_J-sized solve per subspace.  The chain is worked through in runs
+of consecutive momentum blocks whose Schmidt stacks fit in
+`ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
+one `eigh` call and makes one Schmidt pass over the central states of all
+its blocks, with one `eigvalsh` call per Gram size.  LAPACK and BLAS run
+once per matrix of a stack, so the records are bitwise those of a block by
+block solve.  The Schmidt maps are flip-reduced:
 a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
 (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
 diagonalized, each counted twice, and m_A = 0 splits into flip-even and
@@ -44,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import SpinSpecies, _check_fraction, _check_integer, _check_zero_jz
+from . import ensembles
 from .ensembles import EntropyEstimate, _check_normalized, _schmidt_entropies, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
@@ -381,6 +388,57 @@ def _central_window(dim):
     return range(start, start + n_sel)
 
 
+def _runs(chain, largest):
+    """`chain` cut into runs: consecutive blocks whose Schmidt stacks, one row
+    of `largest` 8-byte entries per central state, fit in STACK_BYTES together
+    (a block larger than that is a run of one)."""
+    runs, size = [[]], 0
+    for link in chain:
+        need = len(_central_window(len(link[0].reps))) * largest * 8
+        if runs[-1] and size + need > ensembles.STACK_BYTES:
+            runs.append([])
+            size = 0
+        runs[-1].append(link)
+        size += need
+    return runs
+
+
+def _solve(subspaces, coeffs):
+    """(rot, (energies, 2J, J**2 residuals, H residual bounds)) of H_J =
+    sum_b c_b Q_J^T B_b Q_J in each `_Subspace`, in order.  Subspaces of one size share
+    one stacked product, one `eigh` call and the residual products (a size
+    that occurs once is not copied); LAPACK and BLAS run once per matrix of a
+    stack, so each result is bitwise that of its own call."""
+    solved = [None] * len(subspaces)
+    for size in {len(sub.j2_values) for sub in subspaces}:
+        group = [i for i, sub in enumerate(subspaces) if len(sub.j2_values) == size]
+        subs = [subspaces[i] for i in group]
+        h = (subs[0].terms[None] if len(subs) == 1 else np.stack([sub.terms for sub in subs])) @ coeffs
+        energies, rot = np.linalg.eigh(h)
+        j2 = (np.stack([sub.j2_values for sub in subs])[:, None] @ rot**2)[:, 0]
+        j2_residuals = np.abs(j2 - np.array([[sub.two_j / 2 * (sub.two_j / 2 + 1)] for sub in subs]))
+        h_residuals = (np.linalg.norm(h @ rot - rot * energies[:, None], axis=1)
+                       + np.array([[np.abs(coeffs) @ sub.leakage] for sub in subs]))
+        for k, i in enumerate(group):
+            solved[i] = rot[k], (energies[k], np.full(size, subs[k].two_j), j2_residuals[k], h_residuals[k])
+    return solved
+
+
+def _amplitude_source(block, picked, cut, sites):
+    """`_schmidt_entropies` source of the momentum-basis columns `picked` of
+    `block`: c = T**t r takes phase[c] times row r of picked; orbits outside
+    the block read a zero row."""
+    _check_normalized(picked)
+    padded = np.vstack([picked, np.zeros((1, picked.shape[1]), dtype=picked.dtype)])
+    phase = block.phase
+    if block.complex_sector:
+        # psi(R c) = exp(-ik cut) conj psi(c) for the reflection R of
+        # `_cut_maps`, so each Schmidt block M of exp(ik cut/2) psi has
+        # M[R rows, R cols] = conj M, and `_schmidt_entropies` makes it real
+        phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
+    return (lambda sel: padded[block.position[sel]] * phase[sel, None]), picked.shape[1]
+
+
 def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
@@ -399,73 +457,70 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
-    rank.
+    rank.  The blocks are worked through in runs (`_runs`), each with one
+    solve per subspace size (`_solve`) and one Schmidt pass.
     """
     two_s = spec.species.two_s
     sites = spec.sites
+    maps = ()
     if fraction is not None:
         cut = round(_check_fraction("fraction", fraction) * sites)
         if not 0 < cut < sites:
             raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
         maps = _cut_maps(two_s, sites, cut)
     coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
+    # without a cut the whole slice stands in for the largest Schmidt block
+    largest = max((math.prod(entry[3]) for entry in maps), default=len(_orbit_data(two_s, sites)[0]))
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []
-    for block, subspaces in _spin_subspaces(two_s, sites):
-        parts, rots = [], []  # per spin: energies, 2J, J**2 and H residuals
-        for sub in subspaces:
-            h = sub.terms @ coeffs
-            energies, rot = np.linalg.eigh(h)
-            rots.append(rot)
-            parts.append((energies, np.full(len(rot), sub.two_j),
-                          np.abs(sub.j2_values @ rot**2 - sub.two_j / 2 * (sub.two_j / 2 + 1)),
-                          np.linalg.norm(h @ rot - rot * energies, axis=0) + np.abs(coeffs) @ sub.leakage))
-        energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
-        # rank order: energy, ties by 2J, then by position (lexsort is stable);
-        # neighbours within RESIDUAL_TOL scale tie, as exact cross-J
-        # degeneracies come out a few ulps apart
-        dim = len(energies)
-        scale = max(1.0, np.abs(energies).max())
-        by_energy = np.argsort(energies)
-        gaps = np.diff(energies[by_energy]) > RESIDUAL_TOL * scale
-        group = np.empty(dim, dtype=int)
-        group[by_energy] = np.concatenate(([0], np.cumsum(gaps)))
-        order = np.lexsort((two_js, group))
-        energies, two_js, j2_residuals, h_residuals = (
-            a[order] for a in (energies, two_js, j2_residuals, h_residuals))
-        flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
-        central = np.zeros(dim, dtype=bool)
-        central[_central_window(dim)] = True
-        gaussianity, entropy = np.full((2, dim), math.nan)
-        chosen = np.flatnonzero(central & ~flagged)
-        if chosen.size:
-            # real eigenvectors Q_J x of the chosen records, then U to the momentum basis
-            index = order[chosen]
-            picked = np.empty((dim, chosen.size))
-            lo = 0
-            for sub, rot in zip(subspaces, rots):
-                mine = np.flatnonzero((index >= lo) & (index < lo + len(rot)))
-                picked[:, mine] = sub.basis @ rot[:, index[mine] - lo]
-                lo += len(rot)
-            picked = block.to_momentum(picked)
-            gaussianity[chosen] = gaussianity_of_vector(picked)
-            if fraction is not None:
-                # c = T**t r takes phase[c] times row r of picked; orbits outside the block read a zero row
-                _check_normalized(picked)
-                padded = np.vstack([picked, np.zeros((1, chosen.size), dtype=picked.dtype)])
-                phase = block.phase
-                if block.complex_sector:
-                    # psi(R c) = exp(-ik cut) conj psi(c) for the reflection R of
-                    # `_cut_maps`, so each Schmidt block M of exp(ik cut/2) psi has
-                    # M[R rows, R cols] = conj M, and `_schmidt_entropies` makes it real
-                    phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
-                entropy[chosen] = _schmidt_entropies(
-                    maps, lambda sel: padded[block.position[sel]] * phase[sel, None], chosen.size)
-        columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
-        n, complex_sector = block.momentum_index, block.complex_sector
-        records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
-                    for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
+    for run in _runs(_spin_subspaces(two_s, sites), largest):
+        solved = iter(_solve([sub for _, subspaces in run for sub in subspaces], coeffs))
+        pending, sources = [], []  # per block: its chosen records, entropies and record columns
+        for block, subspaces in run:
+            rots, parts = zip(*(next(solved) for _ in subspaces))
+            energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
+            # rank order: energy, ties by 2J, then by position (lexsort is stable);
+            # neighbours within RESIDUAL_TOL scale tie, as exact cross-J
+            # degeneracies come out a few ulps apart
+            dim = len(energies)
+            scale = max(1.0, np.abs(energies).max())
+            by_energy = np.argsort(energies)
+            gaps = np.diff(energies[by_energy]) > RESIDUAL_TOL * scale
+            group = np.empty(dim, dtype=int)
+            group[by_energy] = np.concatenate(([0], np.cumsum(gaps)))
+            order = np.lexsort((two_js, group))
+            energies, two_js, j2_residuals, h_residuals = (
+                a[order] for a in (energies, two_js, j2_residuals, h_residuals))
+            flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
+            central = np.zeros(dim, dtype=bool)
+            central[_central_window(dim)] = True
+            gaussianity, entropy = np.full((2, dim), math.nan)
+            chosen = np.flatnonzero(central & ~flagged)
+            if chosen.size:
+                # real eigenvectors Q_J x of the chosen records, then U to the momentum basis
+                index = order[chosen]
+                picked = np.empty((dim, chosen.size))
+                lo = 0
+                for sub, rot in zip(subspaces, rots):
+                    mine = np.flatnonzero((index >= lo) & (index < lo + len(rot)))
+                    picked[:, mine] = sub.basis @ rot[:, index[mine] - lo]
+                    lo += len(rot)
+                picked = block.to_momentum(picked)
+                gaussianity[chosen] = gaussianity_of_vector(picked)
+                if fraction is not None:
+                    sources.append(_amplitude_source(block, picked, cut, sites))
+            pending.append((block, chosen, entropy,
+                            (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)))
+        if sources:
+            values = _schmidt_entropies(maps, sources)
+            bounds = np.cumsum([len(chosen) for _, chosen, _, _ in pending])[:-1]
+            for (_, chosen, entropy, _), part in zip(pending, np.split(values, bounds)):
+                entropy[chosen] = part
+        for block, _, _, columns in pending:
+            n, complex_sector = block.momentum_index, block.complex_sector
+            records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
+                        for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
     return records
 
 

@@ -30,6 +30,10 @@ The library calls none of these; the tests compare it against them.
   projected onto complex J**2 eigenbases per coupling, and entropies from
   complex Schmidt blocks, against the library's real (k, J) subspaces and
   real Schmidt blocks; `slice_amplitudes` maps its vectors.
+- `per_block_resolve`, `per_block_schmidt_entropies`: eigenstate records
+  block by block, one `eigh` call per (k, J) subspace and one Schmidt pass
+  per block with one `eigvalsh` call per Schmidt block, against the
+  library's runs of blocks, bitwise.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
@@ -75,6 +79,7 @@ from spinsectors.spectra import (
     _central_window,
     _cut_maps,
     _orbit_data,
+    _spin_subspaces,
     gaussianity_of_vector,
 )
 from spinsectors.su2 import (
@@ -747,6 +752,84 @@ def complex_resolve(spec, fraction=Fraction(1, 2)):
                     _cut_maps(two_s, sites, cut))
         columns = (energies, labels, j2_res, central, gaussianity, entropy, flagged)
         records += [EigenstateRecord(e, n, j, r, c, block.is_complex_sector, g, s, f)
+                    for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
+    return records
+
+
+def per_block_schmidt_entropies(maps, amplitudes, count):
+    """`_schmidt_entropies` of one block's `count` states, one Gram and one
+    `eigvalsh` call per entry and flip class, each entropy summed as soon as
+    its spectrum is found."""
+    values = np.zeros(count)
+    for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
+        amps = amplitudes(sel)
+        if mirror is None or not np.iscomplexobj(amps):
+            blocks = np.zeros((count,) + shape, dtype=amps.dtype)
+            blocks[:, rows, cols] = amps.T
+        else:
+            blocks = np.zeros((count,) + shape)
+            blocks[:, rows, cols] = amps.imag.T
+            blocks[:, rows, mirror] += amps.real.T
+        for part in _flip_classes(blocks) if flip_paired else (blocks,):
+            values += copies * schmidt_square_entropy(_schmidt_squares(part))
+    return values
+
+
+def per_block_resolve(spec, fraction=Fraction(1, 2)):
+    """`diagonalize_and_resolve` block by block: one `eigh` call per (k, J)
+    subspace and one `per_block_schmidt_entropies` pass per momentum block,
+    against the library's runs of blocks, which share their solves by
+    subspace size and one Schmidt pass."""
+    two_s, sites = spec.species.two_s, spec.sites
+    if fraction is not None:
+        cut = round(Fraction(fraction) * sites)
+        maps = _cut_maps(two_s, sites, cut)
+    coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
+    records = []
+    for block, subspaces in _spin_subspaces(two_s, sites):
+        parts, rots = [], []
+        for sub in subspaces:
+            h = sub.terms @ coeffs
+            energies, rot = np.linalg.eigh(h)
+            rots.append(rot)
+            parts.append((energies, np.full(len(rot), sub.two_j),
+                          np.abs(sub.j2_values @ rot**2 - sub.two_j / 2 * (sub.two_j / 2 + 1)),
+                          np.linalg.norm(h @ rot - rot * energies, axis=0) + np.abs(coeffs) @ sub.leakage))
+        energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
+        dim = len(energies)
+        scale = max(1.0, np.abs(energies).max())
+        by_energy = np.argsort(energies)
+        gaps = np.diff(energies[by_energy]) > RESIDUAL_TOL * scale
+        group = np.empty(dim, dtype=int)
+        group[by_energy] = np.concatenate(([0], np.cumsum(gaps)))
+        order = np.lexsort((two_js, group))
+        energies, two_js, j2_residuals, h_residuals = (
+            a[order] for a in (energies, two_js, j2_residuals, h_residuals))
+        flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
+        central = np.zeros(dim, dtype=bool)
+        central[_central_window(dim)] = True
+        gaussianity, entropy = np.full((2, dim), math.nan)
+        chosen = np.flatnonzero(central & ~flagged)
+        if chosen.size:
+            index = order[chosen]
+            picked = np.empty((dim, chosen.size))
+            lo = 0
+            for sub, rot in zip(subspaces, rots):
+                mine = np.flatnonzero((index >= lo) & (index < lo + len(rot)))
+                picked[:, mine] = sub.basis @ rot[:, index[mine] - lo]
+                lo += len(rot)
+            picked = block.to_momentum(picked)
+            gaussianity[chosen] = gaussianity_of_vector(picked)
+            if fraction is not None:
+                padded = np.vstack([picked, np.zeros((1, chosen.size), dtype=picked.dtype)])
+                phase = block.phase
+                if block.complex_sector:
+                    phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
+                entropy[chosen] = per_block_schmidt_entropies(
+                    maps, lambda sel: padded[block.position[sel]] * phase[sel, None], chosen.size)
+        columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
+        n, complex_sector = block.momentum_index, block.complex_sector
+        records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
                     for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
     return records
 

@@ -79,9 +79,10 @@ def test_alternating_fractions_match_uncached_maps(monkeypatch):
 
 
 def test_warm_ed_call_counts(monkeypatch):
-    # per momentum block: m_A = 1, 2, 3 once each and m_A = 0 as two flip
-    # classes, so 5 eigvalsh calls; no bond
-    # kernel once the H terms are cached; one Gaussianity call for the block
+    # the chain is one run: one eigh call per (k, J) subspace size (14 of
+    # them) and one eigvalsh call per Gram size (1, 6, 10, 15) over the Grams
+    # of every block; no bond kernel once the H terms are cached; one
+    # Gaussianity call per block
     spec = ss.ChainSpec(ss.HALF, 12, 3.0)
     ss.diagonalize_and_resolve(spec)
     calls = Counter()
@@ -95,10 +96,11 @@ def test_warm_ed_call_counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
+    count(np.linalg, "eigh")
     count(np.linalg, "eigvalsh")
     count(spectra, "bond_matrix_elements")
     count(su2, "bond_matrix_elements")
     count(spectra, "gaussianity_of_vector")
     ss.diagonalize_and_resolve(spec)
     blocks = 12 // 2 + 1
-    assert calls == {"eigvalsh": 5 * blocks, "gaussianity_of_vector": blocks}
+    assert calls == {"eigh": 14, "eigvalsh": 4, "gaussianity_of_vector": blocks}

@@ -664,8 +664,9 @@ class TestSd1:
         # at 2J = L the one pairing's column spans ~1e179 (L = 1200) and ~1e462
         # (L = 3080) from edge to peak, and each run of the recursion grows as
         # far again past the peak: neither its rescaling nor the join may
-        # underflow the rows kept.  The weights below EIGENVALUE_FLOOR that sd1
-        # drops add ~2e-11 at L = 3080
+        # underflow the rows kept.  The ~1.7e-11 gap at L = 3080 is the
+        # reference's: against a 40-digit sum sd1 errs by -1.5e-12, but
+        # max_spin_state_entropy's log-domain column by -1.9e-11
         expected = max_spin_state_entropy(sites, sites // 2)
         assert sd1_semianalytic(sites, sites, sites // 2) == pytest.approx(expected, abs=1e-10)
 

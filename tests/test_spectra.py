@@ -20,6 +20,7 @@ from oracles import (
     kron_hamiltonian,
     kron_spin_squared,
     momentum_blocks,
+    per_block_resolve,
     restrict_to_zero_magnetization,
     slice_amplitudes,
     slice_entropy_reference,
@@ -38,7 +39,7 @@ from spinsectors import (
     zero_magnetization_dim,
 )
 import spinsectors
-from spinsectors import cli, spectra
+from spinsectors import cli, ensembles, spectra
 from spinsectors.ensembles import slice_entanglement_entropy
 from spinsectors.spectra import (
     _bond_list,
@@ -480,9 +481,10 @@ class TestFlipReduction:
         _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_paths(maps, amplitudes, count):
-            reduced = kernel(maps, amplitudes, count)
-            full = slice_entanglement_entropy(amplitudes(np.arange(len(digits))), digits, range(cut))
+        def both_paths(maps, sources):
+            reduced = kernel(maps, sources)
+            states = np.hstack([amplitudes(np.arange(len(digits))) for amplitudes, _ in sources])
+            full = slice_entanglement_entropy(states, digits, range(cut))
             gaps.append(np.max(np.abs(reduced - full)))
             return reduced
 
@@ -490,23 +492,25 @@ class TestFlipReduction:
         monkeypatch.setattr(spectra, "_schmidt_entropies", both_paths)
         for cut in cuts:
             diagonalize_and_resolve(ChainSpec(species, sites, coupling), Fraction(cut, sites))
-        assert len(gaps) == len(cuts) * (sites // 2 + 1)
+        # one call per run, and each of these chains is one run
+        assert len(gaps) == len(cuts)
         assert max(gaps) <= 1e-12
 
     @pytest.mark.parametrize(
         "species,sites,coupling", [(HALF, 12, 0.0), (HALF, 12, 3.0), (ONE, 8, 0.0), (ONE, 8, 1.0), (ONE, 7, 0.0)]
     )
     def test_entropies_match_concatenated_spectra(self, monkeypatch, species, sites, coupling):
-        # one kernel call per Schmidt block, weighted by its copies, against
-        # every spectrum of a state concatenated and summed by one np.dot; at
-        # odd L or a cut other than L/2 the ED phase exp(ik cut/2) and its
-        # conjugate differ by more than a sign
+        # one kernel pass per run, each Schmidt block weighted by its copies,
+        # against every spectrum of a state concatenated and summed by one
+        # np.dot, block by block; at odd L or a cut other than L/2 the ED
+        # phase exp(ik cut/2) and its conjugate differ by more than a sign
         _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_routes(maps, amplitudes, count):
-            got = kernel(maps, amplitudes, count)
-            want = slice_entropy_reference(amplitudes(np.arange(len(digits))), digits, range(cut), maps)
+        def both_routes(maps, sources):
+            got = kernel(maps, sources)
+            want = np.concatenate([slice_entropy_reference(amplitudes(np.arange(len(digits))), digits,
+                                                           range(cut), maps) for amplitudes, _ in sources])
             gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
             return got
 
@@ -515,8 +519,92 @@ class TestFlipReduction:
         cuts = (sites // 2, sites // 2 - 1)
         for cut in cuts:
             diagonalize_and_resolve(ChainSpec(species, sites, coupling), Fraction(cut, sites))
-        assert len(gaps) == len(cuts) * (sites // 2 + 1)
+        # one call per run, and each of these chains is one run
+        assert len(gaps) == len(cuts)
         assert max(gaps) <= 32 * np.finfo(float).eps
+
+
+RUN_CHAINS = [(HALF, 8), (HALF, 10), (HALF, 12), (HALF, 14), (ONE, 7), (ONE, 8)]
+RUN_FRACTIONS = (Fraction(1, 4), Fraction(3, 8), Fraction(3, 7), Fraction(1, 2), Fraction(7, 10), None)
+
+
+def _record_bits(records):
+    """Every field of each record, floats as float.hex (so NaN and the sign of zero count)."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in astuple(r)) for r in records]
+
+
+class TestRuns:
+    # a run of momentum blocks solves its (k, J) subspaces of one size by one
+    # eigh call and makes one Schmidt pass; LAPACK and BLAS still run once per
+    # matrix, so every record is bitwise that of the block-by-block loop, for
+    # runs of one block (STACK_BYTES = 1), the default runs and one run of the
+    # whole chain (1 << 40).  No tolerance would do: at coupling 0 the
+    # degenerate clusters move entropies by up to ~0.26 when H moves by ~1e-15.
+    @pytest.mark.parametrize("species,sites", RUN_CHAINS)
+    def test_records_equal_per_block_loop_bitwise(self, monkeypatch, species, sites):
+        default = ensembles.STACK_BYTES
+        for coupling in (0.0, 3.0):
+            spec = ChainSpec(species, sites, coupling)
+            for fraction in RUN_FRACTIONS:
+                want = _record_bits(per_block_resolve(spec, fraction))
+                for stack_bytes in (default, 1, 1 << 40):
+                    monkeypatch.setattr(ensembles, "STACK_BYTES", stack_bytes)
+                    got = _record_bits(diagonalize_and_resolve(spec, fraction))
+                    assert got == want, (coupling, fraction, stack_bytes)
+
+    def test_one_eigh_call_per_size_and_one_eigvalsh_call_per_gram_size(self, monkeypatch):
+        # a warm spin-1/2 L = 12 chain at f = 1/2 is one run: 42 (k, J)
+        # subspaces of 14 sizes, and 7 blocks of 5 Grams each (m_A = 1, 2, 3
+        # and the two flip classes of m_A = 0) of sizes 15, 6, 1, 10 and 10
+        spec = ChainSpec(HALF, 12, 3.0)
+        diagonalize_and_resolve(spec)
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, calls in shapes.items():
+            def counted(a, *args, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
+                _calls.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_block_resolve(spec)
+        assert (len(shapes["eigh"]), len(shapes["eigvalsh"])) == (42, 35)
+        for calls in shapes.values():
+            calls.clear()
+        diagonalize_and_resolve(spec)
+        assert len(shapes["eigh"]) == len({shape[-1] for shape in shapes["eigh"]}) == 14
+        assert sorted(shape[-1] for shape in shapes["eigvalsh"]) == [1, 6, 10, 15]
+
+    @pytest.mark.parametrize("species,sites,runs", [(HALF, 12, 1), (HALF, 14, 4), (ONE, 8, 1)])
+    def test_runs_fill_stack_bytes_in_order(self, species, sites, runs):
+        # runs split the chain in order; each takes blocks while its Schmidt
+        # stacks, central states x the largest entry x 8 bytes, fit in
+        # STACK_BYTES, and at L = 12 the whole chain takes 348,800 bytes
+        chain = spectra._spin_subspaces(species.two_s, sites)
+        largest = max(math.prod(entry[3]) for entry in spectra._cut_maps(species.two_s, sites, sites // 2))
+        planned = spectra._runs(chain, largest)
+        assert [link for run in planned for link in run] == list(chain) and len(planned) == runs
+
+        def size(links):
+            return sum(len(spectra._central_window(len(block.reps))) for block, _ in links) * largest * 8
+
+        for run, following in zip(planned, planned[1:] + [[]]):
+            assert len(run) == 1 or size(run) <= ensembles.STACK_BYTES
+            assert not following or size(run + following[:1]) > ensembles.STACK_BYTES
+        if (species, sites) == (HALF, 12):
+            assert size(chain) == 348_800
+
+    def test_sources_of_either_dtype_share_a_pass(self):
+        # a complex source turns the whole stack complex; each state's entropy
+        # stays that of its own source's pass
+        two_s, sites, cut = 1, 8, 3
+        _, digits = configuration_space(two_s, sites, 0)
+        maps = [(*entry, None) for entry in ensembles.bipartition_maps(digits, range(cut))]
+        rng = np.random.default_rng(3)
+        states = [rng.normal(size=(len(digits), 3)),
+                  rng.normal(size=(len(digits), 2)) + 1j * rng.normal(size=(len(digits), 2))]
+        states = [x / np.linalg.norm(x, axis=0) for x in states]
+        got = ensembles._schmidt_entropies(maps, [(x.__getitem__, x.shape[1]) for x in states])
+        want = [ensembles._schmidt_entropies(maps, [(x.__getitem__, x.shape[1])]) for x in states]
+        np.testing.assert_allclose(got, np.concatenate(want), rtol=0, atol=1e-13)
 
 
 class TestSpinSquared:
