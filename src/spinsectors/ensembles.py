@@ -178,10 +178,9 @@ def _schmidt_entropies(maps, sources):
     lists (amplitudes, count) pairs: `amplitudes(sel)` gives configurations
     `sel` as rows, one column for each of the source's `count` states; the
     entropies follow the sources in order.  Each entry fills one stack with
-    the states of every source, then splits it into flip classes and forms
-    one Gram per class, and `_eigvalsh_by_size` diagonalizes all Grams of one
-    size by one call; each state's entropy is still summed entry by entry.
-    An entry whose spectrum counts `copies` times or whose rows
+    the states of every source, splits it into flip classes and diagonalizes
+    each class's Gram stack by one `eigvalsh` call before the next entry is
+    filled.  An entry whose spectrum counts `copies` times or whose rows
     split into flip classes is exact only for states the global spin flip
     maps to +-themselves, whose Schmidt blocks at -m_A mirror those at m_A
     and commute with the flip at m_A = 0.
@@ -193,7 +192,7 @@ def _schmidt_entropies(maps, sources):
     V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and
     W alike for Pi', so N has M's singular values, flip class by flip class."""
     bounds = [0, *accumulate(count for _, count in sources)]
-    weights, grams = [], []
+    values = np.zeros(bounds[-1])
     for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
         amps = [amplitudes(sel) for amplitudes, _ in sources]
         complex_blocks = mirror is None and any(np.iscomplexobj(a) for a in amps)
@@ -205,11 +204,7 @@ def _schmidt_entropies(maps, sources):
                 blocks[lo:hi, rows, cols] = a.imag.T
                 blocks[lo:hi, rows, mirror] += a.real.T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
-            weights.append(copies)
-            grams.append(_gram(part))
-    values = np.zeros(bounds[-1])
-    for copies, lam in zip(weights, _eigvalsh_by_size(grams)):
-        values += copies * schmidt_square_entropy(lam)
+            values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values
 
 
@@ -284,12 +279,15 @@ def fixed_filling_average(filling, sites, cut):
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
     cut = _mirror_cut(sites, cut)
     f = Fraction(cut, sites)
-    nf = float(n)
-    value = -(nf * math.log(nf) + (1 - nf) * math.log(1 - nf)) * cut
+    m = 1 - n
+    nf, mf = float(n), float(m)
+    # ln n and ln(1-n) stay finite for every n in (0, 1): where a float
+    # underflows to 0.0, its ln comes from the Fraction's integers
+    log_n, log_m = (math.log(xf) if xf else math.log(x.numerator) - math.log(x.denominator)
+                    for x, xf in ((n, nf), (m, mf)))
+    value = -(nf * log_n + mf * log_m) * cut
     if f == Fraction(1, 2):
-        value -= math.sqrt(nf * (1 - nf) / (2 * math.pi)) * abs(
-            math.log((1 - nf) / nf)
-        ) * math.sqrt(sites)
+        value -= math.sqrt(nf * mf / (2 * math.pi)) * abs(log_m - log_n) * math.sqrt(sites)
         if n == Fraction(1, 2):
             value -= 0.5
     value += (float(f) + math.log(1 - float(f))) / 2.0

@@ -23,7 +23,8 @@ one real n_J-sized solve per subspace.  The chain is worked through in runs
 of consecutive momentum blocks whose Schmidt stacks fit in
 `ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
 one `eigh` call and makes one Schmidt pass over the central states of all
-its blocks, with one `eigvalsh` call per Gram size.  LAPACK and BLAS run
+its blocks, with one `eigvalsh` call per Schmidt entry and flip class; its
+records take their entropies once the pass is done.  LAPACK and BLAS run
 once per matrix of a stack, so the records are bitwise those of a block by
 block solve.  The Schmidt maps are flip-reduced:
 a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
@@ -91,6 +92,10 @@ class ChainSpec:
         if (isinstance(self.coupling, bool) or not isinstance(self.coupling, numbers.Real)
                 or not math.isfinite(self.coupling)):
             raise ValueError(f"coupling must be a finite real number, got {self.coupling!r}")
+        # an input range, not a tolerance: under MAX_SITES the energies and the
+        # squares that form the H residual norms then stay inside float range
+        if abs(self.coupling) > 1e100:
+            raise ValueError(f"|coupling| must be at most 1e100, got {self.coupling!r}")
         # stored as a float: a Fraction would reach eigh as an object array
         object.__setattr__(self, "coupling", float(self.coupling))
         _check_zero_jz(self.species, self.sites)
@@ -476,7 +481,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     records = []
     for run in _runs(_spin_subspaces(two_s, sites), largest):
         solved = iter(_solve([sub for _, subspaces in run for sub in subspaces], coeffs))
-        pending, sources = [], []  # per block: its chosen records, entropies and record columns
+        targets, sources = [], []  # the chosen records, in the order of the sources' columns
         for block, subspaces in run:
             rots, parts = zip(*(next(solved) for _ in subspaces))
             energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
@@ -495,7 +500,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
             flagged = (j2_residuals > RESIDUAL_TOL) | (h_residuals > RESIDUAL_TOL * scale)
             central = np.zeros(dim, dtype=bool)
             central[_central_window(dim)] = True
-            gaussianity, entropy = np.full((2, dim), math.nan)
+            gaussianity = np.full(dim, math.nan)
             chosen = np.flatnonzero(central & ~flagged)
             if chosen.size:
                 # real eigenvectors Q_J x of the chosen records, then U to the momentum basis
@@ -508,19 +513,17 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
                     lo += len(rot)
                 picked = block.to_momentum(picked)
                 gaussianity[chosen] = gaussianity_of_vector(picked)
-                if fraction is not None:
-                    sources.append(_amplitude_source(block, picked, cut, sites))
-            pending.append((block, chosen, entropy,
-                            (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)))
-        if sources:
-            values = _schmidt_entropies(maps, sources)
-            bounds = np.cumsum([len(chosen) for _, chosen, _, _ in pending])[:-1]
-            for (_, chosen, entropy, _), part in zip(pending, np.split(values, bounds)):
-                entropy[chosen] = part
-        for block, _, _, columns in pending:
             n, complex_sector = block.momentum_index, block.complex_sector
-            records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)
-                        for e, j, r, c, g, s, f in zip(*(a.tolist() for a in columns))]
+            block_records = [EigenstateRecord(e, n, j, r, c, complex_sector, g, flagged=f)
+                             for e, j, r, c, g, f in zip(*(a.tolist() for a in (
+                                 energies, two_js, j2_residuals, central, gaussianity, flagged)))]
+            records += block_records
+            if chosen.size and fraction is not None:
+                sources.append(_amplitude_source(block, picked, cut, sites))
+                targets += [block_records[i] for i in chosen.tolist()]
+        if sources:
+            for record, value in zip(targets, _schmidt_entropies(maps, sources).tolist()):
+                record.entropy = value
     return records
 
 

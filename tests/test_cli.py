@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -503,6 +504,17 @@ class TestEd:
         monkeypatch.setattr(cli, "ChainSpec", forbidden)
         with pytest.raises(SystemExit, match=f"^error: coupling: expects a number, got '{value}'$"):
             main(["ed", "--L", "8", "--coupling", f"1,{value}"])
+
+    def test_couplings_past_1e100_refused_and_1e100_resolved(self, tmp_path):
+        with pytest.raises(SystemExit, match=r"^error: \|coupling\| must be at most 1e100, got 1e\+101$"):
+            main(["ed", "--L", "10", "--coupling", "1e101"])
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            main(["ed", "--L", "10", "--coupling=-1e100,1e100", "--two-J", "0", "--out", str(out)])
+        _, rows = read_rows(out)
+        assert [r["coupling"] for r in rows] == ["-1e+100", "1e+100"]
+        assert all(int(r["count"]) > 0 and math.isfinite(float(r["mean"])) for r in rows)
 
     def test_cap_produces_size_error(self, tmp_path):
         with pytest.raises(SystemExit, match="cap"):

@@ -471,6 +471,18 @@ class TestPageAverages:
         expected = 5 * math.log(2) + (0.25 + math.log(0.75)) / 2
         assert fixed_filling_average(0.5, 20, 5) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("filling", [Fraction(5e-324), Fraction(1, 10**400)], ids=["subnormal", "1e-400"])
+    def test_fixed_filling_at_extreme_fillings_is_finite(self, filling):
+        # ln((1-n)/n) overflowed to inf times a zero root (NaN) at 5e-324, and
+        # float(n) = 0.0 raised a math domain error at 1e-400; n and 1 - n give
+        # the same value, which tends to (f + ln(1-f))/2 as n -> 0
+        for cut in (5, 3):
+            limit = (cut / 10 + math.log(1 - cut / 10)) / 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = [fixed_filling_average(n, 10, cut) for n in (filling, 1 - filling)]
+            assert values[0] == values[1] == pytest.approx(limit, abs=1e-12)
+
     def test_fixed_filling_volume_coefficient(self):
         # leading term per site approaches the binary Shannon entropy of the filling
         shannon = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import astuple
@@ -552,10 +553,11 @@ class TestRuns:
                     got = _record_bits(diagonalize_and_resolve(spec, fraction))
                     assert got == want, (coupling, fraction, stack_bytes)
 
-    def test_one_eigh_call_per_size_and_one_eigvalsh_call_per_gram_size(self, monkeypatch):
+    def test_one_eigh_call_per_size_and_one_eigvalsh_call_per_entry_and_flip_class(self, monkeypatch):
         # a warm spin-1/2 L = 12 chain at f = 1/2 is one run: 42 (k, J)
-        # subspaces of 14 sizes, and 7 blocks of 5 Grams each (m_A = 1, 2, 3
-        # and the two flip classes of m_A = 0) of sizes 15, 6, 1, 10 and 10
+        # subspaces of 14 sizes, and 5 Gram stacks over the central states of
+        # all 7 blocks (m_A = 1, 2, 3 and the two flip classes of m_A = 0) of
+        # sizes 15, 6, 1, 10 and 10
         spec = ChainSpec(HALF, 12, 3.0)
         diagonalize_and_resolve(spec)
         shapes = {"eigh": [], "eigvalsh": []}
@@ -571,7 +573,32 @@ class TestRuns:
             calls.clear()
         diagonalize_and_resolve(spec)
         assert len(shapes["eigh"]) == len({shape[-1] for shape in shapes["eigh"]}) == 14
-        assert sorted(shape[-1] for shape in shapes["eigvalsh"]) == [1, 6, 10, 15]
+        assert sorted(shape[-1] for shape in shapes["eigvalsh"]) == [1, 6, 10, 10, 15]
+
+    def test_each_entry_is_diagonalized_before_the_next_is_filled(self, monkeypatch):
+        # at most one entry's Grams are alive: every Gram stack of an entry
+        # goes to eigvalsh before the next entry's stack is filled
+        maps = spectra._cut_maps(1, 10, 4)
+        assert any(entry[5] for entry in maps) and len(maps) > 2
+        rng = np.random.default_rng(7)
+        dim = len(configuration_space(1, 10, 0)[0])
+        states = [rng.normal(size=(dim, 2)), rng.normal(size=(dim, 3))]
+        events = []
+
+        def logged(name, original):
+            def call(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        sources = [(logged("fill", x.__getitem__), x.shape[1]) for x in states]
+        monkeypatch.setattr(ensembles, "_gram", logged("gram", ensembles._gram))
+        monkeypatch.setattr(np.linalg, "eigvalsh", logged("eigvalsh", np.linalg.eigvalsh))
+        ensembles._schmidt_entropies(maps, sources)
+        want = []
+        for entry in maps:
+            want += ["fill"] * len(sources) + ["gram", "eigvalsh"] * (2 if entry[5] else 1)
+        assert events == want
 
     @pytest.mark.parametrize("species,sites,runs", [(HALF, 12, 1), (HALF, 14, 4), (ONE, 8, 1)])
     def test_runs_fill_stack_bytes_in_order(self, species, sites, runs):
@@ -673,6 +700,20 @@ class TestResolution:
             assert sum(counts.values()) == configuration_space(species.two_s, sites, 0)[0].size
             for two_j, count in counts.items():
                 assert count == multiplicity(species, sites, two_j)
+
+    @pytest.mark.parametrize("species,sites", [(HALF, 12), (ONE, 8)])
+    def test_couplings_up_to_1e100_resolve_unflagged_and_larger_are_refused(self, species, sites):
+        # from |c| ~ 1e170 the H residual norms overflowed: records were
+        # flagged wrongly, with a RuntimeWarning
+        for coupling in (-1e100, 1e100):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                records = diagonalize_and_resolve(ChainSpec(species, sites, coupling))
+            assert not any(r.flagged for r in records)
+            assert any(not math.isnan(r.entropy) for r in records)
+        for coupling in (1e101, -1e101, 1e308):
+            with pytest.raises(ValueError, match=r"^\|coupling\| must be at most 1e100, got "):
+                ChainSpec(species, sites, coupling)
 
     def test_su2_breaking_hamiltonian_is_flagged(self, monkeypatch):
         # a 1e-3 random diagonal term in the H bond terms of block n = 1 only,
