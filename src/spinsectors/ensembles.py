@@ -14,8 +14,8 @@ takes one normal call from the seed sequence (seed, i), scattered into W
 through a map the geometry caches.  A run is one list of stacks, each
 worker's share of the samples cut into stacks of at most `STACK_BYTES` of W
 (a W larger than that is a stack of one), and a process pool never has more
-processes than stacks.  A stack is one job: one norm pass over its samples,
-one Gram product per Schmidt block and one `eigvalsh` call per Gram size.
+processes than stacks.  A stack is one job: one norm pass over its samples, and
+one Gram product and one `eigvalsh` call per Schmidt block.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -65,8 +65,8 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
-# Monte Carlo draws this many bytes of W per stack: the samples of one stack
-# share one norm pass, every Gram product and one eigvalsh call per Gram size
+# Monte Carlo draws this many bytes of W per stack, whose samples share one norm
+# pass and one eigvalsh call per Schmidt block; ED runs and CG table chunks fit in it too
 STACK_BYTES = 1 << 20
 
 
@@ -418,8 +418,15 @@ class CoupledPairGeometry:
 
     @cached_property
     def cg_columns(self):
-        """Read-only c_m(J; J_A, J_B) of each pairing, m = min(J_A, J_B) descending, then 0."""
-        return dict(zip(self.pairs, _cg_solve(*np.array(self.pairs).T, self.two_j, 0).T))
+        """Read-only c_m(J; J_A, J_B) of each pairing, m = min(J_A, J_B) descending, then 0,
+        solved by min(J_A, J_B) in consecutive chunks whose padded columns fit in STACK_BYTES."""
+        order, starts, columns = sorted(self.pairs, key=min), [0], {}
+        for k, pair in enumerate(order):
+            if k > starts[-1] and 8 * (k + 1 - starts[-1]) * (min(pair) + 1) > STACK_BYTES:
+                starts.append(k)
+        for a, b in zip(starts, starts[1:] + [len(order)]):
+            columns.update(zip(order[a:b], _cg_solve(*np.array(order[a:b]).T, self.two_j, 0).T))
+        return {pair: columns[pair] for pair in self.pairs}
 
     def cg_coefficient(self, two_ja, two_jb, two_m):
         """c_m(J; J_A, J_B) of spins from `ja_list` and `jb_list`, m of J_A's parity:
@@ -596,48 +603,26 @@ def _entropies_from_blocks(geo, w, methods):
     """Entropies of the requested methods for one W or a stack of them (leading
     axis): floats for one W, arrays of one value per sample for a stack.
 
-    Every Gram is formed first and diagonalized by `_eigvalsh_by_size`; the
-    entropies are then summed block by block, in the order of the blocks."""
+    Each Schmidt block is diagonalized as soon as its Gram is formed, by one
+    `eigvalsh` call over the stack, and its entropy summed at once."""
     out = dict.fromkeys(methods, 0.0)
-    keys, grams = [], []  # (method, copies or sd2 pair) of each Gram, in the order of summing
     if "full" in out or "sd1" in out:
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
         for index, weights, sd1_parts, copies in geo.m_blocks:
             shape = w.shape[:-2] + weights.shape
             x = np.multiply(weights, w[(Ellipsis,) + index], out=buf[: math.prod(shape)].reshape(shape))
             if "full" in out:
-                keys.append(("full", copies))
-                grams.append(_gram(x))
+                out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
             for part in sd1_parts if "sd1" in out else ():
-                keys.append(("sd1", copies))
-                grams.append(_gram(x[(Ellipsis,) + part]))
+                out["sd1"] += copies * schmidt_square_entropy(_schmidt_squares(x[(Ellipsis,) + part]))
     if "sd2" in out:
         blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
         trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
         for pair, block in blocks.items():
-            keys.append(("sd2", pair))
-            grams.append(_gram(block))
-    for (method, key), lam in zip(keys, _eigvalsh_by_size(grams)):
-        if method == "sd2":
-            lam = lam / np.expand_dims(trace, -1)
-            outer = geo.sd2_weights[key][:, None] * lam[..., None, :]
+            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
+            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
             out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
-        else:
-            out[method] += key * schmidt_square_entropy(lam)
     return out
-
-
-def _eigvalsh_by_size(grams):
-    """The spectra of `grams` in order, from one `eigvalsh` call per Gram size
-    (a Gram whose size occurs once is not copied).  LAPACK runs once per
-    matrix of a stack, so each spectrum is bitwise that of its own call."""
-    spectra = [None] * len(grams)
-    for size in {gram.shape[-1] for gram in grams}:
-        group = [i for i, gram in enumerate(grams) if gram.shape[-1] == size]
-        stacked = grams[group[0]][None] if len(group) == 1 else np.stack([grams[i] for i in group])
-        for i, lam in zip(group, np.linalg.eigvalsh(stacked)):
-            spectra[i] = lam
-    return spectra
 
 
 def _stack_entropies(sites, two_j, cut, seed, methods, complex_coefficients, stack):

@@ -40,7 +40,8 @@ The library calls none of these; the tests compare it against them.
   per (J_A, J_B) pair for complex coefficients, against the sampler's one
   call scattered through the geometry's draw map.
 - `per_block_entropies`: Monte Carlo entropies from one `eigvalsh` call per
-  Schmidt block, against the sampler's one call per Gram size.
+  Schmidt block, each product in a fresh array, against the sampler's one
+  product buffer reused by every block.
 - `concatenated_entropy`, `sampler_entropies_reference`,
   `slice_entropy_reference`: Monte Carlo and slice entropies from all Schmidt
   spectra of a state concatenated, each repeated by its copies, and one

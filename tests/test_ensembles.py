@@ -1060,8 +1060,8 @@ class TestStackedSamples:
 
 
 class TestGramSizes:
-    # the Schmidt pass forms every Gram first and diagonalizes all Grams of one
-    # size by one eigvalsh call; LAPACK still runs once per matrix
+    # the Schmidt pass diagonalizes each block's Gram, one eigvalsh call over
+    # the stack, before it forms the next; LAPACK runs once per matrix
     @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
     @pytest.mark.parametrize("complex_coefficients", [False, True])
     def test_grouped_pass_equals_per_block_loop_bitwise(self, sites, two_j, cut, complex_coefficients):
@@ -1075,9 +1075,9 @@ class TestGramSizes:
                 assert np.array_equal(np.float64(got[method]).view(np.uint64),
                                       np.float64(want[method]).view(np.uint64)), method
 
-    def test_one_eigvalsh_call_per_gram_size(self, monkeypatch):
+    def test_one_eigvalsh_call_per_schmidt_block(self, monkeypatch):
         # a 20-sample stack of (12, 6, 6) with full, sd1 and sd2 has 19 Grams
-        # of 5 sizes, 8 of them 1 x 1
+        # of 5 sizes, 8 of them 1 x 1, each diagonalized by its own stacked call
         geo = coupled_geometry(12, 6, 6)
         stack = np.array([draw_w((59, i), geo, True) for i in range(20)])
         eigvalsh = np.linalg.eigvalsh
@@ -1089,11 +1089,37 @@ class TestGramSizes:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         oracles.per_block_entropies(geo, stack, ensembles.ENSEMBLE_METHODS)
-        assert len(sizes) == 19 and len({shape[-1] for shape in sizes}) == 5
-        assert sum(shape[-1] == 1 for shape in sizes) == 8
+        want = sizes[:]
+        assert len(want) == 19 and len({shape[-1] for shape in want}) == 5
+        assert sum(shape[-1] == 1 for shape in want) == 8
+        assert all(shape[0] == 20 for shape in want)
         sizes.clear()
         _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
-        assert len(sizes) == 5 and len({shape[-1] for shape in sizes}) == 5
+        assert sizes == want
+
+    def test_each_gram_diagonalized_before_the_next_is_formed(self, monkeypatch):
+        # no Gram of a stack outlives its block: the pass alternates one Gram
+        # product and one eigvalsh call of that Gram, for every method
+        geo = coupled_geometry(12, 6, 6)
+        stack = np.array([draw_w((61, i), geo, True) for i in range(6)])
+        gram, eigvalsh = ensembles._gram, np.linalg.eigvalsh
+        log = []
+
+        def logged_gram(x):
+            log.append(("gram", gram(x)))
+            return log[-1][1]
+
+        def logged_eigvalsh(a, *args, **kwargs):
+            log.append(("eigvalsh", a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles, "_gram", logged_gram)
+        monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
+        _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
+        assert len(log) == 2 * 19
+        for (formed, g), (solved, a) in zip(log[::2], log[1::2]):
+            assert (formed, solved) == ("gram", "eigvalsh")
+            assert a is g
 
 
 class TestGeometry:
@@ -1294,6 +1320,44 @@ class TestGeometry:
                         scalar, exact = seen[ja, jb, two_j]
                         assert np.array_equal(column.view(np.uint64), scalar.view(np.uint64)), (ja, jb, two_j)
                         assert np.abs(column - exact).max() <= 1e-15, (ja, jb, two_j)
+
+    @pytest.mark.parametrize("sites,two_j,cut,stack_bytes", [
+        (12, 4, 5, 1), (16, 0, 8, 1), (24, 8, 12, 1), (24, 8, 12, 8 * 40), (20, 4, 9, 8 * 30),
+        (24, 0, 12, 8 * 20), (300, 100, 150, None)])
+    def test_cg_chunks_equal_one_padded_call_bitwise(self, monkeypatch, sites, two_j, cut, stack_bytes):
+        # the table is solved in chunks sorted by min(J_A, J_B), each padded to
+        # its longest column within STACK_BYTES (a longer column alone); every
+        # column equals that of one call over all pairings, zero past its end
+        geo = CoupledPairGeometry(sites, two_j, cut)
+        one_call = su2._cg_solve(*np.array(geo.pairs).T, two_j, 0).T
+        solve, shapes = ensembles._cg_solve, []
+
+        def logged(*args):
+            columns = solve(*args)
+            shapes.append(columns.shape)
+            return columns
+
+        if stack_bytes is not None:
+            monkeypatch.setattr(ensembles, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(ensembles, "_cg_solve", logged)
+        table = geo.cg_columns
+        assert len(shapes) >= 3 and sum(n for _, n in shapes) == len(geo.pairs)
+        assert all(8 * rows * n <= ensembles.STACK_BYTES or n == 1 for rows, n in shapes)
+        assert list(table) == geo.pairs
+        for (ja, jb), column, want in zip(geo.pairs, table.values(), one_call):
+            mm = min(ja, jb)
+            assert not column[mm + 1:].any() and not column.flags.writeable
+            assert np.array_equal(column[:mm + 1].view(np.uint64), want[:mm + 1].view(np.uint64))
+
+    def test_small_geometries_solve_their_table_in_one_call(self, monkeypatch):
+        # L <= 40 tables (at most 13,608 padded bytes) and both benchmark
+        # Monte Carlo geometries fit in STACK_BYTES: one call each, as before chunking
+        calls = []
+        solve = ensembles._cg_solve
+        monkeypatch.setattr(ensembles, "_cg_solve", lambda *args: calls.append(1) or solve(*args))
+        for sites, two_j, cut in ((40, 0, 20), (40, 20, 20), (40, 2, 13), (12, 6, 6), (20, 2, 10)):
+            CoupledPairGeometry(sites, two_j, cut).cg_columns
+        assert len(calls) == 5
 
     def test_closed_forms_run_no_racah_sum(self, monkeypatch):
         # the closed forms need multiplicities and stretched weight columns
