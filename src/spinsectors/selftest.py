@@ -33,7 +33,7 @@ from .ensembles import (
 )
 from .special import EULER_GAMMA, digamma
 from .spectra import RESIDUAL_TOL, ChainSpec, _bond_list, _spin_subspaces, diagonalize_and_resolve
-from .su2 import bond_matrix_elements, clebsch_gordan, configuration_space, stretched_weight_logs
+from .su2 import _stretched_columns, bond_matrix_elements, clebsch_gordan, configuration_space
 
 _TRIANGLE = {
     0: {0: 1},
@@ -112,12 +112,12 @@ def _check_stretched():
     # each column against C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B)
     comb = math.comb
     pairs = [(two_ja, two_jb) for two_ja in range(13) for two_jb in range(two_ja % 2, 13, 2)]
-    for (two_ja, two_jb), logs in zip(pairs, stretched_weight_logs(pairs)):
+    for (two_ja, two_jb), logs in zip(pairs, _stretched_columns(pairs)):
         mm, n = min(two_ja, two_jb), two_ja + two_jb
         exact = [Fraction(comb(two_ja, (two_ja - m) // 2) * comb(two_jb, (two_jb + m) // 2),
                           comb(n, n // 2)) for m in range(-mm, mm + 1, 2)]
         assert np.allclose(np.exp(logs), np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
-    column, wide = (np.exp(logs) for logs in stretched_weight_logs([(6, 10), (500, 500)]))
+    column, wide = (np.exp(logs) for logs in _stretched_columns([(6, 10), (500, 500)]))
     assert abs(column.sum() - 1.0) < 1e-12
     half_m = np.arange(-500, 501, 2) / 2.0
     var = np.sum(half_m**2 * wide)

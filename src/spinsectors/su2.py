@@ -13,7 +13,7 @@ import numpy as np
 
 from .combinatorics import _is_integer
 
-STRETCHED_PASS = 1 << 13  # bounds the temporaries of `stretched_weight_logs`
+STRETCHED_PASS = 1 << 13  # bounds the temporaries of one pass of `_stretched_columns`
 
 __all__ = [
     "clebsch_gordan",
@@ -118,25 +118,15 @@ def _lnfact_table(size):
     return _LNFACT
 
 
-def stretched_weight_logs(pairs):
+def _stretched_columns(pairs):
     """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column |m| <=
     min(J_A, J_B), m ascending, of each (two_ja, two_jb) in `pairs`, stable for
     large spins: an iterator over passes of ~STRETCHED_PASS entries each.
 
     Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
-    each binomial from the process's one ln k! table.
+    each binomial from the process's one ln k! table.  No spin is checked: the
+    callers pass pairs from a checked cut or geometry.
     """
-    for two_ja, two_jb in pairs:
-        # a non-integer spin also stands in for m, as min() of a str and an int raises TypeError
-        int_a, int_b = _is_integer(two_ja), _is_integer(two_jb)
-        mm = min(two_ja, two_jb) if int_a and int_b else two_jb if int_a else two_ja
-        _check_momentum(two_ja, mm, "J_A")
-        _check_momentum(two_jb, mm, "J_B")
-    return _stretched_columns(pairs)
-
-
-def _stretched_columns(pairs):
-    """`stretched_weight_logs` of pairs that a caller has already checked."""
     ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
     bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]

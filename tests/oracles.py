@@ -39,9 +39,6 @@ The library calls none of these; the tests compare it against them.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
   per (J_A, J_B) pair for complex coefficients, against the sampler's one
   call scattered through the geometry's draw map.
-- `per_block_entropies`: Monte Carlo entropies from one `eigvalsh` call per
-  Schmidt block, each product in a fresh array, against the sampler's one
-  product buffer reused by every block.
 - `concatenated_entropy`, `sampler_entropies_reference`,
   `slice_entropy_reference`: Monte Carlo and slice entropies from all Schmidt
   spectra of a state concatenated, each repeated by its copies, and one
@@ -214,7 +211,7 @@ def stretched_weight(two_ja, two_jb, two_m):
 
 def stretched_column_logs(two_ja, two_jb):
     """One pair's whole stretched column, m ascending, in the float operations
-    of `stretched_weight_logs` on the same ln k! table."""
+    of `_stretched_columns` on the same ln k! table."""
     mm = min(two_ja, two_jb)
     _check_momentum(two_ja, mm, "J_A")
     _check_momentum(two_jb, mm, "J_B")
@@ -285,7 +282,9 @@ def sd1_reference(sites, two_j, cut):
             column = np.array([clebsch_gordan(two_ja, two_m, two_jb, -two_m, two_j, 0) ** 2
                                for two_m in range(-two_ja, two_ja + 1, 2)])
             p_m += nb[two_jb] / nb_eff * column
-        blocks.append((spin_half_multiplicity(cut, two_ja), nb_eff, schmidt_square_entropy(p_m)))
+        kept = np.where(p_m > 0.0, p_m, 1.0)  # exact weights: every positive one counts
+        s_m = float(np.maximum(0.0 - np.vecdot(kept, np.log(kept)), 0.0))
+        blocks.append((spin_half_multiplicity(cut, two_ja), nb_eff, s_m))
     return _page_block_sum(blocks)
 
 
@@ -553,30 +552,6 @@ def concatenated_entropy(parts):
     return values[0] if lam.ndim == 1 else np.array(values)
 
 
-def per_block_entropies(geo, w, methods):
-    """The sampler's full, sd1 and sd2 entropies of one W or a stack of them,
-    one Gram and one `eigvalsh` call per Schmidt block, each block's entropy
-    summed as soon as it is diagonalized.  Each m-block product is formed
-    C-ordered, as the sampler forms it, so its Gram is the same BLAS call."""
-    out = dict.fromkeys(methods, 0.0)
-    if "full" in out or "sd1" in out:
-        for index, weights, sd1_parts, copies in geo.m_blocks:
-            x = np.empty(w.shape[:-2] + weights.shape, dtype=w.dtype)
-            np.multiply(weights, w[(Ellipsis,) + index], out=x)
-            if "full" in out:
-                out["full"] += copies * schmidt_square_entropy(_schmidt_squares(x))
-            for part in sd1_parts if "sd1" in out else ():
-                out["sd1"] += copies * schmidt_square_entropy(_schmidt_squares(x[(Ellipsis,) + part]))
-    if "sd2" in out:
-        blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
-        trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
-        for pair, block in blocks.items():
-            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
-            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
-            out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
-    return out
-
-
 def sampler_entropies_reference(geo, w, methods):
     """The sampler's full, sd1 and sd2 entropies of one W or a stack of them,
     from the geometry's Schmidt blocks through `concatenated_entropy`."""
@@ -592,7 +567,8 @@ def sampler_entropies_reference(geo, w, methods):
         trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
         for pair, block in blocks.items():
             lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
-            outer = geo.sd2_weights[pair][:, None] * lam[..., None, :]
+            weights = geo.cg_columns[pair][: min(pair) + 1][::-1] ** 2  # c_m**2, m ascending
+            outer = weights[:, None] * lam[..., None, :]
             parts["sd2"].append((outer.reshape(lam.shape[:-1] + (-1,)), 1))
     return {method: concatenated_entropy(p) for method, p in parts.items()}
 

@@ -182,8 +182,6 @@ SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
                  id="cg-float-m"),
     pytest.param(lambda: su2.clebsch_gordan("1", 1, 1, -1, 0, 0), "j1: two_j='1' and two_m=1 must be integers",
                  id="cg-string"),
-    pytest.param(lambda: su2.stretched_weight_logs([(2.0, 2)]), "J_A: two_j=2.0 and two_m=2.0 must be integers",
-                 id="stretched-float"),
     pytest.param(lambda: CoupledPairGeometry(8, True, 4), "two_j must be an integer, got True",
                  id="geometry-two_j-bool"),
 ])
@@ -677,10 +675,24 @@ class TestSd1:
         # (L = 3080) from edge to peak, and each run of the recursion grows as
         # far again past the peak: neither its rescaling nor the join may
         # underflow the rows kept.  The ~1.7e-11 gap at L = 3080 is the
-        # reference's: against a 40-digit sum sd1 errs by -1.5e-12, but
+        # reference's: against a 40-digit sum sd1 errs by 2e-15, but
         # max_spin_state_entropy's log-domain column by -1.9e-11
         expected = max_spin_state_entropy(sites, sites // 2)
         assert sd1_semianalytic(sites, sites, sites // 2) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("sites", [400, 1000, 2000])
+    def test_semianalytic_keeps_weights_below_the_eigenvalue_floor(self, sites):
+        # at 2J = L the row is the stretched state's -sum w ln w.  Its exact
+        # weights went through the Monte Carlo floor, which dropped those below
+        # 1e-14 (124 at L = 400, 832 at L = 2000) and erred by -2.1e-13 to -1.2e-12
+        mp = pytest.importorskip("mpmath")
+        cut = sites // 2
+        with mp.workdps(40):
+            total = mp.mpf(math.comb(sites, sites // 2))
+            weights = [math.comb(cut, k) * math.comb(sites - cut, sites // 2 - k) / total
+                       for k in range(cut + 1)]
+            exact = -mp.fsum(w * mp.log(w) for w in weights)
+        assert abs(sd1_semianalytic(sites, sites, cut) - float(exact)) <= 1e-14
 
     def test_semianalytic_runs_at_large_spin(self):
         # a log-factorial Racah sum missed unit column norms here, by up to 1.6e-6 at L=200
@@ -1020,6 +1032,19 @@ class TestStackedSamples:
         for method in methods:
             assert np.array_equal(chunked[method], single[method])
 
+    def test_sd2_reads_the_geometry_table(self, monkeypatch):
+        # sd2 takes its stretched weights c_m**2 from the geometry's one CG
+        # table, as full and sd1 do; the log-binomial columns serve the closed
+        # forms only
+        def refused(pairs):
+            raise AssertionError("Monte Carlo read the log-binomial stretched columns")
+
+        monkeypatch.setattr(su2, "_stretched_columns", refused)
+        monkeypatch.setattr(ensembles, "_stretched_columns", refused)
+        coupled_geometry.cache_clear()  # a cached geometry may hold columns read before
+        values = ensemble_entropy_samples(12, 6, 6, 3, 13, ("sd2",), workers=1)["sd2"]
+        assert values.shape == (3,) and np.all(np.isfinite(values)) and np.all(values > 0)
+
     def test_real_samples_pinned(self):
         # values of the per-block entropy kernel, each block weighted by its
         # copies, compared with ==
@@ -1027,12 +1052,12 @@ class TestStackedSamples:
             (12, 6, 6): {
                 "full": [3.303103009147173, 3.32893285356059, 3.282902033015188],
                 "sd1": [3.439108053177417, 3.486774069322849, 3.4179169129657003],
-                "sd2": [3.0384354037744696, 3.034920769747308, 2.9225116251717522],
+                "sd2": [3.038435403774472, 3.0349207697473104, 2.922511625171754],
             },
             (16, 4, 8): {
                 "full": [4.935383733046869, 4.947708500032379, 4.929743993347233],
                 "sd1": [5.11918479888697, 5.132095348680575, 5.1248338537877824],
-                "sd2": [4.035255888431617, 4.075054279134304, 4.066530431645234],
+                "sd2": [4.035255888431618, 4.075054279134306, 4.066530431645236],
             },
         }
         for args, values in pinned.items():
@@ -1046,12 +1071,12 @@ class TestStackedSamples:
             (12, 6, 6): {
                 "full": [3.2878327295564462, 3.3608970940775658, 3.274663728656616],
                 "sd1": [3.4125859202424054, 3.454519908172688, 3.400773046642799],
-                "sd2": [3.0471159533328374, 3.1233695659323617, 2.9648550200323704],
+                "sd2": [3.0471159533328396, 3.123369565932364, 2.9648550200323722],
             },
             (16, 4, 8): {
                 "full": [4.932029369839715, 4.945571307621941, 4.949598599744011],
                 "sd1": [5.116389723346817, 5.147909032083382, 5.1428858150436625],
-                "sd2": [4.063937880300081, 4.094582387190917, 4.071701550488863],
+                "sd2": [4.063937880300082, 4.0945823871909175, 4.071701550488865],
             },
         }
         for args, values in pinned.items():
@@ -1062,24 +1087,17 @@ class TestStackedSamples:
 class TestGramSizes:
     # the Schmidt pass diagonalizes each block's Gram, one eigvalsh call over
     # the stack, before it forms the next; LAPACK runs once per matrix
-    @pytest.mark.parametrize("sites,two_j,cut", BLOCK_GRID)
-    @pytest.mark.parametrize("complex_coefficients", [False, True])
-    def test_grouped_pass_equals_per_block_loop_bitwise(self, sites, two_j, cut, complex_coefficients):
-        geo = coupled_geometry(sites, two_j, cut)
-        stack = np.array([draw_w((53, i), geo, complex_coefficients) for i in range(4)])
-        for w in (stack, stack[0]):
-            got = _entropies_from_blocks(geo, w, ensembles.ENSEMBLE_METHODS)
-            want = oracles.per_block_entropies(geo, w, ensembles.ENSEMBLE_METHODS)
-            for method in ensembles.ENSEMBLE_METHODS:
-                assert np.shape(got[method]) == np.shape(want[method])
-                assert np.array_equal(np.float64(got[method]).view(np.uint64),
-                                      np.float64(want[method]).view(np.uint64)), method
-
     def test_one_eigvalsh_call_per_schmidt_block(self, monkeypatch):
         # a 20-sample stack of (12, 6, 6) with full, sd1 and sd2 has 19 Grams
-        # of 5 sizes, 8 of them 1 x 1, each diagonalized by its own stacked call
+        # of 5 sizes, 8 of them 1 x 1, each diagonalized by its own stacked
+        # call: each m block, then its sd1 parts, then each sd2 pairing
         geo = coupled_geometry(12, 6, 6)
         stack = np.array([draw_w((59, i), geo, True) for i in range(20)])
+        want = []
+        for _, weights, sd1_parts, _ in geo.m_blocks:
+            want += [min(weights.shape)] + [min(weights[part].shape) for part in sd1_parts]
+        want += [min(geo.na[a], geo.nb[b]) for a, b in geo.sd2_pairs]
+        assert len(want) == 19 and len(set(want)) == 5 and want.count(1) == 8
         eigvalsh = np.linalg.eigvalsh
         sizes = []
 
@@ -1088,14 +1106,8 @@ class TestGramSizes:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        oracles.per_block_entropies(geo, stack, ensembles.ENSEMBLE_METHODS)
-        want = sizes[:]
-        assert len(want) == 19 and len({shape[-1] for shape in want}) == 5
-        assert sum(shape[-1] == 1 for shape in want) == 8
-        assert all(shape[0] == 20 for shape in want)
-        sizes.clear()
         _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
-        assert sizes == want
+        assert sizes == [(20, size, size) for size in want]
 
     def test_each_gram_diagonalized_before_the_next_is_formed(self, monkeypatch):
         # no Gram of a stack outlives its block: the pass alternates one Gram
