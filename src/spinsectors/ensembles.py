@@ -132,13 +132,12 @@ def entanglement_entropy(state, cut, local_dim=2):
 def bipartition_maps(configs, a_sites):
     """Index maps turning a slice state into per-m_A Schmidt blocks.
 
-    Returns a list of (sel, rows, cols, shape, copies, flip_paired):
-    configuration indices with a given subsystem magnetization, their
-    row/column ranks, the block shape, how many times the block's spectrum
-    counts, and whether its rows split into flip classes (see
-    `_schmidt_entropies`).  Here every block counts once and none splits.
-    Rows and columns are ranked lexicographically by their digits.
-    `a_sites` must hold distinct integer sites 0 <= i < configs.shape[1].
+    Returns a list of (order, shape), one per subsystem magnetization: the
+    block's shape and, for each of its entries in row-major order, the index
+    of its configuration, or len(configs) for a pairing the slice lacks.
+    Rows and columns are ranked lexicographically by their digits.  The
+    configs must be distinct and share one total magnetization, and `a_sites`
+    must hold distinct integer sites 0 <= i < configs.shape[1].
     """
     configs = np.asarray(configs)
     a_sites = list(a_sites)
@@ -148,6 +147,8 @@ def bipartition_maps(configs, a_sites):
             raise ValueError(f"a_sites {a_sites} must hold integer sites 0 <= i < {sites}, got {site!r}")
     if len(set(a_sites)) < len(a_sites):
         raise ValueError(f"a_sites {a_sites} repeats a site")
+    if len(set(configs.sum(axis=1).tolist())) > 1:  # then m_A does not fix m_B
+        raise ValueError("configs differ in total magnetization")
     b_sites = [s for s in range(sites) if s not in a_sites]
     a_part = configs[:, a_sites]
     b_part = configs[:, b_sites]
@@ -157,7 +158,12 @@ def bipartition_maps(configs, a_sites):
         sel = np.nonzero(ma == val)[0]
         ua, rows = np.unique(a_part[sel], axis=0, return_inverse=True)
         ub, cols = np.unique(b_part[sel], axis=0, return_inverse=True)
-        blocks.append((sel, rows, cols, (len(ua), len(ub)), 1, False))
+        entries = rows * len(ub) + cols
+        order = np.full(len(ua) * len(ub), len(configs))
+        order[entries] = sel
+        if not np.array_equal(order[entries], sel):
+            raise ValueError("configs repeat a configuration")
+        blocks.append((order, (len(ua), len(ub))))
     return blocks
 
 
@@ -174,35 +180,31 @@ def _flip_classes(blocks):
 
 def _schmidt_entropies(maps, sources):
     """Entropy of each state of `sources` over the Schmidt index maps `maps`,
-    `bipartition_maps` entries each followed by `mirror` or None.  `sources`
-    lists (amplitudes, count) pairs: `amplitudes(sel)` gives configurations
-    `sel` as rows, one column for each of the source's `count` states; the
-    entropies follow the sources in order.  Each entry fills one stack with
-    the states of every source, splits it into flip classes and diagonalizes
-    each class's Gram stack by one `eigvalsh` call before the next entry is
-    filled.  An entry whose spectrum counts `copies` times or whose rows
-    split into flip classes is exact only for states the global spin flip
-    maps to +-themselves, whose Schmidt blocks at -m_A mirror those at m_A
-    and commute with the flip at m_A = 0.
+    (order, shape, copies, flip_paired, mirror) entries: a `bipartition_maps`
+    entry, the times its spectrum counts, whether its rows split into flip
+    classes (exact only for states the global spin flip maps to
+    +-themselves) and `mirror` or None.  `sources` lists (amplitudes, count)
+    pairs: `amplitudes(order)` gives the rows `order` of `count` states; the
+    entropies follow the sources in order.  Each entry fills one stack, a
+    row-major block per state, and diagonalizes the Gram stack of each flip
+    class by one `eigvalsh` call before the next entry is filled.
 
-    Complex amplitudes of an entry with a `mirror`, Pi' cols for a column
-    involution Pi', fill the real block N = Im M + Re M[:, Pi'] in place of
-    their Schmidt block M.  That is exact only for blocks with M[Pi rows, Pi'
-    cols] = conj M, Pi a row involution that commutes with the flip: then N =
-    V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) / sqrt 2 and
-    W alike for Pi', so N has M's singular values, flip class by flip class."""
+    With a `mirror`, the flat index of (row, Pi' col) at each entry (row,
+    col) for a column involution Pi', complex amplitudes fill the real N =
+    Im M + Re M.flat[mirror] in place of their Schmidt block M: for M[Pi
+    rows, Pi' cols] = conj M, Pi a row involution that commutes with the
+    flip, N = V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) /
+    sqrt 2 and W alike for Pi', so N has M's singular values, flip class by
+    flip class."""
     bounds = [0, *accumulate(count for _, count in sources)]
     values = np.zeros(bounds[-1])
-    for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
-        amps = [amplitudes(sel) for amplitudes, _ in sources]
+    for order, shape, copies, flip_paired, mirror in maps:
+        amps = [amplitudes(order) for amplitudes, _ in sources]
         complex_blocks = mirror is None and any(np.iscomplexobj(a) for a in amps)
-        blocks = np.zeros((bounds[-1],) + shape, dtype=complex if complex_blocks else float)
+        blocks = np.empty((bounds[-1],) + shape, dtype=complex if complex_blocks else float)
         for a, lo, hi in zip(amps, bounds, bounds[1:]):
-            if mirror is None or not np.iscomplexobj(a):
-                blocks[lo:hi, rows, cols] = a.T
-            else:
-                blocks[lo:hi, rows, cols] = a.imag.T
-                blocks[lo:hi, rows, mirror] += a.real.T
+            real = mirror is None or not np.iscomplexobj(a)
+            blocks[lo:hi].reshape(hi - lo, -1)[...] = (a if real else a.imag + a.real[mirror]).T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
             values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values
@@ -221,8 +223,9 @@ def slice_entanglement_entropy(state, configs, a_sites):
         raise ValueError(f"state of length {len(state)} does not match {len(configs)} configurations")
     _check_normalized(state)
     states = state.reshape(len(state), -1)
-    maps = [(*entry, None) for entry in bipartition_maps(configs, a_sites)]
-    values = _schmidt_entropies(maps, [(states.__getitem__, states.shape[1])])
+    padded = np.vstack([states, np.zeros_like(states[:1])])  # pairings the slice lacks read 0
+    maps = [(order, shape, 1, False, None) for order, shape in bipartition_maps(configs, a_sites)]
+    values = _schmidt_entropies(maps, [(padded.__getitem__, states.shape[1])])
     return values if state.ndim == 2 else float(values[0])
 
 

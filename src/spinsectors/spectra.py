@@ -18,16 +18,17 @@ so no complex operator matrix is formed.
 Everything that does not depend on the coupling is cached per chain: the
 real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
 projection Q_J^T B Q_J of every bond term B of H with its leakage
-certificate, and the Schmidt index maps of each cut.  A coupling then costs
-one real n_J-sized solve per subspace.  The chain is worked through in runs
-of consecutive momentum blocks whose Schmidt stacks fit in
+certificate, and the Schmidt maps of each cut, which list each Schmidt
+block's configurations in row-major order.  A coupling then costs one real
+n_J-sized solve per subspace.  The chain is worked through in runs of
+consecutive momentum blocks whose Schmidt stacks fit in
 `ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
 one `eigh` call and makes one Schmidt pass over the central states of all
-its blocks, with one `eigvalsh` call per Schmidt entry and flip class; its
-records take their entropies once the pass is done.  LAPACK and BLAS run
-once per matrix of a stack, so the records are bitwise those of a block by
-block solve.  The Schmidt maps are flip-reduced:
-a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
+its blocks, each stack filled by one gather per block and diagonalized by
+one `eigvalsh` call per flip class; its records take their entropies once
+the pass is done.  LAPACK and BLAS run once per matrix of a stack, so the
+records are bitwise those of a block by block solve.  The Schmidt maps are
+flip-reduced: a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
 (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
 diagonalized, each counted twice, and m_A = 0 splits into flip-even and
 flip-odd rows.  The symmetry depends on the chain alone: the build checks
@@ -363,26 +364,26 @@ def _cut_maps(two_s, sites, cut):
     because the flip reverses that order).  Independent of the coupling, so
     cached.
 
-    Each entry is a `bipartition_maps` entry followed by `mirror`: cols[R c]
-    for each configuration c of the entry, R = T**cut P the in-half
-    reflection, which sends site i to (cut-1-i) mod L and so keeps every
-    block.  `_schmidt_entropies` uses it to diagonalize the Schmidt blocks of
-    complex-sector eigenstates as real matrices.
+    Entries are (order, shape, copies, flip_paired, mirror): `mirror` holds
+    the flat index of (row, R col) for each block entry (row, col), R =
+    T**cut P the in-half reflection (site i to (cut-1-i) mod L, keeping every
+    block); `_schmidt_entropies` uses it to make complex-sector blocks real.
     """
     codes, digits = configuration_space(two_s, sites, 0)
     reflected = np.concatenate([digits[:, cut - 1::-1], digits[:, :cut - 1:-1]], axis=1)
     reflection = np.searchsorted(codes, reflected @ (two_s + 1) ** np.arange(sites, dtype=np.int64))
+    position = np.empty(len(codes), dtype=np.intp)
     maps = []
-    for sel, rows, cols, shape, _, _ in bipartition_maps(digits, range(cut)):
-        twice_m = 2 * int(digits[sel[0], :cut].sum()) - cut * two_s
+    for order, shape in bipartition_maps(digits, range(cut)):
+        twice_m = 2 * int(digits[order[0], :cut].sum()) - cut * two_s
         if twice_m < 0:
             continue
         if twice_m == 0 and shape[1] < shape[0]:  # Schmidt values ignore a transpose
-            rows, cols, shape = cols, rows, shape[::-1]
-        mirror = cols[np.searchsorted(sel, reflection[sel])]
-        for a in (sel, rows, cols, mirror):
-            a.flags.writeable = False
-        maps.append((sel, rows, cols, shape, 2 if twice_m else 1, twice_m == 0, mirror))
+            order, shape = order.reshape(shape).T.ravel(), shape[::-1]
+        entry = position[order] = np.arange(len(order))
+        mirror = entry - entry % shape[1] + position[reflection[order]] % shape[1]
+        order.flags.writeable = mirror.flags.writeable = False
+        maps.append((order, shape, 2 if twice_m else 1, twice_m == 0, mirror))
     return tuple(maps)
 
 
@@ -441,7 +442,7 @@ def _amplitude_source(block, picked, cut, sites):
         # `_cut_maps`, so each Schmidt block M of exp(ik cut/2) psi has
         # M[R rows, R cols] = conj M, and `_schmidt_entropies` makes it real
         phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
-    return (lambda sel: padded[block.position[sel]] * phase[sel, None]), picked.shape[1]
+    return (lambda order: padded[block.position[order]] * phase[order, None]), picked.shape[1]
 
 
 def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
@@ -475,7 +476,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
         maps = _cut_maps(two_s, sites, cut)
     coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
     # without a cut the whole slice stands in for the largest Schmidt block
-    largest = max((math.prod(entry[3]) for entry in maps), default=len(_orbit_data(two_s, sites)[0]))
+    largest = max((len(order) for order, *_ in maps), default=len(_orbit_data(two_s, sites)[0]))
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
     records = []

@@ -577,14 +577,15 @@ def slice_entropy_reference(states, configs, a_sites, maps=None):
     """`slice_entanglement_entropy` of a column stack of states through
     `concatenated_entropy`; given `maps` (for example flip-reduced ones), the
     entropies over those maps instead of `bipartition_maps`.  Each Schmidt
-    block is filled as given, complex for complex states: a column `mirror`
-    that follows an entry is not used."""
+    block is filled as given, complex for complex states: the `mirror` that
+    ends a `_cut_maps` entry is not used."""
     if maps is None:
-        maps = bipartition_maps(configs, a_sites)
+        maps = [(order, shape, 1, False) for order, shape in bipartition_maps(configs, a_sites)]
     parts = []
-    for sel, rows, cols, shape, copies, flip_paired, *_ in maps:
+    for order, shape, copies, flip_paired, *_ in maps:
+        sel = np.flatnonzero(order < len(states))  # the entries the slice holds
         blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
-        blocks[:, rows, cols] = states[sel].T
+        blocks[:, sel // shape[1], sel % shape[1]] = states[order[sel]].T
         parts += [(_schmidt_squares(p), copies)
                   for p in (_flip_classes(blocks) if flip_paired else (blocks,))]
     return concatenated_entropy(parts)
@@ -734,19 +735,22 @@ def complex_resolve(spec, fraction=Fraction(1, 2)):
 
 
 def per_block_schmidt_entropies(maps, amplitudes, count):
-    """`_schmidt_entropies` of one block's `count` states, one Gram and one
-    `eigvalsh` call per entry and flip class, each entropy summed as soon as
-    its spectrum is found."""
+    """`_schmidt_entropies` of one block's `count` states, each Schmidt block
+    scattered into zeros at the (k // cols, k % cols) of its entries k, the
+    real part of a mirrored complex one at column mirror[k] % cols, with one
+    Gram and one `eigvalsh` call per entry and flip class, each entropy
+    summed as soon as its spectrum is found."""
     values = np.zeros(count)
-    for sel, rows, cols, shape, copies, flip_paired, mirror in maps:
-        amps = amplitudes(sel)
+    for order, shape, copies, flip_paired, mirror in maps:
+        amps = amplitudes(order)
+        rows, cols = np.divmod(np.arange(len(order)), shape[1])
         if mirror is None or not np.iscomplexobj(amps):
             blocks = np.zeros((count,) + shape, dtype=amps.dtype)
             blocks[:, rows, cols] = amps.T
         else:
             blocks = np.zeros((count,) + shape)
             blocks[:, rows, cols] = amps.imag.T
-            blocks[:, rows, mirror] += amps.real.T
+            blocks[:, rows, mirror % shape[1]] += amps.real.T
         for part in _flip_classes(blocks) if flip_paired else (blocks,):
             values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values

@@ -377,6 +377,41 @@ class TestEntropyKernels:
         with pytest.raises(ValueError, match="^state of length 3 does not match 2 configurations$"):
             slice_entanglement_entropy([1.0, 0.0, 0.0], configs, [0])
 
+    @pytest.mark.parametrize("state,configs,message", [
+        ([2**-0.5] * 2, [[0, 1], [0, 1]], "^configs repeat a configuration$"),
+        ([0.5] * 4, [[0, 0], [0, 1], [1, 0], [1, 1]], "^configs differ in total magnetization$"),
+    ], ids=["repeated-config", "mixed-magnetization"])
+    def test_malformed_slices_rejected(self, state, configs, message):
+        # the repeated configuration gave 0.3466, and the product state |+>|+>
+        # over all four configurations ln 2 in place of 0
+        with pytest.raises(ValueError, match=message):
+            slice_entanglement_entropy(state, configs, [0])
+        with pytest.raises(ValueError, match=message):
+            bipartition_maps(configs, [0])
+
+    @pytest.mark.parametrize("two_s,sites", [(1, 8), (2, 6)])
+    def test_incomplete_slice_matches_dense(self, two_s, sites):
+        # two thirds of the J_z = 0 slice in random order: past one site on
+        # either side its Schmidt blocks lack some (row, column) pairings,
+        # which read 0
+        d = two_s + 1
+        rng = np.random.default_rng(17)
+        _, digits = su2.configuration_space(two_s, sites, 0)
+        configs = digits[rng.choice(len(digits), 2 * len(digits) // 3, replace=False)]
+        index = configs @ d ** np.arange(sites - 1, -1, -1)  # site 0 leads the dense reshape
+        real = rng.standard_normal((len(configs), 3))
+        complex_ = real + 1j * rng.standard_normal(real.shape)
+        for stack in (real, complex_):
+            stack = stack / np.linalg.norm(stack, axis=0)
+            dense = np.zeros((d**sites, stack.shape[1]), dtype=stack.dtype)
+            dense[index] = stack
+            for cut in range(1, sites):
+                lacks = any((order == len(configs)).any() for order, _ in bipartition_maps(configs, range(cut)))
+                assert lacks or cut in (1, sites - 1)
+                got = slice_entanglement_entropy(stack, configs, range(cut))
+                want = [entanglement_entropy(column, cut, d) for column in dense.T]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("a_sites,message", [
         ([0, 0, 1], r"^a_sites \[0, 0, 1\] repeats a site$"),
         ([-1, 0], r"^a_sites \[-1, 0\] must hold integer sites 0 <= i < 6, got -1$"),

@@ -377,7 +377,8 @@ class TestFlipReduction:
     def test_every_complex_eigenstate_is_reflection_conjugate(self, species, sites, coupling):
         # R = T**cut P sends site i to (cut-1-i) mod L: psi(R c) = exp(-ik cut)
         # conj psi(c) at every complex k, and each `_cut_maps` entry's mirror
-        # holds the column of R c for each configuration c of the entry
+        # holds, for the configuration c of each block entry, the flat index
+        # of the entry in c's row at the column of R c
         two_s = species.two_s
         codes, digits = configuration_space(two_s, sites, 0)
         weights = (two_s + 1) ** np.arange(sites)
@@ -396,10 +397,30 @@ class TestFlipReduction:
             for n, amps in amplitudes.items():
                 phase = np.exp(-2j * math.pi * n * cut / sites)
                 assert np.max(np.abs(amps[reflection] - phase * amps.conj())) <= 1e-13
-            for sel, rows, cols, *_, mirror in spectra._cut_maps(two_s, sites, cut):
-                where = np.searchsorted(sel, reflection[sel])
-                assert np.array_equal(sel[where], reflection[sel])
-                assert np.array_equal(mirror, cols[where]) and not mirror.flags.writeable
+            for order, shape, *_, mirror in spectra._cut_maps(two_s, sites, cut):
+                # R keeps the block; entry k's mirror is its row at the column of R order[k]
+                ranked = np.argsort(order)
+                where = ranked[np.searchsorted(order[ranked], reflection[order])]
+                assert np.array_equal(order[where], reflection[order])
+                rows, cols = np.divmod(np.arange(len(order)), shape[1])
+                assert np.array_equal(mirror, rows * shape[1] + where % shape[1]) and not mirror.flags.writeable
+
+    @pytest.mark.parametrize("two_s,sites", [(1, 8), (1, 10), (1, 12), (1, 14), (2, 7), (2, 8)])
+    def test_cut_maps_hold_each_kept_configuration_once(self, two_s, sites):
+        # the orders cover the m_A >= 0 configurations once each, and mirror
+        # is an involution that keeps every entry in its own row
+        _, digits = configuration_space(two_s, sites, 0)
+        for cut in range(1, sites):
+            twice_m = 2 * digits[:, :cut].sum(axis=1) - cut * two_s
+            maps = spectra._cut_maps(two_s, sites, cut)
+            orders = np.concatenate([order for order, *_ in maps])
+            assert np.array_equal(np.sort(orders), np.flatnonzero(twice_m >= 0))
+            for order, shape, copies, flip_paired, mirror in maps:
+                entries = np.arange(len(order))
+                assert len(order) == math.prod(shape) and not order.flags.writeable
+                assert (copies, flip_paired) == ((1, True) if twice_m[order[0]] == 0 else (2, False))
+                assert np.array_equal(mirror[mirror], entries)
+                assert np.array_equal(mirror // shape[1], entries // shape[1])
 
     @pytest.mark.parametrize("species,sites", [(HALF, 10), (ONE, 7)])
     def test_flip_defect_equals_slice_defect(self, species, sites):
@@ -579,7 +600,7 @@ class TestRuns:
         # at most one entry's Grams are alive: every Gram stack of an entry
         # goes to eigvalsh before the next entry's stack is filled
         maps = spectra._cut_maps(1, 10, 4)
-        assert any(entry[5] for entry in maps) and len(maps) > 2
+        assert any(entry[3] for entry in maps) and len(maps) > 2
         rng = np.random.default_rng(7)
         dim = len(configuration_space(1, 10, 0)[0])
         states = [rng.normal(size=(dim, 2)), rng.normal(size=(dim, 3))]
@@ -597,7 +618,7 @@ class TestRuns:
         ensembles._schmidt_entropies(maps, sources)
         want = []
         for entry in maps:
-            want += ["fill"] * len(sources) + ["gram", "eigvalsh"] * (2 if entry[5] else 1)
+            want += ["fill"] * len(sources) + ["gram", "eigvalsh"] * (2 if entry[3] else 1)
         assert events == want
 
     @pytest.mark.parametrize("species,sites,runs", [(HALF, 12, 1), (HALF, 14, 4), (ONE, 8, 1)])
@@ -606,7 +627,7 @@ class TestRuns:
         # stacks, central states x the largest entry x 8 bytes, fit in
         # STACK_BYTES, and at L = 12 the whole chain takes 348,800 bytes
         chain = spectra._spin_subspaces(species.two_s, sites)
-        largest = max(math.prod(entry[3]) for entry in spectra._cut_maps(species.two_s, sites, sites // 2))
+        largest = max(len(entry[0]) for entry in spectra._cut_maps(species.two_s, sites, sites // 2))
         planned = spectra._runs(chain, largest)
         assert [link for run in planned for link in run] == list(chain) and len(planned) == runs
 
@@ -624,7 +645,7 @@ class TestRuns:
         # stays that of its own source's pass
         two_s, sites, cut = 1, 8, 3
         _, digits = configuration_space(two_s, sites, 0)
-        maps = [(*entry, None) for entry in ensembles.bipartition_maps(digits, range(cut))]
+        maps = [(order, shape, 1, False, None) for order, shape in ensembles.bipartition_maps(digits, range(cut))]
         rng = np.random.default_rng(3)
         states = [rng.normal(size=(len(digits), 3)),
                   rng.normal(size=(len(digits), 2)) + 1j * rng.normal(size=(len(digits), 2))]
