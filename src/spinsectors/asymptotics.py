@@ -7,6 +7,11 @@ from a saddle-point treatment of the character orthogonality integral: with
 z0 > 0 solves psi'(z0) = 0, the rate is psi(z0), and the prefactor collects
 the Gaussian fluctuation 1/sqrt(2*pi*psi''(z0)*L) together with the measure
 factor (1 - z0**2)/(pi*z0) of the two real saddles +-z0.
+
+Each species has one closed form each for u = z0**2, 1 - u and psi''(z0);
+none subtracts two numbers near 1, so all keep full relative precision over
+0 < j < 1.  psi through the character polynomial lives in the tests, as the
+reference that certifies these forms.
 """
 
 import math
@@ -24,11 +29,23 @@ __all__ = [
 ]
 
 
+def _saddle_forms(species, j):
+    """(u, 1 - u, psi''(z0)) at spin density 0 < j < 1, with u = z0**2."""
+    if species.two_s == 1:
+        return (1.0 - j) / (1.0 + j), 2.0 * j / (1.0 + j), (1.0 + j) ** 2
+    root = math.sqrt(4.0 - 3.0 * j * j)
+    u = 2.0 * (1.0 - j) / (root + j)
+    gap = 3.0 * j * (root + 2.0 - j) / ((root + 2.0) * (root + j))
+    return u, gap, 4.0 * (1.0 + j) * root / (u + 2.0)
+
+
 def multiplicity_rate(species, j):
     """Exponential growth rate (nats per site) of n_J at spin density j = J/(sL).
 
-    The endpoint values ln(2s+1) at j=0 and 0 at j=1 are the analytic limits
-    of the closed forms, which are 0/0 there.
+    psi(z0): the binary entropy of (1 +- j)/2 for spin-1/2, and (j - 1) ln u
+    + ln(1 + u + u**2) for spin-1, its last term summed as log1p((u + (1 - j))
+    / (1 + j)) so u is kept as j -> 1.  The endpoint values ln(2s+1) at j=0
+    and 0 at j=1 are the analytic limits.
     """
     _check_spin_density(j, allow_zero=True)
     if j == 0.0:
@@ -36,44 +53,9 @@ def multiplicity_rate(species, j):
     if j == 1.0:
         return 0.0
     if species.two_s == 1:
-        return -((1 + j) / 2 * math.log((1 + j) / 2) + (1 - j) / 2 * math.log((1 - j) / 2))
-    root = math.sqrt(4.0 - 3.0 * j * j)
-    return math.log(3.0 / (root - 1.0)) + j * math.log((root - j) / (2.0 * (1.0 + j)))
-
-
-def _char_poly(two_s, z):
-    """sum_{k=0..2s} z**(2s-2k), the SU(2) character as a Laurent polynomial."""
-    return sum(z ** (two_s - 2 * k) for k in range(two_s + 1))
-
-
-def _char_poly_d1(two_s, z):
-    return sum((two_s - 2 * k) * z ** (two_s - 2 * k - 1) for k in range(two_s + 1))
-
-
-def _char_poly_d2(two_s, z):
-    return sum(
-        (two_s - 2 * k) * (two_s - 2 * k - 1) * z ** (two_s - 2 * k - 2)
-        for k in range(two_s + 1)
-    )
-
-
-def saddle_exponent(species, z, j):
-    """psi(z) at spin density j."""
-    return species.two_s * j * math.log(z) + math.log(_char_poly(species.two_s, z))
-
-
-def saddle_exponent_d2(species, z, j):
-    p = _char_poly(species.two_s, z)
-    p1 = _char_poly_d1(species.two_s, z)
-    p2 = _char_poly_d2(species.two_s, z)
-    return -species.two_s * j / (z * z) + (p2 * p - p1 * p1) / (p * p)
-
-
-def _closed_form_saddle(species, j):
-    if species.two_s == 1:
-        return math.sqrt((1.0 - j) / (1.0 + j))
-    root = math.sqrt(4.0 - 3.0 * j * j)
-    return math.sqrt((root - j) / (2.0 * (1.0 + j)))
+        return -((1 + j) / 2 * math.log1p((j - 1) / 2) + (1 - j) / 2 * math.log((1 - j) / 2))
+    u = _saddle_forms(species, j)[0]
+    return (j - 1) * math.log(u) + math.log1p((u + (1 - j)) / (1 + j))
 
 
 @dataclass(frozen=True)
@@ -88,22 +70,18 @@ class SaddleData:
 
 
 def saddle_solve(species, j):
-    """Locate the dominant saddle and assemble rate and prefactor.
+    """Saddle point, rate and prefactor from the closed forms of u = z0**2,
+    1 - u and psi''(z0); the rate is `multiplicity_rate`.
 
-    The saddle location has a closed form for both species.  j=1 is returned
-    as a flagged endpoint (the saddle degenerates to z0=0 and the prefactor is
-    undefined).
+    j=1 is returned as a flagged endpoint (the saddle degenerates to z0=0
+    and the prefactor is undefined).
     """
     _check_spin_density(j)
     if j == 1.0:
         return SaddleData(j, 0.0, 0.0, math.nan, endpoint=True)
-    z0 = _closed_form_saddle(species, j)
-    rate = saddle_exponent(species, z0, j)
-    curv = saddle_exponent_d2(species, z0, j)
-    if curv <= 0.0:
-        raise RuntimeError(f"non-positive saddle curvature {curv} at j={j}")
-    prefactor = (1.0 - z0 * z0) / z0 * math.sqrt(2.0 / (math.pi * curv))
-    return SaddleData(j, z0, rate, prefactor)
+    u, gap, curv = _saddle_forms(species, j)
+    prefactor = gap / math.sqrt(u) * math.sqrt(2.0 / (math.pi * curv))
+    return SaddleData(j, math.sqrt(u), multiplicity_rate(species, j), prefactor)
 
 
 def log_multiplicity_saddle(species, sites, two_j):

@@ -116,10 +116,12 @@ def _check_normalized(state):
 
 
 def entanglement_entropy(state, cut, local_dim=2):
-    """Von Neumann entropy of the first `cut` sites of a product-basis state."""
+    """Von Neumann entropy of the first `cut` sites of a product-basis state vector."""
     state = np.asarray(state)
     if not state.size:
         raise ValueError("state is empty")
+    if state.ndim != 1:
+        raise ValueError(f"state must be a 1-D array, got shape {state.shape}")
     _check_integer("local_dim", local_dim, 2)
     sites = round(math.log(state.size, local_dim))
     if local_dim**sites != state.size:
@@ -140,6 +142,8 @@ def bipartition_maps(configs, a_sites):
     must hold distinct integer sites 0 <= i < configs.shape[1].
     """
     configs = np.asarray(configs)
+    if configs.ndim != 2:
+        raise ValueError(f"configs must be a 2-D array, got shape {configs.shape}")
     a_sites = list(a_sites)
     sites = configs.shape[1]
     for site in a_sites:
@@ -219,6 +223,8 @@ def slice_entanglement_entropy(state, configs, a_sites):
     block by block in the subsystem magnetization.
     """
     state = np.asarray(state)
+    if not 1 <= state.ndim <= 2:
+        raise ValueError(f"state must be a vector or a column stack, got shape {state.shape}")
     if len(state) != len(configs):
         raise ValueError(f"state of length {len(state)} does not match {len(configs)} configurations")
     _check_normalized(state)

@@ -6,8 +6,10 @@ The library calls none of these; the tests compare it against them.
   integral, against the binomial closed form and the fusion recursion.
 - `multiplicity_by_binomials`: spin-1/2 n_J as the difference C(L, q) -
   C(L, q-1) of two binomials, against the stepped runs of the geometry.
-- `saddle_exponent_d1`: psi'(z) of the saddle exponent, whose zero the
-  library's saddle solver finds.
+- `saddle_exponent`, `saddle_exponent_d1`, `saddle_exponent_d2`: psi(z)
+  and its first two derivatives through the character polynomial, for any
+  species and any number type, against the library's closed forms of the
+  rate, the saddle point (the zero of psi') and the prefactor.
 - `clebsch_gordan_exact`: one Clebsch-Gordan coefficient from the Racah
   sum in exact rationals, against the library's J**2 recursion columns.
 - `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
@@ -55,7 +57,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from spinsectors.asymptotics import _char_poly, _char_poly_d1
 from spinsectors.combinatorics import (
     SectorLabel,
     _check_spin_label,
@@ -144,10 +145,43 @@ def multiplicity_by_binomials(sites, two_j):
     return math.comb(sites, q) - (math.comb(sites, q - 1) if q else 0)
 
 
+# ---------------------------------------------------------------------------
+# saddle-point exponent psi(z) = 2 s j ln z + ln chi(z)
+
+
+def _char_poly(two_s, z):
+    """sum_{k=0..2s} z**(2s-2k), the SU(2) character as a Laurent polynomial."""
+    return sum(z ** (two_s - 2 * k) for k in range(two_s + 1))
+
+
+def _char_poly_d1(two_s, z):
+    return sum((two_s - 2 * k) * z ** (two_s - 2 * k - 1) for k in range(two_s + 1))
+
+
+def _char_poly_d2(two_s, z):
+    return sum(
+        (two_s - 2 * k) * (two_s - 2 * k - 1) * z ** (two_s - 2 * k - 2)
+        for k in range(two_s + 1)
+    )
+
+
+def saddle_exponent(species, z, j, log=math.log):
+    """psi(z) at spin density j; pass mpmath.log for an mpf z and j."""
+    return species.two_s * j * log(z) + log(_char_poly(species.two_s, z))
+
+
 def saddle_exponent_d1(species, z, j):
     """psi'(z) at spin density j: zero at the saddle point z0."""
     p = _char_poly(species.two_s, z)
     return species.two_s * j / z + _char_poly_d1(species.two_s, z) / p
+
+
+def saddle_exponent_d2(species, z, j):
+    """psi''(z) at spin density j."""
+    p = _char_poly(species.two_s, z)
+    p1 = _char_poly_d1(species.two_s, z)
+    p2 = _char_poly_d2(species.two_s, z)
+    return -species.two_s * j / (z * z) + (p2 * p - p1 * p1) / (p * p)
 
 
 # ---------------------------------------------------------------------------

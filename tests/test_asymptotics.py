@@ -15,9 +15,23 @@ from spinsectors import (
     saddle_solve,
     spin_half_multiplicity_log,
 )
-from spinsectors.asymptotics import saddle_exponent_d2
 
-from oracles import saddle_exponent_d1
+from oracles import saddle_exponent, saddle_exponent_d1, saddle_exponent_d2
+
+# 0 < j < 1 from deep underflow of 1 - z0**2 up to the last double below 1,
+# where u = z0**2 is ~1e-16
+FULL_RANGE = (
+    [1e-300, 1e-20, 1e-8, 1e-4, 0.01, 0.05]
+    + [k / 10 for k in range(1, 10)]
+    + [0.95, 0.99]
+    + [1.0 - 10.0**-k for k in range(4, 16)]
+    + [1.0 - 2.0**-53]
+)
+
+
+def oracle_prefactor(species, z0, j):
+    """(1 - z0**2)/z0 * sqrt(2/(pi psi''(z0))) with psi'' through the character polynomial."""
+    return (1.0 - z0 * z0) / z0 * math.sqrt(2.0 / (math.pi * saddle_exponent_d2(species, z0, j)))
 
 
 class TestRate:
@@ -58,20 +72,48 @@ class TestSaddle:
 
     def test_rate_consistency(self):
         for species in (HALF, ONE):
-            for j in (0.1, 0.25, 0.5, 0.75, 0.9):
+            for j in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95):
                 sd = saddle_solve(species, j)
-                assert sd.rate == pytest.approx(multiplicity_rate(species, j), abs=1e-12)
+                z0 = sd.saddle_point
+                assert sd.rate == pytest.approx(saddle_exponent(species, z0, j), abs=1e-12)
                 # the closed-form saddle really is a stationary point
-                assert abs(saddle_exponent_d1(species, sd.saddle_point, j)) < 1e-10
-                assert saddle_exponent_d2(species, sd.saddle_point, j) > 0.0
+                assert abs(saddle_exponent_d1(species, z0, j)) < 1e-10
+                assert saddle_exponent_d2(species, z0, j) > 0.0
+                assert sd.prefactor == pytest.approx(oracle_prefactor(species, z0, j), rel=1e-12)
 
     def test_near_endpoint_solutions(self):
         for species in (HALF, ONE):
             for j in (0.001, 0.01, 0.99, 0.999):
                 sd = saddle_solve(species, j)
-                assert sd.rate == pytest.approx(multiplicity_rate(species, j), abs=1e-11)
+                assert sd.rate == pytest.approx(saddle_exponent(species, sd.saddle_point, j), abs=1e-11)
                 assert abs(saddle_exponent_d1(species, sd.saddle_point, j)) < 1e-10
                 assert saddle_exponent_d2(species, sd.saddle_point, j) > 0.0
+
+    @pytest.mark.parametrize("species", [HALF, ONE], ids=["half", "one"])
+    def test_full_range_accuracy(self, species):
+        # psi and psi'' through the character polynomial at the saddle found
+        # by Newton at 400 digits, which leaves 50 and more past the 1e-300
+        # scale of 1 - z0**2; the character route in floats gave a negative
+        # spin-1 rate and a 12% off saddle near j = 1, and a prefactor that
+        # underflowed to 0 near j = 0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(400):
+            for j in FULL_RANGE:
+                sd = saddle_solve(species, j)
+                x = mp.mpf(j)
+                z0 = mp.findroot(lambda z: saddle_exponent_d1(species, z, x), mp.mpf(sd.saddle_point),
+                                 solver="newton", df=lambda z: saddle_exponent_d2(species, z, x))
+                curv = saddle_exponent_d2(species, z0, x)
+                want = {
+                    "rate": saddle_exponent(species, z0, x, log=mp.log),
+                    "saddle_point": z0,
+                    "prefactor": (1 - z0 * z0) / z0 * mp.sqrt(2 / (mp.pi * curv)),
+                }
+                got = {"rate": multiplicity_rate(species, j), "saddle_point": sd.saddle_point,
+                       "prefactor": sd.prefactor}
+                for name, value in want.items():
+                    error = float(abs(got[name] / value - 1))
+                    assert error <= 1e-15, (j, name, got[name], float(value))
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -87,6 +129,25 @@ class TestLogMultiplicity:
             errors.append(abs(approx - exact) / exact)
         assert errors[-1] < 0.02
         assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.parametrize("species,sizes,two_j_per_site,settled", [
+        (HALF, (1600, 6400), 0.1, -7.9), (HALF, (1600, 6400), 0.5, -0.305), (HALF, (1600, 6400), 0.9, 1.613),
+        (ONE, (200, 400), 0.2, -3.73), (ONE, (200, 400), 1.0, 0.036), (ONE, (200, 400), 1.8, 0.96),
+    ])
+    def test_prefactor_error_settles_as_one_over_sites(self, species, sizes, two_j_per_site, settled):
+        # with the prefactor right, ln n_saddle - ln n_exact is c/L + O(1/L**2),
+        # so L times it settles; a prefactor off by a factor 1.0001 adds
+        # L * 1e-4 to it, 0.48 more at L = 6400 than at L = 1600
+        products = []
+        for sites in sizes:
+            two_j = round(two_j_per_site * sites)
+            if species is HALF:
+                exact = spin_half_multiplicity_log(sites, two_j)
+            else:
+                exact = math.log(multiplicity_table(ONE, sites).multiplicity(two_j))
+            products.append(sites * (log_multiplicity_saddle(species, sites, two_j) - exact))
+        assert abs(products[1] - products[0]) < 0.05
+        assert products[1] == pytest.approx(settled, abs=0.05)
 
     def test_spin_one_roundtrip(self):
         exact = math.log(multiplicity_table(ONE, 60).multiplicity(60))

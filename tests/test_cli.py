@@ -63,6 +63,13 @@ class TestBeta:
         assert float(rows[2]["beta"]) == 0.0
         assert float(rows[1]["saddle_point"]) == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
+    def test_spin_one_rate_stays_positive_next_to_one(self, tmp_path):
+        # the character-polynomial route printed -0.0645 here
+        out = tmp_path / "beta.csv"
+        main(["beta", "--species", "one", "--j-list", "0.9999999999999999", "--out", str(out)])
+        _, rows = read_rows(out)
+        assert 0.0 < float(rows[0]["beta"]) < 1e-14
+
 
 class TestAverage:
     def test_closed_form_row(self, tmp_path):

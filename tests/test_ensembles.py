@@ -264,6 +264,8 @@ EVEN_SITES = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
                  id="state-cut-zero"),
     pytest.param(lambda: entanglement_entropy(np.ones(6) / math.sqrt(6), 1),
                  "state of length 6 is not a 2**L product state", id="state-length-six"),
+    pytest.param(lambda: entanglement_entropy(np.array([[0.6, 0.8], [0.8, -0.6]]), 1),
+                 "state must be a 1-D array, got shape (2, 2)", id="state-two-dimensional"),
     pytest.param(lambda: singlet_average_asymptotic(12, 1), "fraction must lie in (0, 1), got 1",
                  id="singlet-fraction-one"),
     pytest.param(lambda: fixed_filling_average(0, 8, 4), "filling must lie in (0, 1), got 0",
@@ -380,14 +382,22 @@ class TestEntropyKernels:
     @pytest.mark.parametrize("state,configs,message", [
         ([2**-0.5] * 2, [[0, 1], [0, 1]], "^configs repeat a configuration$"),
         ([0.5] * 4, [[0, 0], [0, 1], [1, 0], [1, 1]], "^configs differ in total magnetization$"),
-    ], ids=["repeated-config", "mixed-magnetization"])
+        ([1.0], [1], r"^configs must be a 2-D array, got shape \(1,\)$"),
+    ], ids=["repeated-config", "mixed-magnetization", "one-dimensional-configs"])
     def test_malformed_slices_rejected(self, state, configs, message):
-        # the repeated configuration gave 0.3466, and the product state |+>|+>
-        # over all four configurations ln 2 in place of 0
+        # the repeated configuration gave 0.3466, the product state |+>|+>
+        # over all four configurations ln 2 in place of 0, and 1-D configs a
+        # bare IndexError
         with pytest.raises(ValueError, match=message):
             slice_entanglement_entropy(state, configs, [0])
         with pytest.raises(ValueError, match=message):
             bipartition_maps(configs, [0])
+
+    def test_slice_state_of_three_dimensions_rejected(self):
+        # a (2, 1, 1) state was taken as one vector and gave ln 2
+        state = np.array([1.0, 1.0]).reshape(2, 1, 1) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match=r"^state must be a vector or a column stack, got shape \(2, 1, 1\)$"):
+            slice_entanglement_entropy(state, [[0, 1], [1, 0]], [0])
 
     @pytest.mark.parametrize("two_s,sites", [(1, 8), (2, 6)])
     def test_incomplete_slice_matches_dense(self, two_s, sites):
