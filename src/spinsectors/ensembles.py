@@ -14,8 +14,8 @@ takes one normal call from the seed sequence (seed, i), scattered into W
 through a map the geometry caches.  A run is one list of stacks, each
 worker's share of the samples cut into stacks of at most `STACK_BYTES` of W
 (a W larger than that is a stack of one), and a process pool never has more
-processes than stacks.  A stack is one job: one norm pass over its samples, and
-one Gram product and one `eigvalsh` call per Schmidt block.
+processes than stacks.  A stack is one job: one |W|**2 gather and norm pass, one
+Gram product per Schmidt block and one `eigvalsh` call per Gram beyond 1 x 1.
 
 Closed forms: the Page average, its leading terms with and without a U(1)
 constraint, the exact J=0 sector sum, the sd2 sum, and the large-L
@@ -66,7 +66,7 @@ EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
 # Monte Carlo draws this many bytes of W per stack, whose samples share one norm
-# pass and one eigvalsh call per Schmidt block; ED runs and CG table chunks fit in it too
+# pass and one Gram product per Schmidt block; ED runs and CG table chunks fit in it too
 STACK_BYTES = 1 << 20
 
 
@@ -93,8 +93,10 @@ def _gram(x):
 def _schmidt_squares(x):
     """Squared Schmidt values of each (stacked) trailing matrix of x, from its
     Gram matrix; rounding can leave them slightly negative, which
-    `schmidt_square_entropy` drops with the rest below its floor."""
-    return np.linalg.eigvalsh(_gram(x))
+    `schmidt_square_entropy` drops with the rest below its floor.  A 1 x 1
+    Gram is its own spectrum: LAPACK returns real(A(1,1)) for n = 1."""
+    g = _gram(x)
+    return g.real[..., 0] if g.shape[-1] == 1 else np.linalg.eigvalsh(g)
 
 
 def _check_cut(sites, cut):
@@ -191,7 +193,7 @@ def _schmidt_entropies(maps, sources):
     pairs: `amplitudes(order)` gives the rows `order` of `count` states; the
     entropies follow the sources in order.  Each entry fills one stack, a
     row-major block per state, and diagonalizes the Gram stack of each flip
-    class by one `eigvalsh` call before the next entry is filled.
+    class (`_schmidt_squares`) before the next entry is filled.
 
     With a `mirror`, the flat index of (row, Pi' col) at each entry (row,
     col) for a column involution Pi', complex amplitudes fill the real N =
@@ -443,7 +445,7 @@ class CoupledPairGeometry:
         column, mm = self.cg_columns.get((two_ja, two_jb)), min(two_ja, two_jb)
         return float(column[(mm - two_m) // 2]) if column is not None and abs(two_m) <= mm else 0.0
 
-    @property
+    @cached_property
     def sd2_pairs(self):
         """The J_B = J - J_A pairings that sd2 keeps."""
         pairs = [(ja, self.two_j - ja) for ja in self.ja_list if self.two_j - ja in self.nb]
@@ -586,17 +588,24 @@ def _draw_stack(geo, w, seed, stack):
 
     Sample i takes one `standard_normal` call from the seed sequence (seed, i),
     which fills every block through `geo.draw_map` in the order of drawing the
-    blocks pair by pair.  Its |w|**2 fill row i of one array, whose pair runs
+    blocks pair by pair.  A seed sequence reads a tuple of ints as the
+    concatenation of each int's little-endian 32-bit words (one zero word for
+    0), so the seed's words, split once, followed by i's give the same stream.
+    The stack's |w|**2 are gathered into one C-ordered array, whose pair runs
     are each summed once for the whole stack; each sample adds its run sums in
     pair order, so W is bitwise that of the pair-by-pair draw.
     """
+    def words(n):
+        return [n >> bit & 0xFFFFFFFF for bit in range(0, max(n.bit_length(), 1), 32)]
+
     positions, runs = geo.draw_map
     scatter = geo.complex_draw_map if np.iscomplexobj(w) else positions
-    squares = np.empty((len(w), positions.size))
-    for flat, row, i in zip(w.reshape(len(w), -1), squares, stack):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, i)))
+    flats, head = w.reshape(len(w), -1), words(int(seed))
+    for flat, i in zip(flats, stack):
+        rng = np.random.default_rng(np.array(head + words(i), np.uint32))
         flat.view(float)[scatter] = rng.standard_normal(scatter.size)
-        np.square(np.abs(flat[positions]), out=row)
+    # C-ordered, as flats[:, positions] is not: the run sums round by the layout
+    squares = np.square(np.abs(flats.take(positions, axis=1)))
     # np.add.reduce is np.sum without its dispatch
     totals = sum(np.add.reduce(squares[:, start:stop], axis=1) for start, stop in runs)
     for sample, total in zip(w, totals.tolist()):
@@ -608,7 +617,7 @@ def _entropies_from_blocks(geo, w, methods):
     axis): floats for one W, arrays of one value per sample for a stack.
 
     Each Schmidt block is diagonalized as soon as its Gram is formed, by one
-    `eigvalsh` call over the stack, and its entropy summed at once."""
+    `eigvalsh` call over the stack unless 1 x 1, and its entropy summed at once."""
     out = dict.fromkeys(methods, 0.0)
     if "full" in out or "sd1" in out:
         buf = np.empty(w.size, dtype=w.dtype)  # reused by every m: fresh pages cost more
@@ -623,7 +632,7 @@ def _entropies_from_blocks(geo, w, methods):
         blocks = {pair: w[..., geo.rows[pair[0]], geo.cols[pair[1]]] for pair in geo.sd2_pairs}
         trace = sum(np.sum(np.abs(block) ** 2, axis=(-2, -1)) for block in blocks.values())
         for pair, block in blocks.items():
-            lam = _schmidt_squares(block) / np.expand_dims(trace, -1)
+            lam = _schmidt_squares(block) / trace[..., None]
             outer = geo.cg_columns[pair][min(pair)::-1, None] ** 2 * lam[..., None, :]  # m ascending
             out["sd2"] += schmidt_square_entropy(outer.reshape(lam.shape[:-1] + (-1,)))
     return out
@@ -677,6 +686,8 @@ def ensemble_entropy_samples(
         _check_integer(name, value)
     _check_integer("samples", samples, 1)
     _check_integer("seed", seed, 0)
+    if isinstance(methods, str):
+        raise ValueError(f"methods must be a sequence of names from {ENSEMBLE_METHODS}, got {methods!r}")
     methods = tuple(methods)
     if not methods:
         raise ValueError(f"methods is empty, expected some of {ENSEMBLE_METHODS}")
@@ -753,6 +764,7 @@ def random_state_average(sites, two_j, cut, samples, seed, complex_coefficients=
 def default_sample_count(method, sites):
     """Sample counts used for production sweeps: 1000 at small L, 100 beyond."""
     _check_method(method)
+    _check_integer("sites", sites, 1)
     if method == "full":
         return 1000 if sites <= 20 else 100
     return 1000 if sites <= 30 else 100

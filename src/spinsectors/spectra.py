@@ -25,9 +25,9 @@ consecutive momentum blocks whose Schmidt stacks fit in
 `ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
 one `eigh` call and makes one Schmidt pass over the central states of all
 its blocks, each stack filled by one gather per block and diagonalized by
-one `eigvalsh` call per flip class; its records take their entropies once
-the pass is done.  LAPACK and BLAS run once per matrix of a stack, so the
-records are bitwise those of a block by block solve.  The Schmidt maps are
+one `eigvalsh` call per flip class past 1 x 1; its records take entropies once
+the pass is done.  LAPACK and BLAS run at most once per matrix of a stack, so
+the records are bitwise those of a block by block solve.  The Schmidt maps are
 flip-reduced: a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
 (-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
 diagonalized, each counted twice, and m_A = 0 splits into flip-even and

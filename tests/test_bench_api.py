@@ -80,9 +80,10 @@ def test_alternating_fractions_match_uncached_maps(monkeypatch):
 
 def test_warm_ed_call_counts(monkeypatch):
     # the chain is one run: one eigh call per (k, J) subspace size (14 of
-    # them) and one eigvalsh call per Schmidt entry and flip class (5) over
-    # the central states of every block; no bond kernel once the H terms are
-    # cached; one Gaussianity call per block
+    # them) and one eigvalsh call per Schmidt entry and flip class (4) over
+    # the central states of every block, the m_A = L/2 entry's 1 x 1 Grams
+    # read without one; no bond kernel once the H terms are cached; one
+    # Gaussianity call per block
     spec = ss.ChainSpec(ss.HALF, 12, 3.0)
     ss.diagonalize_and_resolve(spec)
     calls = Counter()
@@ -103,4 +104,4 @@ def test_warm_ed_call_counts(monkeypatch):
     count(spectra, "gaussianity_of_vector")
     ss.diagonalize_and_resolve(spec)
     blocks = 12 // 2 + 1
-    assert calls == {"eigh": 14, "eigvalsh": 5, "gaussianity_of_vector": blocks}
+    assert calls == {"eigh": 14, "eigvalsh": 4, "gaussianity_of_vector": blocks}

@@ -136,6 +136,7 @@ NON_INTEGER_CASES = [
     (singlet_average_asymptotic, (12.0, 0.5), "sites", 12.0),
     (max_spin_entropy_asymptotic, (12.5, 0.5), "sites", 12.5),
     (sd2_asymptotic, (12.0, 0.5, 0.5), "sites", 12.0),
+    (default_sample_count, ("full", 12.5), "sites", 12.5),
 ]
 
 
@@ -151,6 +152,7 @@ BELOW_MINIMUM_CASES = [
     (max_spin_entropy_asymptotic, (0, 0.5), "sites", 1, 0),
     (sd2_asymptotic, (0, 0.5, 0.5), "sites", 1, 0),
     (haar_average_leading, (10, 5, 1), "local_dim", 2, 1),
+    (default_sample_count, ("full", -5), "sites", 1, -5),
 ]
 
 
@@ -854,6 +856,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="unknown method 'fulll'"):
             ensemble_entropy_samples(8, 2, 4, 4, 1, ("fulll",))
 
+    def test_bare_method_string_rejected(self):
+        # iterated, "full" was refused as the unknown method 'f'
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"methods must be a sequence of names from {ensembles.ENSEMBLE_METHODS}, got 'full'") + "$"):
+            ensemble_entropy_samples(8, 2, 4, 4, 1, methods="full")
+
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
             ensemble_entropy_samples(8, 2, 4, 4, 1, workers=0)
@@ -959,26 +967,43 @@ class TestDraw:
                                                     complex_coefficients, samples, stack):
         # every W the sampler hands to the Schmidt pass, in stacks of `stack`
         # (10 samples in stacks of 3 end ragged), has the bit pattern of the
-        # reference's pair-by-pair draw of the same seed
+        # reference's pair-by-pair draw of the same seed sequence (seed, i),
+        # whose ints the sampler splits into 32-bit words itself: one word,
+        # the zero word, two and three words, more than four words with i
+        # (the seed sequence's extra mixing) and numpy integers.  The stacks
+        # of the first seed go on to the Schmidt pass, the others read zeros
         geo = coupled_geometry(sites, two_j, cut)
-        seed = 29
         w_bytes = math.prod(geo.shape) * (16 if complex_coefficients else 8)
         monkeypatch.setattr(ensembles, "STACK_BYTES", stack * w_bytes)
-        stacks = []
         schmidt_pass = ensembles._entropies_from_blocks
+        seeds = [29, 0, 2**32 + 5, 2**64 + 3, 2**100 + 1, np.int64(2**40 + 7), np.uint64(2**64 - 1)]
+        for seed in seeds:
+            stacks = []
 
-        def record(geo, w, methods):
-            stacks.append(w.copy())
-            return schmidt_pass(geo, w, methods)
+            def record(geo, w, methods):
+                stacks.append(w.copy())
+                if seed == seeds[0]:
+                    return schmidt_pass(geo, w, methods)
+                return dict.fromkeys(methods, np.zeros(len(w)))
 
-        monkeypatch.setattr(ensembles, "_entropies_from_blocks", record)
-        ensemble_entropy_samples(sites, two_j, cut, samples, seed, ("full",), complex_coefficients,
-                                 workers=1)
-        assert [len(w) for w in stacks] == [min(stack, samples - lo)
-                                            for lo in range(0, samples, stack)]
-        want = np.array([draw_w((seed, i), geo, complex_coefficients) for i in range(samples)])
-        got = np.concatenate(stacks)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            monkeypatch.setattr(ensembles, "_entropies_from_blocks", record)
+            ensemble_entropy_samples(sites, two_j, cut, samples, seed, ("full",), complex_coefficients,
+                                     workers=1)
+            assert [len(w) for w in stacks] == [min(stack, samples - lo)
+                                                for lo in range(0, samples, stack)]
+            want = np.array([draw_w((seed, i), geo, complex_coefficients) for i in range(samples)])
+            got = np.concatenate(stacks)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    def test_sample_indices_across_a_word_boundary(self, complex_coefficients):
+        # i = 2**32 - 2, 2**32 - 1 take one word and i = 2**32 two
+        geo = coupled_geometry(12, 6, 6)
+        stack = range(2**32 - 2, 2**32 + 1)
+        w = np.zeros((len(stack),) + geo.shape, dtype=complex if complex_coefficients else float)
+        ensembles._draw_stack(geo, w, 2**33 + 1, stack)
+        want = np.array([draw_w((2**33 + 1, i), geo, complex_coefficients) for i in stack])
+        assert np.array_equal(w.view(np.uint64), want.view(np.uint64))
 
 
 class TestStackPlan:
@@ -1131,11 +1156,13 @@ class TestStackedSamples:
 
 class TestGramSizes:
     # the Schmidt pass diagonalizes each block's Gram, one eigvalsh call over
-    # the stack, before it forms the next; LAPACK runs once per matrix
+    # the stack, before it forms the next; LAPACK runs once per matrix, and
+    # not at all for a 1 x 1 Gram, which is its own spectrum
     def test_one_eigvalsh_call_per_schmidt_block(self, monkeypatch):
         # a 20-sample stack of (12, 6, 6) with full, sd1 and sd2 has 19 Grams
-        # of 5 sizes, 8 of them 1 x 1, each diagonalized by its own stacked
-        # call: each m block, then its sd1 parts, then each sd2 pairing
+        # of 5 sizes, 8 of them 1 x 1; each of the other 11 is diagonalized by
+        # its own stacked call: each m block, then its sd1 parts, then each
+        # sd2 pairing
         geo = coupled_geometry(12, 6, 6)
         stack = np.array([draw_w((59, i), geo, True) for i in range(20)])
         want = []
@@ -1152,11 +1179,12 @@ class TestGramSizes:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
-        assert sizes == [(20, size, size) for size in want]
+        assert sizes == [(20, size, size) for size in want if size > 1]
 
     def test_each_gram_diagonalized_before_the_next_is_formed(self, monkeypatch):
         # no Gram of a stack outlives its block: the pass alternates one Gram
-        # product and one eigvalsh call of that Gram, for every method
+        # product and one eigvalsh call of that Gram, for every method, where
+        # the Gram is larger than 1 x 1; a 1 x 1 Gram is read as it is formed
         geo = coupled_geometry(12, 6, 6)
         stack = np.array([draw_w((61, i), geo, True) for i in range(6)])
         gram, eigvalsh = ensembles._gram, np.linalg.eigvalsh
@@ -1173,10 +1201,29 @@ class TestGramSizes:
         monkeypatch.setattr(ensembles, "_gram", logged_gram)
         monkeypatch.setattr(np.linalg, "eigvalsh", logged_eigvalsh)
         _entropies_from_blocks(geo, stack, ensembles.ENSEMBLE_METHODS)
-        assert len(log) == 2 * 19
-        for (formed, g), (solved, a) in zip(log[::2], log[1::2]):
-            assert (formed, solved) == ("gram", "eigvalsh")
-            assert a is g
+        grams = [g for event, g in log if event == "gram"]
+        assert len(grams) == 19 and sum(g.shape[-1] == 1 for g in grams) == 8
+        want = []
+        for g in grams:
+            want += [("gram", g)] + ([("eigvalsh", g)] if g.shape[-1] > 1 else [])
+        assert [event for event, _ in log] == [event for event, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(log, want))
+
+    @pytest.mark.parametrize("complex_coefficients", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (4, 1, 6), (4, 6, 1), (3, 1, 1)])
+    def test_one_row_grams_equal_their_eigvalsh_bitwise(self, complex_coefficients, shape):
+        # a 1 x 1 Gram skips LAPACK, whose n = 1 spectrum is real(A(1,1));
+        # the stacks hold an all-zero matrix
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape)
+        if complex_coefficients:
+            x = x + 1j * rng.standard_normal(shape)
+        if len(shape) == 3:
+            x[1] = 0.0
+        got = ensembles._schmidt_squares(x)
+        want = np.linalg.eigvalsh(ensembles._gram(x))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestGeometry:

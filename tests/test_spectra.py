@@ -578,7 +578,7 @@ class TestRuns:
         # a warm spin-1/2 L = 12 chain at f = 1/2 is one run: 42 (k, J)
         # subspaces of 14 sizes, and 5 Gram stacks over the central states of
         # all 7 blocks (m_A = 1, 2, 3 and the two flip classes of m_A = 0) of
-        # sizes 15, 6, 1, 10 and 10
+        # sizes 15, 6, 1, 10 and 10; the 1 x 1 Grams of m_A = 3 skip eigvalsh
         spec = ChainSpec(HALF, 12, 3.0)
         diagonalize_and_resolve(spec)
         shapes = {"eigh": [], "eigvalsh": []}
@@ -589,18 +589,20 @@ class TestRuns:
 
             monkeypatch.setattr(np.linalg, name, counted)
         per_block_resolve(spec)
-        assert (len(shapes["eigh"]), len(shapes["eigvalsh"])) == (42, 35)
+        assert (len(shapes["eigh"]), len(shapes["eigvalsh"])) == (42, 28)
         for calls in shapes.values():
             calls.clear()
         diagonalize_and_resolve(spec)
         assert len(shapes["eigh"]) == len({shape[-1] for shape in shapes["eigh"]}) == 14
-        assert sorted(shape[-1] for shape in shapes["eigvalsh"]) == [1, 6, 10, 10, 15]
+        assert sorted(shape[-1] for shape in shapes["eigvalsh"]) == [6, 10, 10, 15]
 
     def test_each_entry_is_diagonalized_before_the_next_is_filled(self, monkeypatch):
         # at most one entry's Grams are alive: every Gram stack of an entry
-        # goes to eigvalsh before the next entry's stack is filled
+        # larger than 1 x 1 goes to eigvalsh before the next entry's stack is
+        # filled, and a 1 x 1 one is read as it is formed
         maps = spectra._cut_maps(1, 10, 4)
         assert any(entry[3] for entry in maps) and len(maps) > 2
+        assert any(min(entry[1]) == 1 for entry in maps)
         rng = np.random.default_rng(7)
         dim = len(configuration_space(1, 10, 0)[0])
         states = [rng.normal(size=(dim, 2)), rng.normal(size=(dim, 3))]
@@ -617,8 +619,10 @@ class TestRuns:
         monkeypatch.setattr(np.linalg, "eigvalsh", logged("eigvalsh", np.linalg.eigvalsh))
         ensembles._schmidt_entropies(maps, sources)
         want = []
-        for entry in maps:
-            want += ["fill"] * len(sources) + ["gram", "eigvalsh"] * (2 if entry[3] else 1)
+        for _, (rows, cols), _, flip_paired, _ in maps:
+            want += ["fill"] * len(sources)
+            for n in (rows - rows // 2, rows // 2) if flip_paired else (rows,):
+                want += ["gram"] + (["eigvalsh"] if min(n, cols) != 1 else [])
         assert events == want
 
     @pytest.mark.parametrize("species,sites,runs", [(HALF, 12, 1), (HALF, 14, 4), (ONE, 8, 1)])
