@@ -17,7 +17,7 @@ reference that certifies these forms.
 import math
 from dataclasses import dataclass
 
-from .combinatorics import HALF, _check_integer, _check_spin_density, _check_spin_label
+from .combinatorics import HALF, _check_integer, _check_species, _check_spin_density, _check_spin_label
 
 __all__ = [
     "multiplicity_rate",
@@ -47,6 +47,7 @@ def multiplicity_rate(species, j):
     / (1 + j)) so u is kept as j -> 1.  The endpoint values ln(2s+1) at j=0
     and 0 at j=1 are the analytic limits.
     """
+    _check_species(species)
     _check_spin_density(j, allow_zero=True)
     if j == 0.0:
         return math.log(species.local_dim)
@@ -76,6 +77,7 @@ def saddle_solve(species, j):
     j=1 is returned as a flagged endpoint (the saddle degenerates to z0=0
     and the prefactor is undefined).
     """
+    _check_species(species)
     _check_spin_density(j)
     if j == 1.0:
         return SaddleData(j, 0.0, 0.0, math.nan, endpoint=True)
@@ -101,15 +103,16 @@ def log_multiplicity_saddle(species, sites, two_j):
 def hilbert_fraction_asymptotic(sites, two_j):
     """Large-L approximation of n_J / D for spin-1/2 at density x = 2J/L.
 
-    Valid for 0 <= x < 1; exact integer ratios should be used at the upper
-    endpoint.
+    Valid for 0 <= x < 1, where the prefactor stays finite; x = 1 is refused,
+    and `hilbert_fraction` gives the exact ratio there.
     """
     _check_spin_label(HALF, sites, two_j)
     if sites < 1:
         raise ValueError(f"the Hilbert-space fraction needs sites >= 1, got {sites}")
     x = two_j / sites
     if x >= 1.0:
-        return math.nan
+        raise ValueError(f"the asymptotic fraction needs 2J/L < 1 in floats, got 2J={two_j}, L={sites}; "
+                         "use hilbert_fraction")
     pref = 2.0 / math.sqrt(1.0 - x * x) * (x / (1.0 + x) + (1.0 - x) / ((1.0 + x) ** 2 * sites))
     expo = -((1.0 + x) / 2.0 * math.log1p(x) + (1.0 - x) / 2.0 * math.log1p(-x)) * sites
     return pref * math.exp(expo)

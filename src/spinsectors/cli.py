@@ -225,12 +225,13 @@ def _cmd_dims(opt):
             log_n = log_multiplicity_saddle(species, sites, two_j)
         except ValueError:
             log_n = math.nan
+        frac = frac_asy = math.nan
         if species.two_s == 1:
             frac = float(hilbert_fraction(sites, two_j))
-            frac_asy = hilbert_fraction_asymptotic(sites, two_j)
-        else:
-            frac = math.nan
-            frac_asy = math.nan
+            try:
+                frac_asy = hilbert_fraction_asymptotic(sites, two_j)
+            except ValueError:  # x = 2J/L = 1
+                pass
         rows.append((species.name, sites, two_j, n_exact, log_n, frac, frac_asy))
     _write_csv(opt["out"], header, rows)
     return 0

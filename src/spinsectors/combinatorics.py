@@ -100,6 +100,12 @@ def _check_spin_density(j, allow_zero=False):
         raise ValueError(f"spin density must lie in {interval}, got {j}")
 
 
+def _check_species(species):
+    """Refuse anything but a `SpinSpecies`, such as its name "half"."""
+    if not isinstance(species, SpinSpecies):
+        raise ValueError(f"species must be a SpinSpecies (HALF or ONE), got {species!r}")
+
+
 def _check_zero_jz(species, sites):
     """Spin-1/2 chains of odd L have no J_z = 0 sector."""
     if species.two_s == 1 and sites % 2:
@@ -107,6 +113,7 @@ def _check_zero_jz(species, sites):
 
 
 def _check_spin_label(species, sites, two_j, what="two_j"):
+    _check_species(species)
     _check_integer("sites", sites, 0)
     _check_integer(what, two_j, 0)
     if two_j > species.two_s * sites:
@@ -230,12 +237,14 @@ def multiplicity_table(species, sites):
     This is the brute-force oracle valid for every species; it starts from the
     trivial representation at L=0 and fuses one site at a time.
     """
+    _check_species(species)
     _check_integer("sites", sites, 0)
     return MultiplicityTable(species, sites, _fusion_counts(species.two_s, sites))
 
 
 def multiplicity(species, sites, two_j):
     """Exact multiplicity of total spin two_j/2 in species**L."""
+    _check_species(species)
     if species.two_s == 1:
         return spin_half_multiplicity(sites, two_j)
     _check_spin_label(species, sites, two_j)
@@ -244,6 +253,7 @@ def multiplicity(species, sites, two_j):
 
 def zero_magnetization_dim(sites):
     """Dimension of the J_z=0 (even L) or J_z=+-1/2 (odd L) spin-1/2 sector."""
+    sites = _check_integer("sites", sites, 0)
     return math.comb(sites, sites // 2)
 
 
@@ -254,6 +264,8 @@ def hilbert_fraction(sites, two_j):
 
 def admissible_two_j(species, sites):
     """All two_j with nonzero multiplicity, ascending."""
+    _check_species(species)
+    sites = _check_integer("sites", sites, 0)
     if sites == 0:
         return [0]
     if species.two_s == 1:

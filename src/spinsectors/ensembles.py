@@ -173,49 +173,6 @@ def bipartition_maps(configs, a_sites):
     return blocks
 
 
-def _flip_classes(blocks):
-    """Flip-even and flip-odd rows (x_i +- x_{n-1-i}) / sqrt 2 of stacked
-    Schmidt blocks whose row i is the flip partner of row n-1-i; the middle
-    row of an odd n is its own partner and joins the even rows."""
-    n = blocks.shape[-2]
-    top, bottom = blocks[:, : n // 2], blocks[:, : (n - 1) // 2 : -1]
-    even = (top + bottom) * math.sqrt(0.5)
-    odd = (top - bottom) * math.sqrt(0.5)
-    return np.concatenate([even, blocks[:, n // 2 : n - n // 2]], axis=1), odd
-
-
-def _schmidt_entropies(maps, sources):
-    """Entropy of each state of `sources` over the Schmidt index maps `maps`,
-    (order, shape, copies, flip_paired, mirror) entries: a `bipartition_maps`
-    entry, the times its spectrum counts, whether its rows split into flip
-    classes (exact only for states the global spin flip maps to
-    +-themselves) and `mirror` or None.  `sources` lists (amplitudes, count)
-    pairs: `amplitudes(order)` gives the rows `order` of `count` states; the
-    entropies follow the sources in order.  Each entry fills one stack, a
-    row-major block per state, and diagonalizes the Gram stack of each flip
-    class (`_schmidt_squares`) before the next entry is filled.
-
-    With a `mirror`, the flat index of (row, Pi' col) at each entry (row,
-    col) for a column involution Pi', complex amplitudes fill the real N =
-    Im M + Re M.flat[mirror] in place of their Schmidt block M: for M[Pi
-    rows, Pi' cols] = conj M, Pi a row involution that commutes with the
-    flip, N = V^dagger M W^* with the unitaries V = exp(i pi/4) (1 - i Pi) /
-    sqrt 2 and W alike for Pi', so N has M's singular values, flip class by
-    flip class."""
-    bounds = [0, *accumulate(count for _, count in sources)]
-    values = np.zeros(bounds[-1])
-    for order, shape, copies, flip_paired, mirror in maps:
-        amps = [amplitudes(order) for amplitudes, _ in sources]
-        complex_blocks = mirror is None and any(np.iscomplexobj(a) for a in amps)
-        blocks = np.empty((bounds[-1],) + shape, dtype=complex if complex_blocks else float)
-        for a, lo, hi in zip(amps, bounds, bounds[1:]):
-            real = mirror is None or not np.iscomplexobj(a)
-            blocks[lo:hi].reshape(hi - lo, -1)[...] = (a if real else a.imag + a.real[mirror]).T
-        for part in _flip_classes(blocks) if flip_paired else (blocks,):
-            values += copies * schmidt_square_entropy(_schmidt_squares(part))
-    return values
-
-
 def slice_entanglement_entropy(state, configs, a_sites):
     """Entanglement entropy of a state on a magnetization-resolved slice.
 
@@ -232,8 +189,12 @@ def slice_entanglement_entropy(state, configs, a_sites):
     _check_normalized(state)
     states = state.reshape(len(state), -1)
     padded = np.vstack([states, np.zeros_like(states[:1])])  # pairings the slice lacks read 0
-    maps = [(order, shape, 1, False, None) for order, shape in bipartition_maps(configs, a_sites)]
-    values = _schmidt_entropies(maps, [(padded.__getitem__, states.shape[1])])
+    values = np.zeros(states.shape[1])
+    for order, shape in bipartition_maps(configs, a_sites):
+        # a C-ordered stack: a strided view of padded[order].T rounds the Gram differently
+        blocks = np.empty((len(values),) + shape, dtype=complex if np.iscomplexobj(states) else float)
+        blocks.reshape(len(values), -1)[...] = padded[order].T
+        values += schmidt_square_entropy(_schmidt_squares(blocks))
     return values if state.ndim == 2 else float(values[0])
 
 
@@ -685,6 +646,8 @@ def ensemble_entropy_samples(
     for name, value in (("sites", sites), ("two_j", two_j), ("cut", cut)):
         _check_integer(name, value)
     _check_integer("samples", samples, 1)
+    if samples > 2**53:  # past it the float64 bounds of the workers' shares are not exact
+        raise ValueError(f"samples must be at most 2**53, got {samples}")
     _check_integer("seed", seed, 0)
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of names from {ENSEMBLE_METHODS}, got {methods!r}")

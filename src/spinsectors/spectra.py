@@ -18,28 +18,34 @@ so no complex operator matrix is formed.
 Everything that does not depend on the coupling is cached per chain: the
 real bases, the real J**2 eigenbasis Q_J of every (k, J) subspace, the
 projection Q_J^T B Q_J of every bond term B of H with its leakage
-certificate, and the Schmidt maps of each cut, which list each Schmidt
-block's configurations in row-major order.  A coupling then costs one real
-n_J-sized solve per subspace.  The chain is worked through in runs of
+certificate, and the Schmidt maps of each cut (`_cut_maps`), which list each
+Schmidt block's configurations in row-major order.  A coupling then costs one
+real n_J-sized solve per subspace.  The chain is worked through in runs of
 consecutive momentum blocks whose Schmidt stacks fit in
 `ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
-one `eigh` call and makes one Schmidt pass over the central states of all
-its blocks, each stack filled by one gather per block and diagonalized by
-one `eigvalsh` call per flip class past 1 x 1; its records take entropies once
-the pass is done.  LAPACK and BLAS run at most once per matrix of a stack, so
-the records are bitwise those of a block by block solve.  The Schmidt maps are
-flip-reduced: a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
-(-1)**(Ls - J) times itself, so only the m_A > 0 Schmidt blocks are
-diagonalized, each counted twice, and m_A = 0 splits into flip-even and
-flip-odd rows.  The symmetry depends on the chain alone: the build checks
-it on every J**2 subspace and refuses a chain that misses it.
+one `eigh` call and makes one Schmidt pass (`_schmidt_entropies`) over the
+central states of all its blocks, each stack filled by one gather per block
+and diagonalized by one `eigvalsh` call per flip class past 1 x 1; its
+records take entropies once the pass is done.  LAPACK and BLAS run at most
+once per matrix of a stack, so the records are bitwise those of a block by
+block solve.
 
-Every Schmidt block is diagonalized as a real matrix.  At k = 0, pi the
-eigenstates are real.  At other k the in-half reflection R = T**cut P,
-which sends site i to (cut-1-i) mod L and so keeps both halves, maps a
-P K-invariant eigenstate psi to psi(R c) = exp(-ik cut) conj psi(c); the
-Schmidt blocks M of exp(ik cut/2) psi thus obey M[R rows, R cols] = conj M,
-and the real Im M + Re M[:, R cols] has M's singular values.
+The Schmidt pass is reduced by two symmetries of the eigenstates.  Spin
+flip: a J_z=0 eigenstate of J**2 is mapped by the global spin flip to
+(-1)**(Ls - J) times itself, so the m_A > 0 Schmidt blocks are diagonalized
+once and counted twice, and m_A < 0 is dropped; the m_A = 0 block, whose
+rows i and n-1-i the flip swaps (it reverses their lexicographic order),
+splits into the flip-even and flip-odd rows (x_i +- x_{n-1-i}) / sqrt 2
+(`_flip_classes`; the middle row of an odd n joins the even ones).  The
+build checks the flip on every J**2 subspace and refuses a chain that
+misses it.  In-half reflection: at k = 0, pi the eigenstates are real; at
+other k, R = T**cut P (site i to (cut-1-i) mod L, keeping both halves and
+every block) maps a P K-invariant eigenstate psi to psi(R c) = exp(-ik cut)
+conj psi(c), so each Schmidt block M of exp(ik cut/2) psi obeys M[R rows,
+R cols] = conj M, and the real N = Im M + Re M[:, R cols] = V^dagger M W^*,
+with the unitaries V = exp(i pi/4) (1 - i R) / sqrt 2 on rows and W alike on
+columns, has M's singular values, flip class by flip class (R commutes with
+the flip).
 """
 
 import math
@@ -47,13 +53,14 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import SpinSpecies, _check_fraction, _check_integer, _check_zero_jz
+from .combinatorics import SpinSpecies, _check_fraction, _check_integer, _check_species, _check_zero_jz
 from . import ensembles
-from .ensembles import EntropyEstimate, _check_normalized, _schmidt_entropies, bipartition_maps
+from .ensembles import EntropyEstimate, _check_normalized, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
 __all__ = [
@@ -86,6 +93,7 @@ class ChainSpec:
     coupling: float = 0.0
 
     def __post_init__(self):
+        _check_species(self.species)
         _check_integer("sites", self.sites)
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
@@ -355,20 +363,12 @@ def gaussianity_of_vector(vector):
 
 @lru_cache(maxsize=None)
 def _cut_maps(two_s, sites, cut):
-    """Flip-reduced Schmidt index maps of the J_z=0 slice for the first `cut` sites.
-
-    Exact for flip eigenstates only, as every J_z=0 eigenstate of J**2 is:
-    the m_A < 0 blocks are dropped and the m_A > 0 ones count twice, and the
-    m_A = 0 block, its smaller side made the rows, splits into flip classes
-    (its rows, ranked lexicographically by digits, pair as i and n-1-i,
-    because the flip reverses that order).  Independent of the coupling, so
-    cached.
-
-    Entries are (order, shape, copies, flip_paired, mirror): `mirror` holds
-    the flat index of (row, R col) for each block entry (row, col), R =
-    T**cut P the in-half reflection (site i to (cut-1-i) mod L, keeping every
-    block); `_schmidt_entropies` uses it to make complex-sector blocks real.
-    """
+    """Flip-reduced Schmidt index maps of the J_z=0 slice for the first `cut`
+    sites (see the module docstring); independent of the coupling, so cached.
+    Entries are (order, shape, copies, flip_paired, mirror): a
+    `bipartition_maps` entry for m_A >= 0 (m_A = 0 with its smaller side as
+    rows), the times its spectrum counts, whether its rows split into flip
+    classes, and the flat index of (row, R col) at each entry (row, col)."""
     codes, digits = configuration_space(two_s, sites, 0)
     reflected = np.concatenate([digits[:, cut - 1::-1], digits[:, :cut - 1:-1]], axis=1)
     reflection = np.searchsorted(codes, reflected @ (two_s + 1) ** np.arange(sites, dtype=np.int64))
@@ -385,6 +385,43 @@ def _cut_maps(two_s, sites, cut):
         order.flags.writeable = mirror.flags.writeable = False
         maps.append((order, shape, 2 if twice_m else 1, twice_m == 0, mirror))
     return tuple(maps)
+
+
+def _flip_classes(blocks):
+    """Flip-even and flip-odd rows (x_i +- x_{n-1-i}) / sqrt 2 of stacked
+    Schmidt blocks whose row i is the flip partner of row n-1-i; the middle
+    row of an odd n is its own partner and joins the even rows."""
+    n = blocks.shape[-2]
+    top, bottom = blocks[:, : n // 2], blocks[:, : (n - 1) // 2 : -1]
+    even = (top + bottom) * math.sqrt(0.5)
+    odd = (top - bottom) * math.sqrt(0.5)
+    return np.concatenate([even, blocks[:, n // 2 : n - n // 2]], axis=1), odd
+
+
+def _schmidt_entropies(maps, picks, cut, sites):
+    """Entropies of the states of a run over the `_cut_maps` entries `maps`,
+    in the order of `picks`, (block, picked) pairs of momentum-basis columns:
+    slice configuration c = T**t r reads phase[c] exp(ik cut/2) times row r
+    of picked, 0 outside the block.  Each entry fills one real stack, Im M +
+    Re M.flat[mirror] for a complex-sector block M, and diagonalizes the Gram
+    stack of each flip class before the next entry is filled."""
+    padded, phases = [], []
+    for block, picked in picks:
+        _check_normalized(picked)
+        padded.append(np.vstack([picked, np.zeros((1, picked.shape[1]), dtype=picked.dtype)]))
+        phases.append(block.phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
+                      if block.complex_sector else block.phase)
+    bounds = [0, *accumulate(picked.shape[1] for _, picked in picks)]
+    values = np.zeros(bounds[-1])
+    for order, shape, copies, flip_paired, mirror in maps:
+        amps = [rows[block.position[order]] * phase[order, None]
+                for (block, _), rows, phase in zip(picks, padded, phases)]
+        blocks = np.empty((bounds[-1],) + shape)
+        for (block, _), a, lo, hi in zip(picks, amps, bounds, bounds[1:]):
+            blocks[lo:hi].reshape(hi - lo, -1)[...] = (a.imag + a.real[mirror] if block.complex_sector else a).T
+        for part in _flip_classes(blocks) if flip_paired else (blocks,):
+            values += copies * ensembles.schmidt_square_entropy(ensembles._schmidt_squares(part))
+    return values
 
 
 def _central_window(dim):
@@ -430,21 +467,6 @@ def _solve(subspaces, coeffs):
     return solved
 
 
-def _amplitude_source(block, picked, cut, sites):
-    """`_schmidt_entropies` source of the momentum-basis columns `picked` of
-    `block`: c = T**t r takes phase[c] times row r of picked; orbits outside
-    the block read a zero row."""
-    _check_normalized(picked)
-    padded = np.vstack([picked, np.zeros((1, picked.shape[1]), dtype=picked.dtype)])
-    phase = block.phase
-    if block.complex_sector:
-        # psi(R c) = exp(-ik cut) conj psi(c) for the reflection R of
-        # `_cut_maps`, so each Schmidt block M of exp(ik cut/2) psi has
-        # M[R rows, R cols] = conj M, and `_schmidt_entropies` makes it real
-        phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
-    return (lambda order: padded[block.position[order]] * phase[order, None]), picked.shape[1]
-
-
 def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     """Diagonalize H inside each J**2 eigenspace of every momentum block.
 
@@ -457,14 +479,12 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     averages, when |<J**2> - J(J+1)| > RESIDUAL_TOL, when its H residual bound
     |H_J x - E x| + sum_b |c_b| |B_b Q_J - Q_J Q_J^T B_b Q_J|_F, which bounds
     |Hv - Ev| for v = Q_J x, exceeds RESIDUAL_TOL max(1, max|E|) (an H that
-    breaks SU(2) leaks out of the J**2 subspaces).  The spin-flip parity that
-    the flip-reduced Schmidt blocks rest on is checked once per chain, by
-    `_spin_subspaces`.
+    breaks SU(2) leaks out of the J**2 subspaces).
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
     rank.  The blocks are worked through in runs (`_runs`), each with one
-    solve per subspace size (`_solve`) and one Schmidt pass.
+    solve per subspace size (`_solve`) and one Schmidt pass (`_schmidt_entropies`).
     """
     two_s = spec.species.two_s
     sites = spec.sites
@@ -482,7 +502,7 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     records = []
     for run in _runs(_spin_subspaces(two_s, sites), largest):
         solved = iter(_solve([sub for _, subspaces in run for sub in subspaces], coeffs))
-        targets, sources = [], []  # the chosen records, in the order of the sources' columns
+        targets, picks = [], []  # the chosen records, in the order of the picked columns
         for block, subspaces in run:
             rots, parts = zip(*(next(solved) for _ in subspaces))
             energies, two_js, j2_residuals, h_residuals = map(np.concatenate, zip(*parts))
@@ -520,10 +540,10 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
                                  energies, two_js, j2_residuals, central, gaussianity, flagged)))]
             records += block_records
             if chosen.size and fraction is not None:
-                sources.append(_amplitude_source(block, picked, cut, sites))
+                picks.append((block, picked))
                 targets += [block_records[i] for i in chosen.tolist()]
-        if sources:
-            for record, value in zip(targets, _schmidt_entropies(maps, sources).tolist()):
+        if picks:
+            for record, value in zip(targets, _schmidt_entropies(maps, picks, cut, sites).tolist()):
                 record.entropy = value
     return records
 

@@ -36,6 +36,8 @@ The library calls none of these; the tests compare it against them.
   block by block, one `eigh` call per (k, J) subspace and one Schmidt pass
   per block with one `eigvalsh` call per Schmidt block, against the
   library's runs of blocks, bitwise.
+- `flip_classes`: the flip-even and flip-odd rows of an m_A = 0 Schmidt
+  block by explicit partner indices, against the library's slices.
 - `kron_hamiltonian`, `kron_spin_squared`: full-product-space operators
   from Kronecker products, independent of the library's bond kernel.
 - `draw_blocks`: one Monte Carlo W drawn block by block, two normal calls
@@ -66,7 +68,6 @@ from spinsectors.combinatorics import (
 from spinsectors.special import digamma, log_binomial
 from spinsectors.ensembles import (
     EIGENVALUE_FLOOR,
-    _flip_classes,
     _schmidt_squares,
     bipartition_maps,
     schmidt_square_entropy,
@@ -607,6 +608,18 @@ def sampler_entropies_reference(geo, w, methods):
     return {method: concatenated_entropy(p) for method, p in parts.items()}
 
 
+def flip_classes(blocks):
+    """The library's flip split of stacked Schmidt blocks whose rows i and
+    n-1-i are flip partners, by explicit partner indices: the rows (x_i +
+    x_{n-1-i}) / sqrt 2 for i < n // 2 followed by the middle row of an odd
+    n, and the rows (x_i - x_{n-1-i}) / sqrt 2."""
+    n = blocks.shape[-2]
+    first = np.arange(n // 2)
+    x, partner = blocks[:, first], blocks[:, n - 1 - first]
+    middle = blocks[:, [n // 2] if n % 2 else []]
+    return np.concatenate([(x + partner) * math.sqrt(0.5), middle], axis=1), (x - partner) * math.sqrt(0.5)
+
+
 def slice_entropy_reference(states, configs, a_sites, maps=None):
     """`slice_entanglement_entropy` of a column stack of states through
     `concatenated_entropy`; given `maps` (for example flip-reduced ones), the
@@ -621,7 +634,7 @@ def slice_entropy_reference(states, configs, a_sites, maps=None):
         blocks = np.zeros((states.shape[1],) + shape, dtype=states.dtype)
         blocks[:, sel // shape[1], sel % shape[1]] = states[order[sel]].T
         parts += [(_schmidt_squares(p), copies)
-                  for p in (_flip_classes(blocks) if flip_paired else (blocks,))]
+                  for p in (flip_classes(blocks) if flip_paired else (blocks,))]
     return concatenated_entropy(parts)
 
 
@@ -768,24 +781,24 @@ def complex_resolve(spec, fraction=Fraction(1, 2)):
     return records
 
 
-def per_block_schmidt_entropies(maps, amplitudes, count):
-    """`_schmidt_entropies` of one block's `count` states, each Schmidt block
-    scattered into zeros at the (k // cols, k % cols) of its entries k, the
-    real part of a mirrored complex one at column mirror[k] % cols, with one
-    Gram and one `eigvalsh` call per entry and flip class, each entropy
-    summed as soon as its spectrum is found."""
-    values = np.zeros(count)
+def per_block_schmidt_entropies(maps, amps):
+    """The library's Schmidt pass over the `_cut_maps` entries `maps` of one
+    block's states, given as slice amplitudes `amps` (one column per state):
+    each Schmidt block scattered into zeros at the (k // cols, k % cols) of
+    its entries k, the real part of a complex one at column mirror[k] % cols,
+    with one Gram and one `eigvalsh` call per entry and flip class, each
+    entropy summed as soon as its spectrum is found."""
+    values = np.zeros(amps.shape[1])
     for order, shape, copies, flip_paired, mirror in maps:
-        amps = amplitudes(order)
+        entries = amps[order]
         rows, cols = np.divmod(np.arange(len(order)), shape[1])
-        if mirror is None or not np.iscomplexobj(amps):
-            blocks = np.zeros((count,) + shape, dtype=amps.dtype)
-            blocks[:, rows, cols] = amps.T
+        blocks = np.zeros((amps.shape[1],) + shape)
+        if np.iscomplexobj(entries):
+            blocks[:, rows, cols] = entries.imag.T
+            blocks[:, rows, mirror % shape[1]] += entries.real.T
         else:
-            blocks = np.zeros((count,) + shape)
-            blocks[:, rows, cols] = amps.imag.T
-            blocks[:, rows, mirror % shape[1]] += amps.real.T
-        for part in _flip_classes(blocks) if flip_paired else (blocks,):
+            blocks[:, rows, cols] = entries.T
+        for part in flip_classes(blocks) if flip_paired else (blocks,):
             values += copies * schmidt_square_entropy(_schmidt_squares(part))
     return values
 
@@ -840,8 +853,7 @@ def per_block_resolve(spec, fraction=Fraction(1, 2)):
                 phase = block.phase
                 if block.complex_sector:
                     phase = phase * np.exp(1j * math.pi * block.momentum_index * cut / sites)
-                entropy[chosen] = per_block_schmidt_entropies(
-                    maps, lambda sel: padded[block.position[sel]] * phase[sel, None], chosen.size)
+                entropy[chosen] = per_block_schmidt_entropies(maps, padded[block.position] * phase[:, None])
         columns = (energies, two_js, j2_residuals, central, gaussianity, entropy, flagged)
         n, complex_sector = block.momentum_index, block.complex_sector
         records += [EigenstateRecord(e, n, j, r, c, complex_sector, g, s, f)

@@ -164,6 +164,15 @@ class TestLogMultiplicity:
         with pytest.raises(ValueError, match="sites >= 1"):
             hilbert_fraction_asymptotic(0, 0)
 
+    @pytest.mark.parametrize("sites,two_j", [(1, 1), (10, 10), (11, 11), (10**6, 10**6), (2**60, 2**60 - 2)])
+    def test_fraction_refused_at_the_end_of_its_range(self, sites, two_j):
+        # x = 2J/L = 1 returned a silent NaN; past 2**53 sites x rounds to 1 below 2J = L
+        message = f"needs 2J/L < 1 in floats, got 2J={two_j}, L={sites}; use hilbert_fraction"
+        with pytest.raises(ValueError, match=f"^the asymptotic fraction {message}$"):
+            hilbert_fraction_asymptotic(sites, two_j)
+        if 1 < sites < 2**53:
+            assert math.isfinite(hilbert_fraction_asymptotic(sites, sites - 2))
+
 
 class TestHilbertFractionAsymptotics:
     def test_matches_exact_at_moderate_size(self):

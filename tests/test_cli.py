@@ -44,6 +44,13 @@ class TestDims:
         _, rows = read_rows(out)
         assert [r["two_J"] for r in rows] == ["1", "3", "5"]
 
+    def test_stretched_row_has_no_asymptotic_fraction(self, tmp_path):
+        # the asymptotic fraction refuses x = 2J/L = 1, and the row keeps its nan cell
+        out = tmp_path / "dims.csv"
+        main(["dims", "--L", "10", "--two-J", "10", "--out", str(out)])
+        assert out.read_text() == ("species,L,two_J,n_exact,n_asymptotic_log,fraction,fraction_asymptotic\n"
+                                   "half,10,10,1,nan,0.003968253968253968,nan\n")
+
     def test_spin_one_rows(self, tmp_path):
         out = tmp_path / "dims.csv"
         main(["dims", "--species", "one", "--L", "3", "--out", str(out)])
@@ -227,6 +234,14 @@ class TestAverage:
         monkeypatch.setattr(cli, "singlet_average_exact", overflow)
         with pytest.raises(SystemExit, match="^error: OverflowError: int too large"):
             main(["average", "--method", "closed", "--L", "4", "--two-J", "0"])
+
+    def test_sample_count_past_2_53_is_one_line(self, tmp_path):
+        # numpy's linspace refused 10**30 with a casting traceback
+        out = tmp_path / "avg.csv"
+        with pytest.raises(SystemExit, match=rf"^error: samples must be at most 2\*\*53, got {10**30}$"):
+            main(["average", "--method", "full", "--L", "12", "--two-J", "2", "--seed", "1",
+                  "--samples", str(10**30), "--out", str(out)])
+        assert not out.exists()
 
     def test_memory_error_is_one_line(self, monkeypatch):
         # L = 40 asks numpy for a 254 GiB W, which ended in a traceback;

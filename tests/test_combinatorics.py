@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,16 @@ from oracles import QUADRATURE_MAX_SITES, multiplicity_by_quadrature, sector_dim
 from spinsectors import (
     HALF,
     ONE,
+    ChainSpec,
     SectorLabel,
     SpinSpecies,
     admissible_two_j,
     hilbert_fraction,
+    log_multiplicity_saddle,
     multiplicity,
+    multiplicity_rate,
     multiplicity_table,
+    saddle_solve,
     spin_half_multiplicity,
     spin_half_multiplicity_log,
     zero_magnetization_dim,
@@ -64,10 +70,22 @@ class TestSpinHalfMultiplicity:
         (lambda: spin_half_multiplicity(4.0, 2), "sites", "4.0"),
         (lambda: spin_half_multiplicity(4, 2.0), "two_j", "2.0"),
         (lambda: multiplicity_table(HALF, 2.5), "sites", "2.5"),
-    ], ids=["multiplicity-sites", "multiplicity-two_j", "table-sites"])
+        *[(partial(function, *head, size), "sites", repr(size))
+          for function, head in ((zero_magnetization_dim, ()), (admissible_two_j, (HALF,)))
+          for size in (2.0, 1.5, math.nan, None, Fraction(3, 2))],
+    ], ids=["multiplicity-sites", "multiplicity-two_j", "table-sites",
+            *[f"{name}-{size}" for name in ("dim", "admissible")
+              for size in ("2.0", "1.5", "nan", "None", "3/2")]])
     def test_non_integer_labels_name_the_argument(self, call, name, value):
         # math.comb and range raised a TypeError that named no argument
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {re.escape(value)}$"):
+            call()
+
+    @pytest.mark.parametrize("call", [lambda: zero_magnetization_dim(-2), lambda: admissible_two_j(HALF, -2)],
+                             ids=["dim", "admissible"])
+    def test_negative_sizes_are_refused(self, call):
+        # math.comb refused -2 with its own message, and range gave no spins
+        with pytest.raises(ValueError, match=r"^sites must be >= 0, got -2$"):
             call()
 
 
@@ -156,6 +174,27 @@ class TestHilbertFraction:
         for sites in (5, 10, 13):
             total = sum(hilbert_fraction(sites, tj) for tj in admissible_two_j(HALF, sites))
             assert total == 1
+
+
+SPECIES_CALLS = {
+    "multiplicity": lambda species: multiplicity(species, 4, 0),
+    "multiplicity_table": lambda species: multiplicity_table(species, 4),
+    "admissible_two_j": lambda species: admissible_two_j(species, 4),
+    "multiplicity_rate": lambda species: multiplicity_rate(species, 0.5),
+    "saddle_solve": lambda species: saddle_solve(species, 0.5),
+    "log_multiplicity_saddle": lambda species: log_multiplicity_saddle(species, 4, 2),
+    "ChainSpec": lambda species: ChainSpec(species, 8),
+    "SectorLabel": lambda species: SectorLabel(species, 4, 0),
+}
+
+
+@pytest.mark.parametrize("species", ["half", None, 1], ids=["name", "none", "two_s"])
+@pytest.mark.parametrize("name", SPECIES_CALLS)
+def test_species_other_than_spin_species_are_refused(name, species):
+    # each read species.two_s and raised a bare AttributeError
+    message = f"species must be a SpinSpecies (HALF or ONE), got {species!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SPECIES_CALLS[name](species)
 
 
 class TestLabels:

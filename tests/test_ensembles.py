@@ -280,6 +280,21 @@ def test_out_of_range_inputs_are_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("samples", [2**53 + 1, 10**30])
+def test_sample_counts_past_2_53_are_refused_before_any_plan(monkeypatch, samples):
+    # np.linspace refused 10**30 with a casting error, and 2**53 + 1 went on to
+    # list ~2**53 stacks; the geometry is read first, so here it stops any plan
+    def forbidden(*args):
+        raise AssertionError("a sampling plan was started")
+
+    monkeypatch.setattr(ensembles, "coupled_geometry", forbidden)
+    message = f"^samples must be at most 2\\*\\*53, got {samples}$"
+    with pytest.raises(ValueError, match=message):
+        ensemble_entropy_samples(8, 2, 4, samples, 1)
+    with pytest.raises(ValueError, match=message):
+        random_state_average(12, 2, 6, samples, 1, workers=1)
+
+
 # each call takes (sites, int type); sd1 stops at L = 100 (~1 s there)
 NUMPY_INPUT_CALLS = {
     "singlet_average_exact": lambda L, i: singlet_average_exact(i(L), i(L // 2)),

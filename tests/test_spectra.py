@@ -5,7 +5,7 @@ import sys
 import warnings
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from oracles import (
     assemble_block_direct,
     complex_resolve,
     config_amplitudes,
+    flip_classes,
     hamiltonian_matrix,
     kron_hamiltonian,
     kron_spin_squared,
@@ -503,9 +504,9 @@ class TestFlipReduction:
         _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_paths(maps, sources):
-            reduced = kernel(maps, sources)
-            states = np.hstack([amplitudes(np.arange(len(digits))) for amplitudes, _ in sources])
+        def both_paths(maps, picks, cut, sites):
+            reduced = kernel(maps, picks, cut, sites)
+            states = np.hstack([config_amplitudes(block, picked) for block, picked in picks])
             full = slice_entanglement_entropy(states, digits, range(cut))
             gaps.append(np.max(np.abs(reduced - full)))
             return reduced
@@ -524,15 +525,16 @@ class TestFlipReduction:
     def test_entropies_match_concatenated_spectra(self, monkeypatch, species, sites, coupling):
         # one kernel pass per run, each Schmidt block weighted by its copies,
         # against every spectrum of a state concatenated and summed by one
-        # np.dot, block by block; at odd L or a cut other than L/2 the ED
-        # phase exp(ik cut/2) and its conjugate differ by more than a sign
+        # np.dot, block by block, from complex Schmidt blocks without the
+        # phase exp(ik cut/2); at odd L or a cut other than L/2 that phase
+        # and its conjugate differ by more than a sign
         _, digits = configuration_space(species.two_s, sites, 0)
         gaps = []
 
-        def both_routes(maps, sources):
-            got = kernel(maps, sources)
-            want = np.concatenate([slice_entropy_reference(amplitudes(np.arange(len(digits))), digits,
-                                                           range(cut), maps) for amplitudes, _ in sources])
+        def both_routes(maps, picks, cut, sites):
+            got = kernel(maps, picks, cut, sites)
+            want = np.concatenate([slice_entropy_reference(config_amplitudes(block, picked), digits,
+                                                           range(cut), maps) for block, picked in picks])
             gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
             return got
 
@@ -599,14 +601,32 @@ class TestRuns:
     def test_each_entry_is_diagonalized_before_the_next_is_filled(self, monkeypatch):
         # at most one entry's Grams are alive: every Gram stack of an entry
         # larger than 1 x 1 goes to eigvalsh before the next entry's stack is
-        # filled, and a 1 x 1 one is read as it is formed
-        maps = spectra._cut_maps(1, 10, 4)
+        # filled, and a 1 x 1 one is read as it is formed.  A fill reads each
+        # pick's `position` once, so the picks carry a logging one; the run
+        # mixes a real (k = 0) and a complex-sector (k = 1) block.
+        two_s, sites, cut = 1, 10, 4
+        maps = spectra._cut_maps(two_s, sites, cut)
         assert any(entry[3] for entry in maps) and len(maps) > 2
         assert any(min(entry[1]) == 1 for entry in maps)
         rng = np.random.default_rng(7)
-        dim = len(configuration_space(1, 10, 0)[0])
-        states = [rng.normal(size=(dim, 2)), rng.normal(size=(dim, 3))]
         events = []
+
+        class LoggedPosition:
+            def __init__(self, position):
+                self.position = position
+
+            def __getitem__(self, index):
+                events.append("fill")
+                return self.position[index]
+
+        picks = []
+        for (block, _), count in zip(spectra._spin_subspaces(two_s, sites), (2, 3)):
+            picked = rng.normal(size=(len(block.reps), count))
+            if block.complex_sector:
+                picked = picked + 1j * rng.normal(size=picked.shape)
+            picks.append((replace(block, position=LoggedPosition(block.position)),
+                          picked / np.linalg.norm(picked, axis=0)))
+        assert [block.complex_sector for block, _ in picks] == [False, True]
 
         def logged(name, original):
             def call(*args, **kwargs):
@@ -614,13 +634,12 @@ class TestRuns:
                 return original(*args, **kwargs)
             return call
 
-        sources = [(logged("fill", x.__getitem__), x.shape[1]) for x in states]
         monkeypatch.setattr(ensembles, "_gram", logged("gram", ensembles._gram))
         monkeypatch.setattr(np.linalg, "eigvalsh", logged("eigvalsh", np.linalg.eigvalsh))
-        ensembles._schmidt_entropies(maps, sources)
+        spectra._schmidt_entropies(maps, picks, cut, sites)
         want = []
         for _, (rows, cols), _, flip_paired, _ in maps:
-            want += ["fill"] * len(sources)
+            want += ["fill"] * len(picks)
             for n in (rows - rows // 2, rows // 2) if flip_paired else (rows,):
                 want += ["gram"] + (["eigvalsh"] if min(n, cols) != 1 else [])
         assert events == want
@@ -644,19 +663,12 @@ class TestRuns:
         if (species, sites) == (HALF, 12):
             assert size(chain) == 348_800
 
-    def test_sources_of_either_dtype_share_a_pass(self):
-        # a complex source turns the whole stack complex; each state's entropy
-        # stays that of its own source's pass
-        two_s, sites, cut = 1, 8, 3
-        _, digits = configuration_space(two_s, sites, 0)
-        maps = [(order, shape, 1, False, None) for order, shape in ensembles.bipartition_maps(digits, range(cut))]
-        rng = np.random.default_rng(3)
-        states = [rng.normal(size=(len(digits), 3)),
-                  rng.normal(size=(len(digits), 2)) + 1j * rng.normal(size=(len(digits), 2))]
-        states = [x / np.linalg.norm(x, axis=0) for x in states]
-        got = ensembles._schmidt_entropies(maps, [(x.__getitem__, x.shape[1]) for x in states])
-        want = [ensembles._schmidt_entropies(maps, [(x.__getitem__, x.shape[1])]) for x in states]
-        np.testing.assert_allclose(got, np.concatenate(want), rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("rows", [1, 2, 5, 6])
+    def test_flip_classes_match_the_oracle_split(self, rows):
+        # the library slices the partner rows, the oracle indexes them
+        blocks = np.random.default_rng(rows).normal(size=(3, rows, 4))
+        for got, want in zip(spectra._flip_classes(blocks), flip_classes(blocks), strict=True):
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSpinSquared:
