@@ -82,6 +82,13 @@ def _check_integer(name, value, minimum=None):
     return int(value)
 
 
+def _check_exact_sites(sites):
+    """Refuse a checked L past 2**63 - 1, where math.comb, numpy indices and
+    range overflow: for the exact forms only, as the asymptotic ones take any L."""
+    if sites > 2**63 - 1:
+        raise ValueError(f"sites must be at most 2**63 - 1, got {sites}")
+
+
 def _check_fraction(name, value):
     """`value` as an exact Fraction; ValueError unless it is a finite real
     number or a rational string such as '1/3'."""
@@ -183,6 +190,7 @@ def spin_half_multiplicity(sites, two_j):
     """Number of spin-J irreps in the L-fold product of spin-1/2, exactly: the
     ballot form n_J = 2(2J+1) C(L, L/2 - J) / (L+2J+2), as a run of one spin."""
     _check_spin_label(HALF, sites, two_j)
+    _check_exact_sites(sites)
     two_j = int(two_j)
     return _multiplicity_run(int(sites), two_j, two_j)[two_j]
 
@@ -254,6 +262,7 @@ def multiplicity(species, sites, two_j):
 def zero_magnetization_dim(sites):
     """Dimension of the J_z=0 (even L) or J_z=+-1/2 (odd L) spin-1/2 sector."""
     sites = _check_integer("sites", sites, 0)
+    _check_exact_sites(sites)
     return math.comb(sites, sites // 2)
 
 
@@ -266,6 +275,7 @@ def admissible_two_j(species, sites):
     """All two_j with nonzero multiplicity, ascending."""
     _check_species(species)
     sites = _check_integer("sites", sites, 0)
+    _check_exact_sites(sites)
     if sites == 0:
         return [0]
     if species.two_s == 1:

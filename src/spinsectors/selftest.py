@@ -32,7 +32,7 @@ from .ensembles import (
     singlet_average_exact,
 )
 from .special import EULER_GAMMA, digamma
-from .spectra import RESIDUAL_TOL, ChainSpec, _bond_list, _spin_subspaces, diagonalize_and_resolve
+from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
 from .su2 import _stretched_columns, bond_matrix_elements, clebsch_gordan, configuration_space
 
 _TRIANGLE = {
@@ -161,10 +161,13 @@ def _check_entropy_units():
 
 
 def _check_spectra():
-    for species, sites in ((HALF, 6), (ONE, 4)):
+    # each chain's H as (distance, coefficient, power) triples, written out here
+    # and not read from spectra: -S_i.S_{i+1} - c S_i.S_{i+2} for spin-1/2 and
+    # -S_i.S_{i+1} + c (S_i.S_{i+1})**2 for spin-1, whose c != 0 makes its second bond count
+    for species, sites, c in ((HALF, 6, 3.0), (ONE, 4, 0.5)):
         two_s = species.two_s
-        spec = ChainSpec(species, sites, 3.0 if species is HALF else 0.0)
-        records = diagonalize_and_resolve(spec, None)
+        bonds = ((1, -1.0, 1), (2, -c, 1)) if species is HALF else ((1, -1.0, 1), (1, c, 2))
+        records = diagonalize_and_resolve(ChainSpec(species, sites, c), None)
         counts = dict.fromkeys(admissible_two_j(species, sites), 0)
         for r in records:
             assert not r.flagged
@@ -172,13 +175,13 @@ def _check_spectra():
         assert all(n == multiplicity(species, sites, tj) for tj, n in counts.items()), counts
         # the records, conjugate blocks counted twice, hold the spectrum of the dense slice H
         codes, digits = configuration_space(two_s, sites, 0)
-        col, row, amp = bond_matrix_elements(two_s, digits, _bond_list(spec), codes)
+        col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes)
         dim = len(codes)
         expected = np.linalg.eigvalsh(np.bincount(row * dim + col, amp, minlength=dim**2).reshape(dim, dim))
         energies = np.sort([r.energy for r in records for _ in range(1 + r.complex_sector)])
         gap = np.abs(energies - expected).max()
         assert gap <= 1e-12 * max(1.0, np.abs(expected).max()), (sites, gap)
-        coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
+        coeffs = np.array([coeff for _, coeff, _ in bonds])
         for block, subspaces in _spin_subspaces(two_s, sites):
             # each J**2 subspace holds H
             for sub in subspaces:

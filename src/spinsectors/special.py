@@ -3,6 +3,8 @@
 import math
 import sys
 
+__all__ = ["digamma"]
+
 EULER_GAMMA = 0.5772156649015328606065
 
 # B_{2n}/(2n) for n = 1..7, the tail of the de Moivre expansion of psi(x).

@@ -51,6 +51,14 @@ class TestDims:
         assert out.read_text() == ("species,L,two_J,n_exact,n_asymptotic_log,fraction,fraction_asymptotic\n"
                                    "half,10,10,1,nan,0.003968253968253968,nan\n")
 
+    @pytest.mark.parametrize("spins", [[], ["--two-J", "0"]], ids=["all", "two-J"])
+    def test_sizes_past_the_exact_bound_are_one_error_line(self, tmp_path, spins):
+        # range and math.comb overflowed there, which printed "error: OverflowError: ..."
+        out = tmp_path / "dims.csv"
+        with pytest.raises(SystemExit, match=rf"^error: sites must be at most 2\*\*63 - 1, got {10**30}$"):
+            main(["dims", "--L", str(10**30), "--out", str(out)] + spins)
+        assert not out.exists()
+
     def test_spin_one_rows(self, tmp_path):
         out = tmp_path / "dims.csv"
         main(["dims", "--species", "one", "--L", "3", "--out", str(out)])

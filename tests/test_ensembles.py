@@ -244,6 +244,9 @@ def test_non_real_spin_densities_are_refused(call, value):
 
 
 EVEN_SITES = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
+# math.comb, numpy indices and range raised OverflowError past 2**63 - 1
+HUGE = 10**30
+PAST_EXACT = f"sites must be at most 2**63 - 1, got {HUGE}"
 
 
 @pytest.mark.parametrize("call,message", [
@@ -274,6 +277,17 @@ EVEN_SITES = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
                  id="filling-zero"),
     pytest.param(lambda: SectorLabel(HALF, 4, 2, 1), "two_jz=1 incompatible with two_j=2",
                  id="label-parity"),
+    pytest.param(lambda: spinsectors.multiplicity(HALF, HUGE, 0), PAST_EXACT, id="multiplicity-huge"),
+    pytest.param(lambda: spin_half_multiplicity(HUGE, 2), PAST_EXACT, id="spin-half-multiplicity-huge"),
+    pytest.param(lambda: spin_half_multiplicity(2**63, 2**63), f"sites must be at most 2**63 - 1, got {2**63}",
+                 id="spin-half-multiplicity-2**63"),
+    pytest.param(lambda: spinsectors.hilbert_fraction(HUGE, 0), PAST_EXACT, id="hilbert-fraction-huge"),
+    pytest.param(lambda: spinsectors.zero_magnetization_dim(HUGE), PAST_EXACT, id="zero-magnetization-dim-huge"),
+    pytest.param(lambda: spinsectors.admissible_two_j(HALF, HUGE), PAST_EXACT, id="admissible-two-j-huge"),
+    pytest.param(lambda: singlet_average_exact(HUGE, HUGE // 2), PAST_EXACT, id="singlet-exact-huge"),
+    pytest.param(lambda: sd2_average_closed(HUGE, 2, HUGE // 2), PAST_EXACT, id="sd2-closed-huge"),
+    pytest.param(lambda: max_spin_state_entropy(HUGE, HUGE // 4), PAST_EXACT, id="stretched-huge"),
+    pytest.param(lambda: ensemble_entropy_samples(HUGE, 0, HUGE // 2, 4, 1), PAST_EXACT, id="samples-huge"),
 ])
 def test_out_of_range_inputs_are_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -293,6 +307,11 @@ def test_sample_counts_past_2_53_are_refused_before_any_plan(monkeypatch, sample
         ensemble_entropy_samples(8, 2, 4, samples, 1)
     with pytest.raises(ValueError, match=message):
         random_state_average(12, 2, 6, samples, 1, workers=1)
+
+
+def test_asymptotic_forms_take_sizes_past_the_exact_bound():
+    assert spinsectors.spin_half_multiplicity_log(HUGE, 0) == pytest.approx(HUGE * math.log(2.0))
+    assert singlet_average_asymptotic(HUGE, 0.5) == pytest.approx(HUGE * math.log(2.0) / 2)
 
 
 # each call takes (sites, int type); sd1 stops at L = 100 (~1 s there)
@@ -353,6 +372,37 @@ class TestEntropyKernels:
         # a NaN norm fails no `> tol` test: the state must still be refused, not give 0
         with pytest.raises(ValueError, match="not normalized"):
             entanglement_entropy(np.array([1.0, 0.0, 0.0, math.nan]), 1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_states_give_their_casts_entropy(self, monkeypatch, dtype):
+        # every norm was held to 1e-10, which refused these states, normalized
+        # in their own precision, as |psi| = 0.9999998807907104
+        rng = np.random.default_rng(5)
+
+        def draw(*shape):
+            x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is np.complex64 else 0)
+            x = x.astype(dtype)
+            return x / np.linalg.norm(x, axis=0)
+
+        vector, stack = draw(256), draw(70, 6)
+        _, digits = su2.configuration_space(1, 8)
+        got = entanglement_entropy(vector, 3), slice_entanglement_entropy(stack, digits, [0, 2, 5])
+        # the casts are off 1 by ~1e-7, which double precision refuses
+        monkeypatch.setattr(ensembles, "_check_normalized", lambda state: None)
+        double = np.promote_types(dtype, float)
+        want = (entanglement_entropy(vector.astype(double), 3),
+                slice_entanglement_entropy(stack.astype(double), digits, [0, 2, 5]))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dtype,off", [(np.float64, 2e-10), (np.float32, 1e-3), (np.complex64, 1e-3)])
+    def test_states_off_their_precision_are_refused(self, dtype, off):
+        vector = np.full(256, (1 + off) / 16, dtype)
+        stack = np.full((70, 3), (1 + off) / math.sqrt(70), dtype)
+        _, digits = su2.configuration_space(1, 8)
+        with pytest.raises(ValueError, match="^state is not normalized: "):
+            entanglement_entropy(vector, 3)
+        with pytest.raises(ValueError, match="^state is not normalized: "):
+            slice_entanglement_entropy(stack, digits, [0, 2, 5])
 
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError, match="^state is empty$"):

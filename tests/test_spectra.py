@@ -803,6 +803,28 @@ class TestResolution:
         finally:
             spectra._spin_subspaces.cache_clear()
 
+    @pytest.mark.parametrize("two_s,sites", [(1, 6), (2, 4)])
+    def test_selftest_sees_a_wrong_model(self, monkeypatch, two_s, sites):
+        # the selftest built its dense H from `_bond_list`, so a sign flipped
+        # there changed its reference with the spectrum and passed; the flip
+        # stands for an edit of `_bond_list` itself, so it replaces any name
+        # the selftest imported too
+        from spinsectors import selftest
+
+        bond_list = spectra._bond_list
+
+        def flipped(spec):
+            bonds = bond_list(spec)
+            if spec.species.two_s != two_s:
+                return bonds
+            *head, (dist, coeff, power) = bonds
+            return (*head, (dist, -coeff, power))
+
+        monkeypatch.setattr(spectra, "_bond_list", flipped)
+        monkeypatch.setattr(selftest, "_bond_list", flipped, raising=False)
+        with pytest.raises(AssertionError, match=rf"^\({sites}, "):
+            selftest._check_spectra()
+
     def test_real_blocks_own_their_data(self):
         # the cached J**2 eigenbasis and projections are built from contiguous real blocks
         real = _real_block(_momentum_block(1, 10, 1), _bond_term(1, 10, ((1, 1.0, 1),)))

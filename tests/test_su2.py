@@ -193,6 +193,16 @@ class TestStretchedWeight:
             assert next(_stretched_columns([(two_ja, two_jb)])).tolist() == scalar
             assert stretched_column_logs(two_ja, two_jb).tolist() == scalar
 
+    def test_pass_size_leaves_every_column_bitwise(self, monkeypatch):
+        # passes of 1 and 3 entries hold one column each, the default holds
+        # ~8,000 entries of these ~100,000, and 2**40 all of them
+        grid = [(a, b) for a in range(70) for b in range(a % 2, 100, 2)] + [(2500, 2500), (1234, 3766)]
+        runs = []
+        for size in (1, 3, su2.STRETCHED_PASS, 2**40):
+            monkeypatch.setattr(su2, "STRETCHED_PASS", size)
+            runs.append([col.tobytes() for col in _stretched_columns(grid)])
+        assert len(runs[0]) == len(grid) and all(run == runs[0] for run in runs[1:])
+
     def test_no_pairs_give_no_columns(self):
         assert list(_stretched_columns([])) == []
 
