@@ -246,7 +246,7 @@ def multiplicity_table(species, sites):
     trivial representation at L=0 and fuses one site at a time.
     """
     _check_species(species)
-    _check_integer("sites", sites, 0)
+    _check_exact_sites(_check_integer("sites", sites, 0))
     return MultiplicityTable(species, sites, _fusion_counts(species.two_s, sites))
 
 

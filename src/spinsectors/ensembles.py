@@ -35,9 +35,9 @@ import numpy as np
 from .asymptotics import multiplicity_rate
 from .combinatorics import (
     HALF, SectorLabel, _ballot_ratios, _check_exact_sites, _check_fraction, _check_integer,
-    _check_spin_density, _check_zero_jz, _is_integer, _multiplicity_run, spin_half_multiplicity)
+    _check_spin_density, _check_zero_jz, _is_integer, _multiplicity_run)
 from .special import digamma
-from .su2 import _cg_solve, _stretched_columns
+from .su2 import _cg_solve, _stretched_passes
 
 __all__ = [
     "EntropyEstimate",
@@ -318,9 +318,10 @@ def max_spin_state_entropy(sites, cut):
 
 
 def _stretched_entropies(pairs):
-    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain;
-    the pairs come from a checked cut or geometry, so no spin is checked again."""
-    return [float(-np.dot(np.exp(lw), lw)) for lw in _stretched_columns(pairs)]
+    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain, one segmented
+    sum per pass; the pairs come from a checked cut or geometry, so no spin is checked again."""
+    return [-s for lw, starts in _stretched_passes(pairs)
+            for s in np.add.reduceat(np.exp(lw) * lw, starts).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +352,7 @@ class CoupledPairGeometry:
         _check_zero_jz(HALF, sites)
         SectorLabel(HALF, sites, two_j, 0)
         sites, two_j, cut = int(sites), int(two_j), int(cut)  # numpy ints overflow in exact sums
-        self.sites = sites
-        self.cut = cut
-        self.two_j = two_j
+        self.sites, self.cut, self.two_j = sites, cut, two_j
         cut_b = sites - cut
         ja_lo, ja_hi = max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b)
         self.ja_list = list(range(ja_lo, ja_hi + 1, 2))
@@ -363,15 +362,13 @@ class CoupledPairGeometry:
         na = self.na = _multiplicity_run(cut, ja_lo, ja_hi)
         # at cut = L - cut both sides span the same spins, so the runs are equal
         nb = self.nb = na if cut == cut_b else _multiplicity_run(cut_b, jb_lo, jb_hi)
-        if two_j:
-            # n_B summed over each J_A's partners by one difference of upto[J_B],
-            # the sum over spins <= J_B
-            upto = dict(zip(range(jb_lo - 2, jb_hi + 1, 2), accumulate(nb.values(), initial=0)))
-            runs = (_partner_run(two_j, cut_b, ja) for ja in self.ja_list)
-            dims = (na[ja] * (upto[hi] - upto[lo - 2]) for ja, (lo, hi) in zip(self.ja_list, runs))
+        if two_j:  # n_B over J_A's partners (`partner_bounds`): upto[k] sums the first k
+            upto = [0, *accumulate(nb.values())]
+            dims = [na[ja] * (upto[(min(cut_b, two_j + ja) - jb_lo) // 2 + 1]
+                              - upto[(abs(two_j - ja) - jb_lo) // 2]) for ja in self.ja_list]
         else:  # J_B = J_A
             dims = _singlet_block_products(cut, cut_b, na, nb)
-        expected = spin_half_multiplicity(sites, two_j)
+        expected = _multiplicity_run(sites, two_j, two_j)[two_j]  # the label is checked above
         total, self.weights = 0, {}
         for ja, dim in zip(self.ja_list, dims):
             total += dim
@@ -384,7 +381,8 @@ class CoupledPairGeometry:
     def partner_bounds(self):
         """J_A's partners |J - J_A| <= J_B <= J + J_A: one run (lo, hi) of
         `jb_list` per J_A (for Monte Carlo and sd1)."""
-        return {ja: _partner_run(self.two_j, self.sites - self.cut, ja) for ja in self.ja_list}
+        cut_b, two_j = self.sites - self.cut, self.two_j
+        return {ja: (abs(two_j - ja), min(cut_b, two_j + ja)) for ja in self.ja_list}
 
     @cached_property
     def m_max(self):
@@ -509,11 +507,6 @@ class CoupledPairGeometry:
             partners = [jb for jb in jb_cols if lo <= jb <= hi]  # one run of jb_cols
             sd1_parts.append((rows, slice(cols[partners[0]].start, cols[partners[-1]].stop)))
         return index, weights, sd1_parts, copies
-
-
-def _partner_run(two_j, cut_b, ja):
-    """(lo, hi) of J_A's partners |J - J_A| <= J_B <= J + J_A on cut_b sites."""
-    return max(cut_b % 2, abs(two_j - ja)), min(cut_b, two_j + ja)
 
 
 def _singlet_block_products(cut, cut_b, na, nb):

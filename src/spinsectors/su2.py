@@ -13,7 +13,7 @@ import numpy as np
 
 from .combinatorics import _is_integer
 
-STRETCHED_PASS = 1 << 13  # bounds the temporaries of one pass of `_stretched_columns`
+STRETCHED_PASS = 1 << 13  # entries of one pass of `_stretched_passes`, unless one column is longer
 
 __all__ = [
     "clebsch_gordan",
@@ -118,35 +118,41 @@ def _lnfact_table(size):
     return _LNFACT
 
 
-def _stretched_columns(pairs):
-    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column |m| <=
-    min(J_A, J_B), m ascending, of each (two_ja, two_jb) in `pairs`, stable for
-    large spins: an iterator over passes of ~STRETCHED_PASS entries each.
-
-    Entry m equals ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
+def _stretched_passes(pairs):
+    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column |m| <= min(J_A,
+    J_B), m ascending, of each (two_ja, two_jb) in `pairs`, stable for large spins,
+    in passes (logs, column starts) of at most STRETCHED_PASS entries or one longer
+    column.  Entry m is ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
     each binomial from the process's one ln k! table.  No spin is checked: the
     callers pass pairs from a checked cut or geometry.
     """
     ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    passes = (np.minimum(ja, jb) + 1).cumsum() // STRETCHED_PASS
-    bounds = [0, *((passes[1:] != passes[:-1]).nonzero()[0] + 1).tolist(), len(ja)]
-    return (col for a, b in zip(bounds, bounds[1:]) for col in _stretched_pass(ja[a:b], jb[a:b]))
+    first, count, sizes = 0, 0, (np.minimum(ja, jb) + 1).tolist()
+    for k, size in enumerate(sizes + [STRETCHED_PASS]):  # the last size closes the last pass
+        if count and count + size > STRETCHED_PASS:
+            yield _stretched_pass(ja[first:k], jb[first:k])
+            first, count = k, 0
+        count += size
+
+
+def _stretched_columns(pairs):
+    """The columns of `_stretched_passes`, one view each, in the order of `pairs`."""
+    return (col for logs, starts in _stretched_passes(pairs) for col in np.split(logs, starts[1:]))
 
 
 def _stretched_pass(ja, jb):
     mm = np.minimum(ja, jb)
     sizes = mm + 1
-    ends = sizes.cumsum()
-    starts = ends - sizes
+    starts = sizes.cumsum() - sizes
     rank = np.arange(sizes.sum()) - starts.repeat(sizes)  # of m within its column
     n = ja + jb
-    lf = _lnfact_table(int(n.max(initial=0)) + 1)
+    lf = _lnfact_table(int(n.max()) + 1)
     norm = lf[n] - lf[n // 2] - lf[n - n // 2]
     ka = ((ja + mm) // 2).repeat(sizes) - rank  # J_A - m, m ascending
     kb = ((jb - mm) // 2).repeat(sizes) + rank
     ja, jb = ja.repeat(sizes), jb.repeat(sizes)
     logs = (lf[ja] - lf[ka] - lf[ja - ka]) + (lf[jb] - lf[kb] - lf[jb - kb]) - norm.repeat(sizes)
-    return [logs[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return logs, starts
 
 
 # ---------------------------------------------------------------------------

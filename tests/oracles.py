@@ -16,9 +16,10 @@ The library calls none of these; the tests compare it against them.
   weight from three `log_binomial` calls, against the library's columns.
 - `stretched_column_logs`, `singlet_average_reference`,
   `sd2_average_reference`, `sd1_reference`, `max_spin_entropy_reference`,
-  `page_average_reference`: the closed forms with one stretched column per
-  call and each block weight n_A n_B / d formed where it is read, against
-  the library's columns in one pass and weights formed with its guard.
+  `page_average_reference`: the closed forms with one stretched column and
+  its entropy per call and each block weight n_A n_B / d formed where it is
+  read, against the library's columns and entropies in one pass and weights
+  formed with its guard.
 - `sector_dimensions`: fixed-J_z, fixed-J and fixed-(J, J_z) dimensions by
   direct counting.
 - `sector_basis`, `coupled_sector_basis`: explicit (J, J_z) bases over the
@@ -262,8 +263,11 @@ def stretched_column_logs(two_ja, two_jb):
 
 
 def _column_entropy(two_ja, two_jb):
+    """-sum w ln w of one stretched column, in the order of np.add.reduceat over
+    one segment: its first term plus numpy's pairwise sum of the rest."""
     lw = stretched_column_logs(two_ja, two_jb)
-    return float(-np.dot(np.exp(lw), lw))
+    terms = np.exp(lw) * lw
+    return -float(terms[0] + np.add.reduce(terms[1:]))
 
 
 def _page_block_sum(blocks):

@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -288,10 +289,22 @@ PAST_EXACT = f"sites must be at most 2**63 - 1, got {HUGE}"
     pytest.param(lambda: sd2_average_closed(HUGE, 2, HUGE // 2), PAST_EXACT, id="sd2-closed-huge"),
     pytest.param(lambda: max_spin_state_entropy(HUGE, HUGE // 4), PAST_EXACT, id="stretched-huge"),
     pytest.param(lambda: ensemble_entropy_samples(HUGE, 0, HUGE // 2, 4, 1), PAST_EXACT, id="samples-huge"),
+    # spin-1 fusion ran site by site, for ever
+    pytest.param(lambda: spinsectors.multiplicity(ONE, HUGE, 0), PAST_EXACT, id="multiplicity-spin-one-huge"),
+    pytest.param(lambda: spinsectors.multiplicity_table(ONE, HUGE), PAST_EXACT, id="multiplicity-table-huge"),
 ])
 def test_out_of_range_inputs_are_refused(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
+    def overdue(signum, frame):
+        raise TimeoutError("no refusal within 3 s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(3)
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("samples", [2**53 + 1, 10**30])
@@ -686,6 +699,28 @@ class TestMaxSpinState:
     def test_large_chain_matches_asymptotics(self):
         exact = max_spin_state_entropy(1000, 500)
         assert abs(exact - max_spin_entropy_asymptotic(1000, Fraction(1, 2))) < 0.01
+
+    def test_stretched_entropies_match_a_forty_digit_sum(self):
+        # the weights step from m = -min(J_A, J_B) by exact ratios, at 40 digits;
+        # measured worst 6.3 eps (2J_A + 2J_B), at (5000, 5000), set by the
+        # log-binomial columns (the per-column np.dot read the same)
+        mp = pytest.importorskip("mpmath")
+        spins = [0, 1, 2, 3, 4, 7, 10, 33, 64, 199, 500, 1001, 2500, 5000]
+        grid = [(a, b) for a in spins for b in spins if (a - b) % 2 == 0]
+        for (a, b), value in zip(grid, ensembles._stretched_entropies(grid)):
+            if min(a, b) == 0:  # one weight, exactly 1
+                assert value == 0.0
+                continue
+            with mp.workdps(40):
+                ka, kb = (a + min(a, b)) // 2, (b - min(a, b)) // 2  # J_A - m, J_B + m
+                w = mp.mpf(math.comb(a, ka) * math.comb(b, kb)) / math.comb(a + b, (a + b) // 2)
+                terms = []
+                for _ in range(min(a, b) + 1):
+                    terms.append(w * mp.log(w))
+                    w = w * (ka * (b - kb)) / ((a - ka + 1) * (kb + 1))
+                    ka, kb = ka - 1, kb + 1
+                exact = -mp.fsum(terms)
+                assert abs(value - exact) <= 16 * np.finfo(float).eps * (a + b) * exact, (a, b)
 
 
 class TestSd2:
@@ -1175,7 +1210,8 @@ class TestStackedSamples:
             raise AssertionError("Monte Carlo read the log-binomial stretched columns")
 
         monkeypatch.setattr(su2, "_stretched_columns", refused)
-        monkeypatch.setattr(ensembles, "_stretched_columns", refused)
+        monkeypatch.setattr(su2, "_stretched_passes", refused)
+        monkeypatch.setattr(ensembles, "_stretched_passes", refused)
         coupled_geometry.cache_clear()  # a cached geometry may hold columns read before
         values = ensemble_entropy_samples(12, 6, 6, 3, 13, ("sd2",), workers=1)["sd2"]
         assert values.shape == (3,) and np.all(np.isfinite(values)) and np.all(values > 0)

@@ -15,7 +15,7 @@ from oracles import (
     stretched_weight,
     stretched_weight_log,
 )
-from spinsectors import HALF, ONE, clebsch_gordan, multiplicity, spin_half_multiplicity, su2
+from spinsectors import HALF, ONE, clebsch_gordan, ensembles, multiplicity, spin_half_multiplicity, su2
 from spinsectors.su2 import (
     _lnfact_table,
     _stretched_columns,
@@ -194,14 +194,36 @@ class TestStretchedWeight:
             assert stretched_column_logs(two_ja, two_jb).tolist() == scalar
 
     def test_pass_size_leaves_every_column_bitwise(self, monkeypatch):
-        # passes of 1 and 3 entries hold one column each, the default holds
-        # ~8,000 entries of these ~100,000, and 2**40 all of them
+        # passes of 1 and 3 entries hold one column each, the default at most
+        # 8,192 entries of these ~100,000, and 2**40 all of them; each column's
+        # entropy is one segment of its pass's sum, so it does not move either
         grid = [(a, b) for a in range(70) for b in range(a % 2, 100, 2)] + [(2500, 2500), (1234, 3766)]
-        runs = []
+        runs, entropies = [], []
         for size in (1, 3, su2.STRETCHED_PASS, 2**40):
             monkeypatch.setattr(su2, "STRETCHED_PASS", size)
             runs.append([col.tobytes() for col in _stretched_columns(grid)])
+            entropies.append(np.array(ensembles._stretched_entropies(grid)).tobytes())
         assert len(runs[0]) == len(grid) and all(run == runs[0] for run in runs[1:])
+        assert all(values == entropies[0] for values in entropies[1:])
+
+    @pytest.mark.parametrize("size, pairs, passes", [
+        # passes were cut where the running count crossed a multiple of the
+        # pass size, so the long column shared its pass with 4,572 more entries
+        pytest.param(1 << 13, [(20000, 20000)] + [(2, 2)] * 3000 + [(5, 9)], [20001, 8190, 816],
+                     id="long-column-first"),
+        pytest.param(10, [(2, 2)] * 2 + [(30, 30)] + [(2, 2)] * 5, [6, 31, 9, 6], id="long-column-between"),
+    ])
+    def test_a_pass_holds_at_most_the_pass_size_or_one_column(self, monkeypatch, size, pairs, passes):
+        built, build = [], su2._stretched_pass
+
+        def recorded(ja, jb):
+            built.append(int((np.minimum(ja, jb) + 1).sum()))
+            return build(ja, jb)
+
+        monkeypatch.setattr(su2, "_stretched_pass", recorded)
+        monkeypatch.setattr(su2, "STRETCHED_PASS", size)
+        assert len(list(_stretched_columns(pairs))) == len(pairs)
+        assert built == passes
 
     def test_no_pairs_give_no_columns(self):
         assert list(_stretched_columns([])) == []
