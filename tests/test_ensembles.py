@@ -702,8 +702,8 @@ class TestMaxSpinState:
 
     def test_stretched_entropies_match_a_forty_digit_sum(self):
         # the weights step from m = -min(J_A, J_B) by exact ratios, at 40 digits;
-        # measured worst 6.3 eps (2J_A + 2J_B), at (5000, 5000), set by the
-        # log-binomial columns (the per-column np.dot read the same)
+        # measured worst 6.3 eps (2J_A + 2J_B), at (5000, 5000): the error of
+        # the log-binomial columns, which any order of the sum leaves in place
         mp = pytest.importorskip("mpmath")
         spins = [0, 1, 2, 3, 4, 7, 10, 33, 64, 199, 500, 1001, 2500, 5000]
         grid = [(a, b) for a in spins for b in spins if (a - b) % 2 == 0]
