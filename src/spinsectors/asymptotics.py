@@ -17,7 +17,8 @@ reference that certifies these forms.
 import math
 from dataclasses import dataclass
 
-from .combinatorics import HALF, _check_integer, _check_species, _check_spin_density, _check_spin_label
+from .combinatorics import (
+    HALF, _check_float_sites, _check_integer, _check_species, _check_spin_density, _check_spin_label)
 
 __all__ = [
     "multiplicity_rate",
@@ -91,6 +92,7 @@ def log_multiplicity_saddle(species, sites, two_j):
     _check_spin_label(species, sites, two_j)
     if sites < 1:
         raise ValueError(f"saddle approximation needs sites >= 1, got {sites}")
+    _check_float_sites(sites)
     j = two_j / (species.two_s * sites)
     if j == 0.0 or j == 1.0:
         raise ValueError(
@@ -109,6 +111,7 @@ def hilbert_fraction_asymptotic(sites, two_j):
     _check_spin_label(HALF, sites, two_j)
     if sites < 1:
         raise ValueError(f"the Hilbert-space fraction needs sites >= 1, got {sites}")
+    _check_float_sites(sites)
     x = two_j / sites
     if x >= 1.0:
         raise ValueError(f"the asymptotic fraction needs 2J/L < 1 in floats, got 2J={two_j}, L={sites}; "
@@ -120,6 +123,6 @@ def hilbert_fraction_asymptotic(sites, two_j):
 
 def fraction_peak_density(sites):
     """Density x = 2J/L where n_J/D peaks, to order L**-3/2."""
-    _check_integer("sites", sites, 1)
+    _check_float_sites(_check_integer("sites", sites, 1))
     rl = math.sqrt(sites)
     return 1.0 / rl - 1.0 / (2.0 * sites) + 9.0 / (8.0 * sites * rl)

@@ -6,6 +6,9 @@ The library calls none of these; the tests compare it against them.
   integral, against the binomial closed form and the fusion recursion.
 - `multiplicity_by_binomials`: spin-1/2 n_J as the difference C(L, q) -
   C(L, q-1) of two binomials, against the stepped runs of the geometry.
+- `singlet_geometry_reference`: the J = 0 geometry's multiplicities, block
+  weights and sector dimension with every product n_A n_B stepped from the
+  last, one spin at a time, against the library's blocks of spins.
 - `saddle_exponent`, `saddle_exponent_d1`, `saddle_exponent_d2`: psi(z)
   and its first two derivatives through the character polynomial, for any
   species and any number type, against the library's closed forms of the
@@ -145,6 +148,34 @@ def multiplicity_by_binomials(sites, two_j):
     """Spin-1/2 n_J = C(L, q) - C(L, q-1), q = L/2 - J, each binomial on its own."""
     q = (sites - two_j) // 2
     return math.comb(sites, q) - (math.comb(sites, q - 1) if q else 0)
+
+
+def _ballot_run(sites, two_lo, two_hi):
+    """{two_j: n_J} for two_lo <= two_j <= two_hi: n_J at the top from two
+    binomials, then down by n_{t-2} = n_t (t-1)(L+t+2) / ((t+1)(L-t+2))."""
+    run = {two_hi: multiplicity_by_binomials(sites, two_hi)}
+    for t in range(two_hi, two_lo, -2):
+        run[t - 2] = run[t] * (t - 1) * (sites + t + 2) // ((t + 1) * (sites - t + 2))
+    return dict(sorted(run.items()))
+
+
+def singlet_geometry_reference(sites, cut):
+    """(na, nb, weights, sector_dim) of the J = 0 geometry at any cut: one product
+    n_A n_B at the lowest spin, each next one stepped from the last by both
+    runs' ballot ratios, and each weight that product over n_J."""
+    cut_b = sites - cut
+    top = min(cut, cut_b)
+    na, nb = _ballot_run(cut, cut % 2, top), _ballot_run(cut_b, cut % 2, top)
+    spins = list(na)
+    product = na[spins[0]] * nb[spins[0]]
+    products = [product]
+    for t in spins[1:]:
+        product = product * (t + 1) * (cut - t + 2) // ((t - 1) * (cut + t + 2))
+        product = product * (t + 1) * (cut_b - t + 2) // ((t - 1) * (cut_b + t + 2))
+        products.append(product)
+    total = multiplicity_by_binomials(sites, 0)
+    assert sum(products) == total
+    return na, nb, {t: product / total for t, product in zip(spins, products)}, total
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import QUADRATURE_MAX_SITES, multiplicity_by_quadrature, sector_dimensions
+from spinsectors import combinatorics
 from spinsectors import (
     HALF,
     ONE,
@@ -60,6 +61,17 @@ class TestSpinHalfMultiplicity:
         for sites, two_j in ((10, 2), (40, 0), (60, 30), (200, 100)):
             exact = math.log(spin_half_multiplicity(sites, two_j))
             assert spin_half_multiplicity_log(sites, two_j) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(sites=st.integers(1602, 12000), factored=st.booleans(), data=st.data())
+    def test_factored_binomials_equal_math_comb(self, sites, factored, data):
+        # C(n, k) is a product of prime powers once k*k > COMB_CROSSOVER * n, k <= n/2;
+        # from n = 1602 on both sides hold some k
+        edge = math.isqrt(combinatorics.COMB_CROSSOVER * sites)  # the last k left to math.comb
+        k = data.draw(st.integers(edge + 1, sites // 2) if factored else st.integers(0, edge))
+        assert (k * k > combinatorics.COMB_CROSSOVER * sites) == factored
+        for q in (k, sites - k):
+            assert combinatorics._binomial(sites, q) == math.comb(sites, q)
 
     @pytest.mark.parametrize("sites,two_j", [(4, 1), (4, 6), (3, -1)])
     def test_invalid_labels_raise(self, sites, two_j):

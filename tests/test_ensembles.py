@@ -327,6 +327,33 @@ def test_asymptotic_forms_take_sizes_past_the_exact_bound():
     assert singlet_average_asymptotic(HUGE, 0.5) == pytest.approx(HUGE * math.log(2.0) / 2)
 
 
+# each call takes an even L; 2 (L // 4) is an admissible 2J of density 1/2
+FLOAT_RANGE_CALLS = {
+    "singlet_average_asymptotic": lambda L: singlet_average_asymptotic(L, Fraction(1, 4)),
+    "max_spin_entropy_asymptotic": lambda L: max_spin_entropy_asymptotic(L, Fraction(1, 4)),
+    "fixed_filling_average": lambda L: fixed_filling_average(Fraction(1, 3), L, L // 2),
+    "haar_average_leading": lambda L: haar_average_leading(L, L // 2),
+    "spin_half_multiplicity_log": lambda L: spinsectors.spin_half_multiplicity_log(L, 0),
+    "log_multiplicity_saddle": lambda L: spinsectors.log_multiplicity_saddle(HALF, L, 2 * (L // 4)),
+    "sd2_asymptotic": lambda L: sd2_asymptotic(L, Fraction(1, 2), 0.5),
+    "hilbert_fraction_asymptotic": lambda L: spinsectors.hilbert_fraction_asymptotic(L, 2 * (L // 4)),
+    "fraction_peak_density": fraction_peak_density,
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE_CALLS)
+def test_log_and_asymptotic_forms_refuse_sizes_past_float_range(name):
+    # past float range (~1.8e308) these raised a bare OverflowError converting L;
+    # up to the bound 2**1000 every float product stays finite
+    call = FLOAT_RANGE_CALLS[name]
+    for sites in (10**300, 2**1000):
+        assert math.isfinite(call(sites))
+    for sites in (2**1000 + 2, 2**1024, 10**400):
+        message = f"^sites must be at most 2\\*\\*1000, got an integer of {sites.bit_length()} bits$"
+        with pytest.raises(ValueError, match=message):
+            call(sites)
+
+
 # each call takes (sites, int type); sd1 stops at L = 100 (~1 s there)
 NUMPY_INPUT_CALLS = {
     "singlet_average_exact": lambda L, i: singlet_average_exact(i(L), i(L // 2)),
@@ -1360,6 +1387,18 @@ class TestGeometry:
             # the same exact integers and one correctly rounded division: bitwise equal, in order
             assert list(geo.weights.items()) == [(ja, na[ja] * partner_dims[ja] / total) for ja in na]
 
+    def test_singlet_weights_equal_the_stepwise_chain(self):
+        # the library sums the J = 0 products by blocks of spins and steps each
+        # weight as a fraction; the reference steps every product from the last
+        cases = [(sites, 0, cut) for sites in range(2, 41, 2) for cut in range(1, sites)]
+        cases += [(10**4, 0, 5000), (10**4, 0, 4999), (10**4, 0, 2500), (2000, 0, 1000), (2000, 0, 500)]
+        for sites, two_j, cut in cases:
+            geo = CoupledPairGeometry(sites, two_j, cut)
+            na, nb, weights, sector_dim = oracles.singlet_geometry_reference(sites, cut)
+            assert list(geo.na.items()) == list(na.items()) and list(geo.nb.items()) == list(nb.items())
+            assert list(geo.weights.items()) == list(weights.items())  # floats: bitwise, in order
+            assert geo.sector_dim == sector_dim
+
     def test_multiplicity_runs_equal_binomial_differences(self):
         # a run steps n_J down from its top spin by exact ratios of small
         # integers; the reference takes two binomials per spin
@@ -1392,22 +1431,28 @@ class TestGeometry:
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
 
-    @pytest.mark.parametrize("position", ["top", "middle", "bottom"])
+    @pytest.mark.parametrize("position", ["top", "middle", "bottom", "tail"])
     def test_guard_catches_any_wrong_stored_multiplicity(self, monkeypatch, position):
         # every stored n_A and n_B is read by the closed forms and Monte Carlo;
-        # at J = 0 the block products step by the ballot ratio, and each step
-        # checks the stored neighbours, so a wrong value anywhere in a run is caught
+        # at J = 0 each run's stored neighbours are checked against the ballot
+        # ratio, so a wrong value anywhere in a run is caught, also in the tail
+        # of zero weights, whose block sums read only each block's first spin
+        # (at (10**4, 0, 5000) the weights are 0.0 from 2J_A = 1910 on); n_J, a
+        # run of one spin, stays exact, so the sum alone does not catch it
         exact_run = ensembles._multiplicity_run
 
         def off_by_one(sites, two_lo, two_hi):
             run = exact_run(sites, two_lo, two_hi)
+            if two_lo == two_hi:
+                return run
             spins = list(run)
-            run[{"top": spins[-1], "middle": spins[len(spins) // 2], "bottom": spins[0]}[position]] += 1
+            run[{"top": spins[-1], "middle": spins[len(spins) // 2], "bottom": spins[0],
+                 "tail": spins[3 * len(spins) // 4]}[position]] += 1
             return run
 
         monkeypatch.setattr(ensembles, "_multiplicity_run", off_by_one)
-        cases = ((10, 0, 4), (2000, 0, 1000), (2000, 0, 500), (10000, 0, 2500), (2000, 1000, 700),
-                 (2000, 400, 1000))
+        cases = ((10, 0, 4), (2000, 0, 1000), (2000, 0, 500), (10000, 0, 2500), (10000, 0, 5000),
+                 (2000, 1000, 700), (2000, 400, 1000))
         for sites, two_j, cut in cases:
             with pytest.raises(AssertionError):
                 CoupledPairGeometry(sites, two_j, cut)
@@ -1418,13 +1463,12 @@ class TestGeometry:
         # 1000 spins does not set off a garbage collection inside a closed form
         run = combinatorics._multiplicity_run
         half, quarter_a, quarter_b = run(1000, 0, 1000), run(500, 0, 500), run(1500, 0, 500)
+        n_j = run(2000, 0, 0)[0]
 
         def steps():
             run(2000, 0, 2000)
-            for _ in ensembles._singlet_block_products(1000, 1000, half, half):
-                pass
-            for _ in ensembles._singlet_block_products(500, 1500, quarter_a, quarter_b):
-                pass
+            ensembles._singlet_weights(1000, 1000, half, half, n_j)
+            ensembles._singlet_weights(500, 1500, quarter_a, quarter_b, n_j)
 
         assert collections_during(steps) == []
 
@@ -1461,6 +1505,27 @@ class TestGeometry:
                 ensembles.CoupledPairGeometry(10, 0, 4)
             except AssertionError as err:
                 print("ballot ratio guard" if "ballot ratio" in str(err) else err)
+
+            def off_in_the_tail(sites, two_lo, two_hi):
+                run = exact_run(sites, two_lo, two_hi)
+                if sites == 5000:  # its weight is 0.0, and mid-block
+                    run[4000] += 1
+                return run
+
+            ensembles._multiplicity_run = off_in_the_tail
+            try:
+                ensembles.CoupledPairGeometry(10**4, 0, 5000)
+            except AssertionError as err:
+                print("tail guard" if "ballot ratio" in str(err) else err)
+            # C(10**4, 5000) is prime-factored; without 1667 (once in it) n_0 = 2C/10002
+            # is no integer, as 10002 = 2 * 3 * 1667
+            exact_primes = combinatorics._primes_upto
+            combinatorics._primes_upto = lambda n: [p for p in exact_primes(n) if p != 1667]
+            try:
+                combinatorics.spin_half_multiplicity(10**4, 0)
+            except AssertionError:
+                print("factored multiplicity guard")
+            combinatorics._primes_upto = exact_primes
             exact_comb = math.comb
             math.comb = lambda n, k: exact_comb(n, k) + 1
             try:
@@ -1474,7 +1539,8 @@ class TestGeometry:
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == [
-            "geometry guard", "ballot ratio guard", "multiplicity guard", ""]
+            "geometry guard", "ballot ratio guard", "tail guard", "factored multiplicity guard",
+            "multiplicity guard", ""]
 
     @pytest.mark.parametrize("sites,two_j,cut", [(4, 4, 2), (8, 2, 3), (10, 0, 5), (12, 6, 6), (14, 4, 5)])
     def test_m_block_weights_expand_the_cg_table(self, sites, two_j, cut):
