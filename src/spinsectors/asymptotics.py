@@ -89,7 +89,7 @@ def saddle_solve(species, j):
 
 def log_multiplicity_saddle(species, sites, two_j):
     """ln n_J from the saddle-point approximation (log domain, no overflow)."""
-    _check_spin_label(species, sites, two_j)
+    sites, two_j = _check_spin_label(species, sites, two_j)
     if sites < 1:
         raise ValueError(f"saddle approximation needs sites >= 1, got {sites}")
     _check_float_sites(sites)
@@ -108,7 +108,7 @@ def hilbert_fraction_asymptotic(sites, two_j):
     Valid for 0 <= x < 1, where the prefactor stays finite; x = 1 is refused,
     and `hilbert_fraction` gives the exact ratio there.
     """
-    _check_spin_label(HALF, sites, two_j)
+    sites, two_j = _check_spin_label(HALF, sites, two_j)
     if sites < 1:
         raise ValueError(f"the Hilbert-space fraction needs sites >= 1, got {sites}")
     _check_float_sites(sites)
@@ -123,6 +123,6 @@ def hilbert_fraction_asymptotic(sites, two_j):
 
 def fraction_peak_density(sites):
     """Density x = 2J/L where n_J/D peaks, to order L**-3/2."""
-    _check_float_sites(_check_integer("sites", sites, 1))
+    sites = _check_float_sites(_check_integer("sites", sites, 1))
     rl = math.sqrt(sites)
     return 1.0 / rl - 1.0 / (2.0 * sites) + 9.0 / (8.0 * sites * rl)

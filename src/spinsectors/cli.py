@@ -37,6 +37,7 @@ from .ensembles import (
     default_sample_count,
     ensemble_entropy_samples,
     EntropyEstimate,
+    _fraction_cut,
     coupled_geometry,
     sd2_asymptotic,
     sd2_average_closed,
@@ -270,18 +271,19 @@ def _result_row(command, method, ensemble, species, sites, two_j, f, coupling, s
     )
 
 
-def _check_cuts(f, sizes):
-    """Refuse, before any work, a fraction whose cut round(f L) empties a side at some L."""
-    for sites in sizes:
-        if not 0 < round(f * sites) < sites:
-            raise SystemExit(f"error: f: fraction {f} gives an empty bipartition at L={sites}")
+def _cuts(f, sizes):
+    """{L: cut} of the fraction f at each L, refused before any work where a cut empties a side."""
+    try:
+        return {sites: _fraction_cut(f, sites) for sites in sizes}
+    except ValueError as exc:
+        raise SystemExit(f"error: f: {exc}")
 
 
 def _cmd_average(opt):
     species, method, f = opt["species"], opt["method"], opt["f"]
     if species.two_s != 1:
         raise SystemExit("error: species: random-state averages are implemented for spin-1/2 only")
-    _check_cuts(f, opt["L"])
+    cuts = _cuts(f, opt["L"])
     stochastic = method in ENSEMBLE_METHODS
     if stochastic and opt["seed"] is None:
         raise SystemExit("error: seed: a seed is mandatory for stochastic methods")
@@ -302,7 +304,7 @@ def _cmd_average(opt):
             two_j_list = _spins(species, sites, opt["two_J"])
         if method != "asymptotic":
             _check_zero_jz(species, sites)
-        cut = round(f * sites)
+        cut = cuts[sites]
         for two_j in two_j_list:
             if method == "sd2":
                 try:
@@ -348,7 +350,7 @@ _EIGEN_HEADER = (
 
 def _cmd_ed(opt, with_gamma):
     species, f = opt["species"], opt["f"]
-    _check_cuts(f, opt["L"])
+    _cuts(f, opt["L"])
     chosen = [0] if opt["two_J"] is None else opt["two_J"]
     # every chain and its spins before the first diagonalization; ChainSpec refuses odd L and the cap
     plan = []

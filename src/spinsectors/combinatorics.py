@@ -84,19 +84,21 @@ def _check_integer(name, value, minimum=None):
 
 
 def _check_exact_sites(sites):
-    """Refuse a checked L past 2**63 - 1, where math.comb, numpy indices and
+    """A checked L, refused past 2**63 - 1, where math.comb, numpy indices and
     range overflow: for the exact forms, as the log and asymptotic ones take
     any L up to `_check_float_sites`."""
     if sites > 2**63 - 1:
         raise ValueError(f"sites must be at most 2**63 - 1, got {sites}")
+    return sites
 
 
 def _check_float_sites(sites):
-    """Refuse a checked L past 2**1000 for the log and asymptotic forms: beyond
+    """A checked L, refused past 2**1000 for the log and asymptotic forms: beyond
     float range (~1.8e308) converting L overflows, and the margin keeps their
     float products, the largest being lgamma(L + 1) ~ L ln L, finite."""
     if sites > 2**1000:
         raise ValueError(f"sites must be at most 2**1000, got an integer of {sites.bit_length()} bits")
+    return sites
 
 
 def _check_fraction(name, value):
@@ -130,9 +132,9 @@ def _check_zero_jz(species, sites):
 
 
 def _check_spin_label(species, sites, two_j, what="two_j"):
+    """The checked (sites, two_j) as Python ints."""
     _check_species(species)
-    _check_integer("sites", sites, 0)
-    _check_integer(what, two_j, 0)
+    sites, two_j = _check_integer("sites", sites, 0), _check_integer(what, two_j, 0)
     if two_j > species.two_s * sites:
         raise ValueError(
             f"{what}={two_j} exceeds the maximal total spin 2*s*L={species.two_s * sites}"
@@ -141,11 +143,12 @@ def _check_spin_label(species, sites, two_j, what="two_j"):
         raise ValueError(
             f"{what}={two_j} has the wrong integrality class for {sites} sites of spin {species.name}"
         )
+    return sites, two_j
 
 
 @dataclass(frozen=True)
 class SectorLabel:
-    """A (J, J_z) symmetry sector of an L-site chain."""
+    """A (J, J_z) symmetry sector of an L-site chain; the integers are stored as Python ints."""
 
     species: SpinSpecies
     sites: int
@@ -154,11 +157,14 @@ class SectorLabel:
 
     def __post_init__(self):
         _check_integer("sites", self.sites, 1)
-        _check_spin_label(self.species, self.sites, self.two_j)
-        if abs(self.two_jz) > self.two_j:
-            raise ValueError(f"|two_jz|={abs(self.two_jz)} exceeds two_j={self.two_j}")
-        if (self.two_jz - self.two_j) % 2:
-            raise ValueError(f"two_jz={self.two_jz} incompatible with two_j={self.two_j}")
+        sites, two_j = _check_spin_label(self.species, self.sites, self.two_j)
+        two_jz = _check_integer("two_jz", self.two_jz)
+        if abs(two_jz) > two_j:
+            raise ValueError(f"|two_jz|={abs(two_jz)} exceeds two_j={two_j}")
+        if (two_jz - two_j) % 2:
+            raise ValueError(f"two_jz={two_jz} incompatible with two_j={two_j}")
+        for name, value in (("sites", sites), ("two_j", two_j), ("two_jz", two_jz)):
+            object.__setattr__(self, name, value)
 
     @property
     def spin_density(self) -> float:
@@ -237,15 +243,14 @@ def _multiplicity_run(sites, two_lo, two_hi):
 def spin_half_multiplicity(sites, two_j):
     """Number of spin-J irreps in the L-fold product of spin-1/2, exactly: the
     ballot form n_J = 2(2J+1) C(L, L/2 - J) / (L+2J+2), as a run of one spin."""
-    _check_spin_label(HALF, sites, two_j)
+    sites, two_j = _check_spin_label(HALF, sites, two_j)
     _check_exact_sites(sites)
-    two_j = int(two_j)
-    return _multiplicity_run(int(sites), two_j, two_j)[two_j]
+    return _multiplicity_run(sites, two_j, two_j)[two_j]
 
 
 def spin_half_multiplicity_log(sites, two_j):
     """ln of `spin_half_multiplicity`, stable for large L."""
-    _check_spin_label(HALF, sites, two_j)
+    sites, two_j = _check_spin_label(HALF, sites, two_j)
     _check_float_sites(sites)
     q = (sites - two_j) // 2
     return math.log(2.0 * (1 + two_j) / (2 + sites + two_j)) + log_binomial(sites, q)
@@ -295,7 +300,7 @@ def multiplicity_table(species, sites):
     trivial representation at L=0 and fuses one site at a time.
     """
     _check_species(species)
-    _check_exact_sites(_check_integer("sites", sites, 0))
+    sites = _check_exact_sites(_check_integer("sites", sites, 0))
     return MultiplicityTable(species, sites, _fusion_counts(species.two_s, sites))
 
 
@@ -304,14 +309,13 @@ def multiplicity(species, sites, two_j):
     _check_species(species)
     if species.two_s == 1:
         return spin_half_multiplicity(sites, two_j)
-    _check_spin_label(species, sites, two_j)
+    sites, two_j = _check_spin_label(species, sites, two_j)
     return multiplicity_table(species, sites).multiplicity(two_j)
 
 
 def zero_magnetization_dim(sites):
     """Dimension of the J_z=0 (even L) or J_z=+-1/2 (odd L) spin-1/2 sector."""
-    sites = _check_integer("sites", sites, 0)
-    _check_exact_sites(sites)
+    sites = _check_exact_sites(_check_integer("sites", sites, 0))
     return math.comb(sites, sites // 2)
 
 
@@ -323,8 +327,7 @@ def hilbert_fraction(sites, two_j):
 def admissible_two_j(species, sites):
     """All two_j with nonzero multiplicity, ascending."""
     _check_species(species)
-    sites = _check_integer("sites", sites, 0)
-    _check_exact_sites(sites)
+    sites = _check_exact_sites(_check_integer("sites", sites, 0))
     if sites == 0:
         return [0]
     if species.two_s == 1:

@@ -25,20 +25,21 @@ asymptotics of the J=0 and J=O(L) sectors.
 import math
 import os
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul
 
 import numpy as np
 
 from .asymptotics import multiplicity_rate
 from .combinatorics import (
-    HALF, SectorLabel, _ballot_ratios, _check_exact_sites, _check_float_sites, _check_fraction,
-    _check_integer, _check_spin_density, _check_zero_jz, _is_integer, _multiplicity_run)
+    HALF, _ballot_ratios, _check_exact_sites, _check_float_sites, _check_fraction, _check_integer,
+    _check_spin_density, _check_spin_label, _check_zero_jz, _is_integer, _multiplicity_run)
 from .special import digamma
-from .su2 import _cg_solve, _stretched_passes
+from .su2 import _cg_solve, _stretched_pass
 
 __all__ = [
     "EntropyEstimate",
@@ -66,13 +67,25 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
-# Monte Carlo draws this many bytes of W per stack, whose samples share one norm
-# pass and one Gram product per Schmidt block; ED runs and CG table chunks fit in it too
+# bytes of one Monte Carlo stack of W, stretched-column pass, ED run or CG table chunk
 STACK_BYTES = 1 << 20
 # Spins per block of the exact J = 0 sum (`_singlet_weights`).  With its checks and weights
 # it took 11.2, 9.9, 9.3, 9.6 and 10.4 ms at blocks of 8, 16, 32, 64 and 128 at (L, cut) =
 # (10**4, 5000), and 9.1, 7.7, 7.2, 7.3 and 7.7 ms at (10**4, 2500) (2-core VM, Python 3.11)
 SINGLET_BLOCK = 32
+
+
+def _passes(costs):
+    """(start, stop) of each pass over items of byte `costs`: the most consecutive
+    items whose costs sum to at most STACK_BYTES, or one costlier item.  It plans
+    the stretched-column passes and the ED runs; Monte Carlo stacks hold samples
+    of one size, and CG table chunks are padded to their widest column, so their
+    cost is no sum of item costs."""
+    ends, bounds = list(accumulate(costs, initial=0)), [0]  # ends[k] sums the first k costs
+    while bounds[-1] < len(ends) - 1:
+        start = bounds[-1]
+        bounds.append(max(bisect_right(ends, ends[start] + STACK_BYTES) - 1, start + 1))
+    return list(zip(bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +118,11 @@ def _schmidt_squares(x):
 
 
 def _check_cut(sites, cut):
-    _check_integer("sites", sites)
-    _check_integer("cut", cut)
+    """The checked (sites, cut) as Python ints."""
+    sites, cut = _check_integer("sites", sites), _check_integer("cut", cut)
     if not 0 < cut < sites:
         raise ValueError(f"cut must satisfy 0 < cut < {sites}, got {cut}")
+    return sites, cut
 
 
 def _check_method(method):
@@ -134,11 +148,11 @@ def entanglement_entropy(state, cut, local_dim=2):
         raise ValueError("state is empty")
     if state.ndim != 1:
         raise ValueError(f"state must be a 1-D array, got shape {state.shape}")
-    _check_integer("local_dim", local_dim, 2)
+    local_dim = _check_integer("local_dim", local_dim, 2)
     sites = round(math.log(state.size, local_dim))
     if local_dim**sites != state.size:
         raise ValueError(f"state of length {state.size} is not a {local_dim}**L product state")
-    _check_cut(sites, cut)
+    cut = _check_cut(sites, cut)[1]
     _check_normalized(state)
     # at least double precision, as in the slice pass: a float32 state gives its cast's entropy
     state = state.astype(np.promote_types(state.dtype, float), copy=False)
@@ -246,14 +260,23 @@ def _folded_fraction(fraction):
 
 
 def _mirror_cut(sites, cut):
-    _check_cut(sites, cut)
-    return int(min(cut, sites - cut))
+    """The checked sites and the smaller side of the cut, as Python ints."""
+    sites, cut = _check_cut(sites, cut)
+    return sites, min(cut, sites - cut)
+
+
+def _fraction_cut(fraction, sites):
+    """The cut round(f L) of L = `sites` at f = `fraction`, refused if a side is empty."""
+    cut = round(_check_fraction("fraction", fraction) * sites)
+    if not 0 < cut < sites:
+        raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
+    return cut
 
 
 def haar_average_leading(sites, cut, local_dim=2):
     """Leading Page terms: L_A ln d, minus 1/2 exactly at half bipartition."""
-    _check_integer("local_dim", local_dim, 2)
-    cut = _mirror_cut(sites, cut)
+    local_dim = _check_integer("local_dim", local_dim, 2)
+    sites, cut = _mirror_cut(sites, cut)
     _check_float_sites(sites)
     return cut * math.log(local_dim) - (0.5 if 2 * cut == sites else 0.0)
 
@@ -263,7 +286,7 @@ def fixed_filling_average(filling, sites, cut):
     n = _check_fraction("filling", filling)
     if not 0 < n < 1:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
-    cut = _mirror_cut(sites, cut)
+    sites, cut = _mirror_cut(sites, cut)
     _check_float_sites(sites)
     f = Fraction(cut, sites)
     m = 1 - n
@@ -288,7 +311,8 @@ def singlet_average_exact(sites, cut):
     contributes a Page term for its multiplicity block plus the ln(1+2J_A)
     entropy of the uniform singlet Clebsch-Gordan weights.
     """
-    geo = CoupledPairGeometry(sites, 0, _mirror_cut(sites, cut))
+    sites, cut = _mirror_cut(sites, cut)
+    geo = CoupledPairGeometry(sites, 0, cut)
     # a block whose weight rounds to 0.0 adds exactly 0.0 to the total: not read
     blocks = ((geo.na[ja], geo.nb[ja], w, math.log(1.0 + ja)) for ja, w in geo.weights.items() if w)
     return _block_average(blocks, geo.sector_dim)
@@ -296,8 +320,7 @@ def singlet_average_exact(sites, cut):
 
 def singlet_average_asymptotic(sites, fraction):
     """Leading large-L terms of the J=0 sector average at fixed f = L_A/L."""
-    sites = _check_integer("sites", sites, 1)
-    _check_float_sites(sites)
+    sites = _check_float_sites(_check_integer("sites", sites, 1))
     f = _folded_fraction(fraction)
     ff = float(f)
     value = math.log(2.0) * ff * sites + 1.5 * (ff + math.log(1.0 - ff))
@@ -308,7 +331,7 @@ def singlet_average_asymptotic(sites, fraction):
 
 def max_spin_entropy_asymptotic(sites, fraction):
     """Leading entropy of the unique J = L/2 state: (1/2) ln[pi e f(1-f) L / 2]."""
-    _check_float_sites(_check_integer("sites", sites, 1))
+    sites = _check_float_sites(_check_integer("sites", sites, 1))
     ff = float(_folded_fraction(fraction))
     return 0.5 * math.log(math.pi * math.e * ff * (1.0 - ff) * sites / 2.0)
 
@@ -320,17 +343,24 @@ def max_spin_state_entropy(sites, cut):
     configurations; its Schmidt weights are the squared stretched
     Clebsch-Gordan coefficients, evaluated in log domain.
     """
-    _check_cut(sites, cut)
+    sites, cut = _check_cut(sites, cut)
     _check_exact_sites(sites)
     _check_zero_jz(HALF, sites)
     return _stretched_entropies([(cut, sites - cut)])[0]
 
 
 def _stretched_entropies(pairs):
-    """-sum c_m**2 ln c_m**2 of each pair's stretched column, in log domain, one segmented
-    sum per pass; the pairs come from a checked cut or geometry, so no spin is checked again."""
-    return [-s for lw, starts in _stretched_passes(pairs)
-            for s in np.add.reduceat(np.exp(lw) * lw, starts).tolist()]
+    """-sum c_m**2 ln c_m**2 of each (two_ja, two_jb) pair's stretched column, one
+    `_stretched_pass` and one segmented sum per pass; an entry costs 128 bytes, about
+    the 8-byte arrays the kernel and the sum hold, so a pass keeps 8,192 entries at
+    the default STACK_BYTES.  The pairs come from a checked cut or geometry."""
+    # fromiter: np.array of a list of tuples costs ~1.5 us more per sd2 row
+    ja, jb = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2).T
+    out = []
+    for start, stop in _passes((128 * (np.minimum(ja, jb) + 1)).tolist()):
+        lw, starts = _stretched_pass(ja[start:stop], jb[start:stop])
+        out += np.add.reduceat(np.exp(lw) * -lw, starts).tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +387,10 @@ class CoupledPairGeometry:
     """
 
     def __init__(self, sites, two_j, cut):
-        _check_cut(sites, cut)
+        sites, cut = _check_cut(sites, cut)  # Python ints: numpy ones overflow in exact sums
         _check_exact_sites(sites)
         _check_zero_jz(HALF, sites)
-        SectorLabel(HALF, sites, two_j, 0)
-        sites, two_j, cut = int(sites), int(two_j), int(cut)  # numpy ints overflow in exact sums
+        two_j = _check_spin_label(HALF, sites, two_j)[1]  # even, as L is: J_z = 0 is admissible
         self.sites, self.cut, self.two_j = sites, cut, two_j
         cut_b = sites - cut
         ja_lo, ja_hi = max(cut % 2, two_j - cut_b), min(cut, two_j + cut_b)
@@ -656,6 +685,8 @@ def resolve_workers(n_items, item_work):
     forked workers keep the parent's BLAS threads, which oversubscribe the
     cores unless pinned to one.  Results do not depend on the count.
     """
+    n_items = _check_integer("n_items", n_items, 0)
+    item_work = _check_integer("item_work", item_work, 0)
     env = os.environ.get(WORKERS_ENV)
     if env is not None:
         try:
@@ -681,12 +712,11 @@ def ensemble_entropy_samples(
     sequence (seed, i), making the output independent of `workers` and of any
     parallel schedule.
     """
-    for name, value in (("sites", sites), ("two_j", two_j), ("cut", cut)):
-        _check_integer(name, value)
-    _check_integer("samples", samples, 1)
+    sites, two_j, cut = map(_check_integer, ("sites", "two_j", "cut"), (sites, two_j, cut))
+    samples = _check_integer("samples", samples, 1)
     if samples > 2**53:  # past it the float64 bounds of the workers' shares are not exact
         raise ValueError(f"samples must be at most 2**53, got {samples}")
-    _check_integer("seed", seed, 0)
+    seed = _check_integer("seed", seed, 0)
     if isinstance(methods, str):
         raise ValueError(f"methods must be a sequence of names from {ENSEMBLE_METHODS}, got {methods!r}")
     methods = tuple(methods)
@@ -700,7 +730,7 @@ def ensemble_entropy_samples(
     if workers is None:
         # a sample costs ~0.1 us per entry of W plus ~50 us of bookkeeping, 512 entries' worth
         workers = resolve_workers(samples, entries + 512)
-    _check_integer("workers", workers, 1)
+    workers = _check_integer("workers", workers, 1)
     # each worker's share of the samples, cut into stacks of at most STACK_BYTES of W: one
     # cut of all the samples would leave a pool unbalanced when a stack holds many samples
     size = max(1, STACK_BYTES // (entries * (16 if complex_coefficients else 8)))
@@ -856,8 +886,7 @@ def sd2_asymptotic(sites, fraction, j):
     the ln L term of the maximal-spin state, and an O(1) remainder; at j = 1
     everything except the maximal-spin terms vanishes.
     """
-    sites = _check_integer("sites", sites, 1)
-    _check_float_sites(sites)
+    sites = _check_float_sites(_check_integer("sites", sites, 1))
     f = _folded_fraction(fraction)
     _check_spin_density(j)
     ff = float(f)

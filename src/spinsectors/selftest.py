@@ -33,7 +33,7 @@ from .ensembles import (
 )
 from .special import EULER_GAMMA, digamma
 from .spectra import RESIDUAL_TOL, ChainSpec, _spin_subspaces, diagonalize_and_resolve
-from .su2 import _stretched_columns, bond_matrix_elements, clebsch_gordan, configuration_space
+from .su2 import _stretched_pass, bond_matrix_elements, clebsch_gordan, configuration_space
 
 _TRIANGLE = {
     0: {0: 1},
@@ -110,12 +110,13 @@ def _check_stretched():
     # each column against C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B)
     comb = math.comb
     pairs = [(two_ja, two_jb) for two_ja in range(13) for two_jb in range(two_ja % 2, 13, 2)]
-    for (two_ja, two_jb), logs in zip(pairs, _stretched_columns(pairs)):
+    logs, starts = _stretched_pass(*np.array(pairs + [(6, 10), (500, 500)], dtype=np.int64).T)
+    *small, column, wide = (np.exp(col) for col in np.split(logs, starts[1:]))
+    for (two_ja, two_jb), weights in zip(pairs, small, strict=True):
         mm, n = min(two_ja, two_jb), two_ja + two_jb
         exact = [Fraction(comb(two_ja, (two_ja - m) // 2) * comb(two_jb, (two_jb + m) // 2),
                           comb(n, n // 2)) for m in range(-mm, mm + 1, 2)]
-        assert np.allclose(np.exp(logs), np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
-    column, wide = (np.exp(logs) for logs in _stretched_columns([(6, 10), (500, 500)]))
+        assert np.allclose(weights, np.array(exact, float), rtol=1e-12, atol=0), (two_ja, two_jb)
     assert abs(column.sum() - 1.0) < 1e-12
     half_m = np.arange(-500, 501, 2) / 2.0
     var = np.sum(half_m**2 * wide)

@@ -22,11 +22,12 @@ certificate, and the Schmidt maps of each cut (`_cut_maps`), which list each
 Schmidt block's configurations in row-major order.  A coupling then costs one
 real n_J-sized solve per subspace.  The chain is worked through in runs of
 consecutive momentum blocks whose Schmidt stacks fit in
-`ensembles.STACK_BYTES` together: a run solves its subspaces of one size by
-one `eigh` call and makes one Schmidt pass (`_schmidt_entropies`) over the
-central states of all its blocks, each stack filled by one gather per block
-and diagonalized by one `eigvalsh` call per flip class past 1 x 1; its
-records take entropies once the pass is done.  LAPACK and BLAS run at most
+`ensembles.STACK_BYTES` together, planned by `ensembles._passes`, which also
+plans the closed forms' stretched-column passes.  A run solves its subspaces
+of one size by one `eigh` call and makes one Schmidt pass
+(`_schmidt_entropies`) over the central states of all its blocks, each stack
+filled by one gather per block and diagonalized by one `eigvalsh` call per
+flip class past 1 x 1; its records take entropies once the pass is done.  LAPACK and BLAS run at most
 once per matrix of a stack, so the records are bitwise those of a block by
 block solve.
 
@@ -58,9 +59,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import SpinSpecies, _check_fraction, _check_integer, _check_species, _check_zero_jz
+from .combinatorics import SpinSpecies, _check_integer, _check_species, _check_zero_jz
 from . import ensembles
-from .ensembles import EntropyEstimate, _check_normalized, bipartition_maps
+from .ensembles import EntropyEstimate, _check_normalized, _fraction_cut, _passes, bipartition_maps
 from .su2 import bond_matrix_elements, configuration_space, spin_squared_terms
 
 __all__ = [
@@ -94,7 +95,7 @@ class ChainSpec:
 
     def __post_init__(self):
         _check_species(self.species)
-        _check_integer("sites", self.sites)
+        object.__setattr__(self, "sites", _check_integer("sites", self.sites))
         if self.sites < 3:
             raise ValueError(f"chains need at least 3 sites, got {self.sites}")
         # a Python bool is a Real (numpy's is not), and both are refused
@@ -431,21 +432,6 @@ def _central_window(dim):
     return range(start, start + n_sel)
 
 
-def _runs(chain, largest):
-    """`chain` cut into runs: consecutive blocks whose Schmidt stacks, one row
-    of `largest` 8-byte entries per central state, fit in STACK_BYTES together
-    (a block larger than that is a run of one)."""
-    runs, size = [[]], 0
-    for link in chain:
-        need = len(_central_window(len(link[0].reps))) * largest * 8
-        if runs[-1] and size + need > ensembles.STACK_BYTES:
-            runs.append([])
-            size = 0
-        runs[-1].append(link)
-        size += need
-    return runs
-
-
 def _solve(subspaces, coeffs):
     """(rot, (energies, 2J, J**2 residuals, H residual bounds)) of H_J =
     sum_b c_b Q_J^T B_b Q_J in each `_Subspace`, in order.  Subspaces of one size share
@@ -483,24 +469,26 @@ def diagonalize_and_resolve(spec, fraction=Fraction(1, 2)):
     The entanglement entropy of the first round(f*L) sites (`fraction=None`
     skips it) and Gaussianity are evaluated, on the momentum-basis
     eigenvectors, for the central CENTRAL_FRACTION of each block by energy
-    rank.  The blocks are worked through in runs (`_runs`), each with one
-    solve per subspace size (`_solve`) and one Schmidt pass (`_schmidt_entropies`).
+    rank.  The blocks are worked through in runs (`ensembles._passes`), each
+    with one solve per subspace size (`_solve`) and one Schmidt pass
+    (`_schmidt_entropies`).
     """
     two_s = spec.species.two_s
     sites = spec.sites
     maps = ()
     if fraction is not None:
-        cut = round(_check_fraction("fraction", fraction) * sites)
-        if not 0 < cut < sites:
-            raise ValueError(f"fraction {fraction} gives an empty bipartition at L={sites}")
+        cut = _fraction_cut(fraction, sites)
         maps = _cut_maps(two_s, sites, cut)
     coeffs = np.array([coeff for _, coeff, _ in _bond_list(spec)])
-    # without a cut the whole slice stands in for the largest Schmidt block
-    largest = max((len(order) for order, *_ in maps), default=len(_orbit_data(two_s, sites)[0]))
     # Conjugate momentum pairs (n, L-n) carry identical spectra and entropy
     # statistics, so only n = 0 .. L/2 is diagonalized.
+    chain = _spin_subspaces(two_s, sites)
+    # a block's stacks: 8 bytes x central states x the largest entry (or the slice, uncut)
+    largest = max((len(order) for order, *_ in maps), default=len(_orbit_data(two_s, sites)[0]))
+    costs = [len(_central_window(len(block.reps))) * largest * 8 for block, _ in chain]
     records = []
-    for run in _runs(_spin_subspaces(two_s, sites), largest):
+    for start, stop in _passes(costs):
+        run = chain[start:stop]
         solved = iter(_solve([sub for _, subspaces in run for sub in subspaces], coeffs))
         targets, picks = [], []  # the chosen records, in the order of the picked columns
         for block, subspaces in run:

@@ -1,7 +1,8 @@
 """Clebsch-Gordan coupling and two-site operators on the magnetization slice.
 
 All angular momenta enter as doubled integers.  Clebsch-Gordan columns come
-from the three-term J**2 recursion in m; closed forms read log-binomial ones.
+from the three-term J**2 recursion in m; closed forms read log-binomial
+stretched ones, one `_stretched_pass` per pass that `ensembles._passes` plans.
 Operators act on the fixed-J_z slice: a configuration is one base-(2s+1) digit
 per site, and only configurations with the requested total J_z are stored.
 """
@@ -11,9 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import _is_integer
-
-STRETCHED_PASS = 1 << 13  # entries of one pass of `_stretched_passes`, unless one column is longer
+from .combinatorics import _check_integer, _is_integer
 
 __all__ = [
     "clebsch_gordan",
@@ -24,12 +23,15 @@ __all__ = [
 
 
 def _check_momentum(two_j, two_m, what):
+    """The checked (two_j, two_m) as Python ints: unsigned numpy ones wrap in differences."""
     if not (_is_integer(two_j) and _is_integer(two_m)):
         raise ValueError(f"{what}: two_j={two_j!r} and two_m={two_m!r} must be integers")
+    two_j, two_m = int(two_j), int(two_m)
     if two_j < 0:
         raise ValueError(f"{what}: negative angular momentum two_j={two_j}")
     if (two_j - two_m) % 2:
         raise ValueError(f"{what}: two_m={two_m} incompatible with two_j={two_j}")
+    return two_j, two_m
 
 
 def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
@@ -40,9 +42,9 @@ def clebsch_gordan(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
     ~4 ms at 2j1 = 2j2 = 200 (~8 ms at M != 0): within 1e-15 of exact up to 2j =
     14 and ~2e-14 at 2j ~ 300.
     """
-    _check_momentum(two_j1, two_m1, "j1")
-    _check_momentum(two_j2, two_m2, "j2")
-    _check_momentum(two_j, two_m, "J")
+    two_j1, two_m1 = _check_momentum(two_j1, two_m1, "j1")
+    two_j2, two_m2 = _check_momentum(two_j2, two_m2, "j2")
+    two_j, two_m = _check_momentum(two_j, two_m, "J")
     if (abs(two_m1) > two_j1 or abs(two_m2) > two_j2 or abs(two_m) > two_j
             or two_m1 + two_m2 != two_m or not abs(two_j1 - two_j2) <= two_j <= two_j1 + two_j2):
         return 0.0
@@ -118,40 +120,27 @@ def _lnfact_table(size):
     return _LNFACT
 
 
-def _stretched_passes(pairs):
-    """ln |<J_A m; J_B -m | J_A+J_B, 0>|**2 over the whole column |m| <= min(J_A,
-    J_B), m ascending, of each (two_ja, two_jb) in `pairs`, stable for large spins,
-    in passes (logs, column starts) of at most STRETCHED_PASS entries or one longer
-    column.  Entry m is ln[ C(2J_A, J_A-m) C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B) ],
-    each binomial from the process's one ln k! table.  No spin is checked: the
-    callers pass pairs from a checked cut or geometry.
-    """
-    ja, jb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    first, count, sizes = 0, 0, (np.minimum(ja, jb) + 1).tolist()
-    for k, size in enumerate(sizes + [STRETCHED_PASS]):  # the last size closes the last pass
-        if count and count + size > STRETCHED_PASS:
-            yield _stretched_pass(ja[first:k], jb[first:k])
-            first, count = k, 0
-        count += size
-
-
-def _stretched_columns(pairs):
-    """The columns of `_stretched_passes`, one view each, in the order of `pairs`."""
-    return (col for logs, starts in _stretched_passes(pairs) for col in np.split(logs, starts[1:]))
-
-
 def _stretched_pass(ja, jb):
+    """(logs, starts): ln |<J_A m; J_B -m | J_A+J_B, 0>|**2, |m| <= min(J_A, J_B)
+    ascending, of each pair of the int64 doubled spins `ja`, `jb`, column after
+    column in one flat array, and each column's start.  Entry m is ln[C(2J_A, J_A-m)
+    C(2J_B, J_B+m) / C(2J_A+2J_B, J_A+J_B)], each binomial from the process's one
+    ln k! table.  No spin is checked: the pairs come from a checked cut or geometry."""
     mm = np.minimum(ja, jb)
     sizes = mm + 1
-    starts = sizes.cumsum() - sizes
-    rank = np.arange(sizes.sum()) - starts.repeat(sizes)  # of m within its column
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    rank = np.arange(ends[-1]) - starts.repeat(sizes)  # of m within its column
     n = ja + jb
     lf = _lnfact_table(int(n.max()) + 1)
-    norm = lf[n] - lf[n // 2] - lf[n - n // 2]
-    ka = ((ja + mm) // 2).repeat(sizes) - rank  # J_A - m, m ascending
-    kb = ((jb - mm) // 2).repeat(sizes) + rank
+    half = n >> 1  # a shift, as every index here is >= 0: numpy's // costs more
+    norm = lf[n] - lf[half] - lf[n - half]
+    ka = ((ja + mm) >> 1).repeat(sizes) - rank  # J_A - m, m ascending
+    kb = ((jb - mm) >> 1).repeat(sizes) + rank
+    # ln (2J)! per pair, then repeated: the same floats as gathered per entry
+    la, lb = lf[ja].repeat(sizes), lf[jb].repeat(sizes)
     ja, jb = ja.repeat(sizes), jb.repeat(sizes)
-    logs = (lf[ja] - lf[ka] - lf[ja - ka]) + (lf[jb] - lf[kb] - lf[jb - kb]) - norm.repeat(sizes)
+    logs = (la - lf[ka] - lf[ja - ka]) + (lb - lf[kb] - lf[jb - kb]) - norm.repeat(sizes)
     return logs, starts
 
 
@@ -159,12 +148,11 @@ def _stretched_pass(ja, jb):
 # magnetization slice and two-site operators
 
 
-def _digit_codes(digits, d):
-    """Integer codes of digit rows: site i carries the base-d digit of weight d**i."""
-    sites = digits.shape[1]
-    if d**sites > np.iinfo(np.int64).max:
+def _check_codes(d, sites):
+    """Refuse sites of d >= 2 states whose integer codes, site i carrying the base-d
+    digit of weight d**i, overflow int64: all past 63 sites, so no huge d**sites is formed."""
+    if sites > 63 or d**sites > np.iinfo(np.int64).max:
         raise ValueError(f"codes of {sites} sites with {d} local states overflow 64-bit integers")
-    return digits @ d ** np.arange(sites, dtype=np.int64)
 
 
 def _slice_digits(two_s, sites, two_jz):
@@ -185,15 +173,18 @@ def _slice_digits(two_s, sites, two_jz):
     return np.ascontiguousarray(digits[:, ::-1])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 misses the entry of 2 and is refused
 def configuration_space(two_s, sites, two_jz=0):
     """Sorted integer codes and digit table of the fixed-magnetization slice.
 
     Site i occupies the base-d digit of weight d**i; digit values 0..2s map to
     local two_m = 2*digit - 2s.  Both arrays are cached and read-only.
     """
+    two_s, sites = _check_integer("two_s", two_s, 1), _check_integer("sites", sites, 1)
+    two_jz = _check_integer("two_jz", two_jz)
+    _check_codes(two_s + 1, sites)  # before the slice is enumerated
     digits = _slice_digits(two_s, sites, two_jz)
-    codes = _digit_codes(digits, two_s + 1)
+    codes = digits @ (two_s + 1) ** np.arange(sites, dtype=np.int64)
     codes.flags.writeable = False
     digits.flags.writeable = False
     return codes, digits
@@ -250,11 +241,13 @@ def bond_matrix_elements(two_s, digits, bonds, codes):
     indexing the rows of `digits` and `row` indexing `codes`; raises
     ValueError if a column is mapped to a configuration outside `codes`.
     """
+    two_s = _check_integer("two_s", two_s, 1)
     digits = np.asarray(digits)
     sites = digits.shape[1]
     d = two_s + 1
+    _check_codes(d, sites)
     weights = d ** np.arange(sites, dtype=np.int64)
-    col_codes = _digit_codes(digits, d)
+    col_codes = digits @ weights
     # one empty entry each keeps the concatenation valid when no bond acts
     cols = [np.empty(0, dtype=np.int64)]
     new_codes = [np.empty(0, dtype=np.int64)]
@@ -283,5 +276,6 @@ def bond_matrix_elements(two_s, digits, bonds, codes):
 
 def spin_squared_terms(two_s, sites):
     """Total J**2 as (diagonal, bonds): sites * s(s+1) plus S_i . S_j over all i != j."""
+    two_s, sites = _check_integer("two_s", two_s, 1), _check_integer("sites", sites, 1)
     s = two_s / 2.0
     return sites * (s * (s + 1.0)), tuple((dist, 1.0, 1) for dist in range(1, sites))

@@ -88,7 +88,6 @@ from spinsectors.spectra import (
 )
 from spinsectors.su2 import (
     _check_momentum,
-    _digit_codes,
     _lnfact_table,
     _slice_digits,
     bond_matrix_elements,
@@ -278,7 +277,7 @@ def stretched_weight(two_ja, two_jb, two_m):
 
 def stretched_column_logs(two_ja, two_jb):
     """One pair's whole stretched column, m ascending, in the float operations
-    of `_stretched_columns` on the same ln k! table."""
+    of `su2._stretched_pass` on the same ln k! table."""
     mm = min(two_ja, two_jb)
     _check_momentum(two_ja, mm, "J_A")
     _check_momentum(two_jb, mm, "J_B")
@@ -579,7 +578,7 @@ def apply_total_spin_squared(state, species, configs):
         )
     two_s = species.two_s
     digits = (configs + two_s) // 2
-    codes = _digit_codes(digits, two_s + 1)
+    codes = digits @ (two_s + 1) ** np.arange(configs.shape[1], dtype=np.int64)
     order = np.argsort(codes)
     diagonal, bonds = spin_squared_terms(two_s, configs.shape[1])
     col, row, amp = bond_matrix_elements(two_s, digits, bonds, codes[order])

@@ -5,6 +5,7 @@ never edited, so a library change that would break a benchmark op, its output
 check or a traced run fails here first.
 """
 
+import inspect
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -58,6 +59,13 @@ def test_every_tracing_target_resolves():
         "ensembles.cg_coefficient", "ensembles.entropy_kernel", "spectra.gaussianity"}
     for owner, attr, name, _ in targets:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner!r} has no {attr}"
+
+
+def test_no_tracing_target_is_a_generator_function():
+    # a wrapped generator function's span closes when the generator is made,
+    # before any of its work runs, so its time lands in the caller's self time
+    for owner, attr, name, _ in tracing.targets():
+        assert not inspect.isgeneratorfunction(getattr(owner, attr)), name
 
 
 def test_cut_maps_are_built_once():

@@ -187,6 +187,15 @@ SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
                  id="cg-string"),
     pytest.param(lambda: CoupledPairGeometry(8, True, 4), "two_j must be an integer, got True",
                  id="geometry-two_j-bool"),
+    pytest.param(lambda: SectorLabel(HALF, 6, 2, "3"), "two_jz must be an integer, got '3'",
+                 id="label-two_jz-string"),
+    pytest.param(lambda: spinsectors.configuration_space(1, 1.5), "sites must be an integer, got 1.5",
+                 id="configuration-space-float"),
+    pytest.param(lambda: spinsectors.spin_squared_terms(1, 2.0), "sites must be an integer, got 2.0",
+                 id="spin-squared-terms-float"),
+    pytest.param(lambda: spinsectors.resolve_workers(None, 10), "n_items must be an integer, got None",
+                 id="resolve-workers-none"),
+    pytest.param(lambda: digamma(None), "digamma requires a real number, got None", id="digamma-none"),
 ])
 def test_bools_and_non_integers_are_refused(call, message):
     # bools passed the integer checks as 0 and 1; floats and strings reached
@@ -245,6 +254,7 @@ def test_non_real_spin_densities_are_refused(call, value):
 
 
 EVEN_SITES = "the spin-1/2 J_z=0 sector needs an even number of sites, got 7"
+CODES_OF_FOUR, DIGITS_OF_FOUR = spinsectors.configuration_space(1, 4)
 # math.comb, numpy indices and range raised OverflowError past 2**63 - 1
 HUGE = 10**30
 PAST_EXACT = f"sites must be at most 2**63 - 1, got {HUGE}"
@@ -292,6 +302,12 @@ PAST_EXACT = f"sites must be at most 2**63 - 1, got {HUGE}"
     # spin-1 fusion ran site by site, for ever
     pytest.param(lambda: spinsectors.multiplicity(ONE, HUGE, 0), PAST_EXACT, id="multiplicity-spin-one-huge"),
     pytest.param(lambda: spinsectors.multiplicity_table(ONE, HUGE), PAST_EXACT, id="multiplicity-table-huge"),
+    # the slice was enumerated site by site before its codes were checked
+    pytest.param(lambda: spinsectors.configuration_space(1, 10**19),
+                 f"codes of {10**19} sites with 2 local states overflow 64-bit integers",
+                 id="configuration-space-huge"),
+    pytest.param(lambda: spinsectors.bond_matrix_elements(0, DIGITS_OF_FOUR, ((1, 1.0, 1),), CODES_OF_FOUR),
+                 "two_s must be >= 1, got 0", id="bond-matrix-elements-spin-zero"),
 ])
 def test_out_of_range_inputs_are_refused(call, message):
     def overdue(signum, frame):
@@ -367,6 +383,11 @@ NUMPY_INPUT_CALLS = {
     "sd2_asymptotic": lambda L, i: sd2_asymptotic(i(L), Fraction(1, 2), 0.5),
     "haar_average_leading": lambda L, i: haar_average_leading(i(L), i(L // 2)),
     "fixed_filling_average": lambda L, i: fixed_filling_average(Fraction(1, 3), i(L), i(L // 4)),
+    # <1 1/2; 3 -1/2 | 1 0> at L = 12, larger spins (m as Python ints) beyond
+    "clebsch_gordan": lambda L, i: clebsch_gordan(i(L // 12 * 2 - 1), 1, i(L // 12 * 2 + 1), -1, i(2), 0),
+    "log_multiplicity_saddle": lambda L, i: spinsectors.log_multiplicity_saddle(HALF, i(L), i(2)),
+    "hilbert_fraction_asymptotic": lambda L, i: spinsectors.hilbert_fraction_asymptotic(i(L), i(2)),
+    "fraction_peak_density": lambda L, i: fraction_peak_density(i(L)),
 }
 
 
@@ -374,10 +395,22 @@ NUMPY_INPUT_CALLS = {
 @pytest.mark.parametrize("name", NUMPY_INPUT_CALLS)
 def test_numpy_integers_give_the_python_values_and_types(name, sites):
     # numpy sizes mixed with exact big integers raised OverflowError from
-    # L ~ 64 on, and gave numpy scalars below that
+    # L ~ 64 on, and gave numpy scalars below that; unsigned spins wrapped
+    # round in differences (<1 1/2; 3 -1/2 | 1 0> gave 0.0, and sd2 and sd1
+    # warned of an overflow), and an int8 2 L overflowed at L = 100
     want = NUMPY_INPUT_CALLS[name](sites, int)
-    got = NUMPY_INPUT_CALLS[name](sites, np.int64)
-    assert type(got) is type(want) and got == want
+    for itype in (np.int64, np.uint64, np.uint16, np.int8):
+        if sites <= np.iinfo(itype).max:
+            got = NUMPY_INPUT_CALLS[name](sites, itype)
+            assert type(got) is type(want) and got == want, itype
+
+
+def test_narrow_numpy_local_dims_give_the_python_entropy():
+    # np.int8(2)**10 wrapped round to 0, so a 2**10 state was refused as no 2**L product state
+    state = np.zeros(2**10)
+    state[[0, -1]] = math.sqrt(0.5)
+    want = entanglement_entropy(state, 3, 2)
+    assert entanglement_entropy(state, np.int8(3), np.int8(2)) == want == pytest.approx(math.log(2), rel=1e-15)
 
 
 EPS = np.finfo(float).eps
@@ -1233,12 +1266,11 @@ class TestStackedSamples:
         # sd2 takes its stretched weights c_m**2 from the geometry's one CG
         # table, as full and sd1 do; the log-binomial columns serve the closed
         # forms only
-        def refused(pairs):
+        def refused(ja, jb):
             raise AssertionError("Monte Carlo read the log-binomial stretched columns")
 
-        monkeypatch.setattr(su2, "_stretched_columns", refused)
-        monkeypatch.setattr(su2, "_stretched_passes", refused)
-        monkeypatch.setattr(ensembles, "_stretched_passes", refused)
+        monkeypatch.setattr(su2, "_stretched_pass", refused)
+        monkeypatch.setattr(ensembles, "_stretched_pass", refused)
         coupled_geometry.cache_clear()  # a cached geometry may hold columns read before
         values = ensemble_entropy_samples(12, 6, 6, 3, 13, ("sd2",), workers=1)["sd2"]
         assert values.shape == (3,) and np.all(np.isfinite(values)) and np.all(values > 0)

@@ -645,13 +645,23 @@ class TestRuns:
         assert events == want
 
     @pytest.mark.parametrize("species,sites,runs", [(HALF, 12, 1), (HALF, 14, 4), (ONE, 8, 1)])
-    def test_runs_fill_stack_bytes_in_order(self, species, sites, runs):
+    def test_runs_fill_stack_bytes_in_order(self, monkeypatch, species, sites, runs):
         # runs split the chain in order; each takes blocks while its Schmidt
         # stacks, central states x the largest entry x 8 bytes, fit in
-        # STACK_BYTES, and at L = 12 the whole chain takes 348,800 bytes
+        # STACK_BYTES, and at L = 12 the whole chain takes 348,800 bytes.  The
+        # plan is the one `ensembles._passes` makes for the resolve itself.
         chain = spectra._spin_subspaces(species.two_s, sites)
         largest = max(len(entry[0]) for entry in spectra._cut_maps(species.two_s, sites, sites // 2))
-        planned = spectra._runs(chain, largest)
+        plans = []
+
+        def recorded(costs):
+            plans.append(ensembles._passes(costs))
+            return plans[-1]
+
+        monkeypatch.setattr(spectra, "_passes", recorded)
+        diagonalize_and_resolve(ChainSpec(species, sites, 3.0))
+        planned = [list(chain[start:stop]) for start, stop in plans.pop()]
+        assert not plans
         assert [link for run in planned for link in run] == list(chain) and len(planned) == runs
 
         def size(links):

@@ -18,11 +18,36 @@ from oracles import (
 from spinsectors import HALF, ONE, clebsch_gordan, ensembles, multiplicity, spin_half_multiplicity, su2
 from spinsectors.su2 import (
     _lnfact_table,
-    _stretched_columns,
+    _stretched_pass,
     bond_matrix_elements,
     configuration_space,
     spin_squared_terms,
 )
+
+# the bytes `ensembles._stretched_entropies` plans per stretched entry: 8,192 entries per
+# pass at the default STACK_BYTES
+ENTRY_BYTES = 128
+
+
+def planned_columns(pairs, monkeypatch):
+    """Each pair's column as the closed forms form it: the passes of one
+    `ensembles._stretched_entropies` call, recorded and split."""
+    columns, kernel = [], ensembles._stretched_pass
+
+    def recorded(ja, jb):
+        logs, starts = kernel(ja, jb)
+        columns.extend(np.split(logs, starts[1:]))
+        return logs, starts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensembles, "_stretched_pass", recorded)
+        ensembles._stretched_entropies(pairs)
+    return columns
+
+
+def column_alone(two_ja, two_jb):
+    """One pair's column from a pass of its own."""
+    return _stretched_pass(np.array([two_ja]), np.array([two_jb]))[0]
 
 
 class TestClebschGordan:
@@ -175,7 +200,7 @@ class TestStretchedWeight:
         assert stretched_weight(2, 4, 4) == 0.0
         assert stretched_weight_log(2, 4, 4) == -math.inf
 
-    def test_column_equals_scalar_bitwise(self):
+    def test_column_equals_scalar_bitwise(self, monkeypatch):
         # the columns read one lgamma table and keep log_binomial's order of
         # float operations, so every entry equals the scalar exactly, whether
         # a column is evaluated alone or in a pass with others (this grid
@@ -184,52 +209,55 @@ class TestStretchedWeight:
         grid += [(a, b) for a in range(0, 5001, 250) for b in range(0, 5001 - a, 250)]
         grid += [(a + 1, b + 1) for a, b in grid if a + b + 2 <= 5000]
         grid += [(5000, 0), (0, 5000), (4999, 1), (2500, 2500), (1234, 3766)]
-        columns = list(_stretched_columns(grid))
+        columns = planned_columns(grid, monkeypatch)
         assert len(columns) == len(grid)
         for (two_ja, two_jb), column in zip(grid, columns):
             mm = min(two_ja, two_jb)
             scalar = [stretched_weight_log(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)]
             assert column.tolist() == scalar
-            assert next(_stretched_columns([(two_ja, two_jb)])).tolist() == scalar
+            assert column_alone(two_ja, two_jb).tolist() == scalar
             assert stretched_column_logs(two_ja, two_jb).tolist() == scalar
 
     def test_pass_size_leaves_every_column_bitwise(self, monkeypatch):
-        # passes of 1 and 3 entries hold one column each, the default at most
-        # 8,192 entries of these ~100,000, and 2**40 all of them; each column's
-        # entropy is one segment of its pass's sum, so it does not move either
+        # a budget of 1 byte holds one column per pass, 3 entries' worth at
+        # most 3 entries or one column, the default at most 8,192 entries of
+        # these ~100,000, and 2**40 all of them; each column's entropy is one
+        # segment of its pass's sum, so it does not move either
         grid = [(a, b) for a in range(70) for b in range(a % 2, 100, 2)] + [(2500, 2500), (1234, 3766)]
         runs, entropies = [], []
-        for size in (1, 3, su2.STRETCHED_PASS, 2**40):
-            monkeypatch.setattr(su2, "STRETCHED_PASS", size)
-            runs.append([col.tobytes() for col in _stretched_columns(grid)])
+        for stack_bytes in (1, 3 * ENTRY_BYTES, ensembles.STACK_BYTES, 2**40):
+            monkeypatch.setattr(ensembles, "STACK_BYTES", stack_bytes)
+            runs.append([col.tobytes() for col in planned_columns(grid, monkeypatch)])
             entropies.append(np.array(ensembles._stretched_entropies(grid)).tobytes())
         assert len(runs[0]) == len(grid) and all(run == runs[0] for run in runs[1:])
         assert all(values == entropies[0] for values in entropies[1:])
 
-    @pytest.mark.parametrize("size, pairs, passes", [
+    @pytest.mark.parametrize("stack_bytes, pairs, passes", [
         # passes were cut where the running count crossed a multiple of the
-        # pass size, so the long column shared its pass with 4,572 more entries
-        pytest.param(1 << 13, [(20000, 20000)] + [(2, 2)] * 3000 + [(5, 9)], [20001, 8190, 816],
+        # pass size, so the long column shared its pass with 4,572 more entries;
+        # the default STACK_BYTES holds 8,192 entries
+        pytest.param(1 << 20, [(20000, 20000)] + [(2, 2)] * 3000 + [(5, 9)], [20001, 8190, 816],
                      id="long-column-first"),
-        pytest.param(10, [(2, 2)] * 2 + [(30, 30)] + [(2, 2)] * 5, [6, 31, 9, 6], id="long-column-between"),
+        pytest.param(10 * ENTRY_BYTES, [(2, 2)] * 2 + [(30, 30)] + [(2, 2)] * 5, [6, 31, 9, 6],
+                     id="long-column-between"),
     ])
-    def test_a_pass_holds_at_most_the_pass_size_or_one_column(self, monkeypatch, size, pairs, passes):
-        built, build = [], su2._stretched_pass
+    def test_a_pass_holds_at_most_the_pass_size_or_one_column(self, monkeypatch, stack_bytes, pairs, passes):
+        built, build = [], ensembles._stretched_pass
 
         def recorded(ja, jb):
             built.append(int((np.minimum(ja, jb) + 1).sum()))
             return build(ja, jb)
 
-        monkeypatch.setattr(su2, "_stretched_pass", recorded)
-        monkeypatch.setattr(su2, "STRETCHED_PASS", size)
-        assert len(list(_stretched_columns(pairs))) == len(pairs)
+        monkeypatch.setattr(ensembles, "_stretched_pass", recorded)
+        monkeypatch.setattr(ensembles, "STACK_BYTES", stack_bytes)
+        assert len(ensembles._stretched_entropies(pairs)) == len(pairs)
         assert built == passes
 
     def test_no_pairs_give_no_columns(self):
-        assert list(_stretched_columns([])) == []
+        assert ensembles._passes([]) == [] and ensembles._stretched_entropies([]) == []
 
     def test_column_table_is_read_only(self):
-        list(_stretched_columns([(6, 10)]))
+        ensembles._stretched_entropies([(6, 10)])
         assert not _lnfact_table(16).flags.writeable
 
     @pytest.fixture
@@ -257,17 +285,18 @@ class TestStretchedWeight:
         assert sorted(computed) == list(range(1, len(_lnfact_table(1)) + 1))
 
     def test_large_column_is_bitwise_stable_around_small_pairs(self, fresh_table):
-        small = [(1, 3), (6, 10), (2, 2)]
-        first_small = [col.tobytes() for col in _stretched_columns(small)]
-        before = next(_stretched_columns([(5000, 5000)])).tobytes()
-        assert [col.tobytes() for col in _stretched_columns(small)] == first_small
-        assert next(_stretched_columns([(5000, 5000)])).tobytes() == before
+        small = np.array([1, 6, 2]), np.array([3, 10, 2])
+        first_small = _stretched_pass(*small)[0].tobytes()
+        before = column_alone(5000, 5000).tobytes()
+        assert _stretched_pass(*small)[0].tobytes() == first_small
+        assert column_alone(5000, 5000).tobytes() == before
 
-    def test_numpy_spins_give_the_python_columns(self):
+    def test_numpy_spins_give_the_python_columns(self, monkeypatch):
         pairs = [(6, 10), (5, 3), (0, 4)]
         spins = [(np.int64(a), np.int32(b)) for a, b in pairs]
-        assert ([c.tolist() for c in _stretched_columns(spins)]
-                == [c.tolist() for c in _stretched_columns(pairs)])
+        assert ([c.tolist() for c in planned_columns(spins, monkeypatch)]
+                == [c.tolist() for c in planned_columns(pairs, monkeypatch)])
+        assert ensembles._stretched_entropies(spins) == ensembles._stretched_entropies(pairs)
 
 
 class TestSectorBasis:
