@@ -57,7 +57,6 @@ __all__ = [
     "sd2_average_closed",
     "sd2_asymptotic",
     "paired_spin_crossover",
-    "sd1_semianalytic",
     "ensemble_entropy_samples",
     "random_state_average",
     "default_sample_count",
@@ -67,7 +66,8 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-14
 ENSEMBLE_METHODS = ("full", "sd1", "sd2")
 WORKERS_ENV = "SPINSECTORS_WORKERS"
-# bytes of one Monte Carlo stack of W, stretched-column pass, ED run or CG table chunk
+# bytes of one Monte Carlo stack of W, stretched-column pass, ED run or CG table chunk's
+# padded output (the chunk's solve holds ~13 times that: `cg_columns`)
 STACK_BYTES = 1 << 20
 # Spins per block of the exact J = 0 sum (`_singlet_weights`).  With its checks and weights
 # it took 11.2, 9.9, 9.3, 9.6 and 10.4 ms at blocks of 8, 16, 32, 64 and 128 at (L, cut) =
@@ -417,7 +417,7 @@ class CoupledPairGeometry:
     @cached_property
     def partner_bounds(self):
         """J_A's partners |J - J_A| <= J_B <= J + J_A: one run (lo, hi) of
-        `jb_list` per J_A (for Monte Carlo and sd1)."""
+        `jb_list` per J_A (for Monte Carlo)."""
         cut_b, two_j = self.sites - self.cut, self.two_j
         return {ja: (abs(two_j - ja), min(cut_b, two_j + ja)) for ja in self.ja_list}
 
@@ -435,7 +435,8 @@ class CoupledPairGeometry:
     @cached_property
     def cg_columns(self):
         """Read-only c_m(J; J_A, J_B) of each pairing, m = min(J_A, J_B) descending, then 0,
-        solved by min(J_A, J_B) in consecutive chunks whose padded columns fit in STACK_BYTES."""
+        solved by min(J_A, J_B) in consecutive chunks whose padded columns fit in STACK_BYTES.
+        That bounds the output only: a chunk's solve holds ~13 arrays of its shape (13.5 MB at 1 MiB)."""
         order, starts, columns = sorted(self.pairs, key=min), [0], {}
         for k, pair in enumerate(order):
             if k > starts[-1] and 8 * (k + 1 - starts[-1]) * (min(pair) + 1) > STACK_BYTES:
@@ -817,32 +818,6 @@ def sd2_average_closed(sites, two_j, cut):
     dims = [geo.na[a] * geo.nb[b] for a, b in pairs]  # each product formed once
     d, blocks = sum(dims), zip(pairs, dims, _stretched_entropies(pairs))
     return _block_average([(geo.na[a], geo.nb[b], dim / d, s) for (a, b), dim, s in blocks], d)
-
-
-def sd1_semianalytic(sites, two_j, cut):
-    """Block-decomposition estimate of the sd1 average.
-
-    Treats each J_A block as a Page problem of size n_A x (sum of partner
-    n_B), with the subsystem-magnetization weights mixed over partners.  Exact
-    at J=0, where it reduces to the singlet sum; an O(1) overestimate
-    otherwise at f=1/2.  Reads the geometry's CG columns, so at a small fixed 2J
-    the time grows as ~L**2: (L, 2J, cut) = (200, 4, 100) takes ~11 ms, (800, 4,
-    400) ~0.07 s and (2000, 4, 1000) ~0.26 s.
-    """
-    geo = CoupledPairGeometry(sites, two_j, cut)
-    blocks = []
-    for two_ja, (lo, hi) in geo.partner_bounds.items():
-        partners = range(lo, hi + 1, 2)
-        nb_eff = sum(geo.nb[jb] for jb in partners)
-        p_m = np.zeros(two_ja + 1)
-        for two_jb in partners:
-            mm = min(two_ja, two_jb)  # rows m = mm, mm - 1, .., -mm; |m| > mm stays 0
-            column = geo.cg_columns[two_ja, two_jb][mm::-1]
-            p_m[(two_ja - mm) // 2 : (two_ja + mm) // 2 + 1] += geo.nb[two_jb] / nb_eff * column**2
-        kept = np.where(p_m > 0.0, p_m, 1.0)  # exact weights: none is floored, and 0 ln 0 = 0
-        s_m = float(np.maximum(0.0 - np.vecdot(kept, np.log(kept)), 0.0))
-        blocks.append((geo.na[two_ja], nb_eff, geo.weights[two_ja], s_m))
-    return _block_average(blocks, geo.sector_dim)
 
 
 def paired_spin_crossover(fraction, j):

@@ -18,7 +18,7 @@ The library calls none of these; the tests compare it against them.
 - `stretched_weight_log`, `stretched_weight`: one stretched Clebsch-Gordan
   weight from three `log_binomial` calls, against the library's columns.
 - `stretched_column_logs`, `singlet_average_reference`,
-  `sd2_average_reference`, `sd1_reference`, `max_spin_entropy_reference`,
+  `sd2_average_reference`, `max_spin_entropy_reference`,
   `page_average_reference`: the closed forms with one stretched column and
   its entropy per call and each block weight n_A n_B / d formed where it is
   read, against the library's columns and entropies in one pass and weights
@@ -335,26 +335,6 @@ def sd2_average_reference(sites, two_j, cut):
         (spin_half_multiplicity(cut, a), spin_half_multiplicity(sites - cut, b), _column_entropy(a, b))
         for a, b in pairs
     ]) if pairs else None
-
-
-def sd1_reference(sites, two_j, cut):
-    """`sd1_semianalytic` from one scalar Clebsch-Gordan coefficient per m."""
-    blocks = []
-    for two_ja in range(cut % 2, cut + 1, 2):
-        partners = range(abs(two_j - two_ja), min(sites - cut, two_j + two_ja) + 1, 2)
-        if not partners:
-            continue
-        nb = {two_jb: spin_half_multiplicity(sites - cut, two_jb) for two_jb in partners}
-        nb_eff = sum(nb.values())
-        p_m = np.zeros(two_ja + 1)
-        for two_jb in partners:
-            column = np.array([clebsch_gordan(two_ja, two_m, two_jb, -two_m, two_j, 0) ** 2
-                               for two_m in range(-two_ja, two_ja + 1, 2)])
-            p_m += nb[two_jb] / nb_eff * column
-        kept = np.where(p_m > 0.0, p_m, 1.0)  # exact weights: every positive one counts
-        s_m = float(np.maximum(0.0 - np.vecdot(kept, np.log(kept)), 0.0))
-        blocks.append((spin_half_multiplicity(cut, two_ja), nb_eff, s_m))
-    return _page_block_sum(blocks)
 
 
 def _spin_one_weight_count(sites, jz):

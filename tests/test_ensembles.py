@@ -38,7 +38,6 @@ from spinsectors import (
     paired_spin_crossover,
     random_state_average,
     saddle_solve,
-    sd1_semianalytic,
     sd2_asymptotic,
     sd2_average_closed,
     singlet_average_asymptotic,
@@ -127,7 +126,6 @@ NON_INTEGER_CASES = [
     (singlet_average_exact, (12.0, 6), "sites", 12.0),
     (sd2_average_closed, (12, 2, 6.0), "cut", 6.0),
     (sd2_average_closed, (12, 2.0, 6), "two_j", 2.0),
-    (sd1_semianalytic, (12, 2, 6.5), "cut", 6.5),
     (max_spin_state_entropy, (12, 6.0), "cut", 6.0),
     (max_spin_state_entropy, (12.0, 6), "sites", 12.0),
     (haar_average_leading, (12, 6.5), "cut", 6.5),
@@ -370,12 +368,13 @@ def test_log_and_asymptotic_forms_refuse_sizes_past_float_range(name):
             call(sites)
 
 
-# each call takes (sites, int type); sd1 stops at L = 100 (~1 s there)
+# each call takes (sites, int type); the CG table stops at L = 100
 NUMPY_INPUT_CALLS = {
     "singlet_average_exact": lambda L, i: singlet_average_exact(i(L), i(L // 2)),
     "sd2_average_closed": lambda L, i: sd2_average_closed(i(L), i(4), i(L // 2)),
     "max_spin_state_entropy": lambda L, i: max_spin_state_entropy(i(L), i(L // 4)),
-    "sd1_semianalytic": lambda L, i: sd1_semianalytic(i(min(L, 100)), i(4), i(min(L, 100) // 2)),
+    "cg_columns": lambda L, i: float(np.concatenate(list(
+        CoupledPairGeometry(i(min(L, 100)), i(4), i(min(L, 100) // 2)).cg_columns.values())).sum()),
     "spin_half_multiplicity": lambda L, i: spin_half_multiplicity(i(L), i(0)),
     "multiplicity": lambda L, i: spinsectors.multiplicity(HALF, i(L), i(2)),
     "hilbert_fraction": lambda L, i: spinsectors.hilbert_fraction(i(L), i(0)),
@@ -396,8 +395,8 @@ NUMPY_INPUT_CALLS = {
 def test_numpy_integers_give_the_python_values_and_types(name, sites):
     # numpy sizes mixed with exact big integers raised OverflowError from
     # L ~ 64 on, and gave numpy scalars below that; unsigned spins wrapped
-    # round in differences (<1 1/2; 3 -1/2 | 1 0> gave 0.0, and sd2 and sd1
-    # warned of an overflow), and an int8 2 L overflowed at L = 100
+    # round in differences (<1 1/2; 3 -1/2 | 1 0> gave 0.0, and geometries
+    # built from them warned of an overflow), and an int8 2 L overflowed at L = 100
     want = NUMPY_INPUT_CALLS[name](sites, int)
     for itype in (np.int64, np.uint64, np.uint16, np.int8):
         if sites <= np.iinfo(itype).max:
@@ -424,7 +423,7 @@ def within_route_tolerance(got, want):
 
 # geometries of the Schmidt-block tests: (14, 6, 7) has no m = 0 block; at
 # (4, 4, 2) the even-J_A class of m = 0 is empty
-BLOCK_GRID = [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4)]
+BLOCK_GRID = [(8, 2, 4), (12, 6, 6), (20, 2, 10), (14, 6, 7), (16, 4, 6), (4, 4, 2), (8, 0, 4), (12, 2, 3)]
 
 
 class TestEntropyKernels:
@@ -863,53 +862,6 @@ class TestSd2:
 
 
 class TestSd1:
-    def test_semianalytic_equals_exact_at_singlet(self):
-        for sites, cut in ((8, 4), (12, 6), (12, 3)):
-            assert sd1_semianalytic(sites, 0, cut) == pytest.approx(
-                singlet_average_exact(sites, cut), abs=1e-12
-            )
-
-    def test_semianalytic_values_pinned(self):
-        # values read from the geometry's CG columns, compared with ==
-        assert sd1_semianalytic(12, 2, 3) == 2.048879038401767
-        assert [sd1_semianalytic(sites, 0, cut) for sites, cut in ((8, 4), (12, 6), (12, 3))] == [
-            2.10848722016569, 3.424833699566852, 2.026663049834447
-        ]
-
-    @pytest.mark.parametrize("sites", [1200, 3080])
-    def test_semianalytic_stretched_column_at_large_spin(self, sites):
-        # at 2J = L the one pairing's column spans ~1e179 (L = 1200) and ~1e462
-        # (L = 3080) from edge to peak, and each run of the recursion grows as
-        # far again past the peak: neither its rescaling nor the join may
-        # underflow the rows kept.  The ~1.7e-11 gap at L = 3080 is the
-        # reference's: against a 40-digit sum sd1 errs by 2e-15, but
-        # max_spin_state_entropy's log-domain column by -1.9e-11
-        expected = max_spin_state_entropy(sites, sites // 2)
-        assert sd1_semianalytic(sites, sites, sites // 2) == pytest.approx(expected, abs=1e-10)
-
-    @pytest.mark.parametrize("sites", [400, 1000, 2000])
-    def test_semianalytic_keeps_weights_below_the_eigenvalue_floor(self, sites):
-        # at 2J = L the row is the stretched state's -sum w ln w.  Its exact
-        # weights went through the Monte Carlo floor, which dropped those below
-        # 1e-14 (124 at L = 400, 832 at L = 2000) and erred by -2.1e-13 to -1.2e-12
-        mp = pytest.importorskip("mpmath")
-        cut = sites // 2
-        with mp.workdps(40):
-            total = mp.mpf(math.comb(sites, sites // 2))
-            weights = [math.comb(cut, k) * math.comb(sites - cut, sites // 2 - k) / total
-                       for k in range(cut + 1)]
-            exact = -mp.fsum(w * mp.log(w) for w in weights)
-        assert abs(sd1_semianalytic(sites, sites, cut) - float(exact)) <= 1e-14
-
-    def test_semianalytic_runs_at_large_spin(self):
-        # a log-factorial Racah sum missed unit column norms here, by up to 1.6e-6 at L=200
-        for sites, two_j, cut in ((128, 64, 64), (200, 100, 100)):
-            assert 0.0 < sd1_semianalytic(sites, two_j, cut) <= cut * math.log(2.0)
-
-    def test_semianalytic_tracks_monte_carlo(self):
-        values = ensemble_entropy_samples(12, 2, 3, 500, 9, ("sd1",))["sd1"]
-        assert abs(values.mean() - sd1_semianalytic(12, 2, 3)) < 0.02
-
     def test_sd1_equals_full_at_singlet_sector(self):
         samples = ensemble_entropy_samples(8, 0, 4, 32, 7, ("full", "sd1"))
         assert np.allclose(samples["full"], samples["sd1"], atol=1e-12)
@@ -1506,7 +1458,7 @@ class TestGeometry:
 
     def test_singlet_average_sets_off_no_collection(self):
         # the closed forms build no partner run per J_A (one tracked tuple each,
-        # 2,501 at L = 10**4): only Monte Carlo and sd1 read `partner_bounds`
+        # 2,501 at L = 10**4): only Monte Carlo reads `partner_bounds`
         def averages():
             singlet_average_exact(10**4, 5000)
             singlet_average_exact(10**4, 2500)
@@ -1598,11 +1550,46 @@ class TestGeometry:
         assert geo.pairs == [(0, 2), (2, 0), (2, 2), (2, 4)]
 
     def test_cg_columns_normalized(self):
-        geo = coupled_geometry(12, 4, 5)
-        for two_ja, two_jb in geo.pairs:
-            mm = min(two_ja, two_jb)
-            col = np.array([geo.cg_coefficient(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)])
-            assert np.sum(col**2) == pytest.approx(1.0, abs=1e-12)
+        # a log-factorial Racah sum missed unit column norms at large spin, by up to 1.6e-6 at L = 200
+        for sites, two_j, cut in ((12, 4, 5), (128, 64, 64), (200, 100, 100)):
+            geo = CoupledPairGeometry(sites, two_j, cut)
+            for two_ja, two_jb in geo.pairs:
+                mm = min(two_ja, two_jb)
+                col = np.array([geo.cg_coefficient(two_ja, two_jb, m) for m in range(-mm, mm + 1, 2)])
+                assert np.sum(col**2) == pytest.approx(1.0, abs=1e-12), (sites, two_ja, two_jb)
+
+    @staticmethod
+    def stretched_table_entropy(sites):
+        """-sum c**2 ln c**2 over the one column of the 2J = L table at the half
+        cut: the stretched state's entropy from exact weights, 0 ln 0 = 0."""
+        (column,) = CoupledPairGeometry(sites, sites, sites // 2).cg_columns.values()
+        weights = column**2
+        kept = np.where(weights > 0.0, weights, 1.0)
+        return float(-np.vecdot(kept, np.log(kept)))
+
+    @pytest.mark.parametrize("sites", [1200, 3080])
+    def test_stretched_column_at_large_spin(self, sites):
+        # at 2J = L the one pairing's column spans ~1e179 (L = 1200) and ~1e462
+        # (L = 3080) from edge to peak, and each run of the recursion grows as
+        # far again past the peak: neither its rescaling nor the join may
+        # underflow the rows kept.  The ~1.7e-11 gap at L = 3080 is the
+        # reference's: against a 40-digit sum the table errs by 2e-15, but
+        # max_spin_state_entropy's log-domain column by -1.9e-11
+        expected = max_spin_state_entropy(sites, sites // 2)
+        assert self.stretched_table_entropy(sites) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("sites", [400, 1000, 2000])
+    def test_stretched_column_keeps_weights_below_the_eigenvalue_floor(self, sites):
+        # the Monte Carlo floor would drop the weights below 1e-14 (124 at
+        # L = 400, 832 at L = 2000) and err by -2.1e-13 to -1.2e-12
+        mp = pytest.importorskip("mpmath")
+        cut = sites // 2
+        with mp.workdps(40):
+            total = mp.mpf(math.comb(sites, sites // 2))
+            weights = [math.comb(cut, k) * math.comb(sites - cut, sites // 2 - k) / total
+                       for k in range(cut + 1)]
+            exact = -mp.fsum(w * mp.log(w) for w in weights)
+        assert abs(self.stretched_table_entropy(sites) - float(exact)) <= 1e-14
 
     def test_cg_columns_equal_the_scalar_coefficients(self):
         # every pairing's column of every (L <= 24, 2J, cut), from one kernel
@@ -1716,7 +1703,6 @@ class TestGeometry:
         singlet_average_exact(4000, 1000)
         sd2_average_closed(4000, 2000, 2000)
         sd2_average_closed(10000, 5000, 2500)
-        sd1_semianalytic(64, 8, 32)
         assert coupled_geometry.cache_info().currsize == 0
 
 
@@ -1726,7 +1712,7 @@ class TestClosedFormRoutes:
     # product where its weight is read and each column on its own.  Both
     # routes do the same float operations, so they agree to the last bit.
     @staticmethod
-    def assert_routes_agree(sites, two_j, cut, sd1=True):
+    def assert_routes_agree(sites, two_j, cut):
         if two_j == 0:
             assert singlet_average_exact(sites, cut) == oracles.singlet_average_reference(sites, cut)
         if two_j == sites:
@@ -1737,8 +1723,6 @@ class TestClosedFormRoutes:
                 sd2_average_closed(sites, two_j, cut)
         else:
             assert sd2_average_closed(sites, two_j, cut) == expected
-        if sd1:
-            assert sd1_semianalytic(sites, two_j, cut) == oracles.sd1_reference(sites, two_j, cut)
 
     def test_every_row_up_to_forty_sites(self):
         for sites in range(2, 41, 2):
@@ -1751,7 +1735,7 @@ class TestClosedFormRoutes:
     @pytest.mark.parametrize("sites, two_j, cut", [
         (2000, 0, 1000), (2000, 1000, 700), (10000, 0, 5000), (10000, 0, 2500)])
     def test_large_rows(self, sites, two_j, cut):
-        self.assert_routes_agree(sites, two_j, cut, sd1=False)
+        self.assert_routes_agree(sites, two_j, cut)
         assert max_spin_state_entropy(sites, cut) == oracles.max_spin_entropy_reference(sites, cut)
         dims = spin_half_multiplicity(cut, cut % 2), spin_half_multiplicity(sites - cut, cut % 2)
         assert page_average(*dims) == oracles.page_average_reference(*dims)
